@@ -10,11 +10,11 @@
 //   - AllocsPerStep and every StepsExecuted column gate as exact-ish
 //     ceilings: the baseline value is a budget, a regression beyond a
 //     small noise tolerance fails, improvements pass. StepsExecuted is
-//     deterministic, so this pins the prefix-fork layer's win: a
-//     fork-on run must never execute more interpreter steps than the
-//     baseline it was snapshotted against.
-//   - NsPerStep and SearchNs (including the fork-on SearchNsFork and
-//     telemetry-on SearchNsTelemetry legs) gate as headroom ceilings:
+//     deterministic (the searches run with one worker), so a search
+//     must never execute more interpreter steps than the baseline it
+//     was snapshotted against.
+//   - NsPerStep and SearchNs (including the telemetry-on
+//     SearchNsTelemetry leg) gate as headroom ceilings:
 //     a fresh value above baseline × timeHeadroom fails. The generous
 //     factor absorbs machine-speed differences between the baseline
 //     runner and CI while still catching a gross dispatch-loop
@@ -26,8 +26,8 @@
 //     machine headroom — it pins the telemetry stack's passivity as a
 //     cost budget, complementing the determinism tests.
 //
-// Other cost fields (table times, executed/pruned trial counts, steps,
-// StepsSaved) are informational only and never gate.
+// Other cost fields (table times, executed trial counts, steps) are
+// informational only and never gate.
 //
 // Usage (what CI runs):
 //
@@ -158,9 +158,8 @@ func gated(key string) bool {
 // Used for the interpreter's allocs/step, whose steady-state target is
 // zero but whose measurement carries runtime noise, and for the
 // deterministic StepsExecuted counts of the searching sections, where
-// the ceiling pins the prefix-fork layer: forking (or any future
-// executor change) may only ever reduce the interpreter steps a search
-// executes.
+// the ceiling pins the trial executor: a change may only ever reduce
+// the interpreter steps a search executes.
 func ceilingGated(key string) bool {
 	return strings.Contains(key, "Allocs") || strings.Contains(key, "StepsExecuted")
 }

@@ -167,14 +167,13 @@ func TestCompareEngineIsIdentity(t *testing.T) {
 	}
 }
 
-const stepsBaseline = `{"table":"table4","rows":[{"Name":"apache-2","ChessTries":2000,"ChessFound":false,"ChessStepsExecuted":1500000,"ChessStepsSaved":0}]}
+const stepsBaseline = `{"table":"table4","rows":[{"Name":"apache-2","ChessTries":2000,"ChessFound":false,"ChessExecuted":2000,"ChessStepsExecuted":1500000}]}
 `
 
 // TestCompareStepsExecutedCeiling: StepsExecuted columns gate as
-// ceilings — a forked search executing fewer interpreter steps than
-// the fork-off baseline passes (that is the win the gate preserves), a
-// search executing more fails, and the StepsSaved companion column is
-// informational.
+// ceilings — a search executing fewer interpreter steps than the
+// baseline passes, a search executing more fails, and the Executed
+// trial-count column is informational.
 func TestCompareStepsExecutedCeiling(t *testing.T) {
 	diffs, checked := compare(sections(t, stepsBaseline), sections(t, stepsBaseline))
 	if len(diffs) != 0 {
@@ -196,10 +195,10 @@ func TestCompareStepsExecutedCeiling(t *testing.T) {
 		t.Fatalf("steps regression not caught: %v", diffs)
 	}
 
-	saved := sections(t, strings.ReplaceAll(stepsBaseline, `"ChessStepsSaved":0`, `"ChessStepsSaved":900000`))
-	diffs, _ = compare(saved, sections(t, stepsBaseline))
+	executed := sections(t, strings.ReplaceAll(stepsBaseline, `"ChessExecuted":2000`, `"ChessExecuted":2400`))
+	diffs, _ = compare(executed, sections(t, stepsBaseline))
 	if len(diffs) != 0 {
-		t.Fatalf("informational StepsSaved column gated: %v", diffs)
+		t.Fatalf("informational Executed column gated: %v", diffs)
 	}
 }
 

@@ -8,11 +8,6 @@
 //	benchtab -fig 10          # figure 10
 //	benchtab -plaincap 5000   # raise the plain-CHESS cutoff
 //	benchtab -workers 8       # run up to 8 workloads concurrently
-//	benchtab -prune           # equivalence-pruned searches (same rows,
-//	                          # fewer executed trials)
-//	benchtab -fork            # prefix-forked searches: trials resume
-//	                          # from cached machine snapshots (same
-//	                          # rows, fewer executed steps)
 //	benchtab -generated       # add the curated generator-derived
 //	                          # workloads as extra rows in tables 2-6
 //	benchtab -json > rows.json # machine-readable rows (one JSON object
@@ -73,8 +68,6 @@ func main() {
 	plainCap := flag.Int("plaincap", 2000, "plain-CHESS try cutoff (the 18-hour analogue)")
 	reps := flag.Int("reps", 3, "repetitions for overhead timing")
 	workers := flag.Int("workers", 0, "concurrent workloads per table (0 = GOMAXPROCS)")
-	prune := flag.Bool("prune", false, "enable equivalence pruning in the schedule searches (identical tries/found, fewer executed trials)")
-	fork := flag.Bool("fork", false, "enable prefix snapshot/forking in the schedule searches (identical tries/found, fewer executed steps)")
 	generated := flag.Bool("generated", false, "add the curated generator-derived workloads (internal/gen) as extra rows in tables 2-6")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON rows, one object per table/figure")
 	interpCost := flag.Bool("interp", false, "also measure per-engine interpreter cost: allocs/step, ns/step, steps/s and search wall time (the \"interp\" section cmd/benchgate gates)")
@@ -87,8 +80,6 @@ func main() {
 	flag.Parse()
 
 	experiments.Workers = *workers
-	experiments.Prune = *prune
-	experiments.Fork = *fork
 	experiments.IncludeGenerated = *generated
 	if *progress {
 		experiments.Progress = progressPrinter()
@@ -251,7 +242,7 @@ func progressPrinter() func(string, chess.Progress) {
 		if p.Done {
 			state = "done"
 		}
-		fmt.Fprintf(os.Stderr, "progress %-10s %-9s combos %d/%d  tries %d  executed %d  pruned %d  found=%v\n",
-			subject, state, p.Committed, p.Combos, p.Tries, p.Executed, p.Pruned, p.Found)
+		fmt.Fprintf(os.Stderr, "progress %-10s %-9s combos %d/%d  tries %d  executed %d  found=%v\n",
+			subject, state, p.Committed, p.Combos, p.Tries, p.Executed, p.Found)
 	}
 }

@@ -2,8 +2,8 @@
 // manufactures seeded concurrency-bug programs (internal/gen),
 // validates each one with the differential pipeline oracle — the
 // witness interleaving crashes at the seeded site, and the full
-// reproduction pipeline agrees bit-for-bit across workers {1,4} ×
-// prune {off,on} and the deprecated Run shim — and shrinks every
+// reproduction pipeline agrees bit-for-bit across workers {1,4}, the
+// tree-walking engine and the deprecated Run shim — and shrinks every
 // failure to a minimal counterexample.
 //
 // Usage:

@@ -19,8 +19,8 @@ import (
 
 // TestSmokeDifferential is the e2e smoke gate: boot the batch service
 // on loopback, submit a generated-workload corpus over HTTP at
-// workers {1,4} × prune {off,on}, and diff every fetched report
-// against a direct in-process Session run.
+// workers {1,4}, and diff every fetched report against a direct
+// in-process Session run.
 //
 // At workers=1 the entire report is deterministic, so the comparison
 // is bit-for-bit on the JSON. At workers=4 the cost counters may vary
@@ -60,7 +60,7 @@ func TestSmokeDifferential(t *testing.T) {
 	// Direct in-process runs through the identical projection. The
 	// fingerprint is configuration-independent; the full report is
 	// compared only at workers=1 where it is deterministic.
-	directFull := make(map[string][]byte) // "name/prune" -> report JSON at workers=1
+	directFull := make(map[string][]byte) // name -> report JSON at workers=1
 	type fp struct {
 		Outcome  string
 		Found    bool
@@ -73,76 +73,67 @@ func TestSmokeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, prune := range []bool{false, true} {
-			s := heisendump.NewCompiled(prog, &heisendump.Input{},
-				heisendump.WithWorkers(1),
-				heisendump.WithPrune(prune),
-				heisendump.WithTrialBudget(e.TrialBudget),
-				heisendump.WithStressBudget(e.StressBudget),
-			)
-			rep, runErr := s.Reproduce(context.Background())
-			jr, ep := server.BuildReport(rep, runErr, false)
-			if ep != nil {
-				t.Fatalf("%s direct run: %v", e.Name, ep)
-			}
-			b, err := json.Marshal(jr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			directFull[fmt.Sprintf("%s/%v", e.Name, prune)] = b
-			directFP[e.Name] = fp{jr.Outcome, jr.Found, jr.Tries, jr.Schedule}
+		s := heisendump.NewCompiled(prog, &heisendump.Input{},
+			heisendump.WithWorkers(1),
+			heisendump.WithTrialBudget(e.TrialBudget),
+			heisendump.WithStressBudget(e.StressBudget),
+		)
+		rep, runErr := s.Reproduce(context.Background())
+		jr, ep := server.BuildReport(rep, runErr, false)
+		if ep != nil {
+			t.Fatalf("%s direct run: %v", e.Name, ep)
 		}
+		b, err := json.Marshal(jr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		directFull[e.Name] = b
+		directFP[e.Name] = fp{jr.Outcome, jr.Found, jr.Tries, jr.Schedule}
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, prune := range []bool{false, true} {
-			tenant := fmt.Sprintf("w%d-p%v", workers, prune)
-			url := fmt.Sprintf("%s/v1/batch?tenant=%s&workers=%d", ts.URL, tenant, workers)
-			if prune {
-				url += "&prune=1"
-			}
-			resp, err := http.Post(url, "application/x-ndjson", bytes.NewReader(corpus.Bytes()))
+		tenant := fmt.Sprintf("w%d", workers)
+		url := fmt.Sprintf("%s/v1/batch?tenant=%s&workers=%d", ts.URL, tenant, workers)
+		resp, err := http.Post(url, "application/x-ndjson", bytes.NewReader(corpus.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br server.BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if br.Accepted != len(entries) || br.Rejected != 0 {
+			t.Fatalf("[%s] batch: %+v", tenant, br)
+		}
+
+		for i, r := range br.Results {
+			e := entries[i]
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + r.ID + "?wait=1")
 			if err != nil {
 				t.Fatal(err)
 			}
-			var br server.BatchResponse
-			if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			var st server.JobStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if br.Accepted != len(entries) || br.Rejected != 0 {
-				t.Fatalf("[%s] batch: %+v", tenant, br)
+			if st.State != server.StateDone || st.Report == nil {
+				t.Fatalf("[%s] %s: state %s err=%+v", tenant, e.Name, st.State, st.Error)
 			}
 
-			for i, r := range br.Results {
-				e := entries[i]
-				resp, err := http.Get(ts.URL + "/v1/jobs/" + r.ID + "?wait=1")
-				if err != nil {
-					t.Fatal(err)
+			if workers == 1 {
+				got, _ := json.Marshal(st.Report)
+				if want := directFull[e.Name]; !bytes.Equal(got, want) {
+					t.Errorf("[%s] %s: HTTP report differs from direct Session run\n  http: %s\ndirect: %s",
+						tenant, e.Name, got, want)
 				}
-				var st server.JobStatus
-				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if st.State != server.StateDone || st.Report == nil {
-					t.Fatalf("[%s] %s: state %s err=%+v", tenant, e.Name, st.State, st.Error)
-				}
-
-				if workers == 1 {
-					got, _ := json.Marshal(st.Report)
-					want := directFull[fmt.Sprintf("%s/%v", e.Name, prune)]
-					if !bytes.Equal(got, want) {
-						t.Errorf("[%s] %s: HTTP report differs from direct Session run\n  http: %s\ndirect: %s",
-							tenant, e.Name, got, want)
-					}
-					continue
-				}
-				want := directFP[e.Name]
-				got := fp{st.Report.Outcome, st.Report.Found, st.Report.Tries, st.Report.Schedule}
-				if got != want {
-					t.Errorf("[%s] %s: fingerprint drift\n  http: %+v\ndirect: %+v", tenant, e.Name, got, want)
-				}
+				continue
+			}
+			want := directFP[e.Name]
+			got := fp{st.Report.Outcome, st.Report.Found, st.Report.Tries, st.Report.Schedule}
+			if got != want {
+				t.Errorf("[%s] %s: fingerprint drift\n  http: %+v\ndirect: %+v", tenant, e.Name, got, want)
 			}
 		}
 	}

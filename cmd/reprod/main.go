@@ -47,8 +47,6 @@ func main() {
 	bound := flag.Int("k", 2, "preemption bound")
 	maxTries := flag.Int("maxtries", 5000, "schedule-search trial budget")
 	workers := flag.Int("workers", 0, "schedule-search worker pool width (0 = GOMAXPROCS); the result is deterministic for any value")
-	prune := flag.Bool("prune", false, "skip schedule trials proven equivalent to already-executed runs; the result is identical either way")
-	fork := flag.Bool("fork", false, "resume schedule trials from cached prefix snapshots instead of step 0; the result is identical either way")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock deadline (0 = none); the deadline cancels like Ctrl-C")
 	list := flag.Bool("list", false, "list built-in workloads")
 	verbose := flag.Bool("v", false, "print the failure index, CSVs, candidates and stage transitions")
@@ -105,8 +103,6 @@ func main() {
 		heisendump.WithTrialBudget(*maxTries),
 		heisendump.WithPlainChess(*plain),
 		heisendump.WithWorkers(*workers),
-		heisendump.WithPrune(*prune),
-		heisendump.WithFork(*fork),
 	}
 	if *heuristic == "dep" {
 		opts = append(opts, heisendump.WithHeuristic(heisendump.Dependence))
@@ -181,16 +177,8 @@ func main() {
 		writeTrace()
 		os.Exit(2)
 	}
-	pruneNote := ""
-	if res.TrialsPruned > 0 {
-		pruneNote = fmt.Sprintf(", %d pruned as equivalent, %d distinct interleavings", res.TrialsPruned, res.DistinctRuns)
-	}
-	forkNote := ""
-	if res.StepsSaved > 0 {
-		forkNote = fmt.Sprintf(" (+%d replayed from snapshots)", res.StepsSaved)
-	}
-	fmt.Printf("reproduced: %d tries (%d runs executed on %d workers%s), %v, %d interpreter steps%s\n",
-		res.Tries, res.TrialsExecuted, res.Workers, pruneNote, res.Elapsed, res.StepsExecuted, forkNote)
+	fmt.Printf("reproduced: %d tries (%d runs executed on %d workers), %v, %d interpreter steps\n",
+		res.Tries, res.TrialsExecuted, res.Workers, res.Elapsed, res.StepsExecuted)
 	printSchedule(res)
 	writeTrace()
 }
@@ -237,15 +225,8 @@ func printFlight() {
 	}
 	fmt.Printf("flight recorder: last %d trial(s)%s:\n", len(fl.Trials), dropped)
 	for _, t := range fl.Trials {
-		disposition := "executed"
-		switch {
-		case t.Pruned:
-			disposition = "pruned"
-		case t.Forked:
-			disposition = "forked"
-		}
-		fmt.Printf("  rank %d trial %d worker %d: %s steps=%d saved=%d found=%v\n",
-			t.Rank, t.Trial, t.Worker, disposition, t.Steps, t.StepsSaved, t.Found)
+		fmt.Printf("  rank %d trial %d worker %d: steps=%d found=%v\n",
+			t.Rank, t.Trial, t.Worker, t.Steps, t.Found)
 	}
 	if n := len(fl.Decisions); n > 0 {
 		d := fl.Decisions[n-1]

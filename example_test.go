@@ -23,8 +23,7 @@ func Example_quickstart() {
 	s, err := heisendump.New(w.Source, w.Input,
 		heisendump.WithHeuristic(heisendump.Temporal),
 		heisendump.WithTrialBudget(1000),
-		heisendump.WithWorkers(1),  // any value gives the same result; 1 keeps the example minimal
-		heisendump.WithPrune(true), // skip schedule trials proven equivalent to executed runs
+		heisendump.WithWorkers(1), // any value gives the same result; 1 keeps the example minimal
 	)
 	if err != nil {
 		log.Fatal(err)

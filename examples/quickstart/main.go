@@ -41,11 +41,6 @@ func main() {
 		// workers claim combinations in deterministic rank order and
 		// outcomes fold back in that order.
 		heisendump.WithWorkers(0),
-		// WithPrune skips trials proven happens-before equivalent to
-		// already-executed runs. Found/Schedule/Tries are unchanged;
-		// only the number of runs actually executed (and wall time)
-		// drops — see res.TrialsPruned below.
-		heisendump.WithPrune(true),
 	)
 
 	fmt.Println("== production phase: provoke the Heisenbug ==")
@@ -77,8 +72,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("not reproduced in %d tries: %v", res.Tries, err)
 	}
-	fmt.Printf("reproduced after %d tries (%d executed, %d pruned as equivalent) in %v\n",
-		res.Tries, res.TrialsExecuted, res.TrialsPruned, res.Elapsed)
+	fmt.Printf("reproduced after %d tries (%d executed) in %v\n",
+		res.Tries, res.TrialsExecuted, res.Elapsed)
 	for _, ap := range res.Schedule {
 		fmt.Printf("  preempt thread %d at %v (sync #%d) -> run thread %d\n",
 			ap.Candidate.Thread, ap.Candidate.Kind, ap.Candidate.Seq, ap.SwitchTo)

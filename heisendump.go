@@ -31,8 +31,7 @@
 //
 //	w := heisendump.WorkloadByName("fig1")
 //	s, err := heisendump.New(w.Source, w.Input, // compiles via the shared program cache
-//		heisendump.WithWorkers(0),  // search pool width; 0 = GOMAXPROCS, any value same result
-//		heisendump.WithPrune(true), // skip schedule trials proven equivalent to executed runs
+//		heisendump.WithWorkers(0), // search pool width; 0 = GOMAXPROCS, any value same result
 //	)
 //	rep, err := s.Reproduce(ctx)
 //	// rep.Search.Found, rep.Search.Schedule: the failure-inducing schedule
@@ -51,9 +50,8 @@
 // with an error wrapping ErrCancelled. WithObserver streams stage
 // transitions and search heartbeats while a long search grinds. The
 // schedule search runs WithWorkers trials concurrently with a
-// deterministic rank-order reduction, and WithPrune skips trials that
-// are happens-before equivalent to already-executed runs — both knobs
-// change only the cost of the search, never its result.
+// deterministic rank-order reduction — the knob changes only the cost
+// of the search, never its result.
 //
 // The pre-Session API (NewPipeline, Config, Pipeline.Run) remains as a
 // deprecated thin shim over the same implementation; see the migration
@@ -91,7 +89,7 @@ import (
 type Pipeline = core.Pipeline
 
 // Config tunes a reproduction run. New code configures a Session with
-// functional options (WithWorkers, WithPrune, ...) instead of filling
+// functional options (WithWorkers, WithTrialBudget, ...) instead of filling
 // a Config literal; the options write the same fields.
 type Config = core.Config
 

@@ -45,8 +45,8 @@ type Options struct {
 	// explored first, composing with — and ranking above — the Weighted
 	// CSV ordering. The reordering changes Tries (that is its point);
 	// for any fixed Static value, Found/Schedule/Tries remain
-	// bit-identical across Workers, Prune and Fork. nil leaves the
-	// exploration order exactly as without static guidance.
+	// bit-identical across Workers. nil leaves the exploration order
+	// exactly as without static guidance.
 	Static map[string]bool
 	// MaxTries cuts the search off after this many test runs (the
 	// analogue of the paper's 18-hour cutoff). Zero means unlimited.
@@ -63,31 +63,12 @@ type Options struct {
 	// concurrently; <= 0 means GOMAXPROCS. Any value yields the same
 	// Found, Schedule and Tries (see Result).
 	Workers int
-	// Prune enables the equivalence-pruning layer (see prune.go): every
-	// executed trial is fingerprinted by the happens-before projection
-	// of its trace and memoized, and candidate schedules proven
-	// equivalent to an already-executed run are skipped before
-	// execution. Pruned trials replay the memoized outcome, so Found,
-	// Schedule and Tries are bit-identical with pruning on or off, for
-	// any worker count; only the execution-cost fields (TrialsExecuted,
-	// StepsExecuted, wall time) drop.
-	Prune bool
-	// Fork enables prefix snapshot/fork execution (see fork.go): each
-	// worker checkpoints trial machines at preemption frontiers and
-	// starts later trials from the deepest cached snapshot on their
-	// schedule path instead of re-executing the shared prefix from
-	// step 0. Forked trials produce bit-identical outcomes, so Found,
-	// Schedule and Tries are the same with forking on or off, for any
-	// worker count and either pruning mode; only the execution-cost
-	// split moves — replayed prefix steps land in Result.StepsSaved
-	// instead of StepsExecuted.
-	Fork bool
 	// Progress, when non-nil, receives heartbeat snapshots of the
 	// running search: one after every rank the deterministic fold
 	// commits, and a final one (Done true) when the search returns. The
 	// deterministic fields (Combos, Committed, Tries, Found) form a
 	// stream that is identical for any worker count; the raw cost
-	// counters (Executed, Pruned, Steps) are monotone across the stream
+	// counters (Executed, Steps) are monotone across the stream
 	// but depend on worker scheduling. The callback runs with the
 	// searcher's internal lock held: it must return quickly and must
 	// not call back into the searcher. Cancelling the SearchContext
@@ -96,14 +77,12 @@ type Options struct {
 	// folded Tries reach a budget).
 	Progress func(Progress)
 	// Trial, when non-nil, receives one TrialEvent per trial the
-	// search disposes of — executed, pruned, or fork-replayed —
-	// including the pruning layer's seeding run and speculative trials
-	// of ranks the fold later discards. Events arrive concurrently
-	// from worker goroutines in completion order (not rank order); the
-	// callback must be cheap, safe for concurrent use, and must not
-	// call back into the searcher. It is strictly observational: the
-	// determinism contract is pinned with the hook attached and
-	// detached.
+	// search executes, including speculative trials of ranks the fold
+	// later discards. Events arrive concurrently from worker
+	// goroutines in completion order (not rank order); the callback
+	// must be cheap, safe for concurrent use, and must not call back
+	// into the searcher. It is strictly observational: the determinism
+	// contract is pinned with the hook attached and detached.
 	Trial func(TrialEvent)
 }
 
@@ -118,15 +97,12 @@ type Progress struct {
 	// Tries is the folded sequential-equivalent try count so far —
 	// deterministic for any worker count, like Result.Tries.
 	Tries int
-	// Executed, Pruned, Steps and StepsSaved are the raw cost counters
-	// at snapshot time (test runs executed including speculation,
-	// trials skipped by the pruning layer, interpreter steps executed,
-	// snapshot-replayed prefix steps forking skipped). Monotone across
-	// the heartbeat stream; dependent on worker scheduling.
-	Executed   int
-	Pruned     int
-	Steps      int64
-	StepsSaved int64
+	// Executed and Steps are the raw cost counters at snapshot time
+	// (test runs executed including speculation, interpreter steps
+	// executed). Monotone across the heartbeat stream; dependent on
+	// worker scheduling.
+	Executed int
+	Steps    int64
 	// Found reports whether a winning schedule has committed.
 	Found bool
 	// Done marks the final snapshot, emitted exactly once as the search
@@ -157,38 +133,15 @@ type Result struct {
 	Tries int
 	// TrialsExecuted counts every test run actually executed,
 	// including speculative runs of combinations that a concurrent
-	// lower-rank find or the cutoff later disqualified, and — with
-	// pruning on — the one seeding base run. Equal to Tries when
-	// Workers is 1 and pruning is off; with pruning on and one worker,
-	// TrialsExecuted + TrialsPruned equals the unpruned count plus the
-	// seeding run.
+	// lower-rank find or the cutoff later disqualified. Equal to Tries
+	// when Workers is 1.
 	TrialsExecuted int
-	// TrialsPruned counts trials the equivalence-pruning layer skipped:
-	// candidate schedules proven identical to an already-executed run,
-	// whose memoized outcome was replayed without execution. Zero when
-	// Options.Prune is off. Like TrialsExecuted it can vary with worker
-	// scheduling when Workers > 1 (a worker may execute a trial a
-	// slower-to-commit sub-run would have pruned); at Workers == 1 it
-	// is deterministic.
-	TrialsPruned int
-	// DistinctRuns counts the distinct happens-before-projection
-	// fingerprints among executed trials — the number of genuinely
-	// inequivalent interleavings the search paid for. Zero when pruning
-	// is off.
-	DistinctRuns int
 	// Elapsed is the wall time spent executing test runs.
 	Elapsed time.Duration
 	// StepsExecuted totals interpreter steps across all executed test
-	// runs (including speculative ones). With forking on, prefix steps
-	// replayed from snapshots are excluded here and counted in
-	// StepsSaved instead, so StepsExecuted + StepsSaved equals the
-	// fork-off StepsExecuted whenever the executed trial set matches
-	// (always at Workers == 1; at higher worker counts speculation can
-	// differ, like TrialsExecuted).
+	// runs (including speculative ones), so like TrialsExecuted it is
+	// deterministic only at Workers == 1.
 	StepsExecuted int64
-	// StepsSaved totals the snapshot-replayed prefix steps forked
-	// trials did not re-execute. Zero when Options.Fork is off.
-	StepsSaved int64
 	// CombinationsGenerated counts the combinations enumerated.
 	CombinationsGenerated int
 	// Workers is the worker count the search ran with.
@@ -228,22 +181,11 @@ type searchState struct {
 	maxRun   int64
 	maxTries int
 
-	// pruner is the equivalence-pruning seen-set, nil when pruning is
-	// off (or the candidate set has ambiguous dynamic points).
-	pruner *pruner
-	// forkPoints is the candidates' dynamic point index when prefix
-	// forking is on, nil otherwise (off, or ambiguous points — the
-	// same exactness requirement as pruning). Each worker builds its
-	// own forkCache over it.
-	forkPoints map[pointKey]int
-
-	next       atomic.Int64 // next worklist rank to claim
-	tries      atomic.Int64 // test runs executed (raw, incl. speculation)
-	pruned     atomic.Int64 // trials skipped by the pruning layer
-	steps      atomic.Int64 // interpreter steps executed
-	stepsSaved atomic.Int64 // snapshot-replayed prefix steps not executed
-	bestRank   atomic.Int64 // lowest rank whose combination found the target
-	decided    atomic.Bool  // the fold reached a winner or the cutoff
+	next     atomic.Int64 // next worklist rank to claim
+	tries    atomic.Int64 // test runs executed (raw, incl. speculation)
+	steps    atomic.Int64 // interpreter steps executed
+	bestRank atomic.Int64 // lowest rank whose combination found the target
+	decided  atomic.Bool  // the fold reached a winner or the cutoff
 
 	// mu guards the fold state below and the reads of outcomes inside
 	// advance (each outcomes[r] slot is written once, by the worker
@@ -322,29 +264,7 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		maxTries: s.Opts.MaxTries,
 		outcomes: make([]*comboOutcome, len(wl)),
 	}
-	if s.Opts.Prune {
-		st.pruner = newPruner(s.Candidates)
-	}
-	if s.Opts.Fork {
-		st.forkPoints = indexPoints(s.Candidates)
-	}
 	st.bestRank.Store(int64(len(wl))) // sentinel: nothing found yet
-
-	if st.pruner != nil && !st.cancelled() {
-		// Seed the seen-set with the unperturbed base run so that
-		// 1-combinations whose candidate is never fireable prune
-		// against it (the empty combination is their only sub-run). The
-		// seeding run counts toward TrialsExecuted and StepsExecuted
-		// but not Tries — it is pruning overhead, not part of the
-		// sequential search.
-		probe := st.pruner.newProbe()
-		m := s.NewMachine()
-		tr := s.runTrial(m, nil, nil, maxRun, probe)
-		st.tries.Add(1)
-		st.steps.Add(tr.steps)
-		st.pruner.record(nil, nil, &tr)
-		st.observeTrial(-1, 0, -1, &tr, false, m)
-	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -371,12 +291,7 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	st.mu.Unlock()
 	res.Cancelled = !complete && st.cancelled()
 	res.TrialsExecuted = int(st.tries.Load())
-	res.TrialsPruned = int(st.pruned.Load())
 	res.StepsExecuted = st.steps.Load()
-	res.StepsSaved = st.stepsSaved.Load()
-	if st.pruner != nil {
-		res.DistinctRuns = st.pruner.distinct()
-	}
 	if res.Found {
 		telemetry.ChessSearchesFound.Inc()
 	}
@@ -391,15 +306,13 @@ func (s *Searcher) emitDone(res *Result, committed int) {
 		return
 	}
 	s.Opts.Progress(Progress{
-		Combos:     res.CombinationsGenerated,
-		Committed:  committed,
-		Tries:      res.Tries,
-		Executed:   res.TrialsExecuted,
-		Pruned:     res.TrialsPruned,
-		Steps:      res.StepsExecuted,
-		StepsSaved: res.StepsSaved,
-		Found:      res.Found,
-		Done:       true,
+		Combos:    res.CombinationsGenerated,
+		Committed: committed,
+		Tries:     res.Tries,
+		Executed:  res.TrialsExecuted,
+		Steps:     res.StepsExecuted,
+		Found:     res.Found,
+		Done:      true,
 	})
 }
 
@@ -424,14 +337,11 @@ func (st *searchState) worker(w int) {
 	// Each worker owns one machine for its whole claim stream: runTrial
 	// rewinds it with Machine.Reset, so the millions of re-executions
 	// recycle frames, threads and heap objects instead of rebuilding
-	// them per trial. With forking on, each worker also owns one
-	// private forkCache — snapshots never cross workers, preserving
-	// the determinism contracts without locks. Built lazily so a
-	// worker that never claims a rank costs nothing. w identifies the
-	// worker to the telemetry layer (its counter shard and event
-	// attribution); it never influences the search.
+	// them per trial. Built lazily so a worker that never claims a
+	// rank costs nothing. w identifies the worker to the telemetry
+	// layer (its counter shard and event attribution); it never
+	// influences the search.
 	var m *interp.Machine
-	var fk *forkCache
 	for {
 		if st.cancelled() {
 			return
@@ -466,9 +376,8 @@ func (st *searchState) worker(w int) {
 		}
 		if m == nil {
 			m = st.s.NewMachine()
-			fk = newForkCache(st.forkPoints, w)
 		}
-		out := st.exploreCombo(r, cap, m, fk, w)
+		out := st.exploreCombo(r, cap, m, w)
 		if out.foundAt >= 0 {
 			for {
 				cur := st.bestRank.Load()
@@ -492,7 +401,6 @@ func (st *searchState) worker(w int) {
 // after the caller asked us to stop.
 func (st *searchState) finish() {
 	var m *interp.Machine
-	var fk *forkCache
 	for {
 		st.mu.Lock()
 		if st.cancelled() || st.decided.Load() || st.committed >= len(st.wl) {
@@ -510,9 +418,8 @@ func (st *searchState) finish() {
 
 		if m == nil {
 			m = st.s.NewMachine()
-			fk = newForkCache(st.forkPoints, -1)
 		}
-		out := st.exploreCombo(r, rem, m, fk, -1)
+		out := st.exploreCombo(r, rem, m, -1)
 		if out.foundAt >= 0 {
 			st.bestRank.Store(int64(r))
 		}
@@ -586,14 +493,12 @@ func (st *searchState) progressLocked() {
 		return
 	}
 	st.s.Opts.Progress(Progress{
-		Combos:     len(st.wl),
-		Committed:  st.committed,
-		Tries:      st.cumTries,
-		Executed:   int(st.tries.Load()),
-		Pruned:     int(st.pruned.Load()),
-		Steps:      st.steps.Load(),
-		StepsSaved: st.stepsSaved.Load(),
-		Found:      st.winner != nil,
+		Combos:    len(st.wl),
+		Committed: st.committed,
+		Tries:     st.cumTries,
+		Executed:  int(st.tries.Load()),
+		Steps:     st.steps.Load(),
+		Found:     st.winner != nil,
 	})
 }
 
@@ -609,7 +514,7 @@ func (st *searchState) progressLocked() {
 // consumes it — or when the context is cancelled, which also stops the
 // fold before it could reach this rank. Aborted outcomes are marked so
 // the fold can never mistake them for completed explorations.
-func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, fk *forkCache, w int) *comboOutcome {
+func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, w int) *comboOutcome {
 	combo := st.wl[r].combo
 	out := &comboOutcome{rank: r, foundAt: -1}
 	k := len(combo)
@@ -626,30 +531,11 @@ func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, fk *forkCache
 		if cap > 0 && out.trials >= cap {
 			return out
 		}
-		// Consult the equivalence seen-set first: a hit replays the
-		// memoized outcome of an identical run — bit-for-bit what this
-		// trial's execution would have produced, including the choice
-		// counts the odometer advances on — without executing it.
-		var tr trialResult
-		pruned := false
-		if rec := st.pruner.lookup(combo, vec); rec != nil {
-			tr = rec.asResult()
-			pruned = true
-			st.pruned.Add(1)
-		} else {
-			if fk != nil {
-				tr = st.s.runTrialFork(m, combo, vec, st.maxRun, st.pruner.newProbe(), fk)
-			} else {
-				tr = st.s.runTrial(m, combo, vec, st.maxRun, st.pruner.newProbe())
-			}
-			st.tries.Add(1)
-			st.steps.Add(tr.steps - tr.stepsSaved)
-			st.stepsSaved.Add(tr.stepsSaved)
-			st.pruner.record(combo, vec, &tr)
-		}
-		st.observeTrial(r, out.trials, w, &tr, pruned, m)
+		tr := st.s.runTrial(m, combo, vec, st.maxRun)
+		st.tries.Add(1)
+		st.steps.Add(tr.steps)
+		st.observeTrial(r, out.trials, w, &tr, m)
 		out.trials++
-		out.steps += tr.steps
 		if tr.found {
 			out.foundAt = out.trials - 1
 			out.schedule = tr.applied

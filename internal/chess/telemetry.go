@@ -9,70 +9,44 @@ import (
 // passive — counters and the Options.Trial hook observe trials after
 // their outcome is fixed, at trial granularity (never per step), so
 // the determinism contract (Found/Schedule/Tries bit-identical with
-// telemetry on or off, for any worker count, prune and fork mode) and
-// the allocs/step=0 budget are untouched.
+// telemetry on or off, for any worker count) and the allocs/step=0
+// budget are untouched.
 
-// TrialEvent describes one disposed trial, delivered to
+// TrialEvent describes one executed trial, delivered to
 // Options.Trial.
 type TrialEvent struct {
-	// Rank is the trial's worklist rank (-1 for the pruning layer's
-	// seeding base run); Trial is its 0-based index within the
-	// combination's exploration.
+	// Rank is the trial's worklist rank; Trial is its 0-based index
+	// within the combination's exploration.
 	Rank  int
 	Trial int
-	// Worker is the worker goroutine that disposed of the trial; -1
-	// marks the post-join sequential repair path.
+	// Worker is the worker goroutine that executed the trial; -1 marks
+	// the post-join sequential repair path.
 	Worker int
-	// Steps counts the steps the trial actually executed; StepsSaved
-	// the steps it replayed from the fork layer's snapshots and memos
-	// (or, for Pruned trials, the whole memoized run).
-	Steps      int64
-	StepsSaved int64
-	// Pruned marks a trial replayed by the equivalence-pruning layer
-	// without execution; Forked one that resumed from a fork snapshot
-	// or memo; Found one that reproduced the target failure.
-	Pruned bool
-	Forked bool
-	Found  bool
+	// Steps counts the interpreter steps the trial executed.
+	Steps int64
+	// Found marks a trial that reproduced the target failure.
+	Found bool
 }
 
-// observeTrial publishes one disposed trial to the telemetry layer:
+// observeTrial publishes one executed trial to the telemetry layer:
 // the sharded chess counters, per-engine step attribution, the crash
 // classifier, and the Options.Trial hook. worker indexes the counter
-// shard; negative ids (the seeding run and the post-join repair path)
-// wrap to a valid cell like any other out-of-range id.
-func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, pruned bool, m *interp.Machine) {
-	if pruned {
-		telemetry.ChessTrialsPruned.Cell(worker).Inc()
-	} else {
-		executed := tr.steps - tr.stepsSaved
-		telemetry.ChessTrialsExecuted.Cell(worker).Inc()
-		telemetry.ChessStepsExecuted.Cell(worker).Add(executed)
-		telemetry.ChessStepsSaved.Cell(worker).Add(tr.stepsSaved)
-		telemetry.ChessTrialSteps.Cell(worker).Observe(executed)
-		telemetry.ChessWorkerSteps(max(worker, 0)).Cell(worker).Add(executed)
-		stepsByEngine(m).Cell(worker).Add(executed)
-		// Crash kinds are counted only for trials that left the machine
-		// at their end state: whole-path and tail-memo replays adopt a
-		// memoized outcome without running the machine there.
-		if tr.ranMachine && m.Crashed() {
-			crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
-		}
+// shard; the post-join repair path's -1 wraps to a valid cell like
+// any other out-of-range id.
+func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m *interp.Machine) {
+	telemetry.ChessTrialsExecuted.Cell(worker).Inc()
+	telemetry.ChessStepsExecuted.Cell(worker).Add(tr.steps)
+	telemetry.ChessTrialSteps.Cell(worker).Observe(tr.steps)
+	telemetry.ChessWorkerSteps(max(worker, 0)).Cell(worker).Add(tr.steps)
+	stepsByEngine(m).Cell(worker).Add(tr.steps)
+	if m.Crashed() {
+		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}
 	if st.s.Opts.Trial != nil {
-		ev := TrialEvent{
+		st.s.Opts.Trial(TrialEvent{
 			Rank: rank, Trial: trial, Worker: worker,
-			Found: tr.found,
-		}
-		if pruned {
-			ev.Pruned = true
-			ev.StepsSaved = tr.steps
-		} else {
-			ev.Steps = tr.steps - tr.stepsSaved
-			ev.StepsSaved = tr.stepsSaved
-			ev.Forked = tr.stepsSaved > 0
-		}
-		st.s.Opts.Trial(ev)
+			Steps: tr.steps, Found: tr.found,
+		})
 	}
 }
 

@@ -8,27 +8,10 @@ import (
 // trialResult is the outcome of one test run of one combination under
 // one thread-choice vector.
 type trialResult struct {
-	found bool
-	steps int64
-	// stepsSaved is the prefix length a forked trial replayed from a
-	// snapshot instead of executing (see fork.go); steps still counts
-	// the whole run — end-of-run TotalSteps is restored along with the
-	// machine — so steps is bit-identical with forking on or off and
-	// steps-stepsSaved is what the trial actually executed. Zero for
-	// cold trials.
-	stepsSaved   int64
+	found        bool
+	steps        int64
 	choiceCounts []int
 	applied      []AppliedPreemption
-	// fireable and fp are the pruning layer's observations (see
-	// prune.go); zero when the trial ran without a probe.
-	fireable []uint64
-	fp       uint64
-	// ranMachine is true when the trial left the machine at its end
-	// state — false for the fork layer's whole-path and tail-memo
-	// replays (and for pruned replays, whose results never ran a
-	// machine at all). Telemetry's crash classifier reads the machine
-	// only when this is set.
-	ranMachine bool
 }
 
 // comboOutcome summarizes the exploration of one combination: the
@@ -41,7 +24,6 @@ type trialResult struct {
 type comboOutcome struct {
 	rank     int
 	trials   int
-	steps    int64
 	foundAt  int
 	schedule []AppliedPreemption
 	aborted  bool
@@ -54,21 +36,10 @@ type comboOutcome struct {
 // switching at each fired preemption to the thread selected by the
 // choice vector. It mutates nothing on the Searcher, so any number of
 // trials may run concurrently as long as each worker owns its machine.
-//
-// A non-nil probe attaches the pruning layer's observers: the
-// streaming projection-fingerprint hooks, and fireability checks at
-// exactly the places matchCandidate is consulted — every candidate at
-// a passed point is checked for eligible switch targets there, member
-// of the combination or not, so a candidate the probe never marks is
-// one whose addition could not have perturbed this run.
-func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun int64, probe *pruneProbe) trialResult {
+func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun int64) trialResult {
 	m.Reset(m.Prog, m.SeedInput())
+	m.Hooks = nil
 	out := trialResult{choiceCounts: make([]int, len(combo))}
-	if probe != nil {
-		m.Hooks = probe.fpr
-	} else {
-		m.Hooks = nil
-	}
 
 	fired := make([]bool, len(combo))
 	// completed counts sync ops completed per thread id; thread ids are
@@ -127,25 +98,6 @@ func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun in
 		return choices
 	}
 
-	// observePoint checks the candidate at the current dynamic point
-	// (if any) for fireability: with at least one eligible switch
-	// target here, adding it to the combination would perturb the run,
-	// so the pruning layer must not treat its absence as harmless. The
-	// check runs for members and non-members alike, at the same machine
-	// state matchCandidate sees.
-	observePoint := func(kind PointKind, seq int) {
-		if probe == nil {
-			return
-		}
-		ci := probe.candidateAt(cur, kind, seq)
-		if ci < 0 || bitGet(probe.fireable, ci) {
-			return
-		}
-		if len(eligibleChoices(&s.Candidates[ci])) > 0 {
-			probe.markFireable(ci)
-		}
-	}
-
 	// firePreemption handles a matched candidate: consult the choice
 	// vector and switch threads. Returns true when a switch happened.
 	firePreemption := func(ci int) bool {
@@ -198,7 +150,6 @@ func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun in
 			wasAcquire = in.Op == ir.OpAcquire && m.Locks[in.Lock] == -1
 			wasRelease = in.Op == ir.OpRelease
 			if t.Steps == 0 {
-				observePoint(ThreadStart, 0)
 				if ci := matchCandidate(cur, ThreadStart, 0); ci >= 0 {
 					if firePreemption(ci) {
 						continue
@@ -206,7 +157,6 @@ func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun in
 				}
 			}
 			if wasAcquire {
-				observePoint(BeforeAcquire, completedOf(cur))
 				if ci := matchCandidate(cur, BeforeAcquire, completedOf(cur)); ci >= 0 {
 					if firePreemption(ci) {
 						continue
@@ -243,7 +193,6 @@ func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun in
 			completed[cur]++
 		}
 		if wasRelease {
-			observePoint(AfterRelease, completed[cur])
 			if ci := matchCandidate(cur, AfterRelease, completed[cur]); ci >= 0 {
 				if firePreemption(ci) {
 					continue
@@ -254,11 +203,6 @@ func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun in
 
 	out.steps = m.TotalSteps
 	out.found = m.Crashed() && s.Target.Matches(m.Crash)
-	out.ranMachine = true
-	if probe != nil {
-		out.fireable = probe.fireable
-		out.fp = probe.fpr.Fingerprint()
-	}
 	return out
 }
 

@@ -31,14 +31,9 @@ type rankedCombo struct {
 // slice order is the exploration order; rank is the index within it.
 //
 // Within each size the enumeration is lexicographic over candidate
-// indices, which the prefix-fork layer (fork.go) relies on without
-// this function having to change: consecutive unweighted combinations
-// share long index prefixes — {0,1,2}, {0,1,3}, {0,1,4}, ... — and
-// candidate indices are discovery order, so index-adjacent
-// combinations preempt at nearby dynamic points and their trials share
-// long schedule prefixes. The order itself is pinned by the
-// determinism contract (Found/Schedule/Tries are a pure function of
-// it); forking exploits the adjacency, it must never reorder the list.
+// indices — {0,1,2}, {0,1,3}, {0,1,4}, ... The order is pinned by the
+// determinism contract: Found/Schedule/Tries are a pure function of
+// it.
 //
 // A non-nil static set (Options.Static: base names of statically
 // flagged race variables) adds a primary sort key in front of the
@@ -100,8 +95,8 @@ func generateWorklist(cands []Candidate, bound int, weighted bool, static map[st
 	case static != nil:
 		// Static score first (more flagged accesses explore earlier),
 		// then the CSV weight when the enhanced ordering is on, then
-		// generation order. Stable, so ties keep the fork-friendly
-		// lexicographic adjacency.
+		// generation order. Stable, so ties keep the lexicographic
+		// generation order.
 		telemetry.ChessGuidanceReorders.Inc()
 		sort.SliceStable(wl, func(i, j int) bool {
 			if wl[i].static != wl[j].static {

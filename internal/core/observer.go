@@ -17,14 +17,8 @@ type SearchProgress = chess.Progress
 // every counter is monotone non-decreasing, but the fields split into
 // two contracts: Committed/Tries/Found advance with the deterministic
 // rank-order fold (identical stream for any worker count), while
-// Executed, Pruned, Steps and StepsSaved are raw cost counters whose
-// intermediate values depend on worker scheduling. Under prefix
-// forking (WithFork) Steps counts only the interpreter steps trials
-// actually executed — prefix positions replayed from cached snapshots
-// are excluded from Steps and accumulate in StepsSaved instead — so
-// both stay monotone, Steps+StepsSaved is the monotone total of
-// schedule positions trials advanced through, and StepsSaved is
-// always zero with forking off.
+// Executed and Steps are raw cost counters whose intermediate values
+// depend on worker scheduling.
 // Stage events arrive on the goroutine driving the run; Search events
 // arrive from search goroutines with internal locks held, so
 // implementations must be fast, safe for concurrent use with the

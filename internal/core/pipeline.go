@@ -82,28 +82,12 @@ type Config struct {
 	// GOMAXPROCS). The search result is deterministic for any value:
 	// the winning schedule is always the lowest-ranked one.
 	Workers int
-	// Prune enables the schedule search's equivalence-pruning layer:
-	// trials whose happens-before projection is proven identical to an
-	// already-executed run are skipped before execution. Found,
-	// Schedule and Tries are bit-identical with pruning on or off; only
-	// the execution costs (chess.Result.TrialsExecuted and
-	// StepsExecuted, wall time) drop, with skips accounted in
-	// chess.Result.TrialsPruned.
-	Prune bool
-	// Fork enables the schedule search's prefix snapshot/fork layer:
-	// each trial resumes from the deepest cached machine checkpoint on
-	// its preemption path instead of re-executing the shared schedule
-	// prefix from the start. Found, Schedule and Tries are bit-identical
-	// with forking on or off; only chess.Result.StepsExecuted (and wall
-	// time) drop, with the replayed prefix lengths accounted in
-	// chess.Result.StepsSaved.
-	Fork bool
 	// StaticFocus runs the static lockset analyzer (internal/statics)
 	// over the program once and feeds its race-candidate focus set to
 	// the schedule search (chess.Options.Static): preemption
 	// combinations touching statically flagged variables explore first.
 	// The reordering changes Tries by design; for a fixed program it
-	// remains bit-identical across Workers/Prune/Fork. Off, the search
+	// remains bit-identical across Workers. Off, the search
 	// order is exactly the unguided one.
 	StaticFocus bool
 	// Observer, when non-nil, receives stage transitions and
@@ -312,8 +296,6 @@ func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Sear
 			MaxTries:     p.Cfg.MaxTries,
 			PassingSteps: an.PassingSteps,
 			Workers:      p.Cfg.Workers,
-			Prune:        p.Cfg.Prune,
-			Fork:         p.Cfg.Fork,
 		},
 	}
 	if p.Cfg.StaticFocus {
@@ -330,13 +312,11 @@ func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Sear
 		s.Opts.Trial = func(ev chess.TrialEvent) {
 			tr.Trial(telemetry.TrialEvent{
 				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, StepsSaved: ev.StepsSaved,
-				Pruned: ev.Pruned, Forked: ev.Forked, Found: ev.Found,
+				Steps: ev.Steps, Found: ev.Found,
 			})
 			fl.RecordTrial(telemetry.TrialRecord{
 				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, StepsSaved: ev.StepsSaved,
-				Pruned: ev.Pruned, Forked: ev.Forked, Found: ev.Found,
+				Steps: ev.Steps, Found: ev.Found,
 			})
 		}
 	}
@@ -414,7 +394,7 @@ type Report struct {
 // schedule returns the complete Report with an error wrapping
 // ErrScheduleNotFound; an exhausted stress budget wraps ErrNoFailure.
 // With an uncancelled context, Found, Schedule and Tries are
-// bit-identical to the deprecated Run for any Workers/Prune setting.
+// bit-identical to the deprecated Run for any Workers setting.
 func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 	rep := &Report{}
 	fail, err := p.ProvokeFailureContext(ctx)

@@ -37,23 +37,6 @@ import (
 // Set it once at startup (cmd/benchtab's -workers flag does).
 var Workers = 0
 
-// Prune enables the schedule search's equivalence-pruning layer for
-// the searching tables (4 and 5) — and is plumbed through the shared
-// analysis config of the others, where it is a no-op. Search outcomes
-// (found, tries) are bit-identical either way; only the executed-trial
-// counts and times drop. Set it once at startup (cmd/benchtab's -prune
-// flag does).
-var Prune = false
-
-// Fork enables the schedule search's prefix snapshot/fork layer for
-// the searching tables (4 and 5): trials resume from cached machine
-// checkpoints instead of re-executing shared schedule prefixes. Search
-// outcomes (found, tries) are bit-identical either way; only the
-// executed-step counts and times drop, with the replayed prefix
-// lengths reported in the StepsSaved columns. Set it once at startup
-// (cmd/benchtab's -fork flag does).
-var Fork = false
-
 // Progress, when non-nil, receives schedule-search heartbeats from the
 // searching tables (4 and 5), tagged with the subject workload's name;
 // cmd/benchtab's -progress flag wires it to stderr. The callback is
@@ -243,7 +226,7 @@ func Table3(ctx context.Context) ([]Table3Row, error) {
 	rows := make([]Table3Row, len(bugs))
 	err := pool.ForEachContext(ctx, Workers, len(bugs), func(i int) error {
 		w := bugs[i]
-		_, an, fail, err := analyzeBug(ctx, w, core.Config{Prune: Prune, Fork: Fork})
+		_, an, fail, err := analyzeBug(ctx, w, core.Config{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -302,16 +285,10 @@ func PrintTable3(w io.Writer, rows []Table3Row) {
 	}
 }
 
-// Table4Row compares the search algorithms on one bug. The *Executed /
-// *Pruned pairs report the equivalence-pruning layer's effect (executed
-// == tries and pruned == 0 when Prune is off): pruning never changes
-// the tries or found columns, only how many of those tries ran. The
-// *StepsExecuted / *StepsSaved pairs report the prefix-forking layer's
-// effect the same way (saved == 0 when Fork is off): forking never
-// changes tries or found, only how many interpreter steps the executed
-// trials cost. StepsExecuted is a CI ceiling (cmd/benchgate): a
-// fork-on run must never execute more steps than the fork-off
-// baseline.
+// Table4Row compares the search algorithms on one bug. The searches
+// run with one worker, so *Executed equals *Tries and *StepsExecuted
+// (the interpreter steps the executed trials cost) is deterministic;
+// cmd/benchgate gates it as a ceiling.
 type Table4Row struct {
 	Name string
 	// Chess* are the plain-CHESS results (Found false means the cutoff
@@ -320,25 +297,19 @@ type Table4Row struct {
 	ChessTime          time.Duration
 	ChessFound         bool
 	ChessExecuted      int
-	ChessPruned        int
 	ChessStepsExecuted int64
-	ChessStepsSaved    int64
 
 	DepTries         int
 	DepTime          time.Duration
 	DepFound         bool
 	DepExecuted      int
-	DepPruned        int
 	DepStepsExecuted int64
-	DepStepsSaved    int64
 
 	TempTries         int
 	TempTime          time.Duration
 	TempFound         bool
 	TempExecuted      int
-	TempPruned        int
 	TempStepsExecuted int64
-	TempStepsSaved    int64
 }
 
 // Table4 runs the three search configurations on every bug. plainCap
@@ -362,7 +333,7 @@ func Table4(ctx context.Context, plainCap int) ([]Table4Row, error) {
 		// Workers=1: the subject-level pool already saturates the cores;
 		// a nested full-width search pool per bug would oversubscribe
 		// them roughly quadratically and perturb the time columns.
-		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Prune: Prune, Fork: Fork, Observer: observerFor(w.Name), Trace: Trace})
+		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observer: observerFor(w.Name), Trace: Trace})
 		fail, err := p.ProvokeFailureContext(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
@@ -393,22 +364,19 @@ func Table4(ctx context.Context, plainCap int) ([]Table4Row, error) {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		row.ChessTries, row.ChessTime, row.ChessFound = res.Tries, res.Elapsed, res.Found
-		row.ChessExecuted, row.ChessPruned = res.TrialsExecuted, res.TrialsPruned
-		row.ChessStepsExecuted, row.ChessStepsSaved = res.StepsExecuted, res.StepsSaved
+		row.ChessExecuted, row.ChessStepsExecuted = res.TrialsExecuted, res.StepsExecuted
 		res, err = search(slicing.Dependence, true, plainCap*2)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		row.DepTries, row.DepTime, row.DepFound = res.Tries, res.Elapsed, res.Found
-		row.DepExecuted, row.DepPruned = res.TrialsExecuted, res.TrialsPruned
-		row.DepStepsExecuted, row.DepStepsSaved = res.StepsExecuted, res.StepsSaved
+		row.DepExecuted, row.DepStepsExecuted = res.TrialsExecuted, res.StepsExecuted
 		res, err = search(slicing.Temporal, true, plainCap*2)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		row.TempTries, row.TempTime, row.TempFound = res.Tries, res.Elapsed, res.Found
-		row.TempExecuted, row.TempPruned = res.TrialsExecuted, res.TrialsPruned
-		row.TempStepsExecuted, row.TempStepsSaved = res.StepsExecuted, res.StepsSaved
+		row.TempExecuted, row.TempStepsExecuted = res.TrialsExecuted, res.StepsExecuted
 		rows[i] = row
 		return nil
 	})
@@ -438,22 +406,6 @@ func PrintTable4(w io.Writer, rows []Table4Row) {
 			mark(r.TempTries, r.TempFound), r.TempTime.Round(time.Millisecond), r.TempStepsExecuted)
 	}
 	fmt.Fprintln(w, "* cut off before the failure was reproduced")
-	var exec, pruned int
-	var saved, stepsExec int64
-	for _, r := range rows {
-		exec += r.ChessExecuted + r.DepExecuted + r.TempExecuted
-		pruned += r.ChessPruned + r.DepPruned + r.TempPruned
-		stepsExec += r.ChessStepsExecuted + r.DepStepsExecuted + r.TempStepsExecuted
-		saved += r.ChessStepsSaved + r.DepStepsSaved + r.TempStepsSaved
-	}
-	if pruned > 0 {
-		fmt.Fprintf(w, "equivalence pruning: %d of %d trials skipped (%.1f%%)\n",
-			pruned, exec+pruned, 100*float64(pruned)/float64(exec+pruned))
-	}
-	if saved > 0 {
-		fmt.Fprintf(w, "prefix forking: %d of %d steps replayed from snapshots (%.1f%%)\n",
-			saved, stepsExec+saved, 100*float64(saved)/float64(stepsExec+saved))
-	}
 }
 
 // Table5Row is the instruction-count-alignment baseline on one bug.
@@ -467,10 +419,9 @@ type Table5Row struct {
 	Tries          int
 	Time           time.Duration
 	Reproduced     bool
-	// Executed/Pruned report the equivalence-pruning layer's effect on
-	// the search (executed == tries, pruned == 0 when Prune is off).
+	// Executed counts the test runs the search executed (equal to
+	// Tries: the search runs with one worker).
 	Executed int
-	Pruned   int
 }
 
 // Table5 runs the chessX+temporal search with instruction-count
@@ -488,8 +439,6 @@ func Table5(ctx context.Context, cap int) ([]Table5Row, error) {
 			Heuristic: slicing.Temporal,
 			MaxTries:  cap,
 			Workers:   1, // the subject pool provides the parallelism
-			Prune:     Prune,
-			Fork:      Fork,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
@@ -509,7 +458,6 @@ func Table5(ctx context.Context, cap int) ([]Table5Row, error) {
 			Time:           res.Elapsed,
 			Reproduced:     res.Found,
 			Executed:       res.TrialsExecuted,
-			Pruned:         res.TrialsPruned,
 		}
 		return nil
 	})
@@ -547,7 +495,7 @@ func Table6(ctx context.Context) ([]Table6Row, error) {
 	rows := make([]Table6Row, len(bugs))
 	err := pool.ForEachContext(ctx, Workers, len(bugs), func(i int) error {
 		w := bugs[i]
-		_, an, _, err := analyzeBug(ctx, w, core.Config{Heuristic: slicing.Dependence, Prune: Prune, Fork: Fork})
+		_, an, _, err := analyzeBug(ctx, w, core.Config{Heuristic: slicing.Dependence})
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}

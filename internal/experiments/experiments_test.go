@@ -107,6 +107,31 @@ func TestTable4EnhancedAlwaysReproduces(t *testing.T) {
 	}
 }
 
+// TestTable4ForkColumns checks Table 4's step columns (added with the
+// former prefix-forking layer; every trial now runs cold from step 0):
+// with one search worker every try is an executed trial, every
+// configuration reports the interpreter steps it cost, and the
+// rendering carries the steps column.
+func TestTable4ForkColumns(t *testing.T) {
+	rows, err := experiments.Table4(context.Background(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.ChessExecuted != r.ChessTries || r.DepExecuted != r.DepTries || r.TempExecuted != r.TempTries {
+			t.Fatalf("%s: executed trials differ from tries %+v", r.Name, r)
+		}
+		if r.ChessStepsExecuted <= 0 || r.DepStepsExecuted <= 0 || r.TempStepsExecuted <= 0 {
+			t.Fatalf("%s: missing executed-step counts %+v", r.Name, r)
+		}
+	}
+	var sb strings.Builder
+	experiments.PrintTable4(&sb, rows)
+	if !strings.Contains(sb.String(), "steps") {
+		t.Fatalf("rendering missing steps column:\n%s", sb.String())
+	}
+}
+
 func TestTable5BaselineDegrades(t *testing.T) {
 	base, err := experiments.Table5(context.Background(), 500)
 	if err != nil {

@@ -27,17 +27,15 @@ import (
 // end-to-end latency probe.
 //
 // Gated fields (see cmd/benchgate): AllocsPerStep as an exact-ish
-// ceiling (budget 0 plus noise tolerance), NsPerStep, SearchNs and
-// SearchNsFork as headroom ceilings — the baseline value is a budget,
-// and a fresh value beyond the headroom factor fails CI. That catches
-// a gross dispatch-loop regression (an accidental allocation, a lost
+// ceiling (budget 0 plus noise tolerance), NsPerStep and SearchNs as
+// headroom ceilings — the baseline value is a budget, and a fresh
+// value beyond the headroom factor fails CI. That catches a gross
+// dispatch-loop regression (an accidental allocation, a lost
 // superinstruction, a de-inlined hot call) without flaking on
 // machine-speed differences between the baseline runner and CI.
-// StepsExecuted and StepsExecutedFork are deterministic step counts of
-// the probe search with prefix forking off and on; both are gated as
-// exact ceilings (a fresh run must never execute more steps than the
-// baseline), which pins the ≥hold of the forking win in CI.
-// StepsPerSec, Steps and StepsSavedFork are informational.
+// StepsExecuted is the deterministic step count of the probe search,
+// gated as an exact ceiling (a fresh run must never execute more steps
+// than the baseline). StepsPerSec and Steps are informational.
 type InterpRow struct {
 	Name          string
 	Engine        string
@@ -45,17 +43,9 @@ type InterpRow struct {
 	NsPerStep     float64
 	StepsPerSec   float64
 	SearchNs      int64
-	// SearchNsFork is the same probe search with prefix forking on —
-	// every regeneration is a fork on/off A/B on the same machine.
-	SearchNsFork int64
-	Steps        int64
-	// StepsExecuted / StepsExecutedFork / StepsSavedFork are the probe
-	// search's interpreter-step accounting with forking off and on;
-	// StepsExecutedFork + StepsSavedFork == StepsExecuted by the fork
-	// layer's accounting identity.
-	StepsExecuted     int64
-	StepsExecutedFork int64
-	StepsSavedFork    int64
+	Steps         int64
+	// StepsExecuted is the probe search's interpreter-step count.
+	StepsExecuted int64
 	// SearchNsTelemetry is the cold probe search with the telemetry
 	// stack attached (counters fire regardless; this adds a per-trial
 	// Trial hook feeding a 1-in-10 sampled Tracer — the benchtab
@@ -75,18 +65,13 @@ type InterpRow struct {
 // enough to amortize any residual warm-up allocation to well below
 // the gate's tolerance. The reps are timed in interpBlocks equal
 // blocks and NsPerStep is the fastest block: like SearchNs's
-// min-of-reps, the minimum is the low-noise estimator for a
+// min-of-blocks, the minimum is the low-noise estimator for a
 // deterministic workload (scheduling and frequency noise only ever
 // adds time).
 const (
 	interpReps   = 200
 	interpBlocks = 5
 )
-
-// searchReps is the number of timed schedule searches per engine; the
-// minimum wall time is reported (the standard low-noise estimator for
-// a deterministic workload).
-const searchReps = 3
 
 // overheadRounds and overheadBlock shape the telemetry-overhead A/B.
 // The ratio gates against an absolute ceiling (1.05, see
@@ -161,7 +146,6 @@ func InterpTable() ([]InterpRow, error) {
 			runtime.ReadMemStats(&ms1)
 			nsPerStep := bestBlock
 			coldNs, teleNs, overhead, coldExec, teleExec := telemetryOverheadPair(cp, w, cands, int64(len(rec.Events)), eng)
-			forkNs, forkExec, forkSaved := searchLatency(cp, w, cands, int64(len(rec.Events)), eng, true, false)
 			if teleExec != coldExec {
 				return nil, fmt.Errorf("experiments: interp %s/%s: telemetry changed the search: %d steps vs %d",
 					name, eng, teleExec, coldExec)
@@ -173,11 +157,8 @@ func InterpTable() ([]InterpRow, error) {
 				NsPerStep:         nsPerStep,
 				StepsPerSec:       1e9 / nsPerStep,
 				SearchNs:          coldNs,
-				SearchNsFork:      forkNs,
 				Steps:             steps,
 				StepsExecuted:     coldExec,
-				StepsExecutedFork: forkExec,
-				StepsSavedFork:    forkSaved,
 				SearchNsTelemetry: teleNs,
 				TelemetryOverhead: overhead,
 			})
@@ -205,28 +186,6 @@ func burstToCompletion(m *interp.Machine) int64 {
 	return m.TotalSteps - start
 }
 
-// searchLatency times a deterministic plain-CHESS schedule search
-// (unweighted, unguided, bound 2, 400 tries, one worker, unmatchable
-// target — the BenchmarkSearchParallel regime) forced onto the given
-// engine, returning the minimum wall time over searchReps runs plus
-// the (deterministic, rep-invariant) StepsExecuted/StepsSaved split.
-// With tele set, the telemetry stack rides along: a Trial hook
-// feeding a Tracer (synthetic clock, 1-in-10 sampled — the benchtab
-// tracing default) and a FlightRecorder, and a Progress wrapper
-// recording fold decisions — the always-on per-job consumers the
-// batch server wires, plus tracing at its default sampling.
-func searchLatency(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, eng interp.Engine, fork, tele bool) (ns, stepsExecuted, stepsSaved int64) {
-	best := int64(0)
-	for r := 0; r < searchReps; r++ {
-		var d int64
-		d, stepsExecuted, stepsSaved = timeProbeSearch(cp, w, cands, passingSteps, eng, fork, tele)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, stepsExecuted, stepsSaved
-}
-
 // telemetryOverheadPair times the cold and telemetry-on probe
 // searches interleaved — one block of each per round for
 // overheadRounds rounds — and returns each leg's minimum per-search
@@ -252,7 +211,7 @@ func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.
 	timeBlock := func(tele bool) (ns, exec int64) {
 		start := time.Now()
 		for i := 0; i < overheadBlock; i++ {
-			_, exec, _ = timeProbeSearch(cp, w, cands, passingSteps, eng, false, tele)
+			exec = probeSearch(cp, w, cands, passingSteps, eng, tele)
 		}
 		return time.Since(start).Nanoseconds(), exec
 	}
@@ -283,9 +242,16 @@ func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.
 	return coldNs, teleNs, overhead, coldExec, teleExec
 }
 
-// timeProbeSearch runs the probe search once and returns its wall
-// time and StepsExecuted/StepsSaved split.
-func timeProbeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, eng interp.Engine, fork, tele bool) (ns, stepsExecuted, stepsSaved int64) {
+// probeSearch runs a deterministic plain-CHESS schedule search
+// (unweighted, unguided, bound 2, 400 tries, one worker, unmatchable
+// target — the BenchmarkSearchParallel regime) forced onto the given
+// engine, and returns its executed-step count. With tele set, the
+// telemetry stack rides along: a Trial hook feeding a Tracer
+// (synthetic clock, 1-in-10 sampled — the benchtab tracing default)
+// and a FlightRecorder, and a Progress wrapper recording fold
+// decisions — the always-on per-job consumers the batch server wires,
+// plus tracing at its default sampling.
+func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, eng interp.Engine, tele bool) int64 {
 	s := &chess.Searcher{
 		NewMachine: func() *interp.Machine {
 			m := interp.New(cp, w.Input.Clone())
@@ -300,7 +266,6 @@ func timeProbeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candid
 			MaxTries:     400,
 			Workers:      1,
 			PassingSteps: passingSteps,
-			Fork:         fork,
 		},
 	}
 	if tele {
@@ -309,13 +274,11 @@ func timeProbeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candid
 		s.Opts.Trial = func(ev chess.TrialEvent) {
 			tr.Trial(telemetry.TrialEvent{
 				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, StepsSaved: ev.StepsSaved,
-				Pruned: ev.Pruned, Forked: ev.Forked, Found: ev.Found,
+				Steps: ev.Steps, Found: ev.Found,
 			})
 			fl.RecordTrial(telemetry.TrialRecord{
 				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, StepsSaved: ev.StepsSaved,
-				Pruned: ev.Pruned, Forked: ev.Forked, Found: ev.Found,
+				Steps: ev.Steps, Found: ev.Found,
 			})
 		}
 		s.Opts.Progress = func(p chess.Progress) {
@@ -324,23 +287,21 @@ func timeProbeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candid
 			})
 		}
 	}
-	start := time.Now()
-	res := s.Search()
-	return time.Since(start).Nanoseconds(), res.StepsExecuted, res.StepsSaved
+	return s.Search().StepsExecuted
 }
 
 // PrintInterp renders the interpreter cost section. The search columns
-// are the fork off/on A/B: wall time and executed-step count of the
-// same deterministic probe search cold and with prefix forking.
+// are the telemetry off/on A/B: wall time of the same deterministic
+// probe search cold and with the telemetry stack attached.
 func PrintInterp(w io.Writer, rows []InterpRow) {
-	fmt.Fprintln(w, "Interpreter steady-state cost (per step, post-warm-up; search = plain CHESS, 400 tries, cold vs forked vs telemetry-on)")
-	fmt.Fprintf(w, "%-10s %-9s %12s %9s %12s %10s %10s %10s %10s %10s %7s %7s\n",
+	fmt.Fprintln(w, "Interpreter steady-state cost (per step, post-warm-up; search = plain CHESS, 400 tries, cold vs telemetry-on)")
+	fmt.Fprintf(w, "%-10s %-9s %12s %9s %12s %10s %10s %10s %7s %7s\n",
 		"workload", "engine", "allocs/step", "ns/step", "steps/s",
-		"search-ms", "fork-ms", "tele-ms", "steps-exec", "fork-exec", "steps", "tele-x")
+		"search-ms", "tele-ms", "steps-exec", "steps", "tele-x")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-9s %12.6f %9.1f %12.0f %10.2f %10.2f %10.2f %10d %10d %7d %7.3f\n",
+		fmt.Fprintf(w, "%-10s %-9s %12.6f %9.1f %12.0f %10.2f %10.2f %10d %7d %7.3f\n",
 			r.Name, r.Engine, r.AllocsPerStep, r.NsPerStep, r.StepsPerSec,
-			float64(r.SearchNs)/1e6, float64(r.SearchNsFork)/1e6, float64(r.SearchNsTelemetry)/1e6,
-			r.StepsExecuted, r.StepsExecutedFork, r.Steps, r.TelemetryOverhead)
+			float64(r.SearchNs)/1e6, float64(r.SearchNsTelemetry)/1e6,
+			r.StepsExecuted, r.Steps, r.TelemetryOverhead)
 	}
 }

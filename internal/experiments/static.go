@@ -17,7 +17,7 @@ import (
 // adds the lockset analyzer's focus set (chess.Options.Static), which
 // reorders the worklist so combinations touching statically flagged
 // variables explore first. Both Tries columns are deterministic
-// (bit-identical for any Workers/Prune/Fork), so the CI baseline pins
+// (bit-identical for any Workers), so the CI baseline pins
 // them exactly: a Static column regressing above its Base column means
 // the guidance stopped paying for itself on that workload.
 type StaticTableRow struct {
@@ -58,7 +58,7 @@ func StaticTable(ctx context.Context, cap int) ([]StaticTableRow, error) {
 		analyzeTime := time.Since(t0)
 
 		// Workers=1: the subject-level pool already saturates the cores.
-		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Prune: Prune, Fork: Fork, Observer: observerFor(w.Name)})
+		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observer: observerFor(w.Name)})
 		fail, err := p.ProvokeFailureContext(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)

@@ -28,10 +28,9 @@ import (
 //     variable of the injected pattern (the recall gate: a seeded bug
 //     the analyzer misses is an analyzer soundness bug);
 //  5. the full reproduction pipeline runs under every configuration in
-//     the determinism matrix — workers {1,4} × prune {off,on} via the
-//     context-aware RunContext, plus the deprecated Run shim, plus a
-//     leg forced onto the tree-walking interpreter engine, plus a leg
-//     with prefix snapshot/forking forced on — and all of them agree
+//     the determinism matrix — workers {1,4} via the context-aware
+//     RunContext, plus the deprecated Run shim, plus a leg forced onto
+//     the tree-walking interpreter engine — and all of them agree
 //     bit-for-bit on Found, Schedule and Tries; a final pair of legs
 //     with static guidance on (workers 1 and 4) must agree with each
 //     other, and may differ from the unguided legs only in Tries and
@@ -43,9 +42,8 @@ import (
 // disagreement in steps 4–5 is a Divergence — the
 // fuzzer's highest-severity finding. The engine leg makes every
 // fuzzed seed a differential test of the bytecode dispatch loop
-// against the tree walker, and the fork leg a differential test of
-// machine snapshot/restore against cold re-execution, on
-// machine-manufactured programs the curated corpus never saw.
+// against the tree walker, on machine-manufactured programs the
+// curated corpus never saw.
 type Oracle struct {
 	// TrialBudget bounds each configuration's schedule search
 	// (core.Config.MaxTries). 0 means defaultTrialBudget.
@@ -71,7 +69,7 @@ const (
 // configuration's run: the fields the determinism contract says must
 // not depend on the configuration's cost knobs.
 type ConfigOutcome struct {
-	Label    string // e.g. "workers=4 prune=on"
+	Label    string // e.g. "workers=4"
 	Found    bool
 	Tries    int
 	Schedule string // canonical rendering of the winning preemption set
@@ -204,33 +202,21 @@ func (o *Oracle) Check(ctx context.Context, p *Program) (*Verdict, error) {
 	// configurations share the one compiled program — ir.Program is
 	// immutable and shared safely across machines everywhere else.
 	for _, workers := range o.workers() {
-		for _, prune := range []bool{false, true} {
-			out, err := o.runPipeline(ctx, p, prog, workers, prune, interp.EngineAuto, false)
-			if err != nil {
-				return nil, err
-			}
-			v.Outcomes = append(v.Outcomes, out)
+		out, err := o.runPipeline(ctx, p, prog, workers, interp.EngineAuto)
+		if err != nil {
+			return nil, err
 		}
+		v.Outcomes = append(v.Outcomes, out)
 	}
 	// The engine axis: the same pipeline forced onto the tree walker.
 	// One leg suffices — the runs above all executed on the bytecode
 	// engine, so any tree/bytecode semantic gap on this program shows
 	// up as a divergence against them.
-	tree, err := o.runPipeline(ctx, p, prog, 1, false, interp.EngineTree, false)
+	tree, err := o.runPipeline(ctx, p, prog, 1, interp.EngineTree)
 	if err != nil {
 		return nil, err
 	}
 	v.Outcomes = append(v.Outcomes, tree)
-	// The fork axis: the same search resuming trials from cached
-	// machine snapshots instead of cold re-execution. Snapshot/restore
-	// round-trip bugs on generator-shaped programs (heap churn, deep
-	// call chains, exotic lock patterns) surface here as divergences
-	// against the cold-running legs above.
-	fork, err := o.runPipeline(ctx, p, prog, 1, false, interp.EngineAuto, true)
-	if err != nil {
-		return nil, err
-	}
-	v.Outcomes = append(v.Outcomes, fork)
 	// The deprecated Run shim must match the context-aware run of the
 	// same configuration (Session vs Run is the same comparison one
 	// layer down: Session.Reproduce is RunContext).
@@ -280,15 +266,13 @@ func (o *Oracle) Check(ctx context.Context, p *Program) (*Verdict, error) {
 	return v, nil
 }
 
-func (o *Oracle) pipelineConfig(workers int, prune bool, eng interp.Engine, fork bool) core.Config {
+func (o *Oracle) pipelineConfig(workers int, eng interp.Engine) core.Config {
 	return core.Config{
 		Heuristic:         slicing.Temporal,
 		MaxTries:          o.trialBudget(),
 		MaxStressAttempts: o.stressBudget(),
 		Workers:           workers,
-		Prune:             prune,
 		Engine:            eng,
-		Fork:              fork,
 	}
 }
 
@@ -297,15 +281,12 @@ func (o *Oracle) pipelineConfig(workers int, prune bool, eng interp.Engine, fork
 // deterministic outcome. The pipeline's typed sentinels (ErrNoFailure,
 // ErrScheduleNotFound) are part of the fingerprint: a configuration
 // that fails to provoke must fail to provoke under every other one.
-func (o *Oracle) runPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int, prune bool, eng interp.Engine, fork bool) (ConfigOutcome, error) {
-	label := fmt.Sprintf("workers=%d prune=%v", workers, prune)
+func (o *Oracle) runPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int, eng interp.Engine) (ConfigOutcome, error) {
+	label := fmt.Sprintf("workers=%d", workers)
 	if eng != interp.EngineAuto {
 		label += fmt.Sprintf(" engine=%v", eng)
 	}
-	if fork {
-		label += " fork"
-	}
-	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(workers, prune, eng, fork))
+	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(workers, eng))
 	rep, err := pipe.RunContext(ctx)
 	return fingerprint(label, rep, err)
 }
@@ -317,8 +298,8 @@ func (o *Oracle) runPipeline(ctx context.Context, p *Program, prog *ir.Program, 
 // design, but must still be a pure function of (program, input,
 // focus set) — identical across worker counts.
 func (o *Oracle) runStaticPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int) (ConfigOutcome, error) {
-	label := fmt.Sprintf("workers=%d prune=false static", workers)
-	cfg := o.pipelineConfig(workers, false, interp.EngineAuto, false)
+	label := fmt.Sprintf("workers=%d static", workers)
+	cfg := o.pipelineConfig(workers, interp.EngineAuto)
 	cfg.StaticFocus = true
 	pipe := core.NewPipeline(prog, p.Input, cfg)
 	rep, err := pipe.RunContext(ctx)
@@ -326,13 +307,13 @@ func (o *Oracle) runStaticPipeline(ctx context.Context, p *Program, prog *ir.Pro
 }
 
 // runDeprecatedShim executes Pipeline.Run — the pre-Session entry
-// point — on the canonical configuration (workers=1, prune=off). Its
+// point — on the canonical configuration (workers=1). Its
 // historical contract maps ErrScheduleNotFound to a nil error, which
 // fingerprint normalizes so the shim is comparable with RunContext.
 func (o *Oracle) runDeprecatedShim(p *Program, prog *ir.Program) (ConfigOutcome, error) {
-	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(1, false, interp.EngineAuto, false))
+	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(1, interp.EngineAuto))
 	rep, err := pipe.Run()
-	return fingerprint("deprecated-run workers=1 prune=false", rep, err)
+	return fingerprint("deprecated-run workers=1", rep, err)
 }
 
 // fingerprint reduces a pipeline report to the deterministic outcome.

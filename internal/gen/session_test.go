@@ -36,7 +36,6 @@ func TestSessionMatchesOracleFingerprint(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			s := heisendump.NewCompiled(prog, p.Input,
 				heisendump.WithWorkers(workers),
-				heisendump.WithPrune(workers == 4), // cross prune with workers for variety
 				heisendump.WithTrialBudget(3000),
 				heisendump.WithStressBudget(6000),
 			)

@@ -34,9 +34,9 @@ import (
 //   - Hooks fire exactly where the tree walker fires them, including
 //     from inside superinstructions: a fused compare still reports both
 //     operand reads, a fused store still reports the read(s) then the
-//     write. The prune fingerprint recorder runs hooked on the hot
-//     path, so hook-order identity is a correctness requirement, not a
-//     nicety.
+//     write. Traces, slices and the dump aligner are built from hook
+//     events, so hook-order identity is a correctness requirement, not
+//     a nicety.
 
 // Engine selects the execution engine a Machine steps with.
 type Engine uint8

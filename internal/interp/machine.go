@@ -138,9 +138,8 @@ const (
 )
 
 // VarID names one runtime storage location. Identities are by source
-// name (recovered from the program's slot name tables), so traces,
-// slices and prune fingerprints are unchanged by the slot-addressed
-// storage layout.
+// name (recovered from the program's slot name tables), so traces and
+// slices are unchanged by the slot-addressed storage layout.
 type VarID struct {
 	Kind VarKind
 	// Name is the global/local/field/array name.
@@ -338,37 +337,27 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 		m.Locks[i] = -1
 	}
 
-	m.recycleRun()
-	m.TotalSteps = 0
-	m.nextObj = 1
-	m.nextFrame = 0
-
-	m.ensureStack(prog)
-	m.spawnThread(prog.FuncIndex("main"), nil)
-}
-
-// recycleRun returns every live heap object, thread and frame to the
-// free lists and clears the run containers — the teardown half of a
-// rewind, shared by Reset and Snapshot-Restore. Each live object is
-// recycled exactly once and the containers are emptied before anything
-// is rebuilt, so alternating Reset and Restore in any order never
-// double-frees a frame or leaks one into two owners.
-func (m *Machine) recycleRun() {
+	// Return every live heap object, thread and frame to the free
+	// lists before anything is rebuilt.
 	for _, obj := range m.Heap {
 		clear(obj.Fields)
 		m.freeObjs = append(m.freeObjs, obj)
 	}
 	clear(m.Heap)
 	for _, t := range m.Threads {
-		for _, fr := range t.Frames {
-			m.freeFrames = append(m.freeFrames, fr)
-		}
+		m.freeFrames = append(m.freeFrames, t.Frames...)
 		t.Frames = t.Frames[:0]
 		m.freeThreads = append(m.freeThreads, t)
 	}
 	m.Threads = m.Threads[:0]
 	m.Output = m.Output[:0]
 	m.Crash = nil
+	m.TotalSteps = 0
+	m.nextObj = 1
+	m.nextFrame = 0
+
+	m.ensureStack(prog)
+	m.spawnThread(prog.FuncIndex("main"), nil)
 }
 
 // spawnThread creates a thread running function fidx with bound args.

@@ -10,8 +10,7 @@ package interp_test
 // The round-trip tests below run every corpus workload under both
 // interpreters — same program, same input, same schedule — and assert
 // that the traces (including per-step reads/writes and lock events),
-// crashes, outputs and happens-before projection fingerprints are
-// identical. This pins the compile-time variable resolution to the
+// crashes and outputs are identical. This pins the compile-time variable resolution to the
 // map-resolution semantics it replaced.
 
 import (
@@ -573,17 +572,15 @@ type refRun struct {
 	events []trace.Event
 	crash  *interp.CrashInfo
 	output []int64
-	fp     uint64
 }
 
 // runReference replays schedule on a fresh reference machine.
 func runReference(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	rec := trace.NewRecorder()
-	fpr := trace.NewFingerprintRecorder()
 	m := newRefMachine(prog, in)
-	m.hooks = trace.Multi{rec, fpr}
+	m.hooks = rec
 	m.replay(schedule)
-	return refRun{events: rec.Events, crash: m.crash, output: m.output, fp: fpr.Fingerprint()}
+	return refRun{events: rec.Events, crash: m.crash, output: m.output}
 }
 
 // runSlot executes schedule on the slot-addressed machine under the
@@ -598,11 +595,9 @@ func runSlot(prog *ir.Program, in *interp.Input, schedule []int, eng interp.Engi
 	sched.BoundedRun(m, sched.NewCooperative(), 25)
 	m.Reset(prog, in)
 	rec := trace.NewRecorder()
-	fpr := trace.NewFingerprintRecorder()
-	m.Hooks = trace.Multi{rec, fpr}
-	res := sched.Run(m, sched.NewReplayer(schedule))
-	_ = res
-	return refRun{events: rec.Events, crash: m.Crash, output: m.Output, fp: fpr.Fingerprint()}
+	m.Hooks = rec
+	sched.Run(m, sched.NewReplayer(schedule))
+	return refRun{events: rec.Events, crash: m.Crash, output: m.Output}
 }
 
 // schedulesFor produces the deterministic and a handful of random
@@ -625,8 +620,8 @@ func schedulesFor(t *testing.T, prog *ir.Program, in *interp.Input, seeds int) [
 }
 
 // compareRuns asserts that two executions are observably identical:
-// same trace events (with reads/writes/locks), same crash, same output
-// and same projection fingerprint.
+// same trace events (with reads/writes/locks), same crash and same
+// output.
 func compareRuns(t *testing.T, label string, got, want refRun) {
 	t.Helper()
 	if len(got.events) != len(want.events) {
@@ -644,9 +639,6 @@ func compareRuns(t *testing.T, label string, got, want refRun) {
 	if !reflect.DeepEqual(got.output, want.output) && (len(got.output) != 0 || len(want.output) != 0) {
 		t.Fatalf("%s: output differs: %v vs %v", label, got.output, want.output)
 	}
-	if got.fp != want.fp {
-		t.Fatalf("%s: projection fingerprint differs: %#x vs %#x", label, got.fp, want.fp)
-	}
 }
 
 // TestEnginesAndNameMapExecutionAgree is the three-way oracle: for
@@ -654,7 +646,7 @@ func compareRuns(t *testing.T, label string, got, want refRun) {
 // of random interleavings, all three execution modes — the name-map
 // reference, the slot-addressed tree walker, and the bytecode dispatch
 // loop — produce identical traces (events with reads/writes/locks),
-// crashes, outputs and projection fingerprints. The reference shares
+// crashes and outputs. The reference shares
 // nothing with the slot machines beyond the instruction stream, and
 // the two engines share the machine state model but nothing of the
 // per-instruction execution path, so agreement pins each layer of

@@ -213,8 +213,8 @@ type Program struct {
 	// interpreter's machine state is laid out by slot ([]Value for
 	// scalars, [][]int64 for arrays, []int32 holders for locks — see
 	// interp), and the tables map slots back to source names so every
-	// externally visible artifact (traces, dumps, crash reports, prune
-	// fingerprints) still speaks names.
+	// externally visible artifact (traces, dumps, crash reports) still
+	// speaks names.
 	//
 	// ScalarNames[i]/ScalarDecls[i] describe scalar-global slot i;
 	// ArrayNames[i]/ArrayDecls[i] describe array slot i. Lock id i is

@@ -36,6 +36,9 @@ const (
 	// was cancelled at one-trial granularity; the terminal status
 	// carries the deterministic partial report). HTTP 504.
 	CodeDeadlineExceeded = "deadline_exceeded"
+	// CodeTooLarge: the request body exceeds the endpoint's size limit,
+	// which Limit carries in bytes. HTTP 413.
+	CodeTooLarge = "too_large"
 	// CodeShuttingDown: the server is draining and accepts no new
 	// jobs. HTTP 503.
 	CodeShuttingDown = "shutting_down"
@@ -47,7 +50,7 @@ const (
 // ErrorPayload is the JSON error envelope. Code is always set;
 // the detail fields are populated per code (Phase/Line for
 // bad_program, Name/Got/Want for bad_input, Tenant/Depth/Limit for
-// queue_full).
+// queue_full, Limit for too_large).
 type ErrorPayload struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -61,7 +64,7 @@ type ErrorPayload struct {
 	Got  int    `json:"got,omitempty"`
 	Want int    `json:"want,omitempty"`
 
-	// queue_full detail.
+	// queue_full detail (Limit also carries too_large's byte limit).
 	Tenant       string `json:"tenant,omitempty"`
 	Depth        int    `json:"depth,omitempty"`
 	Limit        int    `json:"limit,omitempty"`
@@ -90,12 +93,26 @@ func (e *ErrorPayload) HTTPStatus() int {
 		return http.StatusNotFound
 	case CodeQueueFull:
 		return http.StatusTooManyRequests
+	case CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
 	case CodeDeadlineExceeded:
 		return http.StatusGatewayTimeout
 	case CodeShuttingDown:
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
+}
+
+// bodyError types a failure reading a request body: a body past its
+// http.MaxBytesReader limit is too_large, anything else a bad_request
+// whose message starts with what.
+func bodyError(err error, what string) *ErrorPayload {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &ErrorPayload{Code: CodeTooLarge, Limit: int(tooLarge.Limit),
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return &ErrorPayload{Code: CodeBadRequest, Message: what + err.Error()}
 }
 
 // classifySubmitError types a compile/validate failure at admission:

@@ -54,10 +54,6 @@ type JobOptions struct {
 	// Workers is the per-job schedule-search pool width (0 = server
 	// default; the result is bit-identical for any value).
 	Workers int `json:"workers,omitempty"`
-	// Prune / Fork toggle the search's equivalence-pruning and prefix
-	// snapshot/fork layers (cost knobs; results unchanged).
-	Prune bool `json:"prune,omitempty"`
-	Fork  bool `json:"fork,omitempty"`
 	// TrialBudget caps the schedule search; 0 = server default.
 	TrialBudget int `json:"trial_budget,omitempty"`
 	// StressBudget caps the failure-provocation phase; 0 = server
@@ -82,8 +78,6 @@ type JobOptions struct {
 func (o JobOptions) sessionOptions(obs heisendump.Observer) ([]heisendump.Option, *ErrorPayload) {
 	opts := []heisendump.Option{
 		heisendump.WithWorkers(o.Workers),
-		heisendump.WithPrune(o.Prune),
-		heisendump.WithFork(o.Fork),
 		heisendump.WithTrialBudget(o.TrialBudget),
 		heisendump.WithStressBudget(o.StressBudget),
 		heisendump.WithBound(o.Bound),
@@ -164,9 +158,7 @@ type JobReport struct {
 
 	// Cost counters (informational; worker-scheduling dependent).
 	TrialsExecuted int   `json:"trials_executed,omitempty"`
-	TrialsPruned   int   `json:"trials_pruned,omitempty"`
 	StepsExecuted  int64 `json:"steps_executed,omitempty"`
-	StepsSaved     int64 `json:"steps_saved,omitempty"`
 
 	// Failure provenance.
 	StressAttempts int    `json:"stress_attempts,omitempty"`
@@ -213,9 +205,7 @@ func BuildReport(rep *heisendump.Report, runErr error, hadDeadline bool) (*JobRe
 			out.Tries = rep.Search.Tries
 			out.Schedule = rep.Search.ScheduleString()
 			out.TrialsExecuted = rep.Search.TrialsExecuted
-			out.TrialsPruned = rep.Search.TrialsPruned
 			out.StepsExecuted = rep.Search.StepsExecuted
-			out.StepsSaved = rep.Search.StepsSaved
 		}
 	}
 	switch {

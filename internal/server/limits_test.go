@@ -1,0 +1,85 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// serve runs one request through the server's handler in-process and
+// returns the recorded response.
+func serve(t *testing.T, req *http.Request) *http.Response {
+	t.Helper()
+	srv := New(Config{Workers: 1})
+	t.Cleanup(srv.Shutdown)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec.Result()
+}
+
+// checkTooLarge asserts a typed too_large refusal carrying limit.
+func checkTooLarge(t *testing.T, resp *http.Response, limit int) {
+	t.Helper()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if ep := decodeError(t, resp); ep.Code != "too_large" || ep.Limit != limit {
+		t.Fatalf("payload %+v, want code too_large with limit %d", ep, limit)
+	}
+}
+
+// oversizedJSON marshals v, whose source field alone fills the 1 MiB
+// jobs/analyze limit.
+func oversizedJSON(t *testing.T, v any) *bytes.Reader {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewReader(b)
+}
+
+func TestSubmitBodyTooLarge(t *testing.T) {
+	body := oversizedJSON(t, JobRequest{Source: strings.Repeat("x", 1<<20)})
+	checkTooLarge(t, serve(t, httptest.NewRequest("POST", "/v1/jobs", body)), 1<<20)
+}
+
+func TestAnalyzeBodyTooLarge(t *testing.T) {
+	body := oversizedJSON(t, AnalyzeRequest{Source: strings.Repeat("x", 1<<20)})
+	checkTooLarge(t, serve(t, httptest.NewRequest("POST", "/v1/analyze", body)), 1<<20)
+}
+
+// junkLine is one 1 MiB corpus line that fails JSON decoding at its
+// first byte.
+var junkLine = append(bytes.Repeat([]byte("x"), 1<<20-1), '\n')
+
+// junkLines yields n bytes of junkLine repeats, so the batch handler
+// streams a body of any length without the test allocating it.
+type junkLines struct{ n, off int }
+
+func (r *junkLines) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], junkLine[r.off:])
+	r.off = (r.off + k) % len(junkLine)
+	r.n -= k
+	return k, nil
+}
+
+func TestBatchBodyTooLarge(t *testing.T) {
+	const limit = 64 << 20
+	// A declared length over the limit is refused before reading.
+	req := httptest.NewRequest("POST", "/v1/batch", &junkLines{n: 1})
+	req.ContentLength = limit + 1
+	checkTooLarge(t, serve(t, req), limit)
+
+	// A body of undeclared length is refused once it runs past the
+	// limit.
+	req = httptest.NewRequest("POST", "/v1/batch", &junkLines{n: limit + 1})
+	checkTooLarge(t, serve(t, req), limit)
+}

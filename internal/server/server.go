@@ -34,6 +34,14 @@ import (
 	"heisendump/internal/telemetry"
 )
 
+// Request body limits. A body that runs past its endpoint's limit is
+// refused with a typed too_large payload (HTTP 413) instead of being
+// read without bound.
+const (
+	maxRequestBody = 1 << 20  // POST /v1/jobs and POST /v1/analyze
+	maxBatchBody   = 64 << 20 // POST /v1/batch
+)
+
 // Config tunes a Server. Zero values take the documented defaults.
 type Config struct {
 	// Workers is the number of concurrent jobs (default 4). Each job
@@ -307,8 +315,9 @@ func (s *Server) admit(req JobRequest) (*job, bool, *ErrorPayload) {
 // deadline).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &ErrorPayload{Code: CodeBadRequest, Message: "bad JSON: " + err.Error()})
+		writeError(w, bodyError(err, "bad JSON: "))
 		return
 	}
 	j, dup, ep := s.admit(req)
@@ -431,8 +440,17 @@ type BatchResponse struct {
 // (gen.Entry per line) submitted wholesale. Each entry becomes a job
 // under the ?tenant= tenant (default "default") with its recorded
 // budgets and a seed-derived idempotency key; per-entry admission
-// outcomes come back in order.
+// outcomes come back in order. A body declared longer than the batch
+// limit is refused before any entry is admitted; an undeclared-length
+// body that runs past it is refused when the limit is reached, after
+// the entries read so far were admitted (their seed-derived keys make
+// a resubmission idempotent).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > maxBatchBody {
+		writeError(w, bodyError(&http.MaxBytesError{Limit: maxBatchBody}, ""))
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	tenant := r.URL.Query().Get("tenant")
 	opts := JobOptions{}
 	if v := r.URL.Query().Get("workers"); v != "" {
@@ -442,9 +460,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Workers = n
-	}
-	if r.URL.Query().Get("prune") == "1" {
-		opts.Prune = true
 	}
 
 	resp := BatchResponse{Results: []BatchResult{}}
@@ -473,7 +488,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, BatchResult{Line: line, Name: e.Name, ID: j.id, Dup: dup})
 	}
 	if err := sc.Err(); err != nil {
-		writeError(w, &ErrorPayload{Code: CodeBadRequest, Message: "reading body: " + err.Error()})
+		writeError(w, bodyError(err, "reading body: "))
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -504,8 +519,9 @@ type AnalyzeResponse struct {
 // are two cache lookups.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &ErrorPayload{Code: CodeBadRequest, Message: "bad JSON: " + err.Error()})
+		writeError(w, bodyError(err, "bad JSON: "))
 		return
 	}
 	if req.Source == "" {

@@ -61,7 +61,6 @@ func fig1Request(t *testing.T, key string) JobRequest {
 		Input:  &InputSpec{Scalars: w.Input.Scalars, Arrays: w.Input.Arrays},
 		Options: JobOptions{
 			Workers:     1,
-			Prune:       true,
 			TrialBudget: 1000,
 		},
 	}

@@ -36,8 +36,10 @@ package statics
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"weak"
 
 	"heisendump/internal/ir"
 	"heisendump/internal/telemetry"
@@ -201,8 +203,11 @@ func siteLine(s Site) string {
 // cache memoizes Analyze per compiled program. Programs are immutable
 // and typically shared through the compile cache, so the pointer is a
 // sound identity key; the report is a pure function of the program,
-// making a racy double-compute harmless.
-var cache sync.Map // *ir.Program -> *Report
+// making a racy double-compute harmless. The key is a weak pointer and
+// a cleanup deletes the entry once the program is collected, so the
+// memo lives exactly as long as its programs (a Report holds no
+// pointer back to its program, which would keep it alive).
+var cache sync.Map // weak.Pointer[ir.Program] -> *Report
 
 // Analyze runs the whole-program analysis. It only reads the
 // immutable compiled program, so any number of concurrent callers may
@@ -211,18 +216,23 @@ var cache sync.Map // *ir.Program -> *Report
 // server's /v1/analyze consult one analysis at zero marginal cost.
 // Callers must treat the returned report as immutable.
 func Analyze(prog *ir.Program) *Report {
-	if r, ok := cache.Load(prog); ok {
+	key := weak.Make(prog)
+	if r, ok := cache.Load(key); ok {
 		return r.(*Report)
 	}
 	rep := analyze(prog)
 	telemetry.StaticsAnalyses.Inc()
 	telemetry.StaticsRaceCandidates.Add(int64(len(rep.Races)))
 	telemetry.StaticsDeadlockCandidates.Add(int64(len(rep.Deadlocks)))
-	if prev, loaded := cache.LoadOrStore(prog, rep); loaded {
+	if prev, loaded := cache.LoadOrStore(key, rep); loaded {
 		return prev.(*Report)
 	}
+	runtime.AddCleanup(prog, forget, key)
 	return rep
 }
+
+// forget drops a collected program's memo entry.
+func forget(key weak.Pointer[ir.Program]) { cache.Delete(key) }
 
 func analyze(prog *ir.Program) *Report {
 	a := newAnalysis(prog)

@@ -13,7 +13,7 @@ import "strconv"
 // dimensions (engine, outcome, crash kind).
 
 // trialStepBounds bucket per-trial executed-step counts: trials range
-// from a few steps (replayed prefixes) to the per-run bound, so the
+// from a few steps (an early crash) to the per-run bound, so the
 // boundaries are decade-spaced.
 var trialStepBounds = []int64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
@@ -25,27 +25,13 @@ var (
 	ChessSearchesFound = Default().Counter("heisen_chess_searches_found_total",
 		"Schedule searches that committed a failure-inducing schedule.")
 	ChessTrialsExecuted = Default().Counter("heisen_chess_trials_executed_total",
-		"Test runs executed, including speculative and seeding runs.")
-	ChessTrialsPruned = Default().Counter("heisen_chess_trials_pruned_total",
-		"Trials skipped by the equivalence-pruning layer (memoized outcome replayed).")
+		"Test runs executed, including speculative runs.")
 	ChessStepsExecuted = Default().Counter("heisen_chess_steps_executed_total",
-		"Interpreter steps executed by trials (snapshot-replayed prefix steps excluded).")
-	ChessStepsSaved = Default().Counter("heisen_chess_steps_saved_total",
-		"Interpreter steps the fork layer replayed from snapshots instead of executing.")
-	ChessForkPathReplays = Default().Counter("heisen_chess_fork_path_replays_total",
-		"Whole-trial replays from a memoized path outcome (zero machine execution).")
-	ChessForkAnchorResumes = Default().Counter("heisen_chess_fork_anchor_resumes_total",
-		"Trials resumed from a cached prefix snapshot instead of Reset.")
-	ChessForkTailHits = Default().Counter("heisen_chess_fork_tail_hits_total",
-		"Trial tails adopted from the tail-outcome memo after state reconvergence.")
-	ChessForkCaptures = Default().Counter("heisen_chess_fork_captures_total",
-		"Prefix snapshots captured at frontier events.")
-	ChessForkEvictions = Default().Counter("heisen_chess_fork_evictions_total",
-		"Prefix snapshots evicted from the per-worker LRU cache.")
+		"Interpreter steps executed by trials.")
 	ChessGuidanceReorders = Default().Counter("heisen_chess_guidance_reorders_total",
 		"Worklists reordered by the static-analysis focus set.")
 	ChessTrialSteps = Default().Histogram("heisen_chess_trial_steps",
-		"Per-trial executed interpreter steps (saved prefix steps excluded).",
+		"Per-trial executed interpreter steps.",
 		trialStepBounds)
 )
 

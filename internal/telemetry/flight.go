@@ -9,14 +9,10 @@ type TrialRecord struct {
 	Rank   int `json:"rank"`
 	Trial  int `json:"trial"`
 	Worker int `json:"worker"`
-	// Steps are the trial's executed steps, StepsSaved its replayed
-	// prefix/tail steps.
-	Steps      int64 `json:"steps"`
-	StepsSaved int64 `json:"stepsSaved,omitempty"`
-	// Pruned, Forked and Found are the trial's disposition flags.
-	Pruned bool `json:"pruned,omitempty"`
-	Forked bool `json:"forked,omitempty"`
-	Found  bool `json:"found,omitempty"`
+	// Steps are the trial's executed steps; Found marks a trial that
+	// reproduced the target failure.
+	Steps int64 `json:"steps"`
+	Found bool  `json:"found,omitempty"`
 }
 
 // Decision is one scheduler decision in the ring: a fold commit, the

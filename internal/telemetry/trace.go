@@ -19,16 +19,10 @@ type TrialEvent struct {
 	// Worker is the searcher worker that ran the trial (-1 for the
 	// post-join repair path).
 	Worker int
-	// Steps counts the trial's executed steps (saved prefix excluded);
-	// StepsSaved the snapshot/memo-replayed steps.
-	Steps      int64
-	StepsSaved int64
-	// Pruned marks a trial replayed from the equivalence memo without
-	// execution; Forked one that resumed from a fork-layer snapshot or
-	// memo; Found one that reproduced the target failure.
-	Pruned bool
-	Forked bool
-	Found  bool
+	// Steps counts the trial's executed steps; Found marks a trial
+	// that reproduced the target failure.
+	Steps int64
+	Found bool
 }
 
 // Tracer records pipeline stage spans and sampled per-trial events,
@@ -106,20 +100,12 @@ func (t *Tracer) Trial(ev TrialEvent) {
 	if n := int64(t.sampleEvery); n > 1 && t.seen.Add(1)%n != 0 {
 		return
 	}
-	disp := "executed"
-	switch {
-	case ev.Pruned:
-		disp = "pruned"
-	case ev.Forked:
-		disp = "forked"
-	}
 	t.mu.Lock()
 	t.events = append(t.events, traceEvent{
 		Name: "trial", Ph: "i", S: "t", Ts: t.now(), Pid: 1, Tid: ev.Worker + 1,
 		Args: &trialArgs{
 			Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-			Steps: ev.Steps, StepsSaved: ev.StepsSaved,
-			Disposition: disp, Found: ev.Found,
+			Steps: ev.Steps, Found: ev.Found,
 		},
 	})
 	t.mu.Unlock()
@@ -169,11 +155,9 @@ type traceEvent struct {
 
 // trialArgs is the structured payload of a trial instant.
 type trialArgs struct {
-	Rank        int    `json:"rank"`
-	Trial       int    `json:"trial"`
-	Worker      int    `json:"worker"`
-	Steps       int64  `json:"steps"`
-	StepsSaved  int64  `json:"stepsSaved"`
-	Disposition string `json:"disposition"`
-	Found       bool   `json:"found"`
+	Rank   int   `json:"rank"`
+	Trial  int   `json:"trial"`
+	Worker int   `json:"worker"`
+	Steps  int64 `json:"steps"`
+	Found  bool  `json:"found"`
 }

@@ -28,8 +28,7 @@ func TestTracerSyntheticClock(t *testing.T) {
 			Ts   int64  `json:"ts"`
 			Dur  int64  `json:"dur"`
 			Args *struct {
-				Disposition string `json:"disposition"`
-				Found       bool   `json:"found"`
+				Found bool `json:"found"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 	}

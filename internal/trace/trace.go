@@ -122,40 +122,6 @@ func (r *Recorder) OnRelease(t *interp.Thread, lock string) {
 	}
 }
 
-// RecorderMark is a captured Recorder position (see Mark/Rewind).
-type RecorderMark struct {
-	events  int
-	step    int64
-	dropped int64
-}
-
-// Mark captures the recorder's current position so a later Rewind can
-// discard everything recorded after it — the Recorder analogue of
-// interp.Snapshot for prefix-forked re-executions.
-func (r *Recorder) Mark() RecorderMark {
-	return RecorderMark{events: len(r.Events), step: r.step, dropped: r.Dropped}
-}
-
-// Rewind truncates the trace back to a captured Mark, restoring the
-// step counter so subsequently recorded events carry the same step
-// numbers an uninterrupted run would have produced. Rewinding is exact
-// only while no window halving has discarded events since the mark; on
-// a windowed recorder whose Dropped count moved, Rewind reports false
-// and leaves the recorder unchanged (the marked prefix no longer
-// exists to rewind to). Unbounded recorders always succeed.
-func (r *Recorder) Rewind(mk RecorderMark) bool {
-	if r.Dropped != mk.dropped || len(r.Events) < mk.events {
-		return false
-	}
-	r.Events = r.Events[:mk.events]
-	r.step = mk.step
-	r.cur = mk.events - 1
-	if mk.events == 0 {
-		r.cur = -1
-	}
-	return true
-}
-
 // EventAt returns the event with the given step number, or nil when it
 // fell outside the retained window.
 func (r *Recorder) EventAt(step int64) *Event {

@@ -22,7 +22,6 @@ import (
 //
 //	s := heisendump.NewCompiled(prog, input,
 //	    heisendump.WithWorkers(4),
-//	    heisendump.WithPrune(true),
 //	    heisendump.WithTrialBudget(2000),
 //	)
 //	rep, err := s.Reproduce(ctx)
@@ -40,17 +39,6 @@ type Option func(*Config)
 // WithWorkers sets the schedule-search worker-pool width (0 =
 // GOMAXPROCS). The search result is bit-identical for any value.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithPrune toggles the search's equivalence-pruning layer. Found,
-// Schedule and Tries are bit-identical either way; only executed-trial
-// counts and wall time drop.
-func WithPrune(on bool) Option { return func(c *Config) { c.Prune = on } }
-
-// WithFork toggles the search's prefix snapshot/fork layer: trials
-// resume from cached machine checkpoints instead of re-executing
-// shared schedule prefixes. Found, Schedule and Tries are bit-identical
-// either way; only executed-step counts and wall time drop.
-func WithFork(on bool) Option { return func(c *Config) { c.Fork = on } }
 
 // WithHeuristic selects the CSV-access prioritization strategy
 // (Temporal by default, or Dependence).
@@ -116,8 +104,7 @@ func WithEngine(e Engine) Option { return func(c *Config) { c.Engine = e } }
 // focus set (see Analyze) to the schedule search: preemption
 // combinations whose blocks touch statically flagged variables are
 // explored first. This changes Tries by design — that is the payoff —
-// while remaining bit-identical across Workers/Prune/Fork for a fixed
-// program. Off (the default), the exploration order is exactly the
+// while remaining bit-identical across Workers for a fixed program. Off (the default), the exploration order is exactly the
 // unguided one.
 func WithStaticFocus(on bool) Option { return func(c *Config) { c.StaticFocus = on } }
 
@@ -146,8 +133,8 @@ func New(source string, input *Input, opts ...Option) (*Session, error) {
 // NewCompiled builds a Session for a compiled program and its
 // failure-inducing input, running the static analyses once. Options
 // default to the zero Config (temporal heuristic, execution-index
-// alignment, bound 2, GOMAXPROCS search workers, pruning off, no trial
-// budget). The compiled program is never mutated, so any number of
+// alignment, bound 2, GOMAXPROCS search workers, no trial budget).
+// The compiled program is never mutated, so any number of
 // concurrent Sessions may share one *Program.
 func NewCompiled(prog *Program, input *Input, opts ...Option) *Session {
 	var cfg Config
@@ -177,7 +164,7 @@ func (s *Session) Config() Config { return s.pipe.Cfg }
 //
 // With an uncancelled context the Report's Found, Schedule and Tries
 // are bit-identical to the deprecated Pipeline.Run for any
-// WithWorkers/WithPrune setting.
+// WithWorkers setting.
 func (s *Session) Reproduce(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -3,6 +3,7 @@ package heisendump_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -209,19 +210,11 @@ func TestSessionErrCancelled(t *testing.T) {
 
 // TestSessionObserverOrdering: one full run delivers the five analysis
 // stages in StageAlign..StageCandidates order, then search heartbeats
-// with monotone counters, ending in exactly one Done snapshot. The
-// fork leg pins the Observer contract's fine print (see
-// internal/core/observer.go): under prefix forking Steps counts only
-// the steps trials actually executed, snapshot-replayed prefix
-// positions accumulate separately in StepsSaved, and both stay
-// monotone; with forking off StepsSaved is identically zero.
+// with monotone counters, ending in exactly one Done snapshot — at
+// one worker and at four.
 func TestSessionObserverOrdering(t *testing.T) {
-	for _, fork := range []bool{false, true} {
-		name := "base"
-		if fork {
-			name = "fork"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			w, prog := compileWorkload(t, "mysql-3")
 			var stages []heisendump.Stage
 			var beats []heisendump.SearchProgress
@@ -230,8 +223,7 @@ func TestSessionObserverOrdering(t *testing.T) {
 				SearchFunc: func(p heisendump.SearchProgress) { beats = append(beats, p) },
 			}
 			s := heisendump.NewCompiled(prog, w.Input,
-				heisendump.WithWorkers(2),
-				heisendump.WithFork(fork),
+				heisendump.WithWorkers(workers),
 				heisendump.WithObserver(obs),
 			)
 			rep, err := s.Reproduce(context.Background())
@@ -261,25 +253,18 @@ func TestSessionObserverOrdering(t *testing.T) {
 				if p.Combos != beats[0].Combos {
 					t.Fatalf("heartbeat %d changed Combos: %d vs %d", i, p.Combos, beats[0].Combos)
 				}
-				if !fork && p.StepsSaved != 0 {
-					t.Fatalf("heartbeat %d: StepsSaved %d with forking off", i, p.StepsSaved)
-				}
 				if i == 0 {
 					continue
 				}
 				prev := beats[i-1]
 				if p.Committed < prev.Committed || p.Tries < prev.Tries ||
-					p.Executed < prev.Executed || p.Pruned < prev.Pruned ||
-					p.Steps < prev.Steps || p.StepsSaved < prev.StepsSaved {
+					p.Executed < prev.Executed || p.Steps < prev.Steps {
 					t.Fatalf("heartbeat %d not monotone: %+v after %+v", i, p, prev)
 				}
 			}
 			final := beats[len(beats)-1]
 			if !final.Found || final.Tries != rep.Search.Tries || final.Executed != rep.Search.TrialsExecuted {
 				t.Fatalf("final heartbeat %+v disagrees with the result %+v", final, rep.Search)
-			}
-			if fork && final.StepsSaved == 0 {
-				t.Log("fork leg saved no steps on this workload (allowed, but unexpected)")
 			}
 		})
 	}
@@ -288,8 +273,7 @@ func TestSessionObserverOrdering(t *testing.T) {
 // TestSessionMatchesDeprecatedRun is the compatibility acceptance
 // check: with an uncancelled context, Session.Reproduce produces
 // Found, Schedule and Tries bit-identical to the deprecated
-// Pipeline.Run for every Table 2 bug, at Workers 1 and 4, Prune off
-// and on.
+// Pipeline.Run for every Table 2 bug, at Workers 1 and 4.
 func TestSessionMatchesDeprecatedRun(t *testing.T) {
 	for _, w := range heisendump.Bugs() {
 		prog, err := w.Compile(true)
@@ -304,27 +288,24 @@ func TestSessionMatchesDeprecatedRun(t *testing.T) {
 			t.Fatalf("%s: reference run did not reproduce in %d tries", w.Name, ref.Search.Tries)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, prune := range []bool{false, true} {
-				s := heisendump.NewCompiled(prog, w.Input,
-					heisendump.WithTrialBudget(4000),
-					heisendump.WithWorkers(workers),
-					heisendump.WithPrune(prune),
-				)
-				rep, err := s.Reproduce(context.Background())
-				if err != nil {
-					t.Fatalf("%s workers=%d prune=%v: %v", w.Name, workers, prune, err)
-				}
-				if rep.Partial {
-					t.Fatalf("%s workers=%d prune=%v: uncancelled run marked partial", w.Name, workers, prune)
-				}
-				if rep.Search.Found != ref.Search.Found ||
-					rep.Search.Tries != ref.Search.Tries ||
-					!reflect.DeepEqual(rep.Search.Schedule, ref.Search.Schedule) {
-					t.Fatalf("%s workers=%d prune=%v diverged from deprecated Run:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
-						w.Name, workers, prune,
-						rep.Search.Found, rep.Search.Tries, rep.Search.Schedule,
-						ref.Search.Found, ref.Search.Tries, ref.Search.Schedule)
-				}
+			s := heisendump.NewCompiled(prog, w.Input,
+				heisendump.WithTrialBudget(4000),
+				heisendump.WithWorkers(workers),
+			)
+			rep, err := s.Reproduce(context.Background())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", w.Name, workers, err)
+			}
+			if rep.Partial {
+				t.Fatalf("%s workers=%d: uncancelled run marked partial", w.Name, workers)
+			}
+			if rep.Search.Found != ref.Search.Found ||
+				rep.Search.Tries != ref.Search.Tries ||
+				!reflect.DeepEqual(rep.Search.Schedule, ref.Search.Schedule) {
+				t.Fatalf("%s workers=%d diverged from deprecated Run:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
+					w.Name, workers,
+					rep.Search.Found, rep.Search.Tries, rep.Search.Schedule,
+					ref.Search.Found, ref.Search.Tries, ref.Search.Schedule)
 			}
 		}
 	}

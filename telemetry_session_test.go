@@ -16,13 +16,11 @@ import (
 // server wire per run. It returns the report plus the consumers for
 // inspection (nil when tele is off).
 func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.Input,
-	workers int, prune, fork, tele bool) (*heisendump.Report, *heisendump.Tracer, *heisendump.FlightRecorder) {
+	workers int, tele bool) (*heisendump.Report, *heisendump.Tracer, *heisendump.FlightRecorder) {
 	t.Helper()
 	opts := []heisendump.Option{
 		heisendump.WithTrialBudget(4000),
 		heisendump.WithWorkers(workers),
-		heisendump.WithPrune(prune),
-		heisendump.WithFork(fork),
 	}
 	var tr *heisendump.Tracer
 	var fl *heisendump.FlightRecorder
@@ -33,13 +31,13 @@ func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.
 	}
 	rep, err := heisendump.NewCompiled(prog, input, opts...).Reproduce(context.Background())
 	if err != nil {
-		t.Fatalf("workers=%d prune=%v fork=%v tele=%v: %v", workers, prune, fork, tele, err)
+		t.Fatalf("workers=%d tele=%v: %v", workers, tele, err)
 	}
 	return rep, tr, fl
 }
 
 // TestSessionTelemetryPassive is the telemetry passivity matrix: over
-// workers {1,4} × prune {off,on} × fork {off,on}, attaching the full
+// workers {1,4}, attaching the full
 // telemetry stack (tracer + flight recorder, with the global counters
 // firing throughout) leaves Found, Tries and the winning Schedule
 // bit-identical to the telemetry-off reference. This is the
@@ -47,40 +45,36 @@ func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.
 // is benchgate's TelemetryOverhead ceiling.
 func TestSessionTelemetryPassive(t *testing.T) {
 	w, prog := compileWorkload(t, "mysql-3")
-	ref, _, _ := runWithTelemetry(t, prog, w.Input, 1, false, false, false)
+	ref, _, _ := runWithTelemetry(t, prog, w.Input, 1, false)
 	if !ref.Search.Found {
 		t.Fatalf("reference run did not reproduce in %d tries", ref.Search.Tries)
 	}
 
 	before := heisendump.MetricsSnapshot()
 	for _, workers := range []int{1, 4} {
-		for _, prune := range []bool{false, true} {
-			for _, fork := range []bool{false, true} {
-				for _, tele := range []bool{false, true} {
-					name := fmt.Sprintf("w%d_prune=%v_fork=%v_tele=%v", workers, prune, fork, tele)
-					rep, tr, fl := runWithTelemetry(t, prog, w.Input, workers, prune, fork, tele)
-					if rep.Search.Found != ref.Search.Found ||
-						rep.Search.Tries != ref.Search.Tries ||
-						!reflect.DeepEqual(rep.Search.Schedule, ref.Search.Schedule) {
-						t.Fatalf("%s diverged from the telemetry-off reference:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
-							name,
-							rep.Search.Found, rep.Search.Tries, rep.Search.Schedule,
-							ref.Search.Found, ref.Search.Tries, ref.Search.Schedule)
-					}
-					if !tele {
-						continue
-					}
-					// The consumers actually observed the run.
-					if tr.Len() == 0 {
-						t.Errorf("%s: tracer recorded no events", name)
-					}
-					log := fl.Snapshot()
-					if log == nil || len(log.Trials) == 0 {
-						t.Errorf("%s: flight recorder empty", name)
-					} else if d := log.Decisions; len(d) == 0 || !d[len(d)-1].Found {
-						t.Errorf("%s: flight recorder's last decision is not the find: %+v", name, d)
-					}
-				}
+		for _, tele := range []bool{false, true} {
+			name := fmt.Sprintf("w%d_tele=%v", workers, tele)
+			rep, tr, fl := runWithTelemetry(t, prog, w.Input, workers, tele)
+			if rep.Search.Found != ref.Search.Found ||
+				rep.Search.Tries != ref.Search.Tries ||
+				!reflect.DeepEqual(rep.Search.Schedule, ref.Search.Schedule) {
+				t.Fatalf("%s diverged from the telemetry-off reference:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
+					name,
+					rep.Search.Found, rep.Search.Tries, rep.Search.Schedule,
+					ref.Search.Found, ref.Search.Tries, ref.Search.Schedule)
+			}
+			if !tele {
+				continue
+			}
+			// The consumers actually observed the run.
+			if tr.Len() == 0 {
+				t.Errorf("%s: tracer recorded no events", name)
+			}
+			log := fl.Snapshot()
+			if log == nil || len(log.Trials) == 0 {
+				t.Errorf("%s: flight recorder empty", name)
+			} else if d := log.Decisions; len(d) == 0 || !d[len(d)-1].Found {
+				t.Errorf("%s: flight recorder's last decision is not the find: %+v", name, d)
 			}
 		}
 	}
