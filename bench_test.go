@@ -251,7 +251,9 @@ func BenchmarkAblationPreemptionBound(b *testing.B) {
 // Sub-benchmarks sweep the worker count; on a multi-core runner the
 // all-cores variant should beat workers=1 by the trial-execution
 // parallelism (the per-combination setup is amortized across the
-// pool).
+// pool). The guided leg times the enhanced search a reproduction
+// runs instead: weighted and guided, over the candidates of a real
+// analysis, to its find.
 func BenchmarkSearchParallel(b *testing.B) {
 	w := workloads.ByName("mysql-1")
 	cp, err := w.Compile(true)
@@ -316,6 +318,33 @@ func BenchmarkSearchParallel(b *testing.B) {
 	// runner regardless of machine noise between benchmark sessions.
 	b.Run("workers=1/engine=tree", func(b *testing.B) {
 		run(b, 1, interp.EngineTree)
+	})
+	// Weighted + Guided at workers=1 over mysql-1's annotated
+	// candidates, searched to its find: the one leg that times the
+	// worklist ordering, which every guided reproduction pays once per
+	// search and the plain legs never run.
+	b.Run("guided", func(b *testing.B) {
+		p := core.NewPipeline(cp, w.Input, core.Config{Workers: 1})
+		fail, err := p.ProvokeFailure()
+		if err != nil {
+			b.Fatal(err)
+		}
+		an, err := p.Analyze(fail)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := p.Searcher(fail, an)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res := s.Search()
+			if !res.Found {
+				b.Fatalf("guided search did not reproduce the failure in %d tries", res.Tries)
+			}
+			if i == 0 {
+				b.Logf("tries=%d combos=%d steps=%d", res.Tries, res.CombinationsGenerated, res.StepsExecuted)
+			}
+		}
 	})
 }
 

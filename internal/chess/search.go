@@ -136,13 +136,18 @@ type Result struct {
 	// lower-rank find or the cutoff later disqualified. Equal to Tries
 	// when Workers is 1.
 	TrialsExecuted int
-	// Elapsed is the wall time spent executing test runs.
+	// Elapsed is the search's wall time from entry to return: building
+	// the worklist (one ordering key per combination when the order is
+	// weighted or statically focused), ordering it as ranks are
+	// claimed, and executing the test runs.
 	Elapsed time.Duration
 	// StepsExecuted totals interpreter steps across all executed test
 	// runs (including speculative ones), so like TrialsExecuted it is
 	// deterministic only at Workers == 1.
 	StepsExecuted int64
-	// CombinationsGenerated counts the combinations enumerated.
+	// CombinationsGenerated is the worklist size: every preemption
+	// combination up to the bound, Σ C(n,s) for 1 ≤ s ≤ Bound over n
+	// candidates, whether or not the search reached it.
 	CombinationsGenerated int
 	// Workers is the worker count the search ran with.
 	Workers int
@@ -171,13 +176,13 @@ type Searcher struct {
 }
 
 // searchState is the shared state of one parallel search: the
-// generated worklist, the atomic work-claim and progress counters, and
+// on-demand worklist, the atomic work-claim and progress counters, and
 // the incremental rank-order fold that decides the deterministic
 // result.
 type searchState struct {
 	s        *Searcher
 	ctx      context.Context
-	wl       []rankedCombo
+	wl       *worklist
 	maxRun   int64
 	maxTries int
 
@@ -197,11 +202,12 @@ type searchState struct {
 	winner    *comboOutcome // committed winning outcome, if any
 }
 
-// Search runs Algorithm 2: generate all preemption combinations up to
-// the bound, order them (by weight for the enhanced algorithm, by
-// generation order for plain CHESS), and execute test runs — exploring
-// the eligible thread choices at each preemption — until the failure
-// reproduces or the work list is exhausted.
+// Search runs Algorithm 2: order the preemption combinations up to
+// the bound (by weight for the enhanced algorithm, by generation order
+// for plain CHESS) into a worklist that yields them on demand, and
+// execute test runs — exploring the eligible thread choices at each
+// preemption — until the failure reproduces or the work list is
+// exhausted.
 //
 // Combinations are explored by Opts.Workers concurrent workers that
 // claim worklist ranks in order. The result is reduced
@@ -240,18 +246,18 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		maxRun = s.Opts.PassingSteps*4 + 10000
 	}
 
-	wl := generateWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
-	res.CombinationsGenerated = len(wl)
+	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
+	res.CombinationsGenerated = wl.size
 
 	workers := s.Opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(wl) {
-		workers = len(wl)
+	if workers > wl.size {
+		workers = wl.size
 	}
 	res.Workers = workers
-	if len(wl) == 0 {
+	if wl.size == 0 {
 		s.emitDone(res, 0)
 		return res
 	}
@@ -262,9 +268,9 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		wl:       wl,
 		maxRun:   maxRun,
 		maxTries: s.Opts.MaxTries,
-		outcomes: make([]*comboOutcome, len(wl)),
+		outcomes: make([]*comboOutcome, wl.size),
 	}
-	st.bestRank.Store(int64(len(wl))) // sentinel: nothing found yet
+	st.bestRank.Store(int64(wl.size)) // sentinel: nothing found yet
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -287,7 +293,7 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	// The search is complete when the fold decided it (winner or
 	// cutoff) or consumed the whole worklist; anything less means the
 	// context cancelled it (finish repairs every other gap).
-	complete := st.decided.Load() || st.committed >= len(st.wl)
+	complete := st.decided.Load() || st.committed >= st.wl.size
 	st.mu.Unlock()
 	res.Cancelled = !complete && st.cancelled()
 	res.TrialsExecuted = int(st.tries.Load())
@@ -347,7 +353,7 @@ func (st *searchState) worker(w int) {
 			return
 		}
 		r := int(st.next.Add(1) - 1)
-		if r >= len(st.wl) {
+		if r >= st.wl.size {
 			return
 		}
 		if st.decided.Load() {
@@ -403,7 +409,7 @@ func (st *searchState) finish() {
 	var m *interp.Machine
 	for {
 		st.mu.Lock()
-		if st.cancelled() || st.decided.Load() || st.committed >= len(st.wl) {
+		if st.cancelled() || st.decided.Load() || st.committed >= st.wl.size {
 			st.mu.Unlock()
 			return
 		}
@@ -440,7 +446,7 @@ func (st *searchState) record(r int, out *comboOutcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.outcomes[r] = out
-	for !st.decided.Load() && st.committed < len(st.wl) {
+	for !st.decided.Load() && st.committed < st.wl.size {
 		if st.cancelled() {
 			// Cancelled: stop folding and leave the committed prefix as
 			// the deterministic partial result. The check sits before
@@ -493,7 +499,7 @@ func (st *searchState) progressLocked() {
 		return
 	}
 	st.s.Opts.Progress(Progress{
-		Combos:    len(st.wl),
+		Combos:    st.wl.size,
 		Committed: st.committed,
 		Tries:     st.cumTries,
 		Executed:  int(st.tries.Load()),
@@ -515,7 +521,7 @@ func (st *searchState) progressLocked() {
 // fold before it could reach this rank. Aborted outcomes are marked so
 // the fold can never mistake them for completed explorations.
 func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, w int) *comboOutcome {
-	combo := st.wl[r].combo
+	combo := st.wl.at(r)
 	out := &comboOutcome{rank: r, foundAt: -1}
 	k := len(combo)
 	vec := make([]int, k)

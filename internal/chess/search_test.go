@@ -8,6 +8,7 @@ import (
 	"heisendump/internal/chess"
 	"heisendump/internal/core"
 	"heisendump/internal/interp"
+	"heisendump/internal/slicing"
 	"heisendump/internal/workloads"
 )
 
@@ -19,11 +20,18 @@ func analyzedSearcher(t testing.TB, name string) *chess.Searcher {
 	if w == nil {
 		t.Fatalf("unknown workload %q", name)
 	}
+	return configuredSearcher(t, w, core.Config{})
+}
+
+// configuredSearcher is analyzedSearcher under an explicit pipeline
+// configuration.
+func configuredSearcher(t testing.TB, w *workloads.Workload, cfg core.Config) *chess.Searcher {
+	t.Helper()
 	prog, err := w.Compile(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.NewPipeline(prog, w.Input, core.Config{})
+	p := core.NewPipeline(prog, w.Input, cfg)
 	fail, err := p.ProvokeFailure()
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +41,39 @@ func analyzedSearcher(t testing.TB, name string) *chess.Searcher {
 		t.Fatal(err)
 	}
 	return p.Searcher(fail, an)
+}
+
+// TestWorklistMatchesOracleOnTable2 compares the lazy worklist with
+// the eager enumerate-and-sort oracle, rank by rank, on the annotated
+// candidates of all seven Table 2 bugs under the temporal and
+// dependence heuristics and under static focus, at the searched
+// bound 2 and at bound 1, weighted and unweighted.
+func TestWorklistMatchesOracleOnTable2(t *testing.T) {
+	configs := map[string]core.Config{
+		"temporal":   {Heuristic: slicing.Temporal},
+		"dependence": {Heuristic: slicing.Dependence},
+		"static":     {StaticFocus: true},
+	}
+	focused := 0
+	for _, w := range workloads.Bugs() {
+		for _, name := range []string{"temporal", "dependence", "static"} {
+			s := configuredSearcher(t, w, configs[name])
+			if s.Opts.Static != nil {
+				focused++
+			}
+			for _, bound := range []int{1, 2} {
+				for _, weighted := range []bool{false, true} {
+					if err := chess.CompareWorklistOrder(s.Candidates, bound, weighted, s.Opts.Static); err != nil {
+						t.Fatalf("%s/%s bound=%d weighted=%v: %v", w.Name, name, bound, weighted, err)
+					}
+				}
+			}
+		}
+	}
+	if focused == 0 {
+		t.Fatal("no Table 2 bug has a static focus set; the static order went untested")
+	}
+	t.Logf("%d of %d bugs compared with a non-empty static focus set", focused, len(workloads.Bugs()))
 }
 
 // TestParallelSearchDeterminism: for a Table 2 workload, the search

@@ -59,7 +59,8 @@ type JobOptions struct {
 	// StressBudget caps the failure-provocation phase; 0 = server
 	// default.
 	StressBudget int `json:"stress_budget,omitempty"`
-	// Bound is the preemption bound (0 = 2).
+	// Bound is the preemption bound, 0 to 3 (0 = 2); anything else is
+	// refused with bad_request.
 	Bound int `json:"bound,omitempty"`
 	// PlainChess disables CSV weighting and guidance.
 	PlainChess bool `json:"plain_chess,omitempty"`
@@ -73,9 +74,20 @@ type JobOptions struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// maxBound is the largest preemption bound a job may ask for. The
+// search's worklist holds every combination of up to bound preemption
+// candidates, Σ C(n,s): for a 67-candidate program that is ~50,000
+// at bound 3, ~10^8 (gigabytes of ordering keys) at 6, and past an
+// int at 40.
+const maxBound = 3
+
 // sessionOptions lowers the JSON options (defaults applied) to the
 // Session's functional options.
 func (o JobOptions) sessionOptions(obs heisendump.Observer) ([]heisendump.Option, *ErrorPayload) {
+	if o.Bound < 0 || o.Bound > maxBound {
+		return nil, &ErrorPayload{Code: CodeBadRequest,
+			Message: fmt.Sprintf("bound %d out of range (want 0 to %d; 0 means 2)", o.Bound, maxBound)}
+	}
 	opts := []heisendump.Option{
 		heisendump.WithWorkers(o.Workers),
 		heisendump.WithTrialBudget(o.TrialBudget),

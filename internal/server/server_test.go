@@ -222,6 +222,39 @@ func TestSubmitUnknownHeuristic(t *testing.T) {
 	}
 }
 
+// TestSubmitBoundRange: a preemption bound outside 0..maxBound is
+// refused at admission with a typed 400 and nothing queued or stored;
+// the ends of the range are admitted.
+func TestSubmitBoundRange(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	for _, bound := range []int{-1, 4, 40} {
+		req := fig1Request(t, "")
+		req.Options.Bound = bound
+		resp := postJSON(t, ts.URL+"/v1/jobs", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bound %d: status %d", bound, resp.StatusCode)
+		}
+		if ep := decodeError(t, resp); ep.Code != CodeBadRequest {
+			t.Fatalf("bound %d: code %q", bound, ep.Code)
+		}
+	}
+	if q, st := srv.sched.stats(), srv.store.stats(); q.Queued != 0 || q.Served != 0 || st.Jobs != 0 {
+		t.Fatalf("refused bounds reached the queue: scheduler %+v, store %+v", q, st)
+	}
+
+	for _, bound := range []int{0, maxBound} {
+		req := fig1Request(t, "")
+		req.Options.Bound = bound
+		resp := postJSON(t, ts.URL+"/v1/jobs?wait=1", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bound %d: status %d", bound, resp.StatusCode)
+		}
+		if st := decodeStatus(t, resp); st.State != StateDone {
+			t.Fatalf("bound %d: terminal status %+v", bound, st)
+		}
+	}
+}
+
 func TestGetNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")

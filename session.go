@@ -76,7 +76,11 @@ func WithFlightRecorder(f *FlightRecorder) Option { return func(c *Config) { c.F
 // result does not depend on WithWorkers.
 func WithTrialBudget(n int) Option { return func(c *Config) { c.MaxTries = n } }
 
-// WithBound sets the preemption bound k (default 2).
+// WithBound sets the preemption bound k (default 2). The search's
+// worklist covers every combination of up to k preemption candidates,
+// Σ C(n,s) for s ≤ k over the n candidates, and an ordered worklist
+// (the default weighted search, or static focus) holds one key per
+// combination: memory grows as n^k. heisend accepts 0 to 3.
 func WithBound(k int) Option { return func(c *Config) { c.Bound = k } }
 
 // WithPlainChess disables the CSV weighting and guided thread
