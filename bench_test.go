@@ -10,6 +10,7 @@ package heisendump_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -20,7 +21,6 @@ import (
 	"heisendump/internal/experiments"
 	"heisendump/internal/interp"
 	"heisendump/internal/sched"
-	"heisendump/internal/slicing"
 	"heisendump/internal/trace"
 	"heisendump/internal/workloads"
 )
@@ -144,17 +144,17 @@ func BenchmarkFig10Overhead(b *testing.B) {
 	}
 }
 
-// runSearch is a helper for the ablation benches: full pipeline on one
-// workload under the given configuration, reporting tries.
-func runSearch(b *testing.B, w *workloads.Workload, cfg core.Config) int {
+// runSearch is a helper for the ablation benches: a full Session
+// reproduction of one workload under the given options, reporting
+// tries (a search cut off by its budget is not an error here).
+func runSearch(b *testing.B, w *workloads.Workload, opts ...heisendump.Option) int {
 	b.Helper()
 	prog, err := w.Compile(true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := core.NewPipeline(prog, w.Input, cfg)
-	rep, err := p.Run()
-	if err != nil {
+	rep, err := heisendump.NewCompiled(prog, w.Input, opts...).Reproduce(context.Background())
+	if err != nil && !errors.Is(err, heisendump.ErrScheduleNotFound) {
 		b.Fatal(err)
 	}
 	return rep.Search.Tries
@@ -165,8 +165,8 @@ func runSearch(b *testing.B, w *workloads.Workload, cfg core.Config) int {
 func BenchmarkAblationAlignment(b *testing.B) {
 	w := workloads.Apache1
 	for i := 0; i < b.N; i++ {
-		ei := runSearch(b, w, core.Config{MaxTries: 2000})
-		ic := runSearch(b, w, core.Config{MaxTries: 2000, Alignment: core.AlignByInstructionCount})
+		ei := runSearch(b, w, heisendump.WithTrialBudget(2000))
+		ic := runSearch(b, w, heisendump.WithTrialBudget(2000), heisendump.WithAlignment(heisendump.AlignByInstructionCount))
 		if i == 0 {
 			b.Logf("apache-1 tries: execution-index=%d instruction-count=%d", ei, ic)
 		}
@@ -179,8 +179,8 @@ func BenchmarkAblationPriority(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var tTemp, tDep int
 		for _, w := range workloads.Bugs() {
-			tTemp += runSearch(b, w, core.Config{Heuristic: slicing.Temporal, MaxTries: 2000})
-			tDep += runSearch(b, w, core.Config{Heuristic: slicing.Dependence, MaxTries: 2000})
+			tTemp += runSearch(b, w, heisendump.WithHeuristic(heisendump.Temporal), heisendump.WithTrialBudget(2000))
+			tDep += runSearch(b, w, heisendump.WithHeuristic(heisendump.Dependence), heisendump.WithTrialBudget(2000))
 		}
 		if i == 0 {
 			b.Logf("total tries: temporal=%d dependence=%d", tTemp, tDep)
@@ -201,15 +201,15 @@ func BenchmarkAblationThreadSelect(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := core.NewPipeline(prog, w.Input, core.Config{MaxTries: 2000})
-			fail, err := p.ProvokeFailure()
+			fail, err := p.ProvokeFailureContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
-			an, err := p.Analyze(fail)
+			an, err := p.AnalyzeContext(context.Background(), fail)
 			if err != nil {
 				b.Fatal(err)
 			}
-			full += p.Reproduce(fail, an).Tries
+			full += p.Searcher(fail, an).Search().Tries
 
 			s := p.Searcher(fail, an)
 			s.Opts.Guided = false
@@ -231,9 +231,9 @@ func BenchmarkAblationPreemptionBound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := core.NewPipeline(prog, w.Input, core.Config{Bound: k, MaxTries: 3000})
-			rep, err := p.Run()
-			if err != nil {
+			s := heisendump.NewCompiled(prog, w.Input, heisendump.WithBound(k), heisendump.WithTrialBudget(3000))
+			rep, err := s.Reproduce(context.Background())
+			if err != nil && !errors.Is(err, heisendump.ErrScheduleNotFound) {
 				b.Fatal(err)
 			}
 			results[k] = rep.Search.Found
@@ -269,20 +269,17 @@ func BenchmarkSearchParallel(b *testing.B) {
 	}
 	cands := chess.DiscoverCandidates(cp, rec.Events)
 	chess.Annotate(cands, nil)
-	mkEng := func(eng interp.Engine) func() *interp.Machine {
-		return func() *interp.Machine {
-			mm := interp.New(cp, w.Input.Clone())
-			mm.MaxSteps = 1_000_000
-			mm.Engine = eng
-			return mm
-		}
+	newMachine := func() *interp.Machine {
+		mm := interp.New(cp, w.Input.Clone())
+		mm.MaxSteps = 1_000_000
+		return mm
 	}
 
-	run := func(b *testing.B, workers int, eng interp.Engine) {
+	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := &chess.Searcher{
-				NewMachine: mkEng(eng),
+				NewMachine: newMachine,
 				Candidates: cands,
 				Target:     chess.FailureSignature{Reason: "never matches"},
 				Opts: chess.Options{
@@ -310,26 +307,20 @@ func BenchmarkSearchParallel(b *testing.B) {
 	for _, workers := range counts {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			run(b, workers, interp.EngineAuto)
+			run(b, workers)
 		})
 	}
-	// The engine A/B at workers=1: the same search forced onto the tree
-	// walker, so the bytecode engine's speedup is measurable on one
-	// runner regardless of machine noise between benchmark sessions.
-	b.Run("workers=1/engine=tree", func(b *testing.B) {
-		run(b, 1, interp.EngineTree)
-	})
 	// Weighted + Guided at workers=1 over mysql-1's annotated
 	// candidates, searched to its find: the one leg that times the
 	// worklist ordering, which every guided reproduction pays once per
 	// search and the plain legs never run.
 	b.Run("guided", func(b *testing.B) {
 		p := core.NewPipeline(cp, w.Input, core.Config{Workers: 1})
-		fail, err := p.ProvokeFailure()
+		fail, err := p.ProvokeFailureContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		an, err := p.Analyze(fail)
+		an, err := p.AnalyzeContext(context.Background(), fail)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,8 +400,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{MaxTries: 500})
-		rep, err := p.Run()
+		rep, err := heisendump.NewCompiled(prog, w.Input, heisendump.WithTrialBudget(500)).Reproduce(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 // Command benchgate is the benchmark-regression gate: it compares a
 // fresh `benchtab -json` stream (stdin) against the checked-in
 // baseline snapshot and fails when any deterministic search-outcome
-// field drifts. Gated fields are the row names (and, for the interp
-// section, the engine), every Tries / Found / Reproduced column, and
-// the static section's Races / Deadlocks candidate counts —
-// the values the determinism contract pins for a given seed state —
-// plus two classes of cost ceiling:
+// field drifts. Gated fields are the row names, every Tries / Found /
+// Reproduced column, and the static section's Races / Deadlocks
+// candidate counts — the values the determinism contract pins for a
+// given seed state — plus three classes of cost ceiling:
 //
 //   - AllocsPerStep and every StepsExecuted column gate as exact-ish
 //     ceilings: the baseline value is a budget, a regression beyond a
@@ -133,16 +132,14 @@ func rowID(row map[string]any) any {
 }
 
 // gated reports whether a row field participates in the regression
-// gate: row identity (including the interp section's engine column —
-// an engine leg silently vanishing from the table is drift), every
-// deterministic search-outcome column (which covers the static
-// section's BaseTries/StaticTries pair — the analyzer's guidance win
-// is pinned exactly, per workload), the static section's candidate
-// counts (Races/Deadlocks — the analyzer's verdicts are a pure
-// function of the program), and the interpreter cost ceilings (see
-// ceilingGated and budgetGated).
+// gate: row identity, every deterministic search-outcome column
+// (which covers the static section's BaseTries/StaticTries pair — the
+// analyzer's guidance win is pinned exactly, per workload), the static
+// section's candidate counts (Races/Deadlocks — the analyzer's
+// verdicts are a pure function of the program), and the interpreter
+// cost ceilings (see ceilingGated and budgetGated).
 func gated(key string) bool {
-	return key == "Name" || key == "Benchmark" || key == "Engine" ||
+	return key == "Name" || key == "Benchmark" ||
 		strings.Contains(key, "Tries") ||
 		strings.Contains(key, "Found") ||
 		key == "Reproduced" ||

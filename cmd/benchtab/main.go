@@ -12,11 +12,10 @@
 //	                          # workloads as extra rows in tables 2-6
 //	benchtab -json > rows.json # machine-readable rows (one JSON object
 //	                           # per table/figure) for perf tracking
-//	benchtab -interp          # add the per-engine interpreter cost
-//	                          # section: allocs/step, ns/step, steps/s
-//	                          # and search wall time for the bytecode
-//	                          # and tree engines (gated as budgets by
-//	                          # cmd/benchgate)
+//	benchtab -interp          # add the interpreter cost section:
+//	                          # allocs/step, ns/step, steps/s and
+//	                          # search wall time of the dispatch loop
+//	                          # (gated as budgets by cmd/benchgate)
 //	benchtab -static          # add the static-guidance comparison
 //	                          # section: race/deadlock candidate counts
 //	                          # and search tries with vs without the
@@ -70,7 +69,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent workloads per table (0 = GOMAXPROCS)")
 	generated := flag.Bool("generated", false, "add the curated generator-derived workloads (internal/gen) as extra rows in tables 2-6")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON rows, one object per table/figure")
-	interpCost := flag.Bool("interp", false, "also measure per-engine interpreter cost: allocs/step, ns/step, steps/s and search wall time (the \"interp\" section cmd/benchgate gates)")
+	interpCost := flag.Bool("interp", false, "also measure interpreter cost: allocs/step, ns/step, steps/s and search wall time (the \"interp\" section cmd/benchgate gates)")
 	static := flag.Bool("static", false, "also compare the schedule search with and without static race-analysis guidance (the \"static\" section cmd/benchgate gates)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock deadline (0 = none)")
 	progress := flag.Bool("progress", false, "stream per-workload schedule-search heartbeats to stderr")

@@ -1,10 +1,10 @@
 // Command fuzz drives the generative workload subsystem: it
 // manufactures seeded concurrency-bug programs (internal/gen),
 // validates each one with the differential pipeline oracle — the
-// witness interleaving crashes at the seeded site, and the full
-// reproduction pipeline agrees bit-for-bit across workers {1,4}, the
-// tree-walking engine and the deprecated Run shim — and shrinks every
-// failure to a minimal counterexample.
+// witness interleaving crashes at the seeded site, the full
+// reproduction pipeline agrees bit-for-bit across workers {1,4}, and
+// the static-guided pair agrees across workers {1,4} too — and shrinks
+// every failure to a minimal counterexample.
 //
 // Usage:
 //

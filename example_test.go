@@ -92,12 +92,12 @@ func ExampleCompareDumps() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{})
-	fail, err := p.ProvokeFailure()
+	s := heisendump.NewCompiled(prog, w.Input)
+	fail, err := s.ProvokeFailure(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := p.Analyze(fail) // captures the aligned-point dump
+	an, err := s.Analyze(context.Background(), fail) // captures the aligned-point dump
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func ExampleAnonymizeDump() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{})
-	fail, err := p.ProvokeFailure()
+	s := heisendump.NewCompiled(prog, w.Input)
+	fail, err := s.ProvokeFailure(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := p.Analyze(fail)
+	an, err := s.Analyze(context.Background(), fail)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -22,18 +24,18 @@ func main() {
 
 	type cfg struct {
 		name string
-		c    heisendump.Config
+		opt  heisendump.Option
 	}
 	configs := []cfg{
-		{"chess (undirected)", heisendump.Config{PlainChess: true, MaxTries: 2000}},
-		{"chessX+dep", heisendump.Config{Heuristic: heisendump.Dependence, MaxTries: 2000}},
-		{"chessX+temporal", heisendump.Config{Heuristic: heisendump.Temporal, MaxTries: 2000}},
+		{"chess (undirected)", heisendump.WithPlainChess(true)},
+		{"chessX+dep", heisendump.WithHeuristic(heisendump.Dependence)},
+		{"chessX+temporal", heisendump.WithHeuristic(heisendump.Temporal)},
 	}
 
 	for _, c := range configs {
-		p := heisendump.NewPipeline(prog, w.Input, c.c)
-		rep, err := p.Run()
-		if err != nil {
+		s := heisendump.NewCompiled(prog, w.Input, c.opt, heisendump.WithTrialBudget(2000))
+		rep, err := s.Reproduce(context.Background())
+		if err != nil && !errors.Is(err, heisendump.ErrScheduleNotFound) {
 			log.Fatal(err)
 		}
 		status := "reproduced"

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,9 +24,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{})
+	s := heisendump.NewCompiled(prog, w.Input)
+	ctx := context.Background()
 
-	fail, err := p.ProvokeFailure()
+	fail, err := s.ProvokeFailure(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 		reloaded.FailingThread, prog.FormatPC(reloaded.PC), reloaded.Reason)
 
 	fail.Dump = reloaded
-	an, err := p.Analyze(fail)
+	an, err := s.Analyze(ctx, fail)
 	if err != nil {
 		log.Fatal(err)
 	}

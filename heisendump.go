@@ -53,9 +53,10 @@
 // deterministic rank-order reduction — the knob changes only the cost
 // of the search, never its result.
 //
-// The pre-Session API (NewPipeline, Config, Pipeline.Run) remains as a
-// deprecated thin shim over the same implementation; see the migration
-// table in README.md.
+// Every execution — the stress runs, the alignment re-run, the
+// aligned-point dump and each schedule trial — runs on one
+// interpreter: a dispatch loop over the bytecode Compile attaches to
+// every Program.
 //
 // See the examples/ directory for complete programs, and the runnable
 // godoc examples in example_test.go.
@@ -80,18 +81,6 @@ import (
 	"heisendump/internal/telemetry"
 	"heisendump/internal/workloads"
 )
-
-// Pipeline is the end-to-end reproduction pipeline.
-//
-// Deprecated: Pipeline.Run cannot be cancelled, deadlined or observed;
-// build a Session with New and call Session.Reproduce(ctx). Pipeline
-// remains a supported thin shim over the Session implementation.
-type Pipeline = core.Pipeline
-
-// Config tunes a reproduction run. New code configures a Session with
-// functional options (WithWorkers, WithTrialBudget, ...) instead of filling
-// a Config literal; the options write the same fields.
-type Config = core.Config
 
 // Report is a completed reproduction: failure, analysis, search. A
 // cancelled run returns a Report with Partial set, carrying the
@@ -150,8 +139,8 @@ func MetricsSnapshot() map[string]int64 { return telemetry.Default().Snapshot() 
 // Prometheus text exposition format (version 0.0.4).
 func WriteMetrics(w io.Writer) error { return telemetry.Default().WritePrometheus(w) }
 
-// Sentinel errors, usable with errors.Is against any error the Session
-// (or the deprecated Pipeline shims) returns.
+// Sentinel errors, usable with errors.Is against any error a Session
+// returns.
 var (
 	// ErrNoFailure: stress testing exhausted its budget without
 	// provoking a failure.
@@ -175,7 +164,7 @@ type SourceError = lang.Error
 // InputError is a typed input/declaration mismatch: a seeded input
 // naming an undeclared global, seeding a pointer, or an array seed
 // whose length disagrees with the declared size. New reports it at
-// construction; the deprecated Pipeline surfaces it on the first run.
+// construction; NewCompiled surfaces it on the first run.
 type InputError = interp.InputError
 
 // FailureReport describes the provoked failure and its core dump.
@@ -220,18 +209,6 @@ const (
 	Dependence = slicing.Dependence
 )
 
-// Engine selects the interpreter execution engine.
-type Engine = interp.Engine
-
-// Interpreter engines. EngineAuto (the default) runs the bytecode
-// dispatch loop; EngineTree forces the tree walker. Every observable
-// result is engine-independent.
-const (
-	EngineAuto     = interp.EngineAuto
-	EngineBytecode = interp.EngineBytecode
-	EngineTree     = interp.EngineTree
-)
-
 // Workload is a subject program with its failure-inducing input.
 type Workload = workloads.Workload
 
@@ -252,17 +229,6 @@ type SearchResult = chess.Result
 
 // Overhead is an instrumentation-overhead measurement.
 type Overhead = instrument.Overhead
-
-// NewPipeline builds a reproduction pipeline for a compiled program
-// and its input.
-//
-// Deprecated: use New, which takes functional options and returns a
-// cancellable, observable Session. NewPipeline remains a thin shim
-// over the same implementation: an uncancelled Session.Reproduce and
-// Pipeline.Run produce bit-identical reports.
-func NewPipeline(prog *Program, input *Input, cfg Config) *Pipeline {
-	return core.NewPipeline(prog, input, cfg)
-}
 
 // Parse parses a subject program in the mini language.
 func Parse(src string) (*lang.Program, error) { return lang.Parse(src) }

@@ -2,13 +2,15 @@ package heisendump_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"heisendump"
 )
 
 // TestPublicAPIEndToEnd exercises the exported facade: parse, compile,
-// pipeline, dump comparison and index reverse engineering.
+// Session, dump comparison and index reverse engineering.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	w := heisendump.WorkloadByName("fig1")
 	if w == nil {
@@ -18,13 +20,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{MaxTries: 500})
-	rep, err := p.Run()
+	rep, err := heisendump.NewCompiled(prog, w.Input, heisendump.WithTrialBudget(500)).Reproduce(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !rep.Search.Found {
-		t.Fatalf("fig1 not reproduced in %d tries", rep.Search.Tries)
 	}
 	// Reverse the index through the public helper; it must agree with
 	// the pipeline's.
@@ -94,8 +92,7 @@ func TestDumpSerializationPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{})
-	fail, err := p.ProvokeFailure()
+	fail, err := heisendump.NewCompiled(prog, w.Input).ProvokeFailure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +111,13 @@ func TestInstructionCountConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{
-		Alignment: heisendump.AlignByInstructionCount,
-		Heuristic: heisendump.Dependence,
-		MaxTries:  2000,
-	})
-	rep, err := p.Run()
-	if err != nil {
+	s := heisendump.NewCompiled(prog, w.Input,
+		heisendump.WithAlignment(heisendump.AlignByInstructionCount),
+		heisendump.WithHeuristic(heisendump.Dependence),
+		heisendump.WithTrialBudget(2000),
+	)
+	rep, err := s.Reproduce(context.Background())
+	if err != nil && !errors.Is(err, heisendump.ErrScheduleNotFound) {
 		t.Fatal(err)
 	}
 	if rep.Analysis.FailureIndex != nil {
@@ -134,12 +131,12 @@ func TestAnonymizeDumpPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := heisendump.NewPipeline(prog, w.Input, heisendump.Config{})
-	fail, err := p.ProvokeFailure()
+	s := heisendump.NewCompiled(prog, w.Input)
+	fail, err := s.ProvokeFailure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := p.Analyze(fail)
+	an, err := s.Analyze(context.Background(), fail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,11 @@ func configuredSearcher(t testing.TB, w *workloads.Workload, cfg core.Config) *c
 		t.Fatal(err)
 	}
 	p := core.NewPipeline(prog, w.Input, cfg)
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := p.Analyze(fail)
+	an, err := p.AnalyzeContext(context.Background(), fail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,16 +29,16 @@ type TrialEvent struct {
 }
 
 // observeTrial publishes one executed trial to the telemetry layer:
-// the sharded chess counters, per-engine step attribution, the crash
-// classifier, and the Options.Trial hook. worker indexes the counter
-// shard; the post-join repair path's -1 wraps to a valid cell like
-// any other out-of-range id.
+// the sharded chess and interpreter counters, the crash classifier,
+// and the Options.Trial hook. worker indexes the counter shard; the
+// post-join repair path's -1 wraps to a valid cell like any other
+// out-of-range id.
 func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m *interp.Machine) {
 	telemetry.ChessTrialsExecuted.Cell(worker).Inc()
 	telemetry.ChessStepsExecuted.Cell(worker).Add(tr.steps)
 	telemetry.ChessTrialSteps.Cell(worker).Observe(tr.steps)
 	telemetry.ChessWorkerSteps(max(worker, 0)).Cell(worker).Add(tr.steps)
-	stepsByEngine(m).Cell(worker).Add(tr.steps)
+	telemetry.InterpSteps.Cell(worker).Add(tr.steps)
 	if m.Crashed() {
 		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}
@@ -48,16 +48,6 @@ func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m 
 			Steps: tr.steps, Found: tr.found,
 		})
 	}
-}
-
-// stepsByEngine attributes a trial's executed steps to the engine
-// that ran them: EngineAuto executes bytecode whenever the program
-// carries an image (see interp.Engine).
-func stepsByEngine(m *interp.Machine) *telemetry.Counter {
-	if m.Engine != interp.EngineTree && m.Prog.BC != nil {
-		return telemetry.InterpStepsBytecode
-	}
-	return telemetry.InterpStepsTree
 }
 
 // crashCounter maps a CrashKind class to its labeled counter.

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"heisendump/internal/core"
@@ -24,7 +26,7 @@ func TestAllBugsReproduceWithTemporalHeuristic(t *testing.T) {
 				Heuristic: slicing.Temporal,
 				MaxTries:  3000,
 			})
-			rep, err := p.Run()
+			rep, err := p.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("pipeline: %v", err)
 			}
@@ -55,7 +57,7 @@ func TestAllBugsReproduceWithDependenceHeuristic(t *testing.T) {
 				Heuristic: slicing.Dependence,
 				MaxTries:  3000,
 			})
-			rep, err := p.Run()
+			rep, err := p.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("pipeline: %v", err)
 			}
@@ -84,8 +86,8 @@ func TestEnhancedBeatsPlainChess(t *testing.T) {
 		}
 		runCfg := func(cfg core.Config) (bool, int) {
 			p := core.NewPipeline(prog, w.Input, cfg)
-			rep, err := p.Run()
-			if err != nil {
+			rep, err := p.RunContext(context.Background())
+			if err != nil && !errors.Is(err, core.ErrScheduleNotFound) {
 				t.Fatalf("%s: pipeline: %v", w.Name, err)
 			}
 			return rep.Search.Found, rep.Search.Tries

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"heisendump/internal/core"
@@ -29,7 +30,7 @@ func inc() {
 		t.Fatal(err)
 	}
 	p := core.NewPipeline(cp, nil, core.Config{MaxStressAttempts: 50})
-	if _, err := p.ProvokeFailure(); err == nil {
+	if _, err := p.ProvokeFailureContext(context.Background()); err == nil {
 		t.Fatal("expected stress to give up on a race-free program")
 	}
 }

@@ -71,13 +71,6 @@ type Config struct {
 	TraceWindow int
 	// StepLimit bounds each execution (0 = a generous default).
 	StepLimit int64
-	// Engine selects the interpreter engine every machine this
-	// pipeline builds runs on. The zero value (interp.EngineAuto)
-	// runs the bytecode dispatch loop — the fast path the schedule
-	// search defaults to; interp.EngineTree forces the tree walker
-	// (differential testing, per-engine benchmarks). Every observable
-	// (Found, Schedule, Tries, traces, dumps) is engine-independent.
-	Engine interp.Engine
 	// Workers is the schedule-search worker-pool width (0 =
 	// GOMAXPROCS). The search result is deterministic for any value:
 	// the winning schedule is always the lowest-ranked one.
@@ -157,7 +150,6 @@ func NewPipeline(prog *ir.Program, input *interp.Input, cfg Config) *Pipeline {
 func (p *Pipeline) NewMachine() *interp.Machine {
 	m := interp.New(p.Prog, p.Input.Clone())
 	m.MaxSteps = p.Cfg.StepLimit
-	m.Engine = p.Cfg.Engine
 	return m
 }
 
@@ -175,17 +167,11 @@ type FailureReport struct {
 	Signature chess.FailureSignature
 }
 
-// ProvokeFailure stress-tests the program under random interleavings
-// until it crashes, then captures the failure core dump. This phase
-// stands in for the production run; it is not part of the technique's
-// cost. It is ProvokeFailureContext with a background context.
-func (p *Pipeline) ProvokeFailure() (*FailureReport, error) {
-	return p.ProvokeFailureContext(context.Background())
-}
-
-// ProvokeFailureContext is ProvokeFailure with cooperative
-// cancellation: the context is polled between (and during) stress
-// attempts. Cancellation returns an error wrapping ErrCancelled; an
+// ProvokeFailureContext stress-tests the program under random
+// interleavings until it crashes, then captures the failure core dump.
+// This phase stands in for the production run; it is not part of the
+// technique's cost. The context is polled between (and during) stress
+// attempts: cancellation returns an error wrapping ErrCancelled; an
 // exhausted attempt budget returns one wrapping ErrNoFailure. Seeds
 // are tried in a fixed order, so an uncancelled call is deterministic.
 func (p *Pipeline) ProvokeFailureContext(ctx context.Context) (*FailureReport, error) {
@@ -257,21 +243,15 @@ type AnalysisReport struct {
 	SliceTime   time.Duration
 }
 
-// Analyze performs the debugging-phase analysis in one shot: reverse
-// engineer the failure index, re-execute deterministically to find the
-// aligned point, capture and compare dumps, and prioritize CSV
-// accesses. It is equivalent to running every Stage of a NewAnalysis;
-// use the stage-structured API to reuse intermediate artifacts. It is
-// AnalyzeContext with a background context.
-func (p *Pipeline) Analyze(fail *FailureReport) (*AnalysisReport, error) {
-	return p.AnalyzeContext(context.Background(), fail)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: the context
-// is checked between analysis stages and polled inside the long
-// deterministic re-executions. Cancellation returns an error wrapping
-// ErrCancelled and discards the partial report — use NewAnalysis +
-// ThroughContext to keep the artifacts of completed stages.
+// AnalyzeContext performs the debugging-phase analysis in one shot:
+// reverse engineer the failure index, re-execute deterministically to
+// find the aligned point, capture and compare dumps, and prioritize
+// CSV accesses. It is equivalent to running every Stage of a
+// NewAnalysis. The context is checked between analysis stages and
+// polled inside the long deterministic re-executions. Cancellation
+// returns an error wrapping ErrCancelled and discards the partial
+// report — use NewAnalysis + ThroughContext to keep the artifacts of
+// completed stages.
 func (p *Pipeline) AnalyzeContext(ctx context.Context, fail *FailureReport) (*AnalysisReport, error) {
 	a := p.NewAnalysis(fail)
 	if err := a.ThroughContext(ctx, StageCandidates); err != nil {
@@ -347,20 +327,12 @@ func decisionOf(p chess.Progress) telemetry.Decision {
 	return telemetry.Decision{Kind: kind, Committed: p.Committed, Tries: p.Tries, Found: p.Found}
 }
 
-// Reproduce runs the schedule search guided by the analysis. It is
-// ReproduceContext with a background context (whose result error is
-// impossible).
-func (p *Pipeline) Reproduce(fail *FailureReport, an *AnalysisReport) *chess.Result {
-	res, _ := p.ReproduceContext(context.Background(), fail, an)
-	return res
-}
-
-// ReproduceContext runs the schedule search under ctx. The context is
-// polled at one-trial granularity; on cancellation the returned result
-// is the best-so-far deterministic prefix (Result.Cancelled set) and
-// the error wraps ErrCancelled. A search that completes without
-// finding a schedule is NOT an error here — callers that want
-// ErrScheduleNotFound semantics use RunContext.
+// ReproduceContext runs the schedule search guided by the analysis.
+// The context is polled at one-trial granularity; on cancellation the
+// returned result is the best-so-far deterministic prefix
+// (Result.Cancelled set) and the error wraps ErrCancelled. A search
+// that completes without finding a schedule is not an error here —
+// callers that want ErrScheduleNotFound semantics use RunContext.
 func (p *Pipeline) ReproduceContext(ctx context.Context, fail *FailureReport, an *AnalysisReport) (*chess.Result, error) {
 	if p.inputErr != nil {
 		return nil, p.inputErr
@@ -394,7 +366,7 @@ type Report struct {
 // schedule returns the complete Report with an error wrapping
 // ErrScheduleNotFound; an exhausted stress budget wraps ErrNoFailure.
 // With an uncancelled context, Found, Schedule and Tries are
-// bit-identical to the deprecated Run for any Workers setting.
+// bit-identical for any Workers setting.
 func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 	rep := &Report{}
 	fail, err := p.ProvokeFailureContext(ctx)
@@ -418,25 +390,6 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 	}
 	if !res.Found {
 		return rep, fmt.Errorf("core: %w after %d tries", ErrScheduleNotFound, res.Tries)
-	}
-	return rep, nil
-}
-
-// Run executes the full pipeline: provoke, analyze, reproduce.
-//
-// Deprecated: Run cannot be cancelled, deadlined or observed; new code
-// should build a Session with the root package's heisendump.New and
-// call Session.Reproduce(ctx) (or use RunContext directly). Run is
-// kept as a thin shim over RunContext: with the background context the
-// result is bit-identical, and — matching its historical contract — a
-// search that completes without finding a schedule is not an error.
-func (p *Pipeline) Run() (*Report, error) {
-	rep, err := p.RunContext(context.Background())
-	if err != nil {
-		if errors.Is(err, ErrScheduleNotFound) {
-			return rep, nil
-		}
-		return nil, err
 	}
 	return rep, nil
 }

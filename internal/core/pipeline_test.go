@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"heisendump/internal/core"
@@ -21,7 +22,7 @@ func fig1Pipeline(t testing.TB, cfg core.Config) *core.Pipeline {
 
 func TestPipelineProvokesFailure(t *testing.T) {
 	p := fig1Pipeline(t, core.Config{})
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatalf("provoke: %v", err)
 	}
@@ -38,11 +39,11 @@ func TestPipelineProvokesFailure(t *testing.T) {
 
 func TestPipelineAnalysisFindsAlignedPointAndCSV(t *testing.T) {
 	p := fig1Pipeline(t, core.Config{})
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatalf("provoke: %v", err)
 	}
-	an, err := p.Analyze(fail)
+	an, err := p.AnalyzeContext(context.Background(), fail)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -80,7 +81,7 @@ func csvPaths(an *core.AnalysisReport) []string {
 
 func TestPipelineReproducesFig1WithTemporalHeuristic(t *testing.T) {
 	p := fig1Pipeline(t, core.Config{Heuristic: slicing.Temporal, MaxTries: 500})
-	rep, err := p.Run()
+	rep, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestPipelineReproducesFig1WithTemporalHeuristic(t *testing.T) {
 
 func TestPipelineReproducesFig1WithDependenceHeuristic(t *testing.T) {
 	p := fig1Pipeline(t, core.Config{Heuristic: slicing.Dependence, MaxTries: 500})
-	rep, err := p.Run()
+	rep, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestPipelinePlainChessAlsoWorksOnTinyExample(t *testing.T) {
 	// Fig. 1 is small enough for undirected CHESS; the orders-of-
 	// magnitude gap appears on the larger Table 2 workloads.
 	p := fig1Pipeline(t, core.Config{PlainChess: true, MaxTries: 5000})
-	rep, err := p.Run()
+	rep, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -117,11 +118,11 @@ func TestPipelinePlainChessAlsoWorksOnTinyExample(t *testing.T) {
 
 func TestPipelineInstructionCountBaselineRuns(t *testing.T) {
 	p := fig1Pipeline(t, core.Config{Alignment: core.AlignByInstructionCount, MaxTries: 200})
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatalf("provoke: %v", err)
 	}
-	an, err := p.Analyze(fail)
+	an, err := p.AnalyzeContext(context.Background(), fail)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -1,6 +1,7 @@
 package coredump_test
 
 import (
+	"context"
 	"testing"
 
 	"heisendump/internal/core"
@@ -21,11 +22,11 @@ func TestAnonymizedDumpsYieldSameCSVs(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := core.NewPipeline(prog, w.Input, core.Config{})
-		fail, err := p.ProvokeFailure()
+		fail, err := p.ProvokeFailureContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := p.Analyze(fail)
+		an, err := p.AnalyzeContext(context.Background(), fail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestAnonymizedDumpStillReversesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.NewPipeline(prog, w.Input, core.Config{})
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAnonymizeHidesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.NewPipeline(prog, w.Input, core.Config{})
-	fail, err := p.ProvokeFailure()
+	fail, err := p.ProvokeFailureContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 	"heisendump/internal/workloads"
 )
 
-// InterpRow reports the interpreter's per-step cost on one workload
-// under one engine, in the re-execution regime of the schedule search:
+// InterpRow reports the interpreter's per-step cost on one workload,
+// in the re-execution regime of the schedule search:
 // a single machine rewound with Machine.Reset between deterministic
 // runs and driven in sync-boundary bursts (Machine.RunBurst under a
 // lowest-runnable policy — exactly how chess trials execute, bypassing
@@ -38,7 +38,6 @@ import (
 // than the baseline). StepsPerSec and Steps are informational.
 type InterpRow struct {
 	Name          string
-	Engine        string
 	AllocsPerStep float64
 	NsPerStep     float64
 	StepsPerSec   float64
@@ -87,17 +86,11 @@ const (
 	overheadBlock  = 6
 )
 
-// interpEngines is the engine axis of the interp section: the bytecode
-// dispatch loop the search runs on by default, and the tree walker it
-// replaced — so every regeneration of the table is also an A/B of the
-// two engines on the same machine.
-var interpEngines = []interp.Engine{interp.EngineBytecode, interp.EngineTree}
-
 // InterpTable measures steady-state interpreter cost for a fixed set
-// of Table 2 workloads under both engines. The first run of each
-// machine warms the frame/thread/object free lists and is excluded;
-// the machines then allocate nothing per step, so the expected
-// steady-state allocs/step is 0 for both engines.
+// of Table 2 workloads. The first run of each machine warms the
+// frame/thread/object free lists and is excluded; the machine then
+// allocates nothing per step, so the expected steady-state
+// allocs/step is 0.
 func InterpTable() ([]InterpRow, error) {
 	var rows []InterpRow
 	for _, name := range []string{"mysql-1", "apache-1"} {
@@ -107,8 +100,7 @@ func InterpTable() ([]InterpRow, error) {
 			return nil, fmt.Errorf("experiments: interp %s: %w", name, err)
 		}
 		// Preemption candidates for the search probe, discovered once
-		// per workload from the cooperative passing run (the discovery
-		// is engine-independent by the determinism contract).
+		// per workload from the cooperative passing run.
 		rec := trace.NewRecorder()
 		mt := interp.New(cp, w.Input.Clone())
 		mt.MaxSteps = 1_000_000
@@ -119,50 +111,46 @@ func InterpTable() ([]InterpRow, error) {
 		cands := chess.DiscoverCandidates(cp, rec.Events)
 		chess.Annotate(cands, nil)
 
-		for _, eng := range interpEngines {
-			m := interp.New(cp, w.Input.Clone())
-			m.Engine = eng
-			steps := runToCompletion(m) // warm-up run, excluded
-			if steps == 0 {
-				return nil, fmt.Errorf("experiments: interp %s: empty run", name)
-			}
-			var total int64
-			bestBlock := float64(0)
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			for b := 0; b < interpBlocks; b++ {
-				var blockSteps int64
-				start := time.Now()
-				for r := 0; r < interpReps/interpBlocks; r++ {
-					m.Reset(m.Prog, m.SeedInput())
-					blockSteps += burstToCompletion(m)
-				}
-				perStep := float64(time.Since(start).Nanoseconds()) / float64(blockSteps)
-				if bestBlock == 0 || perStep < bestBlock {
-					bestBlock = perStep
-				}
-				total += blockSteps
-			}
-			runtime.ReadMemStats(&ms1)
-			nsPerStep := bestBlock
-			coldNs, teleNs, overhead, coldExec, teleExec := telemetryOverheadPair(cp, w, cands, int64(len(rec.Events)), eng)
-			if teleExec != coldExec {
-				return nil, fmt.Errorf("experiments: interp %s/%s: telemetry changed the search: %d steps vs %d",
-					name, eng, teleExec, coldExec)
-			}
-			rows = append(rows, InterpRow{
-				Name:              name,
-				Engine:            eng.String(),
-				AllocsPerStep:     float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-				NsPerStep:         nsPerStep,
-				StepsPerSec:       1e9 / nsPerStep,
-				SearchNs:          coldNs,
-				Steps:             steps,
-				StepsExecuted:     coldExec,
-				SearchNsTelemetry: teleNs,
-				TelemetryOverhead: overhead,
-			})
+		m := interp.New(cp, w.Input.Clone())
+		steps := runToCompletion(m) // warm-up run, excluded
+		if steps == 0 {
+			return nil, fmt.Errorf("experiments: interp %s: empty run", name)
 		}
+		var total int64
+		bestBlock := float64(0)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for b := 0; b < interpBlocks; b++ {
+			var blockSteps int64
+			start := time.Now()
+			for r := 0; r < interpReps/interpBlocks; r++ {
+				m.Reset(m.Prog, m.SeedInput())
+				blockSteps += burstToCompletion(m)
+			}
+			perStep := float64(time.Since(start).Nanoseconds()) / float64(blockSteps)
+			if bestBlock == 0 || perStep < bestBlock {
+				bestBlock = perStep
+			}
+			total += blockSteps
+		}
+		runtime.ReadMemStats(&ms1)
+		nsPerStep := bestBlock
+		coldNs, teleNs, overhead, coldExec, teleExec := telemetryOverheadPair(cp, w, cands, int64(len(rec.Events)))
+		if teleExec != coldExec {
+			return nil, fmt.Errorf("experiments: interp %s: telemetry changed the search: %d steps vs %d",
+				name, teleExec, coldExec)
+		}
+		rows = append(rows, InterpRow{
+			Name:              name,
+			AllocsPerStep:     float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
+			NsPerStep:         nsPerStep,
+			StepsPerSec:       1e9 / nsPerStep,
+			SearchNs:          coldNs,
+			Steps:             steps,
+			StepsExecuted:     coldExec,
+			SearchNsTelemetry: teleNs,
+			TelemetryOverhead: overhead,
+		})
 	}
 	return rows, nil
 }
@@ -207,11 +195,11 @@ func burstToCompletion(m *interp.Machine) int64 {
 // round. The minima are still what SearchNs/SearchNsTelemetry report
 // (the low-noise wall-time estimator); the ratio gate needs the
 // robust estimator because its ceiling is absolute.
-func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, eng interp.Engine) (coldNs, teleNs int64, overhead float64, coldExec, teleExec int64) {
+func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64) (coldNs, teleNs int64, overhead float64, coldExec, teleExec int64) {
 	timeBlock := func(tele bool) (ns, exec int64) {
 		start := time.Now()
 		for i := 0; i < overheadBlock; i++ {
-			exec = probeSearch(cp, w, cands, passingSteps, eng, tele)
+			exec = probeSearch(cp, w, cands, passingSteps, tele)
 		}
 		return time.Since(start).Nanoseconds(), exec
 	}
@@ -244,19 +232,18 @@ func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.
 
 // probeSearch runs a deterministic plain-CHESS schedule search
 // (unweighted, unguided, bound 2, 400 tries, one worker, unmatchable
-// target — the BenchmarkSearchParallel regime) forced onto the given
-// engine, and returns its executed-step count. With tele set, the
+// target — the BenchmarkSearchParallel regime) and returns its
+// executed-step count. With tele set, the
 // telemetry stack rides along: a Trial hook feeding a Tracer
 // (synthetic clock, 1-in-10 sampled — the benchtab tracing default)
 // and a FlightRecorder, and a Progress wrapper recording fold
 // decisions — the always-on per-job consumers the batch server wires,
 // plus tracing at its default sampling.
-func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, eng interp.Engine, tele bool) int64 {
+func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, tele bool) int64 {
 	s := &chess.Searcher{
 		NewMachine: func() *interp.Machine {
 			m := interp.New(cp, w.Input.Clone())
 			m.MaxSteps = 1_000_000
-			m.Engine = eng
 			return m
 		},
 		Candidates: cands,
@@ -295,12 +282,12 @@ func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate,
 // probe search cold and with the telemetry stack attached.
 func PrintInterp(w io.Writer, rows []InterpRow) {
 	fmt.Fprintln(w, "Interpreter steady-state cost (per step, post-warm-up; search = plain CHESS, 400 tries, cold vs telemetry-on)")
-	fmt.Fprintf(w, "%-10s %-9s %12s %9s %12s %10s %10s %10s %7s %7s\n",
-		"workload", "engine", "allocs/step", "ns/step", "steps/s",
+	fmt.Fprintf(w, "%-10s %12s %9s %12s %10s %10s %10s %7s %7s\n",
+		"workload", "allocs/step", "ns/step", "steps/s",
 		"search-ms", "tele-ms", "steps-exec", "steps", "tele-x")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-9s %12.6f %9.1f %12.0f %10.2f %10.2f %10d %7d %7.3f\n",
-			r.Name, r.Engine, r.AllocsPerStep, r.NsPerStep, r.StepsPerSec,
+		fmt.Fprintf(w, "%-10s %12.6f %9.1f %12.0f %10.2f %10.2f %10d %7d %7.3f\n",
+			r.Name, r.AllocsPerStep, r.NsPerStep, r.StepsPerSec,
 			float64(r.SearchNs)/1e6, float64(r.SearchNsTelemetry)/1e6,
 			r.StepsExecuted, r.Steps, r.TelemetryOverhead)
 	}

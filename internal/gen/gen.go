@@ -14,9 +14,8 @@
 // internal/workloads — covers seven hand-ported bugs; gen turns that
 // fixed benchmark suite into an unbounded scenario source, and
 // gen.Oracle turns each scenario into a differential check of the
-// determinism contract (workers 1 vs N, tree vs bytecode engine,
-// Session RunContext vs the deprecated Run shim must agree
-// bit-for-bit).
+// determinism contract (workers 1 vs N must agree bit-for-bit, with
+// and without static guidance).
 //
 // Determinism: Generate is a pure function of the seed. The only
 // randomness is a rand.Rand seeded from the program seed (the same

@@ -28,9 +28,7 @@ import (
 //     variable of the injected pattern (the recall gate: a seeded bug
 //     the analyzer misses is an analyzer soundness bug);
 //  5. the full reproduction pipeline runs under every configuration in
-//     the determinism matrix — workers {1,4} via the context-aware
-//     RunContext, plus the deprecated Run shim, plus a leg forced onto
-//     the tree-walking interpreter engine — and all of them agree
+//     the determinism matrix — workers {1,4} — and they agree
 //     bit-for-bit on Found, Schedule and Tries; a final pair of legs
 //     with static guidance on (workers 1 and 4) must agree with each
 //     other, and may differ from the unguided legs only in Tries and
@@ -40,10 +38,9 @@ import (
 // static analyzer's recall contract and step 5 the paper pipeline's
 // determinism contract, exercised on a program nobody hand-tuned. Any
 // disagreement in steps 4–5 is a Divergence — the
-// fuzzer's highest-severity finding. The engine leg makes every
-// fuzzed seed a differential test of the bytecode dispatch loop
-// against the tree walker, on machine-manufactured programs the
-// curated corpus never saw.
+// fuzzer's highest-severity finding. The interpreter's semantics on
+// generated programs are pinned separately, against the name-map
+// reference interpreter in internal/interp.
 type Oracle struct {
 	// TrialBudget bounds each configuration's schedule search
 	// (core.Config.MaxTries). 0 means defaultTrialBudget.
@@ -202,29 +199,12 @@ func (o *Oracle) Check(ctx context.Context, p *Program) (*Verdict, error) {
 	// configurations share the one compiled program — ir.Program is
 	// immutable and shared safely across machines everywhere else.
 	for _, workers := range o.workers() {
-		out, err := o.runPipeline(ctx, p, prog, workers, interp.EngineAuto)
+		out, err := o.runPipeline(ctx, p, prog, workers, false)
 		if err != nil {
 			return nil, err
 		}
 		v.Outcomes = append(v.Outcomes, out)
 	}
-	// The engine axis: the same pipeline forced onto the tree walker.
-	// One leg suffices — the runs above all executed on the bytecode
-	// engine, so any tree/bytecode semantic gap on this program shows
-	// up as a divergence against them.
-	tree, err := o.runPipeline(ctx, p, prog, 1, interp.EngineTree)
-	if err != nil {
-		return nil, err
-	}
-	v.Outcomes = append(v.Outcomes, tree)
-	// The deprecated Run shim must match the context-aware run of the
-	// same configuration (Session vs Run is the same comparison one
-	// layer down: Session.Reproduce is RunContext).
-	shim, err := o.runDeprecatedShim(p, prog)
-	if err != nil {
-		return nil, err
-	}
-	v.Outcomes = append(v.Outcomes, shim)
 
 	base := v.Outcomes[0]
 	for _, out := range v.Outcomes[1:] {
@@ -241,7 +221,7 @@ func (o *Oracle) Check(ctx context.Context, p *Program) (*Verdict, error) {
 	// workers 1 and 4 under guidance must still agree bit-for-bit.
 	var staticOuts []ConfigOutcome
 	for _, workers := range []int{1, 4} {
-		out, err := o.runStaticPipeline(ctx, p, prog, workers)
+		out, err := o.runPipeline(ctx, p, prog, workers, true)
 		if err != nil {
 			return nil, err
 		}
@@ -266,54 +246,29 @@ func (o *Oracle) Check(ctx context.Context, p *Program) (*Verdict, error) {
 	return v, nil
 }
 
-func (o *Oracle) pipelineConfig(workers int, eng interp.Engine) core.Config {
-	return core.Config{
-		Heuristic:         slicing.Temporal,
-		MaxTries:          o.trialBudget(),
-		MaxStressAttempts: o.stressBudget(),
-		Workers:           workers,
-		Engine:            eng,
-	}
-}
-
 // runPipeline executes the full context-aware pipeline — provoke,
 // analyze, search — under one configuration and fingerprints the
 // deterministic outcome. The pipeline's typed sentinels (ErrNoFailure,
 // ErrScheduleNotFound) are part of the fingerprint: a configuration
 // that fails to provoke must fail to provoke under every other one.
-func (o *Oracle) runPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int, eng interp.Engine) (ConfigOutcome, error) {
+// With static set, the analyzer's focus set guides the schedule search
+// (core.Config.StaticFocus); guided legs are compared only against
+// each other, since guidance reorders the exploration by design but
+// must still be a pure function of (program, input, focus set).
+func (o *Oracle) runPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int, static bool) (ConfigOutcome, error) {
 	label := fmt.Sprintf("workers=%d", workers)
-	if eng != interp.EngineAuto {
-		label += fmt.Sprintf(" engine=%v", eng)
+	if static {
+		label += " static"
 	}
-	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(workers, eng))
+	pipe := core.NewPipeline(prog, p.Input, core.Config{
+		Heuristic:         slicing.Temporal,
+		MaxTries:          o.trialBudget(),
+		MaxStressAttempts: o.stressBudget(),
+		Workers:           workers,
+		StaticFocus:       static,
+	})
 	rep, err := pipe.RunContext(ctx)
 	return fingerprint(label, rep, err)
-}
-
-// runStaticPipeline executes the pipeline with the static analyzer's
-// focus set guiding the schedule search (core.Config.StaticFocus).
-// Guided legs are compared only against each other: guidance reorders
-// the exploration order, so Tries differs from the unguided matrix by
-// design, but must still be a pure function of (program, input,
-// focus set) — identical across worker counts.
-func (o *Oracle) runStaticPipeline(ctx context.Context, p *Program, prog *ir.Program, workers int) (ConfigOutcome, error) {
-	label := fmt.Sprintf("workers=%d static", workers)
-	cfg := o.pipelineConfig(workers, interp.EngineAuto)
-	cfg.StaticFocus = true
-	pipe := core.NewPipeline(prog, p.Input, cfg)
-	rep, err := pipe.RunContext(ctx)
-	return fingerprint(label, rep, err)
-}
-
-// runDeprecatedShim executes Pipeline.Run — the pre-Session entry
-// point — on the canonical configuration (workers=1). Its
-// historical contract maps ErrScheduleNotFound to a nil error, which
-// fingerprint normalizes so the shim is comparable with RunContext.
-func (o *Oracle) runDeprecatedShim(p *Program, prog *ir.Program) (ConfigOutcome, error) {
-	pipe := core.NewPipeline(prog, p.Input, o.pipelineConfig(1, interp.EngineAuto))
-	rep, err := pipe.Run()
-	return fingerprint("deprecated-run workers=1", rep, err)
 }
 
 // fingerprint reduces a pipeline report to the deterministic outcome.
@@ -332,13 +287,6 @@ func fingerprint(label string, rep *core.Report, err error) (ConfigOutcome, erro
 		out.Found = rep.Search.Found
 		out.Tries = rep.Search.Tries
 		out.Schedule = ScheduleString(rep.Search)
-	}
-	// The deprecated shim signals an exhausted search via Found alone;
-	// RunContext additionally returns ErrScheduleNotFound. Normalize:
-	// a completed search that found nothing fingerprints identically
-	// through both entry points.
-	if rep != nil && rep.Search != nil && !rep.Search.Found && out.Failure == "" {
-		out.Failure = "schedule-not-found"
 	}
 	return out, nil
 }

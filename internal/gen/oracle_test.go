@@ -14,8 +14,7 @@ const oracleSeeds = 40
 // TestOracleAcrossSeeds: every generated bug in the range is real
 // (witnessed), statically flagged (the recall gate), reproduced by
 // the pipeline, and bit-identical across the determinism matrix —
-// workers {1,4} plus the deprecated Run shim plus the forced
-// tree-engine leg plus the static-guided pair.
+// workers {1,4} plus the static-guided pair.
 func TestOracleAcrossSeeds(t *testing.T) {
 	o := &Oracle{}
 	ctx := context.Background()
@@ -32,9 +31,8 @@ func TestOracleAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d (%s): seeded bug not reproduced (pipeline: %s after %d tries)",
 				seed, p.Name, v.Outcomes[0].Failure, v.Outcomes[0].Tries)
 		}
-		// the worker legs, the tree-engine leg, the deprecated shim,
-		// the static-guidance pair.
-		if want := len(o.workers()) + 4; len(v.Outcomes) != want {
+		// the worker legs and the static-guidance pair.
+		if want := len(o.workers()) + 2; len(v.Outcomes) != want {
 			t.Fatalf("seed %d: %d outcomes checked, want %d", seed, len(v.Outcomes), want)
 		}
 		if len(v.StaticFlagged) == 0 {

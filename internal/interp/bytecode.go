@@ -6,95 +6,38 @@ import (
 	"heisendump/internal/ir"
 )
 
-// This file is the bytecode execution engine: a dispatch loop over the
-// flat ir.Bytecode image that Compile lowers every program to. It is
-// semantically identical to the tree walker in machine.go/eval.go —
-// same values, same crash messages and positions, same hook events in
-// the same order — and the three-way reference oracle in
-// reference_test.go pins that equivalence. The difference is purely
-// mechanical: one step is a tight for/switch over fixed-width ops
-// indexed by a bytecode pc, instead of a recursive walk over Expr
-// nodes, so the trial hot path of the schedule search spends its time
-// in one branch-predictable loop with no pointer chasing and no
-// per-node call overhead.
+// This file is the machine's execution engine: a dispatch loop over the
+// flat ir.Bytecode image that Compile lowers every program to. One step
+// is a tight for/switch over fixed-width ops indexed by a bytecode pc,
+// so the trial hot path of the schedule search spends its time in one
+// branch-predictable loop with no pointer chasing. The name-map
+// reference interpreter in reference_test.go, which executes the
+// source AST, pins the loop's semantics.
 //
-// Engine contract (shared with the tree walker):
+// Contract:
 //
 //   - Frame.PC stays an ir-level instruction index. A step enters the
 //     code array at Entry[fr.PC] and runs to the instruction's BEnd*
 //     terminal, which writes the next ir-level PC. Scheduling
 //     granularity, traces, crash PCs and candidate sites are therefore
-//     byte-for-byte those of the tree walker.
+//     those of the ir instruction stream.
 //
 //   - The value stack is scratch space within one step: it is empty at
 //     every instruction boundary, so it lives on the Machine (sized
 //     once from the compile-time Bytecode.MaxStack) and a steady-state
 //     step allocates nothing.
 //
-//   - Hooks fire exactly where the tree walker fires them, including
-//     from inside superinstructions: a fused compare still reports both
-//     operand reads, a fused store still reports the read(s) then the
-//     write. Traces, slices and the dump aligner are built from hook
-//     events, so hook-order identity is a correctness requirement, not
-//     a nicety.
+//   - Hooks fire in source evaluation order, including from inside
+//     superinstructions: a fused compare still reports both operand
+//     reads, a fused store still reports the read(s) then the write.
+//     Traces, slices and the dump aligner are built from hook events,
+//     so hook order is a correctness requirement, not a nicety.
 
-// Engine selects the execution engine a Machine steps with.
-type Engine uint8
-
-const (
-	// EngineAuto runs bytecode when the program carries a bytecode
-	// image (every Compile-produced program does) and falls back to
-	// the tree walker otherwise. This is the default: search workers
-	// run bytecode without any caller opting in.
-	EngineAuto Engine = iota
-	// EngineBytecode forces the dispatch-loop engine.
-	EngineBytecode
-	// EngineTree forces the tree-walking engine (the PR 4 slot
-	// interpreter) — used by the differential oracle and per-engine
-	// benchmarks.
-	EngineTree
-)
-
-var engineNames = [...]string{"auto", "bytecode", "tree"}
-
-// String returns the engine name.
-func (e Engine) String() string {
-	if int(e) < len(engineNames) {
-		return engineNames[e]
-	}
-	return "engine?"
-}
-
-// Step executes one instruction of thread tid on the selected engine.
-// It returns false when the thread could not be stepped (blocked,
-// done, or machine crashed). Runtime faults crash the machine and
-// return true: the faulting instruction was the step.
+// Step executes one instruction of thread tid. It returns false when
+// the thread could not be stepped (blocked, done, or machine crashed).
+// Runtime faults crash the machine and return true: the faulting
+// instruction was the step.
 func (m *Machine) Step(tid int) (bool, error) {
-	if m.Engine != EngineTree && m.Prog.BC != nil {
-		return m.stepBytecode(tid)
-	}
-	return m.stepTree(tid)
-}
-
-// ensureStack sizes the per-step value stack for prog's deepest
-// instruction; called from Reset so a rebound machine always has
-// enough scratch space.
-func (m *Machine) ensureStack(prog *ir.Program) {
-	if prog.BC == nil {
-		return
-	}
-	need := int(prog.BC.MaxStack)
-	if need < 8 {
-		need = 8
-	}
-	if cap(m.stack) < need {
-		m.stack = make([]Value, need)
-	}
-	m.stack = m.stack[:cap(m.stack)]
-}
-
-// stepBytecode is the dispatch-loop engine's single-step entry.
-func (m *Machine) stepBytecode(tid int) (bool, error) {
 	if m.Crashed() {
 		return false, nil
 	}
@@ -108,6 +51,20 @@ func (m *Machine) stepBytecode(tid int) (bool, error) {
 	return m.execBC(t)
 }
 
+// ensureStack sizes the per-step value stack for prog's deepest
+// instruction; called from Reset so a rebound machine always has
+// enough scratch space.
+func (m *Machine) ensureStack(prog *ir.Program) {
+	need := int(prog.BC.MaxStack)
+	if need < 8 {
+		need = 8
+	}
+	if cap(m.stack) < need {
+		m.stack = make([]Value, need)
+	}
+	m.stack = m.stack[:cap(m.stack)]
+}
+
 // RunBurst executes consecutive instructions of thread tid until a
 // scheduling-relevant boundary: the thread's next instruction is an
 // acquire or release (the schedule search's preemption points — the
@@ -119,6 +76,14 @@ func (m *Machine) stepBytecode(tid int) (bool, error) {
 // Step in a loop — RunBurst only removes the caller's per-step
 // re-inspection of the machine, which is what makes the trial hot
 // path fast between sync points.
+//
+// The boundary test reads one opcode: an acquire or release
+// instruction lowers to a single BEndAcquire/BEndRelease op, so the
+// first op at Entry[fr.PC] identifies a sync point without touching
+// the ir. The per-instruction dispatch stays a separate call on
+// purpose — merging it into this loop (label + backward goto) makes
+// the frame state loop-carried across the whole opcode switch and
+// costs ~25% in register spills.
 func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 	if m.Crashed() {
 		return false, nil
@@ -130,21 +95,6 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 	if !m.threadRunnable(t) {
 		return false, nil
 	}
-	if m.Engine != EngineTree && m.Prog.BC != nil {
-		return m.burstBytecode(t, limit)
-	}
-	return m.burstTree(t, limit)
-}
-
-// burstBytecode runs the dispatch engine to the next boundary. The
-// boundary test reads one opcode: an acquire or release instruction
-// lowers to a single BEndAcquire/BEndRelease op, so the first op at
-// Entry[fr.PC] identifies a sync point without touching the ir. The
-// per-instruction dispatch stays a separate call on purpose — merging
-// it into this loop (label + backward goto) makes the frame state
-// loop-carried across the whole opcode switch and costs ~25% in
-// register spills.
-func (m *Machine) burstBytecode(t *Thread, limit int64) (bool, error) {
 	bc := m.Prog.BC
 	for {
 		ok, err := m.execBC(t)
@@ -164,32 +114,6 @@ func (m *Machine) burstBytecode(t *Thread, limit int64) (bool, error) {
 		bf := bc.Funcs[fr.FuncIdx]
 		op := bf.Code[bf.Entry[fr.PC]].Op
 		if op == ir.BEndAcquire || op == ir.BEndRelease {
-			return true, nil
-		}
-	}
-}
-
-// burstTree is RunBurst on the tree engine: the same boundary
-// conditions, stepping via stepTree, so differential runs of the two
-// engines agree under burst-driven schedulers too.
-func (m *Machine) burstTree(t *Thread, limit int64) (bool, error) {
-	for {
-		ok, err := m.stepTree(t.ID)
-		if !ok || err != nil {
-			return ok, err
-		}
-		if m.Crash != nil || t.Status != Runnable {
-			return true, nil
-		}
-		if limit > 0 && m.TotalSteps >= limit {
-			return true, nil
-		}
-		if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
-			return true, nil
-		}
-		fr := t.Frames[len(t.Frames)-1]
-		op := m.Prog.Funcs[fr.FuncIdx].Instrs[fr.PC].Op
-		if op == ir.OpAcquire || op == ir.OpRelease {
 			return true, nil
 		}
 	}
@@ -420,13 +344,19 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 
 		// ---- terminals ----
 
+		// The generic stores also end a call site's bind code (see
+		// BEndReturn), where C is 1: the call already advanced the
+		// caller's PC.
+
 		case ir.BEndAssignLocal:
 			fr.Locals[c.A] = st[sp-1]
 			fr.Live[c.A] = true
 			if hooks != nil {
 				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
 			}
-			fr.PC++
+			if c.C == 0 {
+				fr.PC++
+			}
 			return true, nil
 
 		case ir.BEndAssignGlobal:
@@ -434,7 +364,9 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			if hooks != nil {
 				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
 			}
-			fr.PC++
+			if c.C == 0 {
+				fr.PC++
+			}
 			return true, nil
 
 		case ir.BEndAssignArray:
@@ -449,7 +381,9 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			if hooks != nil {
 				hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
 			}
-			fr.PC++
+			if c.C == 0 {
+				fr.PC++
+			}
 			return true, nil
 
 		case ir.BEndAssignArrayLocal:
@@ -467,7 +401,9 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			if hooks != nil {
 				hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
 			}
-			fr.PC++
+			if c.C == 0 {
+				fr.PC++
+			}
 			return true, nil
 
 		case ir.BEndAssignField:
@@ -487,7 +423,9 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			if hooks != nil {
 				hooks.OnWrite(t, VarID{Kind: VField, Name: name, Obj: obj.Obj()})
 			}
-			fr.PC++
+			if c.C == 0 {
+				fr.PC++
+			}
 			return true, nil
 
 		case ir.BEndMoveLL:
@@ -599,7 +537,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 
 		case ir.BEndLToArr:
 			// RHS first (the stored local), then the index local —
-			// the tree walker's evaluation order for arr[i] = v.
+			// the source evaluation order of arr[i] = v.
 			if hooks != nil {
 				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
 			}
@@ -638,7 +576,9 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 
 		case ir.BEndCall:
 			fr.PC++ // resume after the call on return
-			t.Frames = append(t.Frames, m.newFrame(int(c.A), st[:c.B], pc))
+			callee := m.newFrame(int(c.A), st[:c.B], pc)
+			callee.bind = c.C
+			t.Frames = append(t.Frames, callee)
 			if hooks != nil {
 				hooks.OnEnterFunc(t, int(c.A))
 			}
@@ -649,7 +589,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			if c.A != 0 {
 				ret = st[sp-1]
 			}
-			exited := fr.FuncIdx
+			exited, bind := fr.FuncIdx, fr.bind
 			t.Frames = t.Frames[:len(t.Frames)-1]
 			m.freeFrame(fr)
 			if hooks != nil {
@@ -659,24 +599,19 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 				t.Status = Done
 				return true, nil
 			}
-			// Bind the call result when the call site requested one. The
-			// caller's PC was advanced past the call instruction when the
-			// callee frame was pushed, so the call sits at PC-1. The
-			// binding reuses the tree assign: calls are rare, and the
-			// lvalue's own evaluation (array index, object) must fire the
-			// same hooks either way.
-			caller := t.Top()
-			callIn := &m.Prog.Funcs[caller.FuncIdx].Instrs[caller.PC-1]
-			if callIn.Op == ir.OpCall && callIn.LHS != nil {
-				if err := m.assign(t, callIn.LHS, ret); err != nil {
-					if ce, ok := err.(crashError); ok {
-						m.crash(t, pc, ce.reason)
-						return true, nil
-					}
-					return false, err
-				}
+			if bind == 0 {
+				return true, nil
 			}
-			return true, nil
+			// Store the call result within this step: run the call
+			// site's bind code on the caller's frame, with the result
+			// on the stack. Its index and object reads fire now, after
+			// the callee's exit, and a fault reports the return's pc.
+			fr = t.Frames[len(t.Frames)-1]
+			fn = m.Prog.Funcs[fr.FuncIdx]
+			code = m.Prog.BC.Funcs[fr.FuncIdx].Code
+			cpc = bind
+			st[0] = ret
+			sp = 1
 
 		case ir.BEndAcquire:
 			holder := m.Locks[c.A]
@@ -737,9 +672,8 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 }
 
 // cmpVals applies a comparison ExprOp to two numeric payloads —
-// comparison is by payload, like the tree walker: ints compare as
-// ints, pointers by identity, `p == null` works because null carries
-// payload 0.
+// comparison is by payload: ints compare as ints, pointers by
+// identity, `p == null` works because null carries payload 0.
 func cmpVals(op ir.ExprOp, x, y int64) bool {
 	switch op {
 	case ir.ExEq:

@@ -3,13 +3,14 @@ package interp_test
 // The diagnostics audit: bytecode lowering must not cost a single bit
 // of crash-site quality. Every runtime fault a subject program can
 // raise — assertion, division by zero, out-of-bounds index (read and
-// write), null dereference, recursive acquire, bad release — must
-// report the same reason string (with the same variable and lock
-// names), the same faulting PC (function and source line) and the same
-// thread under both engines. Deadlock diagnosis reads machine state
-// (blocked threads, wait locks, PCs), so it is pinned the same way.
-// The per-instruction source map that makes this possible is
-// round-trip tested against the corpus below.
+// write), null dereference, recursive acquire, bad release, and the
+// faults of a call-result store — must report the same reason string
+// (with the same variable and lock names), the same faulting PC
+// (function and source line), the same thread and the same faulting
+// stack as the name-map reference. Deadlock diagnosis reads machine
+// state (blocked threads, wait locks, PCs), so it is pinned the same
+// way. The per-instruction source map that makes this possible is
+// round-trip tested below.
 
 import (
 	"reflect"
@@ -17,9 +18,7 @@ import (
 
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
-	"heisendump/internal/lang"
 	"heisendump/internal/sched"
-	"heisendump/internal/workloads"
 )
 
 // crashCases are single-thread programs each reaching one fault kind
@@ -105,55 +104,94 @@ func main() {
     release(L);
 }
 `, `release of lock "L" not held by thread 0`, 5},
+	// Faults while a call result is stored: the return step pops the
+	// callee frame, then evaluates the target's index or object in the
+	// caller. The fault is reported at the return instruction.
+	{"call-result-index", `
+program t;
+global int a[4];
+func f() {
+    return 5;
+}
+func main() {
+    var int i;
+    i = 9;
+    a[i] = f();
+}
+`, `index 9 out of bounds for a[4]`, 5},
+	{"call-result-null", `
+program t;
+func f() {
+    return 5;
+}
+func main() {
+    var ptr p;
+    p.val = f();
+}
+`, `null pointer dereference`, 4},
 }
 
-// crashUnder compiles src and drives it to its fault under one engine.
-func crashUnder(t *testing.T, src string, eng interp.Engine) (*interp.CrashInfo, *ir.Program) {
+// crashRun is one run driven to its fault: the crash and the faulting
+// thread's stack, bottom frame first. The stack is what a crash dump
+// records, so it pins the caller frame's PC after a faulting return.
+type crashRun struct {
+	crash *interp.CrashInfo
+	stack []ir.PC
+}
+
+// crashUnder compiles src, drives it to its fault on the cooperative
+// schedule, and replays that schedule on the name-map reference.
+func crashUnder(t *testing.T, src string) (got, ref crashRun, cp *ir.Program) {
 	t.Helper()
-	p, err := lang.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	cp, err := ir.Compile(p, ir.Options{InstrumentLoops: true})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	cp = mustCompile(t, src)
 	m := interp.New(cp, nil)
-	m.Engine = eng
 	res := sched.Run(m, sched.NewCooperative())
 	if !res.Crashed {
-		t.Fatalf("engine=%v: run did not crash (outcome %v)", eng, res.Outcome())
+		t.Fatalf("run did not crash (outcome %v)", res.Outcome())
 	}
-	return res.Crash, cp
+	got.crash = res.Crash
+	for _, fr := range m.Threads[res.Crash.ThreadID].Frames {
+		got.stack = append(got.stack, ir.PC{F: fr.FuncIdx, I: fr.PC})
+	}
+	rm := newRefMachine(cp, nil)
+	rm.replay(res.Schedule)
+	ref.crash = rm.crash
+	if rm.crash != nil {
+		for _, fr := range rm.threads[rm.crash.ThreadID].frames {
+			ref.stack = append(ref.stack, ir.PC{F: fr.funcIdx, I: fr.pc})
+		}
+	}
+	return got, ref, cp
 }
 
 // TestCrashDiagnosticsSurviveLowering pins every reachable fault kind:
-// exact reason text, source line and thread, identical across engines.
+// exact reason text, source line, thread and faulting stack, identical
+// to the name-map reference.
 func TestCrashDiagnosticsSurviveLowering(t *testing.T) {
 	for _, tc := range crashCases {
 		t.Run(tc.name, func(t *testing.T) {
-			tree, cp := crashUnder(t, tc.src, interp.EngineTree)
-			bc, _ := crashUnder(t, tc.src, interp.EngineBytecode)
-			if !reflect.DeepEqual(tree, bc) {
-				t.Fatalf("crash differs across engines:\n tree:     %+v\n bytecode: %+v", tree, bc)
+			bc, ref, cp := crashUnder(t, tc.src)
+			if !reflect.DeepEqual(bc, ref) {
+				t.Fatalf("crash differs from the reference:\n bytecode:  %+v %v\n reference: %+v %v", bc.crash, bc.stack, ref.crash, ref.stack)
 			}
-			if bc.Reason != tc.wantReason {
-				t.Errorf("reason = %q, want %q", bc.Reason, tc.wantReason)
+			if bc.crash.Reason != tc.wantReason {
+				t.Errorf("reason = %q, want %q", bc.crash.Reason, tc.wantReason)
 			}
-			if line := cp.InstrAt(bc.PC).Line; line != tc.wantLine {
-				t.Errorf("faulting line = %d (%s), want %d", line, cp.FormatPC(bc.PC), tc.wantLine)
+			if line := cp.InstrAt(bc.crash.PC).Line; line != tc.wantLine {
+				t.Errorf("faulting line = %d (%s), want %d", line, cp.FormatPC(bc.crash.PC), tc.wantLine)
 			}
-			if bc.ThreadID != 0 {
-				t.Errorf("faulting thread = %d, want 0", bc.ThreadID)
+			if bc.crash.ThreadID != 0 {
+				t.Errorf("faulting thread = %d, want 0", bc.crash.ThreadID)
 			}
 		})
 	}
 }
 
 // TestDeadlockDiagnosisSurvivesLowering drives a two-thread lock-order
-// inversion into deadlock under both engines and pins the wait-for
-// diagnosis: same waiters, same lock names, same cycle — and the same
-// blocked PCs, so a post-mortem points at the same acquire sites.
+// inversion into deadlock and pins the wait-for diagnosis literally,
+// and the blocked threads' PCs and wait locks against the name-map
+// reference driven through the same steps, so a post-mortem points at
+// the same acquire sites.
 func TestDeadlockDiagnosisSurvivesLowering(t *testing.T) {
 	const src = `
 program t;
@@ -176,74 +214,67 @@ func main() {
     release(A);
 }
 `
-	p, err := lang.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ir.Compile(p, ir.Options{InstrumentLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := mustCompile(t, src)
 	// The deadlocking interleaving: main spawns and takes A, worker
 	// takes B, then each steps into the other's lock.
-	type snap struct {
-		diag    string
-		cycle   []int
-		pcs     []string
-		waiting []int32
-	}
-	run := func(eng interp.Engine) snap {
-		m := interp.New(cp, nil)
-		m.Engine = eng
-		step := func(tid, n int) {
-			for i := 0; i < n; i++ {
-				if ok, err := m.Step(tid); err != nil || !ok {
-					t.Fatalf("engine=%v: step thread %d: ok=%v err=%v", eng, tid, ok, err)
-				}
-			}
+	steps := []int{0, 0, 1, 1, 0}
+	m := interp.New(cp, nil)
+	rm := newRefMachine(cp, nil)
+	for _, tid := range steps {
+		if ok, err := m.Step(tid); err != nil || !ok {
+			t.Fatalf("step thread %d: ok=%v err=%v", tid, ok, err)
 		}
-		step(0, 2) // spawn; acquire(A)
-		step(1, 2) // acquire(B); g = g + 1
-		step(0, 1) // g = g + 1
-		m.Step(0)  // acquire(B): blocks
-		m.Step(1)  // acquire(A): blocks
-		if len(m.Runnable()) != 0 {
-			t.Fatalf("engine=%v: expected deadlock, runnable=%v", eng, m.Runnable())
-		}
-		d := sched.DiagnoseDeadlock(m)
-		s := snap{diag: d.String(), cycle: d.Cycle}
-		for _, th := range m.Threads {
-			s.pcs = append(s.pcs, cp.FormatPC(th.PC()))
-			s.waiting = append(s.waiting, th.WaitLock)
-		}
-		return s
+		rm.step(tid)
 	}
-	tree := run(interp.EngineTree)
-	bc := run(interp.EngineBytecode)
-	if !reflect.DeepEqual(tree, bc) {
-		t.Fatalf("deadlock diagnosis differs:\n tree:     %+v\n bytecode: %+v", tree, bc)
+	m.Step(0) // acquire(B): blocks
+	m.Step(1) // acquire(A): blocks
+	rm.step(0)
+	rm.step(1)
+	if len(m.Runnable()) != 0 {
+		t.Fatalf("expected deadlock, runnable=%v", m.Runnable())
 	}
-	if want := `thread 0 waits for lock "B" held by thread 1, thread 1 waits for lock "A" held by thread 0 (cycle: [0 1])`; bc.diag != want {
-		t.Errorf("diagnosis = %q, want %q", bc.diag, want)
+	type threadState struct {
+		pc     string
+		status interp.ThreadStatus
+		wait   string
+	}
+	var got, want []threadState
+	for _, th := range m.Threads {
+		s := threadState{pc: cp.FormatPC(th.PC()), status: th.Status}
+		if th.WaitLock >= 0 {
+			s.wait = cp.Locks[th.WaitLock]
+		}
+		got = append(got, s)
+	}
+	for _, th := range rm.threads {
+		fr := th.top()
+		want = append(want, threadState{
+			pc:     cp.FormatPC(ir.PC{F: fr.funcIdx, I: fr.pc}),
+			status: th.status,
+			wait:   th.waitLock,
+		})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("blocked threads differ from the reference:\n bytecode:  %+v\n reference: %+v", got, want)
+	}
+	if want := `thread 0 waits for lock "B" held by thread 1, thread 1 waits for lock "A" held by thread 0 (cycle: [0 1])`; sched.DiagnoseDeadlock(m).String() != want {
+		t.Errorf("diagnosis = %q, want %q", sched.DiagnoseDeadlock(m).String(), want)
 	}
 }
 
 // TestBytecodeSourceMapRoundTrip checks the per-instruction source map
-// on every corpus workload: each ir instruction's bytecode segment is
+// on every reference case: each ir instruction's bytecode segment is
 // contiguous, entry points are strictly increasing, and SrcInstr maps
 // every bytecode pc in the segment back to the ir instruction it was
-// lowered from — the property the crash paths above rely on.
+// lowered from — the property the crash paths above rely on. A segment
+// ends in a terminal and holds no other, with one exception: a call
+// that binds its result is followed in its segment by the bind code
+// the return step runs, so its BEndCall (whose C names the next pc)
+// sits mid-segment and the bind code's store terminal carries C = 1.
 func TestBytecodeSourceMapRoundTrip(t *testing.T) {
-	for _, name := range workloads.Names() {
-		w := workloads.ByName(name)
-		t.Run(name, func(t *testing.T) {
-			cp, err := w.Compile(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp.BC == nil {
-				t.Fatal("compiled program has no bytecode")
-			}
+	for _, rc := range referenceCases() {
+		t.Run(rc.name, func(t *testing.T) {
+			cp := mustCompile(t, rc.source)
 			for fi, bf := range cp.BC.Funcs {
 				fn := cp.Funcs[fi]
 				if len(bf.Entry) != len(fn.Instrs) {
@@ -263,14 +294,19 @@ func TestBytecodeSourceMapRoundTrip(t *testing.T) {
 							t.Fatalf("%s: SrcInstr(%d) = %d, want %d", fn.Name, pc, got, i)
 						}
 					}
-					last := bf.Code[hi-1].Op
-					if !last.IsTerminal() {
-						t.Fatalf("%s: instruction %d's segment ends with non-terminal %v", fn.Name, i, last)
+					last := bf.Code[hi-1]
+					if !last.Op.IsTerminal() {
+						t.Fatalf("%s: instruction %d's segment ends with non-terminal %v", fn.Name, i, last.Op)
 					}
 					for pc := lo; pc < hi-1; pc++ {
-						if op := bf.Code[pc].Op; op.IsTerminal() {
-							t.Fatalf("%s: terminal %v mid-segment at pc %d (instruction %d)", fn.Name, op, pc, i)
+						c := bf.Code[pc]
+						if !c.Op.IsTerminal() {
+							continue
 						}
+						if c.Op == ir.BEndCall && c.C == int32(pc+1) && last.C == 1 {
+							continue
+						}
+						t.Fatalf("%s: terminal %v mid-segment at pc %d (instruction %d)", fn.Name, c.Op, pc, i)
 					}
 				}
 			}

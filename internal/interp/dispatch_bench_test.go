@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkDispatch measures per-step interpreter cost for each
-// dominant opcode shape, under both engines, so opcode and
+// dominant opcode shape, so opcode and
 // superinstruction changes are measurable in isolation (the "ns/step"
 // metric; lower is better). Each shape is a tiny single-thread program
 // whose steady-state steps are overwhelmingly of one kind; the
@@ -144,37 +144,34 @@ func main() {
 		if err != nil {
 			b.Fatalf("%s: compile: %v", s.name, err)
 		}
-		for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineBytecode} {
-			b.Run(s.name+"/"+eng.String(), func(b *testing.B) {
-				m := interp.New(cp, nil)
-				m.Engine = eng
-				if res := sched.Run(m, sched.NewCooperative()); res.Crashed {
-					b.Fatalf("warm-up run crashed: %v", res.Crash)
-				}
-				b.ReportAllocs()
-				var steps int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Reset(cp, nil)
-					for {
-						ok, err := m.Step(0)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !ok {
-							break
-						}
-						steps++
+		b.Run(s.name, func(b *testing.B) {
+			m := interp.New(cp, nil)
+			if res := sched.Run(m, sched.NewCooperative()); res.Crashed {
+				b.Fatalf("warm-up run crashed: %v", res.Crash)
+			}
+			b.ReportAllocs()
+			var steps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset(cp, nil)
+				for {
+					ok, err := m.Step(0)
+					if err != nil {
+						b.Fatal(err)
 					}
+					if !ok {
+						break
+					}
+					steps++
 				}
-				b.StopTimer()
-				if m.Crashed() {
-					b.Fatalf("crashed: %v", m.Crash)
-				}
-				if steps > 0 {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if m.Crashed() {
+				b.Fatalf("crashed: %v", m.Crash)
+			}
+			if steps > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			}
+		})
 	}
 }

@@ -39,6 +39,10 @@ type Frame struct {
 	// ID uniquely identifies this activation across the whole run, so
 	// traces can distinguish locals of different calls.
 	ID int64
+
+	// bind is the bytecode pc, in the caller's function, of the call
+	// site's result-store code; 0 when the call discards its result.
+	bind int32
 }
 
 // Thread is one thread of control.
@@ -216,17 +220,12 @@ type Machine struct {
 	// exceeded. Zero means no limit. Preserved across Reset.
 	MaxSteps int64
 
-	// Engine selects the execution engine (see bytecode.go). The zero
-	// value EngineAuto runs bytecode whenever the program carries a
-	// bytecode image. Preserved across Reset.
-	Engine Engine
-
 	input     *Input
 	nextObj   ObjID
 	nextFrame int64
 
-	// stack is the bytecode engine's per-step value scratch space,
-	// sized by Reset from the program's compile-time MaxStack.
+	// stack is the dispatch loop's per-step value scratch space, sized
+	// by Reset from the program's compile-time MaxStack.
 	stack []Value
 
 	// Free lists recycle the per-run allocations across Reset calls, so
@@ -235,7 +234,6 @@ type Machine struct {
 	freeFrames  []*Frame
 	freeThreads []*Thread
 	freeObjs    []*Object
-	argBuf      []Value
 	runnableBuf []int
 }
 
@@ -405,6 +403,7 @@ func (m *Machine) newFrame(fidx int, args []Value, callSite ir.PC) *Frame {
 	fr.FuncIdx = fidx
 	fr.PC = 0
 	fr.CallSite = callSite
+	fr.bind = 0
 	m.nextFrame++
 	fr.ID = m.nextFrame
 	for i := range fn.Params {
@@ -419,6 +418,21 @@ func (m *Machine) newFrame(fidx int, args []Value, callSite ir.PC) *Frame {
 // freeFrame returns a popped frame to the free list.
 func (m *Machine) freeFrame(fr *Frame) {
 	m.freeFrames = append(m.freeFrames, fr)
+}
+
+// newObject draws a heap object from the free list (the Reset cycle
+// recycles them) or allocates a fresh one.
+func (m *Machine) newObject(nFields int) *Object {
+	var o *Object
+	if n := len(m.freeObjs); n > 0 {
+		o = m.freeObjs[n-1]
+		m.freeObjs = m.freeObjs[:n-1]
+	} else {
+		o = &Object{Fields: make(map[string]Value, nFields)}
+	}
+	o.ID = m.nextObj
+	m.nextObj++
+	return o
 }
 
 // Global returns the value of the named global scalar, or the zero
@@ -494,199 +508,4 @@ func (m *Machine) Halted() bool {
 // crash records a fault and stops the machine.
 func (m *Machine) crash(t *Thread, pc ir.PC, reason string) {
 	m.Crash = &CrashInfo{ThreadID: t.ID, PC: pc, Reason: reason}
-}
-
-// crashError carries a runtime fault out of expression evaluation.
-type crashError struct{ reason string }
-
-func (e crashError) Error() string { return e.reason }
-
-// stepTree executes one instruction of thread tid by walking the
-// instruction's compiled expression trees. It is one of the machine's
-// two engines — Step (bytecode.go) selects between it and the
-// dispatch-loop engine — and the reference for their shared observable
-// contract: values, crash messages and positions, and hook events.
-func (m *Machine) stepTree(tid int) (bool, error) {
-	if m.Crashed() {
-		return false, nil
-	}
-	if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
-		return false, ErrStepLimit
-	}
-	t := m.Threads[tid]
-	if !m.threadRunnable(t) {
-		return false, nil
-	}
-	fr := t.Top()
-	fn := m.Prog.Funcs[fr.FuncIdx]
-	pc := ir.PC{F: fr.FuncIdx, I: fr.PC}
-	in := &fn.Instrs[fr.PC]
-
-	if m.Hooks != nil {
-		if t.Steps == 0 {
-			// The thread's entry-function region opens at its first step
-			// (see spawnThread).
-			m.Hooks.OnEnterFunc(t, t.EntryFunc)
-		}
-		m.Hooks.BeforeInstr(t, pc, in)
-	}
-	t.Steps++
-	m.TotalSteps++
-
-	fault := func(err error) (bool, error) {
-		if ce, ok := err.(crashError); ok {
-			m.crash(t, pc, ce.reason)
-			return true, nil
-		}
-		return false, err
-	}
-
-	switch in.Op {
-	case ir.OpAssign:
-		v, err := m.eval(t, in.RHS)
-		if err != nil {
-			return fault(err)
-		}
-		if err := m.assign(t, in.LHS, v); err != nil {
-			return fault(err)
-		}
-		fr.PC++
-
-	case ir.OpBranch:
-		v, err := m.eval(t, in.Cond)
-		if err != nil {
-			return fault(err)
-		}
-		taken := v.Bool()
-		if m.Hooks != nil {
-			m.Hooks.OnBranch(t, pc, taken)
-		}
-		if taken {
-			fr.PC = in.True
-		} else {
-			fr.PC = in.False
-		}
-
-	case ir.OpJump:
-		fr.PC = in.True
-
-	case ir.OpCall:
-		args, err := m.evalArgs(t, in.Args)
-		if err != nil {
-			return fault(err)
-		}
-		fr.PC++ // resume after the call on return
-		t.Frames = append(t.Frames, m.newFrame(int(in.Callee), args, pc))
-		if m.Hooks != nil {
-			m.Hooks.OnEnterFunc(t, int(in.Callee))
-		}
-
-	case ir.OpReturn:
-		var ret Value
-		if in.RHS != nil {
-			v, err := m.eval(t, in.RHS)
-			if err != nil {
-				return fault(err)
-			}
-			ret = v
-		}
-		exited := fr.FuncIdx
-		t.Frames = t.Frames[:len(t.Frames)-1]
-		m.freeFrame(fr)
-		if m.Hooks != nil {
-			m.Hooks.OnExitFunc(t, exited)
-		}
-		if len(t.Frames) == 0 {
-			t.Status = Done
-			break
-		}
-		// Bind the call result when the call site requested one. The
-		// caller's PC was advanced past the call instruction when the
-		// callee frame was pushed, so the call sits at PC-1.
-		caller := t.Top()
-		callIn := &m.Prog.Funcs[caller.FuncIdx].Instrs[caller.PC-1]
-		if callIn.Op == ir.OpCall && callIn.LHS != nil {
-			if err := m.assign(t, callIn.LHS, ret); err != nil {
-				return fault(err)
-			}
-		}
-
-	case ir.OpAcquire:
-		holder := m.Locks[in.Lock]
-		switch holder {
-		case -1:
-			m.Locks[in.Lock] = int32(t.ID)
-			t.Status = Runnable
-			t.WaitLock = -1
-			fr.PC++
-			if lh, ok := m.Hooks.(LockHooks); ok {
-				lh.OnAcquire(t, m.Prog.Locks[in.Lock])
-			}
-		case int32(t.ID):
-			return fault(crashError{fmt.Sprintf("recursive acquire of lock %q", m.Prog.Locks[in.Lock])})
-		default:
-			// The step observed the lock held; the thread blocks without
-			// advancing. The observation still counts as a step so
-			// spin-free progress accounting stays simple.
-			t.Status = Blocked
-			t.WaitLock = in.Lock
-		}
-
-	case ir.OpRelease:
-		if m.Locks[in.Lock] != int32(t.ID) {
-			return fault(crashError{fmt.Sprintf("release of lock %q not held by thread %d", m.Prog.Locks[in.Lock], t.ID)})
-		}
-		m.Locks[in.Lock] = -1
-		fr.PC++
-		if lh, ok := m.Hooks.(LockHooks); ok {
-			lh.OnRelease(t, m.Prog.Locks[in.Lock])
-		}
-
-	case ir.OpSpawn:
-		args, err := m.evalArgs(t, in.Args)
-		if err != nil {
-			return fault(err)
-		}
-		fr.PC++
-		m.spawnThread(int(in.Callee), args)
-
-	case ir.OpAssert:
-		v, err := m.eval(t, in.Cond)
-		if err != nil {
-			return fault(err)
-		}
-		if !v.Bool() {
-			m.crash(t, pc, "assertion failed: "+in.Msg)
-			return true, nil
-		}
-		fr.PC++
-
-	case ir.OpOutput:
-		v, err := m.eval(t, in.RHS)
-		if err != nil {
-			return fault(err)
-		}
-		m.Output = append(m.Output, v.Num)
-		fr.PC++
-
-	default:
-		return false, fmt.Errorf("interp: unknown opcode %v at %v", in.Op, pc)
-	}
-	return true, nil
-}
-
-// evalArgs evaluates a call or spawn argument list into the machine's
-// reusable argument buffer; the values are consumed (copied into the
-// callee frame's locals) before the next evalArgs call.
-func (m *Machine) evalArgs(t *Thread, args []*ir.Expr) ([]Value, error) {
-	out := m.argBuf[:0]
-	for _, a := range args {
-		v, err := m.eval(t, a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	m.argBuf = out
-	return out, nil
 }

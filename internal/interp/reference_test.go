@@ -7,20 +7,24 @@ package interp_test
 // on every instruction, so it shares nothing with the slot-addressed
 // evaluation path beyond the instruction stream itself.
 //
-// The round-trip tests below run every corpus workload under both
-// interpreters — same program, same input, same schedule — and assert
-// that the traces (including per-step reads/writes and lock events),
-// crashes and outputs are identical. This pins the compile-time variable resolution to the
-// map-resolution semantics it replaced.
+// The round-trip tests below run every corpus workload, the call-result
+// binding programs and a range of generated programs under both the
+// machine and the reference — same program, same input, same schedule
+// — and assert that the traces (including per-step reads/writes and
+// lock events), crashes and outputs are identical. This pins the
+// compile-time variable resolution and the bytecode lowering to the
+// map-resolution semantics they replaced.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"heisendump/internal/gen"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
 	"heisendump/internal/lang"
+	"heisendump/internal/progcache"
 	"heisendump/internal/sched"
 	"heisendump/internal/trace"
 	"heisendump/internal/workloads"
@@ -250,7 +254,7 @@ func (m *refMachine) step(tid int) bool {
 
 	case ir.OpCall:
 		callee := m.prog.FuncIndex(in.CalleeName)
-		args, err := m.evalArgs(t, in.SrcArgs)
+		args, err := m.evalList(t, in.SrcArgs)
 		if err != nil {
 			return fault(err)
 		}
@@ -314,7 +318,7 @@ func (m *refMachine) step(tid int) bool {
 		}
 
 	case ir.OpSpawn:
-		args, err := m.evalArgs(t, in.SrcArgs)
+		args, err := m.evalList(t, in.SrcArgs)
 		if err != nil {
 			return fault(err)
 		}
@@ -343,7 +347,7 @@ func (m *refMachine) step(tid int) bool {
 	return true
 }
 
-func (m *refMachine) evalArgs(t *refThread, args []lang.Expr) ([]interp.Value, error) {
+func (m *refMachine) evalList(t *refThread, args []lang.Expr) ([]interp.Value, error) {
 	out := make([]interp.Value, 0, len(args))
 	for _, a := range args {
 		v, err := m.eval(t, a)
@@ -583,13 +587,12 @@ func runReference(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	return refRun{events: rec.Events, crash: m.crash, output: m.output}
 }
 
-// runSlot executes schedule on the slot-addressed machine under the
-// given engine. The machine is built once and Reset before the run, so
-// the round-trip also exercises the reset/free-list lifecycle rather
-// than only a virgin machine.
-func runSlot(prog *ir.Program, in *interp.Input, schedule []int, eng interp.Engine) refRun {
+// runSlot executes schedule on the slot-addressed machine. The machine
+// is built once and Reset before the run, so the round-trip also
+// exercises the reset/free-list lifecycle rather than only a virgin
+// machine.
+func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	m := interp.New(prog, in)
-	m.Engine = eng
 	// Burn one partial run, then rewind: the post-Reset state must be
 	// indistinguishable from a fresh machine.
 	sched.BoundedRun(m, sched.NewCooperative(), 25)
@@ -641,33 +644,111 @@ func compareRuns(t *testing.T, label string, got, want refRun) {
 	}
 }
 
-// TestEnginesAndNameMapExecutionAgree is the three-way oracle: for
-// every corpus workload, under the deterministic schedule and a spread
-// of random interleavings, all three execution modes — the name-map
-// reference, the slot-addressed tree walker, and the bytecode dispatch
-// loop — produce identical traces (events with reads/writes/locks),
-// crashes and outputs. The reference shares
-// nothing with the slot machines beyond the instruction stream, and
-// the two engines share the machine state model but nothing of the
-// per-instruction execution path, so agreement pins each layer of
-// lowering (name→slot, tree→bytecode) independently.
-func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
-	engines := []interp.Engine{interp.EngineTree, interp.EngineBytecode}
+// refCase is one program the reference comparison runs.
+type refCase struct {
+	name   string
+	source string
+	input  *interp.Input
+}
+
+// callBindSources bind call results to array elements and heap fields
+// — the return step's store, whose index and object reads fire after
+// the callee frame is popped. No corpus workload binds a call result
+// anywhere but a scalar, so these programs pin that path: a local
+// index, a computed index, an index that reads an array, a field of a
+// local pointer, a field behind a field, and a pointer-valued result.
+var callBindSources = []refCase{
+	{name: "callbind-array", source: `
+program callbindarr;
+global int a[4];
+global int b[4];
+global int n;
+lock L;
+func next(int x) {
+    return x * 2 + 1;
+}
+func worker(int k) {
+    var int i;
+    for i = 0 .. 3 {
+        acquire(L);
+        a[i] = next(k);
+        n = n + 1;
+        release(L);
+        b[(i + k) % 4] = next(i);
+        a[b[i] % 4] = next(a[i]);
+    }
+}
+func main() {
+    spawn worker(1);
+    spawn worker(2);
+    a[n % 4] = next(n);
+}
+`},
+	{name: "callbind-field", source: `
+program callbindfield;
+global ptr head;
+global int total;
+func mk(int v) {
+    return v + 10;
+}
+func alloc() {
+    var ptr p;
+    p = new(val, next);
+    return p;
+}
+func worker(int k) {
+    var ptr p;
+    p = head;
+    p.val = mk(k);
+    p.next.val = mk(p.val);
+    total = total + p.next.val;
+}
+func main() {
+    head = alloc();
+    head.next = alloc();
+    spawn worker(1);
+    spawn worker(2);
+    head.val = mk(total);
+}
+`},
+}
+
+// referenceCases lists the reference comparison's inputs: every
+// registered workload, the call-result binding programs, and the
+// generated programs of seeds 1–20, so machine-manufactured programs
+// stay under a per-seed differential too.
+func referenceCases() []refCase {
+	var out []refCase
 	for _, name := range workloads.Names() {
 		w := workloads.ByName(name)
-		t.Run(name, func(t *testing.T) {
+		out = append(out, refCase{name: name, source: w.Source, input: w.Input})
+	}
+	out = append(out, callBindSources...)
+	for seed := int64(1); seed <= 20; seed++ {
+		p := gen.Generate(seed)
+		out = append(out, refCase{name: fmt.Sprintf("gen-seed-%d", seed), source: p.Source, input: p.Input})
+	}
+	return out
+}
+
+// TestEnginesAndNameMapExecutionAgree is the reference oracle: for
+// every reference case, under the deterministic schedule and a spread
+// of random interleavings, the bytecode dispatch loop and the name-map
+// reference produce identical traces (events with reads/writes/locks),
+// crashes and outputs. The reference shares nothing with the machine
+// beyond the instruction stream, so agreement pins both layers of
+// lowering (name→slot and tree→bytecode) at once.
+func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
+	for _, rc := range referenceCases() {
+		t.Run(rc.name, func(t *testing.T) {
 			for _, instrument := range []bool{false, true} {
-				prog, err := w.Compile(instrument)
+				prog, err := progcache.Shared().Get(rc.source, instrument)
 				if err != nil {
 					t.Fatalf("compile(instrument=%v): %v", instrument, err)
 				}
-				for si, schedule := range schedulesFor(t, prog, w.Input, 5) {
-					ref := runReference(prog, w.Input, schedule)
-					for _, eng := range engines {
-						got := runSlot(prog, w.Input, schedule, eng)
-						label := fmt.Sprintf("engine=%v instrument=%v schedule=%d (vs name-map ref)", eng, instrument, si)
-						compareRuns(t, label, got, ref)
-					}
+				for si, schedule := range schedulesFor(t, prog, rc.input, 5) {
+					label := fmt.Sprintf("instrument=%v schedule=%d (vs name-map ref)", instrument, si)
+					compareRuns(t, label, runSlot(prog, rc.input, schedule), runReference(prog, rc.input, schedule))
 				}
 			}
 		})

@@ -2,10 +2,9 @@ package ir
 
 // This file is the bytecode backend: a Compile-stage pass that lowers
 // the resolved Expr/LValue trees of each instruction into a flat
-// []Code array executed by the interpreter's dispatch-loop engine
-// (interp's bytecode.go). The trees remain on the Instr — the tree
-// walker and every analysis still read them — so the bytecode is a
-// second, denser encoding of exactly the same program.
+// []Code array, the only form the interpreter executes (interp's
+// bytecode.go). The trees remain on the Instr for the static analyses
+// and diagnostics; the bytecode is their executable encoding.
 //
 // Design:
 //
@@ -19,9 +18,17 @@ package ir
 //     instruction index: each interpreter step enters the code array
 //     at Entry[fr.PC] and leaves at the terminal, which writes the
 //     next ir-level PC (fall-through or a compile-time-resolved branch
-//     target). Scheduling therefore interleaves at exactly the same
-//     granularity as the tree walker, and every externally visible PC
-//     (traces, crash reports, candidate sites) is unchanged.
+//     target). Scheduling therefore interleaves at ir-instruction
+//     granularity, and every externally visible PC (traces, crash
+//     reports, candidate sites) is an ir PC.
+//
+//   - A call that binds its result carries its bind code in its own
+//     segment, after the BEndCall: the store of the result into the
+//     call's lvalue, ending in a generic store terminal whose C
+//     operand is 1. The callee's return step runs it on the caller's
+//     frame, so the target's index and object reads fire at the
+//     return, and the terminal leaves the caller's PC where the call
+//     advanced it.
 //
 //   - Superinstructions collapse the dominant shapes of the trial hot
 //     path into single ops: local/global increments (loop counters),
@@ -103,6 +110,9 @@ const (
 
 	// ---- terminals (complete the ir instruction) ----
 
+	// The five generic stores below advance the ir-level PC unless C
+	// is 1, which marks the end of a call site's bind code.
+
 	// BEndAssignLocal pops v into local slot A.
 	BEndAssignLocal
 	// BEndAssignGlobal pops v into global scalar slot A.
@@ -140,7 +150,9 @@ const (
 	BEndBranch
 	// BEndJump transfers to ir instruction A.
 	BEndJump
-	// BEndCall pops B arguments and calls function A.
+	// BEndCall pops B arguments and calls function A. C is the pc
+	// of the call site's bind code (the op right after this one), or
+	// 0 when the call discards its result.
 	BEndCall
 	// BEndReturn returns from the current function; A is 1 when a
 	// return value is popped.
@@ -388,12 +400,20 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 		for _, a := range in.Args {
 			c.expr(a)
 		}
-		op := BEndCall
-		if in.Op == OpSpawn {
-			op = BEndSpawn
-		}
 		c.pop(int32(len(in.Args)))
-		c.emit(op, in.Callee, int32(len(in.Args)), 0)
+		if in.Op == OpSpawn {
+			c.emit(BEndSpawn, in.Callee, int32(len(in.Args)), 0)
+			return
+		}
+		call := c.emit(BEndCall, in.Callee, int32(len(in.Args)), 0)
+		if in.LHS != nil {
+			// The bind code follows the call in its segment: the
+			// return step runs it on the caller's frame with the
+			// result on the stack.
+			c.out.Code[call].C = call + 1
+			c.push(1)
+			c.store(in.LHS, 1)
+		}
 
 	case OpReturn:
 		hasVal := int32(0)
@@ -424,32 +444,16 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 
 // lowerAssign selects a fused store when the statement matches one of
 // the hot shapes, falling back to generic expr + terminal store. Every
-// fused form preserves the tree walker's evaluation (and hook-event)
-// order: RHS reads first, then the index/object reads of the target,
-// then the write.
+// fused form preserves the source evaluation (and hook-event) order:
+// RHS reads first, then the index/object reads of the target, then the
+// write.
 func (c *bfcomp) lowerAssign(in *Instr) {
 	lv, rhs := in.LHS, in.RHS
-
 	switch lv.Kind {
-	case LVLocal:
-		if code, ok := c.fusedScalarStore(lv.Slot, rhs, true); ok {
-			_ = code
+	case LVLocal, LVGlobal:
+		if c.fusedScalarStore(lv.Slot, rhs, lv.Kind == LVLocal) {
 			return
 		}
-		c.expr(rhs)
-		c.pop(1)
-		c.emit(BEndAssignLocal, lv.Slot, 0, 0)
-		return
-
-	case LVGlobal:
-		if _, ok := c.fusedScalarStore(lv.Slot, rhs, false); ok {
-			return
-		}
-		c.expr(rhs)
-		c.pop(1)
-		c.emit(BEndAssignGlobal, lv.Slot, 0, 0)
-		return
-
 	case LVArray:
 		idxClass, idxSlot := classify(lv.Index)
 		rhsClass, rhsSlot := classify(rhs)
@@ -459,57 +463,76 @@ func (c *bfcomp) lowerAssign(in *Instr) {
 			c.emit(BEndLToArr, lv.Slot, int32(idxSlot), int32(rhsSlot))
 			return
 		}
-		c.expr(rhs)
-		if idxClass == opLocal {
+	}
+	c.expr(rhs)
+	c.store(lv, 0)
+}
+
+// store emits the generic store of the value on top of the stack into
+// lv: the target's index or object is evaluated, then a store terminal
+// writes. keep is the terminal's C operand: 1 in a call site's bind
+// code, where the call already advanced the caller's PC.
+func (c *bfcomp) store(lv *LValue, keep int32) {
+	switch lv.Kind {
+	case LVLocal:
+		c.pop(1)
+		c.emit(BEndAssignLocal, lv.Slot, 0, keep)
+	case LVGlobal:
+		c.pop(1)
+		c.emit(BEndAssignGlobal, lv.Slot, 0, keep)
+	case LVArray:
+		if ic, is := classify(lv.Index); ic == opLocal {
 			c.pop(1)
-			c.emit(BEndAssignArrayLocal, lv.Slot, int32(idxSlot), 0)
+			c.emit(BEndAssignArrayLocal, lv.Slot, int32(is), keep)
 			return
 		}
 		c.expr(lv.Index)
 		c.pop(2)
-		c.emit(BEndAssignArray, lv.Slot, 0, 0)
-		return
-
+		c.emit(BEndAssignArray, lv.Slot, 0, keep)
 	case LVField:
-		c.expr(rhs)
 		c.expr(lv.Obj)
 		c.pop(2)
-		c.emit(BEndAssignField, c.bc.nameOf(lv.Name), 0, 0)
-		return
+		c.emit(BEndAssignField, c.bc.nameOf(lv.Name), 0, keep)
 	}
 }
 
 // fusedScalarStore emits a single-op store into a local (toLocal) or
 // global scalar slot when the RHS matches a fused shape. Returns false
 // when no shape applies.
-func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) (int32, bool) {
+func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) bool {
 	switch rhs.Kind {
 	case ELocal:
 		if toLocal {
-			return c.emit(BEndMoveLL, dst, rhs.Slot, 0), true
+			c.emit(BEndMoveLL, dst, rhs.Slot, 0)
+		} else {
+			c.emit(BEndMoveGL, dst, rhs.Slot, 0)
 		}
-		return c.emit(BEndMoveGL, dst, rhs.Slot, 0), true
+		return true
 	case EGlobal:
 		if toLocal {
-			return c.emit(BEndMoveLG, dst, rhs.Slot, 0), true
+			c.emit(BEndMoveLG, dst, rhs.Slot, 0)
+		} else {
+			c.emit(BEndMoveGG, dst, rhs.Slot, 0)
 		}
-		return c.emit(BEndMoveGG, dst, rhs.Slot, 0), true
+		return true
 	case EInt:
 		k := c.bc.constOf(rhs.Num)
 		if toLocal {
-			return c.emit(BEndConstL, dst, k, 0), true
+			c.emit(BEndConstL, dst, k, 0)
+		} else {
+			c.emit(BEndConstG, dst, k, 0)
 		}
-		return c.emit(BEndConstG, dst, k, 0), true
+		return true
 	case EBinary:
 		// x = y ± k: the counter-bump shape (for-loop increments,
 		// instrumentation counters, completed-ops bookkeeping).
 		if rhs.Op != ExAdd && rhs.Op != ExSub {
-			return 0, false
+			return false
 		}
 		xc, xs := classify(rhs.X)
 		yc, yk := classify(rhs.Y)
 		if yc != opConst {
-			return 0, false
+			return false
 		}
 		delta := yk
 		if rhs.Op == ExSub {
@@ -517,22 +540,25 @@ func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) (int32, bo
 		}
 		k := c.bc.constOf(delta)
 		if toLocal && xc == opLocal {
-			return c.emit(BEndIncL, dst, int32(xs), k), true
+			c.emit(BEndIncL, dst, int32(xs), k)
+			return true
 		}
 		if !toLocal && xc == opGlobal {
-			return c.emit(BEndIncG, dst, int32(xs), k), true
+			c.emit(BEndIncG, dst, int32(xs), k)
+			return true
 		}
-		return 0, false
+		return false
 	case EIndex:
 		// x = arr[i] with a local index.
 		if toLocal {
 			if ic, is := classify(rhs.X); ic == opLocal {
-				return c.emit(BEndArrToL, rhs.Slot, dst, int32(is)), true
+				c.emit(BEndArrToL, rhs.Slot, dst, int32(is))
+				return true
 			}
 		}
-		return 0, false
+		return false
 	}
-	return 0, false
+	return false
 }
 
 // cond emits code leaving a branch/assert condition on the stack,
@@ -579,7 +605,7 @@ func (c *bfcomp) fusedCmp(e *Expr) bool {
 }
 
 // expr emits code that evaluates e and leaves one value on the stack,
-// in exactly the tree walker's evaluation order.
+// reporting reads in source evaluation order.
 func (c *bfcomp) expr(e *Expr) {
 	switch e.Kind {
 	case EInt:

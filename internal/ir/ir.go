@@ -226,8 +226,8 @@ type Program struct {
 
 	// BC is the bytecode image of the program: every instruction's
 	// resolved operand trees lowered to flat fixed-width code (see
-	// bytecode.go). The interpreter's dispatch-loop engine executes
-	// it; the tree walker and the analyses ignore it.
+	// bytecode.go). The interpreter executes it; the analyses read
+	// the trees.
 	BC *Bytecode
 
 	funcIndex   map[string]int

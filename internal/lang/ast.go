@@ -82,6 +82,9 @@ type VarDecl struct {
 	// Init is the optional scalar initializer (ints only); arrays are
 	// zero-initialized and may be filled by the program input.
 	Init int64
+	// Line is the 1-based source line of a global declaration (0 for
+	// parameters and hand-built declarations).
+	Line int
 }
 
 // Func is a function definition. Parameters are ints unless listed in

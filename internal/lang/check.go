@@ -13,16 +13,32 @@ func Check(p *Program) error {
 	return sourceError("check", check(p))
 }
 
+// MaxArrayElements bounds the elements a program's global arrays may
+// declare in total. Every machine allocates its arrays in full at
+// Reset, so an unbounded declaration is a memory exhaustion vector for
+// a service running untrusted programs; the largest array in the
+// workload corpus has 66 elements.
+const MaxArrayElements = 1 << 16
+
 func check(p *Program) error {
 	if p.Func("main") == nil {
 		return fmt.Errorf("lang: program %q has no main function", p.Name)
 	}
 	globals := map[string]*VarDecl{}
+	elems := 0
 	for _, g := range p.Globals {
 		if _, dup := globals[g.Name]; dup {
 			return fmt.Errorf("lang: duplicate global %q", g.Name)
 		}
 		globals[g.Name] = g
+		if g.ArraySize < 0 {
+			return fmt.Errorf("lang: line %d: array %s has negative size %d", g.Line, g.Name, g.ArraySize)
+		}
+		if g.ArraySize > MaxArrayElements-elems {
+			return fmt.Errorf("lang: line %d: array %s[%d] takes the program's global arrays past %d elements",
+				g.Line, g.Name, g.ArraySize, MaxArrayElements)
+		}
+		elems += g.ArraySize
 	}
 	locks := map[string]bool{}
 	for _, l := range p.Locks {

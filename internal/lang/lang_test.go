@@ -1,6 +1,7 @@
 package lang_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -276,5 +277,45 @@ func TestMustParsePanics(t *testing.T) {
 func TestTypeString(t *testing.T) {
 	if lang.TypeInt.String() != "int" || lang.TypeBool.String() != "bool" || lang.TypePtr.String() != "ptr" {
 		t.Fatal("type names wrong")
+	}
+}
+
+// TestCheckRejectsOversizedArrays: declared array elements are bounded
+// program-wide, so a hostile declaration is a typed error with the
+// declaration's line instead of a huge allocation at run time. A size
+// literal past int64 is a lexer error, so it cannot wrap to a negative
+// size that lowers the running total.
+func TestCheckRejectsOversizedArrays(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		phase string
+		line  int
+	}{
+		{"one-huge", "program p;\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "check", 2},
+		{"int64-max", "program p;\nglobal int a[9223372036854775807];\nfunc main() { a[0] = 1; }\n", "check", 2},
+		{"sum", "program p;\nglobal int a[65536];\nglobal int g;\nglobal int b[1];\nfunc main() { a[0] = 1; }\n", "check", 4},
+		{"int64-max+1", "program p;\nglobal int a[9223372036854775808];\nfunc main() { a[0] = 1; }\n", "parse", 2},
+		{"wrap-negative", "program p;\nglobal int z[18445744073709551616];\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "parse", 2},
+		{"wrap-initializer", "program p;\nglobal int g = 18446744073709551617;\nfunc main() { g = 1; }\n", "parse", 2},
+	} {
+		_, err := lang.Parse(tc.src)
+		var le *lang.Error
+		if !errors.As(err, &le) || le.Phase != tc.phase || le.Line != tc.line {
+			t.Errorf("%s: err = %#v, want a %s error at line %d", tc.name, err, tc.phase, tc.line)
+		}
+	}
+	atLimit := "program p;\nglobal int a[65535];\nglobal int b[1];\nglobal int g;\nfunc main() { a[0] = 1; g = 9223372036854775807; }\n"
+	prog, err := lang.Parse(atLimit)
+	if err != nil {
+		t.Fatalf("arrays at the limit rejected: %v", err)
+	}
+	// A hand-built declaration with a negative size is refused too: it
+	// would otherwise compile as a scalar and pay for the others.
+	prog.Globals[0].ArraySize = -1_000_000_000_000_000
+	prog.Globals[1].ArraySize = 1_000_000_000_000_000
+	var le *lang.Error
+	if err := lang.Check(prog); !errors.As(err, &le) || le.Phase != "check" || le.Line != 2 {
+		t.Fatalf("negative array size: err = %#v, want a check error at line 2", err)
 	}
 }

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 )
@@ -93,7 +94,11 @@ scan:
 	if unicode.IsDigit(rune(c)) {
 		var v int64
 		for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
-			v = v*10 + int64(l.src[l.pos]-'0')
+			d := int64(l.src[l.pos] - '0')
+			if v > (math.MaxInt64-d)/10 {
+				return token{}, fmt.Errorf("line %d: integer literal exceeds %d", line, int64(math.MaxInt64))
+			}
+			v = v*10 + d
 			l.pos++
 		}
 		// Reject forms like "12ab".

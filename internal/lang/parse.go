@@ -179,6 +179,7 @@ func (p *parser) parseType() (Type, error) {
 }
 
 func (p *parser) parseGlobal() (*VarDecl, error) {
+	line := p.tok.line
 	if err := p.advance(); err != nil { // consume "global"
 		return nil, err
 	}
@@ -190,7 +191,7 @@ func (p *parser) parseGlobal() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDecl{Name: name, Type: t}
+	d := &VarDecl{Name: name, Type: t, Line: line}
 	if p.atPunct("[") {
 		if t != TypeInt {
 			return nil, p.errorf("array global %s must have element type int", name)

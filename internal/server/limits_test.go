@@ -83,3 +83,36 @@ func TestBatchBodyTooLarge(t *testing.T) {
 	req = httptest.NewRequest("POST", "/v1/batch", &junkLines{n: limit + 1})
 	checkTooLarge(t, serve(t, req), limit)
 }
+
+// TestOversizedArrayRejectedAtAdmission: a program declaring more array
+// elements than the language allows is a typed 400 bad_program, with
+// the declaration's line, on both admission endpoints — it never
+// reaches a worker's Machine.Reset. That holds too when a size literal
+// past int64 would wrap negative and lower the running total.
+func TestOversizedArrayRejectedAtAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, prog := range []struct {
+		src   string
+		phase string
+	}{
+		{"program p;\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "check"},
+		{"program p;\nglobal int z[18445744073709551616];\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "parse"},
+	} {
+		for _, tc := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/analyze", AnalyzeRequest{Source: prog.src}},
+			{"/v1/jobs", JobRequest{Source: prog.src}},
+		} {
+			resp := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("%s: status %d, want 400", tc.path, resp.StatusCode)
+			}
+			if ep := decodeError(t, resp); ep.Code != CodeBadProgram || ep.Phase != prog.phase || ep.Line != 2 {
+				t.Fatalf("%s: payload %+v, want bad_program in phase %s at line 2", tc.path, ep, prog.phase)
+			}
+		}
+	}
+}

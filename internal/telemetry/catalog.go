@@ -10,7 +10,7 @@ import "strconv"
 //
 // Naming follows Prometheus conventions: a heisen_<layer>_ prefix,
 // _total suffixes on counters, constant labels for enumerable
-// dimensions (engine, outcome, crash kind).
+// dimensions (worker, outcome, crash kind).
 
 // trialStepBounds bucket per-trial executed-step counts: trials range
 // from a few steps (an early crash) to the per-run bound, so the
@@ -53,13 +53,10 @@ func ChessWorkerSteps(i int) *Counter { return chessWorkerSteps[uint(i)%cellShar
 
 // Interpreter (internal/interp) instruments. Counted at trial
 // completion by the search layer — the interpreter's own dispatch
-// loop stays untouched — so steps are attributed to the engine that
-// ran them and crashes to their fault class.
+// loop stays untouched — with crashes attributed to their fault class.
 var (
-	InterpStepsBytecode = Default().Counter("heisen_interp_steps_total",
-		"Interpreter steps by execution engine.", Label{Key: "engine", Value: "bytecode"})
-	InterpStepsTree = Default().Counter("heisen_interp_steps_total",
-		"Interpreter steps by execution engine.", Label{Key: "engine", Value: "tree"})
+	InterpSteps = Default().Counter("heisen_interp_steps_total",
+		"Interpreter steps executed.")
 
 	InterpCrashLock = Default().Counter("heisen_interp_crashes_total",
 		"Machine crashes by fault kind.", Label{Key: "kind", Value: "lock"})

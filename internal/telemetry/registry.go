@@ -38,7 +38,7 @@ type desc struct {
 }
 
 // series renders the instrument's sample name with its label set,
-// e.g. `heisen_interp_steps_total{engine="bytecode"}`.
+// e.g. `heisen_interp_crashes_total{kind="assert"}`.
 func (d *desc) series() string { return d.name + renderLabels(d.labels, nil) }
 
 // renderLabels formats a label set ({k="v",...}), appending extra

@@ -34,25 +34,25 @@ type Session struct {
 }
 
 // Option configures a Session at construction time.
-type Option func(*Config)
+type Option func(*core.Config)
 
 // WithWorkers sets the schedule-search worker-pool width (0 =
 // GOMAXPROCS). The search result is bit-identical for any value.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *core.Config) { c.Workers = n } }
 
 // WithHeuristic selects the CSV-access prioritization strategy
 // (Temporal by default, or Dependence).
-func WithHeuristic(h Heuristic) Option { return func(c *Config) { c.Heuristic = h } }
+func WithHeuristic(h Heuristic) Option { return func(c *core.Config) { c.Heuristic = h } }
 
 // WithAlignment selects the aligned-point method (AlignByIndex by
 // default, or the AlignByInstructionCount baseline).
-func WithAlignment(m AlignmentMethod) Option { return func(c *Config) { c.Alignment = m } }
+func WithAlignment(m AlignmentMethod) Option { return func(c *core.Config) { c.Alignment = m } }
 
 // WithObserver attaches an Observer that receives stage transitions
 // and schedule-search heartbeats; see Observer for the delivery
 // contract. Cancelling the run's context from inside a callback is the
 // supported way to implement deterministic cutoffs.
-func WithObserver(o Observer) Option { return func(c *Config) { c.Observer = o } }
+func WithObserver(o Observer) Option { return func(c *core.Config) { c.Observer = o } }
 
 // WithTrace attaches a telemetry Tracer that records pipeline stage
 // spans and sampled per-trial instants, exportable afterwards as
@@ -60,7 +60,7 @@ func WithObserver(o Observer) Option { return func(c *Config) { c.Observer = o }
 // chrome://tracing or Perfetto). Tracing is observational: Found,
 // Schedule and Tries are bit-identical with or without it. A nil
 // tracer is a no-op.
-func WithTrace(t *Tracer) Option { return func(c *Config) { c.Trace = t } }
+func WithTrace(t *Tracer) Option { return func(c *core.Config) { c.Trace = t } }
 
 // WithFlightRecorder attaches a telemetry FlightRecorder: a bounded
 // ring of recent trial summaries and scheduler fold decisions.
@@ -68,49 +68,44 @@ func WithTrace(t *Tracer) Option { return func(c *Config) { c.Trace = t } }
 // the search was doing — the batch server attaches it to error
 // payloads. Recording is observational (results are bit-identical)
 // and a nil recorder is a no-op.
-func WithFlightRecorder(f *FlightRecorder) Option { return func(c *Config) { c.Flight = f } }
+func WithFlightRecorder(f *FlightRecorder) Option { return func(c *core.Config) { c.Flight = f } }
 
 // WithTrialBudget cuts the schedule search off after n test runs (0 =
 // unlimited) — the analogue of the paper's 18-hour cutoff. The budget
 // is applied to the deterministic sequential order, so the cut-off
 // result does not depend on WithWorkers.
-func WithTrialBudget(n int) Option { return func(c *Config) { c.MaxTries = n } }
+func WithTrialBudget(n int) Option { return func(c *core.Config) { c.MaxTries = n } }
 
 // WithBound sets the preemption bound k (default 2). The search's
 // worklist covers every combination of up to k preemption candidates,
 // Σ C(n,s) for s ≤ k over the n candidates, and an ordered worklist
 // (the default weighted search, or static focus) holds one key per
 // combination: memory grows as n^k. heisend accepts 0 to 3.
-func WithBound(k int) Option { return func(c *Config) { c.Bound = k } }
+func WithBound(k int) Option { return func(c *core.Config) { c.Bound = k } }
 
 // WithPlainChess disables the CSV weighting and guided thread
 // selection, yielding the original undirected CHESS baseline.
-func WithPlainChess(on bool) Option { return func(c *Config) { c.PlainChess = on } }
+func WithPlainChess(on bool) Option { return func(c *core.Config) { c.PlainChess = on } }
 
 // WithTraceWindow bounds the retained passing-run trace (0 =
 // unlimited), mirroring the paper's 20M-instruction window.
-func WithTraceWindow(n int) Option { return func(c *Config) { c.TraceWindow = n } }
+func WithTraceWindow(n int) Option { return func(c *core.Config) { c.TraceWindow = n } }
 
 // WithStepLimit bounds each execution (0 = a generous default).
-func WithStepLimit(n int64) Option { return func(c *Config) { c.StepLimit = n } }
+func WithStepLimit(n int64) Option { return func(c *core.Config) { c.StepLimit = n } }
 
 // WithStressBudget bounds the failure-provocation phase's stress
 // attempts (0 = the default of 20000).
-func WithStressBudget(n int) Option { return func(c *Config) { c.MaxStressAttempts = n } }
-
-// WithEngine selects the interpreter engine every execution of the
-// session runs on: EngineAuto (the default) dispatches compiled
-// bytecode, EngineTree forces the slot-addressed tree walker. Results
-// are bit-identical across engines; only wall time differs.
-func WithEngine(e Engine) Option { return func(c *Config) { c.Engine = e } }
+func WithStressBudget(n int) Option { return func(c *core.Config) { c.MaxStressAttempts = n } }
 
 // WithStaticFocus feeds the static lockset analyzer's race-candidate
 // focus set (see Analyze) to the schedule search: preemption
 // combinations whose blocks touch statically flagged variables are
 // explored first. This changes Tries by design — that is the payoff —
-// while remaining bit-identical across Workers for a fixed program. Off (the default), the exploration order is exactly the
-// unguided one.
-func WithStaticFocus(on bool) Option { return func(c *Config) { c.StaticFocus = on } }
+// while remaining bit-identical across Workers for a fixed program.
+// Off (the default), the exploration order is exactly the unguided
+// one.
+func WithStaticFocus(on bool) Option { return func(c *core.Config) { c.StaticFocus = on } }
 
 // New compiles a subject program through the process-wide shared
 // program cache and builds a Session over it: the same source
@@ -136,21 +131,17 @@ func New(source string, input *Input, opts ...Option) (*Session, error) {
 
 // NewCompiled builds a Session for a compiled program and its
 // failure-inducing input, running the static analyses once. Options
-// default to the zero Config (temporal heuristic, execution-index
-// alignment, bound 2, GOMAXPROCS search workers, no trial budget).
+// default to the temporal heuristic, execution-index alignment,
+// bound 2, GOMAXPROCS search workers and no trial budget.
 // The compiled program is never mutated, so any number of
 // concurrent Sessions may share one *Program.
 func NewCompiled(prog *Program, input *Input, opts ...Option) *Session {
-	var cfg Config
+	var cfg core.Config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return &Session{pipe: core.NewPipeline(prog, input, cfg)}
 }
-
-// Config returns the session's effective configuration, defaults
-// applied.
-func (s *Session) Config() Config { return s.pipe.Cfg }
 
 // Reproduce executes the full pipeline under ctx — provoke the
 // failure, analyze its core dump, search for a failure-inducing
@@ -167,8 +158,7 @@ func (s *Session) Config() Config { return s.pipe.Cfg }
 // ErrNoFailure. All three are distinguishable with errors.Is.
 //
 // With an uncancelled context the Report's Found, Schedule and Tries
-// are bit-identical to the deprecated Pipeline.Run for any
-// WithWorkers setting.
+// are bit-identical for any WithWorkers setting.
 func (s *Session) Reproduce(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

