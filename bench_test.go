@@ -339,25 +339,6 @@ func BenchmarkSearchParallel(b *testing.B) {
 	})
 }
 
-// driveToCompletion steps m to completion under a minimal
-// lowest-runnable policy, bypassing the scheduler/Result plumbing so
-// the measurement isolates the interpreter's own per-step cost.
-func driveToCompletion(m *interp.Machine) int64 {
-	var steps int64
-	for !m.Crashed() && !m.Done() {
-		r := m.Runnable()
-		if len(r) == 0 {
-			break
-		}
-		ok, err := m.Step(r[0])
-		if err != nil || !ok {
-			break
-		}
-		steps++
-	}
-	return steps
-}
-
 // BenchmarkStepAllocs measures steady-state interpreter allocations:
 // one machine re-executes a Table 2 workload via Machine.Reset, the
 // regime of the schedule search's trial hot path. After the first run
@@ -371,7 +352,8 @@ func BenchmarkStepAllocs(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := interp.New(cp, w.Input.Clone())
-	driveToCompletion(m) // warm the free lists
+	coop := sched.NewCooperative()
+	sched.Run(m, coop) // warm the free lists
 	var steps int64
 	b.ReportAllocs()
 	var ms0, ms1 runtime.MemStats
@@ -379,7 +361,8 @@ func BenchmarkStepAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset(m.Prog, m.SeedInput())
-		steps += driveToCompletion(m)
+		*coop = sched.Cooperative{}
+		steps += sched.Run(m, coop).Steps
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)

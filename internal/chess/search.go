@@ -340,14 +340,15 @@ func (st *searchState) cancelled() bool {
 // such gap after the pool joins, so the guard never affects the
 // result.
 func (st *searchState) worker(w int) {
-	// Each worker owns one machine for its whole claim stream: runTrial
-	// rewinds it with Machine.Reset, so the millions of re-executions
-	// recycle frames, threads and heap objects instead of rebuilding
-	// them per trial. Built lazily so a worker that never claims a
-	// rank costs nothing. w identifies the worker to the telemetry
-	// layer (its counter shard and event attribution); it never
-	// influences the search.
+	// Each worker owns one machine and one trial chooser for its whole
+	// claim stream: runTrial rewinds the machine with Machine.Reset, so
+	// the millions of re-executions recycle frames, threads and heap
+	// objects instead of rebuilding them per trial. Built lazily so a
+	// worker that never claims a rank costs nothing. w identifies the
+	// worker to the telemetry layer (its counter shard and event
+	// attribution); it never influences the search.
 	var m *interp.Machine
+	var c trialChooser
 	for {
 		if st.cancelled() {
 			return
@@ -383,7 +384,7 @@ func (st *searchState) worker(w int) {
 		if m == nil {
 			m = st.s.NewMachine()
 		}
-		out := st.exploreCombo(r, cap, m, w)
+		out := st.exploreCombo(r, cap, m, &c, w)
 		if out.foundAt >= 0 {
 			for {
 				cur := st.bestRank.Load()
@@ -407,6 +408,7 @@ func (st *searchState) worker(w int) {
 // after the caller asked us to stop.
 func (st *searchState) finish() {
 	var m *interp.Machine
+	var c trialChooser
 	for {
 		st.mu.Lock()
 		if st.cancelled() || st.decided.Load() || st.committed >= st.wl.size {
@@ -425,7 +427,7 @@ func (st *searchState) finish() {
 		if m == nil {
 			m = st.s.NewMachine()
 		}
-		out := st.exploreCombo(r, rem, m, -1)
+		out := st.exploreCombo(r, rem, m, &c, -1)
 		if out.foundAt >= 0 {
 			st.bestRank.Store(int64(r))
 		}
@@ -520,7 +522,7 @@ func (st *searchState) progressLocked() {
 // consumes it — or when the context is cancelled, which also stops the
 // fold before it could reach this rank. Aborted outcomes are marked so
 // the fold can never mistake them for completed explorations.
-func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, w int) *comboOutcome {
+func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, c *trialChooser, w int) *comboOutcome {
 	combo := st.wl.at(r)
 	out := &comboOutcome{rank: r, foundAt: -1}
 	k := len(combo)
@@ -537,7 +539,7 @@ func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, w int) *combo
 		if cap > 0 && out.trials >= cap {
 			return out
 		}
-		tr := st.s.runTrial(m, combo, vec, st.maxRun)
+		tr := st.s.runTrial(m, c, combo, vec, st.maxRun)
 		st.tries.Add(1)
 		st.steps.Add(tr.steps)
 		st.observeTrial(r, out.trials, w, &tr, m)

@@ -3,6 +3,7 @@ package chess
 import (
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
+	"heisendump/internal/sched"
 )
 
 // trialResult is the outcome of one test run of one combination under
@@ -31,179 +32,226 @@ type comboOutcome struct {
 
 // runTrial is the pure trial executor: it rewinds the caller's machine
 // to the initial state (Machine.Reset — same program, same seed input,
-// recycled storage) and executes one test run — a cooperative
-// deterministic schedule with the combination's preemptions injected,
-// switching at each fired preemption to the thread selected by the
-// choice vector. It mutates nothing on the Searcher, so any number of
-// trials may run concurrently as long as each worker owns its machine.
-func (s *Searcher) runTrial(m *interp.Machine, combo []int, vec []int, maxRun int64) trialResult {
+// recycled storage) and executes one test run on the sched.Runner loop
+// with c as the scheduler: a cooperative deterministic schedule with
+// the combination's preemptions injected, switching at each fired
+// preemption to the thread selected by the choice vector. It mutates
+// nothing on the Searcher, so any number of trials may run
+// concurrently as long as each worker owns its machine and chooser.
+// The result's choiceCounts is the chooser's buffer, valid until the
+// chooser's next trial; applied is the trial's own.
+func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec []int, maxRun int64) trialResult {
 	m.Reset(m.Prog, m.SeedInput())
 	m.Hooks = nil
-	out := trialResult{choiceCounts: make([]int, len(combo))}
+	c.start(s, combo, vec)
+	if maxRun <= 0 {
+		maxRun = -1 // a non-positive bound runs nothing
+	}
+	sched.Runner{MaxSteps: maxRun}.Run(m, c)
+	// The run can stop right after a sync instruction (the budget, or
+	// the instruction faulted) without asking c again; its bookkeeping
+	// still counts toward the choice counts and applied preemptions.
+	c.settle(m)
+	return trialResult{
+		found:        m.Crashed() && s.Target.Matches(m.Crash),
+		steps:        m.TotalSteps,
+		choiceCounts: c.counts,
+		applied:      c.applied,
+	}
+}
 
-	fired := make([]bool, len(combo))
+// trialChooser is the schedule search's scheduler for one test run. As
+// a sched.Chooser it is asked only at switch points, and there it does
+// the trial's preemption bookkeeping: before a thread's first step it
+// matches ThreadStart candidates, before a free acquire BeforeAcquire
+// candidates, and after a release AfterRelease candidates; a matched
+// candidate consults the choice vector and switches threads. Between
+// switch points the Runner runs the current thread in bursts, which
+// complete no sync operation, so the bookkeeping is untouched by them.
+// A worker reuses one chooser for all its trials.
+type trialChooser struct {
+	s     *Searcher
+	combo []int
+	vec   []int
+
+	// counts and applied are the trial's choice counts and applied
+	// preemptions (see trialResult).
+	counts  []int
+	applied []AppliedPreemption
+
+	fired []bool
 	// completed counts sync ops completed per thread id; thread ids are
-	// dense creation-order so a slice (grown on demand as spawns land)
-	// replaces the per-step map the trial loop used to pay for.
-	completed := make([]int, 1, 8)
-	completedOf := func(tid int) int {
-		if tid < len(completed) {
-			return completed[tid]
-		}
-		return 0
-	}
-	cur := 0 // current thread id
+	// dense creation-order, so a slice grown on demand as spawns land
+	// replaces a per-step map.
+	completed []int
+	choices   []int
+	cur       int // current thread id
 
-	pickLowest := func() int {
-		r := m.Runnable()
-		if len(r) == 0 {
-			return -1
-		}
-		return r[0]
-	}
+	// sync marks that the last choice runs a free acquire or a release
+	// (a one-step burst) whose completion settle must count; release
+	// says which, and at is the machine's step count before it ran.
+	sync    bool
+	release bool
+	at      int64
+}
 
-	// eligibleChoices lists the threads that may be scheduled at a
-	// fired preemption, per the guided or exhaustive policy.
-	eligibleChoices := func(c *Candidate) []int {
-		var choices []int
-		blockVars := c.AccessVars()
-		for _, t := range m.Threads {
-			if t.ID == c.Thread {
-				continue
-			}
-			if t.Status == interp.Done {
-				continue
-			}
-			if t.Status == interp.Blocked && m.Locks[t.WaitLock] != -1 {
-				// Still blocked; switching to it cannot run it.
-				continue
-			}
-			if s.Opts.Guided {
-				// Algorithm 2 preempt(): switch to T only when T's
-				// future CSV set overlaps the preempted block's
-				// accesses.
-				overlap := false
-				for v := range s.futureCSVsOf(t.ID, completedOf(t.ID)) {
-					if blockVars[v] {
-						overlap = true
-						break
-					}
-				}
-				if !overlap {
-					continue
-				}
-			}
-			choices = append(choices, t.ID)
-		}
-		return choices
+// start prepares c for one trial of combo under vec.
+func (c *trialChooser) start(s *Searcher, combo, vec []int) {
+	c.s, c.combo, c.vec = s, combo, vec
+	if cap(c.fired) < len(combo) {
+		c.fired = make([]bool, len(combo))
+		c.counts = make([]int, len(combo))
 	}
+	c.fired = c.fired[:len(combo)]
+	clear(c.fired)
+	c.counts = c.counts[:len(combo)]
+	clear(c.counts)
+	c.applied = nil
+	c.completed = append(c.completed[:0], 0)
+	c.cur = 0
+	c.sync = false
+}
 
-	// firePreemption handles a matched candidate: consult the choice
-	// vector and switch threads. Returns true when a switch happened.
-	firePreemption := func(ci int) bool {
-		c := &s.Candidates[combo[ci]]
-		choices := eligibleChoices(c)
-		out.choiceCounts[ci] = len(choices)
-		if len(choices) == 0 {
-			return false
-		}
-		pick := vec[ci]
-		if pick >= len(choices) {
-			pick = len(choices) - 1
-		}
-		fired[ci] = true
-		out.applied = append(out.applied, AppliedPreemption{Candidate: *c, SwitchTo: choices[pick]})
-		cur = choices[pick]
-		return true
-	}
+// SwitchPointsOnly implements sched.Chooser.
+func (c *trialChooser) SwitchPointsOnly() {}
 
-	matchCandidate := func(tid int, kind PointKind, seq int) int {
-		for i, cidx := range combo {
-			if fired[i] {
-				continue
-			}
-			c := &s.Candidates[cidx]
-			if c.Thread == tid && c.Kind == kind && c.Seq == seq {
-				return i
-			}
-		}
-		return -1
-	}
-
-	for !m.Crashed() && !m.Done() && m.TotalSteps < maxRun {
-		t := m.Threads[cur]
+// Next implements sched.Scheduler: it settles the sync operation the
+// previous choice ran, then picks the thread to run from here — the
+// current one unless it blocked or finished (then the lowest runnable
+// thread) or a matched preemption switched away from it.
+func (c *trialChooser) Next(m *interp.Machine) int {
+	c.settle(m)
+	for {
+		t := m.Threads[c.cur]
 		if t.Status == interp.Done || (t.Status == interp.Blocked && m.Locks[t.WaitLock] != -1) {
-			next := pickLowest()
-			if next < 0 {
-				break // deadlock
+			r := m.Runnable()
+			if len(r) == 0 {
+				return -1 // deadlock
 			}
-			cur = next
+			c.cur = r[0]
 			continue
 		}
 
 		// Preemption points that fire before the next instruction. The
-		// instruction is fetched once; the point checks mutate nothing,
-		// so it stays current across them.
-		wasAcquire, wasRelease := false, false
-		if fr := t.Top(); fr != nil {
-			in := &m.Prog.Funcs[fr.FuncIdx].Instrs[fr.PC]
-			wasAcquire = in.Op == ir.OpAcquire && m.Locks[in.Lock] == -1
-			wasRelease = in.Op == ir.OpRelease
-			if t.Steps == 0 {
-				if ci := matchCandidate(cur, ThreadStart, 0); ci >= 0 {
-					if firePreemption(ci) {
-						continue
-					}
-				}
-			}
-			if wasAcquire {
-				if ci := matchCandidate(cur, BeforeAcquire, completedOf(cur)); ci >= 0 {
-					if firePreemption(ci) {
-						continue
-					}
-				}
+		// point checks mutate nothing, so the instruction stays current
+		// across them.
+		fr := t.Top()
+		in := &m.Prog.Funcs[fr.FuncIdx].Instrs[fr.PC]
+		acquire := in.Op == ir.OpAcquire && m.Locks[in.Lock] == -1
+		release := in.Op == ir.OpRelease
+		if t.Steps == 0 {
+			if ci := c.match(c.cur, ThreadStart, 0); ci >= 0 && c.fire(m, ci) {
+				continue
 			}
 		}
+		if acquire {
+			if ci := c.match(c.cur, BeforeAcquire, c.completedOf(c.cur)); ci >= 0 && c.fire(m, ci) {
+				continue
+			}
+		}
+		c.sync, c.release, c.at = acquire || release, release, m.TotalSteps
+		return c.cur
+	}
+}
 
-		// Sync instructions step singly — their completion feeds the
-		// preemption-point bookkeeping right after. Everything else runs
-		// as a burst: the machine executes straight-line work up to the
-		// next sync boundary (or block/finish/fault/budget) without
-		// returning control, which removes this loop's per-step
-		// re-inspection from the trial hot path. A burst completes no
-		// sync ops by construction, so the bookkeeping below is
-		// untouched by it.
-		var ok bool
-		var err error
-		if wasAcquire || wasRelease {
-			ok, err = m.Step(cur)
-		} else {
-			ok, err = m.RunBurst(cur, maxRun)
-		}
-		if err != nil || !ok {
-			if t.Status == interp.Blocked {
-				continue // re-dispatch
-			}
-			break
-		}
-		if wasAcquire || wasRelease {
-			for len(completed) <= cur {
-				completed = append(completed, 0)
-			}
-			completed[cur]++
-		}
-		if wasRelease {
-			if ci := matchCandidate(cur, AfterRelease, completed[cur]); ci >= 0 {
-				if firePreemption(ci) {
-					continue
-				}
-			}
+// settle completes the bookkeeping of the sync operation the last
+// choice ran, if it ran: the thread's completed-op count, then the
+// AfterRelease point.
+func (c *trialChooser) settle(m *interp.Machine) {
+	if !c.sync {
+		return
+	}
+	c.sync = false
+	if m.TotalSteps == c.at {
+		return // the step never executed (the machine's step limit)
+	}
+	for len(c.completed) <= c.cur {
+		c.completed = append(c.completed, 0)
+	}
+	c.completed[c.cur]++
+	if c.release {
+		if ci := c.match(c.cur, AfterRelease, c.completed[c.cur]); ci >= 0 {
+			c.fire(m, ci)
 		}
 	}
+}
 
-	out.steps = m.TotalSteps
-	out.found = m.Crashed() && s.Target.Matches(m.Crash)
-	return out
+func (c *trialChooser) completedOf(tid int) int {
+	if tid < len(c.completed) {
+		return c.completed[tid]
+	}
+	return 0
+}
+
+// match returns the index within the combination of the unfired
+// candidate at (tid, kind, seq), or -1.
+func (c *trialChooser) match(tid int, kind PointKind, seq int) int {
+	for i, cidx := range c.combo {
+		if c.fired[i] {
+			continue
+		}
+		cand := &c.s.Candidates[cidx]
+		if cand.Thread == tid && cand.Kind == kind && cand.Seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// fire handles a matched candidate: consult the choice vector and
+// switch threads. Returns true when a switch happened.
+func (c *trialChooser) fire(m *interp.Machine, ci int) bool {
+	cand := &c.s.Candidates[c.combo[ci]]
+	choices := c.eligible(m, cand)
+	c.counts[ci] = len(choices)
+	if len(choices) == 0 {
+		return false
+	}
+	pick := c.vec[ci]
+	if pick >= len(choices) {
+		pick = len(choices) - 1
+	}
+	c.fired[ci] = true
+	c.applied = append(c.applied, AppliedPreemption{Candidate: *cand, SwitchTo: choices[pick]})
+	c.cur = choices[pick]
+	return true
+}
+
+// eligible lists the threads that may be scheduled at a fired
+// preemption of cand, per the guided or exhaustive policy. The slice
+// is reused by the next call.
+func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
+	choices := c.choices[:0]
+	for _, t := range m.Threads {
+		if t.ID == cand.Thread {
+			continue
+		}
+		if t.Status == interp.Done {
+			continue
+		}
+		if t.Status == interp.Blocked && m.Locks[t.WaitLock] != -1 {
+			// Still blocked; switching to it cannot run it.
+			continue
+		}
+		if c.s.Opts.Guided {
+			// Algorithm 2 preempt(): switch to T only when T's future
+			// CSV set overlaps the preempted block's accesses.
+			future := c.s.futureCSVsOf(t.ID, c.completedOf(t.ID))
+			overlap := false
+			for _, a := range cand.Accesses {
+				if future[a.Var] {
+					overlap = true
+					break
+				}
+			}
+			if !overlap {
+				continue
+			}
+		}
+		choices = append(choices, t.ID)
+	}
+	c.choices = choices
+	return choices
 }
 
 // futureCSVsOf approximates thread tid's future CSV set at its current

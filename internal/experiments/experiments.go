@@ -23,6 +23,7 @@ import (
 	"heisendump/internal/instrument"
 	"heisendump/internal/ir"
 	"heisendump/internal/pool"
+	"heisendump/internal/sched"
 	"heisendump/internal/slicing"
 	"heisendump/internal/telemetry"
 	"heisendump/internal/workloads"
@@ -161,11 +162,10 @@ func Table2(ctx context.Context) ([]Table2Row, error) {
 			return err
 		}
 		p := core.NewPipeline(prog, w.Input, core.Config{})
-		m := p.NewMachine()
-		steps := runToCompletion(m)
 		rows[i] = Table2Row{
 			Name: w.Name, BugID: w.BugID, Kind: w.Kind,
-			Steps: steps, Threads: w.Threads, Description: w.Description,
+			Steps:   sched.Run(p.NewMachine(), sched.NewCooperative()).Steps,
+			Threads: w.Threads, Description: w.Description,
 		}
 		return nil
 	})
@@ -173,27 +173,6 @@ func Table2(ctx context.Context) ([]Table2Row, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-func runToCompletion(m interface {
-	Runnable() []int
-	Step(int) (bool, error)
-	Crashed() bool
-	Done() bool
-}) int64 {
-	var steps int64
-	for !m.Crashed() && !m.Done() {
-		r := m.Runnable()
-		if len(r) == 0 {
-			break
-		}
-		ok, err := m.Step(r[0])
-		if !ok || err != nil {
-			break
-		}
-		steps++
-	}
-	return steps
 }
 
 // PrintTable2 renders Table 2.

@@ -18,13 +18,11 @@ import (
 )
 
 // InterpRow reports the interpreter's per-step cost on one workload,
-// in the re-execution regime of the schedule search:
-// a single machine rewound with Machine.Reset between deterministic
-// runs and driven in sync-boundary bursts (Machine.RunBurst under a
-// lowest-runnable policy — exactly how chess trials execute, bypassing
-// the scheduler plumbing so the measurement isolates the interpreter's
-// own per-step cost), plus one full plain-CHESS schedule search as the
-// end-to-end latency probe.
+// in the re-execution regime of the schedule search: a single machine
+// rewound with Machine.Reset between deterministic runs, each run on
+// the sched.Runner loop under the cooperative scheduler — sync-boundary
+// bursts, exactly how chess trials execute — plus one full plain-CHESS
+// schedule search as the end-to-end latency probe.
 //
 // Gated fields (see cmd/benchgate): AllocsPerStep as an exact-ish
 // ceiling (budget 0 plus noise tolerance), NsPerStep and SearchNs as
@@ -112,7 +110,8 @@ func InterpTable() ([]InterpRow, error) {
 		chess.Annotate(cands, nil)
 
 		m := interp.New(cp, w.Input.Clone())
-		steps := runToCompletion(m) // warm-up run, excluded
+		coop := sched.NewCooperative()
+		steps := sched.Run(m, coop).Steps // warm-up run, excluded
 		if steps == 0 {
 			return nil, fmt.Errorf("experiments: interp %s: empty run", name)
 		}
@@ -125,7 +124,8 @@ func InterpTable() ([]InterpRow, error) {
 			start := time.Now()
 			for r := 0; r < interpReps/interpBlocks; r++ {
 				m.Reset(m.Prog, m.SeedInput())
-				blockSteps += burstToCompletion(m)
+				*coop = sched.Cooperative{}
+				blockSteps += sched.Run(m, coop).Steps
 			}
 			perStep := float64(time.Since(start).Nanoseconds()) / float64(blockSteps)
 			if bestBlock == 0 || perStep < bestBlock {
@@ -153,25 +153,6 @@ func InterpTable() ([]InterpRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// burstToCompletion drives m to completion the way a chess trial does:
-// sync-boundary bursts on the lowest runnable thread. This is the
-// regime NsPerStep is defined over — per-Step calls would re-enter the
-// dispatch loop once per ir instruction and hide the burst win.
-func burstToCompletion(m *interp.Machine) int64 {
-	start := m.TotalSteps
-	for !m.Crashed() && !m.Done() {
-		r := m.Runnable()
-		if len(r) == 0 {
-			break
-		}
-		ok, err := m.RunBurst(r[0], 0)
-		if err != nil || !ok {
-			break
-		}
-	}
-	return m.TotalSteps - start
 }
 
 // telemetryOverheadPair times the cold and telemetry-on probe

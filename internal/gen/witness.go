@@ -48,12 +48,14 @@ func FindWitness(ctx context.Context, p *Program, prog *ir.Program, maxSeeds int
 	}
 	m := interp.New(prog, p.Input)
 	m.MaxSteps = witnessStepLimit
+	var rnd sched.Random
 	for seed := int64(0); seed < int64(maxSeeds); seed++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("gen: %s: witness search cancelled at seed %d: %w", p.Name, seed, err)
 		}
 		m.Reset(prog, p.Input)
-		res := sched.Runner{Ctx: ctx}.Run(m, sched.NewRandom(seed))
+		rnd.Seed(seed)
+		res := sched.Runner{Ctx: ctx, Record: true}.Run(m, &rnd)
 		switch res.Outcome() {
 		case sched.OutcomeCancelled:
 			return nil, fmt.Errorf("gen: %s: witness search cancelled at seed %d: %w", p.Name, seed, ctx.Err())
@@ -64,7 +66,7 @@ func FindWitness(ctx context.Context, p *Program, prog *ir.Program, maxSeeds int
 			}
 			w := &Witness{
 				Seed:     seed,
-				Schedule: append([]int(nil), res.Schedule...),
+				Schedule: res.Schedule,
 				Steps:    res.Steps,
 				Crash:    res.Crash,
 			}

@@ -67,15 +67,17 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 
 // RunBurst executes consecutive instructions of thread tid until a
 // scheduling-relevant boundary: the thread's next instruction is an
-// acquire or release (the schedule search's preemption points — the
-// burst stops before it), the thread blocks, finishes or faults, a
-// step errors, or the machine's TotalSteps reaches limit (0 = no
-// limit; MaxSteps still applies). At least one instruction is
+// acquire or release (the burst stops before it), the thread blocks,
+// finishes or faults, a step errors, or the machine's TotalSteps
+// reaches limit (0 = no limit; MaxSteps still applies). A burst that
+// starts on an acquire or release executes that one instruction and
+// stops, so every sync operation is a burst of its own and the caller
+// sees the machine right after it. At least one instruction is
 // attempted. The return contract is Step's, covering the last step
 // taken; per-step accounting and hook events are identical to calling
 // Step in a loop — RunBurst only removes the caller's per-step
-// re-inspection of the machine, which is what makes the trial hot
-// path fast between sync points.
+// re-inspection of the machine, which is what makes the run loop fast
+// between sync points.
 //
 // The boundary test reads one opcode: an acquire or release
 // instruction lowers to a single BEndAcquire/BEndRelease op, so the
@@ -96,6 +98,11 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 		return false, nil
 	}
 	bc := m.Prog.BC
+	fr := t.Frames[len(t.Frames)-1]
+	bf := bc.Funcs[fr.FuncIdx]
+	if op := bf.Code[bf.Entry[fr.PC]].Op; op == ir.BEndAcquire || op == ir.BEndRelease {
+		return m.execBC(t)
+	}
 	for {
 		ok, err := m.execBC(t)
 		if !ok || err != nil {
@@ -110,8 +117,8 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 		if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
 			return true, nil
 		}
-		fr := t.Frames[len(t.Frames)-1]
-		bf := bc.Funcs[fr.FuncIdx]
+		fr = t.Frames[len(t.Frames)-1]
+		bf = bc.Funcs[fr.FuncIdx]
 		op := bf.Code[bf.Entry[fr.PC]].Op
 		if op == ir.BEndAcquire || op == ir.BEndRelease {
 			return true, nil
@@ -597,6 +604,8 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			}
 			if len(t.Frames) == 0 {
 				t.Status = Done
+				m.live--
+				m.runnableOK = false
 				return true, nil
 			}
 			if bind == 0 {
@@ -614,6 +623,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			sp = 1
 
 		case ir.BEndAcquire:
+			m.runnableOK = false
 			holder := m.Locks[c.A]
 			switch holder {
 			case -1:
@@ -641,6 +651,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 				return true, nil
 			}
 			m.Locks[c.A] = -1
+			m.runnableOK = false
 			fr.PC++
 			if lh, ok := m.Hooks.(LockHooks); ok {
 				lh.OnRelease(t, m.Prog.Locks[c.A])

@@ -145,7 +145,7 @@ func crashUnder(t *testing.T, src string) (got, ref crashRun, cp *ir.Program) {
 	t.Helper()
 	cp = mustCompile(t, src)
 	m := interp.New(cp, nil)
-	res := sched.Run(m, sched.NewCooperative())
+	res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
 	if !res.Crashed {
 		t.Fatalf("run did not crash (outcome %v)", res.Outcome())
 	}

@@ -152,14 +152,14 @@ func TestResetMatchesFresh(t *testing.T) {
 	in := fig1Input()
 
 	fresh := interp.New(cp, in)
-	fres := sched.Run(fresh, sched.NewCooperative())
+	fres := sched.Runner{Record: true}.Run(fresh, sched.NewCooperative())
 
 	reused := interp.New(cp, in)
 	for i := 0; i < 3; i++ {
 		sched.Run(reused, sched.NewRandom(int64(i)))
 		reused.Reset(cp, in)
 	}
-	rres := sched.Run(reused, sched.NewCooperative())
+	rres := sched.Runner{Record: true}.Run(reused, sched.NewCooperative())
 
 	if fres.Steps != rres.Steps || fres.Crashed != rres.Crashed {
 		t.Fatalf("fresh steps=%d crashed=%v; reused steps=%d crashed=%v",

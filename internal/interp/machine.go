@@ -234,7 +234,17 @@ type Machine struct {
 	freeFrames  []*Frame
 	freeThreads []*Thread
 	freeObjs    []*Object
-	runnableBuf []int
+
+	// live counts the threads that have not finished, so Done is O(1).
+	live int
+	// runnable caches Runnable's answer while runnableOK is set. Only
+	// the events that can change the set clear the flag — an acquire
+	// (the acquirer may block; waiters on that lock stop being
+	// runnable), a release, a thread exit and Reset — and a spawn
+	// appends its thread in place, so a scheduler that asks every step
+	// rescans only after those events.
+	runnable   []int
+	runnableOK bool
 }
 
 // ErrStepLimit is returned by Step when MaxSteps is exceeded.
@@ -348,6 +358,8 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 		m.freeThreads = append(m.freeThreads, t)
 	}
 	m.Threads = m.Threads[:0]
+	m.live = 0
+	m.runnableOK = false
 	m.Output = m.Output[:0]
 	m.Crash = nil
 	m.TotalSteps = 0
@@ -377,6 +389,12 @@ func (m *Machine) spawnThread(fidx int, args []Value) *Thread {
 	t.WaitLock = -1
 	t.Frames = append(t.Frames, m.newFrame(fidx, args, ir.PC{F: -1, I: -1}))
 	m.Threads = append(m.Threads, t)
+	m.live++
+	if m.runnableOK {
+		// The new thread is runnable and has the highest id, so the
+		// sorted cache stays valid with it appended.
+		m.runnable = append(m.runnable, t.ID)
+	}
 	return t
 }
 
@@ -461,19 +479,25 @@ func (m *Machine) LockHolder(name string) int {
 	return -1
 }
 
-// Runnable returns the ids of threads that can currently be stepped.
-// Threads blocked on a lock become runnable again when it frees. The
-// returned slice is reused by the next Runnable call; callers that
-// retain it must copy.
+// Runnable returns the ids of threads that can currently be stepped,
+// in ascending order. Threads blocked on a lock become runnable again
+// when it frees. The set is cached between the events that can change
+// it (see Machine.runnable), so asking every step costs a scan only
+// after a sync operation, a spawn or a thread exit. The returned slice
+// is the machine's own: callers must not modify it, and callers that
+// retain it past the next step must copy.
 func (m *Machine) Runnable() []int {
-	out := m.runnableBuf[:0]
-	for _, t := range m.Threads {
-		if m.threadRunnable(t) {
-			out = append(out, t.ID)
+	if !m.runnableOK {
+		out := m.runnable[:0]
+		for _, t := range m.Threads {
+			if m.threadRunnable(t) {
+				out = append(out, t.ID)
+			}
 		}
+		m.runnable = out
+		m.runnableOK = true
 	}
-	m.runnableBuf = out
-	return out
+	return m.runnable
 }
 
 func (m *Machine) threadRunnable(t *Thread) bool {
@@ -487,14 +511,7 @@ func (m *Machine) threadRunnable(t *Thread) bool {
 }
 
 // Done reports whether every thread has finished.
-func (m *Machine) Done() bool {
-	for _, t := range m.Threads {
-		if t.Status != Done {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) Done() bool { return m.live == 0 }
 
 // Crashed reports whether the run has faulted.
 func (m *Machine) Crashed() bool { return m.Crash != nil }

@@ -95,7 +95,7 @@ func TestFig1PassesUnderCooperativeScheduler(t *testing.T) {
 func TestFig1CooperativeRunIsDeterministic(t *testing.T) {
 	cp := compileFig1(t, true)
 	run := func() *sched.Result {
-		return sched.Run(interp.New(cp, fig1Input()), sched.NewCooperative())
+		return sched.Runner{Record: true}.Run(interp.New(cp, fig1Input()), sched.NewCooperative())
 	}
 	a, b := run(), run()
 	if a.Steps != b.Steps {
@@ -136,8 +136,11 @@ func TestFig1ReplayReproducesCrash(t *testing.T) {
 	if m == nil {
 		t.Skip("race not provoked")
 	}
+	// Stress does not record schedules: re-run the failing seed under
+	// a recording Runner to obtain the interleaving.
+	failing := sched.Runner{Record: true}.Run(interp.New(cp, fig1Input()), sched.NewRandom(stress.Seed))
 	m2 := interp.New(cp, fig1Input())
-	res := sched.Run(m2, sched.NewReplayer(stress.Result.Schedule))
+	res := sched.Run(m2, sched.NewReplayer(failing.Schedule))
 	if !res.Crashed {
 		t.Fatal("replay of the failing schedule did not crash")
 	}

@@ -612,11 +612,12 @@ func schedulesFor(t *testing.T, prog *ir.Program, in *interp.Input, seeds int) [
 	var out [][]int
 	m := interp.New(prog, in)
 	m.MaxSteps = 1_000_000
-	res := sched.Run(m, sched.NewCooperative())
+	rec := sched.Runner{Record: true}
+	res := rec.Run(m, sched.NewCooperative())
 	out = append(out, append([]int(nil), res.Schedule...))
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		m.Reset(prog, in)
-		res := sched.Run(m, sched.NewRandom(seed))
+		res := rec.Run(m, sched.NewRandom(seed))
 		out = append(out, append([]int(nil), res.Schedule...))
 	}
 	return out

@@ -1,16 +1,33 @@
-// Package sched provides the schedulers that drive machine execution:
+// Package sched drives machine execution. It provides the schedulers —
 // a cooperative deterministic single-core scheduler (the paper's
 // re-execution environment), a seeded pseudo-random scheduler
 // simulating multicore interleaving (used to provoke failures during
-// stress testing), and a recording/replay facility. The Runner type is
-// the single execution loop behind every run variant.
+// stress testing) and a schedule replayer — and the Runner, the one
+// loop that every execution in the system runs on: stress attempts,
+// alignment runs, the aligned-point replay, witness replays, the
+// schedule search's trials and the interpreter probes.
+//
+// The Runner asks a scheduler for a thread only where that scheduler
+// may switch. A Chooser (the cooperative scheduler, the search's
+// preemption chooser) can switch only at switch points — at a sync
+// instruction and right after it, and when the running thread blocks,
+// finishes or faults — so the Runner runs its choice in bursts
+// (interp.Machine.RunBurst) in between. Any other Scheduler (Random,
+// Replayer) is asked before every step. Bursts also stop at the
+// Runner's step budget and at its context-poll boundaries, so a
+// budgeted or cancelled run executes exactly the prefix a per-step
+// loop would.
+//
+// The random scheduler carries its own copy of math/rand's default
+// source (rng.go): the same stream as rand.New(rand.NewSource(seed)),
+// seeded without the source's serial seeding chain, and reseeded in
+// place between stress attempts.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"heisendump/internal/interp"
@@ -23,6 +40,21 @@ type Scheduler interface {
 	Next(m *interp.Machine) int
 }
 
+// Chooser is a Scheduler that can switch threads only at switch
+// points: at an acquire or release instruction and right after it,
+// and when the running thread blocks, finishes or faults. Everywhere
+// else its Next would return the thread that just ran. The Runner asks
+// a Chooser only at switch points and runs the chosen thread in a
+// burst up to the next one (interp.Machine.RunBurst): each sync
+// instruction runs as a one-step burst, so a Chooser sees the machine
+// before and after every sync operation.
+type Chooser interface {
+	Scheduler
+	// SwitchPointsOnly marks the scheduler as a Chooser; it is never
+	// called.
+	SwitchPointsOnly()
+}
+
 // Result summarizes a completed run.
 type Result struct {
 	// Crashed is true when the run faulted; Crash carries the details.
@@ -31,9 +63,12 @@ type Result struct {
 	// Deadlocked is true when unfinished threads remained but none was
 	// runnable.
 	Deadlocked bool
-	// Steps is the total instruction count of the run.
+	// Steps is the machine's total instruction count when the run
+	// stopped.
 	Steps int64
-	// Schedule records the thread stepped at each step.
+	// Schedule records the thread stepped at each step of the run when
+	// the Runner's Record switch is set, so the run can be replayed
+	// with a Replayer; it is nil otherwise.
 	Schedule []int
 	// Output is the run's output log.
 	Output []int64
@@ -70,6 +105,10 @@ type Result struct {
 	StepError error
 	// Deadlock carries the wait-for diagnosis when Deadlocked is true.
 	Deadlock *DeadlockInfo
+
+	// ran counts the steps this run executed: the schedule position a
+	// stall is reported at.
+	ran int64
 }
 
 // Outcome classifies a completed run for callers that need a typed
@@ -163,7 +202,9 @@ func (r *Result) Outcome() Outcome {
 // wrap interp.ErrDeadlock (with the wait-for diagnosis in the
 // message), step-limit stops wrap interp.ErrStepLimit (the livelock
 // diagnostic: the bound, and how far each thread got), stalls wrap
-// ErrStalled, and cancellations wrap context.Canceled; all are
+// ErrStalled with the schedule position — the number of steps the run
+// executed before the unsteppable choice, whether or not the schedule
+// was recorded — and cancellations wrap context.Canceled; all are
 // matchable with errors.Is.
 func (r *Result) Err() error {
 	switch {
@@ -177,7 +218,7 @@ func (r *Result) Err() error {
 		}
 		return fmt.Errorf("%w after %d steps", interp.ErrDeadlock, r.Steps)
 	case r.Stalled:
-		return fmt.Errorf("%w: thread %d at schedule position %d", ErrStalled, r.StallThread, len(r.Schedule))
+		return fmt.Errorf("%w: thread %d at schedule position %d", ErrStalled, r.StallThread, r.ran)
 	case r.Cancelled:
 		cause := r.CancelCause
 		if cause == nil {
@@ -272,10 +313,11 @@ func DiagnoseDeadlock(m *interp.Machine) *DeadlockInfo {
 }
 
 // Runner executes machines under a scheduler with a uniform run
-// policy. It is the single execution loop behind the Run and
-// BoundedRun convenience wrappers: pipeline stages and the parallel
-// schedule search construct Runners directly (a Runner is a value, so
-// each trial can carry its own bound without shared state).
+// policy. It is the one execution loop of the system: the Run and
+// BoundedRun wrappers, pipeline stages, stress, witness replays, the
+// schedule search's trials and the interpreter probes all construct
+// Runners (a Runner is a value, so each run can carry its own bound
+// without shared state).
 type Runner struct {
 	// MaxSteps bounds the steps executed by this run — not the
 	// machine's lifetime total, so a Runner can extend a partially-run
@@ -288,6 +330,10 @@ type Runner struct {
 	// perturbs the executed prefix — the schedule up to the stop point
 	// is exactly what an uncancelled run would have produced.
 	Ctx context.Context
+	// Record fills Result.Schedule with the thread stepped at each
+	// step, for callers that replay or inspect the interleaving (gen
+	// witnesses, tests). Off, the run keeps no per-step record.
+	Record bool
 }
 
 // ctxPollMask throttles the Runner's context polls to every 1024
@@ -297,18 +343,30 @@ type Runner struct {
 const ctxPollMask = 1023
 
 // Run drives m with s until the machine halts, the scheduler yields,
-// or the runner's step bound is reached. The returned Result records
-// the full thread schedule, so the run can be replayed with a
-// Replayer.
+// or the runner's step bound is reached. A Chooser is asked only at
+// switch points and its choice runs in bursts; any other scheduler is
+// asked before every step. Both execute exactly the steps, in exactly
+// the order, that asking before every step would.
 func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
-	res := &Result{}
+	res := new(Result)
+	r.run(m, s, res)
+	return res
+}
+
+// run is Run's body. Run stays small enough to inline, so a caller
+// that does not retain the Result (a search trial, a probe) keeps it
+// off the heap.
+func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
+	_, bursts := s.(Chooser)
+	start := m.TotalSteps
 	for !m.Crashed() && !m.Done() {
-		if r.Ctx != nil && int64(len(res.Schedule))&ctxPollMask == 0 && r.Ctx.Err() != nil {
+		n := m.TotalSteps - start
+		if r.Ctx != nil && n&ctxPollMask == 0 && r.Ctx.Err() != nil {
 			res.Cancelled = true
 			res.CancelCause = r.Ctx.Err()
 			break
 		}
-		if r.MaxSteps != 0 && int64(len(res.Schedule)) >= r.MaxSteps {
+		if r.MaxSteps != 0 && n >= r.MaxSteps {
 			res.StepLimited = true
 			res.Budgeted = true
 			break
@@ -327,7 +385,18 @@ func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 			res.StallThread = tid
 			break
 		}
-		ok, err := m.Step(tid)
+		var ok bool
+		var err error
+		if bursts {
+			ok, err = m.RunBurst(tid, r.burstLimit(start, n))
+		} else {
+			ok, err = m.Step(tid)
+		}
+		if r.Record {
+			for i := start + n; i < m.TotalSteps; i++ {
+				res.Schedule = append(res.Schedule, tid)
+			}
+		}
 		if err == interp.ErrStepLimit {
 			res.StepLimited = true
 			break
@@ -351,8 +420,8 @@ func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 			res.StallThread = tid
 			break
 		}
-		res.Schedule = append(res.Schedule, tid)
 	}
+	res.ran = m.TotalSteps - start
 	res.Steps = m.TotalSteps
 	res.Output = m.Output
 	res.Finished = m.Done()
@@ -363,7 +432,24 @@ func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 		res.Deadlocked = true
 		res.Deadlock = DiagnoseDeadlock(m)
 	}
-	return res
+}
+
+// burstLimit is the machine step count at which a burst starting n
+// steps into a run that began at start must stop: the run's budget, or
+// the next context poll, whichever comes first (0 when neither
+// applies). Stopping there lets the loop above take the budget and
+// poll decisions at exactly the steps a per-step loop would.
+func (r Runner) burstLimit(start, n int64) int64 {
+	var limit int64
+	if r.MaxSteps > 0 {
+		limit = start + r.MaxSteps
+	}
+	if r.Ctx != nil {
+		if poll := start + (n | ctxPollMask) + 1; limit == 0 || poll < limit {
+			limit = poll
+		}
+	}
+	return limit
 }
 
 // Run drives m with s until the machine halts or the scheduler yields.
@@ -375,7 +461,8 @@ func Run(m *interp.Machine, s Scheduler) *Result {
 // thread keeps running until it blocks or finishes, at which point the
 // lowest-id runnable thread is chosen. Context switches therefore
 // happen only at synchronization operations and thread exits, which is
-// the execution model the preemption-search phase perturbs.
+// the execution model the preemption-search phase perturbs. It is a
+// Chooser, so a Runner runs it in bursts.
 type Cooperative struct {
 	current int
 	started bool
@@ -402,17 +489,28 @@ func (c *Cooperative) Next(m *interp.Machine) int {
 	return c.current
 }
 
+// SwitchPointsOnly implements Chooser: the current thread keeps the
+// processor until it blocks or finishes.
+func (c *Cooperative) SwitchPointsOnly() {}
+
 // Random steps a uniformly random runnable thread each step, standing
 // in for the fine-grained interleaving of truly parallel cores. The
-// seed fully determines the interleaving.
+// seed fully determines the interleaving: Random draws exactly the
+// values rand.New(rand.NewSource(seed)).Intn would.
 type Random struct {
-	rng *rand.Rand
+	rng rngSource
 }
 
 // NewRandom returns a random scheduler with the given seed.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	r := new(Random)
+	r.Seed(seed)
+	return r
 }
+
+// Seed rewinds r to the start of seed's stream, as if it were
+// NewRandom(seed), without allocating.
+func (r *Random) Seed(seed int64) { r.rng.seed(seed) }
 
 // Next implements Scheduler.
 func (r *Random) Next(m *interp.Machine) int {
@@ -420,7 +518,7 @@ func (r *Random) Next(m *interp.Machine) int {
 	if len(runnable) == 0 {
 		return -1
 	}
-	return runnable[r.rng.Intn(len(runnable))]
+	return runnable[r.rng.intn(len(runnable))]
 }
 
 // Replayer replays a recorded schedule, then stops.
@@ -485,12 +583,15 @@ func Stress(newMachine func() *interp.Machine, maxAttempts int) (*interp.Machine
 //
 // The factory is called once: subsequent attempts rewind the same
 // machine with Machine.Reset (which is observationally identical to a
-// fresh build and recycles all per-run storage), so a long stress
-// campaign stops paying an allocation per attempt. On a crash the
-// machine is returned still holding the crashed state for dump
-// capture.
+// fresh build and recycles all per-run storage) and reseed the same
+// Random, so a long stress campaign stops paying an allocation and a
+// generator construction per attempt. On a crash the machine is
+// returned still holding the crashed state for dump capture. The
+// failing run's Result does not record its schedule; replay
+// NewRandom(Seed) under a recording Runner to obtain it.
 func StressContext(ctx context.Context, newMachine func() *interp.Machine, maxAttempts int) (*interp.Machine, *StressResult) {
 	var m *interp.Machine
+	var rnd Random
 	for i := 0; i < maxAttempts; i++ {
 		if ctx != nil && ctx.Err() != nil {
 			return nil, nil
@@ -500,7 +601,8 @@ func StressContext(ctx context.Context, newMachine func() *interp.Machine, maxAt
 		} else {
 			m.Reset(m.Prog, m.SeedInput())
 		}
-		res := Runner{Ctx: ctx}.Run(m, NewRandom(int64(i)))
+		rnd.Seed(int64(i))
+		res := Runner{Ctx: ctx}.Run(m, &rnd)
 		if res.Cancelled {
 			return nil, nil
 		}

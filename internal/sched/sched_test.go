@@ -50,7 +50,7 @@ func t2(int n) {
 func TestCooperativeRunsCurrentUntilBlocked(t *testing.T) {
 	cp := compile(t, twoThreads)
 	m := interp.New(cp, nil)
-	res := sched.Run(m, sched.NewCooperative())
+	res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
 	if res.Crashed || res.Deadlocked {
 		t.Fatalf("bad run: %+v", res)
 	}
@@ -96,7 +96,7 @@ func TestQuickReplayReproducesState(t *testing.T) {
 	f := func(seed int64) bool {
 		m1 := interp.New(cp, nil)
 		m1.MaxSteps = 100_000
-		r1 := sched.Run(m1, sched.NewRandom(seed))
+		r1 := sched.Runner{Record: true}.Run(m1, sched.NewRandom(seed))
 		m2 := interp.New(cp, nil)
 		m2.MaxSteps = 100_000
 		r2 := sched.Run(m2, sched.NewReplayer(r1.Schedule))
@@ -113,7 +113,7 @@ func TestQuickReplayReproducesState(t *testing.T) {
 func TestBoundedRunStopsExactly(t *testing.T) {
 	cp := compile(t, twoThreads)
 	m := interp.New(cp, nil)
-	res := sched.BoundedRun(m, sched.NewCooperative(), 10)
+	res := sched.Runner{MaxSteps: 10, Record: true}.Run(m, sched.NewCooperative())
 	if len(res.Schedule) != 10 {
 		t.Fatalf("bounded run executed %d steps, want 10", len(res.Schedule))
 	}
@@ -200,7 +200,7 @@ func right() {
 func TestReplayerStopsAtEnd(t *testing.T) {
 	cp := compile(t, twoThreads)
 	m := interp.New(cp, nil)
-	res := sched.Run(m, sched.NewReplayer([]int{0, 0, 0}))
+	res := sched.Runner{Record: true}.Run(m, sched.NewReplayer([]int{0, 0, 0}))
 	if len(res.Schedule) != 3 {
 		t.Fatalf("replayed %d steps, want 3", len(res.Schedule))
 	}
