@@ -2,7 +2,6 @@ package chess
 
 import (
 	"heisendump/internal/interp"
-	"heisendump/internal/ir"
 	"heisendump/internal/sched"
 )
 
@@ -51,7 +50,9 @@ func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec
 	// The run can stop right after a sync instruction (the budget, or
 	// the instruction faulted) without asking c again; its bookkeeping
 	// still counts toward the choice counts and applied preemptions.
-	c.settle(m)
+	if c.sync {
+		c.settle(m)
+	}
 	return trialResult{
 		found:        m.Crashed() && s.Target.Matches(m.Crash),
 		steps:        m.TotalSteps,
@@ -120,7 +121,9 @@ func (c *trialChooser) SwitchPointsOnly() {}
 // current one unless it blocked or finished (then the lowest runnable
 // thread) or a matched preemption switched away from it.
 func (c *trialChooser) Next(m *interp.Machine) int {
-	c.settle(m)
+	if c.sync {
+		c.settle(m)
+	}
 	for {
 		t := m.Threads[c.cur]
 		if t.Status == interp.Done || (t.Status == interp.Blocked && m.Locks[t.WaitLock] != -1) {
@@ -135,10 +138,8 @@ func (c *trialChooser) Next(m *interp.Machine) int {
 		// Preemption points that fire before the next instruction. The
 		// point checks mutate nothing, so the instruction stays current
 		// across them.
-		fr := t.Top()
-		in := &m.Prog.Funcs[fr.FuncIdx].Instrs[fr.PC]
-		acquire := in.Op == ir.OpAcquire && m.Locks[in.Lock] == -1
-		release := in.Op == ir.OpRelease
+		lock, acquire, release := t.SyncOp()
+		acquire = acquire && m.Locks[lock] == -1
 		if t.Steps == 0 {
 			if ci := c.match(c.cur, ThreadStart, 0); ci >= 0 && c.fire(m, ci) {
 				continue
@@ -155,12 +156,9 @@ func (c *trialChooser) Next(m *interp.Machine) int {
 }
 
 // settle completes the bookkeeping of the sync operation the last
-// choice ran, if it ran: the thread's completed-op count, then the
-// AfterRelease point.
+// choice ran (c.sync), if it ran: the thread's completed-op count,
+// then the AfterRelease point.
 func (c *trialChooser) settle(m *interp.Machine) {
-	if !c.sync {
-		return
-	}
 	c.sync = false
 	if m.TotalSteps == c.at {
 		return // the step never executed (the machine's step limit)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
@@ -198,15 +199,58 @@ func Decode(r io.Reader) (*Dump, error) {
 	return &d, nil
 }
 
-// Size returns the dump's serialized size in bytes, the quantity the
-// paper's Table 3 reports per bug.
+// Size returns the dump's serialized size in bytes — len of what Encode
+// writes — the quantity the paper's Table 3 reports per bug.
+//
+// Encode's output is Dump's gob type descriptors followed by the value
+// message. Dump has no interface fields, so the descriptors depend on
+// the type alone: Size adds their length, measured once, to the value
+// message of a pooled encoder that has already sent them, instead of
+// building a fresh encoder (and re-encoding the descriptors) per call.
 func (d *Dump) Size() (int, error) {
-	var n countingWriter
-	if err := d.Encode(&n); err != nil {
+	desc, err := descriptorBytes()
+	if err != nil {
 		return 0, err
 	}
-	return int(n), nil
+	s := sizers.Get().(*sizer)
+	s.n = 0
+	if err := s.enc.Encode(d); err != nil {
+		return 0, err // a failed encoder is not reused
+	}
+	n := int(s.n)
+	sizers.Put(s)
+	return desc + n, nil
 }
+
+// sizer is a gob encoder that has already sent Dump's type
+// descriptors, writing into a byte counter.
+type sizer struct {
+	n   countingWriter
+	enc *gob.Encoder
+}
+
+var sizers = sync.Pool{New: func() any {
+	s := &sizer{}
+	s.enc = gob.NewEncoder(&s.n)
+	s.enc.Encode(&Dump{}) // sends the descriptors; descriptorBytes reports any error
+	return s
+}}
+
+// descriptorBytes is the length of the type descriptors a fresh encoder
+// sends before Dump's first value: a fresh encoder's output for a
+// dump, less the same encoder's output for it again.
+var descriptorBytes = sync.OnceValues(func() (int, error) {
+	var n countingWriter
+	enc := gob.NewEncoder(&n)
+	if err := enc.Encode(&Dump{}); err != nil {
+		return 0, err
+	}
+	first := n
+	if err := enc.Encode(&Dump{}); err != nil {
+		return 0, err
+	}
+	return int(2*first - n), nil
+})
 
 type countingWriter int64
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"heisendump/internal/coredump"
+	"heisendump/internal/gen"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
 	"heisendump/internal/lang"
@@ -319,4 +320,54 @@ func TestQuickDumpSizePositive(t *testing.T) {
 	if count == 0 {
 		t.Skip("no crashes")
 	}
+}
+
+// TestSizeMatchesFreshEncoder pins Size, which adds a once-measured
+// descriptor length to a pooled encoder's value message, against the
+// size of a fresh encoder's full output: dumps of the Table 2 bugs and
+// generated programs 1-20, each under 15 random interleavings, taken
+// at four points of the run (from the initial state to the run's end).
+func TestSizeMatchesFreshEncoder(t *testing.T) {
+	type subject struct {
+		prog  *ir.Program
+		input *interp.Input
+	}
+	var subs []subject
+	for _, w := range workloads.Bugs() {
+		cp, err := w.Compile(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, subject{cp, w.Input})
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		p := gen.Generate(seed)
+		cp, err := p.Compile(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, subject{cp, p.Input})
+	}
+	dumps := 0
+	for _, sub := range subs {
+		for seed := int64(0); seed < 15; seed++ {
+			for _, budget := range []int64{0, 40, 200, 1_000_000} {
+				m := interp.New(sub.prog, sub.input)
+				m.MaxSteps = 1_000_000
+				sched.BoundedRun(m, sched.NewRandom(seed), budget)
+				d := coredump.Capture(m, 0, ir.PC{}, "size oracle")
+				var buf bytes.Buffer
+				if err := d.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				n, err := d.Size()
+				if err != nil || n != buf.Len() {
+					t.Fatalf("%s seed %d budget %d: Size() = %d, %v; fresh encoder wrote %d bytes",
+						sub.prog.Name, seed, budget, n, err, buf.Len())
+				}
+				dumps++
+			}
+		}
+	}
+	t.Logf("%d dumps sized", dumps)
 }

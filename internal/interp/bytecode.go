@@ -79,10 +79,11 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 // re-inspection of the machine, which is what makes the run loop fast
 // between sync points.
 //
-// The boundary test reads one opcode: an acquire or release
-// instruction lowers to a single BEndAcquire/BEndRelease op, so the
-// first op at Entry[fr.PC] identifies a sync point without touching
-// the ir. The per-instruction dispatch stays a separate call on
+// The boundary tests cost a flag and a table lookup: a completed
+// acquire or release sets Machine.synced, and the frame carries its
+// function's ir.BFunc.Sync table, so the next instruction's sync-ness
+// is one load from the frame instead of a decode through the bytecode
+// entry table. The per-instruction dispatch stays a separate call on
 // purpose — merging it into this loop (label + backward goto) makes
 // the frame state loop-carried across the whole opcode switch and
 // costs ~25% in register spills.
@@ -97,18 +98,13 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 	if !m.threadRunnable(t) {
 		return false, nil
 	}
-	bc := m.Prog.BC
-	fr := t.Frames[len(t.Frames)-1]
-	bf := bc.Funcs[fr.FuncIdx]
-	if op := bf.Code[bf.Entry[fr.PC]].Op; op == ir.BEndAcquire || op == ir.BEndRelease {
-		return m.execBC(t)
-	}
+	m.synced = false
 	for {
 		ok, err := m.execBC(t)
 		if !ok || err != nil {
 			return ok, err
 		}
-		if m.Crash != nil || t.Status != Runnable {
+		if m.Crash != nil || t.Status != Runnable || m.synced {
 			return true, nil
 		}
 		if limit > 0 && m.TotalSteps >= limit {
@@ -117,10 +113,7 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 		if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
 			return true, nil
 		}
-		fr = t.Frames[len(t.Frames)-1]
-		bf = bc.Funcs[fr.FuncIdx]
-		op := bf.Code[bf.Entry[fr.PC]].Op
-		if op == ir.BEndAcquire || op == ir.BEndRelease {
+		if fr := t.Frames[len(t.Frames)-1]; fr.sync[fr.PC] != 0 {
 			return true, nil
 		}
 	}
@@ -628,6 +621,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			switch holder {
 			case -1:
 				m.Locks[c.A] = int32(t.ID)
+				m.synced = true
 				t.Status = Runnable
 				t.WaitLock = -1
 				fr.PC++
@@ -652,6 +646,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			}
 			m.Locks[c.A] = -1
 			m.runnableOK = false
+			m.synced = true
 			fr.PC++
 			if lh, ok := m.Hooks.(LockHooks); ok {
 				lh.OnRelease(t, m.Prog.Locks[c.A])

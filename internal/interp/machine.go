@@ -43,6 +43,9 @@ type Frame struct {
 	// bind is the bytecode pc, in the caller's function, of the call
 	// site's result-store code; 0 when the call discards its result.
 	bind int32
+	// sync is the function's ir.BFunc.Sync table, so the next sync
+	// point is one lookup away (RunBurst, Thread.SyncOp).
+	sync []int32
 }
 
 // Thread is one thread of control.
@@ -67,6 +70,23 @@ func (t *Thread) Top() *Frame {
 		return nil
 	}
 	return t.Frames[len(t.Frames)-1]
+}
+
+// SyncOp reports the lock operation the thread's next instruction
+// performs: an acquire or a release of lock, or neither (also when the
+// thread has finished).
+func (t *Thread) SyncOp() (lock int32, acquire, release bool) {
+	if len(t.Frames) == 0 {
+		return -1, false, false
+	}
+	fr := t.Frames[len(t.Frames)-1]
+	switch s := fr.sync[fr.PC]; {
+	case s > 0:
+		return s - 1, true, false
+	case s < 0:
+		return -s - 1, false, true
+	}
+	return -1, false, false
 }
 
 // PC returns the thread's current program counter.
@@ -245,6 +265,9 @@ type Machine struct {
 	// rescans only after those events.
 	runnable   []int
 	runnableOK bool
+	// synced is set by a completed acquire or release, so RunBurst can
+	// end a burst right after one without decoding its instruction.
+	synced bool
 }
 
 // ErrStepLimit is returned by Step when MaxSteps is exceeded.
@@ -419,6 +442,7 @@ func (m *Machine) newFrame(fidx int, args []Value, callSite ir.PC) *Frame {
 	clear(fr.Locals)
 	clear(fr.Live)
 	fr.FuncIdx = fidx
+	fr.sync = m.Prog.BC.Funcs[fidx].Sync
 	fr.PC = 0
 	fr.CallSite = callSite
 	fr.bind = 0

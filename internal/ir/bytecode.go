@@ -217,6 +217,10 @@ type BFunc struct {
 	// deepest instruction needs (one interpreter step never leaves
 	// values on the stack).
 	MaxStack int32
+	// Sync classifies each ir instruction as a sync point: Sync[i] is
+	// lock+1 when instruction i acquires lock, -(lock+1) when it
+	// releases it, and 0 otherwise. len(Sync) == len(Func.Instrs).
+	Sync []int32
 }
 
 // SrcInstr returns the ir instruction index the op at bytecode pc was
@@ -344,6 +348,14 @@ func (bc *Bytecode) lowerFunc(fn *Func) *BFunc {
 		c.out.Entry = append(c.out.Entry, int32(len(c.out.Code)))
 		c.sp, c.peak = 0, 0
 		c.lowerInstr(&fn.Instrs[i])
+		var sync int32
+		switch op := c.out.Code[c.out.Entry[i]]; op.Op {
+		case BEndAcquire:
+			sync = op.A + 1
+		case BEndRelease:
+			sync = -(op.A + 1)
+		}
+		c.out.Sync = append(c.out.Sync, sync)
 		if c.peak > c.out.MaxStack {
 			c.out.MaxStack = c.peak
 		}
