@@ -21,9 +21,12 @@
 //     superinstruction, a de-inlined hot call — each worth far more
 //     than the headroom).
 //   - TelemetryOverhead gates as an absolute ratio ceiling (1.05):
-//     both legs of the ratio run on the same machine, so it needs no
-//     machine headroom — it pins the telemetry stack's passivity as a
-//     cost budget, complementing the determinism tests.
+//     both legs of the ratio run in the same process and are timed in
+//     its CPU time, so it needs no machine headroom — it pins the
+//     telemetry stack's passivity as a cost budget, complementing the
+//     determinism tests. Both legs fire the always-on counters, so the
+//     ratio prices only the Trial and Progress hooks, the tracer and
+//     the flight recorder.
 //
 // Other cost fields (table times, executed trial counts, steps) are
 // informational only and never gate.
@@ -197,10 +200,14 @@ func budgetOK(got, want any) bool {
 
 // ratioGated marks fields gated as absolute ratio ceilings,
 // independent of the baseline's value: the interp section's
-// TelemetryOverhead (telemetry-on / telemetry-off search wall time)
-// must stay at or below the documented 1.05 ceiling on every run.
-// Both legs run in the same process minutes apart, so machine speed
-// cancels out of the ratio — no headroom factor is needed.
+// TelemetryOverhead (telemetry-on / telemetry-off probe-search CPU
+// time, the median over interleaved rounds) must stay at or below the
+// documented 1.05 ceiling on every run. Both legs run in the same
+// process, interleaved, so machine speed cancels out of the ratio — no
+// headroom factor is needed. Both legs also fire the always-on sharded
+// counters, so the ratio prices only what telemetry adds on top of
+// them: the Trial and Progress hooks, the tracer and the flight
+// recorder.
 func ratioGated(key string) bool {
 	return strings.Contains(key, "TelemetryOverhead")
 }

@@ -161,7 +161,6 @@ func TestSmokeDifferential(t *testing.T) {
 		"heisen_chess_searches_total",
 		"heisen_chess_trials_executed_total",
 		"heisen_chess_steps_executed_total",
-		"heisen_interp_steps_total",
 		"heisen_progcache_hits_total",
 		"heisen_progcache_misses_total",
 	} {

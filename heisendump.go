@@ -103,9 +103,6 @@ type SearchProgress = core.SearchProgress
 // exportable as Chrome trace-event JSON. Attach one with WithTrace.
 type Tracer = telemetry.Tracer
 
-// TrialTraceEvent is one per-trial tracing/flight event payload.
-type TrialTraceEvent = telemetry.TrialEvent
-
 // NewTracer builds a Tracer. clock supplies event timestamps (nil
 // uses a synthetic monotone tick, which keeps traces deterministic);
 // sampleEvery keeps every n-th trial event (<= 1 keeps all; stage

@@ -38,7 +38,6 @@ func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m 
 	telemetry.ChessStepsExecuted.Cell(worker).Add(tr.steps)
 	telemetry.ChessTrialSteps.Cell(worker).Observe(tr.steps)
 	telemetry.ChessWorkerSteps(max(worker, 0)).Cell(worker).Add(tr.steps)
-	telemetry.InterpSteps.Cell(worker).Add(tr.steps)
 	if m.Crashed() {
 		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}

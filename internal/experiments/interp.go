@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"syscall"
 	"time"
 
 	"heisendump/internal/chess"
@@ -44,16 +45,18 @@ type InterpRow struct {
 	// StepsExecuted is the probe search's interpreter-step count.
 	StepsExecuted int64
 	// SearchNsTelemetry is the cold probe search with the telemetry
-	// stack attached (counters fire regardless; this adds a per-trial
-	// Trial hook feeding a 1-in-10 sampled Tracer — the benchtab
-	// tracing default — and a FlightRecorder, plus a Progress-wrapped
-	// decision recorder). TelemetryOverhead is the median of the
-	// per-round tele/cold wall time ratios, the two legs timed
-	// interleaved in multi-search blocks with GC pinned off (see
-	// telemetryOverheadPair) so machine drift and preemption outliers
-	// cancel; benchgate holds it to the documented 1.05 ceiling,
-	// pinning the "telemetry is passive" claim as a perf gate, not
-	// just a determinism gate.
+	// stack attached: a per-trial Trial hook feeding a 1-in-10 sampled
+	// Tracer — the benchtab tracing default — and a FlightRecorder,
+	// plus a Progress-wrapped decision recorder. TelemetryOverhead is
+	// the median of the per-round tele/cold ratios of process CPU
+	// time, the two legs alternating search by search with GC pinned
+	// off (see telemetryOverheadPair) so machine drift, preemption and
+	// vCPU steal cancel; benchgate holds it to the
+	// documented 1.05 ceiling, pinning the "telemetry is passive"
+	// claim as a perf gate, not just a determinism gate. Both legs
+	// fire the always-on sharded counters, so the ratio prices only
+	// the Trial and Progress hooks, the tracer and the flight
+	// recorder.
 	SearchNsTelemetry int64
 	TelemetryOverhead float64
 }
@@ -73,14 +76,12 @@ const (
 // overheadRounds and overheadBlock shape the telemetry-overhead A/B.
 // The ratio gates against an absolute ceiling (1.05, see
 // cmd/benchgate), so it needs a much tighter estimator than the
-// headroom-gated wall times: each round times a block of
-// overheadBlock cold searches back-to-back, then a block of
-// telemetry-on searches — one probe search lasts only a few
-// milliseconds, the order of one scheduler preemption quantum, so
-// single-search ratios scatter by tens of percent while block ratios
-// don't — and the reported overhead is the median over the rounds.
+// headroom-gated wall times: each round runs overheadBlock searches
+// of each leg, alternating cold and telemetry-on search by search,
+// and the reported overhead is the median of the rounds' CPU-time
+// ratios (see telemetryOverheadPair).
 const (
-	overheadRounds = 9
+	overheadRounds = 21
 	overheadBlock  = 6
 )
 
@@ -156,51 +157,68 @@ func InterpTable() ([]InterpRow, error) {
 }
 
 // telemetryOverheadPair times the cold and telemetry-on probe
-// searches interleaved — one block of each per round for
-// overheadRounds rounds — and returns each leg's minimum per-search
-// wall time, the overhead estimate, and each leg's (deterministic)
+// searches interleaved — overheadRounds rounds of overheadBlock
+// searches per leg — and returns each leg's minimum per-search wall
+// time, the overhead estimate, and each leg's (deterministic)
 // executed-step count.
 //
-// The overhead is the median of the per-round tele/cold block
-// ratios, not the ratio of the minima. The probe search lasts a few
-// milliseconds, the same order as one scheduler preemption, so any
-// single-search ratio can be off by tens of percent; timing
-// overheadBlock searches per leg averages that within a round,
-// pairing the legs inside a round cancels machine-speed drift, the
-// median discards the rounds a preemption landed on, and pinning GC
-// off for the measurement (heap state is restored after) removes
-// collection pauses from the comparison — the gate is about the
-// telemetry hot path, not about where a GC cycle happens to fall.
+// The overhead is the median of the per-round tele/cold ratios of the
+// legs' summed process CPU time (getrusage user + system), not of wall
+// time and not the ratio of the minima. Wall time charges a search for
+// everything else the host does meanwhile — another tenant's burst,
+// vCPU steal, a preemption — and a probe search lasts a few
+// milliseconds, the same order as one scheduler quantum, so wall-time
+// ratios scattered past the ceiling; CPU time counts only the
+// process's own work. Within a round the legs alternate search by
+// search in ABBA order, so interference slower than one search lands
+// on both legs alike and a fixed order effect cancels; summing
+// overheadBlock searches per leg averages what noise remains, the
+// median over the rounds discards outlier rounds, and pinning GC off
+// for the measurement (heap state is restored after) keeps collection
+// work out of the comparison — the gate is about the telemetry hot
+// path, not about where a GC cycle happens to fall.
 // A discarded warm-up round keeps process warm-up (first touches of
 // the searcher's pools and code paths) out of the first measured
 // round. The minima are still what SearchNs/SearchNsTelemetry report
 // (the low-noise wall-time estimator); the ratio gate needs the
 // robust estimator because its ceiling is absolute.
 func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64) (coldNs, teleNs int64, overhead float64, coldExec, teleExec int64) {
-	timeBlock := func(tele bool) (ns, exec int64) {
-		start := time.Now()
-		for i := 0; i < overheadBlock; i++ {
-			exec = probeSearch(cp, w, cands, passingSteps, tele)
+	// timeRound runs overheadBlock searches of each leg, alternating
+	// the legs search by search in ABBA order, and returns each leg's
+	// summed wall and CPU time.
+	timeRound := func() (wall, cpu [2]int64) {
+		for i := 0; i < 2*overheadBlock; i++ {
+			tele := (i+i/2)%2 == 1 // cold, tele, tele, cold, ...
+			leg := 0
+			if tele {
+				leg = 1
+			}
+			start, cpu0 := time.Now(), processCPU()
+			exec := probeSearch(cp, w, cands, passingSteps, tele)
+			wall[leg] += time.Since(start).Nanoseconds()
+			cpu[leg] += processCPU() - cpu0
+			if tele {
+				teleExec = exec
+			} else {
+				coldExec = exec
+			}
 		}
-		return time.Since(start).Nanoseconds(), exec
+		return wall, cpu
 	}
 	runtime.GC()
 	old := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(old)
-	timeBlock(false) // warm-up round, discarded
-	timeBlock(true)
+	timeRound() // warm-up round, discarded
 	ratios := make([]float64, 0, overheadRounds)
 	for r := 0; r < overheadRounds; r++ {
-		var c, te int64
-		c, coldExec = timeBlock(false)
-		te, teleExec = timeBlock(true)
-		if perSearch := c / overheadBlock; coldNs == 0 || perSearch < coldNs {
+		wall, cpu := timeRound()
+		if perSearch := wall[0] / overheadBlock; coldNs == 0 || perSearch < coldNs {
 			coldNs = perSearch
 		}
-		if perSearch := te / overheadBlock; teleNs == 0 || perSearch < teleNs {
+		if perSearch := wall[1] / overheadBlock; teleNs == 0 || perSearch < teleNs {
 			teleNs = perSearch
 		}
-		ratios = append(ratios, float64(te)/float64(c))
+		ratios = append(ratios, float64(cpu[1])/float64(cpu[0]))
 	}
 	sort.Float64s(ratios)
 	if n := len(ratios); n%2 == 1 {
@@ -209,6 +227,16 @@ func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.
 		overhead = (ratios[n/2-1] + ratios[n/2]) / 2
 	}
 	return coldNs, teleNs, overhead, coldExec, teleExec
+}
+
+// processCPU returns the process's CPU time so far — user plus
+// system, all threads — in nanoseconds (microsecond resolution).
+func processCPU() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
 }
 
 // probeSearch runs a deterministic plain-CHESS schedule search

@@ -35,7 +35,9 @@ import "fmt"
 // Calls appear only in statement position (bare or as the entire
 // right-hand side of an assignment); this keeps every interpreter step a
 // single atomic action, which is what the schedule-search layer assumes.
-// Parse rejections are typed: syntax errors (including lexer errors)
+// Nesting is bounded by MaxNestingDepth, so neither the parser nor a
+// later pass over the tree recurses without bound. Parse rejections
+// are typed: syntax errors (including lexer errors)
 // come back as *Error with Phase "parse", and the Check it runs
 // returns Phase "check" — so callers can classify a bad subject
 // program without string matching.
@@ -64,9 +66,32 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// MaxNestingDepth bounds how deeply a program may nest: blocks,
+// else-if links, parenthesized and bracketed expressions, unary
+// operators, and the operators of one binary or field-access chain
+// each count one level. The parser and every later pass over the
+// syntax tree (Check, ir.Compile, the static analyses) recurse once
+// per level, and a Go stack overflow is fatal rather than a
+// recoverable panic, so a source nested past the limit is refused as a
+// parse error at the line where it crosses it. Real programs nest a
+// few dozen levels at most.
+const MaxNestingDepth = 1000
+
 type parser struct {
 	lex *lexer
 	tok token
+	// depth is the current nesting depth (see MaxNestingDepth).
+	depth int
+}
+
+// nest enters n nesting levels; the caller leaves them by lowering
+// p.depth again. Going past MaxNestingDepth is a parse error.
+func (p *parser) nest(n int) error {
+	p.depth += n
+	if p.depth > MaxNestingDepth {
+		return p.errorf("nesting deeper than %d levels", MaxNestingDepth)
+	}
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -272,6 +297,10 @@ func (p *parser) parseFunc() (*Func, error) {
 
 func (p *parser) parseBlock() (*Block, error) {
 	if err := p.expectPunct("{"); err != nil {
+		return nil, err
+	}
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(1); err != nil {
 		return nil, err
 	}
 	b := &Block{}
@@ -510,6 +539,10 @@ func (p *parser) parseIf(base stmtBase) (Stmt, error) {
 			return nil, err
 		}
 		if p.atKeyword("if") {
+			defer func(d int) { p.depth = d }(p.depth)
+			if err := p.nest(1); err != nil {
+				return nil, err
+			}
 			elif, err := p.parseIf(stmtBase{Ln: p.tok.line})
 			if err != nil {
 				return nil, err
@@ -642,7 +675,13 @@ func (p *parser) parseArgs() ([]Expr, error) {
 
 // Expression parsing: precedence climbing.
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+func (p *parser) parseExpr() (Expr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(1); err != nil {
+		return nil, err
+	}
+	return p.parseBinary(0)
+}
 
 // binaryLevels lists operators from lowest to highest precedence.
 var binaryLevels = [][]string{
@@ -662,7 +701,13 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for p.tok.kind == tokPunct && contains(binaryLevels[level], p.tok.text) {
+		// Each operator of a chain nests the chain so far one level
+		// deeper in the tree.
+		if err := p.nest(1); err != nil {
+			return nil, err
+		}
 		op := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -678,6 +723,10 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.atPunct("!") || p.atPunct("-") {
+		defer func(d int) { p.depth = d }(p.depth)
+		if err := p.nest(1); err != nil {
+			return nil, err
+		}
 		op := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -696,7 +745,11 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for p.atPunct(".") {
+		if err := p.nest(1); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}

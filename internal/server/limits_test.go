@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -114,5 +116,58 @@ func TestOversizedArrayRejectedAtAdmission(t *testing.T) {
 				t.Fatalf("%s: payload %+v, want bad_program in phase %s at line 2", tc.path, ep, prog.phase)
 			}
 		}
+	}
+}
+
+// TestDeeplyNestedSourceIsBadProgram: a job of 400,000 nested
+// parentheses (about 800 KB, under the 1 MiB body limit) is a typed
+// 400 bad_program on both endpoints, and the server keeps serving.
+// Without the parser's nesting bound the source overflows the Go
+// stack, a fatal error that takes the whole process down, so the
+// requests run in a child process and the parent checks how it ended.
+func TestDeeplyNestedSourceIsBadProgram(t *testing.T) {
+	if os.Getenv("HEISEN_DEEP_NESTING_CHILD") == "1" {
+		deeplyNestedRequests(t)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDeeplyNestedSourceIsBadProgram$")
+	cmd.Env = append(os.Environ(), "HEISEN_DEEP_NESTING_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		if len(out) > 2000 {
+			out = out[:2000]
+		}
+		t.Fatalf("child process failed: %v\n%s", err, out)
+	}
+}
+
+func deeplyNestedRequests(t *testing.T) {
+	const depth = 400_000
+	src := "program p;\nglobal int x;\nfunc main() {\n  x = " +
+		strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + ";\n}\n"
+	if len(src) >= 1<<20 {
+		t.Fatalf("source is %d bytes, over the 1 MiB body limit", len(src))
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/analyze", AnalyzeRequest{Source: src}},
+		{"/v1/jobs", JobRequest{Source: src}},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", tc.path, resp.StatusCode)
+		}
+		if ep := decodeError(t, resp); ep.Code != CodeBadProgram || ep.Phase != "parse" || ep.Line != 4 {
+			t.Fatalf("%s: payload %+v, want bad_program in phase parse at line 4", tc.path, ep)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: calmSrc})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze after the refusals: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -51,13 +51,11 @@ var chessWorkerSteps = func() [cellShards]*Counter {
 // ChessWorkerSteps returns worker i's step-throughput counter.
 func ChessWorkerSteps(i int) *Counter { return chessWorkerSteps[uint(i)%cellShards] }
 
-// Interpreter (internal/interp) instruments. Counted at trial
-// completion by the search layer — the interpreter's own dispatch
-// loop stays untouched — with crashes attributed to their fault class.
+// Interpreter (internal/interp) crash instruments, counted at trial
+// completion by the search layer — the interpreter's own dispatch loop
+// stays untouched — by fault class. Executed steps are
+// heisen_chess_steps_executed_total.
 var (
-	InterpSteps = Default().Counter("heisen_interp_steps_total",
-		"Interpreter steps executed.")
-
 	InterpCrashLock = Default().Counter("heisen_interp_crashes_total",
 		"Machine crashes by fault kind.", Label{Key: "kind", Value: "lock"})
 	InterpCrashAssert = Default().Counter("heisen_interp_crashes_total",

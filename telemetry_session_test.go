@@ -111,9 +111,8 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	for _, family := range []string{
 		"# TYPE heisen_chess_searches_total counter",
 		"# TYPE heisen_chess_trial_steps histogram",
-		"# TYPE heisen_interp_steps_total counter",
 		"# TYPE heisen_progcache_hits_total counter",
-		"\nheisen_interp_steps_total ",
+		"\nheisen_chess_steps_executed_total ",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("metrics text missing %q", family)
