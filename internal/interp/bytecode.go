@@ -123,8 +123,8 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 // checked is steppable, through the dispatch loop.
 func (m *Machine) execBC(t *Thread) (bool, error) {
 	fr := t.Top()
-	fn := m.Prog.Funcs[fr.FuncIdx]
-	bf := m.Prog.BC.Funcs[fr.FuncIdx]
+	fn := fr.fn
+	bf := fr.code
 	pc := ir.PC{F: fr.FuncIdx, I: fr.PC}
 	hooks := m.Hooks
 
@@ -609,8 +609,8 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			// on the stack. Its index and object reads fire now, after
 			// the callee's exit, and a fault reports the return's pc.
 			fr = t.Frames[len(t.Frames)-1]
-			fn = m.Prog.Funcs[fr.FuncIdx]
-			code = m.Prog.BC.Funcs[fr.FuncIdx].Code
+			fn = fr.fn
+			code = fr.code.Code
 			cpc = bind
 			st[0] = ret
 			sp = 1

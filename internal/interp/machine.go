@@ -43,8 +43,11 @@ type Frame struct {
 	// bind is the bytecode pc, in the caller's function, of the call
 	// site's result-store code; 0 when the call discards its result.
 	bind int32
-	// sync is the function's ir.BFunc.Sync table, so the next sync
-	// point is one lookup away (RunBurst, Thread.SyncOp).
+	// fn and code are the frame's function and its bytecode image, and
+	// sync is code.Sync: each step and each burst boundary reads them
+	// from the frame instead of indexing the program's tables.
+	fn   *ir.Func
+	code *ir.BFunc
 	sync []int32
 }
 
@@ -442,7 +445,9 @@ func (m *Machine) newFrame(fidx int, args []Value, callSite ir.PC) *Frame {
 	clear(fr.Locals)
 	clear(fr.Live)
 	fr.FuncIdx = fidx
-	fr.sync = m.Prog.BC.Funcs[fidx].Sync
+	fr.fn = fn
+	fr.code = m.Prog.BC.Funcs[fidx]
+	fr.sync = fr.code.Sync
 	fr.PC = 0
 	fr.CallSite = callSite
 	fr.bind = 0
