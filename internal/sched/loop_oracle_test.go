@@ -31,11 +31,79 @@ type oracleSubject struct {
 	input *interp.Input
 }
 
-// oracleSubjects returns the seven Table 2 bugs and generated programs
-// for seeds 1..genSeeds.
+// longRun and lateCrash run for thousands of steps, so the oracle's
+// budgets and cancellation at step 1024 fall inside them (the Table 2
+// and generated programs finish within ~520 steps): longRun finishes
+// under the cooperative schedule and can deadlock under random ones
+// (w takes L then M at i == 250, v takes M then L); lateCrash fails its
+// assertion after a few hundred lock rounds.
+const (
+	longRun = `
+program longrun;
+global int a;
+global int b;
+lock L;
+lock M;
+func main() {
+    spawn w(300);
+    spawn w(300);
+    spawn v(200);
+}
+func w(int n) {
+    var int i;
+    var int t;
+    for i = 1 .. n {
+        acquire(L);
+        a = a + 1;
+        if (i == 250) {
+            acquire(M);
+            b = b + 1;
+            release(M);
+        }
+        release(L);
+        t = b;
+        b = t + i;
+    }
+}
+func v(int n) {
+    var int i;
+    for i = 1 .. n {
+        acquire(M);
+        acquire(L);
+        a = a - 1;
+        release(L);
+        release(M);
+    }
+}
+`
+	lateCrash = `
+program latecrash;
+global int a;
+lock L;
+func main() {
+    spawn w(300);
+    spawn w(300);
+}
+func w(int n) {
+    var int i;
+    for i = 1 .. n {
+        acquire(L);
+        a = a + 1;
+        release(L);
+        assert(a < 450, "a reached 450");
+    }
+}
+`
+)
+
+// oracleSubjects returns the seven Table 2 bugs, generated programs for
+// seeds 1..genSeeds, and the two long-running programs above.
 func oracleSubjects(t *testing.T, genSeeds int64) []oracleSubject {
 	t.Helper()
-	var out []oracleSubject
+	out := []oracleSubject{
+		{"longrun", compile(t, longRun), nil},
+		{"latecrash", compile(t, lateCrash), nil},
+	}
 	for _, w := range workloads.Bugs() {
 		cp, err := w.Compile(true)
 		if err != nil {
