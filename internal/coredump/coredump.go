@@ -212,7 +212,14 @@ func (d *Dump) Size() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s := sizers.Get().(*sizer)
+	s, _ := sizers.Get().(*sizer)
+	if s == nil {
+		s = &sizer{}
+		s.enc = gob.NewEncoder(&s.n)
+		if err := s.enc.Encode(&Dump{}); err != nil { // sends the descriptors
+			return 0, err
+		}
+	}
 	s.n = 0
 	if err := s.enc.Encode(d); err != nil {
 		return 0, err // a failed encoder is not reused
@@ -229,12 +236,8 @@ type sizer struct {
 	enc *gob.Encoder
 }
 
-var sizers = sync.Pool{New: func() any {
-	s := &sizer{}
-	s.enc = gob.NewEncoder(&s.n)
-	s.enc.Encode(&Dump{}) // sends the descriptors; descriptorBytes reports any error
-	return s
-}}
+// sizers holds idle sizers for reuse.
+var sizers sync.Pool
 
 // descriptorBytes is the length of the type descriptors a fresh encoder
 // sends before Dump's first value: a fresh encoder's output for a

@@ -81,8 +81,8 @@ const (
 // and the reported overhead is the median of the rounds' CPU-time
 // ratios (see telemetryOverheadPair).
 const (
-	overheadRounds = 21
-	overheadBlock  = 6
+	overheadRounds = 41
+	overheadBlock  = 8
 )
 
 // InterpTable measures steady-state interpreter cost for a fixed set
@@ -234,7 +234,8 @@ func telemetryOverheadPair(cp *ir.Program, w *workloads.Workload, cands []chess.
 func processCPU() int64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
+		// RUSAGE_SELF with a valid buffer cannot fail.
+		panic(fmt.Sprintf("experiments: getrusage: %v", err))
 	}
 	return ru.Utime.Nano() + ru.Stime.Nano()
 }
