@@ -51,12 +51,11 @@ type InterpRow struct {
 	// the median of the per-round tele/cold ratios of process CPU
 	// time, the two legs alternating search by search with GC pinned
 	// off (see telemetryOverheadPair) so machine drift, preemption and
-	// vCPU steal cancel; benchgate holds it to the
-	// documented 1.05 ceiling, pinning the "telemetry is passive"
-	// claim as a perf gate, not just a determinism gate. Both legs
-	// fire the always-on sharded counters, so the ratio prices only
-	// the Trial and Progress hooks, the tracer and the flight
-	// recorder.
+	// vCPU steal cancel; benchgate holds it to the documented 1.05
+	// ceiling, pinning the "telemetry is passive" claim as a perf gate,
+	// not just a determinism gate. Both legs fire the always-on sharded
+	// counters, so the ratio prices only the Trial and Progress hooks,
+	// the tracer and the flight recorder.
 	SearchNsTelemetry int64
 	TelemetryOverhead float64
 }

@@ -265,9 +265,13 @@ type Machine struct {
 	// (the acquirer may block; waiters on that lock stop being
 	// runnable), a release, a thread exit and Reset — and a spawn
 	// appends its thread in place, so a scheduler that asks every step
-	// rescans only after those events.
+	// rescans only after those events. A rescan walks unfinished, the
+	// threads in id order minus those found finished by an earlier
+	// rescan, so it costs the live threads rather than every thread
+	// the run ever spawned.
 	runnable   []int
 	runnableOK bool
+	unfinished []*Thread
 	// synced is set by a completed acquire or release, so RunBurst can
 	// end a burst right after one without decoding its instruction.
 	synced bool
@@ -386,6 +390,7 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 	m.Threads = m.Threads[:0]
 	m.live = 0
 	m.runnableOK = false
+	m.unfinished = m.unfinished[:0]
 	m.Output = m.Output[:0]
 	m.Crash = nil
 	m.TotalSteps = 0
@@ -415,6 +420,7 @@ func (m *Machine) spawnThread(fidx int, args []Value) *Thread {
 	t.WaitLock = -1
 	t.Frames = append(t.Frames, m.newFrame(fidx, args, ir.PC{F: -1, I: -1}))
 	m.Threads = append(m.Threads, t)
+	m.unfinished = append(m.unfinished, t)
 	m.live++
 	if m.runnableOK {
 		// The new thread is runnable and has the highest id, so the
@@ -511,19 +517,23 @@ func (m *Machine) LockHolder(name string) int {
 // Runnable returns the ids of threads that can currently be stepped,
 // in ascending order. Threads blocked on a lock become runnable again
 // when it frees. The set is cached between the events that can change
-// it (see Machine.runnable), so asking every step costs a scan only
-// after a sync operation, a spawn or a thread exit. The returned slice
-// is the machine's own: callers must not modify it, and callers that
-// retain it past the next step must copy.
+// it (see Machine.runnable), so asking every step costs a scan of the
+// unfinished threads only after a sync operation or a thread exit. The
+// returned slice is the machine's own: callers must not modify it, and
+// callers that retain it past the next step must copy.
 func (m *Machine) Runnable() []int {
 	if !m.runnableOK {
-		out := m.runnable[:0]
-		for _, t := range m.Threads {
+		out, live := m.runnable[:0], m.unfinished[:0]
+		for _, t := range m.unfinished {
+			if t.Status == Done {
+				continue
+			}
+			live = append(live, t)
 			if m.threadRunnable(t) {
 				out = append(out, t.ID)
 			}
 		}
-		m.runnable = out
+		m.runnable, m.unfinished = out, live
 		m.runnableOK = true
 	}
 	return m.runnable
