@@ -60,11 +60,12 @@ var rngMask = func() *[rngLen]int64 {
 		out[j] = src.Uint64()
 	}
 	v := recoverRegister(&out)
-	var mask [rngLen]int64
-	for i := range mask {
-		mask[i] = v[i] ^ lcgWord(seedValue(probe), i)
+	var lcg [rngLen]int64
+	seedWords(&lcg, probe, new([rngLen]int64))
+	for i := range v {
+		v[i] ^= lcg[i]
 	}
-	return &mask
+	return v
 }()
 
 // recoverRegister returns the register a fresh source held, given its
@@ -110,12 +111,16 @@ func lcgMulMod(a, x uint64) uint64 {
 	return p
 }
 
-// lcgWord is register word i's LCG part for the normalized seed x:
-// three consecutive LCG values, after the first lcgSkip, packed at
-// bits 40, 20 and 0.
-func lcgWord(x uint64, i int) int64 {
-	p := &lcgPow[i]
-	return int64(lcgMulMod(p[0], x)<<40 ^ lcgMulMod(p[1], x)<<20 ^ lcgMulMod(p[2], x))
+// seedWords sets vec to seed's register words XOR mask. Word i packs
+// three consecutive LCG values, after the first lcgSkip, at bits 40,
+// 20 and 0.
+func seedWords(vec *[rngLen]int64, seed int64, mask *[rngLen]int64) {
+	x, pow := seedValue(seed), lcgPow // a local pow is not reloaded after each store to vec
+	for i := range vec {
+		p := &pow[i]
+		w := lcgMulMod(p[0], x)<<40 ^ lcgMulMod(p[1], x)<<20 ^ lcgMulMod(p[2], x)
+		vec[i] = int64(w) ^ mask[i]
+	}
 }
 
 // seed resets the source to seed's initial state, equal to
@@ -123,13 +128,7 @@ func lcgWord(x uint64, i int) int64 {
 func (r *rngSource) seed(seed int64) {
 	r.tap = 0
 	r.feed = rngLen - rngTap
-	x := seedValue(seed)
-	pow, mask := lcgPow, rngMask
-	for i := range r.vec {
-		p := &pow[i]
-		w := lcgMulMod(p[0], x)<<40 ^ lcgMulMod(p[1], x)<<20 ^ lcgMulMod(p[2], x)
-		r.vec[i] = int64(w) ^ mask[i]
-	}
+	seedWords(&r.vec, seed, rngMask)
 }
 
 // uint64 is rngSource.Uint64 of math/rand.

@@ -111,6 +111,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	for _, family := range []string{
 		"# TYPE heisen_chess_searches_total counter",
 		"# TYPE heisen_chess_trial_steps histogram",
+		"# TYPE heisen_interp_crashes_total counter",
 		"# TYPE heisen_progcache_hits_total counter",
 		"\nheisen_chess_steps_executed_total ",
 	} {
