@@ -352,6 +352,7 @@ func BenchmarkStepAllocs(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := interp.New(cp, w.Input.Clone())
+	// One scheduler, rewound in place per run like the machine.
 	coop := sched.NewCooperative()
 	sched.Run(m, coop) // warm the free lists
 	var steps int64

@@ -110,6 +110,8 @@ func InterpTable() ([]InterpRow, error) {
 		chess.Annotate(cands, nil)
 
 		m := interp.New(cp, w.Input.Clone())
+		// One scheduler, rewound in place per run like the machine, so
+		// a measured run allocates nothing.
 		coop := sched.NewCooperative()
 		steps := sched.Run(m, coop).Steps // warm-up run, excluded
 		if steps == 0 {

@@ -84,10 +84,10 @@ type parser struct {
 	depth int
 }
 
-// nest enters n nesting levels; the caller leaves them by lowering
-// p.depth again. Going past MaxNestingDepth is a parse error.
-func (p *parser) nest(n int) error {
-	p.depth += n
+// nest enters one nesting level; the caller leaves it by restoring
+// p.depth. Going past MaxNestingDepth is a parse error.
+func (p *parser) nest() error {
+	p.depth++
 	if p.depth > MaxNestingDepth {
 		return p.errorf("nesting deeper than %d levels", MaxNestingDepth)
 	}
@@ -300,7 +300,7 @@ func (p *parser) parseBlock() (*Block, error) {
 		return nil, err
 	}
 	defer func(d int) { p.depth = d }(p.depth)
-	if err := p.nest(1); err != nil {
+	if err := p.nest(); err != nil {
 		return nil, err
 	}
 	b := &Block{}
@@ -540,7 +540,7 @@ func (p *parser) parseIf(base stmtBase) (Stmt, error) {
 		}
 		if p.atKeyword("if") {
 			defer func(d int) { p.depth = d }(p.depth)
-			if err := p.nest(1); err != nil {
+			if err := p.nest(); err != nil {
 				return nil, err
 			}
 			elif, err := p.parseIf(stmtBase{Ln: p.tok.line})
@@ -677,7 +677,7 @@ func (p *parser) parseArgs() ([]Expr, error) {
 
 func (p *parser) parseExpr() (Expr, error) {
 	defer func(d int) { p.depth = d }(p.depth)
-	if err := p.nest(1); err != nil {
+	if err := p.nest(); err != nil {
 		return nil, err
 	}
 	return p.parseBinary(0)
@@ -705,7 +705,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 	for p.tok.kind == tokPunct && contains(binaryLevels[level], p.tok.text) {
 		// Each operator of a chain nests the chain so far one level
 		// deeper in the tree.
-		if err := p.nest(1); err != nil {
+		if err := p.nest(); err != nil {
 			return nil, err
 		}
 		op := p.tok.text
@@ -724,7 +724,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	if p.atPunct("!") || p.atPunct("-") {
 		defer func(d int) { p.depth = d }(p.depth)
-		if err := p.nest(1); err != nil {
+		if err := p.nest(); err != nil {
 			return nil, err
 		}
 		op := p.tok.text
@@ -747,7 +747,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 	}
 	defer func(d int) { p.depth = d }(p.depth)
 	for p.atPunct(".") {
-		if err := p.nest(1); err != nil {
+		if err := p.nest(); err != nil {
 			return nil, err
 		}
 		if err := p.advance(); err != nil {
