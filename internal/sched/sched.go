@@ -560,7 +560,8 @@ func BoundedRunContext(ctx context.Context, m *interp.Machine, s Scheduler, maxS
 type StressResult struct {
 	// Seed is the interleaving seed that provoked the failure.
 	Seed int64
-	// Result is the failing run.
+	// Result is the failing run. Its Schedule is not recorded; replay
+	// NewRandom(Seed) under a recording Runner to obtain it.
 	Result *Result
 	// Attempts is the number of seeds tried, including the failing one.
 	Attempts int
