@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"heisendump/internal/ir"
 )
@@ -98,19 +99,20 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 	if !m.threadRunnable(t) {
 		return false, nil
 	}
+	// One step bound for the loop: the nearer of limit and MaxSteps.
+	if limit <= 0 || (m.MaxSteps > 0 && m.MaxSteps < limit) {
+		limit = m.MaxSteps
+	}
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
 	m.synced = false
 	for {
 		ok, err := m.execBC(t)
 		if !ok || err != nil {
 			return ok, err
 		}
-		if m.Crash != nil || t.Status != Runnable || m.synced {
-			return true, nil
-		}
-		if limit > 0 && m.TotalSteps >= limit {
-			return true, nil
-		}
-		if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
+		if m.Crash != nil || t.Status != Runnable || m.synced || m.TotalSteps >= limit {
 			return true, nil
 		}
 		if fr := t.Frames[len(t.Frames)-1]; fr.sync[fr.PC] != 0 {
