@@ -84,8 +84,10 @@ type parser struct {
 	depth int
 }
 
-// nest enters one nesting level; the caller leaves it by restoring
-// p.depth. Going past MaxNestingDepth is a parse error.
+// nest enters one nesting level; the caller leaves it by lowering
+// p.depth again once the nested construct has parsed. Going past
+// MaxNestingDepth is a parse error, which ends the parse, so error
+// paths need not restore the depth.
 func (p *parser) nest() error {
 	p.depth++
 	if p.depth > MaxNestingDepth {
@@ -299,7 +301,6 @@ func (p *parser) parseBlock() (*Block, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	defer func(d int) { p.depth = d }(p.depth)
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
@@ -314,6 +315,7 @@ func (p *parser) parseBlock() (*Block, error) {
 		}
 		b.Stmts = append(b.Stmts, s)
 	}
+	p.depth--
 	return b, p.advance()
 }
 
@@ -539,7 +541,6 @@ func (p *parser) parseIf(base stmtBase) (Stmt, error) {
 			return nil, err
 		}
 		if p.atKeyword("if") {
-			defer func(d int) { p.depth = d }(p.depth)
 			if err := p.nest(); err != nil {
 				return nil, err
 			}
@@ -547,6 +548,7 @@ func (p *parser) parseIf(base stmtBase) (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			s.Else = &Block{Stmts: []Stmt{elif}}
 		} else {
 			s.Else, err = p.parseBlock()
@@ -676,11 +678,12 @@ func (p *parser) parseArgs() ([]Expr, error) {
 // Expression parsing: precedence climbing.
 
 func (p *parser) parseExpr() (Expr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	return p.parseBinary(0)
+	x, err := p.parseBinary(0)
+	p.depth--
+	return x, err
 }
 
 // binaryLevels lists operators from lowest to highest precedence.
@@ -701,7 +704,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func(d int) { p.depth = d }(p.depth)
+	depth := p.depth
 	for p.tok.kind == tokPunct && contains(binaryLevels[level], p.tok.text) {
 		// Each operator of a chain nests the chain so far one level
 		// deeper in the tree.
@@ -718,12 +721,12 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 		}
 		x = &BinaryExpr{Op: op, X: x, Y: y}
 	}
+	p.depth = depth
 	return x, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.atPunct("!") || p.atPunct("-") {
-		defer func(d int) { p.depth = d }(p.depth)
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
@@ -735,6 +738,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &UnaryExpr{Op: op, X: x}, nil
 	}
 	return p.parsePostfix()
@@ -745,7 +749,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func(d int) { p.depth = d }(p.depth)
+	depth := p.depth
 	for p.atPunct(".") {
 		if err := p.nest(); err != nil {
 			return nil, err
@@ -759,6 +763,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		}
 		x = &FieldExpr{Obj: x, Field: f}
 	}
+	p.depth = depth
 	return x, nil
 }
 
