@@ -55,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"heisendump/internal/chess"
 	"heisendump/internal/core"
 	"heisendump/internal/experiments"
 	"heisendump/internal/telemetry"
@@ -80,11 +79,9 @@ func main() {
 
 	experiments.Workers = *workers
 	experiments.IncludeGenerated = *generated
-	if *progress {
-		experiments.Progress = progressPrinter()
-	}
+	var tracer *telemetry.Tracer
 	if *traceOut != "" {
-		experiments.Trace = telemetry.NewTracer(time.Now, *traceSample)
+		tracer = telemetry.NewTracer(time.Now, *traceSample)
 		// Flushed via defer like the CPU profile: fail() exits directly
 		// and abandons a partial trace, the right trade for a gate
 		// failure.
@@ -95,12 +92,23 @@ func main() {
 				return
 			}
 			defer f.Close()
-			if err := experiments.Trace.WriteJSON(f); err != nil {
+			if err := tracer.WriteJSON(f); err != nil {
 				fmt.Fprintln(os.Stderr, "benchtab: writing trace:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "benchtab: %d trace event(s) written to %s\n", experiments.Trace.Len(), *traceOut)
+			fmt.Fprintf(os.Stderr, "benchtab: %d trace event(s) written to %s\n", tracer.Len(), *traceOut)
 		}()
+	}
+	printer := progressPrinter()
+	experiments.Observe = func(subject string) telemetry.Observers {
+		var obs telemetry.Observers
+		if *progress {
+			obs = append(obs, printer(subject))
+		}
+		if tracer != nil {
+			obs = append(obs, tracer)
+		}
+		return obs
 	}
 
 	if *cpuProfile != "" {
@@ -223,25 +231,31 @@ func main() {
 	}
 }
 
-// progressPrinter returns an experiments.Progress hook that streams
+// progressPrinter returns a per-subject observer that streams fold
 // heartbeats to stderr, throttled to one line per subject per 200ms
-// (final Done lines always print). Concurrent subjects share the hook,
-// so it serializes internally.
-func progressPrinter() func(string, chess.Progress) {
+// (final Done lines always print). Concurrent subjects share it, so it
+// serializes internally.
+func progressPrinter() func(subject string) telemetry.Observer {
 	var mu sync.Mutex
 	last := map[string]time.Time{}
-	return func(subject string, p chess.Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !p.Done && time.Since(last[subject]) < 200*time.Millisecond {
-			return
-		}
-		last[subject] = time.Now()
-		state := "searching"
-		if p.Done {
-			state = "done"
-		}
-		fmt.Fprintf(os.Stderr, "progress %-10s %-9s combos %d/%d  tries %d  executed %d  found=%v\n",
-			subject, state, p.Committed, p.Combos, p.Tries, p.Executed, p.Found)
+	return func(subject string) telemetry.Observer {
+		return telemetry.ObserverFunc(func(e telemetry.Event) {
+			if e.Kind != telemetry.KindFold {
+				return
+			}
+			p := e.Progress
+			mu.Lock()
+			defer mu.Unlock()
+			if !p.Done && time.Since(last[subject]) < 200*time.Millisecond {
+				return
+			}
+			last[subject] = time.Now()
+			state := "searching"
+			if p.Done {
+				state = "done"
+			}
+			fmt.Fprintf(os.Stderr, "progress %-10s %-9s combos %d/%d  tries %d  executed %d  found=%v\n",
+				subject, state, p.Committed, p.Combos, p.Tries, p.Executed, p.Found)
+		})
 	}
 }

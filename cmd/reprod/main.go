@@ -111,19 +111,21 @@ func main() {
 		opts = append(opts, heisendump.WithAlignment(heisendump.AlignByInstructionCount))
 	}
 	if *verbose {
-		opts = append(opts, heisendump.WithObserver(heisendump.ObserverFuncs{
-			StageFunc: func(s heisendump.Stage) { fmt.Printf("stage: %v\n", s) },
-		}))
+		opts = append(opts, heisendump.WithObserver(heisendump.ObserverFunc(func(e heisendump.Event) {
+			if e.Kind == heisendump.EventStageBegin {
+				fmt.Printf("stage: %s\n", e.Stage)
+			}
+		})))
 	}
 	if tracePath != "" {
 		tracer = heisendump.NewTracer(time.Now, *traceSample)
-		opts = append(opts, heisendump.WithTrace(tracer))
+		opts = append(opts, heisendump.WithObserver(tracer))
 	}
 	// A flight recorder always rides along (it is observational and
 	// cheap); its tail prints as evidence when the run fails or is cut
 	// short.
 	flight = heisendump.NewFlightRecorder(16)
-	opts = append(opts, heisendump.WithFlightRecorder(flight))
+	opts = append(opts, heisendump.WithObserver(flight))
 
 	s := heisendump.NewCompiled(prog, input, opts...)
 

@@ -49,7 +49,7 @@ func Example_quickstart() {
 
 // ExampleSession_cancellation cancels a reproduction mid-search and
 // shows the best-so-far partial report a cancelled Session returns.
-// The cancellation fires from the Observer when the search's folded
+// The cancellation fires from a fold event when the search's folded
 // try counter — which is deterministic for any worker count — reaches
 // a budget, so the partial result (and this output) is stable too;
 // a real service would instead cancel on Ctrl-C or a deadline.
@@ -64,13 +64,11 @@ func ExampleSession_cancellation() {
 	defer cancel()
 	s := heisendump.NewCompiled(prog, w.Input,
 		heisendump.WithPlainChess(true), // undirected CHESS needs 4 tries on fig1...
-		heisendump.WithObserver(heisendump.ObserverFuncs{
-			SearchFunc: func(p heisendump.SearchProgress) {
-				if !p.Done && p.Tries >= 2 {
-					cancel() // ...so cancelling after 2 folded tries stops before the find
-				}
-			},
-		}),
+		heisendump.WithObserver(heisendump.ObserverFunc(func(e heisendump.Event) {
+			if e.Kind == heisendump.EventFold && !e.Progress.Done && e.Progress.Tries >= 2 {
+				cancel() // ...so cancelling after 2 folded tries stops before the find
+			}
+		})),
 	)
 
 	rep, err := s.Reproduce(ctx)

@@ -47,8 +47,9 @@
 // Session.Reproduce threads its context through every phase — cancel
 // it (or give it a deadline) and the run stops within one schedule
 // trial, returning the best-so-far partial Report (Report.Partial)
-// with an error wrapping ErrCancelled. WithObserver streams stage
-// transitions and search heartbeats while a long search grinds. The
+// with an error wrapping ErrCancelled. WithObserver subscribes to the
+// run's one event stream — stage spans, trials and search heartbeats —
+// which the Tracer and the FlightRecorder consume as well. The
 // schedule search runs WithWorkers trials concurrently with a
 // deterministic rank-order reduction — the knob changes only the cost
 // of the search, never its result.
@@ -87,20 +88,39 @@ import (
 // best-so-far artifacts of the phases that completed.
 type Report = core.Report
 
-// Observer receives progress events from a reproduction run — stage
-// transitions and schedule-search heartbeats. Attach one with
-// WithObserver; ObserverFuncs adapts plain functions.
-type Observer = core.Observer
+// Observer consumes a run's event stream. Attach one with
+// WithObserver; ObserverFunc adapts a plain function.
+type Observer = telemetry.Observer
 
-// ObserverFuncs adapts plain functions to Observer; nil fields are
-// no-ops.
-type ObserverFuncs = core.ObserverFuncs
+// ObserverFunc adapts a function to Observer.
+type ObserverFunc = telemetry.ObserverFunc
 
-// SearchProgress is one schedule-search heartbeat snapshot.
-type SearchProgress = core.SearchProgress
+// Event is one entry of a run's event stream: a stage begin or end, a
+// search trial, or a fold heartbeat. Stage events arrive on the run's
+// goroutine, a begin and an end with the same Span for each of the
+// seven stages (provoke, align, aligned-dump, diff, prioritize,
+// candidates, search); trials arrive concurrently from search workers;
+// fold heartbeats arrive serialized, ending with one whose
+// Progress.Done is set. docs/OBSERVABILITY.md has the full contract.
+type Event = telemetry.Event
 
-// Tracer records pipeline stage spans and sampled per-trial events,
-// exportable as Chrome trace-event JSON. Attach one with WithTrace.
+// EventKind says what an Event reports.
+type EventKind = telemetry.Kind
+
+// Event kinds.
+const (
+	EventStageBegin = telemetry.KindStageBegin
+	EventStageEnd   = telemetry.KindStageEnd
+	EventTrial      = telemetry.KindTrial
+	EventFold       = telemetry.KindFold
+)
+
+// SearchProgress is one schedule-search heartbeat snapshot, the
+// payload of an EventFold.
+type SearchProgress = telemetry.Progress
+
+// Tracer is an Observer that records stage spans and sampled trial
+// events, exportable as Chrome trace-event JSON.
 type Tracer = telemetry.Tracer
 
 // NewTracer builds a Tracer. clock supplies event timestamps (nil
@@ -111,9 +131,9 @@ func NewTracer(clock func() time.Time, sampleEvery int) *Tracer {
 	return telemetry.NewTracer(clock, sampleEvery)
 }
 
-// FlightRecorder keeps bounded rings of recent trial summaries and
-// scheduler fold decisions. Attach one with WithFlightRecorder and
-// snapshot it after a failed or cancelled run.
+// FlightRecorder is an Observer that keeps bounded rings of recent
+// trials and scheduler fold decisions; snapshot it after a failed or
+// cancelled run.
 type FlightRecorder = telemetry.FlightRecorder
 
 // FlightLog is a FlightRecorder snapshot: the retained trials and

@@ -63,51 +63,17 @@ type Options struct {
 	// concurrently; <= 0 means GOMAXPROCS. Any value yields the same
 	// Found, Schedule and Tries (see Result).
 	Workers int
-	// Progress, when non-nil, receives heartbeat snapshots of the
-	// running search: one after every rank the deterministic fold
-	// commits, and a final one (Done true) when the search returns. The
-	// deterministic fields (Combos, Committed, Tries, Found) form a
-	// stream that is identical for any worker count; the raw cost
-	// counters (Executed, Steps) are monotone across the stream
-	// but depend on worker scheduling. The callback runs with the
-	// searcher's internal lock held: it must return quickly and must
-	// not call back into the searcher. Cancelling the SearchContext
-	// context from inside the callback is supported — it is the
-	// intended way to implement deterministic cutoffs (stop once the
-	// folded Tries reach a budget).
-	Progress func(Progress)
-	// Trial, when non-nil, receives one TrialEvent per trial the
-	// search executes, including speculative trials of ranks the fold
-	// later discards. Events arrive concurrently from worker
-	// goroutines in completion order (not rank order); the callback
-	// must be cheap, safe for concurrent use, and must not call back
-	// into the searcher. It is strictly observational: the determinism
-	// contract is pinned with the hook attached and detached.
-	Trial func(TrialEvent)
-}
-
-// Progress is one heartbeat snapshot of a running search, delivered to
-// Options.Progress.
-type Progress struct {
-	// Combos is the worklist size (constant per search).
-	Combos int
-	// Committed counts the worklist ranks the deterministic fold has
-	// consumed so far.
-	Committed int
-	// Tries is the folded sequential-equivalent try count so far —
-	// deterministic for any worker count, like Result.Tries.
-	Tries int
-	// Executed and Steps are the raw cost counters at snapshot time
-	// (test runs executed including speculation, interpreter steps
-	// executed). Monotone across the heartbeat stream; dependent on
-	// worker scheduling.
-	Executed int
-	Steps    int64
-	// Found reports whether a winning schedule has committed.
-	Found bool
-	// Done marks the final snapshot, emitted exactly once as the search
-	// returns.
-	Done bool
+	// Observer, when non-nil, receives one KindTrial event per trial
+	// the search executes, including speculative trials of ranks the
+	// fold later discards, and one KindFold heartbeat per rank the
+	// deterministic fold commits plus a final one with Done set; see
+	// telemetry.Event for the delivery contract. It is strictly
+	// observational: the determinism contract is pinned with an
+	// observer attached and detached. Cancelling the SearchContext
+	// context from a fold event is the intended way to implement
+	// deterministic cutoffs (stop once the folded Tries reach a
+	// budget).
+	Observer telemetry.Observer
 }
 
 // AppliedPreemption records one preemption of a successful schedule.
@@ -156,8 +122,8 @@ type Result struct {
 	// deterministic prefix — Found, Schedule and Tries cover exactly
 	// the ranks the fold committed before cancellation, folded in the
 	// same rank order an uncancelled search uses, so a cancellation
-	// triggered at a deterministic point (e.g. from a Progress callback
-	// when Tries reaches a budget) yields a bit-identical partial
+	// triggered at a deterministic point (e.g. from a fold event when
+	// Tries reaches a budget) yields a bit-identical partial
 	// result for any worker count.
 	Cancelled bool
 }
@@ -225,7 +191,7 @@ func (s *Searcher) Search() *Result {
 // search stops claiming and folding work and returns the best-so-far
 // deterministic prefix with Result.Cancelled set — all completed work
 // is still reduced in rank order, so a cancellation triggered at a
-// deterministic fold point (see Options.Progress) yields a
+// deterministic fold point (see Options.Observer) yields a
 // bit-identical partial result for any worker count. An uncancelled
 // context leaves the result bit-identical to Search.
 func (s *Searcher) SearchContext(ctx context.Context) *Result {
@@ -305,13 +271,13 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	return res
 }
 
-// emitDone publishes the final Progress snapshot for a finished (or
+// emitDone publishes the final fold heartbeat for a finished (or
 // cancelled, or trivially empty) search.
 func (s *Searcher) emitDone(res *Result, committed int) {
-	if s.Opts.Progress == nil {
+	if s.Opts.Observer == nil {
 		return
 	}
-	s.Opts.Progress(Progress{
+	s.Opts.Observer.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
 		Combos:    res.CombinationsGenerated,
 		Committed: committed,
 		Tries:     res.Tries,
@@ -319,7 +285,8 @@ func (s *Searcher) emitDone(res *Result, committed int) {
 		Steps:     res.StepsExecuted,
 		Found:     res.Found,
 		Done:      true,
-	})
+		Cancelled: res.Cancelled,
+	}})
 }
 
 // cancelled reports whether the search's context has been cancelled.
@@ -452,7 +419,7 @@ func (st *searchState) record(r int, out *comboOutcome) {
 		if st.cancelled() {
 			// Cancelled: stop folding and leave the committed prefix as
 			// the deterministic partial result. The check sits before
-			// each consume, so a Progress callback that cancels the
+			// each consume, so a fold observer that cancels the
 			// context commits nothing past the rank it reacted to — for
 			// any worker count.
 			return
@@ -494,20 +461,20 @@ func (st *searchState) record(r int, out *comboOutcome) {
 	}
 }
 
-// progressLocked emits a heartbeat snapshot; st.mu must be held, which
+// progressLocked emits a fold heartbeat; st.mu must be held, which
 // serializes the stream and makes every counter monotone across it.
 func (st *searchState) progressLocked() {
-	if st.s.Opts.Progress == nil {
+	if st.s.Opts.Observer == nil {
 		return
 	}
-	st.s.Opts.Progress(Progress{
+	st.s.Opts.Observer.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
 		Combos:    st.wl.size,
 		Committed: st.committed,
 		Tries:     st.cumTries,
 		Executed:  int(st.tries.Load()),
 		Steps:     st.steps.Load(),
 		Found:     st.winner != nil,
-	})
+	}})
 }
 
 // exploreCombo executes test runs for the combination at rank r,

@@ -9,6 +9,7 @@ import (
 	"heisendump/internal/core"
 	"heisendump/internal/interp"
 	"heisendump/internal/slicing"
+	"heisendump/internal/telemetry"
 	"heisendump/internal/workloads"
 )
 
@@ -169,9 +170,9 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchContextCancelDeterministic: cancelling from the Progress
-// callback once the folded try counter reaches a budget stops the fold
-// at the same committed prefix for any worker count — the partial
+// TestSearchContextCancelDeterministic: cancelling from a fold event
+// once the folded try counter reaches a budget stops the fold at the
+// same committed prefix for any worker count — the partial
 // Tries (and the absence of a find) are bit-identical.
 func TestSearchContextCancelDeterministic(t *testing.T) {
 	s := analyzedSearcher(t, "apache-2")
@@ -182,12 +183,12 @@ func TestSearchContextCancelDeterministic(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		s.Opts.Workers = workers
-		s.Opts.Progress = func(p chess.Progress) {
-			if !p.Done && p.Tries >= budget {
+		s.Opts.Observer = telemetry.ObserverFunc(func(e telemetry.Event) {
+			if e.Kind == telemetry.KindFold && !e.Progress.Done && e.Progress.Tries >= budget {
 				cancel()
 			}
-		}
-		defer func() { s.Opts.Progress = nil }()
+		})
+		defer func() { s.Opts.Observer = nil }()
 		return s.SearchContext(ctx)
 	}
 

@@ -6,32 +6,16 @@ import (
 )
 
 // Telemetry plumbing for the search. Everything here is strictly
-// passive — counters and the Options.Trial hook observe trials after
-// their outcome is fixed, at trial granularity (never per step), so
-// the determinism contract (Found/Schedule/Tries bit-identical with
+// passive — counters and the Options.Observer stream observe trials
+// after their outcome is fixed, at trial granularity (never per step),
+// so the determinism contract (Found/Schedule/Tries bit-identical with
 // telemetry on or off, for any worker count) and the allocs/step=0
 // budget are untouched.
 
-// TrialEvent describes one executed trial, delivered to
-// Options.Trial.
-type TrialEvent struct {
-	// Rank is the trial's worklist rank; Trial is its 0-based index
-	// within the combination's exploration.
-	Rank  int
-	Trial int
-	// Worker is the worker goroutine that executed the trial; -1 marks
-	// the post-join sequential repair path.
-	Worker int
-	// Steps counts the interpreter steps the trial executed.
-	Steps int64
-	// Found marks a trial that reproduced the target failure.
-	Found bool
-}
-
 // observeTrial publishes one executed trial to the telemetry layer:
 // the sharded chess and interpreter counters, the crash classifier,
-// and the Options.Trial hook. worker indexes the counter shard; the
-// post-join repair path's -1 wraps to a valid cell like any other
+// and the Options.Observer stream. worker indexes the counter shard;
+// the post-join repair path's -1 wraps to a valid cell like any other
 // out-of-range id.
 func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m *interp.Machine) {
 	telemetry.ChessTrialsExecuted.Cell(worker).Inc()
@@ -41,11 +25,11 @@ func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m 
 	if m.Crashed() {
 		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}
-	if st.s.Opts.Trial != nil {
-		st.s.Opts.Trial(TrialEvent{
+	if o := st.s.Opts.Observer; o != nil {
+		o.Observe(telemetry.Event{Kind: telemetry.KindTrial, Trial: telemetry.Trial{
 			Rank: rank, Trial: trial, Worker: worker,
 			Steps: tr.steps, Found: tr.found,
-		})
+		}})
 	}
 }
 

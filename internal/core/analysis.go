@@ -95,11 +95,12 @@ func (a *Analysis) Through(last Stage) error {
 // ThroughContext runs every not-yet-run stage up to and including
 // last, checking the context before each stage (and polling it inside
 // the long deterministic re-executions of StageAlign and
-// StageAlignedDump), and announcing each stage to the pipeline's
-// Observer as it begins. On cancellation it returns an error wrapping
-// ErrCancelled; the artifacts of completed stages remain in a.Report,
-// and a later call resumes at the first unfinished stage — this is
-// what makes an analysis resumable across cancelled runs.
+// StageAlignedDump), and bracketing each stage with begin and end
+// events to the pipeline's observers. On cancellation it returns an
+// error wrapping ErrCancelled; the artifacts of completed stages
+// remain in a.Report, and a later call resumes at the first
+// unfinished stage — this is what makes an analysis resumable across
+// cancelled runs.
 func (a *Analysis) ThroughContext(ctx context.Context, last Stage) error {
 	if err := a.Pipe.inputErr; err != nil {
 		// Every analysis stage re-executes on machines seeded from the
@@ -111,12 +112,9 @@ func (a *Analysis) ThroughContext(ctx context.Context, last Stage) error {
 		if err := ctx.Err(); err != nil {
 			return Cancelled(err)
 		}
-		if obs := a.Pipe.Cfg.Observer; obs != nil {
-			obs.Stage(a.next)
-		}
-		endSpan := a.Pipe.Cfg.Trace.StageBegin(a.next.String())
+		end := a.Pipe.stage(a.next.String())
 		err := a.runStage(ctx, a.next)
-		endSpan()
+		end()
 		if err != nil {
 			return err
 		}

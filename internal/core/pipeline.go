@@ -83,20 +83,12 @@ type Config struct {
 	// remains bit-identical across Workers. Off, the search
 	// order is exactly the unguided one.
 	StaticFocus bool
-	// Observer, when non-nil, receives stage transitions and
-	// schedule-search heartbeats from every context-aware run of this
-	// pipeline; see Observer for the delivery contract.
-	Observer Observer
-	// Trace, when non-nil, records pipeline stage spans and sampled
-	// per-trial events for Chrome trace-event export
-	// (telemetry.Tracer.WriteJSON). Strictly observational: results
-	// are bit-identical with tracing on or off.
-	Trace *telemetry.Tracer
-	// Flight, when non-nil, retains a bounded ring of recent trial
-	// summaries and search fold decisions; callers snapshot it
-	// (telemetry.FlightRecorder.Snapshot) to attach evidence to
-	// failed or cancelled runs. Observational, like Trace.
-	Flight *telemetry.FlightRecorder
+	// Observers receive the run's event stream, each every event in
+	// order: stage begins and ends, search trials and fold heartbeats;
+	// see telemetry.Event for the delivery contract. Strictly
+	// observational: results are bit-identical with observers attached
+	// or not.
+	Observers telemetry.Observers
 }
 
 func (c Config) withDefaults() Config {
@@ -178,8 +170,7 @@ func (p *Pipeline) ProvokeFailureContext(ctx context.Context) (*FailureReport, e
 	if p.inputErr != nil {
 		return nil, p.inputErr
 	}
-	endSpan := p.Cfg.Trace.StageBegin("provoke")
-	defer endSpan()
+	defer p.stage("provoke")()
 	m, st := sched.StressContext(ctx, p.NewMachine, p.Cfg.MaxStressAttempts)
 	if m == nil {
 		if err := ctx.Err(); err != nil {
@@ -262,8 +253,8 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context, fail *FailureReport) (*An
 
 // Searcher builds the schedule searcher for a completed analysis;
 // callers may tweak its Opts before Search (ablation studies do). The
-// pipeline's Observer, if any, is pre-wired as the searcher's Progress
-// sink.
+// pipeline's observers, if any, are pre-wired as the searcher's
+// Observer.
 func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Searcher {
 	s := &chess.Searcher{
 		NewMachine: p.NewMachine,
@@ -281,50 +272,23 @@ func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Sear
 	if p.Cfg.StaticFocus {
 		s.Opts.Static = statics.Analyze(p.Prog).FocusSet()
 	}
-	if obs := p.Cfg.Observer; obs != nil {
-		s.Opts.Progress = obs.Search
-	}
-	// Telemetry taps ride on the searcher's observational hooks: the
-	// tracer and flight recorder share one Trial hook, and decision
-	// recording wraps (never replaces) the Observer's Progress sink.
-	// Both are nil-safe no-ops, so one closure serves either.
-	if tr, fl := p.Cfg.Trace, p.Cfg.Flight; tr != nil || fl != nil {
-		s.Opts.Trial = func(ev chess.TrialEvent) {
-			tr.Trial(telemetry.TrialEvent{
-				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, Found: ev.Found,
-			})
-			fl.RecordTrial(telemetry.TrialRecord{
-				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, Found: ev.Found,
-			})
-		}
-	}
-	if fl := p.Cfg.Flight; fl != nil {
-		inner := s.Opts.Progress
-		s.Opts.Progress = func(pr chess.Progress) {
-			fl.RecordDecision(decisionOf(pr))
-			if inner != nil {
-				inner(pr)
-			}
-		}
+	if len(p.Cfg.Observers) > 0 {
+		s.Opts.Observer = p.Cfg.Observers
 	}
 	return s
 }
 
-// decisionOf classifies one Progress heartbeat for the flight
-// recorder's decision ring.
-func decisionOf(p chess.Progress) telemetry.Decision {
-	kind := "commit"
-	switch {
-	case !p.Done && p.Found:
-		kind = "winner"
-	case p.Done && !p.Found && p.Committed < p.Combos:
-		kind = "cutoff"
-	case p.Done:
-		kind = "done"
+// stage delivers a stage-begin event to the pipeline's observers and
+// returns the function that delivers its end, carrying the same
+// process-unique span id.
+func (p *Pipeline) stage(name string) (end func()) {
+	obs := p.Cfg.Observers
+	if len(obs) == 0 {
+		return func() {}
 	}
-	return telemetry.Decision{Kind: kind, Committed: p.Committed, Tries: p.Tries, Found: p.Found}
+	span := telemetry.NewSpan()
+	obs.Observe(telemetry.Event{Kind: telemetry.KindStageBegin, Stage: name, Span: span})
+	return func() { obs.Observe(telemetry.Event{Kind: telemetry.KindStageEnd, Stage: name, Span: span}) }
 }
 
 // ReproduceContext runs the schedule search guided by the analysis.
@@ -337,9 +301,9 @@ func (p *Pipeline) ReproduceContext(ctx context.Context, fail *FailureReport, an
 	if p.inputErr != nil {
 		return nil, p.inputErr
 	}
-	endSpan := p.Cfg.Trace.StageBegin("search")
+	end := p.stage("search")
 	res := p.Searcher(fail, an).SearchContext(ctx)
-	endSpan()
+	end()
 	if res.Cancelled {
 		return res, Cancelled(ctx.Err())
 	}

@@ -38,20 +38,14 @@ import (
 // Set it once at startup (cmd/benchtab's -workers flag does).
 var Workers = 0
 
-// Progress, when non-nil, receives schedule-search heartbeats from the
-// searching tables (4 and 5), tagged with the subject workload's name;
-// cmd/benchtab's -progress flag wires it to stderr. The callback is
-// invoked from concurrently-running subjects' search goroutines — it
-// must be safe for concurrent use and fast. Set it once at startup.
-var Progress func(subject string, p chess.Progress)
-
-// Trace, when non-nil, receives pipeline stage spans and sampled
-// per-trial events from every subject the searching tables run
-// (cmd/benchtab's -trace flag wires it to a Chrome trace-event JSON
-// file). The Tracer is safe for the concurrent subjects; tracing is
-// observational — all counted columns are bit-identical with it on.
-// Set it once at startup.
-var Trace *telemetry.Tracer
+// Observe returns the observers of one subject's pipeline in tables 3
+// to 6 and the static comparison, given the subject workload's name;
+// the default attaches none. cmd/benchtab's -progress and -trace flags
+// wire a heartbeat printer and a Tracer through it. The observers are
+// called from concurrently running subjects: they must be safe for
+// concurrent use and fast. Observing is passive: all counted columns
+// are bit-identical with observers attached. Set it once at startup.
+var Observe = func(subject string) telemetry.Observers { return nil }
 
 // IncludeGenerated appends the curated generator-derived workloads
 // (workloads.Generated()) to the subjects of Tables 2–6, so the
@@ -71,15 +65,6 @@ func subjects() []*workloads.Workload {
 		return bugs
 	}
 	return append(append([]*workloads.Workload(nil), bugs...), workloads.Generated()...)
-}
-
-// observerFor adapts the Progress hook into a per-subject pipeline
-// observer, or nil when no hook is installed.
-func observerFor(subject string) core.Observer {
-	if Progress == nil {
-		return nil
-	}
-	return core.ObserverFuncs{SearchFunc: func(p chess.Progress) { Progress(subject, p) }}
 }
 
 // Every table generator takes a context threaded into each subject's
@@ -234,12 +219,7 @@ func analyzeBug(ctx context.Context, w *workloads.Workload, cfg core.Config) (*c
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if cfg.Observer == nil {
-		cfg.Observer = observerFor(w.Name)
-	}
-	if cfg.Trace == nil {
-		cfg.Trace = Trace
-	}
+	cfg.Observers = Observe(w.Name)
 	p := core.NewPipeline(prog, w.Input, cfg)
 	fail, err := p.ProvokeFailureContext(ctx)
 	if err != nil {
@@ -312,7 +292,7 @@ func Table4(ctx context.Context, plainCap int) ([]Table4Row, error) {
 		// Workers=1: the subject-level pool already saturates the cores;
 		// a nested full-width search pool per bug would oversubscribe
 		// them roughly quadratically and perturb the time columns.
-		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observer: observerFor(w.Name), Trace: Trace})
+		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observers: Observe(w.Name)})
 		fail, err := p.ProvokeFailureContext(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)

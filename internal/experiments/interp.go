@@ -45,17 +45,18 @@ type InterpRow struct {
 	// StepsExecuted is the probe search's interpreter-step count.
 	StepsExecuted int64
 	// SearchNsTelemetry is the cold probe search with the telemetry
-	// stack attached: a per-trial Trial hook feeding a 1-in-10 sampled
-	// Tracer — the benchtab tracing default — and a FlightRecorder,
-	// plus a Progress-wrapped decision recorder. TelemetryOverhead is
-	// the median of the per-round tele/cold ratios of process CPU
-	// time, the two legs alternating search by search with GC pinned
-	// off (see telemetryOverheadPair) so machine drift, preemption and
-	// vCPU steal cancel; benchgate holds it to the documented 1.05
-	// ceiling, pinning the "telemetry is passive" claim as a perf gate,
-	// not just a determinism gate. Both legs fire the always-on sharded
-	// counters, so the ratio prices only the Trial and Progress hooks,
-	// the tracer and the flight recorder.
+	// stack observing its event stream: a 1-in-10 sampled Tracer — the
+	// benchtab tracing default — and a FlightRecorder behind one
+	// Observers fan-out. TelemetryOverhead is the median of the
+	// per-round tele/cold ratios of process CPU time, the two legs
+	// alternating search by search with GC pinned off (see
+	// telemetryOverheadPair) so machine drift, preemption and vCPU
+	// steal cancel; benchgate holds it to the documented 1.05 ceiling,
+	// pinning the "telemetry is passive" claim as a perf gate, not just
+	// a determinism gate. Both legs fire the always-on sharded
+	// counters, so the ratio prices only the event stream (building and
+	// delivering each trial and fold event), the tracer and the flight
+	// recorder.
 	SearchNsTelemetry int64
 	TelemetryOverhead float64
 }
@@ -244,12 +245,11 @@ func processCPU() int64 {
 // probeSearch runs a deterministic plain-CHESS schedule search
 // (unweighted, unguided, bound 2, 400 tries, one worker, unmatchable
 // target — the BenchmarkSearchParallel regime) and returns its
-// executed-step count. With tele set, the
-// telemetry stack rides along: a Trial hook feeding a Tracer
-// (synthetic clock, 1-in-10 sampled — the benchtab tracing default)
-// and a FlightRecorder, and a Progress wrapper recording fold
-// decisions — the always-on per-job consumers the batch server wires,
-// plus tracing at its default sampling.
+// executed-step count. With tele set, the telemetry stack observes
+// the search's event stream: a Tracer (synthetic clock, 1-in-10
+// sampled — the benchtab tracing default) and a FlightRecorder behind
+// one Observers fan-out, as the batch server attaches its SSE hub and
+// flight recorder to every job.
 func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, tele bool) int64 {
 	s := &chess.Searcher{
 		NewMachine: func() *interp.Machine {
@@ -267,23 +267,7 @@ func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate,
 		},
 	}
 	if tele {
-		tr := telemetry.NewTracer(nil, 10)
-		fl := telemetry.NewFlightRecorder(64)
-		s.Opts.Trial = func(ev chess.TrialEvent) {
-			tr.Trial(telemetry.TrialEvent{
-				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, Found: ev.Found,
-			})
-			fl.RecordTrial(telemetry.TrialRecord{
-				Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-				Steps: ev.Steps, Found: ev.Found,
-			})
-		}
-		s.Opts.Progress = func(p chess.Progress) {
-			fl.RecordDecision(telemetry.Decision{
-				Kind: "commit", Committed: p.Committed, Tries: p.Tries, Found: p.Found,
-			})
-		}
+		s.Opts.Observer = telemetry.Observers{telemetry.NewTracer(nil, 10), telemetry.NewFlightRecorder(64)}
 	}
 	return s.Search().StepsExecuted
 }

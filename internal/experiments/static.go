@@ -58,7 +58,7 @@ func StaticTable(ctx context.Context, cap int) ([]StaticTableRow, error) {
 		analyzeTime := time.Since(t0)
 
 		// Workers=1: the subject-level pool already saturates the cores.
-		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observer: observerFor(w.Name)})
+		p := core.NewPipeline(prog, w.Input, core.Config{Workers: 1, Observers: Observe(w.Name)})
 		fail, err := p.ProvokeFailureContext(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)

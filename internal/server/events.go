@@ -13,11 +13,14 @@ import (
 type Event struct {
 	Seq  uint64 `json:"seq"`
 	Type string `json:"type"` // "stage", "heartbeat" or "done"
-	// Stage is the analysis stage name (type "stage").
+	// Stage is the name of the stage that began (type "stage"):
+	// provoke, align, aligned-dump, diff, prioritize, candidates or
+	// search.
 	Stage string `json:"stage,omitempty"`
 	// Heartbeat is the schedule-search snapshot (type "heartbeat").
-	// The Observer contract guarantees one per committed worklist rank
-	// with monotone counters; the hub preserves that order.
+	// The event stream guarantees one per committed worklist rank with
+	// monotone counters, then one with Done set; the hub preserves that
+	// order.
 	Heartbeat *heisendump.SearchProgress `json:"heartbeat,omitempty"`
 	// Status is the terminal job status (type "done", the stream's
 	// final event).
@@ -34,8 +37,8 @@ const (
 // hub buffers one job's events in a bounded ring and broadcasts
 // appends to any number of SSE subscribers. Appends never block on
 // slow consumers: a consumer that falls more than cap(events) behind
-// observes a Seq gap instead of backpressuring the search (Observer
-// callbacks run with search locks held, so blocking here would stall
+// observes a Seq gap instead of backpressuring the search (heartbeats
+// are delivered with search locks held, so blocking here would stall
 // the reproduction itself).
 type hub struct {
 	mu     sync.Mutex
@@ -107,33 +110,20 @@ func (h *hub) since(after uint64) (evs []Event, closed bool, wake <-chan struct{
 	return evs, h.closed, h.notify
 }
 
-// observer adapts the hub to the Session Observer contract. Stage
-// events arrive on the run's goroutine; Search heartbeats arrive from
-// search goroutines with internal locks held — append is a bounded
-// O(1) critical section, satisfying the "must be fast" requirement.
+// observer adapts the hub to the Session's event stream: each stage
+// begin becomes a "stage" frame and each fold heartbeat a "heartbeat"
+// frame; trial and stage-end events are not streamed. Stage events
+// arrive on the run's goroutine; heartbeats arrive from search
+// goroutines with internal locks held — append is a bounded O(1)
+// critical section, satisfying the "must be fast" requirement.
 type observer struct{ h *hub }
 
-func (o observer) Stage(s heisendump.Stage) {
-	o.h.append(Event{Type: EventStage, Stage: stageName(s)})
-}
-
-func (o observer) Search(p heisendump.SearchProgress) {
-	hb := p
-	o.h.append(Event{Type: EventHeartbeat, Heartbeat: &hb})
-}
-
-func stageName(s heisendump.Stage) string {
-	switch s {
-	case heisendump.StageAlign:
-		return "align"
-	case heisendump.StageAlignedDump:
-		return "aligned-dump"
-	case heisendump.StageDiff:
-		return "diff"
-	case heisendump.StagePrioritize:
-		return "prioritize"
-	case heisendump.StageCandidates:
-		return "candidates"
+func (o observer) Observe(e heisendump.Event) {
+	switch e.Kind {
+	case heisendump.EventStageBegin:
+		o.h.append(Event{Type: EventStage, Stage: e.Stage})
+	case heisendump.EventFold:
+		hb := e.Progress
+		o.h.append(Event{Type: EventHeartbeat, Heartbeat: &hb})
 	}
-	return "unknown"
 }

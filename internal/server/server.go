@@ -6,9 +6,9 @@
 // admission control) runs each job as its own Session on a shared
 // worker budget. All Sessions compile through the process-wide shared
 // program cache, so a hot program compiles once no matter how many
-// tenants grind it. Observer stage events and search heartbeats
-// stream over SSE; completed reports persist in an in-process store
-// with TTL eviction.
+// tenants grind it. Each job's stage begins and search heartbeats,
+// taken from the Session's event stream, stream over SSE; completed
+// reports persist in an in-process store with TTL eviction.
 //
 // The service adds no nondeterminism: a job's Outcome, Found, Tries
 // and Schedule are bit-identical to a direct in-process
@@ -277,7 +277,7 @@ func (s *Server) admit(req JobRequest) (*job, bool, *ErrorPayload) {
 	// (results stay bit-identical) and the snapshot is only surfaced on
 	// failed or cancelled jobs' error payloads.
 	fl := telemetry.NewFlightRecorder(64)
-	opts = append(opts, heisendump.WithFlightRecorder(fl))
+	opts = append(opts, heisendump.WithObserver(fl))
 
 	j := &job{
 		key:      req.JobKey,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -411,9 +412,9 @@ func readSSE(t *testing.T, url string) []sseFrame {
 }
 
 // TestSSEStream pins the event stream contract: dense ascending seq;
-// the five stage events in pipeline order; heartbeats with monotone
+// the seven stage events in pipeline order; heartbeats with monotone
 // folded Tries; exactly one terminal "done" frame carrying the final
-// status — the Observer ordering guarantees, surfaced over HTTP.
+// status — the event stream's ordering guarantees, surfaced over HTTP.
 func TestSSEStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs?wait=1", fig1Request(t, "sse-1")))
@@ -452,7 +453,7 @@ func TestSSEStream(t *testing.T) {
 			t.Fatalf("frame %d: unknown event %q", i, f.event)
 		}
 	}
-	wantStages := []string{"align", "aligned-dump", "diff", "prioritize", "candidates"}
+	wantStages := []string{"provoke", "align", "aligned-dump", "diff", "prioritize", "candidates", "search"}
 	if strings.Join(stages, ",") != strings.Join(wantStages, ",") {
 		t.Fatalf("stages %v, want %v", stages, wantStages)
 	}
@@ -580,5 +581,60 @@ func TestShutdownDrains(t *testing.T) {
 	got := j.status()
 	if got.State != StateFailed || got.Error == nil || got.Error.Code != CodeShuttingDown {
 		t.Fatalf("after shutdown: %+v err=%+v", got, got.Error)
+	}
+}
+
+// TestShutdownAttachesFlightLog: a job cancelled mid-search carries
+// its flight log on the error payload — the last trials and fold
+// decisions, ending in a "cancelled" decision rather than a trial
+// budget's "cutoff".
+func TestShutdownAttachesFlightLog(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	w := heisendump.WorkloadByName("apache-2")
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs", JobRequest{
+		Tenant: "t",
+		Source: w.Source,
+		Input:  &InputSpec{Scalars: w.Input.Scalars, Arrays: w.Input.Arrays},
+		Options: JobOptions{
+			Workers: 1, PlainChess: true, Bound: 3,
+			// Undirected CHESS does not find apache-2 within millions
+			// of tries, so the search is still running at shutdown.
+			TrialBudget: 10_000_000,
+		},
+	}))
+	j := srv.store.get(st.ID)
+	if j == nil {
+		t.Fatal("job not stored")
+	}
+	// Shut down once the search has committed its first rank.
+	for after := uint64(0); ; {
+		evs, closed, wake := j.hub.since(after)
+		if slices.ContainsFunc(evs, func(e Event) bool { return e.Type == EventHeartbeat }) {
+			break
+		}
+		if closed {
+			t.Fatal("job finished before its first heartbeat")
+		}
+		if len(evs) > 0 {
+			after = evs[len(evs)-1].Seq
+		}
+		<-wake
+	}
+	srv.Shutdown()
+	<-j.done
+
+	got := j.status()
+	if got.State != StateFailed || got.Error == nil || got.Error.Code != CodeShuttingDown {
+		t.Fatalf("after shutdown: %+v err=%+v", got, got.Error)
+	}
+	fl := got.Error.Flight
+	if fl == nil || len(fl.Trials) == 0 || len(fl.Decisions) == 0 {
+		t.Fatalf("error payload's flight log is empty: %+v", fl)
+	}
+	if last := fl.Decisions[len(fl.Decisions)-1]; last.Kind != "cancelled" {
+		t.Fatalf("last flight decision %+v, want kind cancelled", last)
 	}
 }

@@ -2,23 +2,11 @@ package telemetry
 
 import "sync"
 
-// TrialRecord is one trial summary in the flight recorder's ring.
-type TrialRecord struct {
-	// Rank and Trial locate the trial in the search's deterministic
-	// order; Worker is the goroutine that ran it (-1 repair path).
-	Rank   int `json:"rank"`
-	Trial  int `json:"trial"`
-	Worker int `json:"worker"`
-	// Steps are the trial's executed steps; Found marks a trial that
-	// reproduced the target failure.
-	Steps int64 `json:"steps"`
-	Found bool  `json:"found,omitempty"`
-}
-
 // Decision is one scheduler decision in the ring: a fold commit, the
-// winner, the cutoff, or the final done mark.
+// winner, the final mark of a search cut off by its trial budget or
+// cancelled, or the final done mark.
 type Decision struct {
-	// Kind is "commit", "winner", "cutoff" or "done".
+	// Kind is "commit", "winner", "cutoff", "cancelled" or "done".
 	Kind string `json:"kind"`
 	// Committed is the fold's consumed-rank count at the decision;
 	// Tries the folded sequential-equivalent try count.
@@ -31,20 +19,21 @@ type Decision struct {
 // trial and decision tails, oldest first, plus the drop counts that
 // say how much history scrolled off.
 type FlightLog struct {
-	Trials           []TrialRecord `json:"trials"`
-	Decisions        []Decision    `json:"decisions"`
-	TrialsDropped    int64         `json:"trialsDropped,omitempty"`
-	DecisionsDropped int64         `json:"decisionsDropped,omitempty"`
+	Trials           []Trial    `json:"trials"`
+	Decisions        []Decision `json:"decisions"`
+	TrialsDropped    int64      `json:"trialsDropped,omitempty"`
+	DecisionsDropped int64      `json:"decisionsDropped,omitempty"`
 }
 
-// FlightRecorder keeps bounded rings of recent trial summaries and
-// scheduler decisions, cheap enough to run always-on so that a failed
-// or cancelled run can attach its last moments as evidence. Methods
-// are safe for concurrent use and no-ops on a nil receiver.
+// FlightRecorder is an Observer that keeps bounded rings of recent
+// trials and scheduler decisions, cheap enough to run always-on so
+// that a failed or cancelled run can attach its last moments as
+// evidence. Methods are safe for concurrent use and no-ops on a nil
+// receiver.
 type FlightRecorder struct {
-	mu        sync.Mutex
-	trials    ring[TrialRecord]
-	decisions ring[Decision]
+	mu     sync.Mutex
+	trials ring[Trial]
+	folds  ring[Progress] // labeled as Decisions by Snapshot
 }
 
 // NewFlightRecorder returns a recorder retaining the last n trials
@@ -54,29 +43,45 @@ func NewFlightRecorder(n int) *FlightRecorder {
 		n = 64
 	}
 	return &FlightRecorder{
-		trials:    ring[TrialRecord]{buf: make([]TrialRecord, n)},
-		decisions: ring[Decision]{buf: make([]Decision, n)},
+		trials: ring[Trial]{buf: make([]Trial, n)},
+		folds:  ring[Progress]{buf: make([]Progress, n)},
 	}
 }
 
-// RecordTrial appends a trial summary, evicting the oldest when full.
-func (f *FlightRecorder) RecordTrial(r TrialRecord) {
+// Observe appends a trial or a fold heartbeat to its ring, evicting
+// the oldest when full. Stage events are ignored. Heartbeats are kept
+// raw and labeled only by Snapshot, so the search pays for a copy,
+// not a classification.
+func (f *FlightRecorder) Observe(e Event) {
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	f.trials.push(r)
-	f.mu.Unlock()
+	switch e.Kind {
+	case KindTrial:
+		f.mu.Lock()
+		f.trials.push(e.Trial)
+		f.mu.Unlock()
+	case KindFold:
+		f.mu.Lock()
+		f.folds.push(e.Progress)
+		f.mu.Unlock()
+	}
 }
 
-// RecordDecision appends a scheduler decision.
-func (f *FlightRecorder) RecordDecision(d Decision) {
-	if f == nil {
-		return
+// decisionOf classifies one fold heartbeat.
+func decisionOf(p Progress) Decision {
+	kind := "commit"
+	switch {
+	case !p.Done && p.Found:
+		kind = "winner"
+	case p.Cancelled:
+		kind = "cancelled"
+	case p.Done && !p.Found && p.Committed < p.Combos:
+		kind = "cutoff"
+	case p.Done:
+		kind = "done"
 	}
-	f.mu.Lock()
-	f.decisions.push(d)
-	f.mu.Unlock()
+	return Decision{Kind: kind, Committed: p.Committed, Tries: p.Tries, Found: p.Found}
 }
 
 // Snapshot copies the rings out, oldest first. nil receiver and an
@@ -88,15 +93,18 @@ func (f *FlightRecorder) Snapshot() *FlightLog {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.trials.n == 0 && f.decisions.n == 0 {
+	if f.trials.n == 0 && f.folds.n == 0 {
 		return nil
 	}
-	return &FlightLog{
+	log := &FlightLog{
 		Trials:           f.trials.slice(),
-		Decisions:        f.decisions.slice(),
 		TrialsDropped:    f.trials.dropped,
-		DecisionsDropped: f.decisions.dropped,
+		DecisionsDropped: f.folds.dropped,
 	}
+	for _, p := range f.folds.slice() {
+		log.Decisions = append(log.Decisions, decisionOf(p))
+	}
+	return log
 }
 
 // ring is a fixed-capacity overwrite ring.
@@ -107,9 +115,14 @@ type ring[T any] struct {
 	dropped int64
 }
 
+// push runs once per observed trial and fold, so it wraps the head
+// with a compare rather than a modulo: a division by the ring's
+// length costs several times the rest of the push.
 func (r *ring[T]) push(v T) {
 	r.buf[r.head] = v
-	r.head = (r.head + 1) % len(r.buf)
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	if r.n < len(r.buf) {
 		r.n++
 	} else {

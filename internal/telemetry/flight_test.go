@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,10 +13,11 @@ import (
 func TestFlightRecorderRing(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		f.RecordTrial(TrialRecord{Rank: i})
+		f.Observe(Event{Kind: KindTrial, Trial: Trial{Rank: i}})
 	}
-	f.RecordDecision(Decision{Kind: "commit", Committed: 1, Tries: 3})
-	f.RecordDecision(Decision{Kind: "winner", Committed: 2, Tries: 5, Found: true})
+	f.Observe(Event{Kind: KindStageBegin, Stage: "search", Span: 1}) // not recorded
+	f.Observe(Event{Kind: KindFold, Progress: Progress{Combos: 9, Committed: 1, Tries: 3}})
+	f.Observe(Event{Kind: KindFold, Progress: Progress{Combos: 9, Committed: 2, Tries: 5, Found: true}})
 
 	log := f.Snapshot()
 	if log == nil {
@@ -31,12 +34,43 @@ func TestFlightRecorderRing(t *testing.T) {
 	if log.TrialsDropped != 6 {
 		t.Errorf("TrialsDropped = %d, want 6", log.TrialsDropped)
 	}
-	if len(log.Decisions) != 2 || log.Decisions[1].Kind != "winner" || !log.Decisions[1].Found {
-		t.Errorf("decisions malformed: %+v", log.Decisions)
+	want := []Decision{
+		{Kind: "commit", Committed: 1, Tries: 3},
+		{Kind: "winner", Committed: 2, Tries: 5, Found: true},
+	}
+	if !reflect.DeepEqual(log.Decisions, want) {
+		t.Errorf("decisions = %+v, want %+v", log.Decisions, want)
 	}
 
-	if _, err := json.Marshal(log); err != nil {
-		t.Errorf("flight log not JSON-able: %v", err)
+	b, err := json.Marshal(log)
+	if err != nil {
+		t.Fatalf("flight log not JSON-able: %v", err)
+	}
+	if !strings.HasPrefix(string(b), `{"trials":[{"rank":6,"trial":0,"worker":0,"steps":0},`) {
+		t.Errorf("flight log JSON = %s", b)
+	}
+}
+
+// TestFlightDecisionKinds pins how fold heartbeats are labeled: the
+// final heartbeat of a cancelled search reads "cancelled", not
+// "cutoff", even though it too stops short of the worklist.
+func TestFlightDecisionKinds(t *testing.T) {
+	for _, tc := range []struct {
+		p    Progress
+		want string
+	}{
+		{Progress{Combos: 9, Committed: 3, Tries: 4}, "commit"},
+		{Progress{Combos: 9, Committed: 4, Tries: 6, Found: true}, "winner"},
+		{Progress{Combos: 9, Committed: 4, Tries: 6, Found: true, Done: true}, "done"},
+		{Progress{Combos: 9, Committed: 9, Tries: 12, Done: true}, "done"},
+		{Progress{Combos: 9, Committed: 5, Tries: 8, Done: true}, "cutoff"},
+		{Progress{Combos: 9, Committed: 5, Tries: 8, Done: true, Cancelled: true}, "cancelled"},
+	} {
+		f := NewFlightRecorder(4)
+		f.Observe(Event{Kind: KindFold, Progress: tc.p})
+		if got := f.Snapshot().Decisions[0].Kind; got != tc.want {
+			t.Errorf("%+v labeled %q, want %q", tc.p, got, tc.want)
+		}
 	}
 }
 
@@ -44,8 +78,8 @@ func TestFlightRecorderRing(t *testing.T) {
 // contract: nil recorder and empty recorder both snapshot to nil.
 func TestFlightRecorderNilAndEmpty(t *testing.T) {
 	var f *FlightRecorder
-	f.RecordTrial(TrialRecord{})
-	f.RecordDecision(Decision{})
+	f.Observe(Event{Kind: KindTrial})
+	f.Observe(Event{Kind: KindFold})
 	if f.Snapshot() != nil {
 		t.Error("nil recorder snapshot not nil")
 	}

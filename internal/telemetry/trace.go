@@ -8,25 +8,10 @@ import (
 	"time"
 )
 
-// TrialEvent is the telemetry-side record of one schedule-search
-// trial — the fields chess.TrialEvent carries, restated here so the
-// telemetry layer depends on nothing above it.
-type TrialEvent struct {
-	// Rank is the worklist rank of the trial's combination; Trial is
-	// its 0-based index within that combination's exploration.
-	Rank  int
-	Trial int
-	// Worker is the searcher worker that ran the trial (-1 for the
-	// post-join repair path).
-	Worker int
-	// Steps counts the trial's executed steps; Found marks a trial
-	// that reproduced the target failure.
-	Steps int64
-	Found bool
-}
-
-// Tracer records pipeline stage spans and sampled per-trial events,
-// exportable as Chrome trace-event JSON (chrome://tracing, Perfetto).
+// Tracer is an Observer that records stage spans and sampled trial
+// events, exportable as Chrome trace-event JSON (chrome://tracing,
+// Perfetto). It pairs each stage end with its begin by span id, so
+// one Tracer may observe concurrent runs.
 //
 // The clock is injected: a nil clock makes the tracer fully synthetic
 // — every event is stamped with a monotonically increasing tick — so
@@ -46,6 +31,7 @@ type Tracer struct {
 	based  bool
 	tick   int64 // synthetic clock, µs per event
 	events []traceEvent
+	open   map[uint64]int // span id -> index of its open stage event
 }
 
 // NewTracer returns a tracer. clock supplies event timestamps; nil
@@ -69,46 +55,40 @@ func (t *Tracer) now() int64 {
 	return n.Sub(t.base).Microseconds()
 }
 
-// StageBegin opens a pipeline stage span and returns its closer.
-func (t *Tracer) StageBegin(name string) func() {
+// Observe records a stage begin as a Chrome complete span, closes it
+// at the end carrying the same span id, and records a sampled trial
+// as an instant on its worker's track. Fold events are ignored.
+func (t *Tracer) Observe(e Event) {
 	if t == nil {
-		return func() {}
+		return
 	}
-	t.mu.Lock()
-	start := t.now()
-	idx := len(t.events)
-	t.events = append(t.events, traceEvent{Name: name, Ph: "X", Ts: start, Pid: 1, Tid: 0})
-	t.mu.Unlock()
-	return func() {
+	switch e.Kind {
+	case KindStageBegin:
 		t.mu.Lock()
-		end := t.now()
-		if d := end - t.events[idx].Ts; d > 0 {
-			t.events[idx].Dur = d
-		} else {
-			t.events[idx].Dur = 1
+		if t.open == nil {
+			t.open = map[uint64]int{}
+		}
+		t.open[e.Span] = len(t.events)
+		t.events = append(t.events, traceEvent{Name: e.Stage, Ph: "X", Ts: t.now(), Pid: 1})
+		t.mu.Unlock()
+	case KindStageEnd:
+		t.mu.Lock()
+		if i, ok := t.open[e.Span]; ok {
+			delete(t.open, e.Span)
+			t.events[i].Dur = max(t.now()-t.events[i].Ts, 1)
 		}
 		t.mu.Unlock()
+	case KindTrial:
+		if n := int64(t.sampleEvery); n > 1 && t.seen.Add(1)%n != 0 {
+			return
+		}
+		args := e.Trial
+		t.mu.Lock()
+		t.events = append(t.events, traceEvent{
+			Name: "trial", Ph: "i", S: "t", Ts: t.now(), Pid: 1, Tid: args.Worker + 1, Args: &args,
+		})
+		t.mu.Unlock()
 	}
-}
-
-// Trial records one sampled trial event as a Chrome instant event on
-// the worker's track.
-func (t *Tracer) Trial(ev TrialEvent) {
-	if t == nil {
-		return
-	}
-	if n := int64(t.sampleEvery); n > 1 && t.seen.Add(1)%n != 0 {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
-		Name: "trial", Ph: "i", S: "t", Ts: t.now(), Pid: 1, Tid: ev.Worker + 1,
-		Args: &trialArgs{
-			Rank: ev.Rank, Trial: ev.Trial, Worker: ev.Worker,
-			Steps: ev.Steps, Found: ev.Found,
-		},
-	})
-	t.mu.Unlock()
 }
 
 // Len reports the recorded event count.
@@ -122,13 +102,13 @@ func (t *Tracer) Len() int {
 }
 
 // WriteJSON renders the recorded events as a Chrome trace-event file
-// ({"traceEvents": [...]}).
+// ({"traceEvents": [...]}); a nil tracer writes the empty envelope.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	t.mu.Lock()
-	events := append([]traceEvent(nil), t.events...)
-	t.mu.Unlock()
-	if events == nil {
-		events = []traceEvent{}
+	events := []traceEvent{}
+	if t != nil {
+		t.mu.Lock()
+		events = append(events, t.events...)
+		t.mu.Unlock()
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
@@ -141,23 +121,14 @@ type traceFile struct {
 }
 
 // traceEvent is one Chrome trace event: "X" complete spans for
-// pipeline stages, "i" instants for sampled trials.
+// stages, "i" instants for sampled trials.
 type traceEvent struct {
-	Name string     `json:"name"`
-	Ph   string     `json:"ph"`
-	S    string     `json:"s,omitempty"`
-	Ts   int64      `json:"ts"`
-	Dur  int64      `json:"dur,omitempty"`
-	Pid  int        `json:"pid"`
-	Tid  int        `json:"tid"`
-	Args *trialArgs `json:"args,omitempty"`
-}
-
-// trialArgs is the structured payload of a trial instant.
-type trialArgs struct {
-	Rank   int   `json:"rank"`
-	Trial  int   `json:"trial"`
-	Worker int   `json:"worker"`
-	Steps  int64 `json:"steps"`
-	Found  bool  `json:"found"`
+	Name string `json:"name"`
+	Ph   string `json:"ph"`
+	S    string `json:"s,omitempty"`
+	Ts   int64  `json:"ts"`
+	Dur  int64  `json:"dur,omitempty"`
+	Pid  int    `json:"pid"`
+	Tid  int    `json:"tid"`
+	Args *Trial `json:"args,omitempty"`
 }

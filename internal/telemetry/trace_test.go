@@ -2,20 +2,58 @@ package telemetry
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+func beginEvent(name string, span uint64) Event {
+	return Event{Kind: KindStageBegin, Stage: name, Span: span}
+}
+
+func endEvent(name string, span uint64) Event {
+	return Event{Kind: KindStageEnd, Stage: name, Span: span}
+}
+
+func trialEvent(tr Trial) Event { return Event{Kind: KindTrial, Trial: tr} }
+
+// traceEvents decodes a tracer's written events.
+func traceEvents(t *testing.T, tr *Tracer) []struct {
+	Name string
+	Ph   string
+	Ts   int64
+	Dur  int64
+} {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Ts   int64
+			Dur  int64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	return f.TraceEvents
+}
 
 // TestTracerSyntheticClock checks that a nil clock produces strictly
 // increasing synthetic timestamps — the mode deterministic callers
 // use, with zero wall-clock reads.
 func TestTracerSyntheticClock(t *testing.T) {
 	tr := NewTracer(nil, 1)
-	end := tr.StageBegin("align")
-	tr.Trial(TrialEvent{Rank: 1, Worker: 0, Steps: 10})
-	end()
-	tr.Trial(TrialEvent{Rank: 2, Worker: 1, Steps: 20, Found: true})
+	tr.Observe(beginEvent("align", 1))
+	tr.Observe(trialEvent(Trial{Rank: 1, Worker: 0, Steps: 10}))
+	tr.Observe(endEvent("align", 1))
+	tr.Observe(trialEvent(Trial{Rank: 2, Worker: 1, Steps: 20, Found: true}))
+	tr.Observe(Event{Kind: KindFold, Progress: Progress{Done: true}}) // not traced
 
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
@@ -59,11 +97,11 @@ func TestTracerSyntheticClock(t *testing.T) {
 // one trial event in n, and never drops stage spans.
 func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(nil, 10)
-	end := tr.StageBegin("search")
+	tr.Observe(beginEvent("search", 7))
 	for i := 0; i < 100; i++ {
-		tr.Trial(TrialEvent{Rank: i})
+		tr.Observe(trialEvent(Trial{Rank: i}))
 	}
-	end()
+	tr.Observe(endEvent("search", 7))
 	if got := tr.Len(); got != 11 { // 1 span + 100/10 trials
 		t.Errorf("event count = %d, want 11", got)
 	}
@@ -79,8 +117,8 @@ func TestTracerInjectedClock(t *testing.T) {
 		return base.Add(time.Duration(step) * time.Millisecond)
 	}
 	tr := NewTracer(clock, 1)
-	tr.Trial(TrialEvent{})
-	tr.Trial(TrialEvent{})
+	tr.Observe(trialEvent(Trial{}))
+	tr.Observe(trialEvent(Trial{}))
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -98,14 +136,66 @@ func TestTracerInjectedClock(t *testing.T) {
 	}
 }
 
+// TestTracerInterleavedSpans pins span pairing by id: two concurrent
+// runs sharing one tracer open spans with the same name, and each end
+// closes its own begin — interleaved (begin A, begin B, end A, end B)
+// as well as nested — so each span gets its own duration.
+func TestTracerInterleavedSpans(t *testing.T) {
+	type span struct{ ts, dur int64 }
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   []span // in begin order
+	}{
+		{"interleaved", []Event{
+			beginEvent("search", 1), beginEvent("search", 2),
+			endEvent("search", 1), trialEvent(Trial{}), endEvent("search", 2),
+		}, []span{{1, 2}, {2, 3}}},
+		{"nested", []Event{
+			beginEvent("search", 3), beginEvent("search", 4),
+			endEvent("search", 4), trialEvent(Trial{}), endEvent("search", 3),
+		}, []span{{1, 4}, {2, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewTracer(nil, 1)
+			for _, e := range tc.events {
+				tr.Observe(e)
+			}
+			var got []span
+			for _, ev := range traceEvents(t, tr) {
+				if ev.Ph == "X" {
+					got = append(got, span{ev.Ts, ev.Dur})
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("spans (ts, dur) = %v, want %v", got, tc.want)
+			}
+		})
+	}
+	// An end whose begin the tracer never saw is dropped.
+	tr := NewTracer(nil, 1)
+	tr.Observe(endEvent("search", 9))
+	if tr.Len() != 0 {
+		t.Errorf("unmatched end recorded %d events", tr.Len())
+	}
+}
+
 // TestTracerNilReceiver pins that a nil tracer is a no-op at every
-// call site, so instrumented code needs no guards.
+// call site, so instrumented code needs no guards, and that it writes
+// the empty trace envelope.
 func TestTracerNilReceiver(t *testing.T) {
 	var tr *Tracer
-	end := tr.StageBegin("x")
-	end()
-	tr.Trial(TrialEvent{})
+	tr.Observe(beginEvent("x", 1))
+	tr.Observe(endEvent("x", 1))
+	tr.Observe(trialEvent(Trial{}))
 	if tr.Len() != 0 {
 		t.Error("nil tracer not empty")
+	}
+	var sb strings.Builder
+	if err := tr.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sb.String(), `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n"; got != want {
+		t.Errorf("nil tracer wrote %q, want %q", got, want)
 	}
 }

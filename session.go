@@ -11,10 +11,10 @@ import (
 // Session is a configured reproduction run with the lifecycle controls
 // a long-lived service needs: it is cancellable (every phase honors
 // the context passed to Reproduce — the schedule search at one-trial
-// granularity), observable (WithObserver streams stage transitions and
-// search heartbeats), and resumable (NewAnalysis exposes the
-// stage-structured analysis whose completed artifacts survive a
-// cancelled run and are reused by the next call).
+// granularity), observable (WithObserver subscribes to one event
+// stream of stage spans, trials and search heartbeats), and resumable
+// (NewAnalysis exposes the stage-structured analysis whose completed
+// artifacts survive a cancelled run and are reused by the next call).
 //
 // Build one with New (which compiles through the shared program
 // cache) or NewCompiled (over an already-compiled shared program),
@@ -27,7 +27,7 @@ import (
 //	rep, err := s.Reproduce(ctx)
 //
 // A Session is safe for concurrent Reproduce calls only if its
-// Observer is; every phase is otherwise a pure function of (program,
+// observers are; every phase is otherwise a pure function of (program,
 // input, options), so repeated runs return bit-identical reports.
 type Session struct {
 	pipe *core.Pipeline
@@ -48,27 +48,21 @@ func WithHeuristic(h Heuristic) Option { return func(c *core.Config) { c.Heurist
 // default, or the AlignByInstructionCount baseline).
 func WithAlignment(m AlignmentMethod) Option { return func(c *core.Config) { c.Alignment = m } }
 
-// WithObserver attaches an Observer that receives stage transitions
-// and schedule-search heartbeats; see Observer for the delivery
-// contract. Cancelling the run's context from inside a callback is the
-// supported way to implement deterministic cutoffs.
-func WithObserver(o Observer) Option { return func(c *core.Config) { c.Observer = o } }
-
-// WithTrace attaches a telemetry Tracer that records pipeline stage
-// spans and sampled per-trial instants, exportable afterwards as
-// Chrome trace-event JSON (Tracer.WriteJSON; load in
-// chrome://tracing or Perfetto). Tracing is observational: Found,
-// Schedule and Tries are bit-identical with or without it. A nil
-// tracer is a no-op.
-func WithTrace(t *Tracer) Option { return func(c *core.Config) { c.Trace = t } }
-
-// WithFlightRecorder attaches a telemetry FlightRecorder: a bounded
-// ring of recent trial summaries and scheduler fold decisions.
-// Snapshot it after a failed or cancelled run to get evidence of what
-// the search was doing — the batch server attaches it to error
-// payloads. Recording is observational (results are bit-identical)
-// and a nil recorder is a no-op.
-func WithFlightRecorder(f *FlightRecorder) Option { return func(c *core.Config) { c.Flight = f } }
+// WithObserver attaches an Observer to the run's event stream: stage
+// begins and ends, search trials and fold heartbeats; see Event for
+// the delivery contract. Give it once per observer: each receives
+// every event, in option order. A nil observer is ignored. A Tracer
+// and a FlightRecorder are observers too. Observing is passive: Found,
+// Schedule and Tries are bit-identical with or without observers.
+// Cancelling the run's context from a fold event is the supported way
+// to implement deterministic cutoffs.
+func WithObserver(o Observer) Option {
+	return func(c *core.Config) {
+		if o != nil {
+			c.Observers = append(c.Observers, o)
+		}
+	}
+}
 
 // WithTrialBudget cuts the schedule search off after n test runs (0 =
 // unlimited) — the analogue of the paper's 18-hour cutoff. The budget

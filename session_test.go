@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func compileWorkload(t testing.TB, name string) (*heisendump.Workload, *heisendu
 }
 
 // cancelAtTries runs a full Session reproduction of the workload and
-// cancels the context from the Observer as soon as the search's folded
+// cancels the context from a fold event as soon as the search's folded
 // (deterministic) try counter reaches budget. The fold emits one
 // heartbeat per committed rank and checks the context before each
 // commit, so the cancellation point — and with it the partial result —
@@ -35,13 +36,11 @@ func cancelAtTries(t *testing.T, name string, workers, budget int) (*heisendump.
 	w, prog := compileWorkload(t, name)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	obs := heisendump.ObserverFuncs{
-		SearchFunc: func(p heisendump.SearchProgress) {
-			if !p.Done && p.Tries >= budget {
-				cancel()
-			}
-		},
-	}
+	obs := heisendump.ObserverFunc(func(e heisendump.Event) {
+		if e.Kind == heisendump.EventFold && !e.Progress.Done && e.Progress.Tries >= budget {
+			cancel()
+		}
+	})
 	s := heisendump.NewCompiled(prog, w.Input,
 		heisendump.WithWorkers(workers),
 		heisendump.WithObserver(obs),
@@ -150,7 +149,8 @@ func TestSessionErrScheduleNotFound(t *testing.T) {
 }
 
 // TestSessionErrCancelled covers cancellation at each pipeline stage:
-// before the run starts, mid-analysis (triggered from a Stage event),
+// before the run starts, mid-analysis (triggered from a stage-begin
+// event),
 // and via a deadline — all matching both ErrCancelled and the
 // underlying context error.
 func TestSessionErrCancelled(t *testing.T) {
@@ -183,13 +183,11 @@ func TestSessionErrCancelled(t *testing.T) {
 	t.Run("mid-analysis", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		obs := heisendump.ObserverFuncs{
-			StageFunc: func(s heisendump.Stage) {
-				if s == heisendump.StageDiff {
-					cancel()
-				}
-			},
-		}
+		obs := heisendump.ObserverFunc(func(e heisendump.Event) {
+			if e.Kind == heisendump.EventStageBegin && e.Stage == heisendump.StageDiff.String() {
+				cancel()
+			}
+		})
 		rep, err := heisendump.NewCompiled(prog, w.Input, heisendump.WithObserver(obs)).Reproduce(ctx)
 		if !errors.Is(err, heisendump.ErrCancelled) {
 			t.Fatalf("want ErrCancelled, got %v", err)
@@ -208,23 +206,99 @@ func TestSessionErrCancelled(t *testing.T) {
 	})
 }
 
-// TestSessionObserverOrdering: one full run delivers the five analysis
-// stages in StageAlign..StageCandidates order, then search heartbeats
-// with monotone counters, ending in exactly one Done snapshot — at
-// one worker and at four.
+// streamRecorder collects a run's event stream; trial events arrive
+// concurrently from search workers.
+type streamRecorder struct {
+	mu     sync.Mutex
+	events []heisendump.Event
+}
+
+func (r *streamRecorder) Observe(e heisendump.Event) {
+	r.mu.Lock()
+	r.events = append(r.events, e)
+	r.mu.Unlock()
+}
+
+// wantStages are the seven stages of a full run, in order.
+var wantStages = []string{"provoke", "align", "aligned-dump", "diff", "prioritize", "candidates", "search"}
+
+// checkStream checks one full run's event stream against the delivery
+// contract: the seven stages as begin/end pairs in order, each end
+// carrying its begin's span id; every trial and fold inside the search
+// span; fold heartbeats with constant Combos and monotone counters,
+// the one with Done set last. It returns the stream's span ids, fold
+// heartbeats and trial events.
+func checkStream(t *testing.T, events []heisendump.Event) (spans []uint64, beats []heisendump.SearchProgress, trials []heisendump.Event) {
+	t.Helper()
+	var stages []string
+	open := -1 // index into stages of the open stage
+	done := false
+	for i, e := range events {
+		switch e.Kind {
+		case heisendump.EventStageBegin:
+			if open >= 0 {
+				t.Fatalf("event %d: %s begins inside %s", i, e.Stage, stages[open])
+			}
+			open = len(stages)
+			stages = append(stages, e.Stage)
+			spans = append(spans, e.Span)
+		case heisendump.EventStageEnd:
+			if open < 0 || e.Stage != stages[open] || e.Span != spans[open] {
+				t.Fatalf("event %d: end of %s span %d does not close the open stage (%v, spans %v)",
+					i, e.Stage, e.Span, stages, spans)
+			}
+			open = -1
+		case heisendump.EventTrial, heisendump.EventFold:
+			if open < 0 || stages[open] != "search" {
+				t.Fatalf("event %d (kind %d) outside the search span", i, e.Kind)
+			}
+			if done {
+				t.Fatalf("event %d (kind %d) after the Done heartbeat", i, e.Kind)
+			}
+			if e.Kind == heisendump.EventTrial {
+				trials = append(trials, e)
+				continue
+			}
+			done = e.Progress.Done
+			beats = append(beats, e.Progress)
+		default:
+			t.Fatalf("event %d: unknown kind %d", i, e.Kind)
+		}
+	}
+	if open >= 0 {
+		t.Fatalf("stage %s never ended", stages[open])
+	}
+	if !reflect.DeepEqual(stages, wantStages) {
+		t.Fatalf("stages %v, want %v", stages, wantStages)
+	}
+	if !done {
+		t.Fatalf("no Done heartbeat among %d", len(beats))
+	}
+	for i, p := range beats[1:] {
+		prev := beats[i]
+		if p.Combos != prev.Combos {
+			t.Fatalf("heartbeat %d changed Combos: %d vs %d", i+1, p.Combos, prev.Combos)
+		}
+		if p.Committed < prev.Committed || p.Tries < prev.Tries ||
+			p.Executed < prev.Executed || p.Steps < prev.Steps {
+			t.Fatalf("heartbeat %d not monotone: %+v after %+v", i+1, p, prev)
+		}
+	}
+	return spans, beats, trials
+}
+
+// TestSessionObserverOrdering: one full run delivers the seven stages
+// as begin/end pairs in order, each end carrying its begin's span id,
+// with every trial and fold heartbeat inside the search span and the
+// Done heartbeat last — at one worker and at four.
 func TestSessionObserverOrdering(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			w, prog := compileWorkload(t, "mysql-3")
-			var stages []heisendump.Stage
-			var beats []heisendump.SearchProgress
-			obs := heisendump.ObserverFuncs{
-				StageFunc:  func(s heisendump.Stage) { stages = append(stages, s) },
-				SearchFunc: func(p heisendump.SearchProgress) { beats = append(beats, p) },
-			}
+			var rec streamRecorder
 			s := heisendump.NewCompiled(prog, w.Input,
 				heisendump.WithWorkers(workers),
-				heisendump.WithObserver(obs),
+				heisendump.WithObserver(&rec),
 			)
 			rep, err := s.Reproduce(context.Background())
 			if err != nil {
@@ -233,37 +307,9 @@ func TestSessionObserverOrdering(t *testing.T) {
 			if !rep.Search.Found {
 				t.Fatal("mysql-3 not reproduced")
 			}
-
-			want := []heisendump.Stage{
-				heisendump.StageAlign, heisendump.StageAlignedDump, heisendump.StageDiff,
-				heisendump.StagePrioritize, heisendump.StageCandidates,
-			}
-			if !reflect.DeepEqual(stages, want) {
-				t.Fatalf("stage events %v, want %v", stages, want)
-			}
-
-			if len(beats) == 0 {
-				t.Fatal("no search heartbeats")
-			}
-			for i, p := range beats {
-				last := i == len(beats)-1
-				if p.Done != last {
-					t.Fatalf("heartbeat %d/%d: Done=%v", i, len(beats), p.Done)
-				}
-				if p.Combos != beats[0].Combos {
-					t.Fatalf("heartbeat %d changed Combos: %d vs %d", i, p.Combos, beats[0].Combos)
-				}
-				if i == 0 {
-					continue
-				}
-				prev := beats[i-1]
-				if p.Committed < prev.Committed || p.Tries < prev.Tries ||
-					p.Executed < prev.Executed || p.Steps < prev.Steps {
-					t.Fatalf("heartbeat %d not monotone: %+v after %+v", i, p, prev)
-				}
-			}
+			_, beats, _ := checkStream(t, rec.events)
 			final := beats[len(beats)-1]
-			if !final.Found || final.Tries != rep.Search.Tries || final.Executed != rep.Search.TrialsExecuted {
+			if !final.Found || final.Cancelled || final.Tries != rep.Search.Tries || final.Executed != rep.Search.TrialsExecuted {
 				t.Fatalf("final heartbeat %+v disagrees with the result %+v", final, rep.Search)
 			}
 		})

@@ -2,8 +2,10 @@ package heisendump_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -123,11 +125,12 @@ func TestConcurrentSessionsShareImmutableProgram(t *testing.T) {
 
 func gensched(r *heisendump.Report) string { return r.Search.ScheduleString() }
 
-// TestObserverOrderingUnderConcurrentLoad re-checks the Observer
+// TestObserverOrderingUnderConcurrentLoad re-checks the event stream
 // contract while many Sessions run at once: each stream independently
-// delivers the five stages in order, monotone heartbeats, and exactly
-// one Done snapshot — no cross-session interleaving corrupts a
-// stream.
+// delivers the seven stage spans in order, paired by span id, with
+// monotone heartbeats inside the search span and exactly one Done
+// heartbeat — no cross-session interleaving corrupts a stream — and
+// no span id is shared between streams.
 func TestObserverOrderingUnderConcurrentLoad(t *testing.T) {
 	w := heisendump.WorkloadByName("fig1")
 	prog, err := heisendump.Compile(w.Source)
@@ -136,57 +139,65 @@ func TestObserverOrderingUnderConcurrentLoad(t *testing.T) {
 	}
 
 	const sessions = 8
-	type stream struct {
-		stages []heisendump.Stage
-		beats  []heisendump.SearchProgress
-	}
-	streams := make([]stream, sessions)
+	streams := make([]streamRecorder, sessions)
 	errs := make([]error, sessions)
+	shared := heisendump.NewTracer(nil, 1) // observes every session
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st := &streams[i]
 			s := heisendump.NewCompiled(prog, w.Input,
 				heisendump.WithWorkers(2),
-				heisendump.WithObserver(heisendump.ObserverFuncs{
-					StageFunc:  func(sg heisendump.Stage) { st.stages = append(st.stages, sg) },
-					SearchFunc: func(p heisendump.SearchProgress) { st.beats = append(st.beats, p) },
-				}),
+				heisendump.WithObserver(&streams[i]),
+				heisendump.WithObserver(shared),
 			)
 			_, errs[i] = s.Reproduce(context.Background())
 		}(i)
 	}
 	wg.Wait()
 
-	wantStages := []heisendump.Stage{
-		heisendump.StageAlign, heisendump.StageAlignedDump, heisendump.StageDiff,
-		heisendump.StagePrioritize, heisendump.StageCandidates,
-	}
+	owner := map[uint64]int{}
 	for i := range streams {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
-		st := &streams[i]
-		if !reflect.DeepEqual(st.stages, wantStages) {
-			t.Fatalf("session %d stages %v", i, st.stages)
+		spans, _, _ := checkStream(t, streams[i].events)
+		for _, id := range spans {
+			if j, dup := owner[id]; dup {
+				t.Fatalf("span id %d used by sessions %d and %d", id, j, i)
+			}
+			owner[id] = i
 		}
-		if len(st.beats) == 0 {
-			t.Fatalf("session %d: no heartbeats", i)
+	}
+
+	// The shared tracer closed every session's seven spans.
+	var sb strings.Builder
+	if err := shared.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Dur      int64
 		}
-		for k, p := range st.beats {
-			if last := k == len(st.beats)-1; p.Done != last {
-				t.Fatalf("session %d heartbeat %d/%d: Done=%v", i, k, len(st.beats), p.Done)
-			}
-			if k == 0 {
-				continue
-			}
-			prev := st.beats[k-1]
-			if p.Committed < prev.Committed || p.Tries < prev.Tries ||
-				p.Executed < prev.Executed || p.Steps < prev.Steps {
-				t.Fatalf("session %d heartbeat %d not monotone: %+v after %+v", i, k, p, prev)
-			}
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &trace); err != nil {
+		t.Fatal(err)
+	}
+	perStage := map[string]int{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Dur <= 0 {
+			t.Fatalf("shared tracer left span %s open", ev.Name)
+		}
+		perStage[ev.Name]++
+	}
+	for _, name := range wantStages {
+		if perStage[name] != sessions {
+			t.Fatalf("shared tracer recorded %d %s spans, want %d (all: %v)", perStage[name], name, sessions, perStage)
 		}
 	}
 }

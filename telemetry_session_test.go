@@ -27,7 +27,7 @@ func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.
 	if tele {
 		tr = heisendump.NewTracer(nil, 1) // nil clock: synthetic ticks, no wall-clock reads
 		fl = heisendump.NewFlightRecorder(64)
-		opts = append(opts, heisendump.WithTrace(tr), heisendump.WithFlightRecorder(fl))
+		opts = append(opts, heisendump.WithObserver(tr), heisendump.WithObserver(fl))
 	}
 	rep, err := heisendump.NewCompiled(prog, input, opts...).Reproduce(context.Background())
 	if err != nil {
@@ -90,6 +90,45 @@ func TestSessionTelemetryPassive(t *testing.T) {
 	} {
 		if after[series] <= before[series] {
 			t.Errorf("counter %s did not advance over the matrix: %d -> %d", series, before[series], after[series])
+		}
+	}
+}
+
+// TestSessionStreamReportsEveryTrial: the event stream carries one
+// trial event per executed trial, speculative ones included — their
+// count is TrialsExecuted and their steps sum to StepsExecuted — and
+// at one worker, where nothing is speculative, the count is Tries and
+// the last trial is the find.
+func TestSessionStreamReportsEveryTrial(t *testing.T) {
+	for _, name := range []string{"mysql-3", "apache-2"} {
+		w, prog := compileWorkload(t, name)
+		for _, workers := range []int{1, 4} {
+			var rec streamRecorder
+			rep, err := heisendump.NewCompiled(prog, w.Input,
+				heisendump.WithTrialBudget(4000),
+				heisendump.WithWorkers(workers),
+				heisendump.WithObserver(&rec),
+			).Reproduce(context.Background())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			_, _, trials := checkStream(t, rec.events)
+			res := rep.Search
+			var steps int64
+			for _, e := range trials {
+				steps += e.Trial.Steps
+			}
+			if len(trials) != res.TrialsExecuted || steps != res.StepsExecuted {
+				t.Errorf("%s workers=%d: %d trial events over %d steps, want TrialsExecuted %d over StepsExecuted %d",
+					name, workers, len(trials), steps, res.TrialsExecuted, res.StepsExecuted)
+			}
+			if workers > 1 {
+				continue
+			}
+			if len(trials) != res.Tries || trials[len(trials)-1].Trial.Found != res.Found {
+				t.Errorf("%s workers=1: %d trial events (last found=%v), want Tries %d (found=%v)",
+					name, len(trials), trials[len(trials)-1].Trial.Found, res.Tries, res.Found)
+			}
 		}
 	}
 }
