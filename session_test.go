@@ -316,6 +316,41 @@ func TestSessionObserverOrdering(t *testing.T) {
 	}
 }
 
+// TestWithObserverFanOut: WithObserver given once per observer hands
+// every event to each of them in option order, and a nil observer is
+// ignored. One worker keeps the trials on one goroutine, so the
+// combined log must alternate between the two observers event by
+// event.
+func TestWithObserverFanOut(t *testing.T) {
+	w, prog := compileWorkload(t, "fig1")
+	type entry struct {
+		who string
+		e   heisendump.Event
+	}
+	var log []entry
+	record := func(who string) heisendump.Observer {
+		return heisendump.ObserverFunc(func(e heisendump.Event) { log = append(log, entry{who, e}) })
+	}
+	_, err := heisendump.NewCompiled(prog, w.Input,
+		heisendump.WithWorkers(1),
+		heisendump.WithObserver(record("a")),
+		heisendump.WithObserver(nil),
+		heisendump.WithObserver(record("b")),
+	).Reproduce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) == 0 || len(log)%2 != 0 {
+		t.Fatalf("%d logged events, want a positive even count", len(log))
+	}
+	for i := 0; i < len(log); i += 2 {
+		a, b := log[i], log[i+1]
+		if a.who != "a" || b.who != "b" || a.e != b.e {
+			t.Fatalf("events %d and %d: %s %+v then %s %+v, want one event to a then b", i, i+1, a.who, a.e, b.who, b.e)
+		}
+	}
+}
+
 // TestSessionWorkersAgreeOnTable2 is the determinism acceptance check
 // over all seven Table 2 bugs: with an uncancelled context,
 // Session.Reproduce at Workers 4 produces Found, Schedule and Tries
