@@ -6,6 +6,9 @@
 package chess
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
 
 	"heisendump/internal/interp"
@@ -131,33 +134,59 @@ func DiscoverCandidates(prog *ir.Program, events []trace.Event) []Candidate {
 
 // Annotate attaches CSV-access and future-CSV-set annotations to
 // candidates (Algorithm 2's two annotations). accesses are the
-// prioritized CSV accesses of the passing run; each candidate's block
-// spans its own thread's events up to that thread's next candidate.
+// prioritized CSV accesses of the passing run; Annotate sorts them by
+// step, stably. Each candidate's block spans its own thread's accesses
+// from its step up to, not including, the thread's next strictly
+// greater candidate step, and its future set holds every variable the
+// thread accesses at or after its step. One pass per thread walks its
+// candidates from the latest step back, so each future set is the
+// later candidates' set plus the candidate's own block.
 func Annotate(cands []Candidate, accesses []slicing.Access) {
-	// Next candidate step per thread, for block delimitation.
-	nextStep := make([]int64, len(cands))
+	sort.SliceStable(accesses, func(i, j int) bool { return accesses[i].Step < accesses[j].Step })
+	type thread struct {
+		cands []int
+		accs  []slicing.Access
+	}
+	var threads []thread
+	index := map[int]int{}
 	for i := range cands {
-		nextStep[i] = int64(1) << 62
-		for j := range cands {
-			if cands[j].Thread == cands[i].Thread && cands[j].Step > cands[i].Step && cands[j].Step < nextStep[i] {
-				nextStep[i] = cands[j].Step
-			}
+		t, ok := index[cands[i].Thread]
+		if !ok {
+			t = len(threads)
+			index[cands[i].Thread] = t
+			threads = append(threads, thread{})
+		}
+		threads[t].cands = append(threads[t].cands, i)
+	}
+	for _, a := range accesses {
+		if t, ok := index[a.Thread]; ok {
+			threads[t].accs = append(threads[t].accs, a)
 		}
 	}
-	sort.SliceStable(accesses, func(i, j int) bool { return accesses[i].Step < accesses[j].Step })
-	for i := range cands {
-		c := &cands[i]
-		c.FutureCSVs = map[interp.VarID]bool{}
-		for _, a := range accesses {
-			if a.Thread != c.Thread {
-				continue
+	for _, th := range threads {
+		slices.SortFunc(th.cands, func(a, b int) int { return cmp.Compare(cands[a].Step, cands[b].Step) })
+		future := map[interp.VarID]bool{}
+		// Candidates th.cands[lo:hi] share one step; their block is
+		// th.accs[start:end], where end is the first access at or after
+		// the next greater candidate step.
+		end := len(th.accs)
+		for hi := len(th.cands); hi > 0; {
+			step := cands[th.cands[hi-1]].Step
+			lo := hi - 1
+			for lo > 0 && cands[th.cands[lo-1]].Step == step {
+				lo--
 			}
-			if a.Step >= c.Step {
-				c.FutureCSVs[a.Var] = true
-				if a.Step < nextStep[i] {
-					c.Accesses = append(c.Accesses, a)
-				}
+			start := end
+			for start > 0 && th.accs[start-1].Step >= step {
+				start--
+				future[th.accs[start].Var] = true
 			}
+			for _, ci := range th.cands[lo:hi] {
+				c := &cands[ci]
+				c.Accesses = append(c.Accesses, th.accs[start:end]...)
+				c.FutureCSVs = maps.Clone(future)
+			}
+			hi, end = lo, start
 		}
 	}
 }

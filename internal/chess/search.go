@@ -103,8 +103,8 @@ type Result struct {
 	// when Workers is 1.
 	TrialsExecuted int
 	// Elapsed is the search's wall time from entry to return: building
-	// the worklist (one ordering key per combination when the order is
-	// weighted or statically focused), ordering it as ranks are
+	// the worklist (sorting the candidates when the order is weighted or
+	// statically focused), producing its order as far as ranks are
 	// claimed, and executing the test runs.
 	Elapsed time.Duration
 	// StepsExecuted totals interpreter steps across all executed test
@@ -113,7 +113,8 @@ type Result struct {
 	StepsExecuted int64
 	// CombinationsGenerated is the worklist size: every preemption
 	// combination up to the bound, Σ C(n,s) for 1 ≤ s ≤ Bound over n
-	// candidates, whether or not the search reached it.
+	// candidates, whether or not the search reached it. It saturates at
+	// math.MaxInt when the sum does not fit in an int.
 	CombinationsGenerated int
 	// Workers is the worker count the search ran with.
 	Workers int
@@ -158,9 +159,10 @@ type searchState struct {
 	bestRank atomic.Int64 // lowest rank whose combination found the target
 	decided  atomic.Bool  // the fold reached a winner or the cutoff
 
-	// mu guards the fold state below and the reads of outcomes inside
-	// advance (each outcomes[r] slot is written once, by the worker
-	// that claimed rank r, before that worker calls advance).
+	// mu guards the fold state below. outcomes grows as record
+	// publishes ranks; each slot is written once, by the worker that
+	// explored the rank, and a frontier rank beyond its length is still
+	// in flight.
 	mu        sync.Mutex
 	outcomes  []*comboOutcome
 	committed int           // next rank the fold will consume
@@ -234,7 +236,6 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		wl:       wl,
 		maxRun:   maxRun,
 		maxTries: s.Opts.MaxTries,
-		outcomes: make([]*comboOutcome, wl.size),
 	}
 	st.bestRank.Store(int64(wl.size)) // sentinel: nothing found yet
 
@@ -414,6 +415,9 @@ func (st *searchState) finish() {
 func (st *searchState) record(r int, out *comboOutcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	for len(st.outcomes) <= r {
+		st.outcomes = append(st.outcomes, nil)
+	}
 	st.outcomes[r] = out
 	for !st.decided.Load() && st.committed < st.wl.size {
 		if st.cancelled() {
@@ -424,7 +428,10 @@ func (st *searchState) record(r int, out *comboOutcome) {
 			// any worker count.
 			return
 		}
-		cur := st.outcomes[st.committed]
+		var cur *comboOutcome
+		if st.committed < len(st.outcomes) {
+			cur = st.outcomes[st.committed]
+		}
 		if cur == nil || cur.aborted {
 			// The frontier rank is still in flight, or its exploration
 			// was abandoned by the cancellation before completing (an

@@ -28,6 +28,13 @@ func analyzedSearcher(t testing.TB, name string) *chess.Searcher {
 // configuration.
 func configuredSearcher(t testing.TB, w *workloads.Workload, cfg core.Config) *chess.Searcher {
 	t.Helper()
+	p, fail, an := analyze(t, w, cfg)
+	return p.Searcher(fail, an)
+}
+
+// analyze runs the pipeline's provoke and analyze phases on w.
+func analyze(t testing.TB, w *workloads.Workload, cfg core.Config) (*core.Pipeline, *core.FailureReport, *core.AnalysisReport) {
+	t.Helper()
 	prog, err := w.Compile(true)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +48,24 @@ func configuredSearcher(t testing.TB, w *workloads.Workload, cfg core.Config) *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Searcher(fail, an)
+	return p, fail, an
+}
+
+// TestAnnotateMatchesQuadraticOnTable2 compares Annotate with the
+// quadratic reference on the candidates and prioritized accesses of
+// all seven Table 2 bugs under both heuristics.
+func TestAnnotateMatchesQuadraticOnTable2(t *testing.T) {
+	for _, w := range workloads.Bugs() {
+		for _, h := range []slicing.Heuristic{slicing.Temporal, slicing.Dependence} {
+			_, _, an := analyze(t, w, core.Config{Heuristic: h})
+			if len(an.Accesses) == 0 {
+				t.Fatalf("%s/%v: no prioritized accesses to annotate", w.Name, h)
+			}
+			if err := chess.CompareAnnotate(an.Candidates, an.Accesses); err != nil {
+				t.Fatalf("%s/%v: %v", w.Name, h, err)
+			}
+		}
+	}
 }
 
 // TestWorklistMatchesOracleOnTable2 compares the lazy worklist with

@@ -1,6 +1,9 @@
 package chess
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 
 	"heisendump/internal/telemetry"
@@ -28,29 +31,52 @@ import (
 // explore first. A nil set leaves the order — and therefore the
 // determinism contract — exactly as without static guidance.
 //
-// An ordered worklist holds one pointer-free key per combination,
-// Σ C(n,s) for s ≤ bound. The keys are heapified in O(N) and popped
-// only as far as the search claims ranks, so a search that reproduces
-// the failure early never orders the rest.
+// An ordered worklist is produced best-first, only as far as the
+// search claims ranks. The candidates are sorted once by their own key,
+// equal keys by index, so a combination is a set of sorted positions
+// whose key is the sum of its members' keys. Each s-subset of positions
+// is a node of a tree rooted at {0, …, s−1}: a child advances the
+// node's active member one free position or, once that member has
+// moved, advances the member before it and makes that one active.
+// Every subset is reached exactly once. The key is additive and
+// lexicographic, so no child's key is below its parent's; and a child
+// with its parent's key swaps a member for an equal-keyed one of higher
+// index, so it follows its parent in generation order. Every child thus
+// follows its parent in the full order, and a min-heap frontier seeded
+// with the roots yields the ranks in order. Set-up is O(n log n);
+// memory is one entry per produced rank plus a frontier of at most
+// produced + bound nodes.
 type worklist struct {
 	n     int // candidates
-	bound int
-	size  int // combinations: Σ C(n,s) for 1 ≤ s ≤ bound
-	// choose[m*(bound+1)+k] is C(m, k) for m ≤ n, k ≤ bound.
+	bound int // min(Options.Bound, n)
+	// size is the number of combinations, Σ C(n,s) for 1 ≤ s ≤ bound,
+	// saturating at math.MaxInt.
+	size int
+	// choose[m*(bound+1)+k] is C(m, k) for m ≤ n, k ≤ bound, saturating
+	// at math.MaxInt.
 	choose []int
 
-	// keys is nil for the unweighted, unguided order. Otherwise
-	// keys[:heap] is a min-heap of the ranks not yet popped and
-	// keys[heap:] holds the popped keys in reverse rank order: rank r
-	// lives at keys[size-1-r]. mu guards both.
-	mu   sync.Mutex
-	keys []comboKey
-	heap int
+	// cand is nil for the unweighted, unguided order. Otherwise cand,
+	// hits and weight give the candidate index and key terms at each
+	// sorted position, best key first.
+	cand   []int32
+	hits   []int
+	weight []int
+
+	// mu guards the best-first production state: the frontier min-heap,
+	// whose nodes keep their positions and combinations in nodeBuf, and
+	// the produced ranks, whose combinations are concatenated in combos
+	// with rank r ending at ends[r].
+	mu       sync.Mutex
+	frontier []wlNode
+	nodeBuf  []int32
+	combos   []int32
+	ends     []int
 }
 
-// comboKey places one combination in the exploration order: more
-// static hits first, then lighter weight, then generation order.
-type comboKey struct {
+// wlNode is one frontier node of the best-first order. It holds no
+// pointers, so the heap moves it without write barriers.
+type wlNode struct {
 	// static is the combination's static-guidance score: total
 	// flagged-variable accesses across member blocks. Zero whenever
 	// guidance is off.
@@ -58,32 +84,30 @@ type comboKey struct {
 	// weight is the sum of the members' MinPriority. Zero when the
 	// order is unweighted.
 	weight int
-	gen    int
-}
-
-func (a comboKey) less(b comboKey) bool {
-	if a.static != b.static {
-		return a.static > b.static
-	}
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return a.gen < b.gen
+	// nodeBuf[off:off+size] holds the members' sorted positions,
+	// ascending, and nodeBuf[off+size:off+2*size] the combination: their
+	// candidate indices, ascending.
+	off  int
+	size int32
+	// active is the member (index into the positions) that the node's
+	// children advance.
+	active int32
 }
 
 // newWorklist builds the exploration order over cands' combinations
 // of at most bound members.
 func newWorklist(cands []Candidate, bound int, weighted bool, static map[string]bool) *worklist {
 	n := len(cands)
+	bound = min(bound, n)
 	wl := &worklist{n: n, bound: bound, choose: make([]int, (n+1)*(bound+1))}
 	for m := 0; m <= n; m++ {
 		wl.choose[m*(bound+1)] = 1
 		for k := 1; k <= bound && k <= m; k++ {
-			wl.choose[m*(bound+1)+k] = wl.binom(m-1, k-1) + wl.binom(m-1, k)
+			wl.choose[m*(bound+1)+k] = satAdd(wl.binom(m-1, k-1), wl.binom(m-1, k))
 		}
 	}
 	for s := 1; s <= bound; s++ {
-		wl.size += wl.binom(n, s)
+		wl.size = satAdd(wl.size, wl.binom(n, s))
 	}
 	if !weighted && static == nil {
 		return wl
@@ -94,7 +118,9 @@ func newWorklist(cands []Candidate, bound int, weighted bool, static map[string]
 	// variable ranks above one that brushes it once.
 	weight := make([]int, n)
 	hits := make([]int, n)
+	wl.cand = make([]int32, n)
 	for ci := range cands {
+		wl.cand[ci] = int32(ci)
 		if weighted {
 			weight[ci] = cands[ci].MinPriority()
 		}
@@ -107,64 +133,176 @@ func newWorklist(cands []Candidate, bound int, weighted bool, static map[string]
 	if static != nil {
 		telemetry.ChessGuidanceReorders.Inc()
 	}
-	wl.keys = make([]comboKey, 0, wl.size)
-	cur := make([]int, 0, bound)
-	for s := 1; s <= min(bound, n); s++ {
-		cur = cur[:s]
-		for i := range cur {
-			cur[i] = i
+	slices.SortFunc(wl.cand, func(a, b int32) int {
+		if c := cmp.Compare(hits[b], hits[a]); c != 0 {
+			return c
 		}
-		for more := true; more; more = nextCombo(cur, n) {
-			k := comboKey{gen: len(wl.keys)}
-			for _, ci := range cur {
-				k.static += hits[ci]
-				k.weight += weight[ci]
-			}
-			wl.keys = append(wl.keys, k)
+		if c := cmp.Compare(weight[a], weight[b]); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	wl.hits = make([]int, n)
+	wl.weight = make([]int, n)
+	for p, ci := range wl.cand {
+		wl.hits[p], wl.weight[p] = hits[ci], weight[ci]
 	}
-	wl.heap = len(wl.keys)
-	for i := wl.heap/2 - 1; i >= 0; i-- {
-		wl.siftDown(i)
+	for s := 1; s <= bound; s++ {
+		root := wlNode{off: len(wl.nodeBuf), size: int32(s), active: int32(s - 1)}
+		wl.nodeBuf = slices.Grow(wl.nodeBuf, 2*s)[:root.off+2*s]
+		for p := range s {
+			wl.nodeBuf[root.off+p] = int32(p)
+			root.static += wl.hits[p]
+			root.weight += wl.weight[p]
+		}
+		wl.fill(&root)
+		wl.push(root)
 	}
 	return wl
 }
 
 // at returns the combination (candidate indices) at rank r < size,
-// first popping the ordering heap as far as r. Safe for concurrent
-// use; the result is freshly allocated.
+// first producing the best-first order as far as r. Safe for
+// concurrent use; the result is freshly allocated.
 func (wl *worklist) at(r int) []int {
-	g := r
-	if wl.keys != nil {
-		wl.mu.Lock()
-		for wl.heap > wl.size-1-r {
-			wl.heap--
-			wl.keys[0], wl.keys[wl.heap] = wl.keys[wl.heap], wl.keys[0]
-			wl.siftDown(0)
-		}
-		g = wl.keys[wl.size-1-r].gen
-		wl.mu.Unlock()
+	if wl.cand == nil {
+		return wl.unrank(r)
 	}
-	return wl.unrank(g)
+	wl.mu.Lock()
+	defer wl.mu.Unlock()
+	for len(wl.ends) <= r {
+		wl.next()
+	}
+	lo := 0
+	if r > 0 {
+		lo = wl.ends[r-1]
+	}
+	combo := make([]int, wl.ends[r]-lo)
+	for i, ci := range wl.combos[lo:wl.ends[r]] {
+		combo[i] = int(ci)
+	}
+	return combo
 }
 
-// siftDown restores the heap property of keys[:heap] below index i.
-func (wl *worklist) siftDown(i int) {
-	h := wl.keys[:wl.heap]
+// combo is nd's combination: its candidate indices, ascending.
+func (wl *worklist) combo(nd *wlNode) []int32 {
+	s := int(nd.size)
+	return wl.nodeBuf[nd.off+s : nd.off+2*s]
+}
+
+// next produces the next rank: it appends the frontier's least node to
+// the produced ranks and replaces it with its children, its active
+// member advanced one free position and, once that member has left its
+// root position, the member before it (still at its root position)
+// advanced one position and made active. The advancing child, or else
+// the other, reuses the node's storage. wl.mu must be held.
+func (wl *worklist) next() {
+	nd := wl.frontier[0]
+	wl.combos = append(wl.combos, wl.combo(&nd)...)
+	wl.ends = append(wl.ends, len(wl.combos))
+	j, s := int(nd.active), int(nd.size)
+	q := wl.nodeBuf[nd.off+j]
+	limit := int32(wl.n)
+	if j+1 < s {
+		limit = wl.nodeBuf[nd.off+j+1]
+	}
+	advance := q+1 < limit
+	moved := j > 0 && q > int32(j)
+	var child wlNode
+	if moved {
+		child = nd
+		if advance {
+			child.off = len(wl.nodeBuf)
+			wl.nodeBuf = append(wl.nodeBuf, wl.nodeBuf[nd.off:nd.off+2*s]...)
+		}
+		wl.nodeBuf[child.off+j-1] = int32(j)
+		child.static += wl.hits[j] - wl.hits[j-1]
+		child.weight += wl.weight[j] - wl.weight[j-1]
+		child.active--
+		wl.fill(&child)
+	}
+	if advance {
+		wl.nodeBuf[nd.off+j] = q + 1
+		nd.static += wl.hits[q+1] - wl.hits[q]
+		nd.weight += wl.weight[q+1] - wl.weight[q]
+		wl.fill(&nd)
+		wl.replaceRoot(nd)
+	} else {
+		last := wl.frontier[len(wl.frontier)-1]
+		wl.frontier = wl.frontier[:len(wl.frontier)-1]
+		if len(wl.frontier) > 0 {
+			wl.replaceRoot(last)
+		}
+	}
+	if moved {
+		wl.push(child)
+	}
+}
+
+// fill sets nd's combination from its positions.
+func (wl *worklist) fill(nd *wlNode) {
+	c := wl.combo(nd)
+	for i, p := range wl.nodeBuf[nd.off : nd.off+int(nd.size)] {
+		c[i] = wl.cand[p]
+	}
+	slices.Sort(c)
+}
+
+// less orders frontier nodes: more static hits first, then lighter
+// weight, then generation order (size, then lexicographic combination).
+func (wl *worklist) less(a, b *wlNode) bool {
+	if a.static != b.static {
+		return a.static > b.static
+	}
+	if a.weight != b.weight {
+		return a.weight < b.weight
+	}
+	if a.size != b.size {
+		return a.size < b.size
+	}
+	ca, cb := wl.combo(a), wl.combo(b)
+	for i, ci := range ca {
+		if ci != cb[i] {
+			return ci < cb[i]
+		}
+	}
+	return false
+}
+
+// push adds nd to the frontier min-heap.
+func (wl *worklist) push(nd wlNode) {
+	h := append(wl.frontier, nd)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !wl.less(&h[i], &h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	wl.frontier = h
+}
+
+// replaceRoot puts nd at the root of the non-empty frontier and sifts
+// it down.
+func (wl *worklist) replaceRoot(nd wlNode) {
+	h := wl.frontier
+	i := 0
 	for {
 		m := 2*i + 1
 		if m >= len(h) {
-			return
+			break
 		}
-		if m+1 < len(h) && h[m+1].less(h[m]) {
+		if m+1 < len(h) && wl.less(&h[m+1], &h[m]) {
 			m++
 		}
-		if !h[m].less(h[i]) {
-			return
+		if !wl.less(&h[m], &nd) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = nd
 }
 
 // unrank returns the combination with generation index g.
@@ -195,20 +333,10 @@ func (wl *worklist) binom(m, k int) int {
 	return wl.choose[m*(wl.bound+1)+k]
 }
 
-// nextCombo advances c to its lexicographic successor among the
-// len(c)-subsets of [0, n), reporting false when c was the last one.
-func nextCombo(c []int, n int) bool {
-	s := len(c)
-	i := s - 1
-	for i >= 0 && c[i] == n-s+i {
-		i--
+// satAdd is a + b for non-negative a and b, saturating at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
 	}
-	if i < 0 {
-		return false
-	}
-	c[i]++
-	for j := i + 1; j < s; j++ {
-		c[j] = c[j-1] + 1
-	}
-	return true
+	return a + b
 }

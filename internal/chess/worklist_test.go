@@ -3,6 +3,7 @@ package chess
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -156,13 +157,17 @@ func randomCandidates(rng *rand.Rand, n int) ([]Candidate, map[string]bool) {
 // oracle on 300 seeded random candidate sets, bounds 1-3, weighted and
 // static guidance each on and off. n runs from 0 to 40 at bounds 1
 // and 2 and to 24 at bound 3 (where n=40 would be 10,700 combinations
-// a set), and every tenth set has n at or below the bound.
+// a set), and every tenth set has n at or below the bound. A further
+// 60 sets run at bounds 4 and 5 with n up to 14.
 func TestWorklistMatchesOracle(t *testing.T) {
-	for seed := range 300 {
+	for seed := range 360 {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		bound := 1 + seed%3
 		n := rng.Intn(41)
 		switch {
+		case seed >= 300:
+			bound = 4 + seed%2
+			n = rng.Intn(15)
 		case seed%10 == 0:
 			n = rng.Intn(bound + 1)
 		case bound == 3:
@@ -208,9 +213,9 @@ func TestWorklistPrefixAdjacency(t *testing.T) {
 }
 
 // TestWorklistConcurrentClaims: search workers share one ordered
-// worklist and pop its heap as they claim ranks. Goroutines claiming
-// interleaved ranks from a shared counter, as the workers do, must
-// see exactly the sequential order.
+// worklist and advance its best-first generator as they claim ranks.
+// Goroutines claiming interleaved ranks from a shared counter, as the
+// workers do, must see exactly the sequential order.
 func TestWorklistConcurrentClaims(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cands, focus := randomCandidates(rng, 30)
@@ -242,6 +247,66 @@ func TestWorklistConcurrentClaims(t *testing.T) {
 	for r := range want {
 		if !slices.Equal(got[r], want[r]) {
 			t.Fatalf("rank %d: concurrent claim saw %v, sequential order has %v", r, got[r], want[r])
+		}
+	}
+}
+
+// TestWorklistSetupFollowsClaims: an ordered worklist costs what the
+// search claims, not what the bound admits. Building the order over
+// 200 candidates at bound 3 (1,333,500 combinations) and claiming its
+// first 8 ranks must allocate under 256 KB: weighted and statically
+// focused, and unweighted under a focus set no candidate touches, where
+// every combination has the same key and rank r < n is {r}.
+func TestWorklistSetupFollowsClaims(t *testing.T) {
+	cands, focus := randomCandidates(rand.New(rand.NewSource(1)), 200)
+	for _, tc := range []struct {
+		weighted bool
+		static   map[string]bool
+	}{{true, focus}, {false, map[string]bool{"untouched": true}}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		wl := newWorklist(cands, 3, tc.weighted, tc.static)
+		var claimed [8][]int
+		for r := range claimed {
+			claimed[r] = wl.at(r)
+		}
+		runtime.ReadMemStats(&after)
+		for r, combo := range claimed {
+			if !tc.weighted && !slices.Equal(combo, []int{r}) {
+				t.Fatalf("all-ties order: rank %d is %v, want [%d]", r, combo, r)
+			}
+		}
+		if wl.size != 1_333_500 {
+			t.Fatalf("worklist size %d, want 1,333,500", wl.size)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 256<<10 {
+			t.Fatalf("weighted=%v: building and claiming 8 ranks allocated %d bytes, want under 256 KB", tc.weighted, alloc)
+		}
+	}
+}
+
+var sinkCombo []int
+
+// BenchmarkWorklist builds a weighted, statically focused worklist and
+// claims its first 8 ranks, as a search that reproduces early does, or
+// every rank, as an exhaustive one does.
+func BenchmarkWorklist(b *testing.B) {
+	for _, shape := range []struct{ n, bound int }{{70, 2}, {40, 3}} {
+		cands, focus := randomCandidates(rand.New(rand.NewSource(1)), shape.n)
+		for _, claim := range []string{"claim8", "all"} {
+			b.Run(fmt.Sprintf("n=%d/bound=%d/%s", shape.n, shape.bound, claim), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					wl := newWorklist(cands, shape.bound, true, focus)
+					ranks := wl.size
+					if claim == "claim8" {
+						ranks = min(ranks, 8)
+					}
+					for r := range ranks {
+						sinkCombo = wl.at(r)
+					}
+				}
+			})
 		}
 	}
 }

@@ -75,10 +75,11 @@ type JobOptions struct {
 }
 
 // maxBound is the largest preemption bound a job may ask for. The
-// search's worklist holds every combination of up to bound preemption
+// search's worklist covers every combination of up to bound preemption
 // candidates, Σ C(n,s): for a 67-candidate program that is ~50,000
-// at bound 3, ~10^8 (gigabytes of ordering keys) at 6, and past an
-// int at 40.
+// at bound 3 and ~10^8 at 6. It is produced only as far as the search
+// claims ranks, but a job that does not reproduce its failure may
+// explore every combination, so the cap bounds that work.
 const maxBound = 3
 
 // sessionOptions lowers the JSON options (defaults applied) to the

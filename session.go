@@ -72,9 +72,11 @@ func WithTrialBudget(n int) Option { return func(c *core.Config) { c.MaxTries = 
 
 // WithBound sets the preemption bound k (default 2). The search's
 // worklist covers every combination of up to k preemption candidates,
-// Σ C(n,s) for s ≤ k over the n candidates, and an ordered worklist
-// (the default weighted search, or static focus) holds one key per
-// combination: memory grows as n^k. heisend accepts 0 to 3.
+// Σ C(n,s) for s ≤ k over the n candidates (reported, saturating, as
+// SearchResult.CombinationsGenerated). It is produced only as far as
+// the search claims ranks, so memory follows the tries a search runs;
+// a search that never reproduces the failure still explores up to
+// n^k combinations. heisend accepts 0 to 3.
 func WithBound(k int) Option { return func(c *core.Config) { c.Bound = k } }
 
 // WithPlainChess disables the CSV weighting and guided thread

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -381,5 +383,50 @@ func TestSessionWorkersAgreeOnTable2(t *testing.T) {
 			t.Fatalf("%s: workers=4 diverged from workers=1:\n  got  found=%v tries=%d %+v\n  want found=%v tries=%d %+v",
 				w.Name, got.Found, got.Tries, got.Schedule, ref.Found, ref.Tries, ref.Schedule)
 		}
+	}
+}
+
+// TestLargeBoundSearchesLazily: a search's memory follows the ranks it
+// claims, not the size of its combination space. mysql-1's search finds
+// its schedule at the first tries; at bound 5 its worklist spans tens
+// of millions of combinations, and at bound 40 Σ C(n,s) does not fit in
+// an int. Both must find the bound-3 run's schedule at the same try,
+// allocating under 4 MB a search.
+func TestLargeBoundSearchesLazily(t *testing.T) {
+	w, prog := compileWorkload(t, "mysql-1")
+	ctx := context.Background()
+	search := func(bound int) (*heisendump.SearchResult, uint64) {
+		s := heisendump.NewCompiled(prog, w.Input, heisendump.WithBound(bound), heisendump.WithWorkers(1))
+		fail, err := s.ProvokeFailure(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := s.Analyze(ctx, fail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Search(ctx, fail, an)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("bound %d: %v", bound, err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	ref, _ := search(3)
+	for _, bound := range []int{5, 40} {
+		got, alloc := search(bound)
+		if got.Found != ref.Found || got.Tries != ref.Tries {
+			t.Fatalf("bound %d: found=%v tries=%d, bound 3 found=%v tries=%d",
+				bound, got.Found, got.Tries, ref.Found, ref.Tries)
+		}
+		if bound == 40 && got.CombinationsGenerated != math.MaxInt {
+			t.Fatalf("bound 40: %d combinations, want the saturated math.MaxInt", got.CombinationsGenerated)
+		}
+		if alloc >= 4<<20 {
+			t.Fatalf("bound %d: search allocated %d bytes, want under 4 MB", bound, alloc)
+		}
+		t.Logf("bound %d: %d combinations, tries %d, %d KB allocated", bound, got.CombinationsGenerated, got.Tries, alloc>>10)
 	}
 }
