@@ -1,6 +1,8 @@
 package chess
 
 import (
+	"math"
+
 	"heisendump/internal/interp"
 	"heisendump/internal/sched"
 )
@@ -47,12 +49,12 @@ func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec
 		maxRun = -1 // a non-positive bound runs nothing
 	}
 	sched.Runner{MaxSteps: maxRun}.Run(m, c)
-	// The run can stop right after a sync instruction (the budget, or
-	// the instruction faulted) without asking c again; its bookkeeping
+	// The run can stop right after a release (the budget, or the
+	// release faulted) without asking c again; its AfterRelease point
 	// still counts toward the choice counts and applied preemptions.
-	if c.sync {
-		c.settle(m)
-	}
+	// A release c did settle is never the run's last step: Next returns
+	// a runnable thread after one, and its burst clears Released.
+	c.settle(m)
 	return trialResult{
 		found:        m.Crashed() && s.Target.Matches(m.Crash),
 		steps:        m.TotalSteps,
@@ -62,14 +64,16 @@ func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec
 }
 
 // trialChooser is the schedule search's scheduler for one test run. As
-// a sched.Chooser it is asked only at switch points, and there it does
-// the trial's preemption bookkeeping: before a thread's first step it
-// matches ThreadStart candidates, before a free acquire BeforeAcquire
-// candidates, and after a release AfterRelease candidates; a matched
-// candidate consults the choice vector and switches threads. Between
-// switch points the Runner runs the current thread in bursts, which
-// complete no sync operation, so the bookkeeping is untouched by them.
-// A worker reuses one chooser for all its trials.
+// a sched.Chooser it is asked only where a preemption of its
+// combination can fire, and there it does the trial's preemption
+// bookkeeping: before a thread's first step it matches ThreadStart
+// candidates, before a free acquire BeforeAcquire candidates, and after
+// a release AfterRelease candidates; a matched candidate consults the
+// choice vector and switches threads. A candidate's Seq is its
+// thread's completed-sync count (interp.Thread.Syncs) at the point, so
+// the chooser's horizon keeps every burst short of the next point an
+// unfired candidate can match at, and bursts run through every other
+// sync operation. A worker reuses one chooser for all its trials.
 type trialChooser struct {
 	s     *Searcher
 	combo []int
@@ -80,20 +84,9 @@ type trialChooser struct {
 	counts  []int
 	applied []AppliedPreemption
 
-	fired []bool
-	// completed counts sync ops completed per thread id; thread ids are
-	// dense creation-order, so a slice grown on demand as spawns land
-	// replaces a per-step map.
-	completed []int
-	choices   []int
-	cur       int // current thread id
-
-	// sync marks that the last choice runs a free acquire or a release
-	// (a one-step burst) whose completion settle must count; release
-	// says which, and at is the machine's step count before it ran.
-	sync    bool
-	release bool
-	at      int64
+	fired   []bool
+	choices []int
+	cur     int // current thread id
 }
 
 // start prepares c for one trial of combo under vec.
@@ -108,22 +101,37 @@ func (c *trialChooser) start(s *Searcher, combo, vec []int) {
 	c.counts = c.counts[:len(combo)]
 	clear(c.counts)
 	c.applied = nil
-	c.completed = append(c.completed[:0], 0)
 	c.cur = 0
-	c.sync = false
 }
 
-// SwitchPointsOnly implements sched.Chooser.
-func (c *trialChooser) SwitchPointsOnly() {}
-
-// Next implements sched.Scheduler: it settles the sync operation the
-// previous choice ran, then picks the thread to run from here — the
-// current one unless it blocked or finished (then the lowest runnable
-// thread) or a matched preemption switched away from it.
-func (c *trialChooser) Next(m *interp.Machine) int {
-	if c.sync {
-		c.settle(m)
+// Horizon implements sched.Chooser: the least completed-sync count of
+// thread tid at which an unfired candidate of the combination can
+// still match. A BeforeAcquire candidate matches before an acquire at
+// its Seq, so it counts while Seq ≥ Syncs; an AfterRelease candidate
+// matches after the release that brings Syncs to its Seq, so it counts
+// while Seq > Syncs. ThreadStart candidates match before a thread's
+// first step, which is always where a burst begins.
+func (c *trialChooser) Horizon(m *interp.Machine, tid int) int {
+	syncs := m.Threads[tid].Syncs
+	h := math.MaxInt
+	for i, cidx := range c.combo {
+		cand := &c.s.Candidates[cidx]
+		if c.fired[i] || cand.Thread != tid || cand.Seq >= h {
+			continue
+		}
+		if (cand.Kind == BeforeAcquire && cand.Seq >= syncs) || (cand.Kind == AfterRelease && cand.Seq > syncs) {
+			h = cand.Seq
+		}
 	}
+	return h
+}
+
+// Next implements sched.Scheduler: it settles the release the previous
+// burst may have ended on, then picks the thread to run from here —
+// the current one unless it blocked or finished (then the lowest
+// runnable thread) or a matched preemption switched away from it.
+func (c *trialChooser) Next(m *interp.Machine) int {
+	c.settle(m)
 	for {
 		t := m.Threads[c.cur]
 		if t.Status == interp.Done || (t.Status == interp.Blocked && m.Locks[t.WaitLock] != -1) {
@@ -138,47 +146,29 @@ func (c *trialChooser) Next(m *interp.Machine) int {
 		// Preemption points that fire before the next instruction. The
 		// point checks mutate nothing, so the instruction stays current
 		// across them.
-		lock, acquire, release := t.SyncOp()
-		acquire = acquire && m.Locks[lock] == -1
 		if t.Steps == 0 {
 			if ci := c.match(c.cur, ThreadStart, 0); ci >= 0 && c.fire(m, ci) {
 				continue
 			}
 		}
-		if acquire {
-			if ci := c.match(c.cur, BeforeAcquire, c.completedOf(c.cur)); ci >= 0 && c.fire(m, ci) {
+		if lock, acquire, _ := t.SyncOp(); acquire && m.Locks[lock] == -1 {
+			if ci := c.match(c.cur, BeforeAcquire, t.Syncs); ci >= 0 && c.fire(m, ci) {
 				continue
 			}
 		}
-		c.sync, c.release, c.at = acquire || release, release, m.TotalSteps
 		return c.cur
 	}
 }
 
-// settle completes the bookkeeping of the sync operation the last
-// choice ran (c.sync), if it ran: the thread's completed-op count,
-// then the AfterRelease point.
+// settle matches the AfterRelease point of the release the current
+// thread's last burst ended on, if it ended on one.
 func (c *trialChooser) settle(m *interp.Machine) {
-	c.sync = false
-	if m.TotalSteps == c.at {
-		return // the step never executed (the machine's step limit)
+	if !m.Released() {
+		return
 	}
-	for len(c.completed) <= c.cur {
-		c.completed = append(c.completed, 0)
+	if ci := c.match(c.cur, AfterRelease, m.Threads[c.cur].Syncs); ci >= 0 {
+		c.fire(m, ci)
 	}
-	c.completed[c.cur]++
-	if c.release {
-		if ci := c.match(c.cur, AfterRelease, c.completed[c.cur]); ci >= 0 {
-			c.fire(m, ci)
-		}
-	}
-}
-
-func (c *trialChooser) completedOf(tid int) int {
-	if tid < len(c.completed) {
-		return c.completed[tid]
-	}
-	return 0
 }
 
 // match returns the index within the combination of the unfired
@@ -234,7 +224,7 @@ func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
 		if c.s.Opts.Guided {
 			// Algorithm 2 preempt(): switch to T only when T's future
 			// CSV set overlaps the preempted block's accesses.
-			future := c.s.futureCSVsOf(t.ID, c.completedOf(t.ID))
+			future := c.s.futureCSVsOf(t.ID, t.Syncs)
 			overlap := false
 			for _, a := range cand.Accesses {
 				if future[a.Var] {

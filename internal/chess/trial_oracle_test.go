@@ -68,3 +68,35 @@ func TestTrialsMatchReferenceExecutor(t *testing.T) {
 	}
 	t.Logf("%d trial pairs compared", total)
 }
+
+// TestTrialConsultationsFollowPreemptions: a trial asks its chooser for
+// a thread where a preemption of its combination can fire and where a
+// thread blocks or finishes, not at every sync operation. Over the
+// first 50 plain-CHESS ranks of apache-2, whose passing run completes
+// over a hundred sync operations, no trial asks more than 12 times.
+func TestTrialConsultationsFollowPreemptions(t *testing.T) {
+	w := workloads.ByName("apache-2")
+	cp, err := w.Compile(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPipeline(cp, w.Input, core.Config{Workers: 1})
+	fail, err := p.ProvokeFailureContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := p.AnalyzeContext(context.Background(), fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.Searcher(fail, an)
+	s.Opts.Guided, s.Opts.Weighted = false, false
+	trials, most, total, diff := chess.TrialConsultations(s, 50)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	if most > 12 {
+		t.Fatalf("a trial asked its chooser %d times (%d trials, %d consultations)", most, trials, total)
+	}
+	t.Logf("%d trials, %.1f consultations per trial, at most %d", trials, float64(total)/float64(trials), most)
+}

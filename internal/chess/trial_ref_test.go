@@ -147,7 +147,7 @@ func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun
 		if wasAcquire || wasRelease {
 			ok, err = m.Step(cur)
 		} else {
-			ok, err = m.RunBurst(cur, maxRun)
+			ok, err = m.RunBurst(cur, maxRun, 0)
 		}
 		if err != nil || !ok {
 			if t.Status == interp.Blocked {

@@ -66,29 +66,33 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 	m.stack = m.stack[:cap(m.stack)]
 }
 
-// RunBurst executes consecutive instructions of thread tid until a
-// scheduling-relevant boundary: the thread's next instruction is an
-// acquire or release (the burst stops before it), the thread blocks,
-// finishes or faults, a step errors, or the machine's TotalSteps
-// reaches limit (0 = no limit; MaxSteps still applies). A burst that
-// starts on an acquire or release executes that one instruction and
-// stops, so every sync operation is a burst of its own and the caller
-// sees the machine right after it. At least one instruction is
-// attempted. The return contract is Step's, covering the last step
-// taken; per-step accounting and hook events are identical to calling
-// Step in a loop — RunBurst only removes the caller's per-step
-// re-inspection of the machine, which is what makes the run loop fast
-// between sync points.
+// RunBurst executes consecutive instructions of thread tid until the
+// thread blocks, finishes or faults, a step errors, the machine's
+// TotalSteps reaches limit (0 = no limit; MaxSteps still applies), or
+// the thread reaches its sync horizon. While the thread's Syncs count
+// is below horizon, the burst runs through acquires and releases. Once
+// Syncs reaches horizon, the burst stops right after the sync
+// operation that got it there, and from then on before every acquire
+// or release: a burst that starts on one executes that one instruction
+// and stops, so the caller sees the machine before and after each sync
+// operation. A horizon of 0 stops at every sync operation. At least
+// one instruction is attempted. The return contract is Step's,
+// covering the last step taken; per-step accounting and hook events
+// are identical to calling Step in a loop — RunBurst only removes the
+// caller's per-step re-inspection of the machine, which is what makes
+// the run loop fast between the points where its scheduler may switch.
 //
-// The boundary tests cost a flag and a table lookup: a completed
-// acquire or release sets Machine.synced, and the frame carries its
+// Below the horizon the sync boundary costs one compare of the
+// thread's count. At or above it, the count tells whether the last
+// instruction completed a sync operation, and the frame carries its
 // function's ir.BFunc.Sync table, so the next instruction's sync-ness
 // is one load from the frame instead of a decode through the bytecode
 // entry table. The per-instruction dispatch stays a separate call on
 // purpose — merging it into this loop (label + backward goto) makes
 // the frame state loop-carried across the whole opcode switch and
 // costs ~25% in register spills.
-func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
+func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
+	m.released = -1
 	if m.Crashed() {
 		return false, nil
 	}
@@ -106,17 +110,25 @@ func (m *Machine) RunBurst(tid int, limit int64) (bool, error) {
 	if limit <= 0 {
 		limit = math.MaxInt64
 	}
-	m.synced = false
+	syncs := t.Syncs
 	for {
 		ok, err := m.execBC(t)
 		if !ok || err != nil {
 			return ok, err
 		}
-		if m.Crash != nil || t.Status != Runnable || m.synced || m.TotalSteps >= limit {
+		if m.Crash != nil || t.Status != Runnable || m.TotalSteps >= limit {
 			return true, nil
 		}
-		if fr := t.Frames[len(t.Frames)-1]; fr.sync[fr.PC] != 0 {
-			return true, nil
+		if t.Syncs >= horizon {
+			// At the horizon a burst completes at most one sync
+			// operation: the one that reached it, or its first
+			// instruction.
+			if t.Syncs != syncs {
+				return true, nil
+			}
+			if fr := t.Frames[len(t.Frames)-1]; fr.sync[fr.PC] != 0 {
+				return true, nil
+			}
 		}
 	}
 }
@@ -623,7 +635,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			switch holder {
 			case -1:
 				m.Locks[c.A] = int32(t.ID)
-				m.synced = true
+				t.Syncs++
 				t.Status = Runnable
 				t.WaitLock = -1
 				fr.PC++
@@ -642,13 +654,14 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			return true, nil
 
 		case ir.BEndRelease:
+			t.Syncs++
+			m.released = m.TotalSteps
 			if m.Locks[c.A] != int32(t.ID) {
 				m.crash(t, pc, fmt.Sprintf("release of lock %q not held by thread %d", m.Prog.Locks[c.A], t.ID))
 				return true, nil
 			}
 			m.Locks[c.A] = -1
 			m.runnableOK = false
-			m.synced = true
 			fr.PC++
 			if lh, ok := m.Hooks.(LockHooks); ok {
 				lh.OnRelease(t, m.Prog.Locks[c.A])

@@ -65,6 +65,11 @@ type Thread struct {
 	// Steps counts instructions this thread has executed — the
 	// "thread-local instruction count" used by the Table 5 baseline.
 	Steps int64
+	// Syncs counts the free acquires and the releases this thread has
+	// completed: the ordinal a preemption candidate's Seq is measured
+	// in. A release of a lock the thread does not hold faults, but the
+	// step was taken, so it counts too.
+	Syncs int
 }
 
 // Top returns the current activation record, or nil when done.
@@ -272,9 +277,11 @@ type Machine struct {
 	runnable   []int
 	runnableOK bool
 	unfinished []*Thread
-	// synced is set by a completed acquire or release, so RunBurst can
-	// end a burst right after one without decoding its instruction.
-	synced bool
+	// released is TotalSteps right after the latest release instruction
+	// (see Released), or -1: Reset and every RunBurst clear it, so a
+	// burst that executes nothing does not read as ending on the
+	// previous burst's release.
+	released int64
 }
 
 // ErrStepLimit is returned by Step when MaxSteps is exceeded.
@@ -394,6 +401,7 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 	m.Output = m.Output[:0]
 	m.Crash = nil
 	m.TotalSteps = 0
+	m.released = -1
 	m.nextObj = 1
 	m.nextFrame = 0
 
@@ -554,6 +562,11 @@ func (m *Machine) Done() bool { return m.live == 0 }
 
 // Crashed reports whether the run has faulted.
 func (m *Machine) Crashed() bool { return m.Crash != nil }
+
+// Released reports whether the last instruction the machine executed
+// was a release, including one that faulted on a lock its thread does
+// not hold. After a RunBurst that executed nothing it is false.
+func (m *Machine) Released() bool { return m.released == m.TotalSteps }
 
 // Halted reports whether no further steps are possible: crashed, all
 // done, or deadlocked.

@@ -3,6 +3,8 @@ package sched_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -129,15 +131,28 @@ type oracleSched struct {
 	ref  func() refScheduler
 }
 
-// oracleScheds returns the cooperative scheduler and random schedulers
-// for seeds 0..seeds-1. Odd seeds reuse one Random reseeded in place,
-// the way Stress drives it.
-func oracleScheds(seeds int64) []oracleSched {
+// horizonSeeds is the number of horizonChoosers the oracle runs.
+const horizonSeeds = 4
+
+// oracleScheds returns the cooperative scheduler, horizonChoosers for
+// seeds 0..horizonSeeds-1 and random schedulers for seeds 0..seeds-1.
+// Odd random seeds reuse one Random reseeded in place, the way Stress
+// drives it.
+func oracleScheds(t *testing.T, seeds int64) []oracleSched {
 	out := []oracleSched{{
 		name: "cooperative",
 		mk:   func() sched.Scheduler { return sched.NewCooperative() },
 		ref:  func() refScheduler { return &refCooperative{} },
 	}}
+	for seed := int64(0); seed < horizonSeeds; seed++ {
+		out = append(out, oracleSched{
+			name: fmt.Sprintf("horizon-%d", seed),
+			mk: func() sched.Scheduler {
+				return &horizonChooser{t: t, rng: rand.New(rand.NewSource(seed)), tid: -1}
+			},
+			ref: func() refScheduler { return &refCooperative{} },
+		})
+	}
 	reused := sched.NewRandom(-1)
 	for seed := int64(0); seed < seeds; seed++ {
 		mk := func() sched.Scheduler { return sched.NewRandom(seed) }
@@ -151,6 +166,68 @@ func oracleScheds(seeds int64) []oracleSched {
 		})
 	}
 	return out
+}
+
+// horizonChooser picks like the cooperative scheduler, but draws each
+// burst's horizon from its seed: 0, the thread's current sync count,
+// one to three above it, or math.MaxInt. The run must be the
+// cooperative one whatever the horizons, and at each Next the chooser
+// checks that the burst before it stopped where RunBurst's contract
+// puts it.
+type horizonChooser struct {
+	sched.Cooperative
+	t   *testing.T
+	rng *rand.Rand
+	// The last burst: its thread (-1 before the first), the thread's
+	// Syncs and the machine's steps when it began, and its horizon.
+	tid, syncs, horizon int
+	steps               int64
+}
+
+func (c *horizonChooser) Horizon(m *interp.Machine, tid int) int {
+	syncs := m.Threads[tid].Syncs
+	h := 0
+	switch k := c.rng.Intn(6); k {
+	case 1, 2, 3, 4:
+		h = syncs + k - 1
+	case 5:
+		h = math.MaxInt
+	}
+	c.tid, c.syncs, c.horizon, c.steps = tid, syncs, h, m.TotalSteps
+	return h
+}
+
+func (c *horizonChooser) Next(m *interp.Machine) int {
+	if c.tid >= 0 {
+		c.checkBurst(m)
+	}
+	return c.Cooperative.Next(m)
+}
+
+// checkBurst fails the test when the last burst ran past its horizon
+// or stopped short of it. Past: below the horizon a burst completes
+// sync operations only up to it, and at or above it only one, as its
+// first instruction; nor may it reach a blocking acquire after its
+// first instruction once at the horizon. Short: a thread that can
+// still run stops only at the machine's step limit, at a context poll
+// (every 1024 steps from the run's start) or at the horizon, right
+// after a sync operation or before one. (A Runner budget ends the run
+// without asking the chooser again.)
+func (c *horizonChooser) checkBurst(m *interp.Machine) {
+	t := m.Threads[c.tid]
+	ran := m.TotalSteps - c.steps
+	_, acquire, release := t.SyncOp()
+	where := fmt.Sprintf("burst of thread %d at step %d (horizon %d, syncs %d -> %d, %d steps)",
+		c.tid, c.steps, c.horizon, c.syncs, t.Syncs, ran)
+	switch {
+	case c.syncs < c.horizon && t.Syncs > c.horizon,
+		c.syncs >= c.horizon && t.Syncs > c.syncs && (t.Syncs > c.syncs+1 || ran != 1),
+		t.Status == interp.Blocked && ran > 1 && t.Syncs >= c.horizon:
+		c.t.Fatalf("%s ran past its horizon", where)
+	case m.Crashed() || t.Status != interp.Runnable || m.TotalSteps == m.MaxSteps || m.TotalSteps%1024 == 0:
+	case t.Syncs < c.horizon || (t.Syncs == c.syncs && !acquire && !release):
+		c.t.Fatalf("%s stopped short of its horizon", where)
+	}
 }
 
 // stepCtx reports cancellation once its machine has executed at
@@ -212,7 +289,7 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			}
 			return w
 		}
-		for _, sc := range oracleScheds(seeds) {
+		for _, sc := range oracleScheds(t, seeds) {
 			full := run(sc.name, oracleStepLimit, sched.Runner{Record: true}, sc.mk(), sc.ref(), sc.name == "cooperative")
 			run(sc.name+" unrecorded", oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), false)
 			run(sc.name+" machine limit", tightStepLimit, sched.Runner{Record: true}, sc.mk(), sc.ref(), false)

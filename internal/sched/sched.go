@@ -9,10 +9,14 @@
 //
 // The Runner asks a scheduler for a thread only where that scheduler
 // may switch. A Chooser (the cooperative scheduler, the search's
-// preemption chooser) can switch only at switch points — at a sync
-// instruction and right after it, and when the running thread blocks,
-// finishes or faults — so the Runner runs its choice in bursts
-// (interp.Machine.RunBurst) in between. Any other Scheduler (Random,
+// preemption chooser) switches only when the running thread blocks,
+// finishes or faults, or at a sync operation, and for each thread it
+// picks it names a horizon: the thread's completed-sync count below
+// which it would not switch. The Runner runs the choice in one burst
+// (interp.Machine.RunBurst) up to the horizon. The cooperative
+// scheduler's horizon is unbounded, so it is asked once a thread
+// blocks or finishes; the search's chooser is asked where a preemption
+// of its combination can fire. Any other Scheduler (Random,
 // Replayer) is asked before every step. Bursts also stop at the
 // Runner's step budget and at its context-poll boundaries, so a
 // budgeted or cancelled run executes exactly the prefix a per-step
@@ -28,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"heisendump/internal/interp"
@@ -43,16 +48,22 @@ type Scheduler interface {
 // Chooser is a Scheduler that can switch threads only at switch
 // points: at an acquire or release instruction and right after it,
 // and when the running thread blocks, finishes or faults. Everywhere
-// else its Next would return the thread that just ran. The Runner asks
-// a Chooser only at switch points and runs the chosen thread in a
-// burst up to the next one (interp.Machine.RunBurst): each sync
-// instruction runs as a one-step burst, so a Chooser sees the machine
-// before and after every sync operation.
+// else its Next would return the thread that just ran. After each
+// Next, the Runner asks Horizon how far the chosen thread may run and
+// runs it in one burst (interp.Machine.RunBurst): through acquires and
+// releases while the thread's completed-sync count (interp.Thread.Syncs)
+// is below the horizon, and from the horizon on up to the next sync
+// operation, so the Chooser sees the machine before and after each one
+// from there. The burst also ends where the thread blocks, finishes or
+// faults.
 type Chooser interface {
 	Scheduler
-	// SwitchPointsOnly marks the scheduler as a Chooser; it is never
-	// called.
-	SwitchPointsOnly()
+	// Horizon returns the completed-sync count of thread tid, just
+	// chosen by Next, below which the Chooser would not switch away
+	// from it at a sync operation. The Runner asks again right after
+	// the operation that reaches it and before every sync instruction
+	// from then on; math.MaxInt never asks at one, 0 asks at each.
+	Horizon(m *interp.Machine, tid int) int
 }
 
 // Result summarizes a completed run.
@@ -344,9 +355,9 @@ const ctxPollMask = 1023
 
 // Run drives m with s until the machine halts, the scheduler yields,
 // or the runner's step bound is reached. A Chooser is asked only at
-// switch points and its choice runs in bursts; any other scheduler is
-// asked before every step. Both execute exactly the steps, in exactly
-// the order, that asking before every step would.
+// switch points and its choice runs in bursts up to its horizon; any
+// other scheduler is asked before every step. Both execute exactly the
+// steps, in exactly the order, that asking before every step would.
 func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 	res := new(Result)
 	r.run(m, s, res)
@@ -357,7 +368,7 @@ func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 // that does not retain the Result (a search trial, a probe) keeps it
 // off the heap.
 func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
-	_, bursts := s.(Chooser)
+	ch, bursts := s.(Chooser)
 	start := m.TotalSteps
 	for !m.Crashed() && !m.Done() {
 		n := m.TotalSteps - start
@@ -388,7 +399,7 @@ func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
 		var ok bool
 		var err error
 		if bursts {
-			ok, err = m.RunBurst(tid, r.burstLimit(start, n))
+			ok, err = m.RunBurst(tid, r.burstLimit(start, n), ch.Horizon(m, tid))
 		} else {
 			ok, err = m.Step(tid)
 		}
@@ -462,7 +473,8 @@ func Run(m *interp.Machine, s Scheduler) *Result {
 // lowest-id runnable thread is chosen. Context switches therefore
 // happen only at synchronization operations and thread exits, which is
 // the execution model the preemption-search phase perturbs. It is a
-// Chooser, so a Runner runs it in bursts.
+// Chooser whose horizon is unbounded, so a Runner runs each thread in
+// one burst until it blocks or finishes.
 type Cooperative struct {
 	current int
 	started bool
@@ -489,9 +501,9 @@ func (c *Cooperative) Next(m *interp.Machine) int {
 	return c.current
 }
 
-// SwitchPointsOnly implements Chooser: the current thread keeps the
-// processor until it blocks or finishes.
-func (c *Cooperative) SwitchPointsOnly() {}
+// Horizon implements Chooser: the current thread keeps the processor
+// until it blocks or finishes, whatever its sync count.
+func (c *Cooperative) Horizon(*interp.Machine, int) int { return math.MaxInt }
 
 // Random steps a uniformly random runnable thread each step, standing
 // in for the fine-grained interleaving of truly parallel cores. The

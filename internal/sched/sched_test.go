@@ -73,6 +73,38 @@ func TestCooperativeRunsCurrentUntilBlocked(t *testing.T) {
 // TestQuickRandomSchedulesAlwaysComplete: for any seed, the two-thread
 // lock program completes with the same final state (the program is
 // race-free).
+// countingChooser counts the Runner's consultations of a Chooser.
+type countingChooser struct {
+	sched.Chooser
+	asked int
+}
+
+func (c *countingChooser) Next(m *interp.Machine) int {
+	c.asked++
+	return c.Chooser.Next(m)
+}
+
+// TestCooperativeAskedOncePerThread: the cooperative scheduler never
+// switches at a sync operation, so on each Table 2 bug's passing run
+// the Runner asks it for a thread only when the running thread
+// finishes: once per thread.
+func TestCooperativeAskedOncePerThread(t *testing.T) {
+	for _, w := range workloads.Bugs() {
+		cp, err := w.Compile(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := interp.New(cp, w.Input)
+		c := &countingChooser{Chooser: sched.NewCooperative()}
+		if res := sched.Run(m, c); res.Outcome() != sched.OutcomeDone {
+			t.Fatalf("%s: passing run ended %v", w.Name, res.Outcome())
+		}
+		if c.asked != len(m.Threads) {
+			t.Fatalf("%s: cooperative scheduler asked %d times over %d threads", w.Name, c.asked, len(m.Threads))
+		}
+	}
+}
+
 func TestQuickRandomSchedulesAlwaysComplete(t *testing.T) {
 	cp := compile(t, twoThreads)
 	f := func(seed int64) bool {

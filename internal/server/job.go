@@ -54,10 +54,11 @@ type JobOptions struct {
 	// Workers is the per-job schedule-search pool width (0 = server
 	// default; the result is bit-identical for any value).
 	Workers int `json:"workers,omitempty"`
-	// TrialBudget caps the schedule search; 0 = server default.
+	// TrialBudget caps the schedule search; 0 = server default. A
+	// negative budget is refused with bad_request.
 	TrialBudget int `json:"trial_budget,omitempty"`
 	// StressBudget caps the failure-provocation phase; 0 = server
-	// default.
+	// default. A negative budget is refused with bad_request.
 	StressBudget int `json:"stress_budget,omitempty"`
 	// Bound is the preemption bound, 0 to 3 (0 = 2); anything else is
 	// refused with bad_request.
@@ -88,6 +89,12 @@ func (o JobOptions) sessionOptions(obs heisendump.Observer) ([]heisendump.Option
 	if o.Bound < 0 || o.Bound > maxBound {
 		return nil, &ErrorPayload{Code: CodeBadRequest,
 			Message: fmt.Sprintf("bound %d out of range (want 0 to %d; 0 means 2)", o.Bound, maxBound)}
+	}
+	// The Session reads a negative trial budget as unlimited, which
+	// would lift the server's cutoff.
+	if o.TrialBudget < 0 || o.StressBudget < 0 {
+		return nil, &ErrorPayload{Code: CodeBadRequest,
+			Message: fmt.Sprintf("negative budget (trial_budget %d, stress_budget %d; 0 means the server default)", o.TrialBudget, o.StressBudget)}
 	}
 	opts := []heisendump.Option{
 		heisendump.WithWorkers(o.Workers),

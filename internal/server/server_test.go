@@ -223,24 +223,35 @@ func TestSubmitUnknownHeuristic(t *testing.T) {
 	}
 }
 
-// TestSubmitBoundRange: a preemption bound outside 0..maxBound is
-// refused at admission with a typed 400 and nothing queued or stored;
-// the ends of the range are admitted.
+// TestSubmitBoundRange: a preemption bound outside 0..maxBound, or a
+// negative trial or stress budget, is refused at admission with a
+// typed 400 and nothing queued or stored; the ends of the bound range
+// are admitted.
 func TestSubmitBoundRange(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
-	for _, bound := range []int{-1, 4, 40} {
+	refused := []struct {
+		name string
+		set  func(*JobOptions)
+	}{
+		{"bound -1", func(o *JobOptions) { o.Bound = -1 }},
+		{"bound 4", func(o *JobOptions) { o.Bound = 4 }},
+		{"bound 40", func(o *JobOptions) { o.Bound = 40 }},
+		{"trial_budget -1", func(o *JobOptions) { o.TrialBudget = -1 }},
+		{"stress_budget -1", func(o *JobOptions) { o.StressBudget = -1 }},
+	}
+	for _, c := range refused {
 		req := fig1Request(t, "")
-		req.Options.Bound = bound
+		c.set(&req.Options)
 		resp := postJSON(t, ts.URL+"/v1/jobs", req)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bound %d: status %d", bound, resp.StatusCode)
+			t.Fatalf("%s: status %d", c.name, resp.StatusCode)
 		}
 		if ep := decodeError(t, resp); ep.Code != CodeBadRequest {
-			t.Fatalf("bound %d: code %q", bound, ep.Code)
+			t.Fatalf("%s: code %q", c.name, ep.Code)
 		}
 	}
 	if q, st := srv.sched.stats(), srv.store.stats(); q.Queued != 0 || q.Served != 0 || st.Jobs != 0 {
-		t.Fatalf("refused bounds reached the queue: scheduler %+v, store %+v", q, st)
+		t.Fatalf("refused options reached the queue: scheduler %+v, store %+v", q, st)
 	}
 
 	for _, bound := range []int{0, maxBound} {

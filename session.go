@@ -65,9 +65,10 @@ func WithObserver(o Observer) Option {
 }
 
 // WithTrialBudget cuts the schedule search off after n test runs (0 =
-// unlimited) — the analogue of the paper's 18-hour cutoff. The budget
-// is applied to the deterministic sequential order, so the cut-off
-// result does not depend on WithWorkers.
+// unlimited) — the analogue of the paper's 18-hour cutoff. A negative
+// n is unlimited too; heisend refuses one. The budget is applied to the
+// deterministic sequential order, so the cut-off result does not
+// depend on WithWorkers.
 func WithTrialBudget(n int) Option { return func(c *core.Config) { c.MaxTries = n } }
 
 // WithBound sets the preemption bound k (default 2). The search's
@@ -91,7 +92,8 @@ func WithTraceWindow(n int) Option { return func(c *core.Config) { c.TraceWindow
 func WithStepLimit(n int64) Option { return func(c *core.Config) { c.StepLimit = n } }
 
 // WithStressBudget bounds the failure-provocation phase's stress
-// attempts (0 = the default of 20000).
+// attempts (0 = the default of 20000). A negative n makes no attempt,
+// so ProvokeFailure reports ErrNoFailure; heisend refuses one.
 func WithStressBudget(n int) Option { return func(c *core.Config) { c.MaxStressAttempts = n } }
 
 // WithStaticFocus feeds the static lockset analyzer's race-candidate
