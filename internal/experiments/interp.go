@@ -21,9 +21,9 @@ import (
 // InterpRow reports the interpreter's per-step cost on one workload,
 // in the re-execution regime of the schedule search: a single machine
 // rewound with Machine.Reset between deterministic runs, each run on
-// the sched.Runner loop under the cooperative scheduler — sync-boundary
-// bursts, exactly how chess trials execute — plus one full plain-CHESS
-// schedule search as the end-to-end latency probe.
+// the sched.Runner loop under the cooperative scheduler — one burst
+// per thread, as chess trials run between preemptions — plus one full
+// plain-CHESS schedule search as the end-to-end latency probe.
 //
 // Gated fields (see cmd/benchgate): AllocsPerStep as an exact-ish
 // ceiling (budget 0 plus noise tolerance), NsPerStep and SearchNs as
