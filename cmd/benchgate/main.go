@@ -2,8 +2,9 @@
 // fresh `benchtab -json` stream (stdin) against the checked-in
 // baseline snapshot and fails when any deterministic search-outcome
 // field drifts. Gated fields are the row names, every Tries / Found /
-// Reproduced column, and the static section's Races / Deadlocks
-// candidate counts — the values the determinism contract pins for a
+// Reproduced column, the static section's Races / Deadlocks candidate
+// counts, and the alignment and dump columns of tables 3 and 5 (see
+// alignmentGated) — the values the determinism contract pins for a
 // given seed state — plus three classes of cost ceiling:
 //
 //   - AllocsPerStep and every StepsExecuted column gate as exact-ish
@@ -33,7 +34,9 @@
 //
 // Usage (what CI runs):
 //
-//	benchtab -table 4 -interp -json | benchgate -baseline BENCH_baseline.json
+//	benchtab -table 4 -interp -static -json | benchgate -baseline BENCH_baseline.json
+//	benchtab -table 3 -json | benchgate -baseline BENCH_baseline.json
+//	benchtab -table 5 -json | benchgate -baseline BENCH_baseline.json
 //
 // Only the tables present on stdin are compared, so gating one table
 // against a full-run baseline works. When a PR intentionally moves the
@@ -147,9 +150,25 @@ func gated(key string) bool {
 		strings.Contains(key, "Found") ||
 		key == "Reproduced" ||
 		key == "Races" || key == "Deadlocks" ||
+		alignmentGated(key) ||
 		ceilingGated(key) ||
 		budgetGated(key) ||
 		ratioGated(key)
+}
+
+// alignmentGated marks the columns gated by exact equality that pin
+// what the search starts from: Table 3's failure index length, aligned
+// point kind, dump sizes, compared and differing variables, CSVs and
+// stress attempts, and Table 5's thread-local instruction count (the
+// instruction-count baseline's target). Each is a pure function of the
+// program, its input and the stress seeds.
+func alignmentGated(key string) bool {
+	switch key {
+	case "AlignKind", "IndexLen", "CSVs", "Diffs", "VarsCompared", "SharedCompared",
+		"FailDumpBytes", "PassDumpBytes", "StressAttempts", "ThreadInstrs":
+		return true
+	}
+	return false
 }
 
 // ceilingGated marks fields gated as a numeric ceiling rather than by

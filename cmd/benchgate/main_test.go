@@ -80,6 +80,34 @@ func TestCompareSubsetOfBaselineTables(t *testing.T) {
 	}
 }
 
+const alignBaseline = `{"table":"table3","rows":[{"Name":"apache-1","FailDumpBytes":1032,"PassDumpBytes":1009,"VarsCompared":18,"Diffs":4,"SharedCompared":8,"CSVs":3,"IndexLen":6,"AlignKind":2,"StressAttempts":1}]}
+{"table":"table5","rows":[{"Name":"apache-1","ThreadInstrs":212,"Tries":7,"Reproduced":true,"Time":5}]}
+`
+
+// TestCompareCatchesAlignmentDrift: Table 3's alignment and dump
+// columns and Table 5's ThreadInstrs gate by exact equality.
+func TestCompareCatchesAlignmentDrift(t *testing.T) {
+	diffs, checked := compare(sections(t, alignBaseline), sections(t, alignBaseline))
+	if len(diffs) != 0 {
+		t.Fatalf("unexpected diffs: %v", diffs)
+	}
+	// table3: Name + 9 columns; table5: Name, ThreadInstrs, Tries, Reproduced.
+	if checked != 14 {
+		t.Fatalf("checked %d gated fields, want 14", checked)
+	}
+	for _, c := range []struct{ field, from, to string }{
+		{"AlignKind", `"AlignKind":2`, `"AlignKind":1`},
+		{"CSVs", `"CSVs":3`, `"CSVs":2`},
+		{"ThreadInstrs", `"ThreadInstrs":212`, `"ThreadInstrs":213`},
+	} {
+		fresh := sections(t, strings.ReplaceAll(alignBaseline, c.from, c.to))
+		diffs, _ := compare(fresh, sections(t, alignBaseline))
+		if len(diffs) != 1 || !strings.Contains(diffs[0], c.field) {
+			t.Fatalf("%s drift not caught: %v", c.field, diffs)
+		}
+	}
+}
+
 const interpBaseline = `{"table":"interp","rows":[{"Name":"mysql-1","AllocsPerStep":0,"Steps":238}]}
 `
 

@@ -31,10 +31,7 @@ func TrialConsultations(s *Searcher, ranks int) (trials, most, total int, diff s
 	if bound <= 0 {
 		bound = 2
 	}
-	maxRun := s.Opts.MaxStepsPerRun
-	if maxRun == 0 {
-		maxRun = s.Opts.PassingSteps*4 + 10000
-	}
+	maxRun := s.runBound()
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	m := s.NewMachine()
 	var want trialChooser

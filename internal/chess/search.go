@@ -53,11 +53,8 @@ type Options struct {
 	// The cutoff is applied to the deterministic sequential order, so
 	// Found/Schedule/Tries do not depend on Workers.
 	MaxTries int
-	// MaxStepsPerRun bounds each test run; zero derives a bound from
-	// the passing run length.
-	MaxStepsPerRun int64
-	// PassingSteps is the passing run's length, used to derive the
-	// per-run bound.
+	// PassingSteps is the passing run's length, from which each test
+	// run's step bound is derived.
 	PassingSteps int64
 	// Workers is the number of goroutines exploring combinations
 	// concurrently; <= 0 means GOMAXPROCS. Any value yields the same
@@ -209,11 +206,6 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	if bound <= 0 {
 		bound = 2
 	}
-	maxRun := s.Opts.MaxStepsPerRun
-	if maxRun == 0 {
-		maxRun = s.Opts.PassingSteps*4 + 10000
-	}
-
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	res.CombinationsGenerated = wl.size
 
@@ -234,7 +226,7 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		s:        s,
 		ctx:      ctx,
 		wl:       wl,
-		maxRun:   maxRun,
+		maxRun:   s.runBound(),
 		maxTries: s.Opts.MaxTries,
 	}
 	st.bestRank.Store(int64(wl.size)) // sentinel: nothing found yet

@@ -31,6 +31,10 @@ type comboOutcome struct {
 	aborted  bool
 }
 
+// runBound is each test run's step bound, derived from the passing
+// run's length.
+func (s *Searcher) runBound() int64 { return s.Opts.PassingSteps*4 + 10000 }
+
 // runTrial is the pure trial executor: it rewinds the caller's machine
 // to the initial state (Machine.Reset — same program, same seed input,
 // recycled storage) and executes one test run on the sched.Runner loop

@@ -188,10 +188,7 @@ func TrialOracle(s *Searcher, ranks, trialsPerRank int, extraBounds []int64) (in
 	if bound <= 0 {
 		bound = 2
 	}
-	maxRun := s.Opts.MaxStepsPerRun
-	if maxRun == 0 {
-		maxRun = s.Opts.PassingSteps*4 + 10000
-	}
+	maxRun := s.runBound()
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	got, want := s.NewMachine(), s.NewMachine()
 	var c trialChooser

@@ -24,8 +24,8 @@ type Stage int
 
 const (
 	// StageAlign reverse engineers the failure index (under
-	// execution-index alignment) and locates the aligned point in a
-	// deterministic re-run, recording the passing-run trace.
+	// execution-index alignment), records the passing-run trace of a
+	// deterministic re-run and locates the aligned point in it.
 	StageAlign Stage = iota
 	// StageAlignedDump replays deterministically to the aligned point
 	// and captures the passing-side core dump there.
@@ -157,57 +157,49 @@ func (a *Analysis) runStage(ctx context.Context, s Stage) error {
 	return fmt.Errorf("core: unknown analysis stage %v", s)
 }
 
-// align locates the aligned point in a deterministic re-run, recording
-// the trace. Under execution-index alignment it first reverse
-// engineers the failure index from the dump (Algorithm 1). The re-run
-// polls ctx, so a cancelled context stops the alignment mid-execution.
+// align records the trace of a deterministic re-run and, once the run
+// ends, locates the aligned point in it. Under execution-index
+// alignment it first reverse engineers the failure index from the dump
+// (Algorithm 1). The re-run polls ctx, so a cancelled context stops
+// the alignment mid-execution.
 func (a *Analysis) align(ctx context.Context) error {
 	p, rep := a.Pipe, a.Report
 
-	rec := trace.NewRecorder()
-	if p.Cfg.TraceWindow > 0 {
-		rec = trace.NewWindowed(p.Cfg.TraceWindow)
-	}
-	a.Trace = rec
-
 	start := time.Now()
+	var fidx *index.Index
 	switch p.Cfg.Alignment {
 	case AlignByIndex:
 		t0 := time.Now()
-		fidx, err := index.Reverse(p.Prog, p.PDeps, a.Fail.Dump)
+		var err error
+		fidx, err = index.Reverse(p.Prog, p.PDeps, a.Fail.Dump)
 		if err != nil {
 			return fmt.Errorf("core: reverse engineering failure index: %w", err)
 		}
 		rep.ReverseTime = time.Since(t0)
 		rep.FailureIndex = fidx
 		rep.IndexLen = fidx.Len()
-
-		al := index.NewAligner(p.Prog, p.PDeps, fidx)
-		m := p.NewMachine()
-		m.Hooks = trace.Multi{al, rec}
-		res := sched.Runner{Ctx: ctx}.Run(m, sched.NewCooperative())
-		if res.Cancelled {
-			return Cancelled(ctx.Err())
-		}
-		rep.PassingSteps = res.Steps
-		rep.AlignKind = al.Kind
-		rep.AlignSteps = al.AlignSteps
-		rep.AlignPC = al.AlignPC
 	case AlignByInstructionCount:
-		al := NewStepCountAligner(a.Fail.Dump.FailingThread, rep.ThreadSteps, a.Fail.Dump.PC)
-		m := p.NewMachine()
-		m.Hooks = trace.Multi{al, rec}
-		res := sched.Runner{Ctx: ctx}.Run(m, sched.NewCooperative())
-		if res.Cancelled {
-			return Cancelled(ctx.Err())
-		}
-		rep.PassingSteps = res.Steps
-		rep.AlignKind = al.kind()
-		rep.AlignSteps = al.steps()
-		rep.AlignPC = al.pc()
 	default:
 		return fmt.Errorf("core: unknown alignment method %v", p.Cfg.Alignment)
 	}
+
+	rec := trace.NewRecorder()
+	a.Trace = rec
+	m := p.NewMachine()
+	m.Hooks = rec
+	res := sched.Runner{Ctx: ctx}.Run(m, sched.NewCooperative())
+	if res.Cancelled {
+		return Cancelled(ctx.Err())
+	}
+	rep.PassingSteps = res.Steps
+
+	var al index.Alignment
+	if p.Cfg.Alignment == AlignByIndex {
+		al = index.Align(p.Prog, p.PDeps, fidx, rec.Events)
+	} else {
+		al = alignByCount(rec.Events, a.Fail.Dump.FailingThread, rep.ThreadSteps, a.Fail.Dump.PC)
+	}
+	rep.AlignKind, rep.AlignSteps, rep.AlignPC = al.Kind, al.Steps, al.PC
 	rep.AlignTime = time.Since(start)
 
 	if rep.AlignKind == index.AlignNone {

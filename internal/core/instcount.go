@@ -2,105 +2,43 @@ package core
 
 import (
 	"heisendump/internal/index"
-	"heisendump/internal/interp"
 	"heisendump/internal/ir"
+	"heisendump/internal/trace"
 )
 
-// StepCountAligner implements the Table 5 baseline: instead of
-// execution-index alignment, the aligned point is found by executing
-// the failing thread for the same number of thread-local instructions
-// it had executed in the failing run (read from hardware counters
-// there, from the dump's per-thread step counts here) and then looking
-// for the next execution of the failure PC by that thread. When the PC
-// never recurs, the point where the count was reached serves as the
-// alignment.
-type StepCountAligner struct {
-	thread int
-	target int64
-	failPC ir.PC
-
-	seen       int64 // thread-local instructions observed
-	totalSteps int64 // machine-wide steps observed
-
-	reached     bool
-	reachSteps  int64
-	reachPC     ir.PC
-	alignedKind index.AlignKind
-	alignSteps  int64
-	alignPC     ir.PC
-}
-
-// NewStepCountAligner builds the baseline aligner for the failing
-// thread, its failing-run instruction count, and the failure PC.
-func NewStepCountAligner(thread int, target int64, failPC ir.PC) *StepCountAligner {
-	return &StepCountAligner{thread: thread, target: target, failPC: failPC}
-}
-
-var _ interp.Hooks = (*StepCountAligner)(nil)
-
-// BeforeInstr tracks instruction counts and looks for the failure PC
-// once the count is reached. The failing thread may execute fewer
-// instructions in the passing run than it did in the failing run —
-// instruction counts are exactly what schedule differences skew — in
-// which case the thread's last executed instruction serves as the
+// alignByCount implements the Table 5 baseline over the recorded
+// passing run: instead of execution-index alignment, the aligned point
+// is found by executing the failing thread for the same number of
+// thread-local instructions it had executed in the failing run (read
+// from hardware counters there, from the dump's per-thread step counts
+// here) and then looking for the next execution of the failure PC by
+// that thread. When the PC never recurs, the point where the count was
+// reached serves as the alignment. The failing thread may execute
+// fewer instructions in the passing run than it did in the failing
+// run — instruction counts are exactly what schedule differences skew
+// — in which case the thread's last executed instruction serves as the
 // (poor) alignment, mirroring how the baseline degrades in the paper.
-func (a *StepCountAligner) BeforeInstr(t *interp.Thread, pc ir.PC, in *ir.Instr) {
-	if a.alignedKind == index.AlignNone && t.ID == a.thread {
-		a.seen++
-		if !a.reached && a.seen >= a.target {
-			a.reached = true
-			a.reachSteps = a.totalSteps // before this instruction
-			a.reachPC = pc
+func alignByCount(events []trace.Event, thread int, target int64, failPC ir.PC) index.Alignment {
+	reach := max(target, 1) // the thread-local count that reaches the target
+	var seen int64
+	var al index.Alignment
+	for i := range events {
+		e := &events[i]
+		if e.Thread != thread {
+			continue
 		}
-		if !a.reached {
-			// Track the thread's frontier as the fallback alignment.
-			a.reachSteps = a.totalSteps + 1
-			a.reachPC = pc
+		seen++
+		if seen < reach {
+			// The thread's frontier is the fallback alignment.
+			al = index.Alignment{Kind: index.AlignClosest, Steps: e.Step + 1, PC: e.PC}
+			continue
 		}
-		if a.reached && pc == a.failPC {
-			a.alignedKind = index.AlignExact
-			a.alignSteps = a.totalSteps
-			a.alignPC = pc
+		if seen == reach {
+			al = index.Alignment{Kind: index.AlignClosest, Steps: e.Step, PC: e.PC}
+		}
+		if e.PC == failPC {
+			return index.Alignment{Kind: index.AlignExact, Steps: e.Step, PC: e.PC}
 		}
 	}
-	a.totalSteps++
-}
-
-// OnBranch is a no-op.
-func (a *StepCountAligner) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {}
-
-// OnEnterFunc is a no-op.
-func (a *StepCountAligner) OnEnterFunc(t *interp.Thread, fidx int) {}
-
-// OnExitFunc is a no-op.
-func (a *StepCountAligner) OnExitFunc(t *interp.Thread, fidx int) {}
-
-// OnRead is a no-op.
-func (a *StepCountAligner) OnRead(t *interp.Thread, v interp.VarID) {}
-
-// OnWrite is a no-op.
-func (a *StepCountAligner) OnWrite(t *interp.Thread, v interp.VarID) {}
-
-func (a *StepCountAligner) kind() index.AlignKind {
-	if a.alignedKind != index.AlignNone {
-		return a.alignedKind
-	}
-	if a.seen > 0 {
-		return index.AlignClosest
-	}
-	return index.AlignNone
-}
-
-func (a *StepCountAligner) steps() int64 {
-	if a.alignedKind != index.AlignNone {
-		return a.alignSteps
-	}
-	return a.reachSteps
-}
-
-func (a *StepCountAligner) pc() ir.PC {
-	if a.alignedKind != index.AlignNone {
-		return a.alignPC
-	}
-	return a.reachPC
+	return al
 }

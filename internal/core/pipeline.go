@@ -66,9 +66,6 @@ type Config struct {
 	MaxTries int
 	// MaxStressAttempts bounds the failure-provocation phase.
 	MaxStressAttempts int
-	// TraceWindow bounds the retained passing-run trace (0 =
-	// unlimited), mirroring the paper's 20M-instruction window.
-	TraceWindow int
 	// StepLimit bounds each execution (0 = a generous default).
 	StepLimit int64
 	// Workers is the schedule-search worker-pool width (0 =

@@ -2,8 +2,8 @@ package index
 
 import (
 	"heisendump/internal/ctrldep"
-	"heisendump/internal/interp"
 	"heisendump/internal/ir"
+	"heisendump/internal/trace"
 )
 
 // AlignKind classifies an alignment result.
@@ -31,9 +31,25 @@ func (k AlignKind) String() string {
 	return "none"
 }
 
-// Aligner consumes a reverse-engineered failure index and, hooked into
-// a re-execution, locates the aligned point per the paper's Fig. 7
-// instrumentation rules:
+// Alignment is the aligned point found in a passing run.
+type Alignment struct {
+	// Kind classifies the alignment.
+	Kind AlignKind
+	// Steps is the number of completed steps after which the run's
+	// state matches the aligned point, so the pipeline can re-execute
+	// deterministically to it and capture a dump there. For an exact
+	// alignment that is the state just before the failure instruction
+	// executes; for a closest one, just after the divergent branch.
+	Steps int64
+	// PC is the aligned instruction: the failure PC for exact
+	// alignments, the divergent predicate for closest alignments.
+	PC ir.PC
+}
+
+// Align locates the aligned point of a reverse-engineered failure
+// index in a recorded deterministic re-run of prog, per the paper's
+// Fig. 7 instrumentation rules applied to the failing thread's
+// replayed events:
 //
 //	(5) entering a procedure matching the head entry removes it,
 //	(6) a predicate matching the head entry's predicate removes it
@@ -44,85 +60,63 @@ func (k AlignKind) String() string {
 //	(7) once every region entry is matched, executing the failure PC
 //	    is the EXACT alignment.
 //
-// The aligner counts machine steps so the pipeline can re-execute
-// deterministically to the aligned point and capture a dump there:
-// AlignSteps is the number of completed steps after which the dump
-// matches the aligned point (for an exact alignment, the state just
-// before the failure instruction executes).
-type Aligner struct {
+// events must be the run's whole trace, as trace.Recorder records it.
+// A run that reaches neither alignment returns Kind AlignNone.
+func Align(prog *ir.Program, pdeps *ctrldep.ProgramDeps, target *Index, events []trace.Event) Alignment {
+	a := aligner{prog: prog, pdeps: pdeps, target: target}
+	trace.Replay(prog, events, func(thread, fidx int) {
+		if thread == target.Thread {
+			a.enter(fidx)
+		}
+	}, func(e *trace.Event) {
+		if e.Thread != target.Thread {
+			return
+		}
+		a.step(e)
+		if e.IsBranch {
+			a.branch(e)
+		}
+	})
+	return a.Alignment
+}
+
+// aligner carries Align's progress through the target index.
+type aligner struct {
 	prog   *ir.Program
 	pdeps  *ctrldep.ProgramDeps
 	target *Index
-
-	pos       int
-	stepsSeen int64
-
-	// Kind reports the alignment found so far.
-	Kind AlignKind
-	// AlignSteps is the completed-step count at the aligned point.
-	AlignSteps int64
-	// AlignPC is the aligned instruction (the failure PC for exact
-	// alignments, the divergent predicate for closest alignments).
-	AlignPC ir.PC
-	// MatchedEntries counts how many index entries matched before the
-	// alignment (or the end of the run).
-	MatchedEntries int
-	// LastMatchSteps records the completed-step count at the last
-	// entry match, the fallback alignment when a run ends unmatched.
-	LastMatchSteps int64
-	// LastMatchPC records the instruction at the last entry match.
-	LastMatchPC ir.PC
+	pos    int // entries matched so far
+	Alignment
 }
 
-// NewAligner builds an aligner for the given reverse-engineered index.
-func NewAligner(prog *ir.Program, pdeps *ctrldep.ProgramDeps, target *Index) *Aligner {
-	return &Aligner{prog: prog, pdeps: pdeps, target: target}
-}
+func (a *aligner) done() bool { return a.Kind != AlignNone }
 
-var _ interp.Hooks = (*Aligner)(nil)
-
-// Done reports whether an alignment has been found.
-func (a *Aligner) Done() bool { return a.Kind != AlignNone }
-
-func (a *Aligner) head() (Entry, bool) {
+func (a *aligner) head() (Entry, bool) {
 	if a.pos < len(a.target.Entries) {
 		return a.target.Entries[a.pos], true
 	}
 	return Entry{}, false
 }
 
-func (a *Aligner) match(pc ir.PC) {
-	a.pos++
-	a.MatchedEntries = a.pos
-	a.LastMatchSteps = a.stepsSeen
-	a.LastMatchPC = pc
+// step implements rule 7 before the event's instruction executes.
+func (a *aligner) step(e *trace.Event) {
+	if !a.done() && a.pos == len(a.target.Entries) && e.PC == a.target.Leaf {
+		a.Alignment = Alignment{Kind: AlignExact, Steps: e.Step, PC: e.PC}
+	}
 }
 
-// BeforeInstr implements rule 7 and counts steps.
-func (a *Aligner) BeforeInstr(t *interp.Thread, pc ir.PC, in *ir.Instr) {
-	if a.Done() {
-		a.stepsSeen++
-		return
-	}
-	if t.ID == a.target.Thread && a.pos == len(a.target.Entries) && pc == a.target.Leaf {
-		a.Kind = AlignExact
-		a.AlignSteps = a.stepsSeen // state before this instruction
-		a.AlignPC = pc
-	}
-	a.stepsSeen++
-}
-
-// OnBranch implements rule 6, in the canonical (aggregated) predicate
+// branch implements rule 6, in the canonical (aggregated) predicate
 // space: branches of multi-branch groups match through their group's
 // decided outcome.
-func (a *Aligner) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
-	if a.Done() || t.ID != a.target.Thread {
+func (a *aligner) branch(e *trace.Event) {
+	if a.done() {
 		return
 	}
 	h, ok := a.head()
 	if !ok {
 		return
 	}
+	pc, taken := e.PC, e.Taken
 	fn := a.prog.Funcs[pc.F]
 	in := &fn.Instrs[pc.I]
 	fd := a.pdeps.Funcs[pc.F]
@@ -148,10 +142,10 @@ func (a *Aligner) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
 	// Rule 6, condition 1: matching region entered.
 	switch {
 	case !agg && h.Kind == KBranch && h.Func == pc.F && h.PC == pc.I && h.Taken == outcome:
-		a.match(pc)
+		a.pos++
 		return
 	case agg && h.Kind == KAgg && h.Func == pc.F && h.Group == group && h.Taken == outcome:
-		a.match(pc)
+		a.pos++
 		return
 	}
 
@@ -176,27 +170,17 @@ func (a *Aligner) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
 	}
 
 	if oppositeSamePred || dependsOnOpposite {
-		a.Kind = AlignClosest
-		a.AlignSteps = a.stepsSeen // the branch has executed
-		a.AlignPC = pc
+		// The branch has executed.
+		a.Alignment = Alignment{Kind: AlignClosest, Steps: e.Step + 1, PC: pc}
 	}
 }
 
-// OnEnterFunc implements rule 5.
-func (a *Aligner) OnEnterFunc(t *interp.Thread, fidx int) {
-	if a.Done() || t.ID != a.target.Thread {
+// enter implements rule 5.
+func (a *aligner) enter(fidx int) {
+	if a.done() {
 		return
 	}
 	if h, ok := a.head(); ok && h.Kind == KFunc && h.Func == fidx {
-		a.match(ir.PC{F: fidx, I: 0})
+		a.pos++
 	}
 }
-
-// OnExitFunc is a no-op: the Fig. 7 rules only consume entries.
-func (a *Aligner) OnExitFunc(t *interp.Thread, fidx int) {}
-
-// OnRead is a no-op.
-func (a *Aligner) OnRead(t *interp.Thread, v interp.VarID) {}
-
-// OnWrite is a no-op.
-func (a *Aligner) OnWrite(t *interp.Thread, v interp.VarID) {}

@@ -170,12 +170,12 @@ type execCounter struct {
 	seen map[ir.PC]bool
 }
 
-func (c *execCounter) BeforeInstr(t *interp.Thread, pc ir.PC, in *ir.Instr) { c.seen[pc] = true }
-func (c *execCounter) OnBranch(*interp.Thread, ir.PC, bool)                 {}
-func (c *execCounter) OnEnterFunc(*interp.Thread, int)                      {}
-func (c *execCounter) OnExitFunc(*interp.Thread, int)                       {}
-func (c *execCounter) OnRead(*interp.Thread, interp.VarID)                  {}
-func (c *execCounter) OnWrite(*interp.Thread, interp.VarID)                 {}
+func (c *execCounter) BeforeInstr(t *interp.Thread, pc ir.PC) { c.seen[pc] = true }
+func (c *execCounter) OnBranch(*interp.Thread, ir.PC, bool)   {}
+func (c *execCounter) OnEnterFunc(*interp.Thread, int)        {}
+func (c *execCounter) OnExitFunc(*interp.Thread, int)         {}
+func (c *execCounter) OnRead(*interp.Thread, interp.VarID)    {}
+func (c *execCounter) OnWrite(*interp.Thread, interp.VarID)   {}
 
 func falseExpr() *ir.Expr { return &ir.Expr{Kind: ir.EBool} }
 

@@ -6,9 +6,9 @@
 //   - reverse engineering of a failure point's index from a core dump
 //     (Algorithm 1), using static control dependences and the loop
 //     counters recovered from dumped stack frames, and
-//   - alignment of a reverse-engineered index against a re-execution
-//     (the instrumentation rules of Fig. 7), yielding the exact or
-//     closest aligned point.
+//   - alignment of a reverse-engineered index against the recorded
+//     trace of a re-execution (the instrumentation rules of Fig. 7),
+//     yielding the exact or closest aligned point.
 //
 // An index is the path from the root of the dynamic index tree to an
 // execution point: the function bodies and predicate regions the point

@@ -289,7 +289,7 @@ func TestAlignerExactOnIdenticalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay the same failing schedule with the aligner attached.
+	// Record the same failing schedule and align in its trace.
 	var failSeed int64 = -1
 	for seed := int64(0); seed < 500; seed++ {
 		m := interp.New(cp, w.Input)
@@ -302,10 +302,11 @@ func TestAlignerExactOnIdenticalRun(t *testing.T) {
 	if failSeed < 0 {
 		t.Skip("no matching seed")
 	}
-	al := index.NewAligner(cp, pdeps, idx)
+	rec := trace.NewRecorder()
 	m := interp.New(cp, w.Input)
-	m.Hooks = al
+	m.Hooks = rec
 	sched.Run(m, sched.NewRandom(failSeed))
+	al := index.Align(cp, pdeps, idx, rec.Events)
 	if al.Kind != index.AlignExact {
 		t.Fatalf("alignment on the failing run itself = %v, want exact", al.Kind)
 	}
@@ -326,17 +327,18 @@ func TestAlignerClosestOnDivergentRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	al := index.NewAligner(cp, pdeps, idx)
+	rec := trace.NewRecorder()
 	m := interp.New(cp, w.Input)
-	m.Hooks = al
+	m.Hooks = rec
 	res := sched.Run(m, sched.NewCooperative())
 	if res.Crashed {
 		t.Fatal("cooperative run crashed")
 	}
+	al := index.Align(cp, pdeps, idx, rec.Events)
 	if al.Kind == index.AlignNone {
 		t.Fatal("no alignment found")
 	}
-	if al.AlignSteps <= 0 {
+	if al.Steps <= 0 {
 		t.Fatal("aligned at step 0")
 	}
 }

@@ -36,7 +36,7 @@ func NewTracker(prog *ir.Program, pdeps *ctrldep.ProgramDeps) *Tracker {
 var _ interp.Hooks = (*Tracker)(nil)
 
 // BeforeInstr applies rule (4).
-func (tr *Tracker) BeforeInstr(t *interp.Thread, pc ir.PC, in *ir.Instr) {
+func (tr *Tracker) BeforeInstr(t *interp.Thread, pc ir.PC) {
 	st := tr.stacks[t.ID]
 	pd := tr.pdeps.Funcs[pc.F].PD
 	for len(st) > 0 {

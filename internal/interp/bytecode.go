@@ -148,7 +148,7 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			// (see spawnThread).
 			hooks.OnEnterFunc(t, t.EntryFunc)
 		}
-		hooks.BeforeInstr(t, pc, &fn.Instrs[fr.PC])
+		hooks.BeforeInstr(t, pc)
 	}
 	t.Steps++
 	m.TotalSteps++
@@ -639,9 +639,6 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 				t.Status = Runnable
 				t.WaitLock = -1
 				fr.PC++
-				if lh, ok := m.Hooks.(LockHooks); ok {
-					lh.OnAcquire(t, m.Prog.Locks[c.A])
-				}
 			case int32(t.ID):
 				m.crash(t, pc, fmt.Sprintf("recursive acquire of lock %q", m.Prog.Locks[c.A]))
 			default:
@@ -663,9 +660,6 @@ func (m *Machine) execBC(t *Thread) (bool, error) {
 			m.Locks[c.A] = -1
 			m.runnableOK = false
 			fr.PC++
-			if lh, ok := m.Hooks.(LockHooks); ok {
-				lh.OnRelease(t, m.Prog.Locks[c.A])
-			}
 			return true, nil
 
 		case ir.BEndSpawn:

@@ -199,7 +199,7 @@ type frameIDHook struct {
 	t    *testing.T
 }
 
-func (h *frameIDHook) BeforeInstr(t *interp.Thread, pc ir.PC, in *ir.Instr) {
+func (h *frameIDHook) BeforeInstr(t *interp.Thread, pc ir.PC) {
 	h.seen[t.Top().ID] = true
 }
 func (h *frameIDHook) OnBranch(*interp.Thread, ir.PC, bool) {}

@@ -127,10 +127,13 @@ func (c *CrashInfo) String() string {
 type Hooks interface {
 	// BeforeInstr fires before each instruction executes (after the
 	// thread is chosen), including synthetic instrumentation.
-	BeforeInstr(t *Thread, pc ir.PC, in *ir.Instr)
+	BeforeInstr(t *Thread, pc ir.PC)
 	// OnBranch fires when a branch resolves with the given outcome.
 	OnBranch(t *Thread, pc ir.PC, taken bool)
-	// OnEnterFunc fires when a frame is pushed (call, spawn entry).
+	// OnEnterFunc fires when a frame is pushed: a thread's entry
+	// function just before its first BeforeInstr (t.Steps is 0), a
+	// callee right after its call instruction's step. A call that
+	// faults while evaluating its arguments enters nothing.
 	OnEnterFunc(t *Thread, fidx int)
 	// OnExitFunc fires when a frame is popped.
 	OnExitFunc(t *Thread, fidx int)
@@ -138,21 +141,6 @@ type Hooks interface {
 	OnRead(t *Thread, v VarID)
 	// OnWrite fires for each variable written.
 	OnWrite(t *Thread, v VarID)
-}
-
-// LockHooks is an optional extension of Hooks for observers that need
-// synchronization events. OnAcquire fires only when an acquisition
-// succeeds (a blocked attempt is visible as a BeforeInstr with no
-// matching OnAcquire); OnRelease fires on every release. Both fire
-// within the same Step as the BeforeInstr that opened the instruction.
-// Locks are identified by source name (the machine resolves its
-// integer lock ids through the program's name table before calling).
-// Implementations must not mutate the machine.
-type LockHooks interface {
-	// OnAcquire fires when t successfully acquires lock.
-	OnAcquire(t *Thread, lock string)
-	// OnRelease fires when t releases lock.
-	OnRelease(t *Thread, lock string)
 }
 
 // VarKind discriminates runtime variable identities.
@@ -567,12 +555,6 @@ func (m *Machine) Crashed() bool { return m.Crash != nil }
 // was a release, including one that faulted on a lock its thread does
 // not hold. After a RunBurst that executed nothing it is false.
 func (m *Machine) Released() bool { return m.released == m.TotalSteps }
-
-// Halted reports whether no further steps are possible: crashed, all
-// done, or deadlocked.
-func (m *Machine) Halted() bool {
-	return m.Crashed() || m.Done() || len(m.Runnable()) == 0
-}
 
 // crash records a fault and stops the machine.
 func (m *Machine) crash(t *Thread, pc ir.PC, reason string) {

@@ -10,10 +10,10 @@ package interp_test
 // The round-trip tests below run every corpus workload, the call-result
 // binding programs and a range of generated programs under both the
 // machine and the reference — same program, same input, same schedule
-// — and assert that the traces (including per-step reads/writes and
-// lock events), crashes and outputs are identical. This pins the
-// compile-time variable resolution and the bytecode lowering to the
-// map-resolution semantics they replaced.
+// — and assert that the traces (including per-step reads/writes,
+// branch outcomes and call marks), crashes and outputs are identical.
+// This pins the compile-time variable resolution and the bytecode
+// lowering to the map-resolution semantics they replaced.
 
 import (
 	"fmt"
@@ -57,9 +57,9 @@ func (t *refThread) top() *refFrame {
 
 // refMachine executes a compiled program by re-resolving every name
 // through maps, as the interpreter did before slot compilation. It
-// drives the same interp.Hooks/interp.LockHooks interfaces, reporting
-// the same interp.VarID identities, so its traces are directly
-// comparable with the slot-addressed machine's.
+// drives the same interp.Hooks interface, reporting the same
+// interp.VarID identities, so its traces are directly comparable with
+// the slot-addressed machine's.
 type refMachine struct {
 	prog    *ir.Program
 	globals map[string]interp.Value
@@ -211,7 +211,7 @@ func (m *refMachine) step(tid int) bool {
 		if t.steps == 0 {
 			m.hooks.OnEnterFunc(m.ht(t), t.entryFunc)
 		}
-		m.hooks.BeforeInstr(m.ht(t), pc, in)
+		m.hooks.BeforeInstr(m.ht(t), pc)
 	}
 	t.steps++
 
@@ -297,9 +297,6 @@ func (m *refMachine) step(tid int) bool {
 			t.status = interp.Runnable
 			t.waitLock = ""
 			fr.pc++
-			if lh, ok := m.hooks.(interp.LockHooks); ok {
-				lh.OnAcquire(m.ht(t), in.LockName)
-			}
 		case t.id:
 			return fault(refCrash{fmt.Sprintf("recursive acquire of lock %q", in.LockName)})
 		default:
@@ -313,9 +310,6 @@ func (m *refMachine) step(tid int) bool {
 		}
 		m.locks[in.LockName] = -1
 		fr.pc++
-		if lh, ok := m.hooks.(interp.LockHooks); ok {
-			lh.OnRelease(m.ht(t), in.LockName)
-		}
 
 	case ir.OpSpawn:
 		args, err := m.evalList(t, in.SrcArgs)
@@ -624,8 +618,8 @@ func schedulesFor(t *testing.T, prog *ir.Program, in *interp.Input, seeds int) [
 }
 
 // compareRuns asserts that two executions are observably identical:
-// same trace events (with reads/writes/locks), same crash and same
-// output.
+// same trace events (with reads/writes, branch outcomes and call
+// marks), same crash and same output.
 func compareRuns(t *testing.T, label string, got, want refRun) {
 	t.Helper()
 	if len(got.events) != len(want.events) {
@@ -714,10 +708,31 @@ func main() {
 `},
 }
 
+// callFaultSource faults while evaluating a call's argument, under
+// every schedule: the faulting call's event must carry no call mark on
+// either engine.
+var callFaultSource = refCase{name: "callfault-args", source: `
+program callfault;
+global int a[2];
+global int k;
+func f(int x) {
+    return x + 1;
+}
+func worker() {
+    k = k + 1;
+}
+func main() {
+    spawn worker();
+    a[0] = f(k);
+    a[1] = f(a[k + 2]);
+}
+`}
+
 // referenceCases lists the reference comparison's inputs: every
-// registered workload, the call-result binding programs, and the
-// generated programs of seeds 1–20, so machine-manufactured programs
-// stay under a per-seed differential too.
+// registered workload, the call-result binding programs, a call that
+// faults in its argument, and the generated programs of seeds 1–20, so
+// machine-manufactured programs stay under a per-seed differential
+// too.
 func referenceCases() []refCase {
 	var out []refCase
 	for _, name := range workloads.Names() {
@@ -725,6 +740,7 @@ func referenceCases() []refCase {
 		out = append(out, refCase{name: name, source: w.Source, input: w.Input})
 	}
 	out = append(out, callBindSources...)
+	out = append(out, callFaultSource)
 	for seed := int64(1); seed <= 20; seed++ {
 		p := gen.Generate(seed)
 		out = append(out, refCase{name: fmt.Sprintf("gen-seed-%d", seed), source: p.Source, input: p.Input})
@@ -735,10 +751,10 @@ func referenceCases() []refCase {
 // TestEnginesAndNameMapExecutionAgree is the reference oracle: for
 // every reference case, under the deterministic schedule and a spread
 // of random interleavings, the bytecode dispatch loop and the name-map
-// reference produce identical traces (events with reads/writes/locks),
-// crashes and outputs. The reference shares nothing with the machine
-// beyond the instruction stream, so agreement pins both layers of
-// lowering (name→slot and tree→bytecode) at once.
+// reference produce identical traces (events with reads/writes, branch
+// outcomes and call marks), crashes and outputs. The reference shares
+// nothing with the machine beyond the instruction stream, so agreement
+// pins both layers of lowering (name→slot and tree→bytecode) at once.
 func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 	for _, rc := range referenceCases() {
 		t.Run(rc.name, func(t *testing.T) {

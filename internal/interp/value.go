@@ -9,10 +9,7 @@
 // schedule-search phase explores.
 package interp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind discriminates runtime values.
 type Kind uint8
@@ -85,24 +82,4 @@ type ObjID int64
 type Object struct {
 	ID     ObjID
 	Fields map[string]Value
-}
-
-// FieldNames returns the object's field names in sorted order, for
-// deterministic traversal and serialization.
-func (o *Object) FieldNames() []string {
-	names := make([]string, 0, len(o.Fields))
-	for f := range o.Fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Clone deep-copies the object.
-func (o *Object) Clone() *Object {
-	c := &Object{ID: o.ID, Fields: make(map[string]Value, len(o.Fields))}
-	for k, v := range o.Fields {
-		c.Fields[k] = v
-	}
-	return c
 }

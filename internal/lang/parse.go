@@ -116,13 +116,6 @@ func (p *parser) expectPunct(s string) error {
 	return p.advance()
 }
 
-func (p *parser) expectKeyword(s string) error {
-	if p.tok.kind != tokKeyword || p.tok.text != s {
-		return p.errorf("expected %q, found %s", s, p.tok)
-	}
-	return p.advance()
-}
-
 func (p *parser) expectIdent() (string, error) {
 	if p.tok.kind != tokIdent {
 		return "", p.errorf("expected identifier, found %s", p.tok)

@@ -51,8 +51,9 @@ func (in *InputSpec) toInput() *heisendump.Input {
 // options), so two jobs with equal payloads report bit-identical
 // outcomes regardless of tenant, scheduling or cache state.
 type JobOptions struct {
-	// Workers is the per-job schedule-search pool width (0 = server
-	// default; the result is bit-identical for any value).
+	// Workers is the per-job schedule-search pool width, 0 to 64 (0 =
+	// GOMAXPROCS); anything else is refused with bad_request. The
+	// result is bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// TrialBudget caps the schedule search; 0 = server default. A
 	// negative budget is refused with bad_request.
@@ -83,12 +84,22 @@ type JobOptions struct {
 // explore every combination, so the cap bounds that work.
 const maxBound = 3
 
+// maxWorkers is the widest schedule-search pool a job may ask for. A
+// search starts one goroutine per worker, each with its own machine,
+// up to the number of combinations (54,809 for apache-2 at bound 3),
+// and any width gives the same result.
+const maxWorkers = 64
+
 // sessionOptions lowers the JSON options (defaults applied) to the
 // Session's functional options.
 func (o JobOptions) sessionOptions(obs heisendump.Observer) ([]heisendump.Option, *ErrorPayload) {
 	if o.Bound < 0 || o.Bound > maxBound {
 		return nil, &ErrorPayload{Code: CodeBadRequest,
 			Message: fmt.Sprintf("bound %d out of range (want 0 to %d; 0 means 2)", o.Bound, maxBound)}
+	}
+	if o.Workers < 0 || o.Workers > maxWorkers {
+		return nil, &ErrorPayload{Code: CodeBadRequest,
+			Message: fmt.Sprintf("workers %d out of range (want 0 to %d; 0 means GOMAXPROCS)", o.Workers, maxWorkers)}
 	}
 	// The Session reads a negative trial budget as unlimited, which
 	// would lift the server's cutoff.

@@ -223,10 +223,10 @@ func TestSubmitUnknownHeuristic(t *testing.T) {
 	}
 }
 
-// TestSubmitBoundRange: a preemption bound outside 0..maxBound, or a
-// negative trial or stress budget, is refused at admission with a
-// typed 400 and nothing queued or stored; the ends of the bound range
-// are admitted.
+// TestSubmitBoundRange: a preemption bound outside 0..maxBound, a
+// negative trial or stress budget, or a workers width outside
+// 0..maxWorkers is refused at admission with a typed 400 and nothing
+// queued or stored; the ends of the bound range are admitted.
 func TestSubmitBoundRange(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	refused := []struct {
@@ -238,6 +238,8 @@ func TestSubmitBoundRange(t *testing.T) {
 		{"bound 40", func(o *JobOptions) { o.Bound = 40 }},
 		{"trial_budget -1", func(o *JobOptions) { o.TrialBudget = -1 }},
 		{"stress_budget -1", func(o *JobOptions) { o.StressBudget = -1 }},
+		{"workers -1", func(o *JobOptions) { o.Workers = -1 }},
+		{"workers 100000", func(o *JobOptions) { o.Workers = 100000 }},
 	}
 	for _, c := range refused {
 		req := fig1Request(t, "")
@@ -485,7 +487,8 @@ func TestSSEStream(t *testing.T) {
 
 // TestBatchEndpoint pins the corpus intake: cmd/fuzz JSON-lines
 // entries submitted wholesale, each becoming an idempotent job keyed
-// by its generator seed; a wholesale resubmission is all dups.
+// by its generator seed; a wholesale resubmission is all dups. A
+// workers parameter out of range refuses every entry as bad_request.
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -503,7 +506,25 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	body := buf.Bytes()
 
-	resp, err := http.Post(ts.URL+"/v1/batch?tenant=corpus&workers=1", "application/x-ndjson", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/batch?tenant=corpus&workers=100000", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if refused.Accepted != 0 || refused.Rejected != 3 {
+		t.Fatalf("workers 100000: batch response %+v", refused)
+	}
+	for _, r := range refused.Results {
+		if r.Error == nil || r.Error.Code != CodeBadRequest {
+			t.Fatalf("workers 100000: result %+v", r)
+		}
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/batch?tenant=corpus&workers=1", "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,9 @@ func (s *Slice) InSlice(step int64) bool {
 // at the criterion step matter. When nil, the criterion event's own
 // reads are used — the divergence-predicate variables for closest
 // alignments, the crash-triggering variables for exact alignments.
+// events is a whole recorded run, so an event's Step is its index.
 func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, events []trace.Event,
 	criterionStep int64, criterionVars []interp.VarID) *Slice {
-
-	byStep := make(map[int64]int, len(events)) // step -> event index
-	for i := range events {
-		byStep[events[i].Step] = i
-	}
 
 	// Write sites per location and branch sites per (thread, pc), each
 	// ordered by step, for latest-before lookups.
@@ -65,8 +61,7 @@ func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, events []trace.Event,
 	}
 
 	sl := &Slice{Distance: map[int64]int{}, CriterionStep: criterionStep}
-	ci, ok := byStep[criterionStep]
-	if !ok {
+	if criterionStep < 0 || criterionStep >= int64(len(events)) {
 		return sl
 	}
 
@@ -88,7 +83,7 @@ func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, events []trace.Event,
 	visit(criterionStep, 0)
 	seedVars := criterionVars
 	if seedVars == nil {
-		seedVars = events[ci].Reads
+		seedVars = events[criterionStep].Reads
 	}
 	for _, v := range seedVars {
 		if d, ok := lastBefore(writes[v], criterionStep+1); ok {
@@ -99,11 +94,7 @@ func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, events []trace.Event,
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		ei, ok := byStep[it.step]
-		if !ok {
-			continue
-		}
-		e := &events[ei]
+		e := &events[it.step]
 		for _, v := range e.Reads {
 			if d, ok := lastBefore(writes[v], e.Step); ok {
 				visit(d, it.depth+1)

@@ -289,41 +289,3 @@ func TestHeuristicString(t *testing.T) {
 		t.Fatal("heuristic names wrong")
 	}
 }
-
-func TestWindowedRecorderDropsOldEvents(t *testing.T) {
-	cp, err := ir.Compile(lang.MustParse(`
-program win;
-global int s;
-func main() {
-    var int i;
-    for i = 1 .. 50 {
-        s = s + i;
-    }
-}
-`), ir.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewWindowed(40)
-	m := interp.New(cp, nil)
-	m.Hooks = rec
-	sched.Run(m, sched.NewCooperative())
-	if len(rec.Events) > 40 {
-		t.Fatalf("window exceeded: %d", len(rec.Events))
-	}
-	if rec.Dropped == 0 {
-		t.Fatal("nothing dropped despite overflow")
-	}
-	// Retained events are contiguous and end at the last step.
-	for i := 1; i < len(rec.Events); i++ {
-		if rec.Events[i].Step != rec.Events[i-1].Step+1 {
-			t.Fatal("retained events not contiguous")
-		}
-	}
-	if got := rec.EventAt(rec.Events[0].Step - 1); got != nil {
-		t.Fatal("EventAt returned a dropped event")
-	}
-	if got := rec.EventAt(rec.Events[0].Step); got == nil {
-		t.Fatal("EventAt missed a retained event")
-	}
-}

@@ -1,13 +1,18 @@
 package trace_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"heisendump/internal/gen"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
 	"heisendump/internal/lang"
+	"heisendump/internal/progcache"
 	"heisendump/internal/sched"
 	"heisendump/internal/trace"
+	"heisendump/internal/workloads"
 )
 
 func run(t testing.TB, src string, hooks interp.Hooks) *interp.Machine {
@@ -74,124 +79,11 @@ func TestRecorderCapturesEverything(t *testing.T) {
 	if !found {
 		t.Fatal("a[2] write not recorded")
 	}
-	if rec.EventAt(0) == nil || rec.EventAt(int64(len(rec.Events))) != nil {
-		t.Fatal("EventAt boundary behavior wrong")
-	}
-}
-
-// countingHooks counts every callback to verify fan-out.
-type countingHooks struct {
-	before, branch, enter, exit, read, write int
-}
-
-func (c *countingHooks) BeforeInstr(*interp.Thread, ir.PC, *ir.Instr) { c.before++ }
-func (c *countingHooks) OnBranch(*interp.Thread, ir.PC, bool)         { c.branch++ }
-func (c *countingHooks) OnEnterFunc(*interp.Thread, int)              { c.enter++ }
-func (c *countingHooks) OnExitFunc(*interp.Thread, int)               { c.exit++ }
-func (c *countingHooks) OnRead(*interp.Thread, interp.VarID)          { c.read++ }
-func (c *countingHooks) OnWrite(*interp.Thread, interp.VarID)         { c.write++ }
-
-func TestMultiFansOutIdentically(t *testing.T) {
-	a, b := &countingHooks{}, &countingHooks{}
-	run(t, traceSrc, trace.Multi{a, b})
-	if *a != *b {
-		t.Fatalf("fan-out divergence: %+v vs %+v", *a, *b)
-	}
-	if a.before == 0 || a.branch == 0 || a.enter == 0 || a.exit == 0 || a.read == 0 || a.write == 0 {
-		t.Fatalf("callbacks missing: %+v", *a)
-	}
-	if a.enter != a.exit {
-		t.Fatalf("enter %d != exit %d on a clean run", a.enter, a.exit)
-	}
-}
-
-// feedWindowed drives a windowed recorder's BeforeInstr hook n times,
-// simulating n executed instructions of one thread.
-func feedWindowed(rec *trace.Recorder, n int) {
-	th := &interp.Thread{ID: 0}
-	in := &ir.Instr{Op: ir.OpAssign}
-	for i := 0; i < n; i++ {
-		rec.BeforeInstr(th, ir.PC{F: 0, I: i}, in)
-	}
-}
-
-// TestWindowedExactlyFull: a window filled to exactly its bound keeps
-// everything; eviction only happens when the next event arrives.
-func TestWindowedExactlyFull(t *testing.T) {
-	rec := trace.NewWindowed(4)
-	feedWindowed(rec, 4)
-	if len(rec.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(rec.Events))
-	}
-	if rec.Dropped != 0 {
-		t.Fatalf("dropped = %d, want 0 at exactly-full", rec.Dropped)
-	}
-	for i, e := range rec.Events {
-		if e.Step != int64(i) {
-			t.Fatalf("event %d has step %d", i, e.Step)
-		}
-	}
-	if rec.EventAt(0) == nil || rec.EventAt(3) == nil || rec.EventAt(4) != nil {
-		t.Fatal("EventAt boundaries wrong at exactly-full")
-	}
-}
-
-// TestWindowedOneOverEvictsOldestHalf: the window+1-th event evicts
-// the oldest half, and EventAt reflects the shifted retention.
-func TestWindowedOneOverEvictsOldestHalf(t *testing.T) {
-	rec := trace.NewWindowed(4)
-	feedWindowed(rec, 5)
-	// Eviction drops floor(4/2)=2 events, then the 5th is appended.
-	if len(rec.Events) != 3 {
-		t.Fatalf("events = %d, want 3 after eviction", len(rec.Events))
-	}
-	if rec.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", rec.Dropped)
-	}
-	if first := rec.Events[0].Step; first != 2 {
-		t.Fatalf("oldest retained step = %d, want 2", first)
-	}
-	// Steps stay globally numbered and contiguous in the window.
-	for i, e := range rec.Events {
-		if e.Step != int64(2+i) {
-			t.Fatalf("event %d has step %d, want %d", i, e.Step, 2+i)
-		}
-	}
-	// Evicted steps are gone; retained ones resolve.
-	if rec.EventAt(0) != nil || rec.EventAt(1) != nil {
-		t.Fatal("evicted steps still resolve")
-	}
-	if rec.EventAt(2) == nil || rec.EventAt(4) == nil || rec.EventAt(5) != nil {
-		t.Fatal("EventAt boundaries wrong after eviction")
-	}
-}
-
-// TestWindowedRepeatedEviction: the recorder keeps evicting halves as
-// the run grows, never exceeding the window.
-func TestWindowedRepeatedEviction(t *testing.T) {
-	rec := trace.NewWindowed(4)
-	feedWindowed(rec, 101)
-	if len(rec.Events) > 4 {
-		t.Fatalf("window overflow: %d events retained", len(rec.Events))
-	}
-	if got := rec.Dropped + int64(len(rec.Events)); got != 101 {
-		t.Fatalf("dropped+retained = %d, want 101", got)
-	}
-	last := rec.Events[len(rec.Events)-1]
-	if last.Step != 100 {
-		t.Fatalf("newest retained step = %d, want 100", last.Step)
-	}
-	if rec.EventAt(last.Step) == nil {
-		t.Fatal("newest event must resolve")
-	}
-	if rec.EventAt(rec.Events[0].Step-1) != nil {
-		t.Fatal("step before the window must not resolve")
-	}
 }
 
 func TestSynthEventsMarked(t *testing.T) {
 	rec := trace.NewRecorder()
-	run(t, `
+	m := run(t, `
 program sy;
 global int s;
 func main() {
@@ -204,11 +96,139 @@ func main() {
 `, rec)
 	synth := 0
 	for _, e := range rec.Events {
-		if e.Synth {
+		if m.Prog.InstrAt(e.PC).Synth {
 			synth++
 		}
 	}
 	if synth != 4 { // reset + 3 increments
 		t.Fatalf("synthetic events: %d, want 4", synth)
+	}
+}
+
+// visit is one hook event an aligner consumes: a function entry, a
+// step or a branch outcome.
+type visit struct {
+	kind   string
+	thread int
+	fidx   int
+	pc     ir.PC
+	taken  bool
+}
+
+// liveLog records a run and, as the hooks fire, logs the visits the
+// aligners consume.
+type liveLog struct {
+	*trace.Recorder
+	visits []visit
+}
+
+func (l *liveLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.visits = append(l.visits, visit{kind: "step", thread: t.ID, pc: pc})
+	l.Recorder.BeforeInstr(t, pc)
+}
+
+func (l *liveLog) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
+	l.visits = append(l.visits, visit{kind: "branch", thread: t.ID, pc: pc, taken: taken})
+	l.Recorder.OnBranch(t, pc, taken)
+}
+
+func (l *liveLog) OnEnterFunc(t *interp.Thread, fidx int) {
+	l.visits = append(l.visits, visit{kind: "enter", thread: t.ID, fidx: fidx})
+	l.Recorder.OnEnterFunc(t, fidx)
+}
+
+// replayed logs the visits trace.Replay reports of a recorded run.
+func replayed(prog *ir.Program, events []trace.Event) []visit {
+	var out []visit
+	trace.Replay(prog, events, func(thread, fidx int) {
+		out = append(out, visit{kind: "enter", thread: thread, fidx: fidx})
+	}, func(e *trace.Event) {
+		out = append(out, visit{kind: "step", thread: e.Thread, pc: e.PC})
+		if e.IsBranch {
+			out = append(out, visit{kind: "branch", thread: e.Thread, pc: e.PC, taken: e.Taken})
+		}
+	})
+	return out
+}
+
+// callFaultSrc faults while evaluating a call's argument, under every
+// schedule.
+const callFaultSrc = `
+program callfault;
+global int a[2];
+global int k;
+func f(int x) {
+    return x + 1;
+}
+func worker() {
+    k = k + 1;
+}
+func main() {
+    spawn worker();
+    a[0] = f(k);
+    a[1] = f(a[k + 2]);
+}
+`
+
+// TestReplayMatchesLiveHooks: replaying a recorded run reports exactly
+// the function entries, steps and branch outcomes its live hooks
+// reported, in the same order, on every Table 2 bug, fig1, generated
+// seeds 1-20 and a call that faults in its argument, under the
+// cooperative schedule and random seeds up to the second crash. The
+// faulting call's event enters nothing.
+func TestReplayMatchesLiveHooks(t *testing.T) {
+	type subject struct {
+		name, source string
+		input        *interp.Input
+	}
+	var subjects []subject
+	for _, w := range append(workloads.Bugs(), workloads.Fig1) {
+		subjects = append(subjects, subject{w.Name, w.Source, w.Input})
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		p := gen.Generate(seed)
+		subjects = append(subjects, subject{fmt.Sprintf("gen-seed-%d", seed), p.Source, p.Input})
+	}
+	subjects = append(subjects, subject{"callfault", callFaultSrc, nil})
+
+	for _, sub := range subjects {
+		prog, err := progcache.Shared().Get(sub.source, true)
+		if err != nil {
+			t.Fatalf("%s: %v", sub.name, err)
+		}
+		check := func(label string, s sched.Scheduler) (*sched.Result, []trace.Event) {
+			t.Helper()
+			live := &liveLog{Recorder: trace.NewRecorder()}
+			m := interp.New(prog, sub.input)
+			m.MaxSteps = 1_000_000
+			m.Hooks = live
+			res := sched.Run(m, s)
+			if got := replayed(prog, live.Events); !reflect.DeepEqual(got, live.visits) {
+				i := 0
+				for i < len(got) && i < len(live.visits) && got[i] == live.visits[i] {
+					i++
+				}
+				t.Fatalf("%s %s: %d replayed visits, %d live; first difference at %d:\n got:  %+v\n want: %+v",
+					sub.name, label, len(got), len(live.visits), i, got[i:min(i+3, len(got))], live.visits[i:min(i+3, len(live.visits))])
+			}
+			return res, live.Events
+		}
+		res, events := check("cooperative", sched.NewCooperative())
+		if sub.name == "callfault" {
+			last := events[len(events)-1]
+			if !res.Crashed || prog.InstrAt(last.PC).Op != ir.OpCall || last.Call {
+				t.Fatalf("callfault: crashed %v, last event %+v (op %v): want a crash in a call that enters nothing",
+					res.Crashed, last, prog.InstrAt(last.PC).Op)
+			}
+		}
+		crashes := 0
+		for seed := int64(0); seed < 200 && crashes < 2; seed++ {
+			if res, _ := check(fmt.Sprintf("random %d", seed), sched.NewRandom(seed)); res.Crashed {
+				crashes++
+			}
+		}
+		if crashes == 0 {
+			t.Errorf("%s: no random seed below 200 crashed", sub.name)
+		}
 	}
 }

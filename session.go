@@ -84,10 +84,6 @@ func WithBound(k int) Option { return func(c *core.Config) { c.Bound = k } }
 // selection, yielding the original undirected CHESS baseline.
 func WithPlainChess(on bool) Option { return func(c *core.Config) { c.PlainChess = on } }
 
-// WithTraceWindow bounds the retained passing-run trace (0 =
-// unlimited), mirroring the paper's 20M-instruction window.
-func WithTraceWindow(n int) Option { return func(c *core.Config) { c.TraceWindow = n } }
-
 // WithStepLimit bounds each execution (0 = a generous default).
 func WithStepLimit(n int64) Option { return func(c *core.Config) { c.StepLimit = n } }
 
