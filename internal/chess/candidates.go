@@ -7,11 +7,8 @@ package chess
 
 import (
 	"cmp"
-	"maps"
 	"slices"
-	"sort"
 
-	"heisendump/internal/interp"
 	"heisendump/internal/ir"
 	"heisendump/internal/slicing"
 	"heisendump/internal/trace"
@@ -58,12 +55,38 @@ type Candidate struct {
 
 	// Accesses annotates the candidate with the CSV accesses inside the
 	// schedule block it leads (same thread, up to the thread's next
-	// candidate), each carrying its heuristic priority.
+	// candidate), each carrying its heuristic priority. Candidates at
+	// one step share one block.
 	Accesses []slicing.Access
 	// FutureCSVs is the set of CSVs this thread accesses at or after
 	// the point — the "CSV set" consulted when other threads decide
 	// whether switching to this thread can perturb a block.
-	FutureCSVs map[interp.VarID]bool
+	FutureCSVs CSVSet
+
+	// block is the set of CSVs the candidate's block accesses.
+	block CSVSet
+}
+
+// CSVSet is a set of critical shared variables: a bitset over their
+// indexes in the analysis's CSV list (slicing.Access.CSV).
+type CSVSet []uint64
+
+// Has reports whether the CSV at index i is in the set.
+func (s CSVSet) Has(i int) bool {
+	w := i / 64
+	return w < len(s) && s[w]&(1<<(i%64)) != 0
+}
+
+func (s CSVSet) add(i int) { s[i/64] |= 1 << (i % 64) }
+
+// overlaps reports whether the two sets share a CSV.
+func (s CSVSet) overlaps(o CSVSet) bool {
+	for w := range min(len(s), len(o)) {
+		if s[w]&o[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // MinPriority returns the best (smallest) priority among the
@@ -79,25 +102,27 @@ func (c *Candidate) MinPriority() int {
 	return min
 }
 
-// AccessVars returns the set of CSVs accessed in the candidate's
-// block.
-func (c *Candidate) AccessVars() map[interp.VarID]bool {
-	out := map[interp.VarID]bool{}
-	for _, a := range c.Accesses {
-		out[a.Var] = true
-	}
-	return out
-}
-
 // DiscoverCandidates scans a passing-run trace for preemption points:
 // thread starts, successful lock acquisitions (preempt before) and
 // lock releases (preempt after). Lock state is reconstructed from the
 // trace to tell successful acquisitions from blocked attempts.
 func DiscoverCandidates(prog *ir.Program, events []trace.Event) []Candidate {
-	var out []Candidate
-	lockHolder := map[int32]int{}
-	completed := map[int]int{}
-	started := map[int]bool{}
+	// Every thread start, acquire and release bounds the candidates.
+	n, threads := 0, 0
+	for i := range events {
+		e := &events[i]
+		threads = max(threads, e.Thread+1)
+		if op := prog.InstrAt(e.PC).Op; op == ir.OpAcquire || op == ir.OpRelease {
+			n++
+		}
+	}
+	out := make([]Candidate, 0, n+threads)
+	lockHolder := make([]int, len(prog.Locks))
+	for i := range lockHolder {
+		lockHolder[i] = -1
+	}
+	completed := make([]int, threads)
+	started := make([]bool, threads)
 
 	for i := range events {
 		e := &events[i]
@@ -110,8 +135,7 @@ func DiscoverCandidates(prog *ir.Program, events []trace.Event) []Candidate {
 		in := prog.InstrAt(e.PC)
 		switch in.Op {
 		case ir.OpAcquire:
-			holder, held := lockHolder[in.Lock]
-			if held && holder != -1 {
+			if lockHolder[in.Lock] != -1 {
 				continue // blocked attempt, not an acquisition
 			}
 			out = append(out, Candidate{
@@ -137,54 +161,84 @@ func DiscoverCandidates(prog *ir.Program, events []trace.Event) []Candidate {
 // prioritized CSV accesses of the passing run; Annotate sorts them by
 // step, stably. Each candidate's block spans its own thread's accesses
 // from its step up to, not including, the thread's next strictly
-// greater candidate step, and its future set holds every variable the
+// greater candidate step, and its future set holds every CSV the
 // thread accesses at or after its step. One pass per thread walks its
 // candidates from the latest step back, so each future set is the
-// later candidates' set plus the candidate's own block.
+// later candidates' set plus the candidate's own block. The blocks are
+// subslices of one copy of the accesses, grouped by thread, and the
+// sets are carved from one array.
 func Annotate(cands []Candidate, accesses []slicing.Access) {
-	sort.SliceStable(accesses, func(i, j int) bool { return accesses[i].Step < accesses[j].Step })
-	type thread struct {
-		cands []int
-		accs  []slicing.Access
-	}
-	var threads []thread
-	index := map[int]int{}
-	for i := range cands {
-		t, ok := index[cands[i].Thread]
-		if !ok {
-			t = len(threads)
-			index[cands[i].Thread] = t
-			threads = append(threads, thread{})
-		}
-		threads[t].cands = append(threads[t].cands, i)
-	}
+	slices.SortStableFunc(accesses, func(a, b slicing.Access) int { return cmp.Compare(a.Step, b.Step) })
+	words := 0
 	for _, a := range accesses {
-		if t, ok := index[a.Thread]; ok {
-			threads[t].accs = append(threads[t].accs, a)
-		}
+		words = max(words, a.CSV/64+1)
 	}
-	for _, th := range threads {
-		slices.SortFunc(th.cands, func(a, b int) int { return cmp.Compare(cands[a].Step, cands[b].Step) })
-		future := map[interp.VarID]bool{}
-		// Candidates th.cands[lo:hi] share one step; their block is
-		// th.accs[start:end], where end is the first access at or after
+	// The accesses and the candidates grouped by thread, each group in
+	// step order.
+	accs := slices.Clone(accesses)
+	slices.SortStableFunc(accs, func(a, b slicing.Access) int { return cmp.Compare(a.Thread, b.Thread) })
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(cands[a].Thread, cands[b].Thread), cmp.Compare(cands[a].Step, cands[b].Step))
+	})
+
+	// The running future set of the thread being walked, then each
+	// candidate's future set and block set.
+	sets := make([]uint64, (1+2*len(cands))*words)
+	carve := func() CSVSet {
+		if words == 0 {
+			return nil
+		}
+		s := CSVSet(sets[:words:words])
+		sets = sets[words:]
+		return s
+	}
+	future := carve()
+	for len(order) > 0 {
+		tid := cands[order[0]].Thread
+		n := 1
+		for n < len(order) && cands[order[n]].Thread == tid {
+			n++
+		}
+		th := order[:n]
+		order = order[n:]
+		first, _ := slices.BinarySearchFunc(accs, tid, func(a slicing.Access, t int) int { return cmp.Compare(a.Thread, t) })
+		last := first
+		for last < len(accs) && accs[last].Thread == tid {
+			last++
+		}
+		taccs := accs[first:last]
+		clear(future)
+		// Candidates th[lo:hi] share one step; their block is
+		// taccs[start:end], where end is the first access at or after
 		// the next greater candidate step.
-		end := len(th.accs)
-		for hi := len(th.cands); hi > 0; {
-			step := cands[th.cands[hi-1]].Step
+		end := len(taccs)
+		for hi := len(th); hi > 0; {
+			step := cands[th[hi-1]].Step
 			lo := hi - 1
-			for lo > 0 && cands[th.cands[lo-1]].Step == step {
+			for lo > 0 && cands[th[lo-1]].Step == step {
 				lo--
 			}
 			start := end
-			for start > 0 && th.accs[start-1].Step >= step {
+			for start > 0 && taccs[start-1].Step >= step {
 				start--
-				future[th.accs[start].Var] = true
+				future.add(taccs[start].CSV)
 			}
-			for _, ci := range th.cands[lo:hi] {
+			var block []slicing.Access
+			if start < end {
+				block = taccs[start:end:end]
+			}
+			for _, ci := range th[lo:hi] {
 				c := &cands[ci]
-				c.Accesses = append(c.Accesses, th.accs[start:end]...)
-				c.FutureCSVs = maps.Clone(future)
+				c.Accesses = block
+				c.FutureCSVs, c.block = carve(), carve()
+				copy(c.FutureCSVs, future)
+				for _, a := range block {
+					c.block.add(a.CSV)
+				}
 			}
 			hi, end = lo, start
 		}

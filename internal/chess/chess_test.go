@@ -15,6 +15,11 @@ import (
 
 func passingTrace(t testing.TB, cp *ir.Program, input *interp.Input) []trace.Event {
 	t.Helper()
+	return passingRecord(t, cp, input).Events
+}
+
+func passingRecord(t testing.TB, cp *ir.Program, input *interp.Input) *trace.Recorder {
+	t.Helper()
 	rec := trace.NewRecorder()
 	m := interp.New(cp, input)
 	m.MaxSteps = 1_000_000
@@ -23,7 +28,7 @@ func passingTrace(t testing.TB, cp *ir.Program, input *interp.Input) []trace.Eve
 	if res.Crashed {
 		t.Fatalf("passing run crashed: %v", res.Crash)
 	}
-	return rec.Events
+	return rec
 }
 
 func TestDiscoverCandidatesKindsAndOrder(t *testing.T) {
@@ -137,10 +142,11 @@ func TestAnnotateBlocksAndFutureSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := passingTrace(t, cp, w.Input)
+	rec := passingRecord(t, cp, w.Input)
+	events := rec.Events
 	cands := chess.DiscoverCandidates(cp, events)
 	x := interp.VarID{Kind: interp.VGlobal, Name: "x"}
-	accs := slicing.CollectAccesses(events, []interp.VarID{x}, events[len(events)-1].Step, slicing.Temporal, nil)
+	accs := slicing.CollectAccesses(rec, []interp.VarID{x}, events[len(events)-1].Step, slicing.Temporal, nil)
 	chess.Annotate(cands, accs)
 
 	// Every access in a candidate's block belongs to the candidate's
@@ -156,8 +162,8 @@ func TestAnnotateBlocksAndFutureSets(t *testing.T) {
 		}
 		// Future sets contain every block-access variable.
 		for _, a := range c.Accesses {
-			if !c.FutureCSVs[a.Var] {
-				t.Fatalf("candidate %d: block var %v missing from future set", c.ID, a.Var)
+			if a.CSV != 0 || !c.FutureCSVs.Has(a.CSV) {
+				t.Fatalf("candidate %d: block var %v (CSV %d) missing from future set", c.ID, a.Var, a.CSV)
 			}
 		}
 	}
@@ -165,7 +171,7 @@ func TestAnnotateBlocksAndFutureSets(t *testing.T) {
 	// paper's Fig. 9: its block holds the ⊥-priority x=0 access).
 	foundT2 := false
 	for _, c := range cands {
-		if c.Kind == chess.ThreadStart && len(c.FutureCSVs) > 0 && c.FutureCSVs[x] && c.Thread == 2 {
+		if c.Kind == chess.ThreadStart && c.FutureCSVs.Has(0) && c.Thread == 2 {
 			foundT2 = true
 		}
 	}
@@ -174,21 +180,29 @@ func TestAnnotateBlocksAndFutureSets(t *testing.T) {
 	}
 }
 
-func TestMinPriorityAndAccessVars(t *testing.T) {
+func TestMinPriority(t *testing.T) {
 	c := &chess.Candidate{}
 	if c.MinPriority() != slicing.PriorityBottom {
 		t.Fatal("empty candidate should have bottom priority")
 	}
 	c.Accesses = []slicing.Access{
 		{Priority: 7, Var: interp.VarID{Kind: interp.VGlobal, Name: "a"}},
-		{Priority: 3, Var: interp.VarID{Kind: interp.VGlobal, Name: "b"}},
+		{Priority: 3, Var: interp.VarID{Kind: interp.VGlobal, Name: "b"}, CSV: 1},
 	}
 	if c.MinPriority() != 3 {
 		t.Fatalf("MinPriority = %d", c.MinPriority())
 	}
-	vars := c.AccessVars()
-	if len(vars) != 2 {
-		t.Fatalf("AccessVars = %v", vars)
+}
+
+func TestCSVSetHas(t *testing.T) {
+	s := chess.CSVSet{1 << 3, 0, 1 << 63}
+	for i := range 200 {
+		if want := i == 3 || i == 191; s.Has(i) != want {
+			t.Fatalf("Has(%d) = %v", i, !want)
+		}
+	}
+	if chess.CSVSet(nil).Has(0) {
+		t.Fatal("the empty set has CSV 0")
 	}
 }
 

@@ -51,6 +51,16 @@ func analyze(t testing.TB, w *workloads.Workload, cfg core.Config) (*core.Pipeli
 	return p, fail, an
 }
 
+// csvVars lists the analysis's CSVs in the passing run's terms, the
+// list its accesses' CSV indexes refer to.
+func csvVars(an *core.AnalysisReport) []interp.VarID {
+	var out []interp.VarID
+	for _, c := range an.CSVs {
+		out = append(out, c.BVar)
+	}
+	return out
+}
+
 // TestAnnotateMatchesQuadraticOnTable2 compares Annotate with the
 // quadratic reference on the candidates and prioritized accesses of
 // all seven Table 2 bugs under both heuristics.
@@ -61,7 +71,7 @@ func TestAnnotateMatchesQuadraticOnTable2(t *testing.T) {
 			if len(an.Accesses) == 0 {
 				t.Fatalf("%s/%v: no prioritized accesses to annotate", w.Name, h)
 			}
-			if err := chess.CompareAnnotate(an.Candidates, an.Accesses); err != nil {
+			if err := chess.CompareAnnotate(an.Candidates, an.Accesses, csvVars(an)); err != nil {
 				t.Fatalf("%s/%v: %v", w.Name, h, err)
 			}
 		}

@@ -225,20 +225,10 @@ func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
 			// Still blocked; switching to it cannot run it.
 			continue
 		}
-		if c.s.Opts.Guided {
+		if c.s.Opts.Guided && !c.s.futureCSVsOf(t.ID, t.Syncs).overlaps(cand.block) {
 			// Algorithm 2 preempt(): switch to T only when T's future
 			// CSV set overlaps the preempted block's accesses.
-			future := c.s.futureCSVsOf(t.ID, t.Syncs)
-			overlap := false
-			for _, a := range cand.Accesses {
-				if future[a.Var] {
-					overlap = true
-					break
-				}
-			}
-			if !overlap {
-				continue
-			}
+			continue
 		}
 		choices = append(choices, t.ID)
 	}
@@ -249,7 +239,7 @@ func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
 // futureCSVsOf approximates thread tid's future CSV set at its current
 // sync ordinal using the passing-run annotations: the future set of
 // the thread's candidate at or after that ordinal.
-func (s *Searcher) futureCSVsOf(tid, ordinal int) map[interp.VarID]bool {
+func (s *Searcher) futureCSVsOf(tid, ordinal int) CSVSet {
 	var best *Candidate
 	for i := range s.Candidates {
 		c := &s.Candidates[i]

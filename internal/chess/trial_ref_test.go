@@ -2,6 +2,7 @@ package chess
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 
 	"heisendump/internal/coredump"
@@ -14,8 +15,9 @@ import (
 // sync points and stepping sync instructions singly, with the lowest
 // runnable thread and completion found by scanning every thread. It
 // exists only as the oracle runTrial is checked against
-// (TrialOracle); nothing outside tests runs it.
-func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun int64) trialResult {
+// (TrialOracle); nothing outside tests runs it. Guided eligibility
+// reads sets, its own variable-keyed future and block sets.
+func (s *Searcher) refRunTrial(m *interp.Machine, sets *refSets, combo []int, vec []int, maxRun int64) trialResult {
 	m.Reset(m.Prog, m.SeedInput())
 	m.Hooks = nil
 	out := trialResult{choiceCounts: make([]int, len(combo))}
@@ -50,9 +52,10 @@ func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun
 		return true
 	}
 
-	eligibleChoices := func(c *Candidate) []int {
+	eligibleChoices := func(cidx int) []int {
+		c := &s.Candidates[cidx]
 		var choices []int
-		blockVars := c.AccessVars()
+		blockVars := sets.block[cidx]
 		for _, t := range m.Threads {
 			if t.ID == c.Thread {
 				continue
@@ -65,7 +68,7 @@ func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun
 			}
 			if s.Opts.Guided {
 				overlap := false
-				for v := range s.futureCSVsOf(t.ID, completedOf(t.ID)) {
+				for v := range sets.futureOf(s.Candidates, t.ID, completedOf(t.ID)) {
 					if blockVars[v] {
 						overlap = true
 						break
@@ -82,7 +85,7 @@ func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun
 
 	firePreemption := func(ci int) bool {
 		c := &s.Candidates[combo[ci]]
-		choices := eligibleChoices(c)
+		choices := eligibleChoices(combo[ci])
 		out.choiceCounts[ci] = len(choices)
 		if len(choices) == 0 {
 			return false
@@ -175,6 +178,50 @@ func (s *Searcher) refRunTrial(m *interp.Machine, combo []int, vec []int, maxRun
 	return out
 }
 
+// refSets are the reference executor's guided-eligibility sets, keyed
+// by variable and built from the annotated candidates' blocks alone:
+// each candidate's block set, and its future set, the variables of the
+// blocks of its thread's candidates at or after its step.
+type refSets struct {
+	block, future []map[interp.VarID]bool
+}
+
+func newRefSets(cands []Candidate) *refSets {
+	sets := &refSets{}
+	for i := range cands {
+		c := &cands[i]
+		future := map[interp.VarID]bool{}
+		for j := range cands {
+			if o := &cands[j]; o.Thread == c.Thread && o.Step >= c.Step {
+				maps.Copy(future, accessVars(o))
+			}
+		}
+		sets.block = append(sets.block, accessVars(c))
+		sets.future = append(sets.future, future)
+	}
+	return sets
+}
+
+// futureOf is thread tid's future set at its sync ordinal: that of its
+// first candidate, by sequence number and then step, at or after the
+// ordinal; nil when there is none.
+func (r *refSets) futureOf(cands []Candidate, tid, ordinal int) map[interp.VarID]bool {
+	best := -1
+	for i := range cands {
+		c := &cands[i]
+		if c.Thread != tid || c.Seq < ordinal {
+			continue
+		}
+		if best < 0 || c.Seq < cands[best].Seq || (c.Seq == cands[best].Seq && c.Step < cands[best].Step) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return r.future[best]
+}
+
 // TrialOracle walks the first ranks of s's worklist the way a search
 // explores them — every thread-choice vector of the odometer, up to
 // trialsPerRank, until a trial finds the target — and runs each trial
@@ -191,6 +238,7 @@ func TrialOracle(s *Searcher, ranks, trialsPerRank int, extraBounds []int64) (in
 	maxRun := s.runBound()
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	got, want := s.NewMachine(), s.NewMachine()
+	sets := newRefSets(s.Candidates)
 	var c trialChooser
 	pairs := 0
 	for r := 0; r < wl.size && r < ranks; r++ {
@@ -199,7 +247,7 @@ func TrialOracle(s *Searcher, ranks, trialsPerRank int, extraBounds []int64) (in
 			vec := make([]int, len(combo))
 			for trial := 0; trial < trialsPerRank; trial++ {
 				g := s.runTrial(got, &c, combo, vec, run)
-				w := s.refRunTrial(want, combo, vec, run)
+				w := s.refRunTrial(want, sets, combo, vec, run)
 				pairs++
 				where := fmt.Sprintf("rank %d combo %v vec %v bound %d", r, combo, vec, run)
 				if g.found != w.found || g.steps != w.steps ||

@@ -254,9 +254,9 @@ func (a *Analysis) prioritize(h slicing.Heuristic) {
 	t0 := time.Now()
 	var sl *slicing.Slice
 	if h == slicing.Dependence {
-		sl = slicing.Compute(p.Prog, p.PDeps, a.Trace.Events, criterionStep, nil)
+		sl = slicing.Compute(p.Prog, p.PDeps, a.Trace, criterionStep)
 	}
-	rep.Accesses = slicing.CollectAccesses(a.Trace.Events, csvVars, criterionStep, h, sl)
+	rep.Accesses = slicing.CollectAccesses(a.Trace, csvVars, criterionStep, h, sl)
 	rep.SliceTime = time.Since(t0)
 }
 

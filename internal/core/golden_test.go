@@ -167,9 +167,9 @@ func renderAnalysis(ctx context.Context, p *core.Pipeline, fail *core.FailureRep
 			b.WriteString(goldenAccess(a))
 		}
 		var future []string
-		for v, in := range c.FutureCSVs {
-			if in {
-				future = append(future, v.String())
+		for i, csv := range rep.CSVs {
+			if c.FutureCSVs.Has(i) {
+				future = append(future, csv.BVar.String())
 			}
 		}
 		slices.Sort(future)

@@ -565,26 +565,53 @@ func (m *refMachine) replay(schedule []int) {
 	}
 }
 
-// refRun captures one reference execution for comparison.
+// refRun captures one execution for comparison: its trace events,
+// each step's reads and writes, its crash and its output.
 type refRun struct {
-	events []trace.Event
-	crash  *interp.CrashInfo
-	output []int64
+	events        []trace.Event
+	reads, writes [][]interp.VarID
+	crash         *interp.CrashInfo
+	output        []int64
+}
+
+// accessLog records a trace and, independently of the recorder's
+// interning, logs the variables each step reads and writes as the
+// hooks report them.
+type accessLog struct {
+	*trace.Recorder
+	reads, writes [][]interp.VarID
+}
+
+func (l *accessLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.reads = append(l.reads, nil)
+	l.writes = append(l.writes, nil)
+	l.Recorder.BeforeInstr(t, pc)
+}
+
+func (l *accessLog) OnRead(t *interp.Thread, v interp.VarID) {
+	l.reads[len(l.reads)-1] = append(l.reads[len(l.reads)-1], v)
+	l.Recorder.OnRead(t, v)
+}
+
+func (l *accessLog) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.writes[len(l.writes)-1] = append(l.writes[len(l.writes)-1], v)
+	l.Recorder.OnWrite(t, v)
 }
 
 // runReference replays schedule on a fresh reference machine.
 func runReference(prog *ir.Program, in *interp.Input, schedule []int) refRun {
-	rec := trace.NewRecorder()
+	log := &accessLog{Recorder: trace.NewRecorder()}
 	m := newRefMachine(prog, in)
-	m.hooks = rec
+	m.hooks = log
 	m.replay(schedule)
-	return refRun{events: rec.Events, crash: m.crash, output: m.output}
+	return refRun{events: log.Events, reads: log.reads, writes: log.writes, crash: m.crash, output: m.output}
 }
 
 // runSlot executes schedule on the slot-addressed machine. The machine
 // is built once and Reset before the run, so the round-trip also
 // exercises the reset/free-list lifecycle rather than only a virgin
-// machine.
+// machine. Its reads and writes are the recorder's, resolved to
+// variables.
 func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	m := interp.New(prog, in)
 	// Burn one partial run, then rewind: the post-Reset state must be
@@ -594,7 +621,19 @@ func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	rec := trace.NewRecorder()
 	m.Hooks = rec
 	sched.Run(m, sched.NewReplayer(schedule))
-	return refRun{events: rec.Events, crash: m.Crash, output: m.Output}
+	out := refRun{events: rec.Events, crash: m.Crash, output: m.Output}
+	vars := func(ids []int32) []interp.VarID {
+		var vs []interp.VarID
+		for _, id := range ids {
+			vs = append(vs, rec.Vars[id])
+		}
+		return vs
+	}
+	for i := range rec.Events {
+		out.reads = append(out.reads, vars(rec.Reads(i)))
+		out.writes = append(out.writes, vars(rec.Writes(i)))
+	}
+	return out
 }
 
 // schedulesFor produces the deterministic and a handful of random
@@ -629,6 +668,10 @@ func compareRuns(t *testing.T, label string, got, want refRun) {
 		if !reflect.DeepEqual(got.events[i], want.events[i]) {
 			t.Fatalf("%s: event %d differs:\n got:  %+v\n want: %+v",
 				label, i, got.events[i], want.events[i])
+		}
+		if !reflect.DeepEqual(got.reads[i], want.reads[i]) || !reflect.DeepEqual(got.writes[i], want.writes[i]) {
+			t.Fatalf("%s: event %d's accesses differ:\n got:  reads %v writes %v\n want: reads %v writes %v",
+				label, i, got.reads[i], got.writes[i], want.reads[i], want.writes[i])
 		}
 	}
 	if !reflect.DeepEqual(got.crash, want.crash) {

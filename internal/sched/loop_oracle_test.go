@@ -24,7 +24,8 @@ import (
 // run below executes on both, and the two must agree on the outcome,
 // the steps, the output, the crash, the deadlock diagnosis, the typed
 // error, the recorded schedule and the final machine state (a core
-// dump of it), plus the trace events of hooked runs.
+// dump of it), plus the trace events of hooked runs and each event's
+// reads and writes.
 
 // oracleSubject is one program the oracle runs.
 type oracleSubject struct {
@@ -253,6 +254,43 @@ const (
 	tightStepLimit  = 150
 )
 
+// accessLog records a trace and, independently of the recorder's
+// interning, logs the variables each step reads and writes as the
+// hooks report them.
+type accessLog struct {
+	*trace.Recorder
+	reads, writes [][]interp.VarID
+}
+
+func (l *accessLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.reads = append(l.reads, nil)
+	l.writes = append(l.writes, nil)
+	l.Recorder.BeforeInstr(t, pc)
+}
+
+func (l *accessLog) OnRead(t *interp.Thread, v interp.VarID) {
+	l.reads[len(l.reads)-1] = append(l.reads[len(l.reads)-1], v)
+	l.Recorder.OnRead(t, v)
+}
+
+func (l *accessLog) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.writes[len(l.writes)-1] = append(l.writes[len(l.writes)-1], v)
+	l.Recorder.OnWrite(t, v)
+}
+
+// sameVars reports whether rec's ids resolve to vars, in order.
+func sameVars(rec *trace.Recorder, ids []int32, vars []interp.VarID) bool {
+	if len(ids) != len(vars) {
+		return false
+	}
+	for i, id := range ids {
+		if rec.Vars[id] != vars[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRunLoopMatchesPerStepReference(t *testing.T) {
 	seeds := int64(100)
 	if raceEnabled || testing.Short() {
@@ -266,11 +304,12 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			got.Reset(sub.prog, sub.input)
 			want.Reset(sub.prog, sub.input)
 			got.MaxSteps, want.MaxSteps = maxSteps, maxSteps
-			var gotRec, wantRec *trace.Recorder
+			var gotRec *trace.Recorder
+			var wantLog *accessLog
 			got.Hooks, want.Hooks = nil, nil
 			if hooked {
-				gotRec, wantRec = trace.NewRecorder(), trace.NewRecorder()
-				got.Hooks, want.Hooks = gotRec, wantRec
+				gotRec, wantLog = trace.NewRecorder(), &accessLog{Recorder: trace.NewRecorder()}
+				got.Hooks, want.Hooks = gotRec, wantLog
 			}
 			var refCtx context.Context
 			if r.Ctx != nil {
@@ -284,8 +323,15 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			if gd, wd := coredump.Capture(got, 0, ir.PC{}, "oracle"), coredump.Capture(want, 0, ir.PC{}, "oracle"); !reflect.DeepEqual(gd, wd) {
 				t.Fatalf("%s: final machine state differs", where)
 			}
-			if hooked && !reflect.DeepEqual(gotRec.Events, wantRec.Events) {
-				t.Fatalf("%s: trace differs (%d events vs %d)", where, len(gotRec.Events), len(wantRec.Events))
+			if hooked && !reflect.DeepEqual(gotRec.Events, wantLog.Events) {
+				t.Fatalf("%s: trace differs (%d events vs %d)", where, len(gotRec.Events), len(wantLog.Events))
+			}
+			if hooked {
+				for i := range gotRec.Events {
+					if !sameVars(gotRec, gotRec.Reads(i), wantLog.reads[i]) || !sameVars(gotRec, gotRec.Writes(i), wantLog.writes[i]) {
+						t.Fatalf("%s: event %d's recorded reads and writes differ from the hooks'", where, i)
+					}
+				}
 			}
 			return w
 		}

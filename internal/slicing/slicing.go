@@ -3,10 +3,15 @@
 // Zhang). The pipeline slices from the aligned point's variables to
 // rank critical-shared-variable accesses by dependence distance — the
 // paper's second prioritization heuristic (§4).
+//
+// Both passes read a trace.Recorder's dense form: per-variable tables
+// (write sites, CSV membership) are slices indexed by the recorder's
+// variable ids, and a slice's distances are indexed by step.
 package slicing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"heisendump/internal/ctrldep"
 	"heisendump/internal/interp"
@@ -18,16 +23,27 @@ import (
 // step in the slice, its dependence distance (number of dependence
 // edges) from the criterion.
 type Slice struct {
-	// Distance maps step numbers to dependence distance; steps absent
-	// from the map are not in the slice.
-	Distance map[int64]int
 	// CriterionStep is the step the slice started from.
 	CriterionStep int64
+
+	// depth holds, indexed by step, each step's distance plus one; 0
+	// marks a step outside the slice. Only steps up to the criterion
+	// can be in it.
+	depth []int32
+}
+
+// Distance returns step's dependence distance from the criterion, and
+// whether step is in the slice at all.
+func (s *Slice) Distance(step int64) (int, bool) {
+	if step < 0 || step >= int64(len(s.depth)) || s.depth[step] == 0 {
+		return 0, false
+	}
+	return int(s.depth[step]) - 1, true
 }
 
 // InSlice reports whether step is in the slice.
 func (s *Slice) InSlice(step int64) bool {
-	_, ok := s.Distance[step]
+	_, ok := s.Distance(step)
 	return ok
 }
 
@@ -35,77 +51,71 @@ func (s *Slice) InSlice(step int64) bool {
 // dependences (each read reaches the latest earlier write of the same
 // location) and dynamic control dependences (each event reaches the
 // latest earlier execution, in its thread, of one of its static
-// control-dependence predicates).
-//
-// criterionVars names the slicing criterion: the variables whose values
-// at the criterion step matter. When nil, the criterion event's own
-// reads are used — the divergence-predicate variables for closest
-// alignments, the crash-triggering variables for exact alignments.
-// events is a whole recorded run, so an event's Step is its index.
-func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, events []trace.Event,
-	criterionStep int64, criterionVars []interp.VarID) *Slice {
+// control-dependence predicates). The criterion is the event's own
+// reads: the divergence-predicate variables for closest alignments,
+// the crash-triggering variables for exact alignments. rec holds a
+// whole recorded run, so an event's Step is its index.
+func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, rec *trace.Recorder, criterionStep int64) *Slice {
+	events := rec.Events
+	sl := &Slice{CriterionStep: criterionStep}
+	if criterionStep < 0 || criterionStep >= int64(len(events)) {
+		return sl
+	}
+	n := int(criterionStep) + 1 // no later event can be in the slice
 
-	// Write sites per location and branch sites per (thread, pc), each
-	// ordered by step, for latest-before lookups.
-	writes := map[interp.VarID][]int64{}
-	branches := map[branchKey][]int64{}
-	for i := range events {
-		e := &events[i]
-		for _, w := range e.Writes {
-			writes[w] = append(writes[w], e.Step)
+	// Write sites per variable id, ordered by step, in one array:
+	// variable v's are sites[start[v]:start[v+1]]. Branch sites per
+	// (thread, pc), also ordered by step. Both serve latest-before
+	// lookups.
+	start := make([]int32, len(rec.Vars)+1)
+	for i := range n {
+		for _, v := range rec.Writes(i) {
+			start[v+1]++
 		}
-		if e.IsBranch {
+	}
+	for v := range rec.Vars {
+		start[v+1] += start[v]
+	}
+	sites := make([]int64, start[len(rec.Vars)])
+	fill := make([]int32, len(rec.Vars))
+	branches := map[branchKey][]int64{}
+	for i := range n {
+		for _, v := range rec.Writes(i) {
+			sites[start[v]+fill[v]] = int64(i)
+			fill[v]++
+		}
+		if e := &events[i]; e.IsBranch {
 			k := branchKey{thread: e.Thread, pc: e.PC}
 			branches[k] = append(branches[k], e.Step)
 		}
 	}
 
-	sl := &Slice{Distance: map[int64]int{}, CriterionStep: criterionStep}
-	if criterionStep < 0 || criterionStep >= int64(len(events)) {
-		return sl
-	}
-
-	type item struct {
-		step  int64
-		depth int
-	}
-	var queue []item
-	visit := func(step int64, depth int) {
-		if _, seen := sl.Distance[step]; seen {
-			return
-		}
-		sl.Distance[step] = depth
-		queue = append(queue, item{step, depth})
-	}
-
-	// Seed: the criterion event itself at distance 0, plus the last
-	// defs of explicit criterion variables.
-	visit(criterionStep, 0)
-	seedVars := criterionVars
-	if seedVars == nil {
-		seedVars = events[criterionStep].Reads
-	}
-	for _, v := range seedVars {
-		if d, ok := lastBefore(writes[v], criterionStep+1); ok {
-			visit(d, 1)
+	sl.depth = make([]int32, n)
+	queue := []int64{criterionStep}
+	sl.depth[criterionStep] = 1
+	visit := func(step int64, depth int32) {
+		if sl.depth[step] == 0 {
+			sl.depth[step] = depth + 1
+			queue = append(queue, step)
 		}
 	}
-
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		e := &events[it.step]
-		for _, v := range e.Reads {
-			if d, ok := lastBefore(writes[v], e.Step); ok {
-				visit(d, it.depth+1)
+	for head := 0; head < len(queue); head++ {
+		e := &events[queue[head]]
+		depth := sl.depth[e.Step] // the distance of e's dependences
+		for _, v := range rec.Reads(int(e.Step)) {
+			if d, ok := lastBefore(sites[start[v]:start[v+1]], e.Step); ok {
+				visit(d, depth)
 			}
 		}
 		// Dynamic control dependence: the latest earlier execution of a
 		// static control-dependence predicate in the same thread.
-		for _, dep := range pdeps.Funcs[e.PC.F].DepsOf(e.PC.I) {
+		for _, dep := range pdeps.Funcs[e.PC.F].Deps[e.PC.I] {
+			if dep.Pred == e.PC.I {
+				continue // a loop head on itself
+			}
 			k := branchKey{thread: e.Thread, pc: ir.PC{F: e.PC.F, I: dep.Pred}}
 			if d, ok := lastBefore(branches[k], e.Step); ok {
-				visit(d, it.depth+1)
+				visit(d, depth)
 			}
 		}
 	}
@@ -120,7 +130,7 @@ type branchKey struct {
 // lastBefore returns the largest element of steps strictly below
 // bound.
 func lastBefore(steps []int64, bound int64) (int64, bool) {
-	i := sort.Search(len(steps), func(i int) bool { return steps[i] >= bound })
+	i, _ := slices.BinarySearch(steps, bound)
 	if i == 0 {
 		return 0, false
 	}
@@ -138,6 +148,9 @@ type Access struct {
 	// priority (accesses outside the slice under the dependence
 	// heuristic) is PriorityBottom.
 	Priority int
+	// CSV is the index of Var in the CSV list the access was collected
+	// for (the analysis's CSVs, in order).
+	CSV int
 }
 
 // PriorityBottom is the ⊥ priority of accesses deemed irrelevant.
@@ -163,68 +176,85 @@ func (h Heuristic) String() string {
 }
 
 // CollectAccesses finds every access (read or write) to a CSV in the
-// trace and assigns priorities under the chosen heuristic. Only
-// accesses at or before the aligned step are prioritized — they are
-// the ones that can have contributed to the observed value differences
-// — while later accesses carry the bottom priority ⊥ (they still
-// matter to the schedule search through the future-CSV-set
+// recorded trace and assigns priorities under the chosen heuristic.
+// Only accesses at or before the aligned step are prioritized — they
+// are the ones that can have contributed to the observed value
+// differences — while later accesses carry the bottom priority ⊥ (they
+// still matter to the schedule search through the future-CSV-set
 // annotations, like the x=0 access of the paper's Fig. 9). csvVars
-// identifies the CSVs in the passing run's location terms.
-func CollectAccesses(events []trace.Event, csvVars []interp.VarID,
+// identifies the CSVs in the passing run's location terms; each
+// access's CSV is its variable's index there. Accesses come in trace
+// order, an event's reads before its writes.
+func CollectAccesses(rec *trace.Recorder, csvVars []interp.VarID,
 	alignStep int64, h Heuristic, sl *Slice) []Access {
 
-	csv := make(map[interp.VarID]bool, len(csvVars))
-	for _, v := range csvVars {
-		csv[v] = true
+	// csv maps a variable id to its CSV index plus one; 0 marks a
+	// variable that is not a CSV.
+	csv := make([]int32, len(rec.Vars))
+	for i, v := range csvVars {
+		if id, ok := rec.ID(v); ok && csv[id] == 0 {
+			csv[id] = int32(i) + 1
+		}
 	}
-	var out []Access
-	for i := range events {
-		e := &events[i]
-		for _, v := range e.Reads {
-			if csv[v] {
-				out = append(out, Access{Step: e.Step, Thread: e.Thread, PC: e.PC, Var: v,
-					Priority: PriorityBottom})
+	n := 0
+	for i := range rec.Events {
+		for _, v := range rec.Reads(i) {
+			if csv[v] != 0 {
+				n++
 			}
 		}
-		for _, v := range e.Writes {
-			if csv[v] {
-				out = append(out, Access{Step: e.Step, Thread: e.Thread, PC: e.PC, Var: v,
-					IsWrite: true, Priority: PriorityBottom})
+		for _, v := range rec.Writes(i) {
+			if csv[v] != 0 {
+				n++
+			}
+		}
+	}
+	out := make([]Access, 0, n)
+	for i := range rec.Events {
+		e := &rec.Events[i]
+		for _, v := range rec.Reads(i) {
+			if c := csv[v]; c != 0 {
+				out = append(out, Access{Step: e.Step, Thread: e.Thread, PC: e.PC, Var: rec.Vars[v],
+					Priority: PriorityBottom, CSV: int(c) - 1})
+			}
+		}
+		for _, v := range rec.Writes(i) {
+			if c := csv[v]; c != 0 {
+				out = append(out, Access{Step: e.Step, Thread: e.Thread, PC: e.PC, Var: rec.Vars[v],
+					IsWrite: true, Priority: PriorityBottom, CSV: int(c) - 1})
 			}
 		}
 	}
 
-	// Indices of prioritizable accesses (at or before the aligned
-	// point), oldest first.
-	var elig []int
-	for i := range out {
-		if out[i].Step <= alignStep {
-			elig = append(elig, i)
-		}
+	// out[:elig] are the prioritizable accesses (at or before the
+	// aligned point), oldest first.
+	elig := 0
+	for elig < len(out) && out[elig].Step <= alignStep {
+		elig++
 	}
 
 	switch h {
 	case Temporal:
 		// Closest to the aligned point ranks first.
-		for rank, pos := 1, len(elig)-1; pos >= 0; rank, pos = rank+1, pos-1 {
-			out[elig[pos]].Priority = rank
+		for rank, pos := 1, elig-1; pos >= 0; rank, pos = rank+1, pos-1 {
+			out[pos].Priority = rank
 		}
 	case Dependence:
 		type keyed struct {
 			idx  int
 			dist int
 		}
-		ks := make([]keyed, 0, len(elig))
-		for _, i := range elig {
+		ks := make([]keyed, elig)
+		for i := range ks {
 			dist := PriorityBottom
 			if sl != nil {
-				if d, ok := sl.Distance[out[i].Step]; ok {
+				if d, ok := sl.Distance(out[i].Step); ok {
 					dist = d
 				}
 			}
-			ks = append(ks, keyed{idx: i, dist: dist})
+			ks[i] = keyed{idx: i, dist: dist}
 		}
-		sort.SliceStable(ks, func(a, b int) bool { return ks[a].dist < ks[b].dist })
+		slices.SortStableFunc(ks, func(a, b keyed) int { return cmp.Compare(a.dist, b.dist) })
 		for pos, k := range ks {
 			if k.dist == PriorityBottom {
 				break // the remainder are irrelevant to the failure

@@ -13,7 +13,7 @@ import (
 )
 
 // tracedRun compiles and runs src deterministically with a recorder.
-func tracedRun(t testing.TB, src string) (*ir.Program, *ctrldep.ProgramDeps, []trace.Event) {
+func tracedRun(t testing.TB, src string) (*ir.Program, *ctrldep.ProgramDeps, *trace.Recorder) {
 	t.Helper()
 	cp, err := ir.Compile(lang.MustParse(src), ir.Options{InstrumentLoops: true})
 	if err != nil {
@@ -26,11 +26,24 @@ func tracedRun(t testing.TB, src string) (*ir.Program, *ctrldep.ProgramDeps, []t
 	if res.Deadlocked {
 		t.Fatal("deadlock")
 	}
-	return cp, ctrldep.AnalyzeProgram(cp), rec.Events
+	return cp, ctrldep.AnalyzeProgram(cp), rec
+}
+
+// lastWrite returns the last step that wrote the global name, or -1.
+func lastWrite(rec *trace.Recorder, name string) int64 {
+	step := int64(-1)
+	for i, e := range rec.Events {
+		for _, w := range rec.Writes(i) {
+			if v := rec.Vars[w]; v.Kind == interp.VGlobal && v.Name == name {
+				step = e.Step
+			}
+		}
+	}
+	return step
 }
 
 func TestSliceFollowsDataDependences(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	cp, pdeps, rec := tracedRun(t, `
 program dd;
 global int a;
 global int b;
@@ -44,24 +57,17 @@ func main() {
     c = b + 1;
 }
 `)
-	_ = cp
 	// Criterion: the final write to c.
-	var cStep int64 = -1
-	for _, e := range events {
-		for _, w := range e.Writes {
-			if w.Kind == interp.VGlobal && w.Name == "c" {
-				cStep = e.Step
-			}
-		}
-	}
+	cStep := lastWrite(rec, "c")
 	if cStep < 0 {
 		t.Fatal("no write to c")
 	}
-	sl := slicing.Compute(cp, pdeps, events, cStep, nil)
+	sl := slicing.Compute(cp, pdeps, rec, cStep)
 	// a=1 and b=a+1 must be in the slice; unrelated writes must not.
 	wantIn, wantOut := 0, 0
-	for _, e := range events {
-		for _, w := range e.Writes {
+	for i, e := range rec.Events {
+		for _, id := range rec.Writes(i) {
+			w := rec.Vars[id]
 			if w.Kind != interp.VGlobal {
 				continue
 			}
@@ -84,24 +90,15 @@ func main() {
 		t.Fatalf("in=%d out=%d", wantIn, wantOut)
 	}
 	// Distances grow along the chain: dist(b-write) < dist(a-write).
-	var aStep, bStep int64 = -1, -1
-	for _, e := range events {
-		for _, w := range e.Writes {
-			if w.Kind == interp.VGlobal && w.Name == "a" {
-				aStep = e.Step
-			}
-			if w.Kind == interp.VGlobal && w.Name == "b" {
-				bStep = e.Step
-			}
-		}
-	}
-	if sl.Distance[bStep] >= sl.Distance[aStep] {
-		t.Fatalf("distance(b)=%d should be < distance(a)=%d", sl.Distance[bStep], sl.Distance[aStep])
+	a, _ := sl.Distance(lastWrite(rec, "a"))
+	b, _ := sl.Distance(lastWrite(rec, "b"))
+	if b >= a {
+		t.Fatalf("distance(b)=%d should be < distance(a)=%d", b, a)
 	}
 }
 
 func TestSliceFollowsControlDependences(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	cp, pdeps, rec := tracedRun(t, `
 program cd;
 global int p;
 global int r;
@@ -112,37 +109,21 @@ func main() {
     }
 }
 `)
-	var rStep int64 = -1
-	for _, e := range events {
-		for _, w := range e.Writes {
-			if w.Kind == interp.VGlobal && w.Name == "r" {
-				rStep = e.Step
-			}
-		}
-	}
-	sl := slicing.Compute(cp, pdeps, events, rStep, nil)
+	sl := slicing.Compute(cp, pdeps, rec, lastWrite(rec, "r"))
 	// The branch and, through it, the write p=1 must be in the slice.
-	sawBranch, sawP := false, false
-	for _, e := range events {
-		if !sl.InSlice(e.Step) {
-			continue
-		}
-		if e.IsBranch {
+	sawBranch := false
+	for _, e := range rec.Events {
+		if sl.InSlice(e.Step) && e.IsBranch {
 			sawBranch = true
 		}
-		for _, w := range e.Writes {
-			if w.Kind == interp.VGlobal && w.Name == "p" {
-				sawP = true
-			}
-		}
 	}
-	if !sawBranch || !sawP {
+	if sawP := sl.InSlice(lastWrite(rec, "p")); !sawBranch || !sawP {
 		t.Fatalf("branch in slice=%v, p-write in slice=%v", sawBranch, sawP)
 	}
 }
 
 func TestSliceCriterionPresent(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	cp, pdeps, rec := tracedRun(t, `
 program crit;
 global int x;
 func main() {
@@ -150,22 +131,25 @@ func main() {
     x = x + 1;
 }
 `)
-	sl := slicing.Compute(cp, pdeps, events, events[len(events)-1].Step, nil)
+	events := rec.Events
+	sl := slicing.Compute(cp, pdeps, rec, events[len(events)-1].Step)
 	if !sl.InSlice(sl.CriterionStep) {
 		t.Fatal("criterion not in its own slice")
 	}
-	if sl.Distance[sl.CriterionStep] != 0 {
+	if d, _ := sl.Distance(sl.CriterionStep); d != 0 {
 		t.Fatal("criterion distance not 0")
 	}
 	// A slice from a step outside the trace is empty.
-	empty := slicing.Compute(cp, pdeps, events, 99999, nil)
-	if len(empty.Distance) != 0 {
-		t.Fatal("slice from unknown step not empty")
+	empty := slicing.Compute(cp, pdeps, rec, 99999)
+	for _, e := range events {
+		if empty.InSlice(e.Step) {
+			t.Fatal("slice from unknown step not empty")
+		}
 	}
 }
 
 func TestCollectAccessesTemporalOrder(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	_, _, rec := tracedRun(t, `
 program tmp;
 global int x;
 global int y;
@@ -177,10 +161,9 @@ func main() {
     x = 3;
 }
 `)
-	_, _ = cp, pdeps
 	csv := []interp.VarID{{Kind: interp.VGlobal, Name: "x"}}
-	last := events[len(events)-1].Step
-	accs := slicing.CollectAccesses(events, csv, last, slicing.Temporal, nil)
+	last := rec.Events[len(rec.Events)-1].Step
+	accs := slicing.CollectAccesses(rec, csv, last, slicing.Temporal, nil)
 	if len(accs) != 3 {
 		t.Fatalf("accesses: %d, want 3 (writes to x)", len(accs))
 	}
@@ -202,7 +185,7 @@ func main() {
 }
 
 func TestCollectAccessesBottomAfterAlignPoint(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	_, _, rec := tracedRun(t, `
 program bt;
 global int x;
 func main() {
@@ -211,17 +194,16 @@ func main() {
     x = 3;
 }
 `)
-	_, _ = cp, pdeps
 	csv := []interp.VarID{{Kind: interp.VGlobal, Name: "x"}}
 	// Align between the first and second write.
 	var firstWrite int64 = -1
-	for _, e := range events {
-		if len(e.Writes) > 0 && e.Writes[0].Name == "x" {
+	for i, e := range rec.Events {
+		if w := rec.Writes(i); len(w) > 0 && rec.Vars[w[0]].Name == "x" {
 			firstWrite = e.Step
 			break
 		}
 	}
-	accs := slicing.CollectAccesses(events, csv, firstWrite, slicing.Temporal, nil)
+	accs := slicing.CollectAccesses(rec, csv, firstWrite, slicing.Temporal, nil)
 	if len(accs) != 3 {
 		t.Fatalf("accesses: %d", len(accs))
 	}
@@ -242,7 +224,7 @@ func main() {
 }
 
 func TestCollectAccessesDependenceExcludesUnrelated(t *testing.T) {
-	cp, pdeps, events := tracedRun(t, `
+	cp, pdeps, rec := tracedRun(t, `
 program dep;
 global int x;
 global int y;
@@ -253,22 +235,18 @@ func main() {
     out = x;
 }
 `)
-	var outStep int64 = -1
-	for _, e := range events {
-		for _, w := range e.Writes {
-			if w.Name == "out" {
-				outStep = e.Step
-			}
-		}
-	}
-	sl := slicing.Compute(cp, pdeps, events, outStep, nil)
+	outStep := lastWrite(rec, "out")
+	sl := slicing.Compute(cp, pdeps, rec, outStep)
 	csv := []interp.VarID{
 		{Kind: interp.VGlobal, Name: "x"},
 		{Kind: interp.VGlobal, Name: "y"},
 	}
-	accs := slicing.CollectAccesses(events, csv, outStep, slicing.Dependence, sl)
+	accs := slicing.CollectAccesses(rec, csv, outStep, slicing.Dependence, sl)
 	var xPrio, yPrio int
 	for _, a := range accs {
+		if a.Var != csv[a.CSV] {
+			t.Fatalf("access to %v carries CSV %d (%v)", a.Var, a.CSV, csv[a.CSV])
+		}
 		if a.Var.Name == "x" && a.IsWrite {
 			xPrio = a.Priority
 		}

@@ -1,10 +1,15 @@
 // Package trace records execution traces of deterministic re-runs:
-// one event per instruction with the variables it read and wrote, the
+// one event per instruction, the variables it read and wrote, the
 // outcome of a branch and whether a call entered its callee. The
 // alignment re-run records one trace, and once the run ends the
 // aligners, the dynamic slicer and the preemption-candidate discovery
 // of the schedule search all read it. Replay walks a recorded trace in
 // the order in which the live hooks fired.
+//
+// A trace is dense: each distinct variable is interned once into
+// Recorder.Vars, in the order the run first touched it, and an event
+// holds where its reads and writes start in two id arrays. Events hold
+// no pointer, so the garbage collector never scans them.
 package trace
 
 import (
@@ -27,28 +32,90 @@ type Event struct {
 	// Call marks a call whose step entered its callee. A call that
 	// faults while evaluating its arguments enters nothing.
 	Call bool
-	// Reads and Writes are the variables touched during the step.
-	Reads  []interp.VarID
-	Writes []interp.VarID
+
+	// reads and writes are where the event's variable ids start in the
+	// recorder's read and write id arrays; the next event's starts, or
+	// the arrays' ends, end them.
+	reads, writes int32
 }
 
-// Recorder is an interp.Hooks implementation that collects events.
+// traceStart is the capacity, in events and in ids of each kind, that
+// a recorder starts with: the alignment re-runs of the Table 2 bugs
+// and of generated programs take a few hundred steps (127-519 for the
+// bugs and generated seeds 1-10). Longer traces grow geometrically, by
+// append.
+const traceStart = 512
+
+// Recorder is an interp.Hooks implementation that collects a trace.
+// Use NewRecorder; the zero value is not ready.
 type Recorder struct {
 	// Events holds the trace, oldest first.
 	Events []Event
+	// Vars holds each variable the run read or wrote, once, in the order
+	// of its first access; a variable's index here is its id.
+	Vars []interp.VarID
+
+	ids      map[interp.VarID]int32
+	readIDs  []int32
+	writeIDs []int32
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder {
+	return &Recorder{
+		Events:   make([]Event, 0, traceStart),
+		ids:      map[interp.VarID]int32{},
+		readIDs:  make([]int32, 0, traceStart),
+		writeIDs: make([]int32, 0, traceStart),
+	}
+}
 
 var _ interp.Hooks = (*Recorder)(nil)
+
+// ID returns the id of v, and whether the run read or wrote v at all.
+func (r *Recorder) ID(v interp.VarID) (int32, bool) {
+	id, ok := r.ids[v]
+	return id, ok
+}
+
+// Reads returns the ids of the variables event i read, in the order of
+// the reads. The slice aliases the recorder's storage.
+func (r *Recorder) Reads(i int) []int32 {
+	end := len(r.readIDs)
+	if i+1 < len(r.Events) {
+		end = int(r.Events[i+1].reads)
+	}
+	return r.readIDs[r.Events[i].reads:end]
+}
+
+// Writes returns the ids of the variables event i wrote, in the order
+// of the writes. The slice aliases the recorder's storage.
+func (r *Recorder) Writes(i int) []int32 {
+	end := len(r.writeIDs)
+	if i+1 < len(r.Events) {
+		end = int(r.Events[i+1].writes)
+	}
+	return r.writeIDs[r.Events[i].writes:end]
+}
+
+// intern returns v's id, assigning the next one on first sight.
+func (r *Recorder) intern(v interp.VarID) int32 {
+	id, ok := r.ids[v]
+	if !ok {
+		id = int32(len(r.Vars))
+		r.ids[v] = id
+		r.Vars = append(r.Vars, v)
+	}
+	return id
+}
 
 // cur returns the event of the step in progress.
 func (r *Recorder) cur() *Event { return &r.Events[len(r.Events)-1] }
 
 // BeforeInstr opens a new event.
 func (r *Recorder) BeforeInstr(t *interp.Thread, pc ir.PC) {
-	r.Events = append(r.Events, Event{Step: int64(len(r.Events)), Thread: t.ID, PC: pc})
+	r.Events = append(r.Events, Event{Step: int64(len(r.Events)), Thread: t.ID, PC: pc,
+		reads: int32(len(r.readIDs)), writes: int32(len(r.writeIDs))})
 }
 
 // OnBranch records the branch outcome on the current event.
@@ -73,14 +140,12 @@ func (r *Recorder) OnExitFunc(t *interp.Thread, fidx int) {}
 
 // OnRead records a variable read on the current event.
 func (r *Recorder) OnRead(t *interp.Thread, v interp.VarID) {
-	e := r.cur()
-	e.Reads = append(e.Reads, v)
+	r.readIDs = append(r.readIDs, r.intern(v))
 }
 
 // OnWrite records a variable write on the current event.
 func (r *Recorder) OnWrite(t *interp.Thread, v interp.VarID) {
-	e := r.cur()
-	e.Writes = append(e.Writes, v)
+	r.writeIDs = append(r.writeIDs, r.intern(v))
 }
 
 // Replay walks a trace recorded from a run of prog and reports it in

@@ -43,9 +43,80 @@ func main() {
 }
 `
 
+// accessLog logs, step by step, the variables the live hooks report
+// read and written, in order.
+type accessLog struct {
+	reads, writes [][]interp.VarID
+}
+
+func (l *accessLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.reads = append(l.reads, nil)
+	l.writes = append(l.writes, nil)
+}
+
+func (l *accessLog) OnRead(t *interp.Thread, v interp.VarID) {
+	l.reads[len(l.reads)-1] = append(l.reads[len(l.reads)-1], v)
+}
+
+func (l *accessLog) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.writes[len(l.writes)-1] = append(l.writes[len(l.writes)-1], v)
+}
+
+// resolved returns each recorded event's reads and writes as variables.
+func resolved(rec *trace.Recorder) (reads, writes [][]interp.VarID) {
+	vars := func(ids []int32) []interp.VarID {
+		var out []interp.VarID
+		for _, id := range ids {
+			out = append(out, rec.Vars[id])
+		}
+		return out
+	}
+	for i := range rec.Events {
+		reads = append(reads, vars(rec.Reads(i)))
+		writes = append(writes, vars(rec.Writes(i)))
+	}
+	return reads, writes
+}
+
+// checkAccesses fails unless rec's events resolve to exactly the reads
+// and writes log saw live, step by step and in order.
+func checkAccesses(t *testing.T, label string, rec *trace.Recorder, log *accessLog) {
+	t.Helper()
+	reads, writes := resolved(rec)
+	for i := range max(len(reads), len(log.reads)) {
+		if i >= len(reads) || i >= len(log.reads) ||
+			!reflect.DeepEqual(reads[i], log.reads[i]) || !reflect.DeepEqual(writes[i], log.writes[i]) {
+			t.Fatalf("%s: step %d's recorded reads and writes differ from the live hooks' (%d and %d steps)",
+				label, i, len(reads), len(log.reads))
+		}
+	}
+}
+
+// loggedRecorder records a run and logs its accesses as the hooks fire.
+type loggedRecorder struct {
+	*trace.Recorder
+	log accessLog
+}
+
+func (l *loggedRecorder) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.log.BeforeInstr(t, pc)
+	l.Recorder.BeforeInstr(t, pc)
+}
+
+func (l *loggedRecorder) OnRead(t *interp.Thread, v interp.VarID) {
+	l.log.OnRead(t, v)
+	l.Recorder.OnRead(t, v)
+}
+
+func (l *loggedRecorder) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.log.OnWrite(t, v)
+	l.Recorder.OnWrite(t, v)
+}
+
 func TestRecorderCapturesEverything(t *testing.T) {
-	rec := trace.NewRecorder()
-	m := run(t, traceSrc, rec)
+	live := &loggedRecorder{Recorder: trace.NewRecorder()}
+	m := run(t, traceSrc, live)
+	rec := live.Recorder
 	if int64(len(rec.Events)) != m.TotalSteps {
 		t.Fatalf("events %d != steps %d", len(rec.Events), m.TotalSteps)
 	}
@@ -55,23 +126,31 @@ func TestRecorderCapturesEverything(t *testing.T) {
 			t.Fatalf("event %d has step %d", i, e.Step)
 		}
 	}
+	// Every event holds the variables its step read and wrote, in order.
+	checkAccesses(t, "tr", rec, &live.log)
 	// Branch outcomes recorded.
 	branches, reads, writes := 0, 0, 0
-	for _, e := range rec.Events {
+	for i, e := range rec.Events {
 		if e.IsBranch {
 			branches++
 		}
-		reads += len(e.Reads)
-		writes += len(e.Writes)
+		reads += len(rec.Reads(i))
+		writes += len(rec.Writes(i))
 	}
 	if branches == 0 || reads == 0 || writes == 0 {
 		t.Fatalf("branches=%d reads=%d writes=%d", branches, reads, writes)
 	}
-	// The write to a[2] appears with the right identity.
+	// Each variable is interned once, and the write to a[2] appears
+	// with the right identity.
+	for id, v := range rec.Vars {
+		if got, ok := rec.ID(v); !ok || got != int32(id) {
+			t.Fatalf("variable %v has id %d, recorded as %d", v, id, got)
+		}
+	}
 	found := false
-	for _, e := range rec.Events {
-		for _, w := range e.Writes {
-			if w.Kind == interp.VArrayElem && w.Name == "a" && w.Idx == 2 {
+	for i := range rec.Events {
+		for _, w := range rec.Writes(i) {
+			if v := rec.Vars[w]; v.Kind == interp.VArrayElem && v.Name == "a" && v.Idx == 2 {
 				found = true
 			}
 		}
@@ -116,15 +195,15 @@ type visit struct {
 }
 
 // liveLog records a run and, as the hooks fire, logs the visits the
-// aligners consume.
+// aligners consume and the accesses of each step.
 type liveLog struct {
-	*trace.Recorder
+	loggedRecorder
 	visits []visit
 }
 
 func (l *liveLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
 	l.visits = append(l.visits, visit{kind: "step", thread: t.ID, pc: pc})
-	l.Recorder.BeforeInstr(t, pc)
+	l.loggedRecorder.BeforeInstr(t, pc)
 }
 
 func (l *liveLog) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
@@ -174,8 +253,10 @@ func main() {
 // the function entries, steps and branch outcomes its live hooks
 // reported, in the same order, on every Table 2 bug, fig1, generated
 // seeds 1-20 and a call that faults in its argument, under the
-// cooperative schedule and random seeds up to the second crash. The
-// faulting call's event enters nothing.
+// cooperative schedule and random seeds up to the second crash, and
+// every event's reads and writes resolve to the variables the live
+// hooks reported for its step. The faulting call's event enters
+// nothing.
 func TestReplayMatchesLiveHooks(t *testing.T) {
 	type subject struct {
 		name, source string
@@ -198,7 +279,7 @@ func TestReplayMatchesLiveHooks(t *testing.T) {
 		}
 		check := func(label string, s sched.Scheduler) (*sched.Result, []trace.Event) {
 			t.Helper()
-			live := &liveLog{Recorder: trace.NewRecorder()}
+			live := &liveLog{loggedRecorder: loggedRecorder{Recorder: trace.NewRecorder()}}
 			m := interp.New(prog, sub.input)
 			m.MaxSteps = 1_000_000
 			m.Hooks = live
@@ -211,6 +292,7 @@ func TestReplayMatchesLiveHooks(t *testing.T) {
 				t.Fatalf("%s %s: %d replayed visits, %d live; first difference at %d:\n got:  %+v\n want: %+v",
 					sub.name, label, len(got), len(live.visits), i, got[i:min(i+3, len(got))], live.visits[i:min(i+3, len(live.visits))])
 			}
+			checkAccesses(t, sub.name+" "+label, live.Recorder, &live.log)
 			return res, live.Events
 		}
 		res, events := check("cooperative", sched.NewCooperative())
