@@ -173,3 +173,38 @@ func TestAnnotateMatchesQuadratic(t *testing.T) {
 		}
 	}
 }
+
+// TestCSVSets checks Has and overlaps against sets of booleans on
+// 2,000 seeded random pairs of one to four words, of equal and unequal
+// lengths.
+func TestCSVSets(t *testing.T) {
+	for seed := range 2000 {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var sets [2]CSVSet
+		var model [2][]bool
+		for k := range sets {
+			sets[k] = make(CSVSet, 1+rng.Intn(4))
+			model[k] = make([]bool, 64*len(sets[k]))
+			for range rng.Intn(12) {
+				i := rng.Intn(len(model[k]))
+				sets[k].add(i)
+				model[k][i] = true
+			}
+		}
+		overlap := false
+		for i := range 64 * 5 {
+			for k := range sets {
+				if want := i < len(model[k]) && model[k][i]; sets[k].Has(i) != want {
+					t.Fatalf("seed %d: set %d Has(%d) = %v", seed, k, i, !want)
+				}
+			}
+			overlap = overlap || (sets[0].Has(i) && sets[1].Has(i))
+		}
+		if got := sets[0].overlaps(sets[1]); got != overlap {
+			t.Fatalf("seed %d: %x overlaps %x = %v, want %v", seed, sets[0], sets[1], got, overlap)
+		}
+		if got := sets[0].overlaps(nil); got {
+			t.Fatalf("seed %d: %x overlaps the empty set", seed, sets[0])
+		}
+	}
+}

@@ -194,18 +194,6 @@ func TestMinPriority(t *testing.T) {
 	}
 }
 
-func TestCSVSetHas(t *testing.T) {
-	s := chess.CSVSet{1 << 3, 0, 1 << 63}
-	for i := range 200 {
-		if want := i == 3 || i == 191; s.Has(i) != want {
-			t.Fatalf("Has(%d) = %v", i, !want)
-		}
-	}
-	if chess.CSVSet(nil).Has(0) {
-		t.Fatal("the empty set has CSV 0")
-	}
-}
-
 func TestSearchRespectsMaxTries(t *testing.T) {
 	w := workloads.ByName("apache-2")
 	cp, err := w.Compile(true)

@@ -657,8 +657,8 @@ func schedulesFor(t *testing.T, prog *ir.Program, in *interp.Input, seeds int) [
 }
 
 // compareRuns asserts that two executions are observably identical:
-// same trace events (with reads/writes, branch outcomes and call
-// marks), same crash and same output.
+// same trace events (with branch outcomes and call marks), same reads
+// and writes at every step, same crash and same output.
 func compareRuns(t *testing.T, label string, got, want refRun) {
 	t.Helper()
 	if len(got.events) != len(want.events) {
