@@ -91,20 +91,21 @@ func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, rec *trace.Recorder, 
 	}
 
 	sl.depth = make([]int32, n)
-	queue := []int64{criterionStep}
-	sl.depth[criterionStep] = 1
-	visit := func(step int64, depth int32) {
+	var queue []int64
+	// visit adds step to the slice at distance dist, once.
+	visit := func(step int64, dist int32) {
 		if sl.depth[step] == 0 {
-			sl.depth[step] = depth + 1
+			sl.depth[step] = dist + 1
 			queue = append(queue, step)
 		}
 	}
+	visit(criterionStep, 0)
 	for head := 0; head < len(queue); head++ {
 		e := &events[queue[head]]
-		depth := sl.depth[e.Step] // the distance of e's dependences
+		dist := sl.depth[e.Step] // e's distance plus one: its dependences'
 		for _, v := range rec.Reads(int(e.Step)) {
 			if d, ok := lastBefore(sites[start[v]:start[v+1]], e.Step); ok {
-				visit(d, depth)
+				visit(d, dist)
 			}
 		}
 		// Dynamic control dependence: the latest earlier execution of a
@@ -115,7 +116,7 @@ func Compute(prog *ir.Program, pdeps *ctrldep.ProgramDeps, rec *trace.Recorder, 
 			}
 			k := branchKey{thread: e.Thread, pc: ir.PC{F: e.PC.F, I: dep.Pred}}
 			if d, ok := lastBefore(branches[k], e.Step); ok {
-				visit(d, depth)
+				visit(d, dist)
 			}
 		}
 	}
