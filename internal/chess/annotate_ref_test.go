@@ -203,6 +203,9 @@ func TestCSVSets(t *testing.T) {
 		if got := sets[0].overlaps(sets[1]); got != overlap {
 			t.Fatalf("seed %d: %x overlaps %x = %v, want %v", seed, sets[0], sets[1], got, overlap)
 		}
+		if sets[0].Has(-1) || sets[0].Has(-64) {
+			t.Fatalf("seed %d: %x has a negative index", seed, sets[0])
+		}
 		if got := sets[0].overlaps(nil); got {
 			t.Fatalf("seed %d: %x overlaps the empty set", seed, sets[0])
 		}

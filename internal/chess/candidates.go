@@ -71,10 +71,11 @@ type Candidate struct {
 // indexes in the analysis's CSV list (slicing.Access.CSV).
 type CSVSet []uint64
 
-// Has reports whether the CSV at index i is in the set.
+// Has reports whether the CSV at index i is in the set; no negative
+// index is.
 func (s CSVSet) Has(i int) bool {
-	w := i / 64
-	return w < len(s) && s[w]&(1<<(i%64)) != 0
+	w := uint(i) / 64
+	return w < uint(len(s)) && s[w]&(1<<(uint(i)%64)) != 0
 }
 
 func (s CSVSet) add(i int) { s[i/64] |= 1 << (i % 64) }
