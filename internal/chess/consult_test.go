@@ -34,7 +34,8 @@ func TrialConsultations(s *Searcher, ranks int) (trials, most, total int, diff s
 	maxRun := s.runBound()
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	m := s.NewMachine()
-	var want trialChooser
+	future := newFutureIndex(s.Candidates)
+	want := trialChooser{future: future}
 	for r := 0; r < wl.size && r < ranks; r++ {
 		combo := wl.at(r)
 		vec := make([]int, len(combo))
@@ -43,7 +44,7 @@ func TrialConsultations(s *Searcher, ranks int) (trials, most, total int, diff s
 			w.choiceCounts = append([]int(nil), w.choiceCounts...)
 
 			m.Reset(m.Prog, m.SeedInput())
-			c := countedChooser{trialChooser: new(trialChooser)}
+			c := countedChooser{trialChooser: &trialChooser{future: future}}
 			c.start(s, combo, vec)
 			sched.Runner{MaxSteps: maxRun}.Run(m, &c)
 			c.settle(m)

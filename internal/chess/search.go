@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,6 +150,7 @@ type searchState struct {
 	wl       *worklist
 	maxRun   int64
 	maxTries int
+	future   futureIndex // guided eligibility's index, nil when unguided
 
 	next     atomic.Int64 // next worklist rank to claim
 	tries    atomic.Int64 // test runs executed (raw, incl. speculation)
@@ -229,6 +231,9 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		maxRun:   s.runBound(),
 		maxTries: s.Opts.MaxTries,
 	}
+	if s.Opts.Guided {
+		st.future = newFutureIndex(s.Candidates)
+	}
 	st.bestRank.Store(int64(wl.size)) // sentinel: nothing found yet
 
 	var wg sync.WaitGroup
@@ -308,7 +313,7 @@ func (st *searchState) worker(w int) {
 	// worker to the telemetry layer (its counter shard and event
 	// attribution); it never influences the search.
 	var m *interp.Machine
-	var c trialChooser
+	c := trialChooser{future: st.future}
 	for {
 		if st.cancelled() {
 			return
@@ -368,7 +373,7 @@ func (st *searchState) worker(w int) {
 // after the caller asked us to stop.
 func (st *searchState) finish() {
 	var m *interp.Machine
-	var c trialChooser
+	c := trialChooser{future: st.future}
 	for {
 		st.mu.Lock()
 		if st.cancelled() || st.decided.Load() || st.committed >= st.wl.size {
@@ -512,7 +517,8 @@ func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, c *trialChoos
 		out.trials++
 		if tr.found {
 			out.foundAt = out.trials - 1
-			out.schedule = tr.applied
+			// The trial's log is the chooser's buffer; keep a copy.
+			out.schedule = slices.Clone(tr.applied)
 			return out
 		}
 		// Advance the odometer over observed choice counts. Positions

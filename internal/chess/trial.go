@@ -1,7 +1,9 @@
 package chess
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"heisendump/internal/interp"
 	"heisendump/internal/sched"
@@ -43,8 +45,9 @@ func (s *Searcher) runBound() int64 { return s.Opts.PassingSteps*4 + 10000 }
 // preemption to the thread selected by the choice vector. It mutates
 // nothing on the Searcher, so any number of trials may run
 // concurrently as long as each worker owns its machine and chooser.
-// The result's choiceCounts is the chooser's buffer, valid until the
-// chooser's next trial; applied is the trial's own.
+// The result's choiceCounts and applied are the chooser's buffers,
+// valid until the chooser's next trial; applied is nil when no
+// preemption fired. A warm trial allocates nothing.
 func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec []int, maxRun int64) trialResult {
 	m.Reset(m.Prog, m.SeedInput())
 	m.Hooks = nil
@@ -59,12 +62,15 @@ func (s *Searcher) runTrial(m *interp.Machine, c *trialChooser, combo []int, vec
 	// A release c did settle is never the run's last step: Next returns
 	// a runnable thread after one, and its burst clears Released.
 	c.settle(m)
-	return trialResult{
+	res := trialResult{
 		found:        m.Crashed() && s.Target.Matches(m.Crash),
 		steps:        m.TotalSteps,
 		choiceCounts: c.counts,
-		applied:      c.applied,
 	}
+	if len(c.applied) > 0 {
+		res.applied = c.applied
+	}
+	return res
 }
 
 // trialChooser is the schedule search's scheduler for one test run. As
@@ -82,6 +88,9 @@ type trialChooser struct {
 	s     *Searcher
 	combo []int
 	vec   []int
+	// future is the search's future-set index; guided eligibility
+	// reads it.
+	future futureIndex
 
 	// counts and applied are the trial's choice counts and applied
 	// preemptions (see trialResult).
@@ -104,7 +113,7 @@ func (c *trialChooser) start(s *Searcher, combo, vec []int) {
 	clear(c.fired)
 	c.counts = c.counts[:len(combo)]
 	clear(c.counts)
-	c.applied = nil
+	c.applied = c.applied[:0]
 	c.cur = 0
 }
 
@@ -225,7 +234,7 @@ func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
 			// Still blocked; switching to it cannot run it.
 			continue
 		}
-		if c.s.Opts.Guided && !c.s.futureCSVsOf(t.ID, t.Syncs).overlaps(cand.block) {
+		if c.s.Opts.Guided && !c.future.at(t.ID, t.Syncs).overlaps(cand.block) {
 			// Algorithm 2 preempt(): switch to T only when T's future
 			// CSV set overlaps the preempted block's accesses.
 			continue
@@ -236,22 +245,47 @@ func (c *trialChooser) eligible(m *interp.Machine, cand *Candidate) []int {
 	return choices
 }
 
-// futureCSVsOf approximates thread tid's future CSV set at its current
-// sync ordinal using the passing-run annotations: the future set of
-// the thread's candidate at or after that ordinal.
-func (s *Searcher) futureCSVsOf(tid, ordinal int) CSVSet {
-	var best *Candidate
-	for i := range s.Candidates {
-		c := &s.Candidates[i]
-		if c.Thread != tid || c.Seq < ordinal {
-			continue
+// futureIndex lists each thread's candidates, indexed by thread id, in
+// (Seq, Step) order, so a thread's future CSV set at a sync ordinal is
+// a binary search. It is built once per search and only read after.
+type futureIndex [][]futureEntry
+
+type futureEntry struct {
+	seq  int
+	step int64
+	csvs CSVSet
+}
+
+func newFutureIndex(cands []Candidate) futureIndex {
+	var idx futureIndex
+	for i := range cands {
+		c := &cands[i]
+		for len(idx) <= c.Thread {
+			idx = append(idx, nil)
 		}
-		if best == nil || c.Seq < best.Seq || (c.Seq == best.Seq && c.Step < best.Step) {
-			best = c
-		}
+		idx[c.Thread] = append(idx[c.Thread], futureEntry{seq: c.Seq, step: c.Step, csvs: c.FutureCSVs})
 	}
-	if best == nil {
+	for _, es := range idx {
+		// Stable, so candidates tied on (Seq, Step) keep their order
+		// and the first of them wins, as it would in a scan.
+		slices.SortStableFunc(es, func(a, b futureEntry) int {
+			return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.step, b.step))
+		})
+	}
+	return idx
+}
+
+// at approximates thread tid's future CSV set at its sync ordinal from
+// the passing-run annotations: the future set of the thread's first
+// candidate, by Seq and then Step, at or after that ordinal.
+func (f futureIndex) at(tid, ordinal int) CSVSet {
+	if tid >= len(f) {
 		return nil
 	}
-	return best.FutureCSVs
+	es := f[tid]
+	i, _ := slices.BinarySearchFunc(es, ordinal, func(e futureEntry, seq int) int { return cmp.Compare(e.seq, seq) })
+	if i == len(es) {
+		return nil
+	}
+	return es[i].csvs
 }

@@ -100,3 +100,35 @@ func TestTrialConsultationsFollowPreemptions(t *testing.T) {
 	}
 	t.Logf("%d trials, %.1f consultations per trial, at most %d", trials, float64(total)/float64(trials), most)
 }
+
+// TestWarmTrialAllocatesNothing: once a worker's machine and chooser
+// are warm, a trial allocates nothing. The trial is apache-2's under
+// plain CHESS at the first rank whose two preemptions both fire and
+// whose run completes with objects allocated by main and the rotation
+// thread and entries appended through calls (written > 0).
+func TestWarmTrialAllocatesNothing(t *testing.T) {
+	w := workloads.ByName("apache-2")
+	cp, err := w.Compile(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPipeline(cp, w.Input, core.Config{Workers: 1})
+	fail, err := p.ProvokeFailureContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := p.AnalyzeContext(context.Background(), fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.Searcher(fail, an)
+	s.Opts.Guided, s.Opts.Weighted = false, false
+	allocs, applied, objects, ok := chess.WarmTrialAllocs(s, 1000, 2, 3, "written")
+	if !ok {
+		t.Fatal("no rank among the first 1000 fires two preemptions and completes with objects and calls")
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm trial allocates %v times (%d preemptions applied, %d objects)", allocs, applied, objects)
+	}
+	t.Logf("%d preemptions applied, %d objects, 0 allocations", applied, objects)
+}

@@ -239,7 +239,7 @@ func TrialOracle(s *Searcher, ranks, trialsPerRank int, extraBounds []int64) (in
 	wl := newWorklist(s.Candidates, bound, s.Opts.Weighted, s.Opts.Static)
 	got, want := s.NewMachine(), s.NewMachine()
 	sets := newRefSets(s.Candidates)
-	var c trialChooser
+	c := trialChooser{future: newFutureIndex(s.Candidates)}
 	pairs := 0
 	for r := 0; r < wl.size && r < ranks; r++ {
 		combo := wl.at(r)

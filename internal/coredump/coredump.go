@@ -83,9 +83,10 @@ type Dump struct {
 // the dump describes: for a crash, pass the crash thread and PC; for
 // an aligned-point dump, the aligned thread and PC.
 //
-// The machine's slot-addressed storage is re-keyed by source name
-// through the program's name tables, so the dump format — and every
-// traversal path derived from it — is independent of the slot layout.
+// The machine's slot-addressed storage, heap fields included, is
+// re-keyed by source name through the program's name tables, so the
+// dump format — and every traversal path derived from it — is
+// independent of the slot layout.
 func Capture(m *interp.Machine, failingThread int, pc ir.PC, reason string) *Dump {
 	d := &Dump{
 		Program:       m.Prog.Name,
@@ -105,12 +106,13 @@ func Capture(m *interp.Machine, failingThread int, pc ir.PC, reason string) *Dum
 	for slot, name := range m.Prog.ArrayNames {
 		d.Arrays[name] = append([]int64(nil), m.Arrays[slot]...)
 	}
-	for id, obj := range m.Heap {
-		fields := make(map[string]interp.Value, len(obj.Fields))
-		for f, v := range obj.Fields {
-			fields[f] = v
+	for i := range m.Heap {
+		obj := &m.Heap[i]
+		fields := make(map[string]interp.Value, len(obj.Names))
+		for j, name := range obj.Names {
+			fields[m.Prog.BC.Names[name]] = obj.Vals[j]
 		}
-		d.Heap[id] = fields
+		d.Heap[interp.ObjID(i+1)] = fields
 	}
 	for id, name := range m.Prog.Locks {
 		d.Locks[name] = int(m.Locks[id])

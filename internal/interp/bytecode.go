@@ -23,6 +23,11 @@ import (
 //     granularity, traces, crash PCs and candidate sites are therefore
 //     those of the ir instruction stream.
 //
+//   - One dispatch call runs a burst, not a step: a terminal that only
+//     moves the PC goes on to the next instruction inside the call, and
+//     the call returns only where its caller must look at the machine
+//     (see execBC). Step is a burst of one instruction.
+//
 //   - The value stack is scratch space within one step: it is empty at
 //     every instruction boundary, so it lives on the Machine (sized
 //     once from the compile-time Bytecode.MaxStack) and a steady-state
@@ -34,22 +39,12 @@ import (
 //     Traces, slices and the dump aligner are built from hook events,
 //     so hook order is a correctness requirement, not a nicety.
 
-// Step executes one instruction of thread tid. It returns false when
-// the thread could not be stepped (blocked, done, or machine crashed).
-// Runtime faults crash the machine and return true: the faulting
-// instruction was the step.
+// Step executes one instruction of thread tid: a burst that stops at
+// the next step. It returns false when the thread could not be stepped
+// (blocked, done, or machine crashed). Runtime faults crash the machine
+// and return true: the faulting instruction was the step.
 func (m *Machine) Step(tid int) (bool, error) {
-	if m.Crashed() {
-		return false, nil
-	}
-	if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
-		return false, ErrStepLimit
-	}
-	t := m.Threads[tid]
-	if !m.threadRunnable(t) {
-		return false, nil
-	}
-	return m.execBC(t)
+	return m.RunBurst(tid, m.TotalSteps+1, math.MaxInt)
 }
 
 // ensureStack sizes the per-step value stack for prog's deepest
@@ -82,15 +77,16 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 // caller's per-step re-inspection of the machine, which is what makes
 // the run loop fast between the points where its scheduler may switch.
 //
-// Below the horizon the sync boundary costs one compare of the
-// thread's count. At or above it, the count tells whether the last
+// The instructions between two sync operations, calls or spawns run in
+// one dispatch call (execBC), which checks the limit and, at the
+// horizon, the next instruction's sync-ness before each step it goes
+// on to. This loop takes the decisions at the instructions that return
+// from it. Below the horizon the sync boundary costs one compare of
+// the thread's count. At or above it, the count tells whether the last
 // instruction completed a sync operation, and the frame carries its
 // function's ir.BFunc.Sync table, so the next instruction's sync-ness
 // is one load from the frame instead of a decode through the bytecode
-// entry table. The per-instruction dispatch stays a separate call on
-// purpose — merging it into this loop (label + backward goto) makes
-// the frame state loop-carried across the whole opcode switch and
-// costs ~25% in register spills.
+// entry table.
 func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
 	m.released = -1
 	if m.Crashed() {
@@ -112,7 +108,7 @@ func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
 	}
 	syncs := t.Syncs
 	for {
-		ok, err := m.execBC(t)
+		ok, err := m.execBC(t, limit, t.Syncs >= horizon)
 		if !ok || err != nil {
 			return ok, err
 		}
@@ -133,555 +129,560 @@ func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
 	}
 }
 
-// execBC runs the current instruction of t, which the caller has
-// checked is steppable, through the dispatch loop.
-func (m *Machine) execBC(t *Thread) (bool, error) {
+// execBC runs thread t, which the caller has checked is steppable,
+// from its current instruction. The first instruction always runs. A
+// terminal that only moves the PC (a store, move, constant or
+// increment, a branch or jump, a passing assert, output, a return to a
+// caller and its result store) goes on to the next instruction, unless
+// TotalSteps has reached limit or, when the thread is atHorizon, that
+// instruction is an acquire or release. Before each instruction it goes
+// on to, the loop does what a new call would: BeforeInstr fires and
+// Steps and TotalSteps count it. It returns after an acquire, a
+// release, a call, a spawn, the thread's last return and every fault,
+// where the caller re-inspects the machine. The thread's sync count
+// changes only at those returns, so atHorizon holds for the whole call.
+func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 	fr := t.Top()
-	fn := fr.fn
-	bf := fr.code
-	pc := ir.PC{F: fr.FuncIdx, I: fr.PC}
 	hooks := m.Hooks
-
-	if hooks != nil {
-		if t.Steps == 0 {
-			// The thread's entry-function region opens at its first step
-			// (see spawnThread).
-			hooks.OnEnterFunc(t, t.EntryFunc)
-		}
-		hooks.BeforeInstr(t, pc)
+	if hooks != nil && t.Steps == 0 {
+		// The thread's entry-function region opens at its first step
+		// (see spawnThread).
+		hooks.OnEnterFunc(t, t.EntryFunc)
 	}
-	t.Steps++
-	m.TotalSteps++
-
-	code := bf.Code
-	cpc := bf.Entry[fr.PC]
 	consts := m.Prog.BC.Consts
 	st := m.stack
-	sp := 0
 
 	for {
-		c := code[cpc]
-		cpc++
-		switch c.Op {
+		fn := fr.fn
+		code := fr.code.Code
+		cpc := fr.code.Entry[fr.PC]
+		pc := ir.PC{F: fr.FuncIdx, I: fr.PC}
+		if hooks != nil {
+			hooks.BeforeInstr(t, pc)
+		}
+		t.Steps++
+		m.TotalSteps++
+		sp := 0
 
-		// ---- pushes ----
+	dispatch:
+		for {
+			c := code[cpc]
+			cpc++
+			switch c.Op {
 
-		case ir.BConstInt:
-			st[sp] = IntVal(consts[c.A])
-			sp++
+			// ---- pushes ----
 
-		case ir.BConstBool:
-			st[sp] = Value{Kind: KBool, Num: int64(c.A)}
-			sp++
+			case ir.BConstInt:
+				st[sp] = IntVal(consts[c.A])
+				sp++
 
-		case ir.BConstNull:
-			st[sp] = Null
-			sp++
+			case ir.BConstBool:
+				st[sp] = Value{Kind: KBool, Num: int64(c.A)}
+				sp++
 
-		case ir.BLoadLocal:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			st[sp] = fr.Locals[c.A]
-			sp++
+			case ir.BConstNull:
+				st[sp] = Null
+				sp++
 
-		case ir.BLoadGlobal:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			st[sp] = m.Globals[c.A]
-			sp++
+			case ir.BLoadLocal:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
+				st[sp] = fr.Locals[c.A]
+				sp++
 
-		case ir.BLoadIndex:
-			idx := st[sp-1].Num
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			st[sp-1] = IntVal(arr[idx])
+			case ir.BLoadGlobal:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				st[sp] = m.Globals[c.A]
+				sp++
 
-		case ir.BLoadIndexLocal:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			idx := fr.Locals[c.B].Num
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			st[sp] = IntVal(arr[idx])
-			sp++
-
-		case ir.BLoadField:
-			obj := st[sp-1]
-			name := m.Prog.BC.Names[c.A]
-			if obj.Kind != KPtr || obj.Obj() == 0 {
-				m.crash(t, pc, "null pointer dereference")
-				return true, nil
-			}
-			o, ok := m.Heap[obj.Obj()]
-			if !ok {
-				m.crash(t, pc, fmt.Sprintf("dangling pointer obj#%d", obj.Obj()))
-				return true, nil
-			}
-			v, ok := o.Fields[name]
-			if !ok {
-				m.crash(t, pc, fmt.Sprintf("object has no field %q", name))
-				return true, nil
-			}
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VField, Name: name, Obj: obj.Obj()})
-			}
-			st[sp-1] = v
-
-		case ir.BNew:
-			fields := m.Prog.BC.FieldSets[c.A]
-			o := m.newObject(len(fields))
-			for _, f := range fields {
-				o.Fields[f] = IntVal(0)
-			}
-			m.Heap[o.ID] = o
-			st[sp] = PtrVal(o.ID)
-			sp++
-
-		// ---- operators ----
-
-		case ir.BNot:
-			st[sp-1] = BoolVal(!st[sp-1].Bool())
-
-		case ir.BNeg:
-			st[sp-1] = IntVal(-st[sp-1].Num)
-
-		case ir.BBinop:
-			y := st[sp-1]
-			sp--
-			x := st[sp-1]
-			switch ir.ExprOp(c.A) {
-			case ir.ExAdd:
-				st[sp-1] = IntVal(x.Num + y.Num)
-			case ir.ExSub:
-				st[sp-1] = IntVal(x.Num - y.Num)
-			case ir.ExMul:
-				st[sp-1] = IntVal(x.Num * y.Num)
-			case ir.ExDiv:
-				if y.Num == 0 {
-					m.crash(t, pc, "division by zero")
+			case ir.BLoadIndex:
+				idx := st[sp-1].Num
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
 					return true, nil
 				}
-				st[sp-1] = IntVal(x.Num / y.Num)
-			case ir.ExMod:
-				if y.Num == 0 {
-					m.crash(t, pc, "division by zero")
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				st[sp-1] = IntVal(arr[idx])
+
+			case ir.BLoadIndexLocal:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				idx := fr.Locals[c.B].Num
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
 					return true, nil
 				}
-				st[sp-1] = IntVal(x.Num % y.Num)
-			default:
-				st[sp-1] = BoolVal(cmpVals(ir.ExprOp(c.A), x.Num, y.Num))
-			}
-
-		case ir.BCmpLL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, fr.Locals[c.B].Num))
-			sp++
-
-		case ir.BCmpLC:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, consts[c.B]))
-			sp++
-
-		case ir.BCmpLG:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, m.Globals[c.B].Num))
-			sp++
-
-		case ir.BCmpGL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, fr.Locals[c.B].Num))
-			sp++
-
-		case ir.BCmpGC:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, consts[c.B]))
-			sp++
-
-		case ir.BCmpGG:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
-			}
-			st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, m.Globals[c.B].Num))
-			sp++
-
-		// ---- short-circuit control flow ----
-
-		case ir.BAndCheck:
-			v := st[sp-1]
-			sp--
-			if !v.Bool() {
-				st[sp] = BoolVal(false)
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				st[sp] = IntVal(arr[idx])
 				sp++
-				cpc = c.A
-			}
 
-		case ir.BOrCheck:
-			v := st[sp-1]
-			sp--
-			if v.Bool() {
-				st[sp] = BoolVal(true)
+			case ir.BLoadField:
+				obj := st[sp-1]
+				o := m.object(obj)
+				if o == nil {
+					m.badPointer(t, pc, obj)
+					return true, nil
+				}
+				i := o.field(c.A)
+				if i < 0 {
+					m.crash(t, pc, fmt.Sprintf("object has no field %q", m.Prog.BC.Names[c.A]))
+					return true, nil
+				}
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VField, Name: m.Prog.BC.Names[c.A], Obj: obj.Obj()})
+				}
+				st[sp-1] = o.Vals[i]
+
+			case ir.BNew:
+				st[sp] = PtrVal(m.newObject(m.Prog.BC.FieldSets[c.A]))
 				sp++
-				cpc = c.A
-			}
 
-		case ir.BBool:
-			st[sp-1] = BoolVal(st[sp-1].Bool())
+			// ---- operators ----
 
-		// ---- terminals ----
+			case ir.BNot:
+				st[sp-1] = BoolVal(!st[sp-1].Bool())
 
-		// The generic stores also end a call site's bind code (see
-		// BEndReturn), where C is 1: the call already advanced the
-		// caller's PC.
+			case ir.BNeg:
+				st[sp-1] = IntVal(-st[sp-1].Num)
 
-		case ir.BEndAssignLocal:
-			fr.Locals[c.A] = st[sp-1]
-			fr.Live[c.A] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			if c.C == 0 {
+			case ir.BBinop:
+				y := st[sp-1]
+				sp--
+				x := st[sp-1]
+				switch ir.ExprOp(c.A) {
+				case ir.ExAdd:
+					st[sp-1] = IntVal(x.Num + y.Num)
+				case ir.ExSub:
+					st[sp-1] = IntVal(x.Num - y.Num)
+				case ir.ExMul:
+					st[sp-1] = IntVal(x.Num * y.Num)
+				case ir.ExDiv:
+					if y.Num == 0 {
+						m.crash(t, pc, "division by zero")
+						return true, nil
+					}
+					st[sp-1] = IntVal(x.Num / y.Num)
+				case ir.ExMod:
+					if y.Num == 0 {
+						m.crash(t, pc, "division by zero")
+						return true, nil
+					}
+					st[sp-1] = IntVal(x.Num % y.Num)
+				default:
+					st[sp-1] = BoolVal(cmpVals(ir.ExprOp(c.A), x.Num, y.Num))
+				}
+
+			case ir.BCmpLL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, fr.Locals[c.B].Num))
+				sp++
+
+			case ir.BCmpLC:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, consts[c.B]))
+				sp++
+
+			case ir.BCmpLG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, m.Globals[c.B].Num))
+				sp++
+
+			case ir.BCmpGL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, fr.Locals[c.B].Num))
+				sp++
+
+			case ir.BCmpGC:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, consts[c.B]))
+				sp++
+
+			case ir.BCmpGG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, m.Globals[c.B].Num))
+				sp++
+
+			// ---- short-circuit control flow ----
+
+			case ir.BAndCheck:
+				v := st[sp-1]
+				sp--
+				if !v.Bool() {
+					st[sp] = BoolVal(false)
+					sp++
+					cpc = c.A
+				}
+
+			case ir.BOrCheck:
+				v := st[sp-1]
+				sp--
+				if v.Bool() {
+					st[sp] = BoolVal(true)
+					sp++
+					cpc = c.A
+				}
+
+			case ir.BBool:
+				st[sp-1] = BoolVal(st[sp-1].Bool())
+
+			// ---- terminals ----
+
+			// The generic stores also end a call site's bind code (see
+			// BEndReturn), where C is 1: the call already advanced the
+			// caller's PC.
+
+			case ir.BEndAssignLocal:
+				fr.Locals[c.A] = st[sp-1]
+				fr.Live[c.A] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
+				if c.C == 0 {
+					fr.PC++
+				}
+				break dispatch
+
+			case ir.BEndAssignGlobal:
+				m.Globals[c.A] = st[sp-1]
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				if c.C == 0 {
+					fr.PC++
+				}
+				break dispatch
+
+			case ir.BEndAssignArray:
+				idx := st[sp-1].Num
+				v := st[sp-2]
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
+					return true, nil
+				}
+				arr[idx] = v.Num
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				if c.C == 0 {
+					fr.PC++
+				}
+				break dispatch
+
+			case ir.BEndAssignArrayLocal:
+				v := st[sp-1]
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				idx := fr.Locals[c.B].Num
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
+					return true, nil
+				}
+				arr[idx] = v.Num
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				if c.C == 0 {
+					fr.PC++
+				}
+				break dispatch
+
+			case ir.BEndAssignField:
+				obj := st[sp-1]
+				v := st[sp-2]
+				o := m.object(obj)
+				if o == nil {
+					m.badPointer(t, pc, obj)
+					return true, nil
+				}
+				if i := o.field(c.A); i >= 0 {
+					o.Vals[i] = v
+				} else {
+					// A store to a field the object lacks adds it. The names
+					// are copied first: the compiled set is shared.
+					o.Names = append(o.Names[:len(o.Names):len(o.Names)], c.A)
+					o.Vals = append(o.Vals, v)
+				}
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VField, Name: m.Prog.BC.Names[c.A], Obj: obj.Obj()})
+				}
+				if c.C == 0 {
+					fr.PC++
+				}
+				break dispatch
+
+			case ir.BEndMoveLL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				fr.Locals[c.A] = fr.Locals[c.B]
+				fr.Live[c.A] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
 				fr.PC++
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndAssignGlobal:
-			m.Globals[c.A] = st[sp-1]
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			if c.C == 0 {
+			case ir.BEndMoveLG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				fr.Locals[c.A] = m.Globals[c.B]
+				fr.Live[c.A] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
 				fr.PC++
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndAssignArray:
-			idx := st[sp-1].Num
-			v := st[sp-2]
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			arr[idx] = v.Num
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			if c.C == 0 {
+			case ir.BEndMoveGL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				m.Globals[c.A] = fr.Locals[c.B]
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
 				fr.PC++
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndAssignArrayLocal:
-			v := st[sp-1]
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			idx := fr.Locals[c.B].Num
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			arr[idx] = v.Num
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			if c.C == 0 {
+			case ir.BEndMoveGG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				m.Globals[c.A] = m.Globals[c.B]
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
 				fr.PC++
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndAssignField:
-			obj := st[sp-1]
-			v := st[sp-2]
-			name := m.Prog.BC.Names[c.A]
-			if obj.Kind != KPtr || obj.Obj() == 0 {
-				m.crash(t, pc, "null pointer dereference")
-				return true, nil
-			}
-			o, ok := m.Heap[obj.Obj()]
-			if !ok {
-				m.crash(t, pc, fmt.Sprintf("dangling pointer obj#%d", obj.Obj()))
-				return true, nil
-			}
-			o.Fields[name] = v
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VField, Name: name, Obj: obj.Obj()})
-			}
-			if c.C == 0 {
+			case ir.BEndConstL:
+				fr.Locals[c.A] = IntVal(consts[c.B])
+				fr.Live[c.A] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
 				fr.PC++
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndMoveLL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			fr.Locals[c.A] = fr.Locals[c.B]
-			fr.Live[c.A] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndConstG:
+				m.Globals[c.A] = IntVal(consts[c.B])
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				fr.PC++
+				break dispatch
 
-		case ir.BEndMoveLG:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
-			}
-			fr.Locals[c.A] = m.Globals[c.B]
-			fr.Live[c.A] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndIncL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				fr.Locals[c.A] = IntVal(fr.Locals[c.B].Num + consts[c.C])
+				fr.Live[c.A] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+				}
+				fr.PC++
+				break dispatch
 
-		case ir.BEndMoveGL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			m.Globals[c.A] = fr.Locals[c.B]
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndIncG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				m.Globals[c.A] = IntVal(m.Globals[c.B].Num + consts[c.C])
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				fr.PC++
+				break dispatch
 
-		case ir.BEndMoveGG:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
-			}
-			m.Globals[c.A] = m.Globals[c.B]
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndArrToL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
+				}
+				idx := fr.Locals[c.C].Num
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
+					return true, nil
+				}
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				fr.Locals[c.B] = IntVal(arr[idx])
+				fr.Live[c.B] = true
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				fr.PC++
+				break dispatch
 
-		case ir.BEndConstL:
-			fr.Locals[c.A] = IntVal(consts[c.B])
-			fr.Live[c.A] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndLToArr:
+				// RHS first (the stored local), then the index local —
+				// the source evaluation order of arr[i] = v.
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
+				}
+				v := fr.Locals[c.C]
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				idx := fr.Locals[c.B].Num
+				arr := m.Arrays[c.A]
+				if idx < 0 || idx >= int64(len(arr)) {
+					m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
+					return true, nil
+				}
+				arr[idx] = v.Num
+				if hooks != nil {
+					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+				}
+				fr.PC++
+				break dispatch
 
-		case ir.BEndConstG:
-			m.Globals[c.A] = IntVal(consts[c.B])
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			fr.PC++
-			return true, nil
+			case ir.BEndBranch:
+				taken := st[sp-1].Bool()
+				if hooks != nil {
+					hooks.OnBranch(t, pc, taken)
+				}
+				if taken {
+					fr.PC = int(c.A)
+				} else {
+					fr.PC = int(c.B)
+				}
+				break dispatch
 
-		case ir.BEndIncL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			fr.Locals[c.A] = IntVal(fr.Locals[c.B].Num + consts[c.C])
-			fr.Live[c.A] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-			}
-			fr.PC++
-			return true, nil
-
-		case ir.BEndIncG:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
-			}
-			m.Globals[c.A] = IntVal(m.Globals[c.B].Num + consts[c.C])
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-			}
-			fr.PC++
-			return true, nil
-
-		case ir.BEndArrToL:
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
-			}
-			idx := fr.Locals[c.C].Num
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			fr.Locals[c.B] = IntVal(arr[idx])
-			fr.Live[c.B] = true
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			fr.PC++
-			return true, nil
-
-		case ir.BEndLToArr:
-			// RHS first (the stored local), then the index local —
-			// the source evaluation order of arr[i] = v.
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
-			}
-			v := fr.Locals[c.C]
-			if hooks != nil {
-				hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
-			}
-			idx := fr.Locals[c.B].Num
-			arr := m.Arrays[c.A]
-			if idx < 0 || idx >= int64(len(arr)) {
-				m.crash(t, pc, fmt.Sprintf("index %d out of bounds for %s[%d]", idx, m.Prog.ArrayNames[c.A], len(arr)))
-				return true, nil
-			}
-			arr[idx] = v.Num
-			if hooks != nil {
-				hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
-			}
-			fr.PC++
-			return true, nil
-
-		case ir.BEndBranch:
-			taken := st[sp-1].Bool()
-			if hooks != nil {
-				hooks.OnBranch(t, pc, taken)
-			}
-			if taken {
+			case ir.BEndJump:
 				fr.PC = int(c.A)
-			} else {
-				fr.PC = int(c.B)
-			}
-			return true, nil
+				break dispatch
 
-		case ir.BEndJump:
-			fr.PC = int(c.A)
-			return true, nil
+			case ir.BEndCall:
+				fr.PC++ // resume after the call on return
+				callee := m.newFrame(int(c.A), st[:c.B], pc)
+				callee.bind = c.C
+				t.Frames = append(t.Frames, callee)
+				if hooks != nil {
+					hooks.OnEnterFunc(t, int(c.A))
+				}
+				return true, nil
 
-		case ir.BEndCall:
-			fr.PC++ // resume after the call on return
-			callee := m.newFrame(int(c.A), st[:c.B], pc)
-			callee.bind = c.C
-			t.Frames = append(t.Frames, callee)
-			if hooks != nil {
-				hooks.OnEnterFunc(t, int(c.A))
-			}
-			return true, nil
+			case ir.BEndReturn:
+				var ret Value
+				if c.A != 0 {
+					ret = st[sp-1]
+				}
+				exited, bind := fr.FuncIdx, fr.bind
+				t.Frames = t.Frames[:len(t.Frames)-1]
+				m.freeFrame(fr)
+				if hooks != nil {
+					hooks.OnExitFunc(t, exited)
+				}
+				if len(t.Frames) == 0 {
+					t.Status = Done
+					m.live--
+					m.runnableOK = false
+					return true, nil
+				}
+				fr = t.Frames[len(t.Frames)-1]
+				if bind == 0 {
+					break dispatch
+				}
+				// Store the call result within this step: run the call
+				// site's bind code on the caller's frame, with the result
+				// on the stack. Its index and object reads fire now, after
+				// the callee's exit, and a fault reports the return's pc.
+				fn = fr.fn
+				code = fr.code.Code
+				cpc = bind
+				st[0] = ret
+				sp = 1
 
-		case ir.BEndReturn:
-			var ret Value
-			if c.A != 0 {
-				ret = st[sp-1]
-			}
-			exited, bind := fr.FuncIdx, fr.bind
-			t.Frames = t.Frames[:len(t.Frames)-1]
-			m.freeFrame(fr)
-			if hooks != nil {
-				hooks.OnExitFunc(t, exited)
-			}
-			if len(t.Frames) == 0 {
-				t.Status = Done
-				m.live--
+			case ir.BEndAcquire:
 				m.runnableOK = false
+				holder := m.Locks[c.A]
+				switch holder {
+				case -1:
+					m.Locks[c.A] = int32(t.ID)
+					t.Syncs++
+					t.Status = Runnable
+					t.WaitLock = -1
+					fr.PC++
+				case int32(t.ID):
+					m.crash(t, pc, fmt.Sprintf("recursive acquire of lock %q", m.Prog.Locks[c.A]))
+				default:
+					// The step observed the lock held; the thread blocks
+					// without advancing. The observation still counts as a
+					// step so spin-free progress accounting stays simple.
+					t.Status = Blocked
+					t.WaitLock = c.A
+				}
 				return true, nil
-			}
-			if bind == 0 {
-				return true, nil
-			}
-			// Store the call result within this step: run the call
-			// site's bind code on the caller's frame, with the result
-			// on the stack. Its index and object reads fire now, after
-			// the callee's exit, and a fault reports the return's pc.
-			fr = t.Frames[len(t.Frames)-1]
-			fn = fr.fn
-			code = fr.code.Code
-			cpc = bind
-			st[0] = ret
-			sp = 1
 
-		case ir.BEndAcquire:
-			m.runnableOK = false
-			holder := m.Locks[c.A]
-			switch holder {
-			case -1:
-				m.Locks[c.A] = int32(t.ID)
+			case ir.BEndRelease:
 				t.Syncs++
-				t.Status = Runnable
-				t.WaitLock = -1
+				m.released = m.TotalSteps
+				if m.Locks[c.A] != int32(t.ID) {
+					m.crash(t, pc, fmt.Sprintf("release of lock %q not held by thread %d", m.Prog.Locks[c.A], t.ID))
+					return true, nil
+				}
+				m.Locks[c.A] = -1
+				m.runnableOK = false
 				fr.PC++
-			case int32(t.ID):
-				m.crash(t, pc, fmt.Sprintf("recursive acquire of lock %q", m.Prog.Locks[c.A]))
+				return true, nil
+
+			case ir.BEndSpawn:
+				fr.PC++
+				m.spawnThread(int(c.A), st[:c.B])
+				return true, nil
+
+			case ir.BEndAssert:
+				if !st[sp-1].Bool() {
+					m.crash(t, pc, "assertion failed: "+fn.Instrs[fr.PC].Msg)
+					return true, nil
+				}
+				fr.PC++
+				break dispatch
+
+			case ir.BEndOutput:
+				m.Output = append(m.Output, st[sp-1].Num)
+				fr.PC++
+				break dispatch
+
 			default:
-				// The step observed the lock held; the thread blocks
-				// without advancing. The observation still counts as a
-				// step so spin-free progress accounting stays simple.
-				t.Status = Blocked
-				t.WaitLock = c.A
+				return false, fmt.Errorf("interp: unknown bytecode op %v at %v", c.Op, pc)
 			}
+		}
+		if m.TotalSteps >= limit || (atHorizon && fr.sync[fr.PC] != 0) {
 			return true, nil
-
-		case ir.BEndRelease:
-			t.Syncs++
-			m.released = m.TotalSteps
-			if m.Locks[c.A] != int32(t.ID) {
-				m.crash(t, pc, fmt.Sprintf("release of lock %q not held by thread %d", m.Prog.Locks[c.A], t.ID))
-				return true, nil
-			}
-			m.Locks[c.A] = -1
-			m.runnableOK = false
-			fr.PC++
-			return true, nil
-
-		case ir.BEndSpawn:
-			fr.PC++
-			m.spawnThread(int(c.A), st[:c.B])
-			return true, nil
-
-		case ir.BEndAssert:
-			if !st[sp-1].Bool() {
-				m.crash(t, pc, "assertion failed: "+fn.Instrs[fr.PC].Msg)
-				return true, nil
-			}
-			fr.PC++
-			return true, nil
-
-		case ir.BEndOutput:
-			m.Output = append(m.Output, st[sp-1].Num)
-			fr.PC++
-			return true, nil
-
-		default:
-			return false, fmt.Errorf("interp: unknown bytecode op %v at %v", c.Op, pc)
 		}
 	}
 }

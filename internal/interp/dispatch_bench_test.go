@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"math"
 	"testing"
 
 	"heisendump/internal/interp"
@@ -14,8 +15,13 @@ import (
 // superinstruction changes are measurable in isolation (the "ns/step"
 // metric; lower is better). Each shape is a tiny single-thread program
 // whose steady-state steps are overwhelmingly of one kind; the
-// measured loop is Reset + run-to-completion, the schedule search's
-// trial regime, so free lists are warm and steps allocate nothing.
+// measured loop is Reset + run-to-completion, so free lists are warm
+// and steps allocate nothing. Each shape has two legs:
+//
+//	step  — one Step call per instruction, the stress regime (the
+//	        Random scheduler and the Replayer ask before every step)
+//	burst — one RunBurst call to completion, the regime of search
+//	        trials and cooperative runs
 //
 // Shapes:
 //
@@ -144,34 +150,43 @@ func main() {
 		if err != nil {
 			b.Fatalf("%s: compile: %v", s.name, err)
 		}
-		b.Run(s.name, func(b *testing.B) {
-			m := interp.New(cp, nil)
-			if res := sched.Run(m, sched.NewCooperative()); res.Crashed {
-				b.Fatalf("warm-up run crashed: %v", res.Crash)
-			}
-			b.ReportAllocs()
-			var steps int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset(cp, nil)
-				for {
-					ok, err := m.Step(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					steps++
+		for _, leg := range []struct {
+			name string
+			// run executes one step or one burst of the main thread.
+			run func(m *interp.Machine) (bool, error)
+		}{
+			{"step", func(m *interp.Machine) (bool, error) { return m.Step(0) }},
+			{"burst", func(m *interp.Machine) (bool, error) { return m.RunBurst(0, 0, math.MaxInt) }},
+		} {
+			b.Run(s.name+"/"+leg.name, func(b *testing.B) {
+				m := interp.New(cp, nil)
+				if res := sched.Run(m, sched.NewCooperative()); res.Crashed {
+					b.Fatalf("warm-up run crashed: %v", res.Crash)
 				}
-			}
-			b.StopTimer()
-			if m.Crashed() {
-				b.Fatalf("crashed: %v", m.Crash)
-			}
-			if steps > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-			}
-		})
+				b.ReportAllocs()
+				var steps int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Reset(cp, nil)
+					for !m.Done() {
+						ok, err := leg.run(m)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+					}
+					steps += m.TotalSteps
+				}
+				b.StopTimer()
+				if m.Crashed() || !m.Done() {
+					b.Fatalf("run did not finish: crash %v", m.Crash)
+				}
+				if steps > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+				}
+			})
+		}
 	}
 }

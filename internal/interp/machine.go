@@ -208,15 +208,16 @@ type Input struct {
 
 // Machine executes one program instance. Storage is slot-addressed:
 // Globals[i] is the scalar named Prog.ScalarNames[i], Arrays[i] the
-// array named Prog.ArrayNames[i], and Locks[i] the holder of the lock
-// named Prog.Locks[i]. Use Global/ArrayByName/LockHolder for
-// name-keyed access in tests and tools.
+// array named Prog.ArrayNames[i], Heap[i] the object with ObjID i+1,
+// and Locks[i] the holder of the lock named Prog.Locks[i]. Use
+// Global/ArrayByName/LockHolder for name-keyed access in tests and
+// tools.
 type Machine struct {
 	Prog *ir.Program
 
 	Globals []Value
 	Arrays  [][]int64
-	Heap    map[ObjID]*Object
+	Heap    []Object
 	Locks   []int32 // holder thread id by lock id, -1 when free
 	Threads []*Thread
 
@@ -237,7 +238,6 @@ type Machine struct {
 	MaxSteps int64
 
 	input     *Input
-	nextObj   ObjID
 	nextFrame int64
 
 	// stack is the dispatch loop's per-step value scratch space, sized
@@ -246,10 +246,10 @@ type Machine struct {
 
 	// Free lists recycle the per-run allocations across Reset calls, so
 	// a machine re-executing millions of schedule-search trials reaches
-	// a steady state with zero per-step allocations.
+	// a steady state with zero per-step allocations. Heap objects need
+	// none: Reset truncates Heap, and a `new` reuses the slot's storage.
 	freeFrames  []*Frame
 	freeThreads []*Thread
-	freeObjs    []*Object
 
 	// live counts the threads that have not finished, so Done is O(1).
 	live int
@@ -281,7 +281,7 @@ var ErrDeadlock = fmt.Errorf("interp: deadlock")
 
 // New creates a machine with the main thread ready to run.
 func New(prog *ir.Program, in *Input) *Machine {
-	m := &Machine{Heap: map[ObjID]*Object{}}
+	m := &Machine{}
 	m.Reset(prog, in)
 	return m
 }
@@ -370,13 +370,9 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 		m.Locks[i] = -1
 	}
 
-	// Return every live heap object, thread and frame to the free
-	// lists before anything is rebuilt.
-	for _, obj := range m.Heap {
-		clear(obj.Fields)
-		m.freeObjs = append(m.freeObjs, obj)
-	}
-	clear(m.Heap)
+	// Drop the heap objects, keeping their storage, and return every
+	// thread and frame to the free lists before anything is rebuilt.
+	m.Heap = m.Heap[:0]
 	for _, t := range m.Threads {
 		m.freeFrames = append(m.freeFrames, t.Frames...)
 		t.Frames = t.Frames[:0]
@@ -390,7 +386,6 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 	m.Crash = nil
 	m.TotalSteps = 0
 	m.released = -1
-	m.nextObj = 1
 	m.nextFrame = 0
 
 	m.ensureStack(prog)
@@ -469,19 +464,45 @@ func (m *Machine) freeFrame(fr *Frame) {
 	m.freeFrames = append(m.freeFrames, fr)
 }
 
-// newObject draws a heap object from the free list (the Reset cycle
-// recycles them) or allocates a fresh one.
-func (m *Machine) newObject(nFields int) *Object {
-	var o *Object
-	if n := len(m.freeObjs); n > 0 {
-		o = m.freeObjs[n-1]
-		m.freeObjs = m.freeObjs[:n-1]
+// newObject appends an object with the compiled field set names, all
+// zero, to the heap and returns its id. The slot's storage from an
+// earlier run is reused, so a warm machine allocates nothing.
+func (m *Machine) newObject(names []int32) ObjID {
+	n := len(m.Heap)
+	if n < cap(m.Heap) {
+		m.Heap = m.Heap[:n+1]
 	} else {
-		o = &Object{Fields: make(map[string]Value, nFields)}
+		m.Heap = append(m.Heap, Object{})
 	}
-	o.ID = m.nextObj
-	m.nextObj++
-	return o
+	o := &m.Heap[n]
+	o.Names = names
+	if cap(o.Vals) < len(names) {
+		o.Vals = make([]Value, len(names))
+	}
+	o.Vals = o.Vals[:len(names)]
+	for i := range o.Vals {
+		o.Vals[i] = IntVal(0)
+	}
+	return ObjID(n + 1)
+}
+
+// object returns the object p points to, or nil when p is null, not a
+// pointer or dangling; badPointer then records the fault.
+func (m *Machine) object(p Value) *Object {
+	if i := uint64(p.Num - 1); p.Kind == KPtr && i < uint64(len(m.Heap)) {
+		return &m.Heap[i]
+	}
+	return nil
+}
+
+// badPointer crashes the machine on a dereference of p, which object
+// refused.
+func (m *Machine) badPointer(t *Thread, pc ir.PC, p Value) {
+	if p.Kind != KPtr || p.Obj() == 0 {
+		m.crash(t, pc, "null pointer dereference")
+		return
+	}
+	m.crash(t, pc, fmt.Sprintf("dangling pointer obj#%d", p.Obj()))
 }
 
 // Global returns the value of the named global scalar, or the zero

@@ -20,6 +20,7 @@ import (
 	"reflect"
 	"testing"
 
+	"heisendump/internal/coredump"
 	"heisendump/internal/gen"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
@@ -812,5 +813,173 @@ func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// heapCase is one program of the heap-field comparison. dangle names a
+// pointer global that both engines seed, before the run, with a
+// pointer to object 5, which the program never allocates: no program
+// can forge such a pointer. crash is the run's expected crash reason,
+// "" when it finishes.
+type heapCase struct {
+	refCase
+	dangle string
+	crash  string
+}
+
+// heapCases pin the heap's field semantics, which no workload
+// exercises: a store to a field the object's `new` did not list adds
+// it to that object alone, a read of a field the object has neither
+// listed nor stored crashes, and null and dangling dereferences crash,
+// on a load and on a store.
+var heapCases = []heapCase{
+	{refCase: refCase{name: "heap-grow", source: `
+program heapgrow;
+global ptr p;
+global ptr q;
+global int got;
+func main() {
+    p = new(a, b);
+    q = new(b, a, b);
+    p.c = 7;
+    p.a = p.c + 1;
+    q.b = 2;
+    got = p.c + p.a + q.b;
+    p.c = got;
+    q.d = p.c;
+}
+`}},
+	{refCase: refCase{name: "heap-nofield", source: `
+program heapnofield;
+global ptr p;
+global ptr q;
+global int got;
+func main() {
+    p = new(a, b);
+    q = new(a, b);
+    p.c = 1;
+    got = p.c;
+    got = q.c;
+}
+`}, crash: `object has no field "c"`},
+	{refCase: refCase{name: "heap-null-load", source: `
+program heapnullload;
+global ptr p;
+global int got;
+func main() {
+    got = 1;
+    got = p.a;
+}
+`}, crash: "null pointer dereference"},
+	{refCase: refCase{name: "heap-null-store", source: `
+program heapnullstore;
+global ptr p;
+func main() {
+    p = new(a);
+    p.a = 1;
+    p = null;
+    p.a = 2;
+}
+`}, crash: "null pointer dereference"},
+	{refCase: refCase{name: "heap-dangling-load", source: `
+program heapdanglingload;
+global ptr p;
+global ptr q;
+global int got;
+func main() {
+    q = new(a);
+    got = q.a;
+    got = p.a;
+}
+`}, dangle: "p", crash: "dangling pointer obj#5"},
+	{refCase: refCase{name: "heap-dangling-store", source: `
+program heapdanglingstore;
+global ptr p;
+global ptr q;
+func main() {
+    q = new(a);
+    q.a = 1;
+    p.a = 2;
+}
+`}, dangle: "p", crash: "dangling pointer obj#5"},
+}
+
+// TestHeapFieldsMatchNameMap runs each heap case on the machine and on
+// the name-map reference, whose heap is a map of field-name maps, and
+// requires the same trace, accesses, crash and output, the expected
+// crash, and a captured heap equal to the reference's, so a field a
+// store added shows in the dump under its name.
+func TestHeapFieldsMatchNameMap(t *testing.T) {
+	for _, hc := range heapCases {
+		t.Run(hc.name, func(t *testing.T) {
+			for _, instrument := range []bool{false, true} {
+				prog, err := progcache.Shared().Get(hc.source, instrument)
+				if err != nil {
+					t.Fatalf("compile(instrument=%v): %v", instrument, err)
+				}
+				// Run once and rewind, so the measured run reuses the
+				// heap slots, grown ones included.
+				m := interp.New(prog, hc.input)
+				sched.Run(m, sched.NewCooperative())
+				m.Reset(prog, hc.input)
+				ref := newRefMachine(prog, hc.input)
+				if hc.dangle != "" {
+					m.Globals[prog.GlobalSlot(hc.dangle)] = interp.PtrVal(5)
+					ref.globals[hc.dangle] = interp.PtrVal(5)
+				}
+				rec := trace.NewRecorder()
+				m.Hooks = rec
+				res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
+				got := refRun{events: rec.Events, crash: m.Crash, output: m.Output}
+				for i := range rec.Events {
+					var reads, writes []interp.VarID
+					for _, id := range rec.Reads(i) {
+						reads = append(reads, rec.Vars[id])
+					}
+					for _, id := range rec.Writes(i) {
+						writes = append(writes, rec.Vars[id])
+					}
+					got.reads = append(got.reads, reads)
+					got.writes = append(got.writes, writes)
+				}
+				log := &accessLog{Recorder: trace.NewRecorder()}
+				ref.hooks = log
+				ref.replay(res.Schedule)
+				want := refRun{events: log.Events, reads: log.reads, writes: log.writes, crash: ref.crash, output: ref.output}
+				label := fmt.Sprintf("instrument=%v", instrument)
+				compareRuns(t, label, got, want)
+				switch {
+				case hc.crash == "" && m.Crash != nil:
+					t.Fatalf("%s: crashed: %v", label, m.Crash)
+				case hc.crash != "" && (m.Crash == nil || m.Crash.Reason != hc.crash):
+					t.Fatalf("%s: crash %v, want %q", label, m.Crash, hc.crash)
+				}
+				d := coredump.Capture(m, 0, ir.PC{}, "heap")
+				if !reflect.DeepEqual(d.Heap, ref.heap) {
+					t.Fatalf("%s: captured heap %v, name-map heap %v", label, d.Heap, ref.heap)
+				}
+			}
+		})
+	}
+}
+
+// TestCaptureNamesGrownFields: heap-grow's first object gains c and
+// its second d, each by a store; the dump names them, and neither
+// object shows the other's.
+func TestCaptureNamesGrownFields(t *testing.T) {
+	prog, err := progcache.Shared().Get(heapCases[0].source, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := interp.New(prog, nil)
+	if res := sched.Run(m, sched.NewCooperative()); res.Outcome() != sched.OutcomeDone {
+		t.Fatalf("outcome %v: %v", res.Outcome(), res.Crash)
+	}
+	want := map[interp.ObjID]map[string]interp.Value{
+		1: {"a": interp.IntVal(8), "b": interp.IntVal(0), "c": interp.IntVal(17)},
+		2: {"a": interp.IntVal(0), "b": interp.IntVal(2), "d": interp.IntVal(17)},
+	}
+	if d := coredump.Capture(m, 0, ir.PC{}, "heap"); !reflect.DeepEqual(d.Heap, want) {
+		t.Fatalf("captured heap %v, want %v", d.Heap, want)
 	}
 }

@@ -78,8 +78,23 @@ func (v Value) String() string {
 // ObjID identifies a heap object; 0 is reserved for null.
 type ObjID int64
 
-// Object is a heap record with named fields.
+// Object is a heap record. Its fields are addressed by position:
+// Names[i] names field i by its id in the program's field-name pool
+// (ir.Bytecode.Names) and Vals[i] holds its value, in `new` order. A
+// store to a field the object lacks appends it, so Names starts as the
+// compiled field set and is copied only when the object grows.
 type Object struct {
-	ID     ObjID
-	Fields map[string]Value
+	Names []int32
+	Vals  []Value
+}
+
+// field returns the position of the field with name id, or -1. A `new`
+// names one to a few fields, so a scan beats any lookup structure.
+func (o *Object) field(id int32) int {
+	for i, n := range o.Names {
+		if n == id {
+			return i
+		}
+	}
+	return -1
 }

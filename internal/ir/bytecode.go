@@ -1,5 +1,10 @@
 package ir
 
+import (
+	"slices"
+	"strings"
+)
+
 // This file is the bytecode backend: a Compile-stage pass that lowers
 // the resolved Expr/LValue trees of each instruction into a flat
 // []Code array, the only form the interpreter executes (interp's
@@ -39,7 +44,8 @@ package ir
 //
 //   - Constants are interned into a per-program pool (Bytecode.Consts)
 //     so operands stay int32 while literals keep their full int64
-//     range. Field and string operands intern into Names/FieldSets.
+//     range. Field names intern into Names, and each `new`'s field
+//     list into FieldSets as a list of those names' ids.
 //
 //   - Src is the per-op source map: Src[pc] is the ir instruction
 //     index the op was lowered from, so diagnostics and profilers can
@@ -242,8 +248,9 @@ type Bytecode struct {
 	Consts []int64
 	// Names is the string pool for field names.
 	Names []string
-	// FieldSets holds the field-name lists of `new` expressions.
-	FieldSets [][]string
+	// FieldSets holds the field lists of `new` expressions as ids into
+	// Names, in source order with repeats dropped.
+	FieldSets [][]int32
 	// MaxStack is the maximum BFunc.MaxStack across functions, so one
 	// machine-level stack allocation covers every frame.
 	MaxStack int32
@@ -251,6 +258,7 @@ type Bytecode struct {
 	// intern maps, used only during compilation.
 	constIdx map[int64]int32
 	nameIdx  map[string]int32
+	setIdx   map[string]int32
 }
 
 // RefreshBytecode recompiles the program's bytecode image from its
@@ -267,11 +275,12 @@ func compileBytecode(p *Program) *Bytecode {
 	bc := &Bytecode{
 		constIdx: map[int64]int32{},
 		nameIdx:  map[string]int32{},
+		setIdx:   map[string]int32{},
 	}
 	for _, fn := range p.Funcs {
 		bc.Funcs = append(bc.Funcs, bc.lowerFunc(fn))
 	}
-	bc.constIdx, bc.nameIdx = nil, nil
+	bc.constIdx, bc.nameIdx, bc.setIdx = nil, nil, nil
 	return bc
 }
 
@@ -296,23 +305,21 @@ func (bc *Bytecode) nameOf(s string) int32 {
 }
 
 func (bc *Bytecode) fieldSetOf(fields []string) int32 {
-	// Field sets are tiny and rare; linear dedup is fine.
-	for i, fs := range bc.FieldSets {
-		if len(fs) == len(fields) {
-			same := true
-			for j := range fs {
-				if fs[j] != fields[j] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return int32(i)
-			}
+	ids := make([]int32, 0, len(fields))
+	for _, f := range fields {
+		if id := bc.nameOf(f); !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
 	}
-	bc.FieldSets = append(bc.FieldSets, fields)
-	return int32(len(bc.FieldSets) - 1)
+	// Field names are identifiers, so a comma-joined list keys a set.
+	key := strings.Join(fields, ",")
+	if i, ok := bc.setIdx[key]; ok {
+		return i
+	}
+	i := int32(len(bc.FieldSets))
+	bc.FieldSets = append(bc.FieldSets, ids)
+	bc.setIdx[key] = i
+	return i
 }
 
 // bfcomp lowers one function.
