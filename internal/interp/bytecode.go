@@ -39,8 +39,8 @@ import (
 //     Traces, slices and the dump aligner are built from hook events,
 //     so hook order is a correctness requirement, not a nicety.
 
-// Step executes one instruction of thread tid: a burst that stops at
-// the next step. It returns false when the thread could not be stepped
+// Step executes one instruction of thread tid: a burst limited to one
+// step. It returns false when the thread could not be stepped
 // (blocked, done, or machine crashed). Runtime faults crash the machine
 // and return true: the faulting instruction was the step.
 func (m *Machine) Step(tid int) (bool, error) {

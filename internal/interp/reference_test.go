@@ -601,8 +601,12 @@ func (l *accessLog) OnWrite(t *interp.Thread, v interp.VarID) {
 
 // runReference replays schedule on a fresh reference machine.
 func runReference(prog *ir.Program, in *interp.Input, schedule []int) refRun {
+	return replayReference(newRefMachine(prog, in), schedule)
+}
+
+// replayReference replays schedule on m, logging its accesses.
+func replayReference(m *refMachine, schedule []int) refRun {
 	log := &accessLog{Recorder: trace.NewRecorder()}
-	m := newRefMachine(prog, in)
 	m.hooks = log
 	m.replay(schedule)
 	return refRun{events: log.Events, reads: log.reads, writes: log.writes, crash: m.crash, output: m.output}
@@ -611,17 +615,24 @@ func runReference(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 // runSlot executes schedule on the slot-addressed machine. The machine
 // is built once and Reset before the run, so the round-trip also
 // exercises the reset/free-list lifecycle rather than only a virgin
-// machine. Its reads and writes are the recorder's, resolved to
-// variables.
+// machine.
 func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	m := interp.New(prog, in)
 	// Burn one partial run, then rewind: the post-Reset state must be
 	// indistinguishable from a fresh machine.
 	sched.BoundedRun(m, sched.NewCooperative(), 25)
 	m.Reset(prog, in)
+	out, _ := recordSlot(m, sched.NewReplayer(schedule))
+	return out
+}
+
+// recordSlot runs m under s with a recorder attached. It returns the
+// run, with its reads and writes the recorder's resolved to variables,
+// and the schedule it took.
+func recordSlot(m *interp.Machine, s sched.Scheduler) (refRun, []int) {
 	rec := trace.NewRecorder()
 	m.Hooks = rec
-	sched.Run(m, sched.NewReplayer(schedule))
+	res := sched.Runner{Record: true}.Run(m, s)
 	out := refRun{events: rec.Events, crash: m.Crash, output: m.Output}
 	vars := func(ids []int32) []interp.VarID {
 		var vs []interp.VarID
@@ -634,7 +645,7 @@ func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 		out.reads = append(out.reads, vars(rec.Reads(i)))
 		out.writes = append(out.writes, vars(rec.Writes(i)))
 	}
-	return out
+	return out, res.Schedule
 }
 
 // schedulesFor produces the deterministic and a handful of random
@@ -927,27 +938,9 @@ func TestHeapFieldsMatchNameMap(t *testing.T) {
 					m.Globals[prog.GlobalSlot(hc.dangle)] = interp.PtrVal(5)
 					ref.globals[hc.dangle] = interp.PtrVal(5)
 				}
-				rec := trace.NewRecorder()
-				m.Hooks = rec
-				res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
-				got := refRun{events: rec.Events, crash: m.Crash, output: m.Output}
-				for i := range rec.Events {
-					var reads, writes []interp.VarID
-					for _, id := range rec.Reads(i) {
-						reads = append(reads, rec.Vars[id])
-					}
-					for _, id := range rec.Writes(i) {
-						writes = append(writes, rec.Vars[id])
-					}
-					got.reads = append(got.reads, reads)
-					got.writes = append(got.writes, writes)
-				}
-				log := &accessLog{Recorder: trace.NewRecorder()}
-				ref.hooks = log
-				ref.replay(res.Schedule)
-				want := refRun{events: log.Events, reads: log.reads, writes: log.writes, crash: ref.crash, output: ref.output}
+				got, schedule := recordSlot(m, sched.NewCooperative())
 				label := fmt.Sprintf("instrument=%v", instrument)
-				compareRuns(t, label, got, want)
+				compareRuns(t, label, got, replayReference(ref, schedule))
 				switch {
 				case hc.crash == "" && m.Crash != nil:
 					t.Fatalf("%s: crashed: %v", label, m.Crash)
