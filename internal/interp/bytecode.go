@@ -426,9 +426,11 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 				if i := o.field(c.A); i >= 0 {
 					o.Vals[i] = v
 				} else {
-					// A store to a field the object lacks adds it. The names
-					// are copied first: the compiled set is shared.
-					o.Names = append(o.Names[:len(o.Names):len(o.Names)], c.A)
+					// A store to a field the object lacks adds it. A fresh
+					// object's names are the shared compiled set, clipped,
+					// so its first growth copies them and later ones append
+					// to the object's own list.
+					o.Names = append(o.Names, c.A)
 					o.Vals = append(o.Vals, v)
 				}
 				if hooks != nil {

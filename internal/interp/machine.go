@@ -466,7 +466,9 @@ func (m *Machine) freeFrame(fr *Frame) {
 
 // newObject appends an object with the compiled field set names, all
 // zero, to the heap and returns its id. The slot's storage from an
-// earlier run is reused, so a warm machine allocates nothing.
+// earlier run is reused, so a warm machine allocates nothing. The
+// object shares names, clipped to its length so that a store adding a
+// field copies them instead of writing into the shared array.
 func (m *Machine) newObject(names []int32) ObjID {
 	n := len(m.Heap)
 	if n < cap(m.Heap) {
@@ -475,7 +477,7 @@ func (m *Machine) newObject(names []int32) ObjID {
 		m.Heap = append(m.Heap, Object{})
 	}
 	o := &m.Heap[n]
-	o.Names = names
+	o.Names = names[:len(names):len(names)]
 	if cap(o.Vals) < len(names) {
 		o.Vals = make([]Value, len(names))
 	}

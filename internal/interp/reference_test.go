@@ -840,24 +840,29 @@ type heapCase struct {
 
 // heapCases pin the heap's field semantics, which no workload
 // exercises: a store to a field the object's `new` did not list adds
-// it to that object alone, a read of a field the object has neither
-// listed nor stored crashes, and null and dangling dereferences crash,
-// on a load and on a store.
+// it to that object alone, also when two objects of one `new` (whose
+// list names a field twice) each add a different field, a read of a
+// field the object has neither listed nor stored crashes, and null
+// and dangling dereferences crash, on a load and on a store.
 var heapCases = []heapCase{
 	{refCase: refCase{name: "heap-grow", source: `
 program heapgrow;
 global ptr p;
 global ptr q;
+global ptr r;
 global int got;
 func main() {
     p = new(a, b);
     q = new(b, a, b);
+    r = new(b, a, b);
     p.c = 7;
     p.a = p.c + 1;
     q.b = 2;
     got = p.c + p.a + q.b;
     p.c = got;
     q.d = p.c;
+    r.e = 5;
+    got = q.d + r.e;
 }
 `}},
 	{refCase: refCase{name: "heap-nofield", source: `
@@ -956,9 +961,8 @@ func TestHeapFieldsMatchNameMap(t *testing.T) {
 	}
 }
 
-// TestCaptureNamesGrownFields: heap-grow's first object gains c and
-// its second d, each by a store; the dump names them, and neither
-// object shows the other's.
+// TestCaptureNamesGrownFields: heap-grow's objects gain c, d and e,
+// each by a store; the dump names them, and no object shows another's.
 func TestCaptureNamesGrownFields(t *testing.T) {
 	prog, err := progcache.Shared().Get(heapCases[0].source, false)
 	if err != nil {
@@ -971,6 +975,7 @@ func TestCaptureNamesGrownFields(t *testing.T) {
 	want := map[interp.ObjID]map[string]interp.Value{
 		1: {"a": interp.IntVal(8), "b": interp.IntVal(0), "c": interp.IntVal(17)},
 		2: {"a": interp.IntVal(0), "b": interp.IntVal(2), "d": interp.IntVal(17)},
+		3: {"a": interp.IntVal(0), "b": interp.IntVal(0), "e": interp.IntVal(5)},
 	}
 	if d := coredump.Capture(m, 0, ir.PC{}, "heap"); !reflect.DeepEqual(d.Heap, want) {
 		t.Fatalf("captured heap %v, want %v", d.Heap, want)
