@@ -18,6 +18,7 @@ package interp_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"heisendump/internal/coredump"
@@ -842,19 +843,23 @@ type heapCase struct {
 // exercises: a store to a field the object's `new` did not list adds
 // it to that object alone, also when two objects of one `new` (whose
 // list names a field twice) each add a different field, a read of a
-// field the object has neither listed nor stored crashes, and null
-// and dangling dereferences crash, on a load and on a store.
-var heapCases = []heapCase{
+// field the object has neither listed nor stored crashes, null and
+// dangling dereferences crash, on a load and on a store, and an object
+// as wide as lang.MaxFieldNames allows behaves like a narrow one.
+var heapCases = append([]heapCase{
 	{refCase: refCase{name: "heap-grow", source: `
 program heapgrow;
 global ptr p;
 global ptr q;
 global ptr r;
 global int got;
+func mk() {
+    return new(b, a, b);
+}
 func main() {
     p = new(a, b);
-    q = new(b, a, b);
-    r = new(b, a, b);
+    q = mk();
+    r = mk();
     p.c = 7;
     p.a = p.c + 1;
     q.b = 2;
@@ -918,6 +923,38 @@ func main() {
     p.a = 2;
 }
 `}, dangle: "p", crash: "dangling pointer obj#5"},
+}, wideHeapCase())
+
+// wideHeapCase builds heap-wide: one `new` site, run twice, lists
+// every field name but one twice over (f1, f0, f2, f1, ...), and its
+// objects store to the first, a middle and the last field, add the
+// one unlisted name, and read them all back.
+func wideHeapCase() heapCase {
+	n := lang.MaxFieldNames - 1
+	var list []string
+	for i := 1; i < n; i++ {
+		list = append(list, fmt.Sprintf("f%d", i), fmt.Sprintf("f%d", i-1))
+	}
+	last := fmt.Sprintf("f%d", n-1)
+	src := fmt.Sprintf(`
+program heapwide;
+global ptr p;
+global ptr q;
+global int got;
+func mk() {
+    return new(%s);
+}
+func main() {
+    p = mk();
+    q = mk();
+    p.%s = 3;
+    p.f0 = p.%s + 1;
+    q.f%d = p.f0;
+    q.extra = 9;
+    got = p.f0 + p.%s + q.f%d + q.extra + q.f0;
+}
+`, strings.Join(list, ", "), last, last, n/2, last, n/2)
+	return heapCase{refCase: refCase{name: "heap-wide", source: src}}
 }
 
 // TestHeapFieldsMatchNameMap runs each heap case on the machine and on

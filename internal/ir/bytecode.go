@@ -1,10 +1,5 @@
 package ir
 
-import (
-	"slices"
-	"strings"
-)
-
 // This file is the bytecode backend: a Compile-stage pass that lowers
 // the resolved Expr/LValue trees of each instruction into a flat
 // []Code array, the only form the interpreter executes (interp's
@@ -248,8 +243,8 @@ type Bytecode struct {
 	Consts []int64
 	// Names is the string pool for field names.
 	Names []string
-	// FieldSets holds the field lists of `new` expressions as ids into
-	// Names, in source order with repeats dropped.
+	// FieldSets holds the field list of each `new` expression as ids
+	// into Names, in source order with repeats dropped.
 	FieldSets [][]int32
 	// MaxStack is the maximum BFunc.MaxStack across functions, so one
 	// machine-level stack allocation covers every frame.
@@ -258,7 +253,9 @@ type Bytecode struct {
 	// intern maps, used only during compilation.
 	constIdx map[int64]int32
 	nameIdx  map[string]int32
-	setIdx   map[string]int32
+	// listed[id] is 1 + the FieldSets index of the last `new` that
+	// listed name id, so a repeated name is dropped in one load.
+	listed []int32
 }
 
 // RefreshBytecode recompiles the program's bytecode image from its
@@ -275,12 +272,11 @@ func compileBytecode(p *Program) *Bytecode {
 	bc := &Bytecode{
 		constIdx: map[int64]int32{},
 		nameIdx:  map[string]int32{},
-		setIdx:   map[string]int32{},
 	}
 	for _, fn := range p.Funcs {
 		bc.Funcs = append(bc.Funcs, bc.lowerFunc(fn))
 	}
-	bc.constIdx, bc.nameIdx, bc.setIdx = nil, nil, nil
+	bc.constIdx, bc.nameIdx, bc.listed = nil, nil, nil
 	return bc
 }
 
@@ -305,21 +301,20 @@ func (bc *Bytecode) nameOf(s string) int32 {
 }
 
 func (bc *Bytecode) fieldSetOf(fields []string) int32 {
+	set := int32(len(bc.FieldSets))
 	ids := make([]int32, 0, len(fields))
 	for _, f := range fields {
-		if id := bc.nameOf(f); !slices.Contains(ids, id) {
+		id := bc.nameOf(f)
+		for int(id) >= len(bc.listed) {
+			bc.listed = append(bc.listed, 0)
+		}
+		if bc.listed[id] != set+1 {
+			bc.listed[id] = set + 1
 			ids = append(ids, id)
 		}
 	}
-	// Field names are identifiers, so a comma-joined list keys a set.
-	key := strings.Join(fields, ",")
-	if i, ok := bc.setIdx[key]; ok {
-		return i
-	}
-	i := int32(len(bc.FieldSets))
 	bc.FieldSets = append(bc.FieldSets, ids)
-	bc.setIdx[key] = i
-	return i
+	return set
 }
 
 // bfcomp lowers one function.

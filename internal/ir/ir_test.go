@@ -1,6 +1,9 @@
 package ir_test
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"heisendump/internal/ir"
@@ -293,4 +296,51 @@ l:
 	fn := p.Func("main")
 	fn.Body.Stmts = append(fn.Body.Stmts, &lang.LabelStmt{Name: "l"})
 	ir.MustCompile(p, ir.Options{})
+}
+
+// TestFieldSetsDropRepeats: each `new` gets its own field list, with
+// a repeated name kept once at its first position, also for a `new`
+// that lists, twice over, all but the two names the others spell of
+// the distinct names the checker allows.
+func TestFieldSetsDropRepeats(t *testing.T) {
+	var list, want []string
+	for i := 0; i < lang.MaxFieldNames-2; i++ {
+		list = append(list, fmt.Sprintf("f%d", i))
+		if i > 0 {
+			list = append(list, fmt.Sprintf("f%d", i-1))
+		}
+		want = append(want, fmt.Sprintf("f%d", i))
+	}
+	src := fmt.Sprintf(`
+program wide;
+global ptr p;
+global ptr q;
+global ptr r;
+func main() {
+    p = new(%s);
+    q = new(b, a, b, a);
+    r = new(b, a);
+}
+`, strings.Join(list, ", "))
+	for _, instrument := range []bool{false, true} {
+		bc := compile(t, src, instrument).BC
+		if len(bc.FieldSets) != 3 {
+			t.Fatalf("%d field sets, want one per new", len(bc.FieldSets))
+		}
+		names := func(set []int32) []string {
+			var out []string
+			for _, id := range set {
+				out = append(out, bc.Names[id])
+			}
+			return out
+		}
+		if got := names(bc.FieldSets[0]); !reflect.DeepEqual(got, want) {
+			t.Errorf("wide set = %v, want %v", got, want)
+		}
+		for _, set := range bc.FieldSets[1:] {
+			if got := names(set); !reflect.DeepEqual(got, []string{"b", "a"}) {
+				t.Errorf("set = %v, want [b a]", got)
+			}
+		}
+	}
 }

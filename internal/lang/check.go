@@ -20,6 +20,14 @@ func Check(p *Program) error {
 // workload corpus has 66 elements.
 const MaxArrayElements = 1 << 16
 
+// MaxFieldNames bounds the distinct field names a program may spell,
+// in `new` lists and field accesses together. An object holds only
+// fields the program names, so this also bounds an object's width, and
+// the interpreter finds a field by scanning its object's names: the
+// bound keeps one field access cheap for a service running untrusted
+// programs. The workload corpus spells at most 4 field names.
+const MaxFieldNames = 256
+
 func check(p *Program) error {
 	if p.Func("main") == nil {
 		return fmt.Errorf("lang: program %q has no main function", p.Name)
@@ -50,6 +58,7 @@ func check(p *Program) error {
 		}
 		locks[l] = true
 	}
+	fields := map[string]bool{}
 	funcs := map[string]*Func{}
 	for _, f := range p.Funcs {
 		if _, dup := funcs[f.Name]; dup {
@@ -59,7 +68,7 @@ func check(p *Program) error {
 	}
 	for _, f := range p.Funcs {
 		c := &checker{prog: p, fn: f, globals: globals, locks: locks, funcs: funcs,
-			locals: map[string]Type{}, labels: map[string]bool{}}
+			fields: fields, locals: map[string]Type{}, labels: map[string]bool{}}
 		for _, prm := range f.Params {
 			if _, dup := c.locals[prm.Name]; dup {
 				return fmt.Errorf("lang: %s: duplicate parameter %q", f.Name, prm.Name)
@@ -98,6 +107,7 @@ type checker struct {
 	globals map[string]*VarDecl
 	locks   map[string]bool
 	funcs   map[string]*Func
+	fields  map[string]bool // field names spelled so far, program-wide
 	locals  map[string]Type
 	labels  map[string]bool
 }
@@ -265,6 +275,9 @@ func (c *checker) checkLValue(lv LValue, line int) error {
 		}
 		return c.checkExpr(lv.Index, line)
 	case *FieldLV:
+		if err := c.checkField(lv.Field, line); err != nil {
+			return err
+		}
 		return c.checkExpr(lv.Obj, line)
 	}
 	return fmt.Errorf("line %d: unknown lvalue %T", line, lv)
@@ -272,7 +285,14 @@ func (c *checker) checkLValue(lv LValue, line int) error {
 
 func (c *checker) checkExpr(e Expr, line int) error {
 	switch e := e.(type) {
-	case *IntLit, *BoolLit, *NullLit, *NewExpr:
+	case *IntLit, *BoolLit, *NullLit:
+		return nil
+	case *NewExpr:
+		for _, f := range e.Fields {
+			if err := c.checkField(f, line); err != nil {
+				return err
+			}
+		}
 		return nil
 	case *VarRef:
 		if _, ok := c.varType(e.Name); !ok {
@@ -286,6 +306,9 @@ func (c *checker) checkExpr(e Expr, line int) error {
 		}
 		return c.checkExpr(e.Index, line)
 	case *FieldExpr:
+		if err := c.checkField(e.Field, line); err != nil {
+			return err
+		}
 		return c.checkExpr(e.Obj, line)
 	case *UnaryExpr:
 		return c.checkExpr(e.X, line)
@@ -296,4 +319,16 @@ func (c *checker) checkExpr(e Expr, line int) error {
 		return c.checkExpr(e.Y, line)
 	}
 	return fmt.Errorf("line %d: unknown expression %T", line, e)
+}
+
+// checkField counts a spelled field name against MaxFieldNames.
+func (c *checker) checkField(name string, line int) error {
+	if c.fields[name] {
+		return nil
+	}
+	if len(c.fields) == MaxFieldNames {
+		return fmt.Errorf("line %d: field %q takes the program past %d distinct field names", line, name, MaxFieldNames)
+	}
+	c.fields[name] = true
+	return nil
 }

@@ -319,3 +319,52 @@ func TestCheckRejectsOversizedArrays(t *testing.T) {
 		t.Fatalf("negative array size: err = %#v, want a check error at line 2", err)
 	}
 }
+
+// TestCheckBoundsFieldNames: the distinct field names a program spells
+// are bounded program-wide, counting `new` lists, loads and stores in
+// every function, so no object can grow wider than the bound. A
+// repeated name counts once, and the name that crosses the bound is a
+// typed check error at its line.
+func TestCheckBoundsFieldNames(t *testing.T) {
+	// names(n) lists f0 .. f(n-1).
+	names := func(n int) string {
+		var fs []string
+		for i := 0; i < n; i++ {
+			fs = append(fs, fmt.Sprintf("f%d", i))
+		}
+		return strings.Join(fs, ", ")
+	}
+	const max = lang.MaxFieldNames
+	atLimit := fmt.Sprintf(`program p;
+global ptr p;
+global int g;
+func helper() {
+    p.x = p.y;
+}
+func main() {
+    p = new(%s, %s);
+    p.f0 = g;
+    g = p.f1;
+    helper();
+}
+`, names(max-2), names(max-2))
+	if _, err := lang.Parse(atLimit); err != nil {
+		t.Fatalf("field names at the limit rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name, src string
+		line      int
+	}{
+		{"new", fmt.Sprintf("program p;\nglobal ptr p;\nfunc main() {\n    p = new(%s, %s);\n}\n", names(max+1), names(max+1)), 4},
+		{"store", fmt.Sprintf("program p;\nglobal ptr p;\nfunc main() {\n    p = new(%s);\n    p.f0 = 1;\n    p.x = 1;\n}\n", names(max)), 6},
+		{"load", fmt.Sprintf("program p;\nglobal ptr p;\nglobal int g;\nfunc main() {\n    p = new(%s);\n    g = p.x;\n}\n", names(max)), 6},
+		{"across functions", fmt.Sprintf("program p;\nglobal ptr p;\nfunc f() {\n    p.x = 1;\n}\nfunc main() {\n    p = new(%s);\n    f();\n}\n", names(max)), 7},
+	} {
+		_, err := lang.Parse(tc.src)
+		var le *lang.Error
+		if !errors.As(err, &le) || le.Phase != "check" || le.Line != tc.line ||
+			!strings.Contains(le.Msg, "distinct field names") {
+			t.Errorf("%s: err = %#v, want a check error at line %d", tc.name, err, tc.line)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"heisendump/internal/lang"
 )
 
 // serve runs one request through the server's handler in-process and
@@ -90,15 +93,21 @@ func TestBatchBodyTooLarge(t *testing.T) {
 // elements than the language allows is a typed 400 bad_program, with
 // the declaration's line, on both admission endpoints — it never
 // reaches a worker's Machine.Reset. That holds too when a size literal
-// past int64 would wrap negative and lower the running total.
+// past int64 would wrap negative and lower the running total. An
+// object wider than the language allows is refused the same way.
 func TestOversizedArrayRejectedAtAdmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	wide := make([]string, lang.MaxFieldNames+1)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("f%d", i)
+	}
 	for _, prog := range []struct {
 		src   string
 		phase string
 	}{
 		{"program p;\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "check"},
 		{"program p;\nglobal int z[18445744073709551616];\nglobal int a[1000000000000000];\nfunc main() { a[0] = 1; }\n", "parse"},
+		{"program p;\nglobal ptr p; func main() { p = new(" + strings.Join(wide, ", ") + "); }\n", "check"},
 	} {
 		for _, tc := range []struct {
 			path string
