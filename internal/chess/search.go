@@ -151,6 +151,9 @@ type searchState struct {
 	maxRun   int64
 	maxTries int
 	future   futureIndex // guided eligibility's index, nil when unguided
+	// obs is Opts.Observer flattened, so a trial or fold event is
+	// handed to each observer directly (see telemetry.Flatten).
+	obs []telemetry.Observer
 
 	next     atomic.Int64 // next worklist rank to claim
 	tries    atomic.Int64 // test runs executed (raw, incl. speculation)
@@ -230,6 +233,7 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		wl:       wl,
 		maxRun:   s.runBound(),
 		maxTries: s.Opts.MaxTries,
+		obs:      telemetry.Flatten(s.Opts.Observer),
 	}
 	if s.Opts.Guided {
 		st.future = newFutureIndex(s.Candidates)
@@ -468,17 +472,20 @@ func (st *searchState) record(r int, out *comboOutcome) {
 // progressLocked emits a fold heartbeat; st.mu must be held, which
 // serializes the stream and makes every counter monotone across it.
 func (st *searchState) progressLocked() {
-	if st.s.Opts.Observer == nil {
+	if len(st.obs) == 0 {
 		return
 	}
-	st.s.Opts.Observer.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
+	e := telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
 		Combos:    st.wl.size,
 		Committed: st.committed,
 		Tries:     st.cumTries,
 		Executed:  int(st.tries.Load()),
 		Steps:     st.steps.Load(),
 		Found:     st.winner != nil,
-	}})
+	}}
+	for _, o := range st.obs {
+		o.Observe(e)
+	}
 }
 
 // exploreCombo executes test runs for the combination at rank r,

@@ -25,11 +25,15 @@ func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m 
 	if m.Crashed() {
 		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}
-	if o := st.s.Opts.Observer; o != nil {
-		o.Observe(telemetry.Event{Kind: telemetry.KindTrial, Trial: telemetry.Trial{
-			Rank: rank, Trial: trial, Worker: worker,
-			Steps: tr.steps, Found: tr.found,
-		}})
+	if len(st.obs) == 0 {
+		return
+	}
+	e := telemetry.Event{Kind: telemetry.KindTrial, Trial: telemetry.Trial{
+		Rank: rank, Trial: trial, Worker: worker,
+		Steps: tr.steps, Found: tr.found,
+	}}
+	for _, o := range st.obs {
+		o.Observe(e)
 	}
 }
 

@@ -121,6 +121,24 @@ func (os Observers) Observe(e Event) {
 	}
 }
 
+// Flatten lists the observers o delivers to, in delivery order, with
+// nested Observers expanded; nil for a nil o. An emitter that sends
+// every trial calls each directly: an Event is too large to pass in
+// registers, so every fan-out level copies it once more per element.
+func Flatten(o Observer) []Observer {
+	switch o := o.(type) {
+	case nil:
+		return nil
+	case Observers:
+		var flat []Observer
+		for _, e := range o {
+			flat = append(flat, Flatten(e)...)
+		}
+		return flat
+	}
+	return []Observer{o}
+}
+
 var lastSpan atomic.Uint64
 
 // NewSpan returns a span id unique in the process.

@@ -26,13 +26,29 @@ type Tracer struct {
 
 	seen atomic.Int64 // trial events offered, for sampling
 
-	mu     sync.Mutex
-	base   time.Time
-	based  bool
-	tick   int64 // synthetic clock, µs per event
-	events []traceEvent
-	open   map[uint64]int // span id -> index of its open stage event
+	mu    sync.Mutex
+	base  time.Time
+	based bool
+	tick  int64 // synthetic clock, µs per event
+	// recs holds the records in order, in blocks of recBlock, so
+	// recording one never copies the ones before it; n counts them.
+	recs [][]record
+	n    int
+	open map[uint64]int // span id -> index of its open stage record
 }
+
+// record is one recorded event, a stage span (kind KindStageBegin) or
+// a sampled trial (KindTrial), held by value. WriteJSON renders it as
+// a trace event.
+type record struct {
+	kind    Kind
+	stage   string
+	ts, dur int64
+	trial   Trial
+}
+
+// recBlock is the number of records in one block of Tracer.recs.
+const recBlock = 64
 
 // NewTracer returns a tracer. clock supplies event timestamps; nil
 // selects the synthetic tick. sampleEvery <= 1 records every trial
@@ -55,6 +71,19 @@ func (t *Tracer) now() int64 {
 	return n.Sub(t.base).Microseconds()
 }
 
+// add appends r to the records. Callers hold t.mu.
+func (t *Tracer) add(r record) {
+	if t.n%recBlock == 0 {
+		t.recs = append(t.recs, make([]record, 0, recBlock))
+	}
+	last := len(t.recs) - 1
+	t.recs[last] = append(t.recs[last], r)
+	t.n++
+}
+
+// at returns record i. Callers hold t.mu.
+func (t *Tracer) at(i int) *record { return &t.recs[i/recBlock][i%recBlock] }
+
 // Observe records a stage begin as a Chrome complete span, closes it
 // at the end carrying the same span id, and records a sampled trial
 // as an instant on its worker's track. Fold events are ignored.
@@ -68,25 +97,23 @@ func (t *Tracer) Observe(e Event) {
 		if t.open == nil {
 			t.open = map[uint64]int{}
 		}
-		t.open[e.Span] = len(t.events)
-		t.events = append(t.events, traceEvent{Name: e.Stage, Ph: "X", Ts: t.now(), Pid: 1})
+		t.open[e.Span] = t.n
+		t.add(record{kind: KindStageBegin, stage: e.Stage, ts: t.now()})
 		t.mu.Unlock()
 	case KindStageEnd:
 		t.mu.Lock()
 		if i, ok := t.open[e.Span]; ok {
 			delete(t.open, e.Span)
-			t.events[i].Dur = max(t.now()-t.events[i].Ts, 1)
+			r := t.at(i)
+			r.dur = max(t.now()-r.ts, 1)
 		}
 		t.mu.Unlock()
 	case KindTrial:
 		if n := int64(t.sampleEvery); n > 1 && t.seen.Add(1)%n != 0 {
 			return
 		}
-		args := e.Trial
 		t.mu.Lock()
-		t.events = append(t.events, traceEvent{
-			Name: "trial", Ph: "i", S: "t", Ts: t.now(), Pid: 1, Tid: args.Worker + 1, Args: &args,
-		})
+		t.add(record{kind: KindTrial, ts: t.now(), trial: e.Trial})
 		t.mu.Unlock()
 	}
 }
@@ -98,7 +125,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.n
 }
 
 // WriteJSON renders the recorded events as a Chrome trace-event file
@@ -107,11 +134,24 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	events := []traceEvent{}
 	if t != nil {
 		t.mu.Lock()
-		events = append(events, t.events...)
+		for _, b := range t.recs {
+			for _, r := range b {
+				events = append(events, r.event())
+			}
+		}
 		t.mu.Unlock()
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// event renders r as a Chrome trace event.
+func (r record) event() traceEvent {
+	if r.kind == KindTrial {
+		args := r.trial
+		return traceEvent{Name: "trial", Ph: "i", S: "t", Ts: r.ts, Pid: 1, Tid: args.Worker + 1, Args: &args}
+	}
+	return traceEvent{Name: r.stage, Ph: "X", Ts: r.ts, Dur: r.dur, Pid: 1}
 }
 
 // traceFile is the Chrome trace-event JSON envelope.

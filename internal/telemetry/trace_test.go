@@ -180,6 +180,44 @@ func TestTracerInterleavedSpans(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsAcrossBlocks: a span whose end arrives several
+// record blocks after its begin still gets its duration, and the
+// written events keep arrival order, each trial with its own args.
+func TestTracerRecordsAcrossBlocks(t *testing.T) {
+	tr := NewTracer(nil, 1)
+	tr.Observe(beginEvent("search", 1))
+	const trials = 3*recBlock + 5
+	for i := 0; i < trials; i++ {
+		tr.Observe(trialEvent(Trial{Rank: i, Worker: i % 3, Steps: int64(i)}))
+	}
+	tr.Observe(endEvent("search", 1))
+	if got := tr.Len(); got != trials+1 {
+		t.Fatalf("Len = %d, want %d", got, trials+1)
+	}
+	var sb strings.Builder
+	if err := tr.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.TraceEvents) != trials+1 {
+		t.Fatalf("%d events written, want %d", len(f.TraceEvents), trials+1)
+	}
+	if span := f.TraceEvents[0]; span.Name != "search" || span.Ts != 1 || span.Dur != trials+1 {
+		t.Errorf("span = %+v, want search at ts 1 lasting %d ticks", span, trials+1)
+	}
+	for i, ev := range f.TraceEvents[1:] {
+		want := Trial{Rank: i, Worker: i % 3, Steps: int64(i)}
+		if ev.Ts != int64(i+2) || ev.Tid != want.Worker+1 || ev.Args == nil || *ev.Args != want {
+			t.Fatalf("event %d = %+v (args %+v), want trial %+v at ts %d", i+1, ev, ev.Args, want, i+2)
+		}
+	}
+}
+
 // TestTracerNilReceiver pins that a nil tracer is a no-op at every
 // call site, so instrumented code needs no guards, and that it writes
 // the empty trace envelope.
