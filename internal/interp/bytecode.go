@@ -42,9 +42,31 @@ import (
 // Step executes one instruction of thread tid: a burst limited to one
 // step. It returns false when the thread could not be stepped
 // (blocked, done, or machine crashed). Runtime faults crash the machine
-// and return true: the faulting instruction was the step.
+// and return true: the faulting instruction was the step. The stress
+// scheduler and the Replayer call it once per instruction, so it calls
+// the dispatch loop directly rather than through RunBurst's bookkeeping.
 func (m *Machine) Step(tid int) (bool, error) {
-	return m.RunBurst(tid, m.TotalSteps+1, math.MaxInt)
+	t, err := m.enter(tid)
+	if t == nil {
+		return false, err
+	}
+	return m.execBC(t, m.TotalSteps+1, false)
+}
+
+// enter starts a Step or a burst of thread tid: it returns the thread,
+// or nil and the call's error when the thread cannot be stepped.
+func (m *Machine) enter(tid int) (*Thread, error) {
+	m.released = -1
+	if m.Crashed() {
+		return nil, nil
+	}
+	if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
+		return nil, ErrStepLimit
+	}
+	if t := m.Threads[tid]; m.threadRunnable(t) {
+		return t, nil
+	}
+	return nil, nil
 }
 
 // ensureStack sizes the per-step value stack for prog's deepest
@@ -88,16 +110,9 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 // is one load from the frame instead of a decode through the bytecode
 // entry table.
 func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
-	m.released = -1
-	if m.Crashed() {
-		return false, nil
-	}
-	if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
-		return false, ErrStepLimit
-	}
-	t := m.Threads[tid]
-	if !m.threadRunnable(t) {
-		return false, nil
+	t, err := m.enter(tid)
+	if t == nil {
+		return false, err
 	}
 	// One step bound for the loop: the nearer of limit and MaxSteps.
 	if limit <= 0 || (m.MaxSteps > 0 && m.MaxSteps < limit) {
