@@ -25,7 +25,7 @@ const MaxArrayElements = 1 << 16
 // fields the program names, so this also bounds an object's width, and
 // the interpreter finds a field by scanning its object's names: the
 // bound keeps one field access cheap for a service running untrusted
-// programs. The workload corpus spells at most 4 field names.
+// programs. No workload in the corpus spells more than 2.
 const MaxFieldNames = 256
 
 func check(p *Program) error {
