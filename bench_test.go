@@ -209,11 +209,11 @@ func BenchmarkAblationThreadSelect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			full += p.Searcher(fail, an).Search().Tries
+			full += p.Searcher(fail, an).SearchContext(context.Background()).Tries
 
 			s := p.Searcher(fail, an)
 			s.Opts.Guided = false
-			noGuide += s.Search().Tries
+			noGuide += s.SearchContext(context.Background()).Tries
 		}
 		if i == 0 {
 			b.Logf("total tries: guided=%d unguided=%d", full, noGuide)
@@ -289,7 +289,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 					PassingSteps: int64(len(rec.Events)),
 				},
 			}
-			res := s.Search()
+			res := s.SearchContext(context.Background())
 			if res.Found {
 				b.Fatal("found an unmatchable signature")
 			}
@@ -328,7 +328,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := s.Search()
+			res := s.SearchContext(context.Background())
 			if !res.Found {
 				b.Fatalf("guided search did not reproduce the failure in %d tries", res.Tries)
 			}

@@ -1,6 +1,7 @@
 package chess_test
 
 import (
+	"context"
 	"testing"
 
 	"heisendump/internal/chess"
@@ -213,7 +214,7 @@ func TestSearchRespectsMaxTries(t *testing.T) {
 		Target:     chess.FailureSignature{Reason: "never matches"},
 		Opts:       chess.Options{Bound: 2, MaxTries: 25, PassingSteps: int64(len(events))},
 	}
-	res := s.Search()
+	res := s.SearchContext(context.Background())
 	if res.Found {
 		t.Fatal("found an unmatchable signature")
 	}
@@ -258,7 +259,7 @@ func TestFoundScheduleReplays(t *testing.T) {
 	events := passingTrace(t, cp, w.Input)
 
 	// Recover the true failure signature by stressing.
-	m, _ := sched.Stress(func() *interp.Machine {
+	m, _ := sched.StressContext(context.Background(), func() *interp.Machine {
 		mm := interp.New(cp, w.Input)
 		mm.MaxSteps = 1_000_000
 		return mm
@@ -277,7 +278,7 @@ func TestFoundScheduleReplays(t *testing.T) {
 	}
 	s := &chess.Searcher{NewMachine: mk, Candidates: cands, Target: sig,
 		Opts: chess.Options{Bound: 2, MaxTries: 3000, PassingSteps: int64(len(events))}}
-	res := s.Search()
+	res := s.SearchContext(context.Background())
 	if !res.Found {
 		t.Fatalf("not found in %d tries", res.Tries)
 	}
@@ -285,7 +286,7 @@ func TestFoundScheduleReplays(t *testing.T) {
 		t.Fatal("found but empty schedule")
 	}
 	// Re-search with the same inputs: deterministic result.
-	res2 := s.Search()
+	res2 := s.SearchContext(context.Background())
 	if !res2.Found || res2.Tries != res.Tries {
 		t.Fatalf("search not deterministic: %d vs %d tries", res.Tries, res2.Tries)
 	}

@@ -61,17 +61,16 @@ type Options struct {
 	// concurrently; <= 0 means GOMAXPROCS. Any value yields the same
 	// Found, Schedule and Tries (see Result).
 	Workers int
-	// Observer, when non-nil, receives one KindTrial event per trial
-	// the search executes, including speculative trials of ranks the
-	// fold later discards, and one KindFold heartbeat per rank the
-	// deterministic fold commits plus a final one with Done set; see
-	// telemetry.Event for the delivery contract. It is strictly
-	// observational: the determinism contract is pinned with an
-	// observer attached and detached. Cancelling the SearchContext
-	// context from a fold event is the intended way to implement
-	// deterministic cutoffs (stop once the folded Tries reach a
-	// budget).
-	Observer telemetry.Observer
+	// Observers each receive one KindTrial event per trial the search
+	// executes, including speculative trials of ranks the fold later
+	// discards, and one KindFold heartbeat per rank the deterministic
+	// fold commits plus a final one with Done set; see telemetry.Event
+	// for the delivery contract. They are strictly observational: the
+	// determinism contract is pinned with observers attached and
+	// detached. Cancelling the SearchContext context from a fold event
+	// is the intended way to implement deterministic cutoffs (stop once
+	// the folded Tries reach a budget).
+	Observers telemetry.Observers
 }
 
 // AppliedPreemption records one preemption of a successful schedule.
@@ -151,9 +150,6 @@ type searchState struct {
 	maxRun   int64
 	maxTries int
 	future   futureIndex // guided eligibility's index, nil when unguided
-	// obs is Opts.Observer flattened, so a trial or fold event is
-	// handed to each observer directly (see telemetry.Flatten).
-	obs []telemetry.Observer
 
 	next     atomic.Int64 // next worklist rank to claim
 	tries    atomic.Int64 // test runs executed (raw, incl. speculation)
@@ -172,11 +168,11 @@ type searchState struct {
 	winner    *comboOutcome // committed winning outcome, if any
 }
 
-// Search runs Algorithm 2: order the preemption combinations up to
-// the bound (by weight for the enhanced algorithm, by generation order
-// for plain CHESS) into a worklist that yields them on demand, and
-// execute test runs — exploring the eligible thread choices at each
-// preemption — until the failure reproduces or the work list is
+// SearchContext runs Algorithm 2: order the preemption combinations
+// up to the bound (by weight for the enhanced algorithm, by generation
+// order for plain CHESS) into a worklist that yields them on demand,
+// and execute test runs — exploring the eligible thread choices at
+// each preemption — until the failure reproduces or the work list is
 // exhausted.
 //
 // Combinations are explored by Opts.Workers concurrent workers that
@@ -185,19 +181,14 @@ type searchState struct {
 // applied to that order, and the winning schedule is the find with the
 // lowest rank — so Found, Schedule and Tries are bit-identical for any
 // worker count.
-func (s *Searcher) Search() *Result {
-	return s.SearchContext(context.Background())
-}
-
-// SearchContext is Search with cooperative cancellation: the context
-// is polled between trials (cancellation granularity is one test run)
-// by every worker and by the rank-order fold. On cancellation the
-// search stops claiming and folding work and returns the best-so-far
-// deterministic prefix with Result.Cancelled set — all completed work
-// is still reduced in rank order, so a cancellation triggered at a
-// deterministic fold point (see Options.Observer) yields a
-// bit-identical partial result for any worker count. An uncancelled
-// context leaves the result bit-identical to Search.
+//
+// The context is polled between trials (cancellation granularity is
+// one test run) by every worker and by the rank-order fold. On
+// cancellation the search stops claiming and folding work and returns
+// the best-so-far deterministic prefix with Result.Cancelled set — all
+// completed work is still reduced in rank order, so a cancellation
+// triggered at a deterministic fold point (see Options.Observers)
+// yields a bit-identical partial result for any worker count.
 func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -233,7 +224,6 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		wl:       wl,
 		maxRun:   s.runBound(),
 		maxTries: s.Opts.MaxTries,
-		obs:      telemetry.Flatten(s.Opts.Observer),
 	}
 	if s.Opts.Guided {
 		st.future = newFutureIndex(s.Candidates)
@@ -249,7 +239,6 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 		}(i)
 	}
 	wg.Wait()
-	st.finish()
 
 	st.mu.Lock()
 	if st.winner != nil {
@@ -258,12 +247,16 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	}
 	res.Tries = st.cumTries
 	committed := st.committed
-	// The search is complete when the fold decided it (winner or
-	// cutoff) or consumed the whole worklist; anything less means the
-	// context cancelled it (finish repairs every other gap).
+	// Workers stop claiming only when the search is cancelled, decided
+	// or drained, or when the raw trials reach the budget, and they
+	// explore every rank they claim unless the fold can never need it.
+	// Each explored rank folds as min(its trials, the remaining
+	// budget), so raw trials at the budget leave the fold decided too.
+	// A search the fold has neither decided (winner or cutoff) nor
+	// consumed whole was therefore cancelled.
 	complete := st.decided.Load() || st.committed >= st.wl.size
 	st.mu.Unlock()
-	res.Cancelled = !complete && st.cancelled()
+	res.Cancelled = !complete
 	res.TrialsExecuted = int(st.tries.Load())
 	res.StepsExecuted = st.steps.Load()
 	if res.Found {
@@ -276,10 +269,10 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 // emitDone publishes the final fold heartbeat for a finished (or
 // cancelled, or trivially empty) search.
 func (s *Searcher) emitDone(res *Result, committed int) {
-	if s.Opts.Observer == nil {
+	if len(s.Opts.Observers) == 0 {
 		return
 	}
-	s.Opts.Observer.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
+	s.Opts.Observers.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
 		Combos:    res.CombinationsGenerated,
 		Committed: committed,
 		Tries:     res.Tries,
@@ -297,17 +290,18 @@ func (st *searchState) cancelled() bool {
 }
 
 // worker claims worklist ranks in order and explores each combination.
-// A worker stops claiming when the context is cancelled, when the
-// worklist is drained, when the fold has decided the search (winner
-// committed or cutoff reached), when a lower-rank combination has
-// already found the target (higher ranks
-// cannot win: either that find commits, or the cutoff lands at or
-// before it), or when the executed-trial count has reached the cutoff
-// budget. The last guard is only a speculation throttle — it may
-// abandon ranks the sequential order would still reach, because the
-// raw count can include trials of higher ranks; finish() repairs any
-// such gap after the pool joins, so the guard never affects the
-// result.
+// Before each claim it stops when the context is cancelled, when the
+// fold has decided the search (winner committed or cutoff reached), or
+// when the executed-trial count has reached the cutoff budget. That
+// last check is only a speculation throttle: the raw count can include
+// trials of ranks the fold will never consume, but each explored rank
+// folds at most its trials, so once the raw count reaches the budget
+// the explored ranks alone carry the fold to its decision. A claimed
+// rank is then explored unless the worklist is drained, a lower-rank
+// combination has already found the target (higher ranks cannot win:
+// either that find commits, or the cutoff lands at or before it), or
+// the folded prefix has spent the budget — the fold needs none of
+// those ranks, so it never waits on a rank nobody explores.
 func (st *searchState) worker(w int) {
 	// Each worker owns one machine and one trial chooser for its whole
 	// claim stream: runTrial rewinds the machine with Machine.Reset, so
@@ -319,20 +313,17 @@ func (st *searchState) worker(w int) {
 	var m *interp.Machine
 	c := trialChooser{future: st.future}
 	for {
-		if st.cancelled() {
+		if st.cancelled() || st.decided.Load() {
+			return
+		}
+		if st.maxTries > 0 && int(st.tries.Load()) >= st.maxTries {
 			return
 		}
 		r := int(st.next.Add(1) - 1)
 		if r >= st.wl.size {
 			return
 		}
-		if st.decided.Load() {
-			return
-		}
 		if int(st.bestRank.Load()) < r {
-			return
-		}
-		if st.maxTries > 0 && int(st.tries.Load()) >= st.maxTries {
 			return
 		}
 		// Cap this rank's exploration by the budget not yet consumed by
@@ -361,44 +352,6 @@ func (st *searchState) worker(w int) {
 					break
 				}
 			}
-		}
-		st.record(r, out)
-	}
-}
-
-// finish completes the search after the worker pool joins. If the fold
-// stalled on a rank no worker explored (abandoned by the speculation
-// throttle), the missing frontier combinations run here sequentially
-// with their exact remaining allowance — the literal sequential
-// semantics — until the search is decided or the worklist is folded.
-// In the common case the fold kept pace with the pool and this is a
-// no-op. A cancelled search is left as-is: the committed prefix is the
-// partial result, and repairing gaps would mean executing more trials
-// after the caller asked us to stop.
-func (st *searchState) finish() {
-	var m *interp.Machine
-	c := trialChooser{future: st.future}
-	for {
-		st.mu.Lock()
-		if st.cancelled() || st.decided.Load() || st.committed >= st.wl.size {
-			st.mu.Unlock()
-			return
-		}
-		// The frontier outcome is always nil here: record folds
-		// eagerly, so a completed frontier would have been consumed.
-		r := st.committed
-		rem := 0
-		if st.maxTries > 0 {
-			rem = st.maxTries - st.cumTries
-		}
-		st.mu.Unlock()
-
-		if m == nil {
-			m = st.s.NewMachine()
-		}
-		out := st.exploreCombo(r, rem, m, &c, -1)
-		if out.foundAt >= 0 {
-			st.bestRank.Store(int64(r))
 		}
 		st.record(r, out)
 	}
@@ -472,20 +425,17 @@ func (st *searchState) record(r int, out *comboOutcome) {
 // progressLocked emits a fold heartbeat; st.mu must be held, which
 // serializes the stream and makes every counter monotone across it.
 func (st *searchState) progressLocked() {
-	if len(st.obs) == 0 {
+	if len(st.s.Opts.Observers) == 0 {
 		return
 	}
-	e := telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
+	st.s.Opts.Observers.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
 		Combos:    st.wl.size,
 		Committed: st.committed,
 		Tries:     st.cumTries,
 		Executed:  int(st.tries.Load()),
 		Steps:     st.steps.Load(),
 		Found:     st.winner != nil,
-	}}
-	for _, o := range st.obs {
-		o.Observe(e)
-	}
+	}})
 }
 
 // exploreCombo executes test runs for the combination at rank r,

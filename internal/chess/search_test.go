@@ -2,7 +2,9 @@ package chess_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"heisendump/internal/chess"
@@ -120,7 +122,7 @@ func TestParallelSearchDeterminism(t *testing.T) {
 		s.Opts.MaxTries = 5000
 
 		s.Opts.Workers = 1
-		ref := s.Search()
+		ref := s.SearchContext(context.Background())
 		if !ref.Found {
 			t.Fatalf("%s: reference search failed in %d tries", name, ref.Tries)
 		}
@@ -131,7 +133,7 @@ func TestParallelSearchDeterminism(t *testing.T) {
 
 		for _, workers := range []int{2, 4} {
 			s.Opts.Workers = workers
-			got := s.Search()
+			got := s.SearchContext(context.Background())
 			if got.Found != ref.Found {
 				t.Fatalf("%s: Found=%v with %d workers, %v with 1", name, got.Found, workers, ref.Found)
 			}
@@ -159,7 +161,7 @@ func TestParallelSearchDeterministicUnderCutoff(t *testing.T) {
 	s.Opts.MaxTries = 40
 
 	s.Opts.Workers = 1
-	ref := s.Search()
+	ref := s.SearchContext(context.Background())
 	if ref.Found {
 		t.Fatal("found an unmatchable signature")
 	}
@@ -174,7 +176,7 @@ func TestParallelSearchDeterministicUnderCutoff(t *testing.T) {
 
 	for _, workers := range []int{2, 4, 8} {
 		s.Opts.Workers = workers
-		got := s.Search()
+		got := s.SearchContext(context.Background())
 		if got.Found {
 			t.Fatal("found an unmatchable signature")
 		}
@@ -183,6 +185,47 @@ func TestParallelSearchDeterministicUnderCutoff(t *testing.T) {
 		}
 		if got.Tries > 40 {
 			t.Fatalf("tries %d exceeded cutoff with %d workers", got.Tries, workers)
+		}
+	}
+}
+
+// TestUncancelledSearchCompletes: every trial runs on a pool worker
+// and an uncancelled search always ends decided or exhausted, never
+// Cancelled, whatever the budget, order or pool width — a worker that
+// claims a rank explores it unless the fold can never need it, so the
+// fold is left no gap to wait on.
+func TestUncancelledSearchCompletes(t *testing.T) {
+	for _, w := range workloads.Bugs() {
+		base := configuredSearcher(t, w, core.Config{})
+		for _, guided := range []bool{false, true} {
+			for _, workers := range []int{4, 8} {
+				for _, budget := range []int{1, 7, 40, 400} {
+					s := *base
+					s.Opts.Weighted, s.Opts.Guided = guided, guided
+					s.Opts.Workers, s.Opts.MaxTries = workers, budget
+					var mu sync.Mutex
+					lo, hi := 0, -1
+					s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
+						if e.Kind != telemetry.KindTrial {
+							return
+						}
+						mu.Lock()
+						lo, hi = min(lo, e.Trial.Worker), max(hi, e.Trial.Worker)
+						mu.Unlock()
+					})}
+					res := s.SearchContext(context.Background())
+					name := fmt.Sprintf("%s guided=%v workers=%d budget=%d", w.Name, guided, workers, budget)
+					if res.Cancelled {
+						t.Fatalf("%s: uncancelled search reports Cancelled: %+v", name, res)
+					}
+					if res.TrialsExecuted < res.Tries || res.Tries > budget {
+						t.Fatalf("%s: executed %d trials for %d tries", name, res.TrialsExecuted, res.Tries)
+					}
+					if lo < 0 || hi >= res.Workers {
+						t.Fatalf("%s: trial workers span [%d, %d], want within [0, %d)", name, lo, hi, res.Workers)
+					}
+				}
+			}
 		}
 	}
 }
@@ -217,12 +260,12 @@ func TestSearchContextCancelDeterministic(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		s.Opts.Workers = workers
-		s.Opts.Observer = telemetry.ObserverFunc(func(e telemetry.Event) {
+		s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
 			if e.Kind == telemetry.KindFold && !e.Progress.Done && e.Progress.Tries >= budget {
 				cancel()
 			}
-		})
-		defer func() { s.Opts.Observer = nil }()
+		})}
+		defer func() { s.Opts.Observers = nil }()
 		return s.SearchContext(ctx)
 	}
 
@@ -253,7 +296,7 @@ func TestSearchNoCandidates(t *testing.T) {
 		Target:     chess.FailureSignature{Reason: "x"},
 		Opts:       chess.Options{Bound: 2, Workers: 4},
 	}
-	res := s.Search()
+	res := s.SearchContext(context.Background())
 	if res.Found || res.Tries != 0 || res.CombinationsGenerated != 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Telemetry plumbing for the search. Everything here is strictly
-// passive — counters and the Options.Observer stream observe trials
+// passive — counters and the Options.Observers stream observe trials
 // after their outcome is fixed, at trial granularity (never per step),
 // so the determinism contract (Found/Schedule/Tries bit-identical with
 // telemetry on or off, for any worker count) and the allocs/step=0
@@ -14,27 +14,23 @@ import (
 
 // observeTrial publishes one executed trial to the telemetry layer:
 // the sharded chess and interpreter counters, the crash classifier,
-// and the Options.Observer stream. worker indexes the counter shard;
-// the post-join repair path's -1 wraps to a valid cell like any other
-// out-of-range id.
+// and the Options.Observers stream. worker, the pool worker that ran
+// the trial, indexes the counter shard.
 func (st *searchState) observeTrial(rank, trial, worker int, tr *trialResult, m *interp.Machine) {
 	telemetry.ChessTrialsExecuted.Cell(worker).Inc()
 	telemetry.ChessStepsExecuted.Cell(worker).Add(tr.steps)
 	telemetry.ChessTrialSteps.Cell(worker).Observe(tr.steps)
-	telemetry.ChessWorkerSteps(max(worker, 0)).Cell(worker).Add(tr.steps)
+	telemetry.ChessWorkerSteps(worker).Cell(worker).Add(tr.steps)
 	if m.Crashed() {
 		crashCounter(interp.CrashKind(m.Crash.Reason)).Cell(worker).Inc()
 	}
-	if len(st.obs) == 0 {
+	if len(st.s.Opts.Observers) == 0 {
 		return
 	}
-	e := telemetry.Event{Kind: telemetry.KindTrial, Trial: telemetry.Trial{
+	st.s.Opts.Observers.Observe(telemetry.Event{Kind: telemetry.KindTrial, Trial: telemetry.Trial{
 		Rank: rank, Trial: trial, Worker: worker,
 		Steps: tr.steps, Found: tr.found,
-	}}
-	for _, o := range st.obs {
-		o.Observe(e)
-	}
+	}})
 }
 
 // crashCounter maps a CrashKind class to its labeled counter.

@@ -15,8 +15,8 @@ import (
 )
 
 // Stage identifies one phase of the debugging-side analysis. Stages
-// run strictly in order; Analysis.Through runs everything up to and
-// including its argument, so callers can stop early or reuse the
+// run strictly in order; Analysis.ThroughContext runs everything up to
+// and including its argument, so callers can stop early or reuse the
 // artifacts of completed stages — e.g. re-prioritize the CSV accesses
 // under a different heuristic without repeating the expensive
 // alignment re-execution.
@@ -76,7 +76,8 @@ type Analysis struct {
 }
 
 // NewAnalysis starts a stage-structured analysis of the failure. Run
-// stages with Through; Analyze is the one-shot equivalent.
+// stages with ThroughContext; AnalyzeContext is the one-shot
+// equivalent.
 func (p *Pipeline) NewAnalysis(fail *FailureReport) *Analysis {
 	rep := &AnalysisReport{}
 	if t := fail.Dump.Thread(fail.Dump.FailingThread); t != nil {
@@ -85,18 +86,12 @@ func (p *Pipeline) NewAnalysis(fail *FailureReport) *Analysis {
 	return &Analysis{Pipe: p, Fail: fail, Report: rep}
 }
 
-// Through runs every not-yet-run stage up to and including last.
-// Already-completed stages are not repeated. It is ThroughContext with
-// a background context.
-func (a *Analysis) Through(last Stage) error {
-	return a.ThroughContext(context.Background(), last)
-}
-
 // ThroughContext runs every not-yet-run stage up to and including
-// last, checking the context before each stage (and polling it inside
-// the long deterministic re-executions of StageAlign and
-// StageAlignedDump), and bracketing each stage with begin and end
-// events to the pipeline's observers. On cancellation it returns an
+// last; already-completed stages are not repeated. It checks the
+// context before each stage (and polls it inside the long
+// deterministic re-executions of StageAlign and StageAlignedDump) and
+// brackets each stage with begin and end events to the pipeline's
+// observers. On cancellation it returns an
 // error wrapping ErrCancelled; the artifacts of completed stages
 // remain in a.Report, and a later call resumes at the first
 // unfinished stage — this is what makes an analysis resumable across
@@ -125,11 +120,11 @@ func (a *Analysis) ThroughContext(ctx context.Context, last Stage) error {
 
 // Reprioritize re-runs the prioritization and candidate stages under a
 // different heuristic, reusing the alignment, dump and diff artifacts
-// of the earlier stages (running them first if needed). Experiments
-// that compare heuristics on one bug use this to amortize the
-// re-execution cost across configurations.
-func (a *Analysis) Reprioritize(h slicing.Heuristic) error {
-	if err := a.Through(StageDiff); err != nil {
+// of the earlier stages (running them first, under ctx, if needed).
+// Experiments that compare heuristics on one bug use this to amortize
+// the re-execution cost across configurations.
+func (a *Analysis) Reprioritize(ctx context.Context, h slicing.Heuristic) error {
+	if err := a.ThroughContext(ctx, StageDiff); err != nil {
 		return err
 	}
 	a.prioritize(h)
@@ -215,8 +210,9 @@ func (a *Analysis) alignedDump(ctx context.Context) error {
 	t0 := time.Now()
 	m := p.NewMachine()
 	// BoundedRunContext, not a bare Runner: an aligned point at step 0
-	// must capture the initial state, and BoundedRun runs nothing for a
-	// non-positive bound where Runner{MaxSteps: 0} would run forever.
+	// must capture the initial state, and BoundedRunContext runs
+	// nothing for a non-positive bound where Runner{MaxSteps: 0} would
+	// run forever.
 	res := sched.BoundedRunContext(ctx, m, sched.NewCooperative(), rep.AlignSteps)
 	if res.Cancelled {
 		return Cancelled(ctx.Err())

@@ -50,11 +50,11 @@ func main() {
 	if p.Cfg.Bound != 2 {
 		t.Fatalf("default bound %d, want 2", p.Cfg.Bound)
 	}
-	if p.Cfg.MaxStressAttempts <= 0 || p.Cfg.StepLimit <= 0 {
+	if p.Cfg.MaxStressAttempts <= 0 {
 		t.Fatalf("missing defaults: %+v", p.Cfg)
 	}
 	m := p.NewMachine()
-	if m.MaxSteps != p.Cfg.StepLimit {
+	if m.MaxSteps != core.StepLimit {
 		t.Fatal("machine step limit not applied")
 	}
 }

@@ -66,8 +66,6 @@ type Config struct {
 	MaxTries int
 	// MaxStressAttempts bounds the failure-provocation phase.
 	MaxStressAttempts int
-	// StepLimit bounds each execution (0 = a generous default).
-	StepLimit int64
 	// Workers is the schedule-search worker-pool width (0 =
 	// GOMAXPROCS). The search result is deterministic for any value:
 	// the winning schedule is always the lowest-ranked one.
@@ -95,11 +93,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxStressAttempts == 0 {
 		c.MaxStressAttempts = 20000
 	}
-	if c.StepLimit == 0 {
-		c.StepLimit = 2_000_000
-	}
 	return c
 }
+
+// StepLimit bounds every execution a pipeline runs: each stress
+// attempt, the alignment re-runs and each search trial.
+const StepLimit = 2_000_000
 
 // Pipeline reproduces failures of one program + input.
 type Pipeline struct {
@@ -138,7 +137,7 @@ func NewPipeline(prog *ir.Program, input *interp.Input, cfg Config) *Pipeline {
 // ever see shared mutable input state even if Input grows some.
 func (p *Pipeline) NewMachine() *interp.Machine {
 	m := interp.New(p.Prog, p.Input.Clone())
-	m.MaxSteps = p.Cfg.StepLimit
+	m.MaxSteps = StepLimit
 	return m
 }
 
@@ -249,9 +248,8 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context, fail *FailureReport) (*An
 }
 
 // Searcher builds the schedule searcher for a completed analysis;
-// callers may tweak its Opts before Search (ablation studies do). The
-// pipeline's observers, if any, are pre-wired as the searcher's
-// Observer.
+// callers may tweak its Opts before SearchContext (ablation studies
+// do). The pipeline's observers are the searcher's Observers.
 func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Searcher {
 	s := &chess.Searcher{
 		NewMachine: p.NewMachine,
@@ -264,13 +262,11 @@ func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Sear
 			MaxTries:     p.Cfg.MaxTries,
 			PassingSteps: an.PassingSteps,
 			Workers:      p.Cfg.Workers,
+			Observers:    p.Cfg.Observers,
 		},
 	}
 	if p.Cfg.StaticFocus {
 		s.Opts.Static = statics.Analyze(p.Prog).FocusSet()
-	}
-	if len(p.Cfg.Observers) > 0 {
-		s.Opts.Observer = p.Cfg.Observers
 	}
 	return s
 }

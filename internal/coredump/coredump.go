@@ -288,40 +288,29 @@ type Location struct {
 func (d *Dump) Traverse() []Location {
 	var out []Location
 	visited := map[interp.ObjID]bool{}
-
-	// Deterministic root order: globals sorted, then arrays sorted,
-	// then the failing thread's frames bottom-up with sorted locals.
-	globalNames := sortedKeys(d.Globals)
 	type ptrRoot struct {
 		path string
 		obj  interp.ObjID
 	}
 	var queue []ptrRoot
-
-	for _, name := range globalNames {
-		v := d.Globals[name]
+	// emit appends one location. A pointer is compared as a primitive
+	// too — null versus non-null is a salient difference — with its
+	// value normalized to 0/1 so object ids don't leak into the
+	// comparison, and a non-null target is queued for the heap walk.
+	emit := func(path string, v interp.Value, shared bool, id interp.VarID) {
 		if v.Kind == interp.KPtr {
 			if v.Obj() != 0 {
-				queue = append(queue, ptrRoot{path: name, obj: v.Obj()})
+				queue = append(queue, ptrRoot{path: path, obj: v.Obj()})
 			}
-			// The pointer itself is compared as a primitive too: null
-			// versus non-null is a salient difference. Its value is
-			// normalized to 0/1 so object ids don't leak into the
-			// comparison.
-			out = append(out, Location{
-				Path:   name,
-				Value:  normalizePtr(v),
-				Shared: true,
-				Var:    interp.VarID{Kind: interp.VGlobal, Name: name},
-			})
-			continue
+			v = normalizePtr(v)
 		}
-		out = append(out, Location{
-			Path:   name,
-			Value:  v,
-			Shared: true,
-			Var:    interp.VarID{Kind: interp.VGlobal, Name: name},
-		})
+		out = append(out, Location{Path: path, Value: v, Shared: shared, Var: id})
+	}
+
+	// Deterministic root order: globals sorted, then arrays sorted,
+	// then the failing thread's frames bottom-up with sorted locals.
+	for _, name := range sortedKeys(d.Globals) {
+		emit(name, d.Globals[name], true, interp.VarID{Kind: interp.VGlobal, Name: name})
 	}
 	for _, name := range sortedKeys(d.Arrays) {
 		arr := d.Arrays[name]
@@ -337,26 +326,7 @@ func (d *Dump) Traverse() []Location {
 	for _, fr := range d.FailingFrames() {
 		prefix := fmt.Sprintf("local:%s.", fr.FuncName)
 		for _, name := range sortedKeys(fr.Locals) {
-			v := fr.Locals[name]
-			path := prefix + name
-			if v.Kind == interp.KPtr {
-				if v.Obj() != 0 {
-					queue = append(queue, ptrRoot{path: path, obj: v.Obj()})
-				}
-				out = append(out, Location{
-					Path:   path,
-					Value:  normalizePtr(v),
-					Shared: false,
-					Var:    interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.FrameID},
-				})
-				continue
-			}
-			out = append(out, Location{
-				Path:   path,
-				Value:  v,
-				Shared: false,
-				Var:    interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.FrameID},
-			})
+			emit(prefix+name, fr.Locals[name], false, interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.FrameID})
 		}
 	}
 
@@ -374,28 +344,8 @@ func (d *Dump) Traverse() []Location {
 		if !ok {
 			continue
 		}
-		names := sortedKeys(fields)
-		for _, f := range names {
-			v := fields[f]
-			path := r.path + "->" + f
-			if v.Kind == interp.KPtr {
-				if v.Obj() != 0 {
-					queue = append(queue, ptrRoot{path: path, obj: v.Obj()})
-				}
-				out = append(out, Location{
-					Path:   path,
-					Value:  normalizePtr(v),
-					Shared: true,
-					Var:    interp.VarID{Kind: interp.VField, Name: f, Obj: r.obj},
-				})
-				continue
-			}
-			out = append(out, Location{
-				Path:   path,
-				Value:  v,
-				Shared: true,
-				Var:    interp.VarID{Kind: interp.VField, Name: f, Obj: r.obj},
-			})
+		for _, f := range sortedKeys(fields) {
+			emit(r.path+"->"+f, fields[f], true, interp.VarID{Kind: interp.VField, Name: f, Obj: r.obj})
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package coredump_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func crashDump(t testing.TB, w *workloads.Workload) (*ir.Program, *coredump.Dump
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, st := sched.Stress(func() *interp.Machine {
+	m, st := sched.StressContext(context.Background(), func() *interp.Machine {
 		mm := interp.New(cp, w.Input)
 		mm.MaxSteps = 1_000_000
 		return mm
@@ -354,7 +355,7 @@ func TestSizeMatchesFreshEncoder(t *testing.T) {
 			for _, budget := range []int64{0, 40, 200, 1_000_000} {
 				m := interp.New(sub.prog, sub.input)
 				m.MaxSteps = 1_000_000
-				sched.BoundedRun(m, sched.NewRandom(seed), budget)
+				sched.BoundedRunContext(context.Background(), m, sched.NewRandom(seed), budget)
 				d := coredump.Capture(m, 0, ir.PC{}, "size oracle")
 				var buf bytes.Buffer
 				if err := d.Encode(&buf); err != nil {

@@ -303,7 +303,7 @@ func Table4(ctx context.Context, plainCap int) ([]Table4Row, error) {
 		}
 
 		search := func(h slicing.Heuristic, enhanced bool, maxTries int) (*chess.Result, error) {
-			if err := an.Reprioritize(h); err != nil {
+			if err := an.Reprioritize(ctx, h); err != nil {
 				return nil, err
 			}
 			s := p.Searcher(fail, an.Report)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -247,9 +248,9 @@ func processCPU() int64 {
 // target — the BenchmarkSearchParallel regime) and returns its
 // executed-step count. With tele set, the telemetry stack observes
 // the search's event stream: a Tracer (synthetic clock, 1-in-10
-// sampled — the benchtab tracing default) and a FlightRecorder behind
-// one Observers fan-out, as the batch server attaches its SSE hub and
-// flight recorder to every job.
+// sampled — the benchtab tracing default) and a FlightRecorder, as
+// the batch server attaches its SSE hub and flight recorder to every
+// job.
 func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, tele bool) int64 {
 	s := &chess.Searcher{
 		NewMachine: func() *interp.Machine {
@@ -267,9 +268,9 @@ func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate,
 		},
 	}
 	if tele {
-		s.Opts.Observer = telemetry.Observers{telemetry.NewTracer(nil, 10), telemetry.NewFlightRecorder(64)}
+		s.Opts.Observers = telemetry.Observers{telemetry.NewTracer(nil, 10), telemetry.NewFlightRecorder(64)}
 	}
-	return s.Search().StepsExecuted
+	return s.SearchContext(context.Background()).StepsExecuted
 }
 
 // PrintInterp renders the interpreter cost section. The search columns

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"heisendump/internal/chess"
 	"heisendump/internal/core"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
@@ -286,15 +285,7 @@ func fingerprint(label string, rep *core.Report, err error) (ConfigOutcome, erro
 	if rep != nil && rep.Search != nil {
 		out.Found = rep.Search.Found
 		out.Tries = rep.Search.Tries
-		out.Schedule = ScheduleString(rep.Search)
+		out.Schedule = rep.Search.ScheduleString()
 	}
 	return out, nil
-}
-
-// ScheduleString canonically renders a search result's winning
-// preemption set for bit-for-bit comparison and corpus storage. It is
-// chess.Result.ScheduleString — the same rendering the batch service
-// persists — kept here as a convenience alias for oracle callers.
-func ScheduleString(res *chess.Result) string {
-	return res.ScheduleString()
 }

@@ -45,9 +45,9 @@ func TestSessionMatchesOracleFingerprint(t *testing.T) {
 			}
 			base := v.Outcomes[0]
 			if rep.Search.Found != base.Found || rep.Search.Tries != base.Tries ||
-				gen.ScheduleString(rep.Search) != base.Schedule {
+				rep.Search.ScheduleString() != base.Schedule {
 				t.Errorf("seed %d workers %d: Session result diverges from oracle fingerprint:\nsession: found=%v tries=%d %s\noracle:  found=%v tries=%d %s",
-					seed, workers, rep.Search.Found, rep.Search.Tries, gen.ScheduleString(rep.Search),
+					seed, workers, rep.Search.Found, rep.Search.Tries, rep.Search.ScheduleString(),
 					base.Found, base.Tries, base.Schedule)
 			}
 		}

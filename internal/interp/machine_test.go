@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"context"
 	"testing"
 
 	"heisendump/internal/interp"
@@ -110,7 +111,7 @@ func TestFig1CooperativeRunIsDeterministic(t *testing.T) {
 
 func TestFig1CrashesUnderSomeRandomInterleaving(t *testing.T) {
 	cp := compileFig1(t, true)
-	m, stress := sched.Stress(func() *interp.Machine {
+	m, stress := sched.StressContext(context.Background(), func() *interp.Machine {
 		return interp.New(cp, fig1Input())
 	}, 2000)
 	if m == nil {
@@ -130,7 +131,7 @@ func TestFig1CrashesUnderSomeRandomInterleaving(t *testing.T) {
 
 func TestFig1ReplayReproducesCrash(t *testing.T) {
 	cp := compileFig1(t, true)
-	m, stress := sched.Stress(func() *interp.Machine {
+	m, stress := sched.StressContext(context.Background(), func() *interp.Machine {
 		return interp.New(cp, fig1Input())
 	}, 2000)
 	if m == nil {

@@ -16,6 +16,7 @@ package interp_test
 // lowering to the map-resolution semantics they replaced.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -621,7 +622,7 @@ func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	m := interp.New(prog, in)
 	// Burn one partial run, then rewind: the post-Reset state must be
 	// indistinguishable from a fresh machine.
-	sched.BoundedRun(m, sched.NewCooperative(), 25)
+	sched.BoundedRunContext(context.Background(), m, sched.NewCooperative(), 25)
 	m.Reset(prog, in)
 	out, _ := recordSlot(m, sched.NewReplayer(schedule))
 	return out

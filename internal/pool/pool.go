@@ -11,24 +11,20 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(i) for every i in [0, n), with at most workers
-// invocations in flight at a time (workers <= 0 means GOMAXPROCS).
-// Tasks are claimed in index order. It returns the first error
-// encountered; once a task fails, unstarted tasks are skipped, but
-// already-started tasks run to completion. ForEach itself returns only
-// after every started task has finished, so results written to
-// index-addressed slots are visible to the caller without further
-// synchronization.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachContext(context.Background(), workers, n, fn)
-}
-
-// ForEachContext is ForEach with cooperative cancellation: the context
-// is checked before each task is claimed, so a cancelled context skips
-// every unstarted task (already-started tasks run to completion —
-// tasks that should stop mid-flight must watch the context
-// themselves). When cancellation cut work short and no task failed
-// first, the context's error is returned.
+// ForEachContext runs fn(i) for every i in [0, n), with at most
+// workers invocations in flight at a time (workers <= 0 means
+// GOMAXPROCS). Tasks are claimed in index order. It returns the first
+// error encountered; once a task fails, unstarted tasks are skipped,
+// but already-started tasks run to completion. ForEachContext itself
+// returns only after every started task has finished, so results
+// written to index-addressed slots are visible to the caller without
+// further synchronization.
+//
+// The context is checked before each task is claimed, so a cancelled
+// context skips every unstarted task (already-started tasks run to
+// completion — tasks that should stop mid-flight must watch the
+// context themselves). When cancellation cut work short and no task
+// failed first, the context's error is returned.
 func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -13,7 +13,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 50
 		counts := make([]int32, n)
-		err := pool.ForEach(workers, n, func(i int) error {
+		err := pool.ForEachContext(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
 	done := make(chan struct{})
-	err := pool.ForEach(workers, 20, func(i int) error {
+	err := pool.ForEachContext(context.Background(), workers, 20, func(i int) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -60,7 +60,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 func TestForEachStopsAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := pool.ForEach(1, 100, func(i int) error {
+	err := pool.ForEachContext(context.Background(), 1, 100, func(i int) error {
 		ran.Add(1)
 		if i == 4 {
 			return boom
@@ -104,22 +104,12 @@ func TestForEachContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestForEachContextUncancelledMatchesForEach(t *testing.T) {
-	var ran atomic.Int32
-	if err := pool.ForEachContext(context.Background(), 3, 20, func(int) error { ran.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 20 {
-		t.Fatalf("ran %d, want 20", ran.Load())
-	}
-}
-
 func TestForEachEmptyAndOversized(t *testing.T) {
-	if err := pool.ForEach(4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := pool.ForEachContext(context.Background(), 4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Int32
-	if err := pool.ForEach(64, 2, func(int) error { ran.Add(1); return nil }); err != nil {
+	if err := pool.ForEachContext(context.Background(), 64, 2, func(int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 2 {

@@ -88,8 +88,8 @@ type Result struct {
 	// which case Budgeted is also set).
 	StepLimited bool
 	// Budgeted is true when the Runner's own MaxSteps budget (a
-	// caller-chosen policy, e.g. BoundedRun's exact dump-capture
-	// budget) cut the run, as opposed to the machine's step limit
+	// caller-chosen policy, e.g. BoundedRunContext's exact
+	// dump-capture budget) cut the run, as opposed to the machine's step limit
 	// (the livelock guard). Budgeted stops classify as OutcomeStopped
 	// with a nil Err; machine-limit stops as OutcomeStepLimited.
 	Budgeted bool
@@ -147,7 +147,8 @@ const (
 	// OutcomeStopped: the run stopped by caller policy with threads
 	// still live — the scheduler yielded (a Replayer that consumed its
 	// schedule mid-run), or the Runner's own step budget was reached
-	// (a BoundedRun's exact dump-capture budget; Result.Budgeted).
+	// (a BoundedRunContext's exact dump-capture budget;
+	// Result.Budgeted).
 	OutcomeStopped
 	// OutcomeError: an internal interpreter error stopped the run
 	// (Result.StepError — e.g. corrupted IR), distinct from a subject
@@ -325,7 +326,7 @@ func DiagnoseDeadlock(m *interp.Machine) *DeadlockInfo {
 
 // Runner executes machines under a scheduler with a uniform run
 // policy. It is the one execution loop of the system: the Run and
-// BoundedRun wrappers, pipeline stages, stress, witness replays, the
+// BoundedRunContext wrappers, pipeline stages, stress, witness replays, the
 // schedule search's trials and the interpreter probes all construct
 // Runners (a Runner is a value, so each run can carry its own bound
 // without shared state).
@@ -552,15 +553,10 @@ func (r *Replayer) Next(m *interp.Machine) int {
 	return tid
 }
 
-// BoundedRun runs m under s for at most maxSteps additional steps
-// (non-positive bounds run nothing). It is used to capture dumps at
+// BoundedRunContext runs m under s for at most maxSteps additional
+// steps (non-positive bounds run nothing), with the Runner's
+// cooperative context cancellation. It is used to capture dumps at
 // precise points of deterministic runs.
-func BoundedRun(m *interp.Machine, s Scheduler, maxSteps int64) *Result {
-	return BoundedRunContext(context.Background(), m, s, maxSteps)
-}
-
-// BoundedRunContext is BoundedRun with the Runner's cooperative
-// context cancellation.
 func BoundedRunContext(ctx context.Context, m *interp.Machine, s Scheduler, maxSteps int64) *Result {
 	if maxSteps <= 0 {
 		maxSteps = -1
@@ -579,20 +575,15 @@ type StressResult struct {
 	Attempts int
 }
 
-// Stress repeatedly executes fresh machines under random scheduling
-// until one crashes or maxAttempts is exhausted. It models the paper's
-// stress testing used only to acquire a failure core dump, and returns
-// the machine in its crashed state for dump capture.
-func Stress(newMachine func() *interp.Machine, maxAttempts int) (*interp.Machine, *StressResult) {
-	return StressContext(context.Background(), newMachine, maxAttempts)
-}
-
-// StressContext is Stress with cooperative cancellation: the context
-// is polled before every attempt and during each run. It returns
-// (nil, nil) when cancelled — the caller distinguishes cancellation
-// from an exhausted budget via ctx.Err(). Seeds are tried in the same
-// fixed order, so an uncancelled StressContext is bit-identical to
-// Stress.
+// StressContext repeatedly executes fresh machines under random
+// scheduling until one crashes or maxAttempts is exhausted. It models
+// the paper's stress testing used only to acquire a failure core dump,
+// and returns the machine in its crashed state for dump capture. The
+// context is polled before every attempt and during each run; it
+// returns (nil, nil) when cancelled or when no attempt crashed — the
+// caller distinguishes cancellation from an exhausted budget via
+// ctx.Err(). Seeds are tried in a fixed order, so an uncancelled
+// StressContext is deterministic.
 //
 // The factory is called once: subsequent attempts rewind the same
 // machine with Machine.Reset (which is observationally identical to a

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -165,8 +166,8 @@ func TestStressFindsFailingSeedDeterministically(t *testing.T) {
 		m.MaxSteps = 100_000
 		return m
 	}
-	m1, s1 := sched.Stress(mk, 2000)
-	m2, s2 := sched.Stress(mk, 2000)
+	m1, s1 := sched.StressContext(context.Background(), mk, 2000)
+	m2, s2 := sched.StressContext(context.Background(), mk, 2000)
 	if m1 == nil || m2 == nil {
 		t.Skip("no crash")
 	}
@@ -180,7 +181,7 @@ func TestStressFindsFailingSeedDeterministically(t *testing.T) {
 
 func TestStressGivesUp(t *testing.T) {
 	cp := compile(t, twoThreads) // race-free: never crashes
-	m, st := sched.Stress(func() *interp.Machine {
+	m, st := sched.StressContext(context.Background(), func() *interp.Machine {
 		mm := interp.New(cp, nil)
 		mm.MaxSteps = 100_000
 		return mm

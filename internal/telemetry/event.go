@@ -65,8 +65,8 @@ type Trial struct {
 	// its 0-based index within that combination's exploration.
 	Rank  int `json:"rank"`
 	Trial int `json:"trial"`
-	// Worker is the search worker that ran the trial (-1 for the
-	// post-join repair path).
+	// Worker is the search's pool worker that ran the trial, in
+	// [0, the search's worker count).
 	Worker int `json:"worker"`
 	// Steps counts the trial's executed interpreter steps; Found marks
 	// a trial that reproduced the target failure.
@@ -119,24 +119,6 @@ func (os Observers) Observe(e Event) {
 	for _, o := range os {
 		o.Observe(e)
 	}
-}
-
-// Flatten lists the observers o delivers to, in delivery order, with
-// nested Observers expanded; nil for a nil o. An emitter that sends
-// every trial calls each directly: an Event is too large to pass in
-// registers, so every fan-out level copies it once more per element.
-func Flatten(o Observer) []Observer {
-	switch o := o.(type) {
-	case nil:
-		return nil
-	case Observers:
-		var flat []Observer
-		for _, e := range o {
-			flat = append(flat, Flatten(e)...)
-		}
-		return flat
-	}
-	return []Observer{o}
 }
 
 var lastSpan atomic.Uint64

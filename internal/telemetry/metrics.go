@@ -56,8 +56,8 @@ type Counter struct {
 }
 
 // Cell returns the accumulation cell for worker i. Cells for distinct
-// workers (below cellShards) never share a cache line; any int —
-// including negative repair-path worker ids — maps to a valid cell.
+// workers (below cellShards) never share a cache line; any worker id
+// maps to a valid cell.
 func (c *Counter) Cell(i int) *CounterCell {
 	return &c.cells[uint(i)%cellShards]
 }

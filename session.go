@@ -84,9 +84,6 @@ func WithBound(k int) Option { return func(c *core.Config) { c.Bound = k } }
 // selection, yielding the original undirected CHESS baseline.
 func WithPlainChess(on bool) Option { return func(c *core.Config) { c.PlainChess = on } }
 
-// WithStepLimit bounds each execution (0 = a generous default).
-func WithStepLimit(n int64) Option { return func(c *core.Config) { c.StepLimit = n } }
-
 // WithStressBudget bounds the failure-provocation phase's stress
 // attempts (0 = the default of 20000). A negative n makes no attempt,
 // so ProvokeFailure reports ErrNoFailure; heisend refuses one.
