@@ -290,18 +290,18 @@ func (st *searchState) cancelled() bool {
 }
 
 // worker claims worklist ranks in order and explores each combination.
-// Before each claim it stops when the context is cancelled, when the
-// fold has decided the search (winner committed or cutoff reached), or
-// when the executed-trial count has reached the cutoff budget. That
-// last check is only a speculation throttle: the raw count can include
-// trials of ranks the fold will never consume, but each explored rank
-// folds at most its trials, so once the raw count reaches the budget
-// the explored ranks alone carry the fold to its decision. A claimed
-// rank is then explored unless the worklist is drained, a lower-rank
-// combination has already found the target (higher ranks cannot win:
-// either that find commits, or the cutoff lands at or before it), or
-// the folded prefix has spent the budget — the fold needs none of
-// those ranks, so it never waits on a rank nobody explores.
+// Every stop that does not depend on the rank comes before the claim:
+// the context is cancelled, the fold has decided the search (winner
+// committed or cutoff reached), or the executed-trial count has reached
+// the cutoff budget. The last is a speculation throttle; because every
+// claimed rank the fold can need is explored and folds as min(its
+// trials, the remaining budget), raw trials at the budget carry the
+// fold to its decision. A claimed rank goes unexplored only when the
+// worklist is drained, a lower-rank combination has already found the
+// target (higher ranks cannot win: either that find commits, or the
+// cutoff lands at or before it), or the folded prefix has spent the
+// budget. The fold needs none of those ranks, so it never waits on a
+// rank nobody explores.
 func (st *searchState) worker(w int) {
 	// Each worker owns one machine and one trial chooser for its whole
 	// claim stream: runTrial rewinds the machine with Machine.Reset, so

@@ -137,8 +137,8 @@ func TestFig1ReplayReproducesCrash(t *testing.T) {
 	if m == nil {
 		t.Skip("race not provoked")
 	}
-	// Stress does not record schedules: re-run the failing seed under
-	// a recording Runner to obtain the interleaving.
+	// StressContext does not record schedules: re-run the failing seed
+	// under a recording Runner to obtain the interleaving.
 	failing := sched.Runner{Record: true}.Run(interp.New(cp, fig1Input()), sched.NewRandom(stress.Seed))
 	m2 := interp.New(cp, fig1Input())
 	res := sched.Run(m2, sched.NewReplayer(failing.Schedule))

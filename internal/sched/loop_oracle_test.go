@@ -342,7 +342,7 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			for _, budget := range []int64{0, 1, 7, 1023, 1024, 1025} {
 				bound := budget
 				if bound <= 0 {
-					bound = -1 // BoundedRun's "run nothing"
+					bound = -1 // BoundedRunContext's "run nothing"
 				}
 				run(fmt.Sprintf("%s budget %d", sc.name, budget), oracleStepLimit,
 					sched.Runner{MaxSteps: bound, Record: true}, sc.mk(), sc.ref(), false)

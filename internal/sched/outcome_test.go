@@ -147,9 +147,9 @@ func TestLivelockOutcomeIsStepLimited(t *testing.T) {
 }
 
 func TestRunnerBudgetIsBenignStop(t *testing.T) {
-	// The Runner's own MaxSteps is a caller-chosen budget (BoundedRun's
-	// exact dump-capture stop), not a livelock: it classifies as a
-	// benign stop with a nil Err.
+	// The Runner's own MaxSteps is a caller-chosen budget
+	// (BoundedRunContext's exact dump-capture stop), not a livelock: it
+	// classifies as a benign stop with a nil Err.
 	prog := compile(t, spinner)
 	m := interp.New(prog, nil)
 	res := sched.Runner{MaxSteps: 500}.Run(m, sched.NewCooperative())

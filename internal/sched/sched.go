@@ -89,9 +89,10 @@ type Result struct {
 	StepLimited bool
 	// Budgeted is true when the Runner's own MaxSteps budget (a
 	// caller-chosen policy, e.g. BoundedRunContext's exact
-	// dump-capture budget) cut the run, as opposed to the machine's step limit
-	// (the livelock guard). Budgeted stops classify as OutcomeStopped
-	// with a nil Err; machine-limit stops as OutcomeStepLimited.
+	// dump-capture budget) cut the run, as opposed to the machine's
+	// step limit (the livelock guard). Budgeted stops classify as
+	// OutcomeStopped with a nil Err; machine-limit stops as
+	// OutcomeStepLimited.
 	Budgeted bool
 	// Cancelled is true when the run was cut off by the Runner's
 	// context.
@@ -326,10 +327,10 @@ func DiagnoseDeadlock(m *interp.Machine) *DeadlockInfo {
 
 // Runner executes machines under a scheduler with a uniform run
 // policy. It is the one execution loop of the system: the Run and
-// BoundedRunContext wrappers, pipeline stages, stress, witness replays, the
-// schedule search's trials and the interpreter probes all construct
-// Runners (a Runner is a value, so each run can carry its own bound
-// without shared state).
+// BoundedRunContext wrappers, pipeline stages, stress, witness
+// replays, the schedule search's trials and the interpreter probes all
+// construct Runners (a Runner is a value, so each run can carry its
+// own bound without shared state).
 type Runner struct {
 	// MaxSteps bounds the steps executed by this run — not the
 	// machine's lifetime total, so a Runner can extend a partially-run
