@@ -23,10 +23,12 @@ import (
 //     granularity, traces, crash PCs and candidate sites are therefore
 //     those of the ir instruction stream.
 //
-//   - One dispatch call runs a burst, not a step: a terminal that only
-//     moves the PC goes on to the next instruction inside the call, and
-//     the call returns only where its caller must look at the machine
-//     (see execBC). Step is a burst of one instruction.
+//   - One dispatch call runs a thread from one scheduling decision to
+//     the next: a terminal that only moves the PC, a sync operation
+//     below the burst's horizon, a call and a spawn go on to the next
+//     instruction inside the call, which returns only where its caller
+//     must look at the machine (see execBC). Step is a call limited to
+//     one step.
 //
 //   - The value stack is scratch space within one step: it is empty at
 //     every instruction boundary, so it lives on the Machine (sized
@@ -43,14 +45,13 @@ import (
 // step. It returns false when the thread could not be stepped
 // (blocked, done, or machine crashed). Runtime faults crash the machine
 // and return true: the faulting instruction was the step. The stress
-// scheduler and the Replayer call it once per instruction, so it calls
-// the dispatch loop directly rather than through RunBurst's bookkeeping.
+// scheduler and the Replayer call it once per instruction.
 func (m *Machine) Step(tid int) (bool, error) {
 	t, err := m.enter(tid)
 	if t == nil {
 		return false, err
 	}
-	return m.execBC(t, m.TotalSteps+1, false)
+	return m.execBC(t, m.TotalSteps+1, 0)
 }
 
 // enter starts a Step or a burst of thread tid: it returns the thread,
@@ -98,65 +99,45 @@ func (m *Machine) ensureStack(prog *ir.Program) {
 // are identical to calling Step in a loop — RunBurst only removes the
 // caller's per-step re-inspection of the machine, which is what makes
 // the run loop fast between the points where its scheduler may switch.
-//
-// The instructions between two sync operations, calls or spawns run in
-// one dispatch call (execBC), which checks the limit and, at the
-// horizon, the next instruction's sync-ness before each step it goes
-// on to. This loop takes the decisions at the instructions that return
-// from it. Below the horizon the sync boundary costs one compare of
-// the thread's count. At or above it, the count tells whether the last
-// instruction completed a sync operation, and the frame carries its
-// function's ir.BFunc.Sync table, so the next instruction's sync-ness
-// is one load from the frame instead of a decode through the bytecode
-// entry table.
+// The whole burst is one dispatch call.
 func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
 	t, err := m.enter(tid)
 	if t == nil {
 		return false, err
 	}
-	// One step bound for the loop: the nearer of limit and MaxSteps.
+	// One step bound for the call: the nearer of limit and MaxSteps.
 	if limit <= 0 || (m.MaxSteps > 0 && m.MaxSteps < limit) {
 		limit = m.MaxSteps
 	}
 	if limit <= 0 {
 		limit = math.MaxInt64
 	}
-	syncs := t.Syncs
-	for {
-		ok, err := m.execBC(t, limit, t.Syncs >= horizon)
-		if !ok || err != nil {
-			return ok, err
-		}
-		if m.Crash != nil || t.Status != Runnable || m.TotalSteps >= limit {
-			return true, nil
-		}
-		if t.Syncs >= horizon {
-			// At the horizon a burst completes at most one sync
-			// operation: the one that reached it, or its first
-			// instruction.
-			if t.Syncs != syncs {
-				return true, nil
-			}
-			if fr := t.Frames[len(t.Frames)-1]; fr.sync[fr.PC] != 0 {
-				return true, nil
-			}
-		}
-	}
+	return m.execBC(t, limit, horizon)
 }
 
 // execBC runs thread t, which the caller has checked is steppable,
-// from its current instruction. The first instruction always runs. A
-// terminal that only moves the PC (a store, move, constant or
-// increment, a branch or jump, a passing assert, output, a return to a
-// caller and its result store) goes on to the next instruction, unless
-// TotalSteps has reached limit or, when the thread is atHorizon, that
-// instruction is an acquire or release. Before each instruction it goes
-// on to, the loop does what a new call would: BeforeInstr fires and
-// Steps and TotalSteps count it. It returns after an acquire, a
-// release, a call, a spawn, the thread's last return and every fault,
-// where the caller re-inspects the machine. The thread's sync count
-// changes only at those returns, so atHorizon holds for the whole call.
-func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
+// from its current instruction up to the next point where a scheduler
+// must look at the machine. The first instruction always runs. Every
+// terminal that leaves the thread runnable goes on to the next
+// instruction: a store, move, constant or increment, a branch or jump,
+// a passing assert, output, a call (into the callee's first
+// instruction), a return to a caller and its result store, a spawn,
+// and an acquire or release that leaves the thread's Syncs count below
+// horizon. It does not go on when TotalSteps has reached limit or, once
+// Syncs is at or past horizon, when that instruction is an acquire or
+// release. Before each instruction it goes on to, the loop does what a
+// new call would: BeforeInstr fires and Steps and TotalSteps count it.
+// It returns after the sync operation that brings Syncs to horizon (or
+// any sync operation from it on), a blocking acquire, the thread's
+// last return and every fault. A call that starts below the horizon
+// returns on reaching it, so whether Syncs is at the horizon when the
+// loop goes on is fixed for the whole call.
+//
+// The loop keeps the current function's code and entry table in
+// locals: a terminal that falls through leaves cpc at the next
+// instruction's first op, and only the ops that move control elsewhere
+// (branch, jump, call, return) look the entry table up or reload them.
+func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 	fr := t.Top()
 	hooks := m.Hooks
 	if hooks != nil && t.Steps == 0 {
@@ -166,11 +147,11 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 	}
 	consts := m.Prog.BC.Consts
 	st := m.stack
+	atHorizon := t.Syncs >= horizon
+	fn, code, entry := fr.fn, fr.code.Code, fr.code.Entry
+	cpc := entry[fr.PC]
 
 	for {
-		fn := fr.fn
-		code := fr.code.Code
-		cpc := fr.code.Entry[fr.PC]
 		pc := ir.PC{F: fr.FuncIdx, I: fr.PC}
 		if hooks != nil {
 			hooks.BeforeInstr(t, pc)
@@ -587,19 +568,69 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 				break dispatch
 
 			case ir.BEndBranch:
-				taken := st[sp-1].Bool()
+				fr.PC = branch(hooks, t, pc, st[sp-1].Bool(), c)
+				cpc = entry[fr.PC]
+				break dispatch
+
+			// The compare-and-branch terminals read their operands as
+			// the BCmp* op of their shape does, then branch as
+			// BEndBranch does, to the targets in the word at cpc.
+
+			case ir.BEndBrLL:
 				if hooks != nil {
-					hooks.OnBranch(t, pc, taken)
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
 				}
-				if taken {
-					fr.PC = int(c.A)
-				} else {
-					fr.PC = int(c.B)
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, fr.Locals[c.B].Num), code[cpc])
+				cpc = entry[fr.PC]
+				break dispatch
+
+			case ir.BEndBrLC:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
 				}
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, consts[c.B]), code[cpc])
+				cpc = entry[fr.PC]
+				break dispatch
+
+			case ir.BEndBrLG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, m.Globals[c.B].Num), code[cpc])
+				cpc = entry[fr.PC]
+				break dispatch
+
+			case ir.BEndBrGL:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+				}
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, fr.Locals[c.B].Num), code[cpc])
+				cpc = entry[fr.PC]
+				break dispatch
+
+			case ir.BEndBrGC:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+				}
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, consts[c.B]), code[cpc])
+				cpc = entry[fr.PC]
+				break dispatch
+
+			case ir.BEndBrGG:
+				if hooks != nil {
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+				}
+				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, m.Globals[c.B].Num), code[cpc])
+				cpc = entry[fr.PC]
 				break dispatch
 
 			case ir.BEndJump:
 				fr.PC = int(c.A)
+				cpc = entry[fr.PC]
 				break dispatch
 
 			case ir.BEndCall:
@@ -610,7 +641,10 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 				if hooks != nil {
 					hooks.OnEnterFunc(t, int(c.A))
 				}
-				return true, nil
+				fr = callee
+				fn, code, entry = fr.fn, fr.code.Code, fr.code.Entry
+				cpc = entry[0]
+				break dispatch
 
 			case ir.BEndReturn:
 				var ret Value
@@ -630,15 +664,17 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 					return true, nil
 				}
 				fr = t.Frames[len(t.Frames)-1]
+				fn, code, entry = fr.fn, fr.code.Code, fr.code.Entry
 				if bind == 0 {
+					cpc = entry[fr.PC]
 					break dispatch
 				}
 				// Store the call result within this step: run the call
 				// site's bind code on the caller's frame, with the result
 				// on the stack. Its index and object reads fire now, after
 				// the callee's exit, and a fault reports the return's pc.
-				fn = fr.fn
-				code = fr.code.Code
+				// The bind code ends the call's segment, so its store
+				// terminal leaves cpc at the caller's next instruction.
 				cpc = bind
 				st[0] = ret
 				sp = 1
@@ -653,6 +689,9 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 					t.Status = Runnable
 					t.WaitLock = -1
 					fr.PC++
+					if t.Syncs < horizon {
+						break dispatch
+					}
 				case int32(t.ID):
 					m.crash(t, pc, fmt.Sprintf("recursive acquire of lock %q", m.Prog.Locks[c.A]))
 				default:
@@ -674,12 +713,15 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 				m.Locks[c.A] = -1
 				m.runnableOK = false
 				fr.PC++
+				if t.Syncs < horizon {
+					break dispatch
+				}
 				return true, nil
 
 			case ir.BEndSpawn:
 				fr.PC++
 				m.spawnThread(int(c.A), st[:c.B])
-				return true, nil
+				break dispatch
 
 			case ir.BEndAssert:
 				if !st[sp-1].Bool() {
@@ -702,6 +744,19 @@ func (m *Machine) execBC(t *Thread, limit int64, atHorizon bool) (bool, error) {
 			return true, nil
 		}
 	}
+}
+
+// branch fires OnBranch for the branch at pc and returns the ir target
+// that taken selects: tg.A when it holds, tg.B otherwise. tg is a
+// BEndBranch or the BTargets word after a compare-and-branch.
+func branch(hooks Hooks, t *Thread, pc ir.PC, taken bool, tg ir.Code) int {
+	if hooks != nil {
+		hooks.OnBranch(t, pc, taken)
+	}
+	if taken {
+		return int(tg.A)
+	}
+	return int(tg.B)
 }
 
 // cmpVals applies a comparison ExprOp to two numeric payloads —

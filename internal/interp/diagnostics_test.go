@@ -267,10 +267,13 @@ func main() {
 // contiguous, entry points are strictly increasing, and SrcInstr maps
 // every bytecode pc in the segment back to the ir instruction it was
 // lowered from — the property the crash paths above rely on. A segment
-// ends in a terminal and holds no other, with one exception: a call
+// ends in a terminal and holds no other, with two exceptions. A call
 // that binds its result is followed in its segment by the bind code
 // the return step runs, so its BEndCall (whose C names the next pc)
 // sits mid-segment and the bind code's store terminal carries C = 1.
+// A compare-and-branch terminal (BEndBrLL through BEndBrGG) is followed
+// by its operand word, a BTargets code that ends the segment and holds
+// the branch's true and false targets in A and B.
 func TestBytecodeSourceMapRoundTrip(t *testing.T) {
 	for _, rc := range referenceCases() {
 		t.Run(rc.name, func(t *testing.T) {
@@ -294,16 +297,29 @@ func TestBytecodeSourceMapRoundTrip(t *testing.T) {
 							t.Fatalf("%s: SrcInstr(%d) = %d, want %d", fn.Name, pc, got, i)
 						}
 					}
-					last := bf.Code[hi-1]
-					if !last.Op.IsTerminal() {
+					end := hi - 1 // the segment's terminal
+					if w := bf.Code[end]; w.Op == ir.BTargets {
+						end--
+						if end < lo || bf.Code[end].Op < ir.BEndBrLL || bf.Code[end].Op > ir.BEndBrGG {
+							t.Fatalf("%s: instruction %d's operand word follows no compare-and-branch", fn.Name, i)
+						}
+						if in := fn.Instrs[i]; in.Op != ir.OpBranch || int(w.A) != in.True || int(w.B) != in.False {
+							t.Fatalf("%s: instruction %d's operand word holds targets %d/%d, want the branch's %d/%d",
+								fn.Name, i, w.A, w.B, in.True, in.False)
+						}
+					}
+					if last := bf.Code[end]; !last.Op.IsTerminal() {
 						t.Fatalf("%s: instruction %d's segment ends with non-terminal %v", fn.Name, i, last.Op)
 					}
-					for pc := lo; pc < hi-1; pc++ {
+					for pc := lo; pc < end; pc++ {
 						c := bf.Code[pc]
+						if c.Op == ir.BTargets {
+							t.Fatalf("%s: operand word mid-segment at pc %d (instruction %d)", fn.Name, pc, i)
+						}
 						if !c.Op.IsTerminal() {
 							continue
 						}
-						if c.Op == ir.BEndCall && c.C == int32(pc+1) && last.C == 1 {
+						if c.Op == ir.BEndCall && c.C == int32(pc+1) && bf.Code[end].C == 1 {
 							continue
 						}
 						t.Fatalf("%s: terminal %v mid-segment at pc %d (instruction %d)", fn.Name, c.Op, pc, i)

@@ -44,8 +44,10 @@ type Frame struct {
 	// site's result-store code; 0 when the call discards its result.
 	bind int32
 	// fn and code are the frame's function and its bytecode image, and
-	// sync is code.Sync: each step and each burst boundary reads them
-	// from the frame instead of indexing the program's tables.
+	// sync is code.Sync: the dispatch loop reads them from the frame
+	// where control enters or re-enters it, and sync at each step's
+	// end from the horizon on, instead of indexing the program's
+	// tables.
 	fn   *ir.Func
 	code *ir.BFunc
 	sync []int32
@@ -339,7 +341,9 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 		clear(m.Arrays[i])
 	}
 
-	if in != nil {
+	// Seeds are resolved by name, so a run with no input (every Table 2
+	// bug's) skips the lookups and the map iterations.
+	if in != nil && len(in.Scalars) > 0 {
 		for name, v := range in.Scalars {
 			slot := prog.GlobalSlot(name)
 			if slot < 0 {
@@ -355,6 +359,8 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 				m.Globals[slot] = IntVal(v)
 			}
 		}
+	}
+	if in != nil && len(in.Arrays) > 0 {
 		for name, vals := range in.Arrays {
 			if slot := prog.ArraySlot(name); slot >= 0 {
 				copy(m.Arrays[slot], vals)
@@ -389,7 +395,7 @@ func (m *Machine) Reset(prog *ir.Program, in *Input) {
 	m.nextFrame = 0
 
 	m.ensureStack(prog)
-	m.spawnThread(prog.FuncIndex("main"), nil)
+	m.spawnThread(prog.Main, nil)
 }
 
 // spawnThread creates a thread running function fidx with bound args.

@@ -785,9 +785,54 @@ func main() {
 }
 `}
 
+// fusedBranchSource branches on each of the six fused compare shapes
+// (local or global on the left; local, constant or global on the
+// right), each lowered to one compare-and-branch terminal, from three
+// threads whose globals race, so random schedules take both outcomes.
+var fusedBranchSource = refCase{name: "fused-branches", source: `
+program fusedbr;
+global int g;
+global int h;
+lock L;
+func worker(int k) {
+    var int i;
+    var int j;
+    var int lim;
+    lim = 3;
+    i = 0;
+    while (i < lim) {
+        acquire(L);
+        if (g < i) {
+            g = g + 1;
+        }
+        if (i >= h) {
+            h = h + 1;
+        }
+        release(L);
+        i = i + 1;
+    }
+    j = 0;
+    while (j != 2) {
+        j = j + 1;
+        if (g == h) {
+            g = g + k;
+        }
+    }
+    if (g > 4) {
+        h = 0;
+    }
+}
+func main() {
+    spawn worker(1);
+    spawn worker(2);
+    worker(3);
+}
+`}
+
 // referenceCases lists the reference comparison's inputs: every
 // registered workload, the call-result binding programs, a call that
-// faults in its argument, and the generated programs of seeds 1–20, so
+// faults in its argument, a program with every fused compare-and-branch
+// shape, and the generated programs of seeds 1–20, so
 // machine-manufactured programs stay under a per-seed differential
 // too.
 func referenceCases() []refCase {
@@ -797,7 +842,7 @@ func referenceCases() []refCase {
 		out = append(out, refCase{name: name, source: w.Source, input: w.Input})
 	}
 	out = append(out, callBindSources...)
-	out = append(out, callFaultSource)
+	out = append(out, callFaultSource, fusedBranchSource)
 	for seed := int64(1); seed <= 20; seed++ {
 		p := gen.Generate(seed)
 		out = append(out, refCase{name: fmt.Sprintf("gen-seed-%d", seed), source: p.Source, input: p.Input})
@@ -826,6 +871,92 @@ func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// orderLog records a trace and, for each step, the reads, writes and
+// branch outcome its hooks reported, in the order they fired.
+type orderLog struct {
+	*trace.Recorder
+	calls [][]string
+}
+
+func (l *orderLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.calls = append(l.calls, nil)
+	l.Recorder.BeforeInstr(t, pc)
+}
+
+func (l *orderLog) log(call string) {
+	l.calls[len(l.calls)-1] = append(l.calls[len(l.calls)-1], call)
+}
+
+func (l *orderLog) OnRead(t *interp.Thread, v interp.VarID) {
+	l.log("read " + v.String())
+	l.Recorder.OnRead(t, v)
+}
+
+func (l *orderLog) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.log("write " + v.String())
+	l.Recorder.OnWrite(t, v)
+}
+
+func (l *orderLog) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
+	l.log(fmt.Sprintf("branch %v", taken))
+	l.Recorder.OnBranch(t, pc, taken)
+}
+
+// TestFusedBranchesMatchNameMap runs the fused-branch program under the
+// trace recorder on both engines, for the deterministic schedule and
+// random ones, and checks that each of the six compare-and-branch
+// terminals executes, that both engines record the same events and
+// fire the same hooks in the same order at every step, and that a
+// compare-and-branch reports its operand reads before its outcome.
+func TestFusedBranchesMatchNameMap(t *testing.T) {
+	prog := mustCompile(t, fusedBranchSource.source)
+	executed := map[ir.BOp]bool{}
+	for si, schedule := range schedulesFor(t, prog, nil, 8) {
+		m := interp.New(prog, nil)
+		got := &orderLog{Recorder: trace.NewRecorder()}
+		m.Hooks = got
+		sched.Run(m, sched.NewReplayer(schedule))
+		ref := newRefMachine(prog, nil)
+		want := &orderLog{Recorder: trace.NewRecorder()}
+		ref.hooks = want
+		ref.replay(schedule)
+
+		if !reflect.DeepEqual(got.Events, want.Events) {
+			t.Fatalf("schedule %d: events differ from the name-map reference", si)
+		}
+		if !reflect.DeepEqual(got.calls, want.calls) {
+			t.Fatalf("schedule %d: hook order differs from the name-map reference", si)
+		}
+		for i, ev := range got.Events {
+			code := prog.BC.Funcs[ev.PC.F]
+			op := code.Code[code.Entry[ev.PC.I]].Op
+			if op < ir.BEndBrLL || op > ir.BEndBrGG {
+				continue
+			}
+			executed[op] = true
+			calls := got.calls[i]
+			reads, want := len(calls)-1, 2
+			if op == ir.BEndBrLC || op == ir.BEndBrGC {
+				want = 1 // the constant is not a read
+			}
+			if reads != want || !ev.IsBranch ||
+				calls[reads] != fmt.Sprintf("branch %v", ev.Taken) {
+				t.Fatalf("schedule %d step %d (%v): hooks %q, want %d operand reads, then the outcome", si, i, op, calls, want)
+			}
+			for _, c := range calls[:reads] {
+				if !strings.HasPrefix(c, "read ") {
+					t.Fatalf("schedule %d step %d (%v): hooks %q, want operand reads before the outcome", si, i, op, calls)
+				}
+			}
+		}
+	}
+	for op := ir.BEndBrLL; op <= ir.BEndBrGG; op++ {
+		if !executed[op] {
+			t.Errorf("%v never executed", op)
+		}
 	}
 }
 

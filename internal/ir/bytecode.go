@@ -14,7 +14,8 @@ package ir
 //     pointer chasing through Expr nodes, no per-node type switches.
 //
 //   - One ir.Instr lowers to a short run of Codes ending in a BEnd*
-//     terminal op. The machine's Frame.PC stays an ir-level
+//     terminal op (or in the operand word of a compare-and-branch
+//     terminal, below). The machine's Frame.PC stays an ir-level
 //     instruction index: each interpreter step enters the code array
 //     at Entry[fr.PC] and leaves at the terminal, which writes the
 //     next ir-level PC (fall-through or a compile-time-resolved branch
@@ -33,9 +34,16 @@ package ir
 //   - Superinstructions collapse the dominant shapes of the trial hot
 //     path into single ops: local/global increments (loop counters),
 //     register-style moves, constant stores, array element access with
-//     a local index, and two-operand compares feeding a branch. They
-//     fire the same hook events, in the same order, as the generic
-//     sequence they replace.
+//     a local index, and two-operand compares. They fire the same hook
+//     events, in the same order, as the generic sequence they replace.
+//
+//   - A branch whose whole condition is one of the six fused compare
+//     shapes lowers to one compare-and-branch terminal (BEndBrLL and
+//     its five siblings): the compare's operands in A and B, its ExprOp
+//     in C, and its two ir targets in an operand word after it, a
+//     BTargets code (true target in A, false in B) that ends the
+//     segment and is never dispatched. Code keeps three operands and
+//     16 bytes; the word is one load on the branch's own path.
 //
 //   - Constants are interned into a per-program pool (Bytecode.Consts)
 //     so operands stay int32 while literals keep their full int64
@@ -109,6 +117,12 @@ const (
 	// BBool pops x and pushes it normalized to a bool value.
 	BBool
 
+	// ---- operand words (never dispatched) ----
+
+	// BTargets follows a compare-and-branch terminal in its segment and
+	// holds its ir targets: A when the compare holds, B when it does not.
+	BTargets
+
 	// ---- terminals (complete the ir instruction) ----
 
 	// The five generic stores below advance the ir-level PC unless C
@@ -149,6 +163,20 @@ const (
 	// BEndBranch pops the condition and transfers to ir instruction A
 	// (true) or B (false).
 	BEndBranch
+	// BEndBrLL transfers on local[A] <C> local[B], to the targets of the
+	// BTargets word after it: a BCmpLL and a BEndBranch in one op. The
+	// next five are the other fused shapes, in BCmpLL's order.
+	BEndBrLL
+	// BEndBrLC transfers on local[A] <C> Consts[B].
+	BEndBrLC
+	// BEndBrLG transfers on local[A] <C> global[B].
+	BEndBrLG
+	// BEndBrGL transfers on global[A] <C> local[B].
+	BEndBrGL
+	// BEndBrGC transfers on global[A] <C> Consts[B].
+	BEndBrGC
+	// BEndBrGG transfers on global[A] <C> global[B].
+	BEndBrGG
 	// BEndJump transfers to ir instruction A.
 	BEndJump
 	// BEndCall pops B arguments and calls function A. C is the pc
@@ -178,12 +206,15 @@ var bopNames = [...]string{
 	"not", "neg", "binop",
 	"cmp.ll", "cmp.lc", "cmp.lg", "cmp.gl", "cmp.gc", "cmp.gg",
 	"and.check", "or.check", "bool",
+	"targets",
 	"end.store.l", "end.store.g", "end.store.arr", "end.store.arr.l",
 	"end.store.field",
 	"end.move.ll", "end.move.lg", "end.move.gl", "end.move.gg",
 	"end.const.l", "end.const.g", "end.inc.l", "end.inc.g",
 	"end.arr2l", "end.l2arr",
-	"end.branch", "end.jump", "end.call", "end.return",
+	"end.branch",
+	"end.br.ll", "end.br.lc", "end.br.lg", "end.br.gl", "end.br.gc", "end.br.gg",
+	"end.jump", "end.call", "end.return",
 	"end.acquire", "end.release", "end.spawn", "end.assert", "end.output",
 }
 
@@ -403,6 +434,11 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 		c.lowerAssign(in)
 
 	case OpBranch:
+		if op, a, b, ok := c.cmpShape(in.Cond); ok {
+			c.emit(op-BCmpLL+BEndBrLL, a, b, int32(in.Cond.Op))
+			c.emit(BTargets, int32(in.True), int32(in.False), 0)
+			return
+		}
 		c.cond(in.Cond)
 		c.pop(1)
 		c.emit(BEndBranch, int32(in.True), int32(in.False), 0)
@@ -583,39 +619,45 @@ func (c *bfcomp) cond(e *Expr) {
 	}
 }
 
-// fusedCmp emits a single fused-compare op when e is a two-operand
-// comparison over local/global operands (with an optional constant on
-// the right). Returns false when e doesn't match a fused shape.
+// fusedCmp emits a single fused-compare op when e is one of the six
+// fused compare shapes (see cmpShape). Returns false when it is not.
 func (c *bfcomp) fusedCmp(e *Expr) bool {
-	if e.Kind != EBinary || !isCmp(e.Op) {
+	op, a, b, ok := c.cmpShape(e)
+	if !ok {
 		return false
+	}
+	c.push(1)
+	c.emit(op, a, b, int32(e.Op))
+	return true
+}
+
+// cmpShape matches e against the fused compare shapes, a two-operand
+// comparison over local/global operands with an optional constant on
+// the right, and returns the shape's BCmp* op and its A and B operands.
+func (c *bfcomp) cmpShape(e *Expr) (op BOp, a, b int32, ok bool) {
+	if e.Kind != EBinary || !isCmp(e.Op) {
+		return 0, 0, 0, false
 	}
 	xc, xs := classify(e.X)
 	yc, ys := classify(e.Y)
-	op := int32(e.Op)
+	a, b = int32(xs), int32(ys)
 	switch {
 	case xc == opLocal && yc == opLocal:
-		c.push(1)
-		c.emit(BCmpLL, int32(xs), int32(ys), op)
+		op = BCmpLL
 	case xc == opLocal && yc == opConst:
-		c.push(1)
-		c.emit(BCmpLC, int32(xs), c.bc.constOf(ys), op)
+		op, b = BCmpLC, c.bc.constOf(ys)
 	case xc == opLocal && yc == opGlobal:
-		c.push(1)
-		c.emit(BCmpLG, int32(xs), int32(ys), op)
+		op = BCmpLG
 	case xc == opGlobal && yc == opLocal:
-		c.push(1)
-		c.emit(BCmpGL, int32(xs), int32(ys), op)
+		op = BCmpGL
 	case xc == opGlobal && yc == opConst:
-		c.push(1)
-		c.emit(BCmpGC, int32(xs), c.bc.constOf(ys), op)
+		op, b = BCmpGC, c.bc.constOf(ys)
 	case xc == opGlobal && yc == opGlobal:
-		c.push(1)
-		c.emit(BCmpGG, int32(xs), int32(ys), op)
+		op = BCmpGG
 	default:
-		return false
+		return 0, 0, 0, false
 	}
-	return true
+	return op, a, b, true
 }
 
 // expr emits code that evaluates e and leaves one value on the stack,

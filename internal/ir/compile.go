@@ -34,6 +34,7 @@ func Compile(p *lang.Program, opts Options) (*Program, error) {
 	for i, f := range p.Funcs {
 		out.funcIndex[f.Name] = i
 	}
+	out.Main = out.funcIndex["main"] // Check refused a program without one
 	// Intern globals, arrays and locks into the dense slot tables; the
 	// expression resolver below compiles every variable access down to
 	// an index into them.

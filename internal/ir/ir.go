@@ -207,6 +207,10 @@ type Program struct {
 	Globals []*lang.VarDecl
 	Locks   []string
 	Funcs   []*Func
+	// Main indexes the entry function main in Funcs, where the main
+	// thread starts. Compile resolves it once, so setting up a run
+	// looks no name up.
+	Main int
 
 	// Dense storage tables: Compile interns every global scalar, global
 	// array and lock into these slot-indexed name tables. The

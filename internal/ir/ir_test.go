@@ -239,6 +239,21 @@ func main() {
 	if cp.FormatPC(exitPC) == "" {
 		t.Fatal("exit PC formatting empty")
 	}
+	if cp.Main != 0 {
+		t.Fatalf("Main = %d, want 0", cp.Main)
+	}
+	later := compile(t, `
+program hp2;
+func f() {
+    output 1;
+}
+func main() {
+    f();
+}
+`, false)
+	if later.Main != 1 || later.Funcs[later.Main].Name != "main" {
+		t.Fatalf("Main = %d, want main's index 1", later.Main)
+	}
 }
 
 func TestOpString(t *testing.T) {

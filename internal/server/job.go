@@ -285,6 +285,12 @@ type job struct {
 	finished  time.Time
 	expires   time.Time     // store eviction time once terminal
 	done      chan struct{} // closed on terminal transition
+
+	// finishSeq and expirySlot belong to the store, under its lock:
+	// the job's finish order and 1 + its index in the store's expiry
+	// queue (0 when it is not queued).
+	finishSeq  uint64
+	expirySlot int
 }
 
 func (j *job) terminal() bool {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -88,5 +89,87 @@ func TestStoreTTLEviction(t *testing.T) {
 	s.sweep()
 	if s.get(j3.id) == nil {
 		t.Fatal("running job evicted")
+	}
+}
+
+// TestStoreSweepEvictsExpiredOldestFirst finishes jobs in an order
+// unrelated to their admission, one clock second apart (two at the
+// same instant), and then moves the injected clock forward in uneven
+// steps: after each sweep exactly the jobs whose eviction time has
+// passed are gone, which are always the earliest-finished ones, their
+// idempotency keys are free again, and a job that never finished
+// stays.
+func TestStoreSweepEvictsExpiredOldestFirst(t *testing.T) {
+	clk := newFakeClock()
+	s := newStore(time.Minute, clk.now)
+	var jobs []*job
+	for i := 0; i < 12; i++ {
+		j, _ := s.admit(&job{tenant: "a", key: fmt.Sprintf("k%d", i)})
+		jobs = append(jobs, j)
+	}
+	running, _ := s.admit(&job{tenant: "a", key: "running"})
+	// order[k] finishes at second k, except that the last two finish
+	// together.
+	order := []int{5, 2, 9, 0, 11, 7, 3, 10, 1, 8, 4, 6}
+	for k, i := range order {
+		if k > 0 && k < len(order)-1 {
+			clk.advance(time.Second)
+		}
+		s.finish(jobs[i], &JobReport{Outcome: OutcomeFound}, nil)
+	}
+	if st := s.stats(); st.Jobs != 13 || st.Terminal != 12 {
+		t.Fatalf("stats before any eviction: %+v", st)
+	}
+	// The clock reads the last finish, 10 s after the first. The first
+	// job expires 50 s on, and the last two expire together.
+	expiry := func(k int) time.Time { return jobs[order[k]].expires }
+	gone := 0
+	for _, step := range []time.Duration{0, 50 * time.Second, 500 * time.Millisecond, 2 * time.Second, 0, 3200 * time.Millisecond, 4500 * time.Millisecond} {
+		clk.advance(step)
+		s.sweep()
+		for gone < len(order) && clk.now().After(expiry(gone)) {
+			gone++
+		}
+		for k, i := range order {
+			if evicted := s.get(jobs[i].id) == nil; evicted != (k < gone) {
+				t.Fatalf("at %v: job finished %d-th evicted=%v, want %v", clk.now().Sub(expiry(0)), k, evicted, k < gone)
+			}
+		}
+		if st := s.stats(); st.Evicted != uint64(gone) || st.Terminal != len(order)-gone {
+			t.Fatalf("at %v: stats %+v after %d evictions", clk.now().Sub(expiry(0)), st, gone)
+		}
+	}
+	if gone != len(order) {
+		t.Fatalf("%d of %d jobs evicted at the end", gone, len(order))
+	}
+	if s.get(running.id) == nil {
+		t.Fatal("running job evicted")
+	}
+	if j, dup := s.admit(&job{tenant: "a", key: "k0"}); dup || j == jobs[0] {
+		t.Fatal("an evicted job's key was not released")
+	}
+}
+
+// BenchmarkStoreAdmit times admitting one job into a store holding 10
+// or 10,000 finished, unexpired jobs; the admitted job is dropped
+// again, so the resident count stays fixed.
+func BenchmarkStoreAdmit(b *testing.B) {
+	for _, resident := range []int{10, 10_000} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			clk := newFakeClock()
+			s := newStore(time.Hour, clk.now)
+			for i := 0; i < resident; i++ {
+				j, _ := s.admit(&job{tenant: "a"})
+				s.finish(j, &JobReport{Outcome: OutcomeFound}, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, _ := s.admit(&job{tenant: "a"})
+				s.mu.Lock()
+				delete(s.jobs, j.id)
+				s.mu.Unlock()
+			}
+		})
 	}
 }

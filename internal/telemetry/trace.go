@@ -24,7 +24,7 @@ type Tracer struct {
 	// Stage spans are never sampled out.
 	sampleEvery int
 
-	seen atomic.Int64 // trial events offered, for sampling
+	seen atomic.Int64 // trial events offered since the last sampled one
 
 	mu    sync.Mutex
 	base  time.Time
@@ -109,12 +109,33 @@ func (t *Tracer) Observe(e Event) {
 		}
 		t.mu.Unlock()
 	case KindTrial:
-		if n := int64(t.sampleEvery); n > 1 && t.seen.Add(1)%n != 0 {
+		if !t.sampled() {
 			return
 		}
 		t.mu.Lock()
 		t.add(record{kind: KindTrial, ts: t.now(), trial: e.Trial})
 		t.mu.Unlock()
+	}
+}
+
+// sampled reports whether the tracer keeps the trial event being
+// offered: every sampleEvery-th one, counted across goroutines. The
+// count wraps at sampleEvery by compare-and-swap, so the test costs one
+// atomic operation and no division.
+func (t *Tracer) sampled() bool {
+	n := int64(t.sampleEvery)
+	if n <= 1 {
+		return true
+	}
+	for {
+		v := t.seen.Load()
+		next := v + 1
+		if next == n {
+			next = 0
+		}
+		if t.seen.CompareAndSwap(v, next) {
+			return next == 0
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -104,6 +105,27 @@ func TestTracerSampling(t *testing.T) {
 	tr.Observe(endEvent("search", 7))
 	if got := tr.Len(); got != 11 { // 1 span + 100/10 trials
 		t.Errorf("event count = %d, want 11", got)
+	}
+}
+
+// TestTracerSamplingConcurrent checks that sampling counts trial
+// events across goroutines: eight workers offering 1,000 trials each
+// to a 1-in-10 tracer leave exactly 800 records.
+func TestTracerSamplingConcurrent(t *testing.T) {
+	tr := NewTracer(nil, 10)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				tr.Observe(trialEvent(Trial{Worker: w, Trial: i}))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tr.Len(); got != 800 {
+		t.Errorf("event count = %d, want 800", got)
 	}
 }
 
