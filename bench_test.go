@@ -393,3 +393,93 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProvoke times the stress campaigns that provoke the seven
+// Table 2 failures through Session.ProvokeFailure, the stand-in for
+// the production run: a reproduction's fixed cost before its analysis.
+// It reports µs per provoke and ns per stress step, counting every
+// step of every attempt of a campaign (dump capture included in the
+// time).
+func BenchmarkProvoke(b *testing.B) {
+	ctx := context.Background()
+	var sessions []*heisendump.Session
+	var steps int64 // stress steps of one pass over the seven campaigns
+	for _, w := range workloads.Bugs() {
+		prog, err := w.Compile(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := heisendump.NewCompiled(prog, w.Input)
+		fail, err := s.ProvokeFailure(ctx)
+		if err != nil {
+			b.Fatalf("%s: %v", w.Name, err)
+		}
+		steps += stressSteps(prog, w.Input, fail.Attempts)
+		sessions = append(sessions, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range sessions {
+			if _, err := s.ProvokeFailure(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/1e3/float64(len(sessions)), "µs/provoke")
+	b.ReportMetric(ns/float64(steps), "ns/stress-step")
+}
+
+// stressSteps counts the steps of a stress campaign's first attempts
+// attempts, running each seed as sched.StressContext does.
+func stressSteps(prog *heisendump.Program, in *heisendump.Input, attempts int) int64 {
+	m := interp.New(prog, in)
+	m.MaxSteps = core.StepLimit
+	var rnd sched.Random
+	var n int64
+	for seed := 0; seed < attempts; seed++ {
+		m.Reset(prog, in)
+		rnd.Seed(int64(seed))
+		n += sched.Runner{}.Run(m, &rnd).Steps
+	}
+	return n
+}
+
+// BenchmarkSearchOneTry times a guided search that reproduces its
+// failure at the first try: mysql-1 under the temporal heuristic at
+// the default width, as table4-guided runs it. Almost all of its cost
+// is the search's start-up (the worklist, the future index, the
+// workers), which every guided search pays once. It reports µs and
+// allocations per search.
+func BenchmarkSearchOneTry(b *testing.B) {
+	ctx := context.Background()
+	w := workloads.ByName("mysql-1")
+	prog, err := w.Compile(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := heisendump.NewCompiled(prog, w.Input)
+	fail, err := s.ProvokeFailure(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := s.Analyze(ctx, fail)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Search(ctx, fail, an)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Found || res.Tries != 1 {
+			b.Fatalf("found=%v in %d tries, want a find at the first try", res.Found, res.Tries)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/search")
+}

@@ -176,7 +176,9 @@ type searchState struct {
 // exhausted.
 //
 // Combinations are explored by Opts.Workers concurrent workers that
-// claim worklist ranks in order. The result is reduced
+// claim worklist ranks in order: worker 0 on the calling goroutine and
+// the others on goroutines of their own, which SearchContext waits for
+// before it returns. The result is reduced
 // deterministically: outcomes are folded in rank order, the cutoff is
 // applied to that order, and the winning schedule is the find with the
 // lowest rank — so Found, Schedule and Tries are bit-identical for any
@@ -230,14 +232,17 @@ func (s *Searcher) SearchContext(ctx context.Context) *Result {
 	}
 	st.bestRank.Store(int64(wl.size)) // sentinel: nothing found yet
 
+	// Worker 0 runs on this goroutine, so the first trial starts
+	// without a goroutine wake-up and a one-worker search starts none.
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			st.worker(w)
-		}(i)
+		}()
 	}
+	st.worker(0)
 	wg.Wait()
 
 	st.mu.Lock()
@@ -301,7 +306,8 @@ func (st *searchState) cancelled() bool {
 // target (higher ranks cannot win: either that find commits, or the
 // cutoff lands at or before it), or the folded prefix has spent the
 // budget. The fold needs none of those ranks, so it never waits on a
-// rank nobody explores.
+// rank nobody explores. Worker 0 is the goroutine that called
+// SearchContext; workers 1 and up run on goroutines it started.
 func (st *searchState) worker(w int) {
 	// Each worker owns one machine and one trial chooser for its whole
 	// claim stream: runTrial rewinds the machine with Machine.Reset, so

@@ -1,9 +1,11 @@
 package chess_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -227,6 +229,29 @@ func TestUncancelledSearchCompletes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchWorkerZeroRunsOnCaller: worker 0 runs on the goroutine
+// that called SearchContext, so a one-worker search starts no
+// goroutine and its trial events are observed on the caller's stack.
+func TestSearchWorkerZeroRunsOnCaller(t *testing.T) {
+	s := analyzedSearcher(t, "mysql-1")
+	s.Opts.Workers = 1
+	var stack []byte
+	s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindTrial && stack == nil {
+			buf := make([]byte, 64<<10)
+			stack = buf[:runtime.Stack(buf, false)]
+		}
+	})}
+	if res := s.SearchContext(context.Background()); res.TrialsExecuted == 0 {
+		t.Fatal("the search executed no trial")
+	}
+	// The observer is a closure of the test, so look for the test's
+	// own frame: its name followed by its argument list.
+	if !bytes.Contains(stack, []byte(".TestSearchWorkerZeroRunsOnCaller(")) {
+		t.Fatalf("a trial event's goroutine stack does not reach the test:\n%s", stack)
 	}
 }
 

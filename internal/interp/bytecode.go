@@ -28,7 +28,9 @@ import (
 //     below the burst's horizon, a call and a spawn go on to the next
 //     instruction inside the call, which returns only where its caller
 //     must look at the machine (see execBC). Step is a call limited to
-//     one step.
+//     one step, and a random run, which may switch threads at every
+//     step, makes one such call per step inside RunRandom, drawing the
+//     next thread between them.
 //
 //   - The value stack is scratch space within one step: it is empty at
 //     every instruction boundary, so it lives on the Machine (sized
@@ -44,8 +46,9 @@ import (
 // Step executes one instruction of thread tid: a burst limited to one
 // step. It returns false when the thread could not be stepped
 // (blocked, done, or machine crashed). Runtime faults crash the machine
-// and return true: the faulting instruction was the step. The stress
-// scheduler and the Replayer call it once per instruction.
+// and return true: the faulting instruction was the step. The Replayer
+// and recording random runs call it once per instruction; an
+// unrecorded random run steps inside RunRandom instead.
 func (m *Machine) Step(tid int) (bool, error) {
 	t, err := m.enter(tid)
 	if t == nil {
@@ -113,6 +116,43 @@ func (m *Machine) RunBurst(tid int, limit int64, horizon int) (bool, error) {
 		limit = math.MaxInt64
 	}
 	return m.execBC(t, limit, horizon)
+}
+
+// RunRandom executes thread tid's next instruction, then draws each
+// next thread from the runnable set as sched.Random does,
+// runnable[rng.Intn(len(runnable))], and executes one instruction of
+// it, until the machine faults or finishes, no thread is runnable, a
+// step errors, or TotalSteps reaches limit (0 = no limit; MaxSteps
+// still applies). A stop at the limit comes before the draw, so the
+// caller's next draw is the one a per-step loop would make there.
+// Every instruction is a one-step dispatch call, so draws, per-step
+// accounting and hook events are identical to drawing and calling
+// Step in a loop; RunRandom only removes the caller's turn between
+// steps. The return contract is Step's, covering the last step taken.
+func (m *Machine) RunRandom(tid int, limit int64, rng *RNG) (bool, error) {
+	t, err := m.enter(tid)
+	if t == nil {
+		return false, err
+	}
+	if limit <= 0 || (m.MaxSteps > 0 && m.MaxSteps < limit) {
+		limit = m.MaxSteps
+	}
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	for {
+		if _, err := m.execBC(t, m.TotalSteps+1, 0); err != nil {
+			return false, err
+		}
+		if m.Crash != nil || m.live == 0 || m.TotalSteps >= limit {
+			return true, nil
+		}
+		runnable := m.Runnable()
+		if len(runnable) == 0 {
+			return true, nil
+		}
+		t = m.Threads[runnable[rng.Intn(len(runnable))]]
+	}
 }
 
 // execBC runs thread t, which the caller has checked is steppable,

@@ -18,8 +18,10 @@ import (
 // measured loop is Reset + run-to-completion, so free lists are warm
 // and steps allocate nothing. Each shape has two legs:
 //
-//	step  — one Step call per instruction, the stress regime (the
-//	        Random scheduler and the Replayer ask before every step)
+//	step  — one Step call per instruction, the regime of the
+//	        Replayer and recorded random runs (a stress attempt makes
+//	        the same one-step dispatch call per instruction inside
+//	        Machine.RunRandom)
 //	burst — one RunBurst call to completion, the regime of search
 //	        trials and cooperative runs
 //

@@ -1,18 +1,26 @@
-package sched
+package interp
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync/atomic"
+)
 
-// rngSource is math/rand's default source (rand.NewSource) re-created
-// here so that a stress attempt can afford one: an additive lagged
-// Fibonacci generator, x[n] = x[n-607] + x[n-273] mod 2^64, whose
-// 607-word register is seeded from a Park–Miller LCG. It produces
-// exactly rand.New(rand.NewSource(seed))'s stream — the stress seeds,
-// attempt counts and failure dumps are the ones math/rand gave — but
-// seeds in a fraction of the time: math/rand walks the LCG serially,
-// 1,841 dependent steps per seed, while seed reads the k-th LCG value
-// directly as A^k·seed mod (2^31−1) from a shared power table, so the
-// multiplications are independent of one another.
-type rngSource struct {
+// RNG is the stress generator: math/rand's default source
+// (rand.NewSource) re-created here so that a stress attempt can afford
+// one and the machine can draw from it between steps
+// (Machine.RunRandom). It is an additive lagged Fibonacci generator,
+// x[n] = x[n-607] + x[n-273] mod 2^64, whose 607-word register is
+// seeded from a Park–Miller LCG, and it produces exactly
+// rand.New(rand.NewSource(seed))'s stream, so the stress seeds,
+// attempt counts and failure dumps are the ones math/rand gave. It
+// seeds in a fraction of math/rand's time. math/rand walks the LCG
+// serially, 1,841 dependent steps per seed. Seed reads the k-th LCG
+// value directly as A^k·seed mod (2^31−1) from a shared power table,
+// so the multiplications are independent of one another, and for
+// seeds 0 to 63, the ones stress campaigns start from, it copies the
+// register from a process-wide table instead (see seeded). The zero
+// RNG is not seeded; call Seed before drawing.
+type RNG struct {
 	tap  int
 	feed int
 	vec  [rngLen]int64
@@ -123,16 +131,38 @@ func seedWords(vec *[rngLen]int64, seed int64, mask *[rngLen]int64) {
 	}
 }
 
-// seed resets the source to seed's initial state, equal to
-// rand.NewSource(seed)'s.
-func (r *rngSource) seed(seed int64) {
+// seededSlots is the number of seeds, 0 up to seededSlots−1, whose
+// initial register Seed copies from seeded. Every stress campaign
+// tries seeds 0, 1, 2 and on, and the Table 2 bugs need at most 28.
+const seededSlots = 64
+
+// seeded[s] is the register rand.NewSource(s) starts from, filled on
+// the first Seed(s) in the process and immutable from then on. Two
+// goroutines seeding s at once may both compute it; the one that loses
+// the swap uses its own copy, which is identical.
+var seeded [seededSlots]atomic.Pointer[[rngLen]int64]
+
+// Seed resets the source to seed's initial state, equal to
+// rand.NewSource(seed)'s, without allocating once seed's slot is
+// filled.
+func (r *RNG) Seed(seed int64) {
 	r.tap = 0
 	r.feed = rngLen - rngTap
-	seedWords(&r.vec, seed, rngMask)
+	if uint64(seed) >= seededSlots {
+		seedWords(&r.vec, seed, rngMask)
+		return
+	}
+	v := seeded[seed].Load()
+	if v == nil {
+		v = new([rngLen]int64)
+		seedWords(v, seed, rngMask)
+		seeded[seed].CompareAndSwap(nil, v)
+	}
+	r.vec = *v
 }
 
 // uint64 is rngSource.Uint64 of math/rand.
-func (r *rngSource) uint64() uint64 {
+func (r *RNG) uint64() uint64 {
 	r.tap--
 	if r.tap < 0 {
 		r.tap += rngLen
@@ -147,11 +177,11 @@ func (r *rngSource) uint64() uint64 {
 }
 
 // int63 is Rand.Int63.
-func (r *rngSource) int63() int64 { return int64(r.uint64() & (1<<63 - 1)) }
+func (r *RNG) int63() int64 { return int64(r.uint64() & (1<<63 - 1)) }
 
-// intn is Rand.Intn: Int31n's rejection sampling for every n that fits
+// Intn is Rand.Intn: Int31n's rejection sampling for every n that fits
 // in an int32, Int63n's beyond. n must be positive.
-func (r *rngSource) intn(n int) int {
+func (r *RNG) Intn(n int) int {
 	if n <= 1<<31-1 {
 		n := int32(n)
 		if n&(n-1) == 0 {

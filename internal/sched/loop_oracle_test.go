@@ -17,15 +17,17 @@ import (
 	"heisendump/internal/workloads"
 )
 
-// The Runner runs a Chooser in bursts, keeps the runnable set cached
-// on the machine and draws stress interleavings from its own copy of
-// math/rand's source. TestRunLoopMatchesPerStepReference pins all
-// three against the per-step loop they replaced (ref_test.go): every
+// The Runner runs a Chooser in bursts, hands an unrecorded Random run
+// to the machine, which draws each next thread itself
+// (Machine.RunRandom), keeps the runnable set cached on the machine
+// and draws stress interleavings from its own copy of math/rand's
+// source (interp.RNG). TestRunLoopMatchesPerStepReference pins all of
+// these against the per-step loop they replaced (ref_test.go): every
 // run below executes on both, and the two must agree on the outcome,
 // the steps, the output, the crash, the deadlock diagnosis, the typed
 // error, the recorded schedule and the final machine state (a core
-// dump of it), plus the trace events of hooked runs and each event's
-// reads and writes.
+// dump of it), plus, in hooked runs, every hook call, the trace events
+// and each event's reads and writes.
 
 // oracleSubject is one program the oracle runs.
 type oracleSubject struct {
@@ -254,26 +256,63 @@ const (
 	tightStepLimit  = 150
 )
 
-// accessLog records a trace and, independently of the recorder's
-// interning, logs the variables each step reads and writes as the
-// hooks report them.
+// hookCall is one hook call: the hook, the thread and its step count
+// when the hook fired, and the hook's argument.
+type hookCall struct {
+	hook  string
+	tid   int
+	steps int64
+	pc    ir.PC
+	fidx  int
+	taken bool
+	v     interp.VarID
+}
+
+// accessLog records a trace and, independently of the recorder, logs
+// every hook call (including the OnEnterFunc a thread's first step
+// fires, which the recorder does not keep) and the variables each step
+// reads and writes as the hooks report them.
 type accessLog struct {
 	*trace.Recorder
+	calls         []hookCall
 	reads, writes [][]interp.VarID
 }
 
+func (l *accessLog) log(hook string, t *interp.Thread, c hookCall) {
+	c.hook, c.tid, c.steps = hook, t.ID, t.Steps
+	l.calls = append(l.calls, c)
+}
+
 func (l *accessLog) BeforeInstr(t *interp.Thread, pc ir.PC) {
+	l.log("before", t, hookCall{pc: pc})
 	l.reads = append(l.reads, nil)
 	l.writes = append(l.writes, nil)
 	l.Recorder.BeforeInstr(t, pc)
 }
 
+func (l *accessLog) OnBranch(t *interp.Thread, pc ir.PC, taken bool) {
+	l.log("branch", t, hookCall{pc: pc, taken: taken})
+	l.Recorder.OnBranch(t, pc, taken)
+}
+
+func (l *accessLog) OnEnterFunc(t *interp.Thread, fidx int) {
+	l.log("enter", t, hookCall{fidx: fidx})
+	l.Recorder.OnEnterFunc(t, fidx)
+}
+
+func (l *accessLog) OnExitFunc(t *interp.Thread, fidx int) {
+	l.log("exit", t, hookCall{fidx: fidx})
+	l.Recorder.OnExitFunc(t, fidx)
+}
+
 func (l *accessLog) OnRead(t *interp.Thread, v interp.VarID) {
+	l.log("read", t, hookCall{v: v})
 	l.reads[len(l.reads)-1] = append(l.reads[len(l.reads)-1], v)
 	l.Recorder.OnRead(t, v)
 }
 
 func (l *accessLog) OnWrite(t *interp.Thread, v interp.VarID) {
+	l.log("write", t, hookCall{v: v})
 	l.writes[len(l.writes)-1] = append(l.writes[len(l.writes)-1], v)
 	l.Recorder.OnWrite(t, v)
 }
@@ -304,12 +343,11 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			got.Reset(sub.prog, sub.input)
 			want.Reset(sub.prog, sub.input)
 			got.MaxSteps, want.MaxSteps = maxSteps, maxSteps
-			var gotRec *trace.Recorder
-			var wantLog *accessLog
+			var gotLog, wantLog *accessLog
 			got.Hooks, want.Hooks = nil, nil
 			if hooked {
-				gotRec, wantLog = trace.NewRecorder(), &accessLog{Recorder: trace.NewRecorder()}
-				got.Hooks, want.Hooks = gotRec, wantLog
+				gotLog, wantLog = &accessLog{Recorder: trace.NewRecorder()}, &accessLog{Recorder: trace.NewRecorder()}
+				got.Hooks, want.Hooks = gotLog, wantLog
 			}
 			var refCtx context.Context
 			if r.Ctx != nil {
@@ -323,32 +361,47 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			if gd, wd := coredump.Capture(got, 0, ir.PC{}, "oracle"), coredump.Capture(want, 0, ir.PC{}, "oracle"); !reflect.DeepEqual(gd, wd) {
 				t.Fatalf("%s: final machine state differs", where)
 			}
-			if hooked && !reflect.DeepEqual(gotRec.Events, wantLog.Events) {
+			if !hooked {
+				return w
+			}
+			if !reflect.DeepEqual(gotLog.calls, wantLog.calls) {
+				t.Fatalf("%s: hook calls differ (%d calls vs %d)", where, len(gotLog.calls), len(wantLog.calls))
+			}
+			gotRec := gotLog.Recorder
+			if !reflect.DeepEqual(gotRec.Events, wantLog.Events) {
 				t.Fatalf("%s: trace differs (%d events vs %d)", where, len(gotRec.Events), len(wantLog.Events))
 			}
-			if hooked {
-				for i := range gotRec.Events {
-					if !sameVars(gotRec, gotRec.Reads(i), wantLog.reads[i]) || !sameVars(gotRec, gotRec.Writes(i), wantLog.writes[i]) {
-						t.Fatalf("%s: event %d's recorded reads and writes differ from the hooks'", where, i)
-					}
+			for i := range gotRec.Events {
+				if !sameVars(gotRec, gotRec.Reads(i), wantLog.reads[i]) || !sameVars(gotRec, gotRec.Writes(i), wantLog.writes[i]) {
+					t.Fatalf("%s: event %d's recorded reads and writes differ from the hooks'", where, i)
 				}
 			}
 			return w
 		}
 		for _, sc := range oracleScheds(t, seeds) {
 			full := run(sc.name, oracleStepLimit, sched.Runner{Record: true}, sc.mk(), sc.ref(), sc.name == "cooperative")
-			run(sc.name+" unrecorded", oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), false)
-			run(sc.name+" machine limit", tightStepLimit, sched.Runner{Record: true}, sc.mk(), sc.ref(), false)
-			for _, budget := range []int64{0, 1, 7, 1023, 1024, 1025} {
-				bound := budget
-				if bound <= 0 {
-					bound = -1 // BoundedRunContext's "run nothing"
+			// An unrecorded Random draws inside the machine
+			// (Machine.RunRandom), a recorded one before every step, so
+			// every stop runs both ways; one random run per subject is
+			// hooked.
+			run(sc.name+" unrecorded", oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), sc.name == "random-1")
+			for _, rec := range []bool{true, false} {
+				label := sc.name
+				if !rec {
+					label += " unrecorded"
 				}
-				run(fmt.Sprintf("%s budget %d", sc.name, budget), oracleStepLimit,
-					sched.Runner{MaxSteps: bound, Record: true}, sc.mk(), sc.ref(), false)
+				run(label+" machine limit", tightStepLimit, sched.Runner{Record: rec}, sc.mk(), sc.ref(), false)
+				for _, budget := range []int64{0, 1, 7, 1023, 1024, 1025} {
+					bound := budget
+					if bound <= 0 {
+						bound = -1 // BoundedRunContext's "run nothing"
+					}
+					run(fmt.Sprintf("%s budget %d", label, budget), oracleStepLimit,
+						sched.Runner{MaxSteps: bound, Record: rec}, sc.mk(), sc.ref(), false)
+				}
+				run(label+" cancelled at 1024", oracleStepLimit,
+					sched.Runner{Ctx: context.Background(), Record: rec}, sc.mk(), sc.ref(), false)
 			}
-			run(sc.name+" cancelled at 1024", oracleStepLimit,
-				sched.Runner{Ctx: context.Background(), Record: true}, sc.mk(), sc.ref(), false)
 
 			// Witness replays: the recorded schedule verbatim, and with
 			// one step redirected to another thread, which stalls or

@@ -16,14 +16,17 @@
 // (interp.Machine.RunBurst) up to the horizon. The cooperative
 // scheduler's horizon is unbounded, so it is asked once a thread
 // blocks or finishes; the search's chooser is asked where a preemption
-// of its combination can fire. Any other Scheduler (Random,
-// Replayer) is asked before every step. Bursts also stop at the
-// Runner's step budget and at its context-poll boundaries, so a
-// budgeted or cancelled run executes exactly the prefix a per-step
-// loop would.
+// of its combination can fire. The random scheduler may switch at
+// every step: in an unrecorded run the Runner asks it once and the
+// machine draws every later thread itself (interp.Machine.RunRandom),
+// one step at a time. Any other Scheduler (the Replayer, or Random in
+// a recorded run) is asked before every step. Bursts and random runs
+// also stop at the Runner's step budget and at its context-poll
+// boundaries, so a budgeted or cancelled run executes exactly the
+// prefix a per-step loop would.
 //
-// The random scheduler carries its own copy of math/rand's default
-// source (rng.go): the same stream as rand.New(rand.NewSource(seed)),
+// The random scheduler draws from interp.RNG, a copy of math/rand's
+// default source: the same stream as rand.New(rand.NewSource(seed)),
 // seeded without the source's serial seeding chain, and reseeded in
 // place between stress attempts.
 package sched
@@ -357,9 +360,14 @@ const ctxPollMask = 1023
 
 // Run drives m with s until the machine halts, the scheduler yields,
 // or the runner's step bound is reached. A Chooser is asked only at
-// switch points and its choice runs in bursts up to its horizon; any
-// other scheduler is asked before every step. Both execute exactly the
-// steps, in exactly the order, that asking before every step would.
+// switch points and its choice runs in bursts up to its horizon. A
+// *Random in an unrecorded run is asked once per stretch between the
+// Runner's budget and context-poll boundaries, and the machine draws
+// the rest of the stretch's threads from the same generator
+// (interp.Machine.RunRandom). Any other scheduler, and Random when
+// Record is set, is asked before every step. All three execute exactly
+// the steps, in exactly the order, that asking before every step
+// would.
 func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 	res := new(Result)
 	r.run(m, s, res)
@@ -402,6 +410,8 @@ func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
 		var err error
 		if bursts {
 			ok, err = m.RunBurst(tid, r.burstLimit(start, n), ch.Horizon(m, tid))
+		} else if rnd, draws := s.(*Random); draws && !r.Record {
+			ok, err = m.RunRandom(tid, r.burstLimit(start, n), &rnd.rng)
 		} else {
 			ok, err = m.Step(tid)
 		}
@@ -447,11 +457,12 @@ func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
 	}
 }
 
-// burstLimit is the machine step count at which a burst starting n
-// steps into a run that began at start must stop: the run's budget, or
-// the next context poll, whichever comes first (0 when neither
-// applies). Stopping there lets the loop above take the budget and
-// poll decisions at exactly the steps a per-step loop would.
+// burstLimit is the machine step count at which a burst or a random
+// stretch starting n steps into a run that began at start must stop:
+// the run's budget, or the next context poll, whichever comes first (0
+// when neither applies). Stopping there lets the loop above take the
+// budget and poll decisions at exactly the steps a per-step loop
+// would.
 func (r Runner) burstLimit(start, n int64) int64 {
 	var limit int64
 	if r.MaxSteps > 0 {
@@ -510,9 +521,13 @@ func (c *Cooperative) Horizon(*interp.Machine, int) int { return math.MaxInt }
 // Random steps a uniformly random runnable thread each step, standing
 // in for the fine-grained interleaving of truly parallel cores. The
 // seed fully determines the interleaving: Random draws exactly the
-// values rand.New(rand.NewSource(seed)).Intn would.
+// values rand.New(rand.NewSource(seed)).Intn would. A Runner asks Next
+// before every step only when it records the schedule; otherwise it
+// asks once per stretch and the machine makes the later draws of the
+// stretch from Random's generator (interp.Machine.RunRandom), the same
+// draws in the same order.
 type Random struct {
-	rng rngSource
+	rng interp.RNG
 }
 
 // NewRandom returns a random scheduler with the given seed.
@@ -524,7 +539,7 @@ func NewRandom(seed int64) *Random {
 
 // Seed rewinds r to the start of seed's stream, as if it were
 // NewRandom(seed), without allocating.
-func (r *Random) Seed(seed int64) { r.rng.seed(seed) }
+func (r *Random) Seed(seed int64) { r.rng.Seed(seed) }
 
 // Next implements Scheduler.
 func (r *Random) Next(m *interp.Machine) int {
@@ -532,7 +547,7 @@ func (r *Random) Next(m *interp.Machine) int {
 	if len(runnable) == 0 {
 		return -1
 	}
-	return runnable[r.rng.intn(len(runnable))]
+	return runnable[r.rng.Intn(len(runnable))]
 }
 
 // Replayer replays a recorded schedule, then stops.
@@ -590,7 +605,10 @@ type StressResult struct {
 // machine with Machine.Reset (which is observationally identical to a
 // fresh build and recycles all per-run storage) and reseed the same
 // Random, so a long stress campaign stops paying an allocation and a
-// generator construction per attempt. On a crash the machine is
+// generator construction per attempt; seeds below 64 copy their
+// generator state from a process-wide table (interp.RNG.Seed). The
+// runs are unrecorded, so each attempt's draws are made inside the
+// machine (interp.Machine.RunRandom). On a crash the machine is
 // returned still holding the crashed state for dump capture. The
 // failing run's Result does not record its schedule; replay
 // NewRandom(Seed) under a recording Runner to obtain it.
