@@ -26,8 +26,8 @@
 //     its CPU time, so it needs no machine headroom — it pins the
 //     telemetry stack's passivity as a cost budget, complementing the
 //     determinism tests. Both legs fire the always-on counters, so the
-//     ratio prices only the event stream's trial and fold events, the
-//     tracer and the flight recorder.
+//     ratio prices only the event stream's fold events, one per
+//     committed rank, the tracer and the flight recorder.
 //
 // Other cost fields (table times, executed trial counts, steps) are
 // informational only and never gate.
@@ -225,8 +225,8 @@ func budgetOK(got, want any) bool {
 // process, interleaved, so machine speed cancels out of the ratio — no
 // headroom factor is needed. Both legs also fire the always-on sharded
 // counters, so the ratio prices only what telemetry adds on top of
-// them: the event stream's trial and fold events, the tracer and the
-// flight recorder.
+// them: the event stream's fold events, one per committed rank, the
+// tracer and the flight recorder.
 func ratioGated(key string) bool {
 	return strings.Contains(key, "TelemetryOverhead")
 }

@@ -27,10 +27,9 @@
 //	                          # CI static-guidance gate runs
 //	benchtab -timeout 2m      # give up after a wall-clock deadline
 //	benchtab -progress        # stream search heartbeats to stderr
-//	benchtab -trace run.json  # write pipeline stage spans and sampled
-//	                          # trial events as Chrome trace-event JSON
-//	                          # (open in chrome://tracing or Perfetto;
-//	                          # -trace-sample thins the trial events)
+//	benchtab -trace run.json  # write pipeline stage spans and committed
+//	                          # search ranks as Chrome trace-event JSON
+//	                          # (open in chrome://tracing or Perfetto)
 //	benchtab -interp -cpuprofile cpu.pprof
 //	                          # write a CPU profile of the run; with
 //	                          # -interp alone this profiles the trial
@@ -73,15 +72,14 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "overall wall-clock deadline (0 = none)")
 	progress := flag.Bool("progress", false, "stream per-workload schedule-search heartbeats to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected sections to this file")
-	traceOut := flag.String("trace", "", "write pipeline stage spans and sampled trial events as Chrome trace-event JSON to this file")
-	traceSample := flag.Int("trace-sample", 10, "with -trace, keep every n-th trial event (stage spans are always kept)")
+	traceOut := flag.String("trace", "", "write pipeline stage spans and committed search ranks as Chrome trace-event JSON to this file")
 	flag.Parse()
 
 	experiments.Workers = *workers
 	experiments.IncludeGenerated = *generated
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
-		tracer = telemetry.NewTracer(time.Now, *traceSample)
+		tracer = telemetry.NewTracer(time.Now)
 		// Flushed via defer like the CPU profile: fail() exits directly
 		// and abandons a partial trace, the right trade for a gate
 		// failure.

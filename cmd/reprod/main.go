@@ -51,7 +51,6 @@ func main() {
 	list := flag.Bool("list", false, "list built-in workloads")
 	verbose := flag.Bool("v", false, "print the failure index, CSVs, candidates and stage transitions")
 	flag.StringVar(&tracePath, "trace", "", "write the run as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-	traceSample := flag.Int("trace-sample", 1, "with -trace, keep every n-th trial event (stage spans are always kept)")
 	flag.Parse()
 
 	if *list {
@@ -118,7 +117,7 @@ func main() {
 		})))
 	}
 	if tracePath != "" {
-		tracer = heisendump.NewTracer(time.Now, *traceSample)
+		tracer = heisendump.NewTracer(time.Now)
 		opts = append(opts, heisendump.WithObserver(tracer))
 	}
 	// A flight recorder always rides along (it is observational and
@@ -214,21 +213,22 @@ func writeTrace() {
 	fmt.Printf("trace: %d event(s) written to %s\n", tracer.Len(), tracePath)
 }
 
-// printFlight prints the flight recorder's tail — the last trials and
-// scheduler decisions — as evidence on failed or cancelled runs.
+// printFlight prints the flight recorder's tail — the last committed
+// ranks and the last fold decision — as evidence on failed or
+// cancelled runs.
 func printFlight() {
 	fl := flight.Snapshot()
 	if fl == nil {
 		return
 	}
 	dropped := ""
-	if fl.TrialsDropped > 0 {
-		dropped = fmt.Sprintf(" (%d older dropped)", fl.TrialsDropped)
+	if fl.Dropped > 0 {
+		dropped = fmt.Sprintf(" (%d older fold event(s) dropped)", fl.Dropped)
 	}
-	fmt.Printf("flight recorder: last %d trial(s)%s:\n", len(fl.Trials), dropped)
-	for _, t := range fl.Trials {
-		fmt.Printf("  rank %d trial %d worker %d: steps=%d found=%v\n",
-			t.Rank, t.Trial, t.Worker, t.Steps, t.Found)
+	fmt.Printf("flight recorder: last %d committed rank(s)%s:\n", len(fl.Ranks), dropped)
+	for _, r := range fl.Ranks {
+		fmt.Printf("  rank %d worker %d: tries=%d steps=%d found=%v\n",
+			r.Rank, r.Worker, r.Tries, r.Steps, r.Found)
 	}
 	if n := len(fl.Decisions); n > 0 {
 		d := fl.Decisions[n-1]

@@ -95,13 +95,14 @@ type Observer = telemetry.Observer
 // ObserverFunc adapts a function to Observer.
 type ObserverFunc = telemetry.ObserverFunc
 
-// Event is one entry of a run's event stream: a stage begin or end, a
-// search trial, or a fold heartbeat. Stage events arrive on the run's
-// goroutine, a begin and an end with the same Span for each of the
-// seven stages (provoke, align, aligned-dump, diff, prioritize,
-// candidates, search); trials arrive concurrently from search workers;
-// fold heartbeats arrive serialized, ending with one whose
-// Progress.Done is set. docs/OBSERVABILITY.md has the full contract.
+// Event is one entry of a run's event stream: a stage begin or end, or
+// a fold heartbeat. Stage events arrive on the run's goroutine, a
+// begin and an end with the same Span for each of the seven stages
+// (provoke, align, aligned-dump, diff, prioritize, candidates,
+// search); fold heartbeats arrive serialized, one per worklist rank
+// the search commits, in rank order and carrying that rank's summary
+// in Rank, then one whose Progress.Done is set. docs/OBSERVABILITY.md
+// has the full contract.
 type Event = telemetry.Event
 
 // EventKind says what an Event reports.
@@ -111,7 +112,6 @@ type EventKind = telemetry.Kind
 const (
 	EventStageBegin = telemetry.KindStageBegin
 	EventStageEnd   = telemetry.KindStageEnd
-	EventTrial      = telemetry.KindTrial
 	EventFold       = telemetry.KindFold
 )
 
@@ -119,29 +119,28 @@ const (
 // payload of an EventFold.
 type SearchProgress = telemetry.Progress
 
-// Tracer is an Observer that records stage spans and sampled trial
-// events, exportable as Chrome trace-event JSON.
+// Tracer is an Observer that records stage spans and the search's
+// committed ranks, exportable as Chrome trace-event JSON.
 type Tracer = telemetry.Tracer
 
 // NewTracer builds a Tracer. clock supplies event timestamps (nil
-// uses a synthetic monotone tick, which keeps traces deterministic);
-// sampleEvery keeps every n-th trial event (<= 1 keeps all; stage
-// spans are never sampled out).
-func NewTracer(clock func() time.Time, sampleEvery int) *Tracer {
-	return telemetry.NewTracer(clock, sampleEvery)
+// uses a synthetic monotone tick, which keeps traces deterministic).
+func NewTracer(clock func() time.Time) *Tracer {
+	return telemetry.NewTracer(clock)
 }
 
-// FlightRecorder is an Observer that keeps bounded rings of recent
-// trials and scheduler fold decisions; snapshot it after a failed or
-// cancelled run.
+// FlightRecorder is an Observer that keeps a bounded ring of the
+// search's recent fold events, one per committed rank; snapshot it
+// after a failed or cancelled run.
 type FlightRecorder = telemetry.FlightRecorder
 
-// FlightLog is a FlightRecorder snapshot: the retained trials and
-// decisions (oldest first) plus drop counts.
+// FlightLog is a FlightRecorder snapshot: the retained committed ranks
+// and fold decisions (oldest first) plus the count of older fold
+// events dropped.
 type FlightLog = telemetry.FlightLog
 
-// NewFlightRecorder builds a FlightRecorder retaining the last n
-// trials and n decisions (n <= 0 uses a default of 64).
+// NewFlightRecorder builds a FlightRecorder retaining the last n fold
+// events (n <= 0 uses a default of 64).
 func NewFlightRecorder(n int) *FlightRecorder {
 	return telemetry.NewFlightRecorder(n)
 }

@@ -61,11 +61,10 @@ type Options struct {
 	// concurrently; <= 0 means GOMAXPROCS. Any value yields the same
 	// Found, Schedule and Tries (see Result).
 	Workers int
-	// Observers each receive one KindTrial event per trial the search
-	// executes, including speculative trials of ranks the fold later
-	// discards, and one KindFold heartbeat per rank the deterministic
-	// fold commits plus a final one with Done set; see telemetry.Event
-	// for the delivery contract. They are strictly observational: the
+	// Observers each receive one KindFold event per rank the
+	// deterministic fold commits, carrying that rank's summary, plus a
+	// final heartbeat with Done set; see telemetry.Event for the
+	// delivery contract. They are strictly observational: the
 	// determinism contract is pinned with observers attached and
 	// detached. Cancelling the SearchContext context from a fold event
 	// is the intended way to implement deterministic cutoffs (stop once
@@ -407,41 +406,41 @@ func (st *searchState) record(r int, out *comboOutcome) {
 				return
 			}
 		}
-		if cur.foundAt >= 0 && cur.foundAt < allowed {
+		// An exploration stops at its find, so a winner's trials are
+		// foundAt+1, within the allowance.
+		tries := min(cur.trials, allowed)
+		found := cur.foundAt >= 0 && cur.foundAt < allowed
+		if found {
 			st.winner = cur
-			st.cumTries += cur.foundAt + 1
-			st.committed++ // the winning rank was consumed too
-			st.decided.Store(true)
-			st.progressLocked()
-			return
 		}
-		t := cur.trials
-		if t > allowed {
-			t = allowed
-		}
-		st.cumTries += t
+		st.cumTries += tries
 		st.committed++
-		if st.maxTries > 0 && st.cumTries >= st.maxTries {
+		if found || st.maxTries > 0 && st.cumTries >= st.maxTries {
 			st.decided.Store(true)
 		}
-		st.progressLocked()
+		st.progressLocked(cur, tries, found)
 	}
 }
 
-// progressLocked emits a fold heartbeat; st.mu must be held, which
-// serializes the stream and makes every counter monotone across it.
-func (st *searchState) progressLocked() {
+// progressLocked emits the fold event of the rank just committed,
+// which added tries to the fold; st.mu must be held, which serializes
+// the stream and makes every counter monotone across it.
+func (st *searchState) progressLocked(out *comboOutcome, tries int, found bool) {
 	if len(st.s.Opts.Observers) == 0 {
 		return
 	}
-	st.s.Opts.Observers.Observe(telemetry.Event{Kind: telemetry.KindFold, Progress: telemetry.Progress{
-		Combos:    st.wl.size,
-		Committed: st.committed,
-		Tries:     st.cumTries,
-		Executed:  int(st.tries.Load()),
-		Steps:     st.steps.Load(),
-		Found:     st.winner != nil,
-	}})
+	st.s.Opts.Observers.Observe(telemetry.Event{
+		Kind: telemetry.KindFold,
+		Rank: telemetry.Rank{Rank: out.rank, Tries: tries, Steps: out.steps, Worker: out.worker, Found: found},
+		Progress: telemetry.Progress{
+			Combos:    st.wl.size,
+			Committed: st.committed,
+			Tries:     st.cumTries,
+			Executed:  int(st.tries.Load()),
+			Steps:     st.steps.Load(),
+			Found:     st.winner != nil,
+		},
+	})
 }
 
 // exploreCombo executes test runs for the combination at rank r,
@@ -458,7 +457,7 @@ func (st *searchState) progressLocked() {
 // the fold can never mistake them for completed explorations.
 func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, c *trialChooser, w int) *comboOutcome {
 	combo := st.wl.at(r)
-	out := &comboOutcome{rank: r, foundAt: -1}
+	out := &comboOutcome{rank: r, worker: w, foundAt: -1}
 	k := len(combo)
 	vec := make([]int, k)
 	for {
@@ -476,8 +475,9 @@ func (st *searchState) exploreCombo(r, cap int, m *interp.Machine, c *trialChoos
 		tr := st.s.runTrial(m, c, combo, vec, st.maxRun)
 		st.tries.Add(1)
 		st.steps.Add(tr.steps)
-		st.observeTrial(r, out.trials, w, &tr, m)
+		countTrial(w, &tr, m)
 		out.trials++
+		out.steps += tr.steps
 		if tr.found {
 			out.foundAt = out.trials - 1
 			// The trial's log is the chooser's buffer; keep a copy.

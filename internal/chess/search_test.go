@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"heisendump/internal/chess"
@@ -191,11 +190,11 @@ func TestParallelSearchDeterministicUnderCutoff(t *testing.T) {
 	}
 }
 
-// TestUncancelledSearchCompletes: every trial runs on a pool worker
-// and an uncancelled search always ends decided or exhausted, never
-// Cancelled, whatever the budget, order or pool width — a worker that
-// claims a rank explores it unless the fold can never need it, so the
-// fold is left no gap to wait on.
+// TestUncancelledSearchCompletes: every rank is explored by a pool
+// worker and an uncancelled search always ends decided or exhausted,
+// never Cancelled, whatever the budget, order or pool width — a worker
+// that claims a rank explores it unless the fold can never need it, so
+// the fold is left no gap to wait on.
 func TestUncancelledSearchCompletes(t *testing.T) {
 	for _, w := range workloads.Bugs() {
 		base := configuredSearcher(t, w, core.Config{})
@@ -205,15 +204,12 @@ func TestUncancelledSearchCompletes(t *testing.T) {
 					s := *base
 					s.Opts.Weighted, s.Opts.Guided = guided, guided
 					s.Opts.Workers, s.Opts.MaxTries = workers, budget
-					var mu sync.Mutex
+					// Fold events are serialized under the search's lock.
 					lo, hi := 0, -1
 					s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
-						if e.Kind != telemetry.KindTrial {
-							return
+						if e.Kind == telemetry.KindFold && !e.Progress.Done {
+							lo, hi = min(lo, e.Rank.Worker), max(hi, e.Rank.Worker)
 						}
-						mu.Lock()
-						lo, hi = min(lo, e.Trial.Worker), max(hi, e.Trial.Worker)
-						mu.Unlock()
 					})}
 					res := s.SearchContext(context.Background())
 					name := fmt.Sprintf("%s guided=%v workers=%d budget=%d", w.Name, guided, workers, budget)
@@ -224,7 +220,61 @@ func TestUncancelledSearchCompletes(t *testing.T) {
 						t.Fatalf("%s: executed %d trials for %d tries", name, res.TrialsExecuted, res.Tries)
 					}
 					if lo < 0 || hi >= res.Workers {
-						t.Fatalf("%s: trial workers span [%d, %d], want within [0, %d)", name, lo, hi, res.Workers)
+						t.Fatalf("%s: rank workers span [%d, %d], want within [0, %d)", name, lo, hi, res.Workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRankStreamDeterministic: the fold events' rank summaries (rank,
+// tries, found) and heartbeats (committed, tries, found, done) form
+// the same stream for any worker count. The summaries' tries sum to
+// the search's Tries and, at one worker, where nothing is
+// speculative, their steps sum to StepsExecuted.
+func TestRankStreamDeterministic(t *testing.T) {
+	type beat struct {
+		rank, rankTries  int
+		rankFound        bool
+		committed, tries int
+		found, done      bool
+	}
+	for _, w := range workloads.Bugs() {
+		base := configuredSearcher(t, w, core.Config{})
+		for _, guided := range []bool{false, true} {
+			for _, budget := range []int{7, 40, 400} {
+				var ref []beat
+				for _, workers := range []int{1, 4, 8} {
+					s := *base
+					s.Opts.Weighted, s.Opts.Guided = guided, guided
+					s.Opts.Workers, s.Opts.MaxTries = workers, budget
+					// Fold events are serialized under the search's lock.
+					var got []beat
+					tries, steps := 0, int64(0)
+					s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
+						if e.Kind != telemetry.KindFold {
+							return
+						}
+						r, p := e.Rank, e.Progress
+						got = append(got, beat{r.Rank, r.Tries, r.Found, p.Committed, p.Tries, p.Found, p.Done})
+						tries += r.Tries
+						steps += r.Steps
+					})}
+					res := s.SearchContext(context.Background())
+					name := fmt.Sprintf("%s guided=%v budget=%d workers=%d", w.Name, guided, budget, workers)
+					if tries != res.Tries {
+						t.Fatalf("%s: rank tries sum to %d, want Tries %d", name, tries, res.Tries)
+					}
+					if workers == 1 {
+						if steps != res.StepsExecuted {
+							t.Fatalf("%s: rank steps sum to %d, want StepsExecuted %d", name, steps, res.StepsExecuted)
+						}
+						ref = got
+						continue
+					}
+					if !reflect.DeepEqual(got, ref) {
+						t.Fatalf("%s: fold stream diverged from one worker's:\n  got  %+v\n  want %+v", name, got, ref)
 					}
 				}
 			}
@@ -234,13 +284,14 @@ func TestUncancelledSearchCompletes(t *testing.T) {
 
 // TestSearchWorkerZeroRunsOnCaller: worker 0 runs on the goroutine
 // that called SearchContext, so a one-worker search starts no
-// goroutine and its trial events are observed on the caller's stack.
+// goroutine and the fold events its ranks commit are observed on the
+// caller's stack.
 func TestSearchWorkerZeroRunsOnCaller(t *testing.T) {
 	s := analyzedSearcher(t, "mysql-1")
 	s.Opts.Workers = 1
 	var stack []byte
 	s.Opts.Observers = telemetry.Observers{telemetry.ObserverFunc(func(e telemetry.Event) {
-		if e.Kind == telemetry.KindTrial && stack == nil {
+		if e.Kind == telemetry.KindFold && !e.Progress.Done && stack == nil {
 			buf := make([]byte, 64<<10)
 			stack = buf[:runtime.Stack(buf, false)]
 		}
@@ -251,7 +302,7 @@ func TestSearchWorkerZeroRunsOnCaller(t *testing.T) {
 	// The observer is a closure of the test, so look for the test's
 	// own frame: its name followed by its argument list.
 	if !bytes.Contains(stack, []byte(".TestSearchWorkerZeroRunsOnCaller(")) {
-		t.Fatalf("a trial event's goroutine stack does not reach the test:\n%s", stack)
+		t.Fatalf("a rank's fold event goroutine stack does not reach the test:\n%s", stack)
 	}
 }
 

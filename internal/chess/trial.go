@@ -19,15 +19,18 @@ type trialResult struct {
 }
 
 // comboOutcome summarizes the exploration of one combination: the
-// odometer walk over its thread-choice vectors. foundAt is the 0-based
-// trial index whose run reproduced the failure, or -1. aborted marks
-// an exploration abandoned before completion (the search was decided,
-// out-ranked, or cancelled mid-walk); the fold must never consume an
-// aborted outcome, because it is not a pure function of the
-// combination.
+// odometer walk over its thread-choice vectors, run by worker, which
+// executed trials test runs of steps interpreter steps in all.
+// foundAt is the 0-based trial index whose run reproduced the failure,
+// or -1. aborted marks an exploration abandoned before completion (the
+// search was decided, out-ranked, or cancelled mid-walk); the fold
+// must never consume an aborted outcome, because it is not a pure
+// function of the combination.
 type comboOutcome struct {
 	rank     int
+	worker   int
 	trials   int
+	steps    int64
 	foundAt  int
 	schedule []AppliedPreemption
 	aborted  bool

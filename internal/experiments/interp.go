@@ -46,9 +46,9 @@ type InterpRow struct {
 	// StepsExecuted is the probe search's interpreter-step count.
 	StepsExecuted int64
 	// SearchNsTelemetry is the cold probe search with the telemetry
-	// stack observing its event stream: a 1-in-10 sampled Tracer — the
-	// benchtab tracing default — and a FlightRecorder behind one
-	// Observers fan-out. TelemetryOverhead is the median of the
+	// stack observing its event stream, one fold event per committed
+	// rank: a Tracer and a FlightRecorder behind one Observers
+	// fan-out. TelemetryOverhead is the median of the
 	// per-round tele/cold ratios of process CPU time, the two legs
 	// alternating search by search with GC pinned off (see
 	// telemetryOverheadPair) so machine drift, preemption and vCPU
@@ -56,8 +56,7 @@ type InterpRow struct {
 	// pinning the "telemetry is passive" claim as a perf gate, not just
 	// a determinism gate. Both legs fire the always-on sharded
 	// counters, so the ratio prices only the event stream (building and
-	// delivering each trial and fold event), the tracer and the flight
-	// recorder.
+	// delivering each fold event), the tracer and the flight recorder.
 	SearchNsTelemetry int64
 	TelemetryOverhead float64
 }
@@ -247,10 +246,9 @@ func processCPU() int64 {
 // (unweighted, unguided, bound 2, 400 tries, one worker, unmatchable
 // target — the BenchmarkSearchParallel regime) and returns its
 // executed-step count. With tele set, the telemetry stack observes
-// the search's event stream: a Tracer (synthetic clock, 1-in-10
-// sampled — the benchtab tracing default) and a FlightRecorder, as
-// the batch server attaches its SSE hub and flight recorder to every
-// job.
+// the search's event stream, one fold event per committed rank: a
+// Tracer (synthetic clock) and a 64-deep FlightRecorder, as the batch
+// server attaches its SSE hub and flight recorder to every job.
 func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate, passingSteps int64, tele bool) int64 {
 	s := &chess.Searcher{
 		NewMachine: func() *interp.Machine {
@@ -268,7 +266,7 @@ func probeSearch(cp *ir.Program, w *workloads.Workload, cands []chess.Candidate,
 		},
 	}
 	if tele {
-		s.Opts.Observers = telemetry.Observers{telemetry.NewTracer(nil, 10), telemetry.NewFlightRecorder(64)}
+		s.Opts.Observers = telemetry.Observers{telemetry.NewTracer(nil), telemetry.NewFlightRecorder(64)}
 	}
 	return s.SearchContext(context.Background()).StepsExecuted
 }

@@ -70,8 +70,9 @@ type ErrorPayload struct {
 	Limit        int    `json:"limit,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 
-	// Flight is the job's flight-recorder snapshot — the last trial
-	// summaries and scheduler fold decisions before the run stopped.
+	// Flight is the job's flight-recorder snapshot — the last ranks
+	// the search committed and its fold decisions before the run
+	// stopped.
 	// Attached to deadline_exceeded and shutting_down terminal job
 	// statuses (when the job ran at all) so a 504 comes with evidence
 	// of what the search was doing; nil on admission-time refusals.

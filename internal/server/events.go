@@ -112,10 +112,11 @@ func (h *hub) since(after uint64) (evs []Event, closed bool, wake <-chan struct{
 
 // observer adapts the hub to the Session's event stream: each stage
 // begin becomes a "stage" frame and each fold heartbeat a "heartbeat"
-// frame; trial and stage-end events are not streamed. Stage events
-// arrive on the run's goroutine; heartbeats arrive from search
-// goroutines with internal locks held — append is a bounded O(1)
-// critical section, satisfying the "must be fast" requirement.
+// frame carrying its Progress (the rank summary stays in the flight
+// recorder); stage-end events are not streamed. Stage events arrive on
+// the run's goroutine; heartbeats arrive from search goroutines with
+// internal locks held — append is a bounded O(1) critical section,
+// satisfying the "must be fast" requirement.
 type observer struct{ h *hub }
 
 func (o observer) Observe(e heisendump.Event) {

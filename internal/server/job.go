@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -69,10 +70,12 @@ type JobOptions struct {
 	// Heuristic is "temporal" (default) or "dependence".
 	Heuristic string `json:"heuristic,omitempty"`
 	// DeadlineMS bounds the job's total lifetime — queue wait plus
-	// run — from admission. A job still queued at its deadline is
-	// refused (deadline_exceeded, HTTP 504 to waiters) without
-	// running; a job past it mid-run is cancelled at one-trial
-	// granularity and reports its deterministic partial prefix.
+	// run — from admission; 0 means none. A job still queued at its
+	// deadline is refused (deadline_exceeded, HTTP 504 to waiters)
+	// without running; a job past it mid-run is cancelled at one-trial
+	// granularity and reports its deterministic partial prefix. A
+	// value below 0 or above maxDeadlineMS is refused with
+	// bad_request at admission.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -83,6 +86,11 @@ type JobOptions struct {
 // claims ranks, but a job that does not reproduce its failure may
 // explore every combination, so the cap bounds that work.
 const maxBound = 3
+
+// maxDeadlineMS is the longest deadline a job may ask for: the largest
+// millisecond count a time.Duration holds (about 292 years). A longer
+// one would overflow into the past.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // maxWorkers is the widest schedule-search pool a job may ask for. A
 // search starts one goroutine per worker, each with its own machine,
@@ -106,6 +114,10 @@ func (o JobOptions) sessionOptions(obs heisendump.Observer) ([]heisendump.Option
 	if o.TrialBudget < 0 || o.StressBudget < 0 {
 		return nil, &ErrorPayload{Code: CodeBadRequest,
 			Message: fmt.Sprintf("negative budget (trial_budget %d, stress_budget %d; 0 means the server default)", o.TrialBudget, o.StressBudget)}
+	}
+	if o.DeadlineMS < 0 || o.DeadlineMS > maxDeadlineMS {
+		return nil, &ErrorPayload{Code: CodeBadRequest,
+			Message: fmt.Sprintf("deadline_ms %d out of range (want 0 to %d; 0 means none)", o.DeadlineMS, maxDeadlineMS)}
 	}
 	opts := []heisendump.Option{
 		heisendump.WithWorkers(o.Workers),
@@ -271,7 +283,8 @@ type job struct {
 	opts     []heisendump.Option
 	deadline time.Time // zero = none
 	hub      *hub
-	// flight records the run's recent trials and fold decisions; its
+	// flight records the run's recently committed ranks and fold
+	// decisions; its
 	// snapshot is attached to the error payload of failed/cancelled
 	// jobs as evidence of what the search was doing when it stopped.
 	flight *telemetry.FlightRecorder

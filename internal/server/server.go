@@ -207,7 +207,8 @@ func (s *Server) runJob(j *job) {
 	jr, errp := BuildReport(rep, runErr, hadDeadline)
 	if errp != nil {
 		// Failed and cancelled jobs carry flight-recorder evidence: the
-		// last trials and fold decisions before the run stopped. The
+		// last committed ranks and fold decisions before the run
+		// stopped. The
 		// log rides on the error payload only — JobReport stays a pure
 		// function of (source, input, options) for the differential
 		// smoke gate.

@@ -240,6 +240,8 @@ func TestSubmitBoundRange(t *testing.T) {
 		{"stress_budget -1", func(o *JobOptions) { o.StressBudget = -1 }},
 		{"workers -1", func(o *JobOptions) { o.Workers = -1 }},
 		{"workers 100000", func(o *JobOptions) { o.Workers = 100000 }},
+		{"deadline_ms -1", func(o *JobOptions) { o.DeadlineMS = -1 }},
+		{"deadline_ms 9223372036855", func(o *JobOptions) { o.DeadlineMS = 9223372036855 }},
 	}
 	for _, c := range refused {
 		req := fig1Request(t, "")
@@ -663,7 +665,7 @@ func TestShutdownAttachesFlightLog(t *testing.T) {
 		t.Fatalf("after shutdown: %+v err=%+v", got, got.Error)
 	}
 	fl := got.Error.Flight
-	if fl == nil || len(fl.Trials) == 0 || len(fl.Decisions) == 0 {
+	if fl == nil || len(fl.Ranks) == 0 || len(fl.Decisions) == 0 {
 		t.Fatalf("error payload's flight log is empty: %+v", fl)
 	}
 	if last := fl.Decisions[len(fl.Decisions)-1]; last.Kind != "cancelled" {

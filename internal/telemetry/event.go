@@ -12,16 +12,14 @@ const (
 	KindStageBegin Kind = iota + 1
 	// KindStageEnd closes the span whose begin carried the same Span.
 	KindStageEnd
-	// KindTrial reports one executed schedule-search trial in Trial.
-	KindTrial
 	// KindFold reports one heartbeat of the search's rank-order fold
-	// in Progress.
+	// in Progress and, for each committed rank, that rank in Rank.
 	KindFold
 )
 
 // Event is one entry of a reproduction's event stream: the single
-// carrier of stage, trial and fold data to every consumer (tracer,
-// flight recorder, the batch server's SSE hub, progress printers).
+// carrier of stage and fold data to every consumer (tracer, flight
+// recorder, the batch server's SSE hub, progress printers).
 //
 // Delivery contract:
 //   - Stage events arrive on the goroutine driving the run. A full
@@ -31,17 +29,17 @@ const (
 //     when the stage fails or is cancelled. Span ids are unique in
 //     the process, so one consumer shared by concurrent runs pairs
 //     them exactly.
-//   - Trial events arrive concurrently from search workers, in the
-//     order the trials complete (not rank order), including
-//     speculative trials the fold later discards.
 //   - Fold events arrive under the search's lock, so they are
-//     serialized: one per worklist rank the fold commits, then
-//     exactly one with Done set as the search returns. Committed,
-//     Tries and Found form a stream identical for any worker count;
-//     Executed and Steps are monotone raw cost counters that depend
-//     on worker scheduling.
-//   - Every trial and fold of a search falls between the search's
-//     begin and end.
+//     serialized: one per worklist rank the fold commits, in rank
+//     order and carrying that rank in Rank, then exactly one with
+//     Done set (and a zero Rank) as the search returns. Rank's Rank,
+//     Tries and Found and Progress's Committed, Tries and Found form
+//     a stream identical for any worker count; Rank's Steps and
+//     Worker and Progress's Executed and Steps are raw cost figures
+//     that depend on worker scheduling. Trials of ranks the fold
+//     never commits show only in Executed and Steps.
+//   - Every fold of a search falls between the search's begin and
+//     end.
 //
 // Observers must be fast and safe for concurrent use, and must not
 // call back into the run. Cancelling the run's context from a fold
@@ -53,25 +51,28 @@ type Event struct {
 	Stage string
 	// Span pairs a stage begin with its end.
 	Span uint64
-	// Trial is the trial of a KindTrial event.
-	Trial Trial
+	// Rank is the rank a KindFold event commits; zero on the Done
+	// heartbeat.
+	Rank Rank
 	// Progress is the heartbeat of a KindFold event.
 	Progress Progress
 }
 
-// Trial is one executed schedule-search trial.
-type Trial struct {
-	// Rank is the worklist rank of the trial's combination; Trial is
-	// its 0-based index within that combination's exploration.
-	Rank  int `json:"rank"`
-	Trial int `json:"trial"`
-	// Worker is the search's pool worker that ran the trial, in
-	// [0, the search's worker count).
-	Worker int `json:"worker"`
-	// Steps counts the trial's executed interpreter steps; Found marks
-	// a trial that reproduced the target failure.
-	Steps int64 `json:"steps"`
-	Found bool  `json:"found,omitempty"`
+// Rank summarizes one worklist rank the search's fold committed.
+type Rank struct {
+	// Rank is the worklist rank.
+	Rank int `json:"rank"`
+	// Tries is what the rank adds to the folded try count: the
+	// winning trial's index plus one for the winner, otherwise its
+	// trials capped at the budget the fold had left.
+	Tries int `json:"tries"`
+	// Steps counts the interpreter steps of every trial that explored
+	// the rank; Worker is the search's pool worker that explored it,
+	// in [0, the search's worker count).
+	Steps  int64 `json:"steps"`
+	Worker int   `json:"worker"`
+	// Found marks the committed winner.
+	Found bool `json:"found,omitempty"`
 }
 
 // Progress is one heartbeat snapshot of a running schedule search.

@@ -16,56 +16,51 @@ type Decision struct {
 }
 
 // FlightLog is a JSON-able snapshot of the recorder: the retained
-// trial and decision tails, oldest first, plus the drop counts that
-// say how much history scrolled off.
+// tail of fold events, oldest first, as the ranks they committed and
+// the decisions they record, plus the count of older fold events that
+// scrolled off.
 type FlightLog struct {
-	Trials           []Trial    `json:"trials"`
-	Decisions        []Decision `json:"decisions"`
-	TrialsDropped    int64      `json:"trialsDropped,omitempty"`
-	DecisionsDropped int64      `json:"decisionsDropped,omitempty"`
+	Ranks     []Rank     `json:"ranks"`
+	Decisions []Decision `json:"decisions"`
+	Dropped   int64      `json:"dropped,omitempty"`
 }
 
-// FlightRecorder is an Observer that keeps bounded rings of recent
-// trials and scheduler decisions, cheap enough to run always-on so
-// that a failed or cancelled run can attach its last moments as
-// evidence. Methods are safe for concurrent use and no-ops on a nil
-// receiver.
+// FlightRecorder is an Observer that keeps a bounded ring of the
+// search's recent fold events, one per committed rank and the final
+// one, cheap enough to run always-on so that a failed or cancelled run
+// can attach its last moments as evidence. Methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type FlightRecorder struct {
-	mu     sync.Mutex
-	trials ring[Trial]
-	folds  ring[Progress] // labeled as Decisions by Snapshot
+	mu    sync.Mutex
+	folds ring[fold]
 }
 
-// NewFlightRecorder returns a recorder retaining the last n trials
-// and the last n decisions (n <= 0 selects 64).
+// fold is one recorded fold event.
+type fold struct {
+	rank Rank
+	p    Progress
+}
+
+// NewFlightRecorder returns a recorder retaining the last n fold
+// events (n <= 0 selects 64).
 func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = 64
 	}
-	return &FlightRecorder{
-		trials: ring[Trial]{buf: make([]Trial, n)},
-		folds:  ring[Progress]{buf: make([]Progress, n)},
-	}
+	return &FlightRecorder{folds: ring[fold]{buf: make([]fold, n)}}
 }
 
-// Observe appends a trial or a fold heartbeat to its ring, evicting
-// the oldest when full. Stage events are ignored. Heartbeats are kept
-// raw and labeled only by Snapshot, so the search pays for a copy,
-// not a classification.
+// Observe appends a fold event to the ring, evicting the oldest when
+// full. Stage events are ignored. Heartbeats are kept raw and labeled
+// only by Snapshot, so the search pays for a copy, not a
+// classification.
 func (f *FlightRecorder) Observe(e Event) {
-	if f == nil {
+	if f == nil || e.Kind != KindFold {
 		return
 	}
-	switch e.Kind {
-	case KindTrial:
-		f.mu.Lock()
-		f.trials.push(e.Trial)
-		f.mu.Unlock()
-	case KindFold:
-		f.mu.Lock()
-		f.folds.push(e.Progress)
-		f.mu.Unlock()
-	}
+	f.mu.Lock()
+	f.folds.push(fold{e.Rank, e.Progress})
+	f.mu.Unlock()
 }
 
 // decisionOf classifies one fold heartbeat.
@@ -84,25 +79,25 @@ func decisionOf(p Progress) Decision {
 	return Decision{Kind: kind, Committed: p.Committed, Tries: p.Tries, Found: p.Found}
 }
 
-// Snapshot copies the rings out, oldest first. nil receiver and an
-// empty recorder both return nil, so callers can attach the result
-// unconditionally.
+// Snapshot copies the ring out, oldest first: every retained fold
+// event as a decision, and each but the Done one as its rank. nil
+// receiver and an empty recorder both return nil, so callers can
+// attach the result unconditionally.
 func (f *FlightRecorder) Snapshot() *FlightLog {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.trials.n == 0 && f.folds.n == 0 {
+	if f.folds.n == 0 {
 		return nil
 	}
-	log := &FlightLog{
-		Trials:           f.trials.slice(),
-		TrialsDropped:    f.trials.dropped,
-		DecisionsDropped: f.folds.dropped,
-	}
-	for _, p := range f.folds.slice() {
-		log.Decisions = append(log.Decisions, decisionOf(p))
+	log := &FlightLog{Dropped: f.folds.dropped}
+	for _, e := range f.folds.slice() {
+		if !e.p.Done {
+			log.Ranks = append(log.Ranks, e.rank)
+		}
+		log.Decisions = append(log.Decisions, decisionOf(e.p))
 	}
 	return log
 }
@@ -115,7 +110,7 @@ type ring[T any] struct {
 	dropped int64
 }
 
-// push runs once per observed trial and fold, so it wraps the head
+// push runs once per observed fold event, so it wraps the head
 // with a compare rather than a modulo: a division by the ring's
 // length costs several times the rest of the push.
 func (r *ring[T]) push(v T) {

@@ -8,35 +8,39 @@ import (
 )
 
 // TestFlightRecorderRing checks the bounded overwrite semantics:
-// capacity n retains the newest n records oldest-first and counts the
+// capacity n retains the newest n fold events oldest-first, lists the
+// committed ranks among them and every decision, and counts the
 // overwritten history.
 func TestFlightRecorderRing(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		f.Observe(Event{Kind: KindTrial, Trial: Trial{Rank: i}})
+		f.Observe(Event{Kind: KindFold,
+			Rank:     Rank{Rank: i, Tries: 2, Steps: 30, Worker: i % 2, Found: i == 9},
+			Progress: Progress{Combos: 12, Committed: i + 1, Tries: 2 * (i + 1), Found: i == 9}})
 	}
 	f.Observe(Event{Kind: KindStageBegin, Stage: "search", Span: 1}) // not recorded
-	f.Observe(Event{Kind: KindFold, Progress: Progress{Combos: 9, Committed: 1, Tries: 3}})
-	f.Observe(Event{Kind: KindFold, Progress: Progress{Combos: 9, Committed: 2, Tries: 5, Found: true}})
+	f.Observe(Event{Kind: KindFold, Progress: Progress{Combos: 12, Committed: 10, Tries: 20, Found: true, Done: true}})
 
 	log := f.Snapshot()
 	if log == nil {
 		t.Fatal("snapshot nil")
 	}
-	if len(log.Trials) != 4 {
-		t.Fatalf("retained %d trials, want 4", len(log.Trials))
+	wantRanks := []Rank{
+		{Rank: 7, Tries: 2, Steps: 30, Worker: 1},
+		{Rank: 8, Tries: 2, Steps: 30, Worker: 0},
+		{Rank: 9, Tries: 2, Steps: 30, Worker: 1, Found: true},
 	}
-	for i, tr := range log.Trials {
-		if tr.Rank != 6+i {
-			t.Errorf("trials[%d].Rank = %d, want %d (oldest-first tail)", i, tr.Rank, 6+i)
-		}
+	if !reflect.DeepEqual(log.Ranks, wantRanks) {
+		t.Errorf("ranks = %+v, want %+v (oldest-first tail, Done excluded)", log.Ranks, wantRanks)
 	}
-	if log.TrialsDropped != 6 {
-		t.Errorf("TrialsDropped = %d, want 6", log.TrialsDropped)
+	if log.Dropped != 7 {
+		t.Errorf("Dropped = %d, want 7", log.Dropped)
 	}
 	want := []Decision{
-		{Kind: "commit", Committed: 1, Tries: 3},
-		{Kind: "winner", Committed: 2, Tries: 5, Found: true},
+		{Kind: "commit", Committed: 8, Tries: 16},
+		{Kind: "commit", Committed: 9, Tries: 18},
+		{Kind: "winner", Committed: 10, Tries: 20, Found: true},
+		{Kind: "done", Committed: 10, Tries: 20, Found: true},
 	}
 	if !reflect.DeepEqual(log.Decisions, want) {
 		t.Errorf("decisions = %+v, want %+v", log.Decisions, want)
@@ -46,7 +50,8 @@ func TestFlightRecorderRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flight log not JSON-able: %v", err)
 	}
-	if !strings.HasPrefix(string(b), `{"trials":[{"rank":6,"trial":0,"worker":0,"steps":0},`) {
+	if !strings.HasPrefix(string(b), `{"ranks":[{"rank":7,"tries":2,"steps":30,"worker":1},`) ||
+		!strings.HasSuffix(string(b), `],"dropped":7}`) {
 		t.Errorf("flight log JSON = %s", b)
 	}
 }
@@ -78,12 +83,13 @@ func TestFlightDecisionKinds(t *testing.T) {
 // contract: nil recorder and empty recorder both snapshot to nil.
 func TestFlightRecorderNilAndEmpty(t *testing.T) {
 	var f *FlightRecorder
-	f.Observe(Event{Kind: KindTrial})
 	f.Observe(Event{Kind: KindFold})
 	if f.Snapshot() != nil {
 		t.Error("nil recorder snapshot not nil")
 	}
-	if NewFlightRecorder(8).Snapshot() != nil {
-		t.Error("empty recorder snapshot not nil")
+	f = NewFlightRecorder(8)
+	f.Observe(Event{Kind: KindStageBegin, Stage: "search", Span: 1})
+	if f.Snapshot() != nil {
+		t.Error("recorder with no fold event snapshot not nil")
 	}
 }

@@ -2,10 +2,10 @@
 // const-registered metrics registry whose hot-path instruments are
 // per-worker sharded cells merged only at scrape time, one event
 // stream (Event, delivered to Observers) that carries a run's stage
-// spans, trials and search heartbeats, and two of its consumers: a
-// sampling span/trace recorder exportable as Chrome trace-event JSON,
-// and a bounded flight recorder that attaches recent trial evidence
-// to failed runs.
+// spans and one search heartbeat per committed rank, and two of its
+// consumers: a span/trace recorder exportable as Chrome trace-event
+// JSON, and a bounded flight recorder that attaches the recently
+// committed ranks to failed runs as evidence.
 //
 // The package is deliberately passive. Instruments never allocate on
 // the increment path (a counter add is a single uncontended atomic

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Tracer is an Observer that records stage spans and sampled trial
-// events, exportable as Chrome trace-event JSON (chrome://tracing,
-// Perfetto). It pairs each stage end with its begin by span id, so
-// one Tracer may observe concurrent runs.
+// Tracer is an Observer that records stage spans and the search's
+// committed ranks, exportable as Chrome trace-event JSON
+// (chrome://tracing, Perfetto). It pairs each stage end with its
+// begin by span id, so one Tracer may observe concurrent runs.
 //
 // The clock is injected: a nil clock makes the tracer fully synthetic
 // — every event is stamped with a monotonically increasing tick — so
@@ -20,11 +19,6 @@ import (
 // (no-ops), so call sites need no guards.
 type Tracer struct {
 	clock func() time.Time
-	// sampleEvery keeps one trial event in every n; <=1 keeps all.
-	// Stage spans are never sampled out.
-	sampleEvery int
-
-	seen atomic.Int64 // trial events offered since the last sampled one
 
 	mu    sync.Mutex
 	base  time.Time
@@ -38,23 +32,22 @@ type Tracer struct {
 }
 
 // record is one recorded event, a stage span (kind KindStageBegin) or
-// a sampled trial (KindTrial), held by value. WriteJSON renders it as
+// a committed rank (KindFold), held by value. WriteJSON renders it as
 // a trace event.
 type record struct {
 	kind    Kind
 	stage   string
 	ts, dur int64
-	trial   Trial
+	rank    Rank
 }
 
 // recBlock is the number of records in one block of Tracer.recs.
 const recBlock = 64
 
 // NewTracer returns a tracer. clock supplies event timestamps; nil
-// selects the synthetic tick. sampleEvery <= 1 records every trial
-// event, n records one in n.
-func NewTracer(clock func() time.Time, sampleEvery int) *Tracer {
-	return &Tracer{clock: clock, sampleEvery: sampleEvery}
+// selects the synthetic tick.
+func NewTracer(clock func() time.Time) *Tracer {
+	return &Tracer{clock: clock}
 }
 
 // now returns the event timestamp in microseconds since the tracer's
@@ -85,8 +78,9 @@ func (t *Tracer) add(r record) {
 func (t *Tracer) at(i int) *record { return &t.recs[i/recBlock][i%recBlock] }
 
 // Observe records a stage begin as a Chrome complete span, closes it
-// at the end carrying the same span id, and records a sampled trial
-// as an instant on its worker's track. Fold events are ignored.
+// at the end carrying the same span id, and records each committed
+// rank as an instant on its worker's track. The Done heartbeat is
+// ignored.
 func (t *Tracer) Observe(e Event) {
 	if t == nil {
 		return
@@ -108,34 +102,13 @@ func (t *Tracer) Observe(e Event) {
 			r.dur = max(t.now()-r.ts, 1)
 		}
 		t.mu.Unlock()
-	case KindTrial:
-		if !t.sampled() {
+	case KindFold:
+		if e.Progress.Done {
 			return
 		}
 		t.mu.Lock()
-		t.add(record{kind: KindTrial, ts: t.now(), trial: e.Trial})
+		t.add(record{kind: KindFold, ts: t.now(), rank: e.Rank})
 		t.mu.Unlock()
-	}
-}
-
-// sampled reports whether the tracer keeps the trial event being
-// offered: every sampleEvery-th one, counted across goroutines. The
-// count wraps at sampleEvery by compare-and-swap, so the test costs one
-// atomic operation and no division.
-func (t *Tracer) sampled() bool {
-	n := int64(t.sampleEvery)
-	if n <= 1 {
-		return true
-	}
-	for {
-		v := t.seen.Load()
-		next := v + 1
-		if next == n {
-			next = 0
-		}
-		if t.seen.CompareAndSwap(v, next) {
-			return next == 0
-		}
 	}
 }
 
@@ -168,9 +141,9 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 
 // event renders r as a Chrome trace event.
 func (r record) event() traceEvent {
-	if r.kind == KindTrial {
-		args := r.trial
-		return traceEvent{Name: "trial", Ph: "i", S: "t", Ts: r.ts, Pid: 1, Tid: args.Worker + 1, Args: &args}
+	if r.kind == KindFold {
+		args := r.rank
+		return traceEvent{Name: "rank", Ph: "i", S: "t", Ts: r.ts, Pid: 1, Tid: args.Worker + 1, Args: &args}
 	}
 	return traceEvent{Name: r.stage, Ph: "X", Ts: r.ts, Dur: r.dur, Pid: 1}
 }
@@ -182,7 +155,7 @@ type traceFile struct {
 }
 
 // traceEvent is one Chrome trace event: "X" complete spans for
-// stages, "i" instants for sampled trials.
+// stages, "i" instants for committed ranks.
 type traceEvent struct {
 	Name string `json:"name"`
 	Ph   string `json:"ph"`
@@ -191,5 +164,5 @@ type traceEvent struct {
 	Dur  int64  `json:"dur,omitempty"`
 	Pid  int    `json:"pid"`
 	Tid  int    `json:"tid"`
-	Args *Trial `json:"args,omitempty"`
+	Args *Rank  `json:"args,omitempty"`
 }

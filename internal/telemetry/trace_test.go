@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -17,7 +16,7 @@ func endEvent(name string, span uint64) Event {
 	return Event{Kind: KindStageEnd, Stage: name, Span: span}
 }
 
-func trialEvent(tr Trial) Event { return Event{Kind: KindTrial, Trial: tr} }
+func rankEvent(r Rank) Event { return Event{Kind: KindFold, Rank: r} }
 
 // traceEvents decodes a tracer's written events.
 func traceEvents(t *testing.T, tr *Tracer) []struct {
@@ -49,11 +48,11 @@ func traceEvents(t *testing.T, tr *Tracer) []struct {
 // increasing synthetic timestamps — the mode deterministic callers
 // use, with zero wall-clock reads.
 func TestTracerSyntheticClock(t *testing.T) {
-	tr := NewTracer(nil, 1)
+	tr := NewTracer(nil)
 	tr.Observe(beginEvent("align", 1))
-	tr.Observe(trialEvent(Trial{Rank: 1, Worker: 0, Steps: 10}))
+	tr.Observe(rankEvent(Rank{Rank: 1, Worker: 0, Tries: 2, Steps: 10}))
 	tr.Observe(endEvent("align", 1))
-	tr.Observe(trialEvent(Trial{Rank: 2, Worker: 1, Steps: 20, Found: true}))
+	tr.Observe(rankEvent(Rank{Rank: 2, Worker: 1, Tries: 1, Steps: 20, Found: true}))
 	tr.Observe(Event{Kind: KindFold, Progress: Progress{Done: true}}) // not traced
 
 	var sb strings.Builder
@@ -80,8 +79,9 @@ func TestTracerSyntheticClock(t *testing.T) {
 	if f.TraceEvents[0].Name != "align" || f.TraceEvents[0].Ph != "X" || f.TraceEvents[0].Dur <= 0 {
 		t.Errorf("stage span malformed: %+v", f.TraceEvents[0])
 	}
-	if f.TraceEvents[2].Args == nil || !f.TraceEvents[2].Args.Found {
-		t.Errorf("found trial args malformed: %+v", f.TraceEvents[2])
+	if f.TraceEvents[2].Name != "rank" || f.TraceEvents[2].Ph != "i" ||
+		f.TraceEvents[2].Args == nil || !f.TraceEvents[2].Args.Found {
+		t.Errorf("winning rank instant malformed: %+v", f.TraceEvents[2])
 	}
 	last := int64(-1)
 	for i, ev := range f.TraceEvents {
@@ -94,41 +94,6 @@ func TestTracerSyntheticClock(t *testing.T) {
 	}
 }
 
-// TestTracerSampling checks the sampling knob: sampleEvery n keeps
-// one trial event in n, and never drops stage spans.
-func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(nil, 10)
-	tr.Observe(beginEvent("search", 7))
-	for i := 0; i < 100; i++ {
-		tr.Observe(trialEvent(Trial{Rank: i}))
-	}
-	tr.Observe(endEvent("search", 7))
-	if got := tr.Len(); got != 11 { // 1 span + 100/10 trials
-		t.Errorf("event count = %d, want 11", got)
-	}
-}
-
-// TestTracerSamplingConcurrent checks that sampling counts trial
-// events across goroutines: eight workers offering 1,000 trials each
-// to a 1-in-10 tracer leave exactly 800 records.
-func TestTracerSamplingConcurrent(t *testing.T) {
-	tr := NewTracer(nil, 10)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Observe(trialEvent(Trial{Worker: w, Trial: i}))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tr.Len(); got != 800 {
-		t.Errorf("event count = %d, want 800", got)
-	}
-}
-
 // TestTracerInjectedClock checks timestamps come from the supplied
 // clock, rebased to the first event.
 func TestTracerInjectedClock(t *testing.T) {
@@ -138,9 +103,9 @@ func TestTracerInjectedClock(t *testing.T) {
 		step++
 		return base.Add(time.Duration(step) * time.Millisecond)
 	}
-	tr := NewTracer(clock, 1)
-	tr.Observe(trialEvent(Trial{}))
-	tr.Observe(trialEvent(Trial{}))
+	tr := NewTracer(clock)
+	tr.Observe(rankEvent(Rank{}))
+	tr.Observe(rankEvent(Rank{}))
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -171,15 +136,15 @@ func TestTracerInterleavedSpans(t *testing.T) {
 	}{
 		{"interleaved", []Event{
 			beginEvent("search", 1), beginEvent("search", 2),
-			endEvent("search", 1), trialEvent(Trial{}), endEvent("search", 2),
+			endEvent("search", 1), rankEvent(Rank{}), endEvent("search", 2),
 		}, []span{{1, 2}, {2, 3}}},
 		{"nested", []Event{
 			beginEvent("search", 3), beginEvent("search", 4),
-			endEvent("search", 4), trialEvent(Trial{}), endEvent("search", 3),
+			endEvent("search", 4), rankEvent(Rank{}), endEvent("search", 3),
 		}, []span{{1, 4}, {2, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := NewTracer(nil, 1)
+			tr := NewTracer(nil)
 			for _, e := range tc.events {
 				tr.Observe(e)
 			}
@@ -195,7 +160,7 @@ func TestTracerInterleavedSpans(t *testing.T) {
 		})
 	}
 	// An end whose begin the tracer never saw is dropped.
-	tr := NewTracer(nil, 1)
+	tr := NewTracer(nil)
 	tr.Observe(endEvent("search", 9))
 	if tr.Len() != 0 {
 		t.Errorf("unmatched end recorded %d events", tr.Len())
@@ -204,17 +169,17 @@ func TestTracerInterleavedSpans(t *testing.T) {
 
 // TestTracerRecordsAcrossBlocks: a span whose end arrives several
 // record blocks after its begin still gets its duration, and the
-// written events keep arrival order, each trial with its own args.
+// written events keep arrival order, each rank with its own args.
 func TestTracerRecordsAcrossBlocks(t *testing.T) {
-	tr := NewTracer(nil, 1)
+	tr := NewTracer(nil)
 	tr.Observe(beginEvent("search", 1))
-	const trials = 3*recBlock + 5
-	for i := 0; i < trials; i++ {
-		tr.Observe(trialEvent(Trial{Rank: i, Worker: i % 3, Steps: int64(i)}))
+	const ranks = 3*recBlock + 5
+	for i := 0; i < ranks; i++ {
+		tr.Observe(rankEvent(Rank{Rank: i, Tries: i%4 + 1, Worker: i % 3, Steps: int64(i)}))
 	}
 	tr.Observe(endEvent("search", 1))
-	if got := tr.Len(); got != trials+1 {
-		t.Fatalf("Len = %d, want %d", got, trials+1)
+	if got := tr.Len(); got != ranks+1 {
+		t.Fatalf("Len = %d, want %d", got, ranks+1)
 	}
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
@@ -226,16 +191,16 @@ func TestTracerRecordsAcrossBlocks(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &f); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.TraceEvents) != trials+1 {
-		t.Fatalf("%d events written, want %d", len(f.TraceEvents), trials+1)
+	if len(f.TraceEvents) != ranks+1 {
+		t.Fatalf("%d events written, want %d", len(f.TraceEvents), ranks+1)
 	}
-	if span := f.TraceEvents[0]; span.Name != "search" || span.Ts != 1 || span.Dur != trials+1 {
-		t.Errorf("span = %+v, want search at ts 1 lasting %d ticks", span, trials+1)
+	if span := f.TraceEvents[0]; span.Name != "search" || span.Ts != 1 || span.Dur != ranks+1 {
+		t.Errorf("span = %+v, want search at ts 1 lasting %d ticks", span, ranks+1)
 	}
 	for i, ev := range f.TraceEvents[1:] {
-		want := Trial{Rank: i, Worker: i % 3, Steps: int64(i)}
+		want := Rank{Rank: i, Tries: i%4 + 1, Worker: i % 3, Steps: int64(i)}
 		if ev.Ts != int64(i+2) || ev.Tid != want.Worker+1 || ev.Args == nil || *ev.Args != want {
-			t.Fatalf("event %d = %+v (args %+v), want trial %+v at ts %d", i+1, ev, ev.Args, want, i+2)
+			t.Fatalf("event %d = %+v (args %+v), want rank %+v at ts %d", i+1, ev, ev.Args, want, i+2)
 		}
 	}
 }
@@ -247,7 +212,7 @@ func TestTracerNilReceiver(t *testing.T) {
 	var tr *Tracer
 	tr.Observe(beginEvent("x", 1))
 	tr.Observe(endEvent("x", 1))
-	tr.Observe(trialEvent(Trial{}))
+	tr.Observe(rankEvent(Rank{}))
 	if tr.Len() != 0 {
 		t.Error("nil tracer not empty")
 	}

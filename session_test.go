@@ -208,8 +208,8 @@ func TestSessionErrCancelled(t *testing.T) {
 	})
 }
 
-// streamRecorder collects a run's event stream; trial events arrive
-// concurrently from search workers.
+// streamRecorder collects a run's event stream; fold events arrive
+// from whichever search worker's record commits the rank.
 type streamRecorder struct {
 	mu     sync.Mutex
 	events []heisendump.Event
@@ -226,11 +226,11 @@ var wantStages = []string{"provoke", "align", "aligned-dump", "diff", "prioritiz
 
 // checkStream checks one full run's event stream against the delivery
 // contract: the seven stages as begin/end pairs in order, each end
-// carrying its begin's span id; every trial and fold inside the search
-// span; fold heartbeats with constant Combos and monotone counters,
-// the one with Done set last. It returns the stream's span ids, fold
-// heartbeats and trial events.
-func checkStream(t *testing.T, events []heisendump.Event) (spans []uint64, beats []heisendump.SearchProgress, trials []heisendump.Event) {
+// carrying its begin's span id; every fold inside the search span;
+// fold heartbeats with constant Combos and monotone counters, the one
+// with Done set last. It returns the stream's span ids, fold
+// heartbeats and the fold events of committed ranks.
+func checkStream(t *testing.T, events []heisendump.Event) (spans []uint64, beats []heisendump.SearchProgress, ranks []heisendump.Event) {
 	t.Helper()
 	var stages []string
 	open := -1 // index into stages of the open stage
@@ -250,19 +250,18 @@ func checkStream(t *testing.T, events []heisendump.Event) (spans []uint64, beats
 					i, e.Stage, e.Span, stages, spans)
 			}
 			open = -1
-		case heisendump.EventTrial, heisendump.EventFold:
+		case heisendump.EventFold:
 			if open < 0 || stages[open] != "search" {
 				t.Fatalf("event %d (kind %d) outside the search span", i, e.Kind)
 			}
 			if done {
 				t.Fatalf("event %d (kind %d) after the Done heartbeat", i, e.Kind)
 			}
-			if e.Kind == heisendump.EventTrial {
-				trials = append(trials, e)
-				continue
-			}
 			done = e.Progress.Done
 			beats = append(beats, e.Progress)
+			if !done {
+				ranks = append(ranks, e)
+			}
 		default:
 			t.Fatalf("event %d: unknown kind %d", i, e.Kind)
 		}
@@ -286,13 +285,13 @@ func checkStream(t *testing.T, events []heisendump.Event) (spans []uint64, beats
 			t.Fatalf("heartbeat %d not monotone: %+v after %+v", i+1, p, prev)
 		}
 	}
-	return spans, beats, trials
+	return spans, beats, ranks
 }
 
 // TestSessionObserverOrdering: one full run delivers the seven stages
 // as begin/end pairs in order, each end carrying its begin's span id,
-// with every trial and fold heartbeat inside the search span and the
-// Done heartbeat last — at one worker and at four.
+// with every fold heartbeat inside the search span and the Done
+// heartbeat last — at one worker and at four.
 func TestSessionObserverOrdering(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

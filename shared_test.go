@@ -141,7 +141,7 @@ func TestObserverOrderingUnderConcurrentLoad(t *testing.T) {
 	const sessions = 8
 	streams := make([]streamRecorder, sessions)
 	errs := make([]error, sessions)
-	shared := heisendump.NewTracer(nil, 1) // observes every session
+	shared := heisendump.NewTracer(nil) // observes every session
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)

@@ -11,8 +11,8 @@ import (
 )
 
 // runWithTelemetry reproduces one workload with the full telemetry
-// stack optionally attached: an unsampled Tracer on a synthetic clock,
-// and a FlightRecorder — the same consumers cmd/reprod and the batch
+// stack optionally attached: a Tracer on a synthetic clock, and a
+// FlightRecorder — the same consumers cmd/reprod and the batch
 // server wire per run. It returns the report plus the consumers for
 // inspection (nil when tele is off).
 func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.Input,
@@ -25,7 +25,7 @@ func runWithTelemetry(t *testing.T, prog *heisendump.Program, input *heisendump.
 	var tr *heisendump.Tracer
 	var fl *heisendump.FlightRecorder
 	if tele {
-		tr = heisendump.NewTracer(nil, 1) // nil clock: synthetic ticks, no wall-clock reads
+		tr = heisendump.NewTracer(nil) // nil clock: synthetic ticks, no wall-clock reads
 		fl = heisendump.NewFlightRecorder(64)
 		opts = append(opts, heisendump.WithObserver(tr), heisendump.WithObserver(fl))
 	}
@@ -71,7 +71,7 @@ func TestSessionTelemetryPassive(t *testing.T) {
 				t.Errorf("%s: tracer recorded no events", name)
 			}
 			log := fl.Snapshot()
-			if log == nil || len(log.Trials) == 0 {
+			if log == nil || len(log.Ranks) == 0 {
 				t.Errorf("%s: flight recorder empty", name)
 			} else if d := log.Decisions; len(d) == 0 || !d[len(d)-1].Found {
 				t.Errorf("%s: flight recorder's last decision is not the find: %+v", name, d)
@@ -94,14 +94,16 @@ func TestSessionTelemetryPassive(t *testing.T) {
 	}
 }
 
-// TestSessionStreamReportsEveryTrial: the event stream carries one
-// trial event per executed trial, speculative ones included — their
-// count is TrialsExecuted and their steps sum to StepsExecuted — and
-// at one worker, where nothing is speculative, the count is Tries and
-// the last trial is the find.
-func TestSessionStreamReportsEveryTrial(t *testing.T) {
+// TestSessionStreamReportsEveryRank: the event stream carries one
+// fold event per committed rank, in rank order: their count is the
+// final heartbeat's Committed, their tries sum to Tries, only the last
+// can be the find, and the summaries match at one worker and at four.
+// At one worker, where nothing is speculative, their steps sum to
+// StepsExecuted.
+func TestSessionStreamReportsEveryRank(t *testing.T) {
 	for _, name := range []string{"mysql-3", "apache-2"} {
 		w, prog := compileWorkload(t, name)
+		var ref []heisendump.Event
 		for _, workers := range []int{1, 4} {
 			var rec streamRecorder
 			rep, err := heisendump.NewCompiled(prog, w.Input,
@@ -112,22 +114,34 @@ func TestSessionStreamReportsEveryTrial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			_, _, trials := checkStream(t, rec.events)
+			_, beats, ranks := checkStream(t, rec.events)
 			res := rep.Search
-			var steps int64
-			for _, e := range trials {
-				steps += e.Trial.Steps
+			if last := beats[len(beats)-1]; len(ranks) != last.Committed || len(ranks) == 0 {
+				t.Fatalf("%s workers=%d: %d rank events, want the %d committed ranks", name, workers, len(ranks), last.Committed)
 			}
-			if len(trials) != res.TrialsExecuted || steps != res.StepsExecuted {
-				t.Errorf("%s workers=%d: %d trial events over %d steps, want TrialsExecuted %d over StepsExecuted %d",
-					name, workers, len(trials), steps, res.TrialsExecuted, res.StepsExecuted)
+			tries, steps := 0, int64(0)
+			for i, e := range ranks {
+				r := e.Rank
+				if r.Rank != i || e.Progress.Committed != i+1 || r.Found != (i == len(ranks)-1 && res.Found) {
+					t.Fatalf("%s workers=%d: rank event %d = %+v committed %d, want rank %d", name, workers, i, r, e.Progress.Committed, i)
+				}
+				tries += r.Tries
+				steps += r.Steps
 			}
-			if workers > 1 {
+			if tries != res.Tries {
+				t.Errorf("%s workers=%d: rank tries sum to %d, want Tries %d", name, workers, tries, res.Tries)
+			}
+			if workers == 1 {
+				if steps != res.StepsExecuted {
+					t.Errorf("%s workers=1: rank steps sum to %d, want StepsExecuted %d", name, steps, res.StepsExecuted)
+				}
+				ref = ranks
 				continue
 			}
-			if len(trials) != res.Tries || trials[len(trials)-1].Trial.Found != res.Found {
-				t.Errorf("%s workers=1: %d trial events (last found=%v), want Tries %d (found=%v)",
-					name, len(trials), trials[len(trials)-1].Trial.Found, res.Tries, res.Found)
+			for i, e := range ranks {
+				if got, want := e.Rank, ref[i].Rank; got.Rank != want.Rank || got.Tries != want.Tries || got.Found != want.Found {
+					t.Fatalf("%s workers=%d: rank event %d = %+v, want %+v as at one worker", name, workers, i, got, want)
+				}
 			}
 		}
 	}
