@@ -17,14 +17,14 @@ var reproductionKB = []struct {
 	name string
 	kb   uint64
 }{
-	{"fig1", 118},
-	{"apache-1", 282},
-	{"apache-2", 279},
-	{"mysql-1", 155},
-	{"mysql-2", 160},
-	{"mysql-3", 164},
-	{"mysql-4", 180},
-	{"mysql-5", 176},
+	{"fig1", 89},
+	{"apache-1", 220},
+	{"apache-2", 249},
+	{"mysql-1", 133},
+	{"mysql-2", 136},
+	{"mysql-3", 137},
+	{"mysql-4", 141},
+	{"mysql-5", 144},
 }
 
 // TestReproductionAllocationCeiling: a whole reproduction of each case

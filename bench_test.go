@@ -483,3 +483,48 @@ func BenchmarkSearchOneTry(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/search")
 }
+
+// BenchmarkAnalysis times the analysis of the seven Table 2 failures,
+// from NewAnalysis through StageCandidates, under the temporal and the
+// dependence heuristic: a reproduction's work between the provoke and
+// the search (the alignment re-run and its trace, the aligned dump,
+// the dump diff, prioritization and the candidates). It reports µs and
+// bytes per analysis.
+func BenchmarkAnalysis(b *testing.B) {
+	ctx := context.Background()
+	type failure struct {
+		s    *heisendump.Session
+		fail *heisendump.FailureReport
+	}
+	var fails []failure
+	for _, w := range workloads.Bugs() {
+		prog, err := w.Compile(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, h := range []heisendump.Heuristic{heisendump.Temporal, heisendump.Dependence} {
+			s := heisendump.NewCompiled(prog, w.Input, heisendump.WithHeuristic(h), heisendump.WithWorkers(1))
+			fail, err := s.ProvokeFailure(ctx)
+			if err != nil {
+				b.Fatalf("%s: %v", w.Name, err)
+			}
+			fails = append(fails, failure{s, fail})
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range fails {
+			if err := f.s.NewAnalysis(f.fail).ThroughContext(ctx, heisendump.StageCandidates); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(fails))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/n, "µs/analysis")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/analysis")
+}

@@ -147,9 +147,9 @@ func TestAnnotateMatchesQuadratic(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		vars := make([]interp.VarID, []int{4, 70, 150}[seed%3])
 		for i := range vars {
-			vars[i] = interp.VarID{Kind: interp.VArrayElem, Name: "c", Idx: int64(i)}
+			vars[i] = interp.VarID{Kind: interp.VArrayElem, Slot: 2, Idx: int64(i)}
 		}
-		vars[0] = interp.VarID{Kind: interp.VGlobal, Name: "a"}
+		vars[0] = interp.VarID{Kind: interp.VGlobal, Slot: 0}
 		threads := 1 + rng.Intn(4)
 		steps := 1 + rng.Intn(40)
 		cands := make([]Candidate, rng.Intn(25))

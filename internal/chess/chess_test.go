@@ -146,7 +146,7 @@ func TestAnnotateBlocksAndFutureSets(t *testing.T) {
 	rec := passingRecord(t, cp, w.Input)
 	events := rec.Events
 	cands := chess.DiscoverCandidates(cp, events)
-	x := interp.VarID{Kind: interp.VGlobal, Name: "x"}
+	x := interp.VarID{Kind: interp.VGlobal, Slot: int32(cp.GlobalSlot("x"))}
 	accs := slicing.CollectAccesses(rec, []interp.VarID{x}, events[len(events)-1].Step, slicing.Temporal, nil)
 	chess.Annotate(cands, accs)
 
@@ -187,8 +187,8 @@ func TestMinPriority(t *testing.T) {
 		t.Fatal("empty candidate should have bottom priority")
 	}
 	c.Accesses = []slicing.Access{
-		{Priority: 7, Var: interp.VarID{Kind: interp.VGlobal, Name: "a"}},
-		{Priority: 3, Var: interp.VarID{Kind: interp.VGlobal, Name: "b"}, CSV: 1},
+		{Priority: 7, Var: interp.VarID{Kind: interp.VGlobal, Slot: 0}},
+		{Priority: 3, Var: interp.VarID{Kind: interp.VGlobal, Slot: 1}, CSV: 1},
 	}
 	if c.MinPriority() != 3 {
 		t.Fatalf("MinPriority = %d", c.MinPriority())

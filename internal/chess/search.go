@@ -39,16 +39,17 @@ type Options struct {
 	// (Algorithm 2's preempt()); unguided selection tries every other
 	// runnable thread.
 	Guided bool
-	// Static, when non-nil, is the static-analysis focus set: the base
-	// names (global, array or field names) of variables the lockset
-	// analyzer flagged in race candidates (statics.Report.FocusSet).
-	// Combinations whose candidate blocks access flagged variables are
-	// explored first, composing with — and ranking above — the Weighted
-	// CSV ordering. The reordering changes Tries (that is its point);
-	// for any fixed Static value, Found/Schedule/Tries remain
-	// bit-identical across Workers. nil leaves the exploration order
-	// exactly as without static guidance.
-	Static map[string]bool
+	// Static, when non-nil, is the static-analysis focus set: the slots
+	// of the locations whose base names (global, array, local or field
+	// names) the lockset analyzer flagged in race candidates
+	// (NewFocus over statics.Report.FocusSet). Combinations whose
+	// candidate blocks access flagged variables are explored first,
+	// composing with — and ranking above — the Weighted CSV ordering.
+	// The reordering changes Tries (that is its point); for any fixed
+	// Static value, Found/Schedule/Tries remain bit-identical across
+	// Workers. nil leaves the exploration order exactly as without
+	// static guidance.
+	Static *Focus
 	// MaxTries cuts the search off after this many test runs (the
 	// analogue of the paper's 18-hour cutoff). Zero means unlimited.
 	// The cutoff is applied to the deterministic sequential order, so

@@ -11,6 +11,7 @@ import (
 	"heisendump/internal/chess"
 	"heisendump/internal/core"
 	"heisendump/internal/interp"
+	"heisendump/internal/ir"
 	"heisendump/internal/slicing"
 	"heisendump/internal/telemetry"
 	"heisendump/internal/workloads"
@@ -56,10 +57,14 @@ func analyze(t testing.TB, w *workloads.Workload, cfg core.Config) (*core.Pipeli
 
 // csvVars lists the analysis's CSVs in the passing run's terms, the
 // list its accesses' CSV indexes refer to.
-func csvVars(an *core.AnalysisReport) []interp.VarID {
+func csvVars(t *testing.T, prog *ir.Program, an *core.AnalysisReport) []interp.VarID {
 	var out []interp.VarID
 	for _, c := range an.CSVs {
-		out = append(out, c.BVar)
+		id, ok := c.BVar.ID(prog)
+		if !ok {
+			t.Fatalf("CSV %s: no slot in %s", c.Path, prog.Name)
+		}
+		out = append(out, id)
 	}
 	return out
 }
@@ -70,11 +75,11 @@ func csvVars(an *core.AnalysisReport) []interp.VarID {
 func TestAnnotateMatchesQuadraticOnTable2(t *testing.T) {
 	for _, w := range workloads.Bugs() {
 		for _, h := range []slicing.Heuristic{slicing.Temporal, slicing.Dependence} {
-			_, _, an := analyze(t, w, core.Config{Heuristic: h})
+			p, _, an := analyze(t, w, core.Config{Heuristic: h})
 			if len(an.Accesses) == 0 {
 				t.Fatalf("%s/%v: no prioritized accesses to annotate", w.Name, h)
 			}
-			if err := chess.CompareAnnotate(an.Candidates, an.Accesses, csvVars(an)); err != nil {
+			if err := chess.CompareAnnotate(an.Candidates, an.Accesses, csvVars(t, p.Prog, an)); err != nil {
 				t.Fatalf("%s/%v: %v", w.Name, h, err)
 			}
 		}

@@ -25,10 +25,10 @@ import (
 // member's best block priority), lighter first, keeping generation
 // order as the tiebreak.
 //
-// A non-nil static set (Options.Static: base names of statically
-// flagged race variables) adds a primary key in front of the weight:
-// combinations whose candidates' blocks touch more flagged variables
-// explore first. A nil set leaves the order — and therefore the
+// A non-nil static focus (Options.Static: the slots whose base names
+// the lockset analyzer flagged in race candidates) adds a primary key
+// in front of the weight: combinations whose candidates' blocks touch
+// more flagged variables explore first. A nil set leaves the order — and therefore the
 // determinism contract — exactly as without static guidance.
 //
 // An ordered worklist is produced best-first, only as far as the
@@ -96,7 +96,7 @@ type wlNode struct {
 
 // newWorklist builds the exploration order over cands' combinations
 // of at most bound members.
-func newWorklist(cands []Candidate, bound int, weighted bool, static map[string]bool) *worklist {
+func newWorklist(cands []Candidate, bound int, weighted bool, static *Focus) *worklist {
 	n := len(cands)
 	bound = min(bound, n)
 	wl := &worklist{n: n, bound: bound, choose: make([]int, (n+1)*(bound+1))}
@@ -125,7 +125,7 @@ func newWorklist(cands []Candidate, bound int, weighted bool, static map[string]
 			weight[ci] = cands[ci].MinPriority()
 		}
 		for _, a := range cands[ci].Accesses {
-			if static[a.Var.Name] {
+			if static != nil && static.Has(a.Var) {
 				hits[ci]++
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"heisendump/internal/interp"
+	"heisendump/internal/ir"
 	"heisendump/internal/slicing"
 )
 
@@ -28,13 +29,13 @@ type rankedCombo struct {
 // lexicographic order, then stably sort by static hits (descending)
 // and, when weighted, CSV weight (ascending), generation order
 // breaking ties.
-func oracleWorklist(cands []Candidate, bound int, weighted bool, static map[string]bool) []rankedCombo {
+func oracleWorklist(cands []Candidate, bound int, weighted bool, static *Focus) []rankedCombo {
 	var staticHits []int
 	if static != nil {
 		staticHits = make([]int, len(cands))
 		for ci := range cands {
 			for _, a := range cands[ci].Accesses {
-				if static[a.Var.Name] {
+				if static.Has(a.Var) {
 					staticHits[ci]++
 				}
 			}
@@ -112,7 +113,7 @@ func binomial(n, k int) int {
 // CompareWorklistOrder checks the search's worklist against the eager
 // oracle rank by rank and reports the first divergence. Exported for
 // the external-package test that compares the Table 2 candidates.
-func CompareWorklistOrder(cands []Candidate, bound int, weighted bool, static map[string]bool) error {
+func CompareWorklistOrder(cands []Candidate, bound int, weighted bool, static *Focus) error {
 	want := oracleWorklist(cands, bound, weighted, static)
 	wl := newWorklist(cands, bound, weighted, static)
 	if wl.size != len(want) {
@@ -129,10 +130,9 @@ func CompareWorklistOrder(cands []Candidate, bound int, weighted bool, static ma
 // randomCandidates builds n candidates whose block accesses are drawn
 // to collide: half the accesses sit at PriorityBottom (and a quarter
 // of the blocks touch no CSV at all), the rest share five priorities,
-// and every access names one of four variables, two of which the
-// returned static set flags.
-func randomCandidates(rng *rand.Rand, n int) ([]Candidate, map[string]bool) {
-	names := []string{"a", "b", "c", "d"}
+// and every access names one of four globals, two of which the
+// returned static focus flags.
+func randomCandidates(rng *rand.Rand, n int) ([]Candidate, *Focus) {
 	cands := make([]Candidate, n)
 	for i := range cands {
 		cands[i].ID = i
@@ -145,13 +145,16 @@ func randomCandidates(rng *rand.Rand, n int) ([]Candidate, map[string]bool) {
 				pri = 1 + rng.Intn(5)
 			}
 			cands[i].Accesses = append(cands[i].Accesses, slicing.Access{
-				Var:      interp.VarID{Name: names[rng.Intn(len(names))]},
+				Var:      interp.VarID{Kind: interp.VGlobal, Slot: int32(rng.Intn(len(abcd.ScalarNames)))},
 				Priority: pri,
 			})
 		}
 	}
-	return cands, map[string]bool{"a": true, "b": true}
+	return cands, NewFocus(abcd, map[string]bool{"a": true, "b": true})
 }
+
+// abcd is a program of four globals, the variables of randomCandidates.
+var abcd = &ir.Program{ScalarNames: []string{"a", "b", "c", "d"}, BC: &ir.Bytecode{}}
 
 // TestWorklistMatchesOracle compares the lazy order with the eager
 // oracle on 300 seeded random candidate sets, bounds 1-3, weighted and
@@ -175,7 +178,7 @@ func TestWorklistMatchesOracle(t *testing.T) {
 		}
 		cands, focus := randomCandidates(rng, n)
 		for _, weighted := range []bool{false, true} {
-			for _, static := range []map[string]bool{nil, focus} {
+			for _, static := range []*Focus{nil, focus} {
 				if err := CompareWorklistOrder(cands, bound, weighted, static); err != nil {
 					t.Fatalf("seed %d (n=%d bound=%d weighted=%v static=%v): %v",
 						seed, n, bound, weighted, static != nil, err)
@@ -261,8 +264,8 @@ func TestWorklistSetupFollowsClaims(t *testing.T) {
 	cands, focus := randomCandidates(rand.New(rand.NewSource(1)), 200)
 	for _, tc := range []struct {
 		weighted bool
-		static   map[string]bool
-	}{{true, focus}, {false, map[string]bool{"untouched": true}}} {
+		static   *Focus
+	}{{true, focus}, {false, NewFocus(abcd, map[string]bool{"untouched": true})}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		wl := newWorklist(cands, 3, tc.weighted, tc.static)

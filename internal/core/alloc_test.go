@@ -15,13 +15,13 @@ import (
 // either heuristic: the most measured over repeated runs, with and
 // without the race detector, plus 25%.
 var analysisKB = map[string]uint64{
-	"apache-1": 219,
-	"apache-2": 122,
-	"mysql-1":  107,
-	"mysql-2":  113,
-	"mysql-3":  123,
-	"mysql-4":  122,
-	"mysql-5":  125,
+	"apache-1": 161,
+	"apache-2": 95,
+	"mysql-1":  90,
+	"mysql-2":  88,
+	"mysql-3":  97,
+	"mysql-4":  89,
+	"mysql-5":  91,
 }
 
 // TestAnalysisAllocationCeiling: analyzing a provoked failure of each

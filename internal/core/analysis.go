@@ -239,9 +239,16 @@ func (a *Analysis) diff() {
 // prioritize orders the CSV accesses of the passing run by h.
 func (a *Analysis) prioritize(h slicing.Heuristic) {
 	p, rep := a.Pipe, a.Report
-	csvVars := make([]interp.VarID, 0, len(rep.CSVs))
-	for _, c := range rep.CSVs {
-		csvVars = append(csvVars, c.BVar)
+	// The CSVs are named in the aligned dump's terms and the trace
+	// knows them by slot ids; a name the program lacks (no dump of its
+	// runs has one) keeps its CSV index with an identity no run reports.
+	csvVars := make([]interp.VarID, len(rep.CSVs))
+	for i, c := range rep.CSVs {
+		if id, ok := c.BVar.ID(p.Prog); ok {
+			csvVars[i] = id
+		} else {
+			csvVars[i] = interp.VarID{Kind: interp.VGlobal, Slot: -1}
+		}
 	}
 	criterionStep := rep.AlignSteps
 	if rep.AlignKind == index.AlignClosest && criterionStep > 0 {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"heisendump/internal/core"
+	"heisendump/internal/coredump"
 	"heisendump/internal/gen"
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
@@ -154,17 +155,17 @@ func renderAnalysis(ctx context.Context, p *core.Pipeline, fail *core.FailureRep
 	fmt.Fprintf(&b, "align=%v/%d/%v", rep.AlignKind, rep.AlignSteps, rep.AlignPC)
 	b.WriteString(" csvs=")
 	for _, c := range rep.CSVs {
-		fmt.Fprintf(&b, "[%s %v %v %s %s]", c.Path, c.A, c.B, goldenVar(c.AVar), goldenVar(c.BVar))
+		fmt.Fprintf(&b, "[%s %v %v %s %s]", c.Path, c.A, c.B, goldenDumpVar(c.AVar), goldenDumpVar(c.BVar))
 	}
 	b.WriteString(" accesses=")
 	for _, a := range rep.Accesses {
-		b.WriteString(goldenAccess(a))
+		b.WriteString(goldenAccess(p.Prog, a))
 	}
 	b.WriteString(" candidates=")
 	for _, c := range rep.Candidates {
 		fmt.Fprintf(&b, "[%d %d %v %d %d %q block=", c.ID, c.Thread, c.Kind, c.Seq, c.Step, c.Lock)
 		for _, a := range c.Accesses {
-			b.WriteString(goldenAccess(a))
+			b.WriteString(goldenAccess(p.Prog, a))
 		}
 		var future []string
 		for i, csv := range rep.CSVs {
@@ -187,11 +188,27 @@ func renderAnalysis(ctx context.Context, p *core.Pipeline, fail *core.FailureRep
 	return b.String()
 }
 
-func goldenAccess(a slicing.Access) string {
-	return fmt.Sprintf("(%d %d %v %s %v %d)", a.Step, a.Thread, a.PC, goldenVar(a.Var), a.IsWrite, a.Priority)
+func goldenAccess(prog *ir.Program, a slicing.Access) string {
+	return fmt.Sprintf("(%d %d %v %s %v %d)", a.Step, a.Thread, a.PC, goldenVar(prog, a.Var), a.IsWrite, a.Priority)
 }
 
-// goldenVar renders every field of a variable identity.
-func goldenVar(v interp.VarID) string {
+// goldenVar renders every field of a variable identity as the
+// name-keyed identities did: kind, base name (through prog's tables),
+// element index, object and frame.
+func goldenVar(prog *ir.Program, v interp.VarID) string {
+	var idx, obj, frame int64
+	switch v.Kind {
+	case interp.VArrayElem:
+		idx = v.Idx
+	case interp.VField:
+		obj = int64(v.Obj())
+	case interp.VLocal:
+		frame = v.Frame()
+	}
+	return fmt.Sprintf("%d:%s:%d:%d:%d", v.Kind, v.Name(prog), idx, obj, frame)
+}
+
+// goldenDumpVar renders every field of a location in a dump's terms.
+func goldenDumpVar(v coredump.Var) string {
 	return fmt.Sprintf("%d:%s:%d:%d:%d", v.Kind, v.Name, v.Idx, v.Obj, v.FrameID)
 }

@@ -266,7 +266,7 @@ func (p *Pipeline) Searcher(fail *FailureReport, an *AnalysisReport) *chess.Sear
 		},
 	}
 	if p.Cfg.StaticFocus {
-		s.Opts.Static = statics.Analyze(p.Prog).FocusSet()
+		s.Opts.Static = chess.NewFocus(p.Prog, statics.Analyze(p.Prog).FocusSet())
 	}
 	return s
 }

@@ -16,7 +16,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 
 	"heisendump/internal/interp"
@@ -205,56 +207,44 @@ func Decode(r io.Reader) (*Dump, error) {
 // writes — the quantity the paper's Table 3 reports per bug.
 //
 // Encode's output is Dump's gob type descriptors followed by the value
-// message. Dump has no interface fields, so the descriptors depend on
-// the type alone: Size adds their length, measured once, to the value
-// message of a pooled encoder that has already sent them, instead of
-// building a fresh encoder (and re-encoding the descriptors) per call.
+// message: its length, Dump's type id and the encoded fields. Dump has
+// no interface fields, so the descriptors and the type id depend on the
+// type alone: Size adds their lengths, measured once against gob, to
+// the message length it counts from the dump's fields (see gobBytes),
+// without encoding anything.
 func (d *Dump) Size() (int, error) {
-	desc, err := descriptorBytes()
+	c, err := gobConsts()
 	if err != nil {
 		return 0, err
 	}
-	s, _ := sizers.Get().(*sizer)
-	if s == nil {
-		s = &sizer{}
-		s.enc = gob.NewEncoder(&s.n)
-		if err := s.enc.Encode(&Dump{}); err != nil { // sends the descriptors
-			return 0, err
-		}
-	}
-	s.n = 0
-	if err := s.enc.Encode(d); err != nil {
-		return 0, err // a failed encoder is not reused
-	}
-	n := int(s.n)
-	sizers.Put(s)
-	return desc + n, nil
+	msg := c.typeID + d.gobBytes()
+	return c.desc + uintLen(uint64(msg)) + msg, nil
 }
 
-// sizer is a gob encoder that has already sent Dump's type
-// descriptors, writing into a byte counter.
-type sizer struct {
-	n   countingWriter
-	enc *gob.Encoder
+// gobCalibration holds the type-dependent parts of Encode's output.
+type gobCalibration struct {
+	// desc is the length of the type descriptors a fresh encoder sends
+	// before Dump's first value, and typeID that of Dump's type id at
+	// the head of each value message.
+	desc, typeID int
 }
 
-// sizers holds idle sizers for reuse.
-var sizers sync.Pool
-
-// descriptorBytes is the length of the type descriptors a fresh encoder
-// sends before Dump's first value: a fresh encoder's output for a
-// dump, less the same encoder's output for it again.
-var descriptorBytes = sync.OnceValues(func() (int, error) {
+// gobConsts measures the calibration once: a fresh encoder's output for
+// an empty dump, less the same encoder's output for it again, is the
+// descriptors; the second output, less its length byte and the fields
+// gobBytes counts, is the type id.
+var gobConsts = sync.OnceValues(func() (gobCalibration, error) {
 	var n countingWriter
 	enc := gob.NewEncoder(&n)
 	if err := enc.Encode(&Dump{}); err != nil {
-		return 0, err
+		return gobCalibration{}, err
 	}
 	first := n
 	if err := enc.Encode(&Dump{}); err != nil {
-		return 0, err
+		return gobCalibration{}, err
 	}
-	return int(2*first - n), nil
+	value := int(n - first)
+	return gobCalibration{desc: int(first) - value, typeID: value - 1 - (&Dump{}).gobBytes()}, nil
 })
 
 type countingWriter int64
@@ -262,6 +252,214 @@ type countingWriter int64
 func (c *countingWriter) Write(p []byte) (int, error) {
 	*c += countingWriter(len(p))
 	return len(p), nil
+}
+
+// gobBytes counts the bytes gob encodes the dump's fields in: each
+// struct sends its non-zero fields, each as a one-byte field-number
+// delta and its value, then a zero byte; slices and strings are sent
+// when non-empty and maps when non-nil, each with its length. Map
+// entries, slice elements and nested structs are sent whole, zeros
+// included.
+func (d *Dump) gobBytes() int {
+	var s gobStruct
+	s.str(d.Program)
+	s.str(d.Reason)
+	s.int(int64(d.FailingThread))
+	s.field(pcBytes(d.PC))
+	if len(d.Threads) > 0 {
+		n := uintLen(uint64(len(d.Threads)))
+		for i := range d.Threads {
+			n += d.Threads[i].gobBytes()
+		}
+		s.field(n)
+	}
+	if d.Globals != nil {
+		s.field(valuesBytes(d.Globals))
+	}
+	if d.Arrays != nil {
+		n := uintLen(uint64(len(d.Arrays)))
+		for name, arr := range d.Arrays {
+			n += strLen(name) + int64sLen(arr)
+		}
+		s.field(n)
+	}
+	if d.Heap != nil {
+		n := uintLen(uint64(len(d.Heap)))
+		for id, fields := range d.Heap {
+			n += intLen(int64(id)) + valuesBytes(fields)
+		}
+		s.field(n)
+	}
+	if d.Locks != nil {
+		n := uintLen(uint64(len(d.Locks)))
+		for name, holder := range d.Locks {
+			n += strLen(name) + intLen(int64(holder))
+		}
+		s.field(n)
+	}
+	if len(d.Output) > 0 {
+		s.field(int64sLen(d.Output))
+	}
+	s.int(d.TotalSteps)
+	return s.end()
+}
+
+func (t *ThreadDump) gobBytes() int {
+	var s gobStruct
+	s.int(int64(t.ID))
+	s.int(int64(t.Status))
+	s.str(t.WaitLock)
+	if len(t.Frames) > 0 {
+		n := uintLen(uint64(len(t.Frames)))
+		for i := range t.Frames {
+			n += t.Frames[i].gobBytes()
+		}
+		s.field(n)
+	}
+	s.int(t.Steps)
+	return s.end()
+}
+
+func (f *FrameDump) gobBytes() int {
+	var s gobStruct
+	s.int(int64(f.Func))
+	s.str(f.FuncName)
+	s.int(int64(f.PC))
+	s.field(pcBytes(f.CallSite))
+	if f.Locals != nil {
+		s.field(valuesBytes(f.Locals))
+	}
+	s.int(f.FrameID)
+	return s.end()
+}
+
+// gobStruct counts one struct's encoding: every field is numbered
+// below 128, so each sent field adds a one-byte delta.
+type gobStruct struct{ n int }
+
+func (s *gobStruct) field(n int) { s.n += 1 + n }
+
+func (s *gobStruct) int(v int64) {
+	if v != 0 {
+		s.field(intLen(v))
+	}
+}
+
+func (s *gobStruct) str(v string) {
+	if v != "" {
+		s.field(strLen(v))
+	}
+}
+
+func (s *gobStruct) end() int { return s.n + 1 }
+
+func pcBytes(pc ir.PC) int {
+	var s gobStruct
+	s.int(int64(pc.F))
+	s.int(int64(pc.I))
+	return s.end()
+}
+
+func valueBytes(v interp.Value) int {
+	var s gobStruct
+	if v.Kind != 0 {
+		s.field(uintLen(uint64(v.Kind)))
+	}
+	s.int(v.Num)
+	return s.end()
+}
+
+// valuesBytes counts a map of named values: its length, then each name
+// and value.
+func valuesBytes(m map[string]interp.Value) int {
+	n := uintLen(uint64(len(m)))
+	for name, v := range m {
+		n += strLen(name) + valueBytes(v)
+	}
+	return n
+}
+
+// uintLen is the length of gob's unsigned encoding of x: one byte below
+// 128, else a byte count and the big-endian bytes.
+func uintLen(x uint64) int {
+	if x < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
+}
+
+// intLen is the length of gob's signed encoding: the sign moved to the
+// low bit, then the unsigned encoding.
+func intLen(v int64) int {
+	if v < 0 {
+		return uintLen(uint64(^v)<<1 | 1)
+	}
+	return uintLen(uint64(v) << 1)
+}
+
+func strLen(v string) int { return uintLen(uint64(len(v))) + len(v) }
+
+func int64sLen(vs []int64) int {
+	n := uintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += intLen(v)
+	}
+	return n
+}
+
+// Var identifies a location in one dump's terms: by source name, with
+// an array element's index, a field's owning object (object ids are
+// dump-specific) or a local's owning frame. Dumps are keyed by name and
+// are read without their program, so Traverse and Compare report
+// locations this way; ID translates one into a program's slot ids.
+type Var struct {
+	Kind interp.VarKind
+	// Name is the global, array, local or field name.
+	Name string
+	// Idx is a VArrayElem's element index.
+	Idx int64
+	// Obj is a VField's owning object.
+	Obj interp.ObjID
+	// FrameID is a VLocal's owning activation.
+	FrameID int64
+}
+
+// String renders the location for reports: "g", "a[3]", "l#9" (frame
+// 9) or "obj2.f".
+func (v Var) String() string {
+	switch v.Kind {
+	case interp.VGlobal:
+		return v.Name
+	case interp.VArrayElem:
+		return fmt.Sprintf("%s[%d]", v.Name, v.Idx)
+	case interp.VLocal:
+		return fmt.Sprintf("%s#%d", v.Name, v.FrameID)
+	case interp.VField:
+		return fmt.Sprintf("obj%d.%s", v.Obj, v.Name)
+	}
+	return "var?"
+}
+
+// ID translates a shared location into the slot ids a run of prog
+// reports it by (interp.VarID): a global's or an array's slot, or a
+// field's name id in prog's field-name pool. ok is false when prog has
+// no such name, and for a local, which a dump names without its
+// function.
+func (v Var) ID(prog *ir.Program) (id interp.VarID, ok bool) {
+	slot := -1
+	switch v.Kind {
+	case interp.VGlobal:
+		slot = prog.GlobalSlot(v.Name)
+	case interp.VArrayElem:
+		slot, id.Idx = prog.ArraySlot(v.Name), v.Idx
+	case interp.VField:
+		slot, id.Idx = int(prog.BC.NameID(v.Name)), int64(v.Obj)
+	}
+	if slot < 0 {
+		return interp.VarID{}, false
+	}
+	id.Kind, id.Slot = v.Kind, int32(slot)
+	return id, true
 }
 
 // Location is one primitive storage location found during traversal.
@@ -274,9 +472,9 @@ type Location struct {
 	// Shared is true for globals, array elements and heap fields;
 	// false for the failing thread's stack locals.
 	Shared bool
-	// Var identifies the runtime location in this dump's terms (object
-	// ids are dump-specific; paths are the cross-dump identity).
-	Var interp.VarID
+	// Var identifies the location in this dump's terms (object ids are
+	// dump-specific; paths are the cross-dump identity).
+	Var Var
 }
 
 // Traverse enumerates every primitive location reachable from the
@@ -297,7 +495,7 @@ func (d *Dump) Traverse() []Location {
 	// too — null versus non-null is a salient difference — with its
 	// value normalized to 0/1 so object ids don't leak into the
 	// comparison, and a non-null target is queued for the heap walk.
-	emit := func(path string, v interp.Value, shared bool, id interp.VarID) {
+	emit := func(path string, v interp.Value, shared bool, id Var) {
 		if v.Kind == interp.KPtr {
 			if v.Obj() != 0 {
 				queue = append(queue, ptrRoot{path: path, obj: v.Obj()})
@@ -310,23 +508,23 @@ func (d *Dump) Traverse() []Location {
 	// Deterministic root order: globals sorted, then arrays sorted,
 	// then the failing thread's frames bottom-up with sorted locals.
 	for _, name := range sortedKeys(d.Globals) {
-		emit(name, d.Globals[name], true, interp.VarID{Kind: interp.VGlobal, Name: name})
+		emit(name, d.Globals[name], true, Var{Kind: interp.VGlobal, Name: name})
 	}
 	for _, name := range sortedKeys(d.Arrays) {
 		arr := d.Arrays[name]
 		for i, v := range arr {
 			out = append(out, Location{
-				Path:   fmt.Sprintf("%s[%d]", name, i),
+				Path:   elemPath(name, i),
 				Value:  interp.IntVal(v),
 				Shared: true,
-				Var:    interp.VarID{Kind: interp.VArrayElem, Name: name, Idx: int64(i)},
+				Var:    Var{Kind: interp.VArrayElem, Name: name, Idx: int64(i)},
 			})
 		}
 	}
 	for _, fr := range d.FailingFrames() {
-		prefix := fmt.Sprintf("local:%s.", fr.FuncName)
+		prefix := localPrefix(fr.FuncName)
 		for _, name := range sortedKeys(fr.Locals) {
-			emit(prefix+name, fr.Locals[name], false, interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.FrameID})
+			emit(prefix+name, fr.Locals[name], false, Var{Kind: interp.VLocal, Name: name, FrameID: fr.FrameID})
 		}
 	}
 
@@ -345,11 +543,17 @@ func (d *Dump) Traverse() []Location {
 			continue
 		}
 		for _, f := range sortedKeys(fields) {
-			emit(r.path+"->"+f, fields[f], true, interp.VarID{Kind: interp.VField, Name: f, Obj: r.obj})
+			emit(r.path+"->"+f, fields[f], true, Var{Kind: interp.VField, Name: f, Obj: r.obj})
 		}
 	}
 	return out
 }
+
+// elemPath and localPrefix render the reference paths of an array
+// element and of a failing frame's locals.
+func elemPath(array string, i int) string { return array + "[" + strconv.Itoa(i) + "]" }
+
+func localPrefix(funcName string) string { return "local:" + funcName + "." }
 
 // normalizePtr collapses pointer values to null/non-null so dumps from
 // runs with different allocation orders compare meaningfully.
@@ -376,8 +580,8 @@ type ValueDiff struct {
 	A, B interp.Value
 	// Shared marks shared locations; shared diffs are the CSVs.
 	Shared bool
-	// AVar and BVar identify the location in each dump's runtime terms.
-	AVar, BVar interp.VarID
+	// AVar and BVar identify the location in each dump's terms.
+	AVar, BVar Var
 }
 
 // DiffResult is the outcome of comparing two dumps.
@@ -401,38 +605,4 @@ func (r *DiffResult) CSVs() []ValueDiff {
 		}
 	}
 	return out
-}
-
-// Compare traverses both dumps and compares primitives at identical
-// reference paths, per the paper's §4. a is conventionally the failure
-// dump and b the aligned-point (passing run) dump.
-func Compare(a, b *Dump) *DiffResult {
-	la := a.Traverse()
-	lb := b.Traverse()
-	mb := make(map[string]Location, len(lb))
-	for _, loc := range lb {
-		mb[loc.Path] = loc
-	}
-	res := &DiffResult{}
-	for _, locA := range la {
-		locB, ok := mb[locA.Path]
-		if !ok {
-			continue
-		}
-		res.VarsCompared++
-		if locA.Shared && locB.Shared {
-			res.SharedCompared++
-		}
-		if locA.Value != locB.Value {
-			res.Diffs = append(res.Diffs, ValueDiff{
-				Path:   locA.Path,
-				A:      locA.Value,
-				B:      locB.Value,
-				Shared: locA.Shared && locB.Shared,
-				AVar:   locA.Var,
-				BVar:   locB.Var,
-			})
-		}
-	}
-	return res
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"heisendump/internal/chess"
 	"heisendump/internal/core"
 	"heisendump/internal/pool"
 	"heisendump/internal/statics"
@@ -78,7 +79,7 @@ func StaticTable(ctx context.Context, cap int) ([]StaticTableRow, error) {
 			s := p.Searcher(fail, an)
 			s.Opts.MaxTries = cap
 			if static {
-				s.Opts.Static = rep.FocusSet()
+				s.Opts.Static = chess.NewFocus(prog, rep.FocusSet())
 			}
 			res := s.SearchContext(ctx)
 			if res.Cancelled {

@@ -222,14 +222,14 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BLoadLocal:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.A))
 				}
 				st[sp] = fr.Locals[c.A]
 				sp++
 
 			case ir.BLoadGlobal:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, globalVar(c.A))
 				}
 				st[sp] = m.Globals[c.A]
 				sp++
@@ -242,13 +242,13 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 					return true, nil
 				}
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnRead(t, elemVar(c.A, idx))
 				}
 				st[sp-1] = IntVal(arr[idx])
 
 			case ir.BLoadIndexLocal:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				idx := fr.Locals[c.B].Num
 				arr := m.Arrays[c.A]
@@ -257,7 +257,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 					return true, nil
 				}
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnRead(t, elemVar(c.A, idx))
 				}
 				st[sp] = IntVal(arr[idx])
 				sp++
@@ -275,7 +275,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 					return true, nil
 				}
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VField, Name: m.Prog.BC.Names[c.A], Obj: obj.Obj()})
+					hooks.OnRead(t, fieldVar(c.A, obj.Obj()))
 				}
 				st[sp-1] = o.Vals[i]
 
@@ -320,46 +320,46 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BCmpLL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.A))
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, fr.Locals[c.B].Num))
 				sp++
 
 			case ir.BCmpLC:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.A))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, consts[c.B]))
 				sp++
 
 			case ir.BCmpLG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, localVar(fr, c.A))
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, m.Globals[c.B].Num))
 				sp++
 
 			case ir.BCmpGL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, globalVar(c.A))
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, fr.Locals[c.B].Num))
 				sp++
 
 			case ir.BCmpGC:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, globalVar(c.A))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, consts[c.B]))
 				sp++
 
 			case ir.BCmpGG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, globalVar(c.A))
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				st[sp] = BoolVal(cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, m.Globals[c.B].Num))
 				sp++
@@ -397,7 +397,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				fr.Locals[c.A] = st[sp-1]
 				fr.Live[c.A] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.A))
 				}
 				if c.C == 0 {
 					fr.PC++
@@ -407,7 +407,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 			case ir.BEndAssignGlobal:
 				m.Globals[c.A] = st[sp-1]
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnWrite(t, globalVar(c.A))
 				}
 				if c.C == 0 {
 					fr.PC++
@@ -424,7 +424,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				}
 				arr[idx] = v.Num
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnWrite(t, elemVar(c.A, idx))
 				}
 				if c.C == 0 {
 					fr.PC++
@@ -434,7 +434,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 			case ir.BEndAssignArrayLocal:
 				v := st[sp-1]
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				idx := fr.Locals[c.B].Num
 				arr := m.Arrays[c.A]
@@ -444,7 +444,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				}
 				arr[idx] = v.Num
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnWrite(t, elemVar(c.A, idx))
 				}
 				if c.C == 0 {
 					fr.PC++
@@ -470,7 +470,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 					o.Vals = append(o.Vals, v)
 				}
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VField, Name: m.Prog.BC.Names[c.A], Obj: obj.Obj()})
+					hooks.OnWrite(t, fieldVar(c.A, obj.Obj()))
 				}
 				if c.C == 0 {
 					fr.PC++
@@ -479,46 +479,46 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndMoveLL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				fr.Locals[c.A] = fr.Locals[c.B]
 				fr.Live[c.A] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndMoveLG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				fr.Locals[c.A] = m.Globals[c.B]
 				fr.Live[c.A] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndMoveGL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				m.Globals[c.A] = fr.Locals[c.B]
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnWrite(t, globalVar(c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndMoveGG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				m.Globals[c.A] = m.Globals[c.B]
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnWrite(t, globalVar(c.A))
 				}
 				fr.PC++
 				break dispatch
@@ -527,7 +527,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				fr.Locals[c.A] = IntVal(consts[c.B])
 				fr.Live[c.A] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.A))
 				}
 				fr.PC++
 				break dispatch
@@ -535,37 +535,37 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 			case ir.BEndConstG:
 				m.Globals[c.A] = IntVal(consts[c.B])
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnWrite(t, globalVar(c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndIncL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				fr.Locals[c.A] = IntVal(fr.Locals[c.B].Num + consts[c.C])
 				fr.Live[c.A] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndIncG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				m.Globals[c.A] = IntVal(m.Globals[c.B].Num + consts[c.C])
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnWrite(t, globalVar(c.A))
 				}
 				fr.PC++
 				break dispatch
 
 			case ir.BEndArrToL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.C))
 				}
 				idx := fr.Locals[c.C].Num
 				arr := m.Arrays[c.A]
@@ -574,12 +574,12 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 					return true, nil
 				}
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnRead(t, elemVar(c.A, idx))
 				}
 				fr.Locals[c.B] = IntVal(arr[idx])
 				fr.Live[c.B] = true
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnWrite(t, localVar(fr, c.B))
 				}
 				fr.PC++
 				break dispatch
@@ -588,11 +588,11 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				// RHS first (the stored local), then the index local —
 				// the source evaluation order of arr[i] = v.
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.C], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.C))
 				}
 				v := fr.Locals[c.C]
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				idx := fr.Locals[c.B].Num
 				arr := m.Arrays[c.A]
@@ -602,7 +602,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 				}
 				arr[idx] = v.Num
 				if hooks != nil {
-					hooks.OnWrite(t, VarID{Kind: VArrayElem, Name: m.Prog.ArrayNames[c.A], Idx: idx})
+					hooks.OnWrite(t, elemVar(c.A, idx))
 				}
 				fr.PC++
 				break dispatch
@@ -618,8 +618,8 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrLL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.A))
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, fr.Locals[c.B].Num), code[cpc])
 				cpc = entry[fr.PC]
@@ -627,7 +627,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrLC:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
+					hooks.OnRead(t, localVar(fr, c.A))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, consts[c.B]), code[cpc])
 				cpc = entry[fr.PC]
@@ -635,8 +635,8 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrLG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.A], FrameID: fr.ID})
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, localVar(fr, c.A))
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), fr.Locals[c.A].Num, m.Globals[c.B].Num), code[cpc])
 				cpc = entry[fr.PC]
@@ -644,8 +644,8 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrGL:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-					hooks.OnRead(t, VarID{Kind: VLocal, Name: fn.Locals[c.B], FrameID: fr.ID})
+					hooks.OnRead(t, globalVar(c.A))
+					hooks.OnRead(t, localVar(fr, c.B))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, fr.Locals[c.B].Num), code[cpc])
 				cpc = entry[fr.PC]
@@ -653,7 +653,7 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrGC:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
+					hooks.OnRead(t, globalVar(c.A))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, consts[c.B]), code[cpc])
 				cpc = entry[fr.PC]
@@ -661,8 +661,8 @@ func (m *Machine) execBC(t *Thread, limit int64, horizon int) (bool, error) {
 
 			case ir.BEndBrGG:
 				if hooks != nil {
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.A]})
-					hooks.OnRead(t, VarID{Kind: VGlobal, Name: m.Prog.ScalarNames[c.B]})
+					hooks.OnRead(t, globalVar(c.A))
+					hooks.OnRead(t, globalVar(c.B))
 				}
 				fr.PC = branch(hooks, t, pc, cmpVals(ir.ExprOp(c.C), m.Globals[c.A].Num, m.Globals[c.B].Num), code[cpc])
 				cpc = entry[fr.PC]

@@ -209,21 +209,33 @@ func (h *frameIDHook) OnRead(*interp.Thread, interp.VarID)  {}
 func (h *frameIDHook) OnWrite(*interp.Thread, interp.VarID) {}
 
 func TestVarIDStringAndShared(t *testing.T) {
+	cp := mustCompile(t, `
+program ids;
+global int g;
+global int a[4];
+func main() {
+    var ptr p = new(f);
+    var int l = a[3];
+    p.f = g + l;
+}
+`)
 	cases := []struct {
 		v      interp.VarID
 		shared bool
+		want   string
 	}{
-		{interp.VarID{Kind: interp.VGlobal, Name: "g"}, true},
-		{interp.VarID{Kind: interp.VArrayElem, Name: "a", Idx: 3}, true},
-		{interp.VarID{Kind: interp.VField, Name: "f", Obj: 2}, true},
-		{interp.VarID{Kind: interp.VLocal, Name: "l", FrameID: 9}, false},
+		{interp.VarID{Kind: interp.VGlobal, Slot: int32(cp.GlobalSlot("g"))}, true, "g"},
+		{interp.VarID{Kind: interp.VArrayElem, Slot: int32(cp.ArraySlot("a")), Idx: 3}, true, "a[3]"},
+		{interp.VarID{Kind: interp.VField, Slot: cp.BC.NameID("f"), Idx: 2}, true, "obj2.f"},
+		{interp.VarID{Kind: interp.VLocal, Func: int32(cp.Main), Slot: 1, Idx: 9}, false, "l#9"},
+		{interp.VarID{Kind: interp.VGlobal, Slot: 7}, true, "var?"},
 	}
 	for _, c := range cases {
 		if c.v.Shared() != c.shared {
-			t.Fatalf("%v shared = %v", c.v, c.v.Shared())
+			t.Fatalf("%+v shared = %v", c.v, c.v.Shared())
 		}
-		if c.v.String() == "" {
-			t.Fatalf("%+v has empty string", c.v)
+		if got := c.v.Format(cp); got != c.want {
+			t.Fatalf("%+v formats as %q, want %q", c.v, got, c.want)
 		}
 	}
 }

@@ -159,36 +159,84 @@ const (
 	VField
 )
 
-// VarID names one runtime storage location. Identities are by source
-// name (recovered from the program's slot name tables), so traces and
-// slices are unchanged by the slot-addressed storage layout.
+// VarID names one runtime storage location by the slot ids the machine
+// already holds, so a hook builds it without a lookup and a trace
+// interns it through dense tables. Names are rendered only at the
+// edges, through the program's name tables (Name, Format).
 type VarID struct {
 	Kind VarKind
-	// Name is the global/local/field/array name.
-	Name string
-	// Idx is the element index for VArrayElem.
+	// Func is a VLocal's function, an index into Prog.Funcs.
+	Func int32
+	// Slot is the scalar slot of a VGlobal (Prog.ScalarNames), the
+	// array slot of a VArrayElem (Prog.ArrayNames), the local slot of a
+	// VLocal (Prog.Funcs[Func].Locals) or the field-name id of a VField
+	// (Prog.BC.Names).
+	Slot int32
+	// Idx qualifies the slot: a VArrayElem's element index, a VField's
+	// object id (see Obj) and a VLocal's frame id (see Frame); 0 for a
+	// VGlobal.
 	Idx int64
-	// Obj is the owning object for VField.
-	Obj ObjID
-	// FrameID is the owning activation for VLocal.
-	FrameID int64
 }
+
+// globalVar, elemVar, localVar and fieldVar build the identities the
+// dispatch loop reports.
+func globalVar(slot int32) VarID { return VarID{Kind: VGlobal, Slot: slot} }
+
+func elemVar(slot int32, idx int64) VarID { return VarID{Kind: VArrayElem, Slot: slot, Idx: idx} }
+
+func localVar(fr *Frame, slot int32) VarID {
+	return VarID{Kind: VLocal, Func: int32(fr.FuncIdx), Slot: slot, Idx: fr.ID}
+}
+
+func fieldVar(name int32, obj ObjID) VarID { return VarID{Kind: VField, Slot: name, Idx: int64(obj)} }
+
+// Obj returns a VField's owning object.
+func (v VarID) Obj() ObjID { return ObjID(v.Idx) }
+
+// Frame returns a VLocal's owning activation (Frame.ID).
+func (v VarID) Frame() int64 { return v.Idx }
 
 // Shared reports whether the location is shared state: globals, array
 // elements and heap fields are shared; locals are thread-private.
 func (v VarID) Shared() bool { return v.Kind != VLocal }
 
-// String renders the variable identity for reports.
-func (v VarID) String() string {
+// Name returns the location's base name in prog: the global, array,
+// local or field name; "var?" when v's ids are not prog's.
+func (v VarID) Name(prog *ir.Program) string {
+	at := func(names []string, i int32) string {
+		if i < 0 || int(i) >= len(names) {
+			return "var?"
+		}
+		return names[i]
+	}
 	switch v.Kind {
 	case VGlobal:
-		return v.Name
+		return at(prog.ScalarNames, v.Slot)
 	case VArrayElem:
-		return fmt.Sprintf("%s[%d]", v.Name, v.Idx)
+		return at(prog.ArrayNames, v.Slot)
 	case VLocal:
-		return fmt.Sprintf("%s#%d", v.Name, v.FrameID)
+		if v.Func < 0 || int(v.Func) >= len(prog.Funcs) {
+			return "var?"
+		}
+		return at(prog.Funcs[v.Func].Locals, v.Slot)
 	case VField:
-		return fmt.Sprintf("obj%d.%s", v.Obj, v.Name)
+		return at(prog.BC.Names, v.Slot)
+	}
+	return "var?"
+}
+
+// Format renders the location for reports: "g", "a[3]", "l#9" (frame
+// 9) or "obj2.f".
+func (v VarID) Format(prog *ir.Program) string {
+	switch v.Kind {
+	case VGlobal:
+		return v.Name(prog)
+	case VArrayElem:
+		return fmt.Sprintf("%s[%d]", v.Name(prog), v.Idx)
+	case VLocal:
+		return fmt.Sprintf("%s#%d", v.Name(prog), v.Idx)
+	case VField:
+		return fmt.Sprintf("obj%d.%s", v.Idx, v.Name(prog))
 	}
 	return "var?"
 }

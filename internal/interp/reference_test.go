@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,8 +62,9 @@ func (t *refThread) top() *refFrame {
 // refMachine executes a compiled program by re-resolving every name
 // through maps, as the interpreter did before slot compilation. It
 // drives the same interp.Hooks interface, reporting the same
-// interp.VarID identities, so its traces are directly comparable with
-// the slot-addressed machine's.
+// interp.VarID identities (each name resolved to its slot through the
+// program's tables at the hook), so its traces are directly comparable
+// with the slot-addressed machine's.
 type refMachine struct {
 	prog    *ir.Program
 	globals map[string]interp.Value
@@ -379,7 +381,7 @@ func (m *refMachine) eval(t *refThread, e lang.Expr) (interp.Value, error) {
 			return interp.Value{}, refCrash{fmt.Sprintf("index %d out of bounds for %s[%d]", idx.Num, e.Name, len(arr))}
 		}
 		if m.hooks != nil {
-			m.hooks.OnRead(m.ht(t), interp.VarID{Kind: interp.VArrayElem, Name: e.Name, Idx: idx.Num})
+			m.hooks.OnRead(m.ht(t), m.elemID(e.Name, idx.Num))
 		}
 		return interp.IntVal(arr[idx.Num]), nil
 	case *lang.FieldExpr:
@@ -399,7 +401,7 @@ func (m *refMachine) eval(t *refThread, e lang.Expr) (interp.Value, error) {
 			return interp.Value{}, refCrash{fmt.Sprintf("object has no field %q", e.Field)}
 		}
 		if m.hooks != nil {
-			m.hooks.OnRead(m.ht(t), interp.VarID{Kind: interp.VField, Name: e.Field, Obj: obj.Obj()})
+			m.hooks.OnRead(m.ht(t), m.fieldID(e.Field, obj.Obj()))
 		}
 		return v, nil
 	case *lang.NewExpr:
@@ -479,23 +481,42 @@ func (m *refMachine) eval(t *refThread, e lang.Expr) (interp.Value, error) {
 	panic(fmt.Sprintf("ref: unknown expression %T", e))
 }
 
+// globalID, elemID, fieldID and localID resolve a name to the slot id
+// the machine reports it by.
+func (m *refMachine) globalID(name string) interp.VarID {
+	return interp.VarID{Kind: interp.VGlobal, Slot: int32(m.prog.GlobalSlot(name))}
+}
+
+func (m *refMachine) elemID(name string, idx int64) interp.VarID {
+	return interp.VarID{Kind: interp.VArrayElem, Slot: int32(m.prog.ArraySlot(name)), Idx: idx}
+}
+
+func (m *refMachine) fieldID(name string, obj interp.ObjID) interp.VarID {
+	return interp.VarID{Kind: interp.VField, Slot: m.prog.BC.NameID(name), Idx: int64(obj)}
+}
+
+func (m *refMachine) localID(fr *refFrame, name string) interp.VarID {
+	return interp.VarID{Kind: interp.VLocal, Func: int32(fr.funcIdx),
+		Slot: int32(slices.Index(m.prog.Funcs[fr.funcIdx].Locals, name)), Idx: fr.id}
+}
+
 func (m *refMachine) readVar(t *refThread, name string) (interp.Value, error) {
 	fr := t.top()
 	if v, ok := fr.locals[name]; ok {
 		if m.hooks != nil {
-			m.hooks.OnRead(m.ht(t), interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.id})
+			m.hooks.OnRead(m.ht(t), m.localID(fr, name))
 		}
 		return v, nil
 	}
 	if isLocalName(m.prog.Funcs[fr.funcIdx], name) {
 		if m.hooks != nil {
-			m.hooks.OnRead(m.ht(t), interp.VarID{Kind: interp.VLocal, Name: name, FrameID: fr.id})
+			m.hooks.OnRead(m.ht(t), m.localID(fr, name))
 		}
 		return interp.IntVal(0), nil
 	}
 	if v, ok := m.globals[name]; ok {
 		if m.hooks != nil {
-			m.hooks.OnRead(m.ht(t), interp.VarID{Kind: interp.VGlobal, Name: name})
+			m.hooks.OnRead(m.ht(t), m.globalID(name))
 		}
 		return v, nil
 	}
@@ -509,14 +530,14 @@ func (m *refMachine) assign(t *refThread, lv lang.LValue, v interp.Value) error 
 		if _, ok := fr.locals[lv.Name]; ok || isLocalName(m.prog.Funcs[fr.funcIdx], lv.Name) {
 			fr.locals[lv.Name] = v
 			if m.hooks != nil {
-				m.hooks.OnWrite(m.ht(t), interp.VarID{Kind: interp.VLocal, Name: lv.Name, FrameID: fr.id})
+				m.hooks.OnWrite(m.ht(t), m.localID(fr, lv.Name))
 			}
 			return nil
 		}
 		if _, ok := m.globals[lv.Name]; ok {
 			m.globals[lv.Name] = v
 			if m.hooks != nil {
-				m.hooks.OnWrite(m.ht(t), interp.VarID{Kind: interp.VGlobal, Name: lv.Name})
+				m.hooks.OnWrite(m.ht(t), m.globalID(lv.Name))
 			}
 			return nil
 		}
@@ -535,7 +556,7 @@ func (m *refMachine) assign(t *refThread, lv lang.LValue, v interp.Value) error 
 		}
 		arr[idx.Num] = v.Num
 		if m.hooks != nil {
-			m.hooks.OnWrite(m.ht(t), interp.VarID{Kind: interp.VArrayElem, Name: lv.Name, Idx: idx.Num})
+			m.hooks.OnWrite(m.ht(t), m.elemID(lv.Name, idx.Num))
 		}
 		return nil
 	case *lang.FieldLV:
@@ -552,7 +573,7 @@ func (m *refMachine) assign(t *refThread, lv lang.LValue, v interp.Value) error 
 		}
 		fields[lv.Field] = v
 		if m.hooks != nil {
-			m.hooks.OnWrite(m.ht(t), interp.VarID{Kind: interp.VField, Name: lv.Field, Obj: obj.Obj()})
+			m.hooks.OnWrite(m.ht(t), m.fieldID(lv.Field, obj.Obj()))
 		}
 		return nil
 	}
@@ -891,12 +912,12 @@ func (l *orderLog) log(call string) {
 }
 
 func (l *orderLog) OnRead(t *interp.Thread, v interp.VarID) {
-	l.log("read " + v.String())
+	l.log(fmt.Sprintf("read %+v", v))
 	l.Recorder.OnRead(t, v)
 }
 
 func (l *orderLog) OnWrite(t *interp.Thread, v interp.VarID) {
-	l.log("write " + v.String())
+	l.log(fmt.Sprintf("write %+v", v))
 	l.Recorder.OnWrite(t, v)
 }
 

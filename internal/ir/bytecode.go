@@ -331,6 +331,18 @@ func (bc *Bytecode) nameOf(s string) int32 {
 	return i
 }
 
+// NameID returns the id of field name s in the Names pool, or -1. It
+// scans the pool, which lang.MaxFieldNames bounds, so it serves the
+// edges that translate a name once, not the dispatch loop.
+func (bc *Bytecode) NameID(s string) int32 {
+	for i, n := range bc.Names {
+		if n == s {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
 func (bc *Bytecode) fieldSetOf(fields []string) int32 {
 	set := int32(len(bc.FieldSets))
 	ids := make([]int32, 0, len(fields))

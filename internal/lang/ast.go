@@ -45,6 +45,9 @@ type Program struct {
 	Globals []*VarDecl
 	// Locks are the declared lock names, in declaration order.
 	Locks []string
+	// LockLines holds each lock declaration's 1-based source line, by
+	// Locks index; hand-built programs may leave it short.
+	LockLines []int
 	// Funcs are the function definitions, in declaration order.
 	Funcs []*Func
 	// Name identifies the program in reports; optional.
@@ -93,6 +96,9 @@ type Func struct {
 	Name   string
 	Params []*VarDecl
 	Body   *Block
+	// Line is the 1-based source line of the declaration (0 for
+	// hand-built functions).
+	Line int
 }
 
 // Block is a sequence of statements.

@@ -36,7 +36,7 @@ func check(p *Program) error {
 	elems := 0
 	for _, g := range p.Globals {
 		if _, dup := globals[g.Name]; dup {
-			return fmt.Errorf("lang: duplicate global %q", g.Name)
+			return fmt.Errorf("lang: line %d: duplicate global %q", g.Line, g.Name)
 		}
 		globals[g.Name] = g
 		if g.ArraySize < 0 {
@@ -49,12 +49,16 @@ func check(p *Program) error {
 		elems += g.ArraySize
 	}
 	locks := map[string]bool{}
-	for _, l := range p.Locks {
+	for i, l := range p.Locks {
+		line := 0
+		if i < len(p.LockLines) {
+			line = p.LockLines[i]
+		}
 		if locks[l] {
-			return fmt.Errorf("lang: duplicate lock %q", l)
+			return fmt.Errorf("lang: line %d: duplicate lock %q", line, l)
 		}
 		if _, clash := globals[l]; clash {
-			return fmt.Errorf("lang: lock %q clashes with a global", l)
+			return fmt.Errorf("lang: line %d: lock %q clashes with a global", line, l)
 		}
 		locks[l] = true
 	}
@@ -62,7 +66,7 @@ func check(p *Program) error {
 	funcs := map[string]*Func{}
 	for _, f := range p.Funcs {
 		if _, dup := funcs[f.Name]; dup {
-			return fmt.Errorf("lang: duplicate function %q", f.Name)
+			return fmt.Errorf("lang: line %d: duplicate function %q", f.Line, f.Name)
 		}
 		funcs[f.Name] = f
 	}
@@ -71,7 +75,7 @@ func check(p *Program) error {
 			fields: fields, locals: map[string]Type{}, labels: map[string]bool{}}
 		for _, prm := range f.Params {
 			if _, dup := c.locals[prm.Name]; dup {
-				return fmt.Errorf("lang: %s: duplicate parameter %q", f.Name, prm.Name)
+				return fmt.Errorf("lang: %s: line %d: duplicate parameter %q", f.Name, f.Line, prm.Name)
 			}
 			c.locals[prm.Name] = prm.Type
 		}
@@ -251,23 +255,26 @@ func (c *checker) checkStmt(s Stmt, loopDepth int) error {
 	return fmt.Errorf("unknown statement %T", s)
 }
 
-func (c *checker) varType(name string) (Type, bool) {
-	if t, ok := c.locals[name]; ok {
-		return t, true
+// scalar checks that name, used without an index, is a local or a
+// scalar global: the compiler resolves such a use to no array.
+func (c *checker) scalar(name string, line int, use string) error {
+	if _, ok := c.locals[name]; ok {
+		return nil
 	}
-	if g, ok := c.globals[name]; ok {
-		return g.Type, true
+	g, ok := c.globals[name]
+	if !ok {
+		return fmt.Errorf("line %d: %s undeclared variable %q", line, use, name)
 	}
-	return 0, false
+	if g.ArraySize > 0 {
+		return fmt.Errorf("line %d: array %q used without an index", line, name)
+	}
+	return nil
 }
 
 func (c *checker) checkLValue(lv LValue, line int) error {
 	switch lv := lv.(type) {
 	case *VarLV:
-		if _, ok := c.varType(lv.Name); !ok {
-			return fmt.Errorf("line %d: assignment to undeclared variable %q", line, lv.Name)
-		}
-		return nil
+		return c.scalar(lv.Name, line, "assignment to")
 	case *IndexLV:
 		g, ok := c.globals[lv.Name]
 		if !ok || g.ArraySize == 0 {
@@ -295,10 +302,7 @@ func (c *checker) checkExpr(e Expr, line int) error {
 		}
 		return nil
 	case *VarRef:
-		if _, ok := c.varType(e.Name); !ok {
-			return fmt.Errorf("line %d: use of undeclared variable %q", line, e.Name)
-		}
-		return nil
+		return c.scalar(e.Name, line, "use of")
 	case *IndexExpr:
 		g, ok := c.globals[e.Name]
 		if !ok || g.ArraySize == 0 {

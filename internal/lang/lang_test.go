@@ -139,11 +139,20 @@ func TestParseErrors(t *testing.T) {
 		"malformed number": `program p; func main() { output 12ab; }`,
 		"shadowed global":  `program p; global int g; func main() { var int g; }`,
 		"index non-array":  `program p; global int x; func main() { x[0] = 1; }`,
+		"array write":      `program p; global int a[2]; func main() { a = 1; }`,
+		"array read":       `program p; global int a[2]; func main() { var int x = a; }`,
 		"unclosed block":   `program p; func main() { if (true) {`,
 	}
 	for name, src := range cases {
-		if _, err := lang.Parse(src); err == nil {
-			t.Errorf("%s: expected parse/check error", name)
+		_, err := lang.Parse(src)
+		var le *lang.Error
+		if !errors.As(err, &le) {
+			t.Errorf("%s: want a *lang.Error, got %v", name, err)
+			continue
+		}
+		// Every rejection but the missing main is about a line.
+		if le.Line < 1 && name != "no main" {
+			t.Errorf("%s: %q carries no line", name, err)
 		}
 	}
 }

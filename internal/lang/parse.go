@@ -156,6 +156,7 @@ func (p *parser) parseProgram() (*Program, error) {
 			}
 			prog.Globals = append(prog.Globals, d)
 		case p.atKeyword("lock"):
+			line := p.tok.line
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -167,6 +168,7 @@ func (p *parser) parseProgram() (*Program, error) {
 				return nil, err
 			}
 			prog.Locks = append(prog.Locks, name)
+			prog.LockLines = append(prog.LockLines, line)
 		case p.atKeyword("func"):
 			f, err := p.parseFunc()
 			if err != nil {
@@ -256,6 +258,7 @@ func (p *parser) parseGlobal() (*VarDecl, error) {
 }
 
 func (p *parser) parseFunc() (*Func, error) {
+	line := p.tok.line
 	if err := p.advance(); err != nil { // consume "func"
 		return nil, err
 	}
@@ -266,7 +269,7 @@ func (p *parser) parseFunc() (*Func, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	f := &Func{Name: name}
+	f := &Func{Name: name, Line: line}
 	for !p.atPunct(")") {
 		if len(f.Params) > 0 {
 			if err := p.expectPunct(","); err != nil {

@@ -30,16 +30,21 @@ func tracedRun(t testing.TB, src string) (*ir.Program, *ctrldep.ProgramDeps, *tr
 }
 
 // lastWrite returns the last step that wrote the global name, or -1.
-func lastWrite(rec *trace.Recorder, name string) int64 {
+func lastWrite(prog *ir.Program, rec *trace.Recorder, name string) int64 {
 	step := int64(-1)
 	for i, e := range rec.Events {
 		for _, w := range rec.Writes(i) {
-			if v := rec.Vars[w]; v.Kind == interp.VGlobal && v.Name == name {
+			if rec.Vars[w] == global(prog, name) {
 				step = e.Step
 			}
 		}
 	}
 	return step
+}
+
+// global returns the identity a run reports the named global by.
+func global(prog *ir.Program, name string) interp.VarID {
+	return interp.VarID{Kind: interp.VGlobal, Slot: int32(prog.GlobalSlot(name))}
 }
 
 func TestSliceFollowsDataDependences(t *testing.T) {
@@ -58,7 +63,7 @@ func main() {
 }
 `)
 	// Criterion: the final write to c.
-	cStep := lastWrite(rec, "c")
+	cStep := lastWrite(cp, rec, "c")
 	if cStep < 0 {
 		t.Fatal("no write to c")
 	}
@@ -71,12 +76,12 @@ func main() {
 			if w.Kind != interp.VGlobal {
 				continue
 			}
-			switch w.Name {
+			switch name := w.Name(cp); name {
 			case "a", "b":
 				if sl.InSlice(e.Step) {
 					wantIn++
 				} else {
-					t.Fatalf("write to %s at step %d not in slice", w.Name, e.Step)
+					t.Fatalf("write to %s at step %d not in slice", name, e.Step)
 				}
 			case "unrelated":
 				if sl.InSlice(e.Step) {
@@ -90,8 +95,8 @@ func main() {
 		t.Fatalf("in=%d out=%d", wantIn, wantOut)
 	}
 	// Distances grow along the chain: dist(b-write) < dist(a-write).
-	a, _ := sl.Distance(lastWrite(rec, "a"))
-	b, _ := sl.Distance(lastWrite(rec, "b"))
+	a, _ := sl.Distance(lastWrite(cp, rec, "a"))
+	b, _ := sl.Distance(lastWrite(cp, rec, "b"))
 	if b >= a {
 		t.Fatalf("distance(b)=%d should be < distance(a)=%d", b, a)
 	}
@@ -109,7 +114,7 @@ func main() {
     }
 }
 `)
-	sl := slicing.Compute(cp, pdeps, rec, lastWrite(rec, "r"))
+	sl := slicing.Compute(cp, pdeps, rec, lastWrite(cp, rec, "r"))
 	// The branch and, through it, the write p=1 must be in the slice.
 	sawBranch := false
 	for _, e := range rec.Events {
@@ -117,7 +122,7 @@ func main() {
 			sawBranch = true
 		}
 	}
-	if sawP := sl.InSlice(lastWrite(rec, "p")); !sawBranch || !sawP {
+	if sawP := sl.InSlice(lastWrite(cp, rec, "p")); !sawBranch || !sawP {
 		t.Fatalf("branch in slice=%v, p-write in slice=%v", sawBranch, sawP)
 	}
 }
@@ -149,7 +154,7 @@ func main() {
 }
 
 func TestCollectAccessesTemporalOrder(t *testing.T) {
-	_, _, rec := tracedRun(t, `
+	cp, _, rec := tracedRun(t, `
 program tmp;
 global int x;
 global int y;
@@ -161,7 +166,7 @@ func main() {
     x = 3;
 }
 `)
-	csv := []interp.VarID{{Kind: interp.VGlobal, Name: "x"}}
+	csv := []interp.VarID{global(cp, "x")}
 	last := rec.Events[len(rec.Events)-1].Step
 	accs := slicing.CollectAccesses(rec, csv, last, slicing.Temporal, nil)
 	if len(accs) != 3 {
@@ -185,7 +190,7 @@ func main() {
 }
 
 func TestCollectAccessesBottomAfterAlignPoint(t *testing.T) {
-	_, _, rec := tracedRun(t, `
+	cp, _, rec := tracedRun(t, `
 program bt;
 global int x;
 func main() {
@@ -194,11 +199,11 @@ func main() {
     x = 3;
 }
 `)
-	csv := []interp.VarID{{Kind: interp.VGlobal, Name: "x"}}
+	csv := []interp.VarID{global(cp, "x")}
 	// Align between the first and second write.
 	var firstWrite int64 = -1
 	for i, e := range rec.Events {
-		if w := rec.Writes(i); len(w) > 0 && rec.Vars[w[0]].Name == "x" {
+		if w := rec.Writes(i); len(w) > 0 && rec.Vars[w[0]] == csv[0] {
 			firstWrite = e.Step
 			break
 		}
@@ -235,11 +240,11 @@ func main() {
     out = x;
 }
 `)
-	outStep := lastWrite(rec, "out")
+	outStep := lastWrite(cp, rec, "out")
 	sl := slicing.Compute(cp, pdeps, rec, outStep)
 	csv := []interp.VarID{
-		{Kind: interp.VGlobal, Name: "x"},
-		{Kind: interp.VGlobal, Name: "y"},
+		global(cp, "x"),
+		global(cp, "y"),
 	}
 	accs := slicing.CollectAccesses(rec, csv, outStep, slicing.Dependence, sl)
 	var xPrio, yPrio int
@@ -247,10 +252,10 @@ func main() {
 		if a.Var != csv[a.CSV] {
 			t.Fatalf("access to %v carries CSV %d (%v)", a.Var, a.CSV, csv[a.CSV])
 		}
-		if a.Var.Name == "x" && a.IsWrite {
+		if a.Var == csv[0] && a.IsWrite {
 			xPrio = a.Priority
 		}
-		if a.Var.Name == "y" && a.IsWrite {
+		if a.Var == csv[1] && a.IsWrite {
 			yPrio = a.Priority
 		}
 	}

@@ -13,6 +13,9 @@
 package trace
 
 import (
+	"fmt"
+	"math"
+
 	"heisendump/internal/interp"
 	"heisendump/internal/ir"
 )
@@ -55,7 +58,8 @@ type Recorder struct {
 	// of its first access; a variable's index here is its id.
 	Vars []interp.VarID
 
-	ids      map[interp.VarID]int32
+	// ids interns variables, one table per interp.VarKind.
+	ids      [4]idTable
 	readIDs  []int32
 	writeIDs []int32
 }
@@ -64,7 +68,6 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{
 		Events:   make([]Event, 0, traceStart),
-		ids:      map[interp.VarID]int32{},
 		readIDs:  make([]int32, 0, traceStart),
 		writeIDs: make([]int32, 0, traceStart),
 	}
@@ -74,8 +77,12 @@ var _ interp.Hooks = (*Recorder)(nil)
 
 // ID returns the id of v, and whether the run read or wrote v at all.
 func (r *Recorder) ID(v interp.VarID) (int32, bool) {
-	id, ok := r.ids[v]
-	return id, ok
+	owner, k, ok := tableKey(v)
+	if !ok {
+		return 0, false
+	}
+	id := r.ids[v.Kind].get(owner, k)
+	return id - 1, id != 0
 }
 
 // Reads returns the ids of the variables event i read, in the order of
@@ -100,13 +107,73 @@ func (r *Recorder) Writes(i int) []int32 {
 
 // intern returns v's id, assigning the next one on first sight.
 func (r *Recorder) intern(v interp.VarID) int32 {
-	id, ok := r.ids[v]
+	owner, k, ok := tableKey(v)
 	if !ok {
-		id = int32(len(r.Vars))
-		r.ids[v] = id
-		r.Vars = append(r.Vars, v)
+		panic(fmt.Sprintf("trace: variable identity %+v out of range", v))
 	}
-	return id
+	e := r.ids[v.Kind].at(owner, k)
+	if *e == 0 {
+		r.Vars = append(r.Vars, v)
+		*e = int32(len(r.Vars))
+	}
+	return *e - 1
+}
+
+// tableKey places v in its kind's intern table: a global is key Slot
+// of owner 0, an array element key Idx of its array's slot, and a local
+// or a field key Slot (the local slot or the field-name id) of its
+// frame or object. Frame and object ids are dense per run. ok is false
+// for an identity no run reports.
+func tableKey(v interp.VarID) (owner, k int, ok bool) {
+	if v.Slot < 0 || v.Idx < 0 || v.Idx > math.MaxInt32 {
+		return 0, 0, false
+	}
+	switch v.Kind {
+	case interp.VGlobal:
+		return 0, int(v.Slot), true
+	case interp.VArrayElem:
+		return int(v.Slot), int(v.Idx), true
+	case interp.VLocal, interp.VField:
+		return int(v.Idx), int(v.Slot), true
+	}
+	return 0, 0, false
+}
+
+// idTable maps (owner, key) pairs of small non-negative ints to ids
+// plus one (0: not seen yet). Each owner's keys sit in one segment of
+// ids, regrown by doubling when a larger key arrives, so the table
+// holds the keys a run touches rather than every declared element.
+type idTable struct {
+	segs []segment // by owner
+	ids  []int32
+}
+
+// segment is where an owner's entries start in idTable.ids, and how
+// many keys they cover.
+type segment struct{ off, n int32 }
+
+// get returns the entry of (owner, k), or 0.
+func (t *idTable) get(owner, k int) int32 {
+	if owner >= len(t.segs) || k >= int(t.segs[owner].n) {
+		return 0
+	}
+	return t.ids[int(t.segs[owner].off)+k]
+}
+
+// at returns the entry of (owner, k), making room for it.
+func (t *idTable) at(owner, k int) *int32 {
+	if owner >= len(t.segs) {
+		t.segs = append(t.segs, make([]segment, owner+1-len(t.segs))...)
+	}
+	s := &t.segs[owner]
+	if k >= int(s.n) {
+		n := max(k+1, 2*int(s.n), 4)
+		off := len(t.ids)
+		t.ids = append(t.ids, make([]int32, n)...)
+		copy(t.ids[off:], t.ids[s.off:s.off+s.n])
+		s.off, s.n = int32(off), int32(n)
+	}
+	return &t.ids[int(s.off)+k]
 }
 
 // cur returns the event of the step in progress.

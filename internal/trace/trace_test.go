@@ -150,7 +150,7 @@ func TestRecorderCapturesEverything(t *testing.T) {
 	found := false
 	for i := range rec.Events {
 		for _, w := range rec.Writes(i) {
-			if v := rec.Vars[w]; v.Kind == interp.VArrayElem && v.Name == "a" && v.Idx == 2 {
+			if v := rec.Vars[w]; v.Kind == interp.VArrayElem && v.Name(m.Prog) == "a" && v.Idx == 2 {
 				found = true
 			}
 		}
