@@ -72,6 +72,9 @@ type Analysis struct {
 	// Trace is the recorded passing-run trace (set by StageAlign).
 	Trace *trace.Recorder
 
+	// m is the alignment re-run's machine, which StageAlignedDump
+	// rewinds for its replay and then drops.
+	m    *interp.Machine
 	next Stage
 }
 
@@ -187,6 +190,7 @@ func (a *Analysis) align(ctx context.Context) error {
 		return Cancelled(ctx.Err())
 	}
 	rep.PassingSteps = res.Steps
+	a.m = m
 
 	var al index.Alignment
 	if p.Cfg.Alignment == AlignByIndex {
@@ -208,7 +212,16 @@ func (a *Analysis) align(ctx context.Context) error {
 func (a *Analysis) alignedDump(ctx context.Context) error {
 	p, rep := a.Pipe, a.Report
 	t0 := time.Now()
-	m := p.NewMachine()
+	// The alignment re-run's machine, rewound, unless a cancelled
+	// replay already dropped it.
+	m := a.m
+	a.m = nil
+	if m == nil {
+		m = p.NewMachine()
+	} else {
+		m.Hooks = nil
+		m.Reset(p.Prog, m.SeedInput())
+	}
 	// BoundedRunContext, not a bare Runner: an aligned point at step 0
 	// must capture the initial state, and BoundedRunContext runs
 	// nothing for a non-positive bound where Runner{MaxSteps: 0} would

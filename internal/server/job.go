@@ -269,27 +269,39 @@ func BuildReport(rep *heisendump.Report, runErr error, hadDeadline bool) (*JobRe
 	}
 }
 
+// run is what a job needs to execute and nothing a finished job
+// serves. The worker reads it; job.finish drops it, so a terminal job
+// pins neither its compiled program nor its observers.
+type run struct {
+	program *heisendump.Program
+	input   *heisendump.Input
+	// opts carry the job's observers, which reference its hub and
+	// flight recorder.
+	opts []heisendump.Option
+	// flight records the run's recently committed ranks and fold
+	// decisions; its snapshot is attached to the error payload of
+	// failed/cancelled jobs as evidence of what the search was doing
+	// when it stopped.
+	flight   *telemetry.FlightRecorder
+	deadline time.Time // zero = none
+}
+
 // job is the server-side job record. The immutable fields (identity,
-// compiled program, options) are set at admission; mu guards the
-// mutable lifecycle state.
+// program name, event hub) are set at admission; mu guards the mutable
+// lifecycle state. Once terminal, a job holds only what GET, SSE and
+// /v1/stats read.
 type job struct {
 	id       string
 	key      string // tenant-scoped idempotency key ("" = none)
 	tenant   string
-	program  *heisendump.Program
 	progName string
 	cacheHit bool
-	input    *heisendump.Input
-	opts     []heisendump.Option
-	deadline time.Time // zero = none
-	hub      *hub
-	// flight records the run's recently committed ranks and fold
-	// decisions; its
-	// snapshot is attached to the error payload of failed/cancelled
-	// jobs as evidence of what the search was doing when it stopped.
-	flight *telemetry.FlightRecorder
+	// hub keeps the job's event history past its end, so a late
+	// subscriber can replay it.
+	hub *hub
 
 	mu        sync.Mutex
+	run       *run // nil once terminal
 	state     string
 	report    *JobReport
 	errp      *ErrorPayload
@@ -298,21 +310,6 @@ type job struct {
 	finished  time.Time
 	expires   time.Time     // store eviction time once terminal
 	done      chan struct{} // closed on terminal transition
-
-	// finishSeq and expirySlot belong to the store, under its lock:
-	// the job's finish order and 1 + its index in the store's expiry
-	// queue (0 when it is not queued).
-	finishSeq  uint64
-	expirySlot int
-}
-
-func (j *job) terminal() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // status snapshots the wire view.
@@ -341,6 +338,13 @@ func (j *job) status() *JobStatus {
 	return st
 }
 
+// pending returns the job's run, or nil once the job is terminal.
+func (j *job) pending() *run {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.run
+}
+
 // start transitions queued → running.
 func (j *job) start(now time.Time) {
 	j.mu.Lock()
@@ -349,22 +353,25 @@ func (j *job) start(now time.Time) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and wakes every waiter exactly
-// once.
-func (j *job) finish(now time.Time, rep *JobReport, errp *ErrorPayload) {
+// finish records the terminal state, drops the job's run and wakes
+// every waiter. It reports whether this call made the job terminal; a
+// repeat call changes nothing.
+func (j *job) finish(now time.Time, rep *JobReport, errp *ErrorPayload) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	if errp != nil {
 		j.state = StateFailed
 	} else {
 		j.state = StateDone
 	}
+	j.run = nil
 	j.report = rep
 	j.errp = errp
 	j.finished = now
 	j.mu.Unlock()
 	close(j.done)
+	return true
 }

@@ -26,6 +26,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -179,11 +180,12 @@ func (s *Server) worker() {
 // run, report projection, terminal event.
 func (s *Server) runJob(j *job) {
 	now := s.cfg.Clock()
-	hadDeadline := !j.deadline.IsZero()
+	r := j.pending()
+	hadDeadline := !r.deadline.IsZero()
 
 	// Deadline admission: a job that spent its whole deadline queued
 	// is refused without burning a worker slot on a doomed run.
-	if hadDeadline && !now.Before(j.deadline) {
+	if hadDeadline && !now.Before(r.deadline) {
 		telemetry.ServerJobsDeadline.Inc()
 		telemetry.ServerJobsError.Inc()
 		s.store.finish(j, nil, &ErrorPayload{
@@ -197,12 +199,12 @@ func (s *Server) runJob(j *job) {
 	ctx := s.ctx
 	var cancel context.CancelFunc
 	if hadDeadline {
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+		ctx, cancel = context.WithDeadline(ctx, r.deadline)
 		defer cancel()
 	}
 
 	j.start(now)
-	sess := heisendump.NewCompiled(j.program, j.input, j.opts...)
+	sess := heisendump.NewCompiled(r.program, r.input, r.opts...)
 	rep, runErr := sess.Reproduce(ctx)
 	jr, errp := BuildReport(rep, runErr, hadDeadline)
 	if errp != nil {
@@ -212,7 +214,7 @@ func (s *Server) runJob(j *job) {
 		// log rides on the error payload only — JobReport stays a pure
 		// function of (source, input, options) for the differential
 		// smoke gate.
-		errp.Flight = j.flight.Snapshot()
+		errp.Flight = r.flight.Snapshot()
 		telemetry.ServerJobsError.Inc()
 		if errp.Code == CodeDeadlineExceeded {
 			telemetry.ServerJobsDeadline.Inc()
@@ -280,19 +282,19 @@ func (s *Server) admit(req JobRequest) (*job, bool, *ErrorPayload) {
 	fl := telemetry.NewFlightRecorder(64)
 	opts = append(opts, heisendump.WithObserver(fl))
 
-	j := &job{
-		key:      req.JobKey,
-		tenant:   tenant,
-		program:  prog,
-		progName: prog.Name,
-		cacheHit: cacheHit,
-		input:    input,
-		opts:     opts,
-		hub:      h,
-		flight:   fl,
-	}
+	r := &run{program: prog, input: input, opts: opts, flight: fl}
 	if o.DeadlineMS > 0 {
-		j.deadline = s.cfg.Clock().Add(time.Duration(o.DeadlineMS) * time.Millisecond)
+		r.deadline = s.cfg.Clock().Add(time.Duration(o.DeadlineMS) * time.Millisecond)
+	}
+	j := &job{
+		key:    req.JobKey,
+		tenant: tenant,
+		// The name is a slice of the source text, which a finished job
+		// must not pin.
+		progName: strings.Clone(prog.Name),
+		cacheHit: cacheHit,
+		hub:      h,
+		run:      r,
 	}
 
 	existing, dup := s.store.admit(j)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -20,13 +19,14 @@ type store struct {
 	now  func() time.Time
 	jobs map[string]*job
 	keys map[string]string // tenant+"\x00"+job_key -> job id
-	// expiry holds the finished jobs not yet evicted, earliest eviction
-	// first: a sweep pops the expired ones off its front and touches no
-	// other job, so admit and get cost the same with 10 resident jobs
-	// as with 10,000.
-	expiry   expiryQueue
-	nextID   uint64
-	finishes uint64 // finish order, which breaks ties in expiry
+	// expiry holds the finished jobs not yet evicted in finish order,
+	// which is eviction order: the TTL is one constant, the clock never
+	// runs back, and finish reads it and appends under one lock. A
+	// sweep pops the expired jobs off the front and touches no other
+	// job, so admit and get cost the same with 10 resident jobs as
+	// with 10,000.
+	expiry []*job
+	nextID uint64
 	// evicted counts TTL evictions (stats).
 	evicted uint64
 }
@@ -79,25 +79,18 @@ func (s *store) get(id string) *job {
 	return s.jobs[id]
 }
 
-// finish stamps the terminal state and schedules eviction TTL from
-// now. A job finished again keeps its place in line by its new
-// expiry; one already evicted stays evicted.
+// finish makes j terminal and schedules its eviction TTL from now.
+// Only the call that made the job terminal queues it, so a job
+// finished again keeps its first expiry and its place in line.
 func (s *store) finish(j *job, rep *JobReport, errp *ErrorPayload) {
-	now := s.now()
-	j.finish(now, rep, errp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jobs[j.id] != j {
+	now := s.now()
+	if !j.finish(now, rep, errp) {
 		return
 	}
 	j.expires = now.Add(s.ttl)
-	s.finishes++
-	j.finishSeq = s.finishes
-	if j.expirySlot > 0 {
-		heap.Fix(&s.expiry, j.expirySlot-1)
-	} else {
-		heap.Push(&s.expiry, j)
-	}
+	s.expiry = append(s.expiry, j)
 }
 
 // sweep evicts expired jobs (the janitor entry point).
@@ -112,7 +105,9 @@ func (s *store) sweep() {
 func (s *store) sweepLocked() {
 	now := s.now()
 	for len(s.expiry) > 0 && now.After(s.expiry[0].expires) {
-		j := heap.Pop(&s.expiry).(*job)
+		j := s.expiry[0]
+		s.expiry[0] = nil
+		s.expiry = s.expiry[1:]
 		delete(s.jobs, j.id)
 		if j.key != "" {
 			delete(s.keys, keyIndex(j.tenant, j.key))
@@ -120,40 +115,6 @@ func (s *store) sweepLocked() {
 		s.evicted++
 		telemetry.ServerStoreEvictions.Inc()
 	}
-}
-
-// expiryQueue is a min-heap of finished jobs by eviction time, ties in
-// finish order. Each job records its position (job.expirySlot) so a
-// job finished twice can move.
-type expiryQueue []*job
-
-func (q expiryQueue) Len() int { return len(q) }
-
-func (q expiryQueue) Less(a, b int) bool {
-	if !q[a].expires.Equal(q[b].expires) {
-		return q[a].expires.Before(q[b].expires)
-	}
-	return q[a].finishSeq < q[b].finishSeq
-}
-
-func (q expiryQueue) Swap(a, b int) {
-	q[a], q[b] = q[b], q[a]
-	q[a].expirySlot, q[b].expirySlot = a+1, b+1
-}
-
-func (q *expiryQueue) Push(x any) {
-	j := x.(*job)
-	*q = append(*q, j)
-	j.expirySlot = len(*q)
-}
-
-func (q *expiryQueue) Pop() any {
-	old := *q
-	j := old[len(old)-1]
-	old[len(old)-1] = nil
-	*q = old[:len(old)-1]
-	j.expirySlot = 0
-	return j
 }
 
 // StoreStats is the /v1/stats results-store section.
