@@ -212,16 +212,11 @@ func (a *Analysis) align(ctx context.Context) error {
 func (a *Analysis) alignedDump(ctx context.Context) error {
 	p, rep := a.Pipe, a.Report
 	t0 := time.Now()
-	// The alignment re-run's machine, rewound, unless a cancelled
-	// replay already dropped it.
+	// The alignment re-run's machine, rewound. The analysis keeps it
+	// until the capture, so a cancelled replay resumes on it.
 	m := a.m
-	a.m = nil
-	if m == nil {
-		m = p.NewMachine()
-	} else {
-		m.Hooks = nil
-		m.Reset(p.Prog, m.SeedInput())
-	}
+	m.Hooks = nil
+	m.Reset(p.Prog, m.SeedInput())
 	// BoundedRunContext, not a bare Runner: an aligned point at step 0
 	// must capture the initial state, and BoundedRunContext runs
 	// nothing for a non-positive bound where Runner{MaxSteps: 0} would
@@ -231,6 +226,7 @@ func (a *Analysis) alignedDump(ctx context.Context) error {
 		return Cancelled(ctx.Err())
 	}
 	rep.AlignedDump = coredump.Capture(m, a.Fail.Dump.FailingThread, rep.AlignPC, "aligned point")
+	a.m = nil
 	var err error
 	rep.AlignedDumpBytes, err = rep.AlignedDump.Size()
 	if err != nil {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"heisendump/internal/core"
@@ -68,6 +70,63 @@ func TestPipelineAnalysisFindsAlignedPointAndCSV(t *testing.T) {
 	}
 	if len(an.Accesses) == 0 {
 		t.Fatal("no CSV accesses")
+	}
+}
+
+// cancelAfterCtx reports no error for its first n Err calls and
+// context.Canceled from then on.
+type cancelAfterCtx struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfterCtx) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestAlignedDumpResumesAfterCancelledReplay cancels the aligned-dump
+// replay at its first step and resumes the analysis: the resumed stage
+// rewinds the machine the alignment left and captures the dump, CSVs
+// and candidates an uncancelled analysis does.
+func TestAlignedDumpResumesAfterCancelledReplay(t *testing.T) {
+	ctx := context.Background()
+	p := fig1Pipeline(t, core.Config{})
+	fail, err := p.ProvokeFailureContext(ctx)
+	if err != nil {
+		t.Fatalf("provoke: %v", err)
+	}
+	want := p.NewAnalysis(fail)
+	if err := want.ThroughContext(ctx, core.StageCandidates); err != nil {
+		t.Fatalf("uncancelled analysis: %v", err)
+	}
+
+	a := p.NewAnalysis(fail)
+	if err := a.ThroughContext(ctx, core.StageAlign); err != nil {
+		t.Fatalf("align: %v", err)
+	}
+	// The stage loop's check passes; the replay's first poll cancels.
+	err = a.ThroughContext(&cancelAfterCtx{Context: ctx, n: 1}, core.StageAlignedDump)
+	if !errors.Is(err, core.ErrCancelled) {
+		t.Fatalf("want ErrCancelled from the replay, got %v", err)
+	}
+	if a.Report.AlignedDump != nil {
+		t.Fatal("a cancelled replay captured a dump")
+	}
+	if err := a.ThroughContext(ctx, core.StageCandidates); err != nil {
+		t.Fatalf("resumed analysis: %v", err)
+	}
+	if !reflect.DeepEqual(a.Report.AlignedDump, want.Report.AlignedDump) {
+		t.Fatal("resumed replay captured a different aligned dump")
+	}
+	if got, w := csvPaths(a.Report), csvPaths(want.Report); !reflect.DeepEqual(got, w) {
+		t.Fatalf("resumed CSVs %v, want %v", got, w)
+	}
+	if got, w := len(a.Report.Candidates), len(want.Report.Candidates); got != w {
+		t.Fatalf("resumed analysis has %d candidates, want %d", got, w)
 	}
 }
 
