@@ -102,10 +102,9 @@ func TestReverseOnCorpusCrashSites(t *testing.T) {
 		saved := *in
 		// Patch: crash when this statement executes.
 		in.Op = ir.OpAssert
-		in.Cond = falseExpr()
 		in.SrcCond = &lang.BoolLit{Value: false}
 		in.Msg = "injected"
-		cp.RefreshBytecode() // keep the bytecode engine in sync with the patch
+		refresh(t, cp) // keep the bytecode engine in sync with the patch
 
 		tr := index.NewTracker(cp, pdeps)
 		m := interp.New(cp, nil)
@@ -126,7 +125,7 @@ func TestReverseOnCorpusCrashSites(t *testing.T) {
 			checked++
 		}
 		*in = saved
-		cp.RefreshBytecode()
+		refresh(t, cp)
 	}
 	if checked < 20 {
 		t.Fatalf("only %d crash sites checked", checked)
@@ -177,7 +176,13 @@ func (c *execCounter) OnExitFunc(*interp.Thread, int)         {}
 func (c *execCounter) OnRead(*interp.Thread, interp.VarID)    {}
 func (c *execCounter) OnWrite(*interp.Thread, interp.VarID)   {}
 
-func falseExpr() *ir.Expr { return &ir.Expr{Kind: ir.EBool} }
+// refresh recompiles cp's bytecode after an instruction patch.
+func refresh(t *testing.T, cp *ir.Program) {
+	t.Helper()
+	if err := cp.RefreshBytecode(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func captureCrash(t *testing.T, m *interp.Machine) *coredump.Dump {
 	t.Helper()

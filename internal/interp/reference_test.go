@@ -877,7 +877,8 @@ func referenceCases() []refCase {
 // reference produce identical traces (events with reads/writes, branch
 // outcomes and call marks), crashes and outputs. The reference shares
 // nothing with the machine beyond the instruction stream, so agreement
-// pins both layers of lowering (name→slot and tree→bytecode) at once.
+// pins the lowering of source operands to bytecode, with each name
+// resolved to its slot and each superinstruction selected.
 func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 	for _, rc := range referenceCases() {
 		t.Run(rc.name, func(t *testing.T) {

@@ -1,17 +1,33 @@
 package ir
 
+import (
+	"fmt"
+
+	"heisendump/internal/lang"
+)
+
 // This file is the bytecode backend: a Compile-stage pass that lowers
-// the resolved Expr/LValue trees of each instruction into a flat
+// the source operands (Instr.Src*) of each instruction into a flat
 // []Code array, the only form the interpreter executes (interp's
-// bytecode.go). The trees remain on the Instr for the static analyses
-// and diagnostics; the bytecode is their executable encoding.
+// bytecode.go). It resolves each name where it lowers it, so the
+// trial hot path never consults a string-keyed map:
+//
+//   - a variable is a local of the function (an index into
+//     Func.Locals), else a global scalar (into Program.ScalarNames);
+//   - an array is a global array (into Program.ArrayNames);
+//   - a field name interns into the Names pool.
+//
+// Callees and locks are resolved by Compile's link step. The name
+// tables on Program and Func map slots back to source names, so
+// traces, crash reports and core dumps keep speaking names.
 //
 // Design:
 //
 //   - Fixed-width ops: one Code is an opcode plus three int32 operands
 //     (slots, constant-pool indices, resolved jump targets). The
 //     dispatch loop is a single switch over a pc-indexed array — no
-//     pointer chasing through Expr nodes, no per-node type switches.
+//     pointer chasing through expression nodes, no per-node type
+//     switches.
 //
 //   - One ir.Instr lowers to a short run of Codes ending in a BEnd*
 //     terminal op (or in the operand word of a compare-and-branch
@@ -54,6 +70,47 @@ package ir
 //     index the op was lowered from, so diagnostics and profilers can
 //     recover the Instr (and through it the Src* AST and line) for any
 //     bytecode position.
+
+// ExprOp enumerates the unary and binary operators: the operator
+// operand of BBinop and of the fused compares. The unary ones number
+// the rest; BNot and BNeg carry no operand.
+type ExprOp uint8
+
+const (
+	ExNot ExprOp = iota
+	ExNeg
+	ExAdd
+	ExSub
+	ExMul
+	ExDiv
+	ExMod
+	ExEq
+	ExNe
+	ExLt
+	ExLe
+	ExGt
+	ExGe
+	ExLAnd
+	ExLOr
+)
+
+var exprOpNames = [...]string{"!", "-", "+", "-", "*", "/", "%",
+	"==", "!=", "<", "<=", ">", ">=", "&&", "||"}
+
+// String returns the surface-syntax operator.
+func (o ExprOp) String() string {
+	if int(o) < len(exprOpNames) {
+		return exprOpNames[o]
+	}
+	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// binOps maps a source binary operator to its ExprOp.
+var binOps = map[string]ExprOp{
+	"+": ExAdd, "-": ExSub, "*": ExMul, "/": ExDiv, "%": ExMod,
+	"==": ExEq, "!=": ExNe, "<": ExLt, "<=": ExLe, ">": ExGt, ">=": ExGe,
+	"&&": ExLAnd, "||": ExLOr,
+}
 
 // BOp enumerates bytecode opcodes. Ops named BEnd* are terminals: they
 // complete the current ir instruction, advance the ir-level PC, and
@@ -290,25 +347,37 @@ type Bytecode struct {
 }
 
 // RefreshBytecode recompiles the program's bytecode image from its
-// (resolved) instruction trees. A compiled Program is normally
+// instructions' source operands. A compiled Program is normally
 // immutable and never needs this; it exists for test harnesses that
 // patch instructions in place (e.g. injecting crash sites) and must
-// keep the bytecode in sync with the trees they edited.
-func (p *Program) RefreshBytecode() { p.BC = compileBytecode(p) }
+// keep the bytecode in sync with the operands they edited.
+func (p *Program) RefreshBytecode() error {
+	bc, err := compileBytecode(p)
+	if err != nil {
+		return err
+	}
+	p.BC = bc
+	return nil
+}
 
-// compileBytecode lowers every function of an already-resolved program
-// into its bytecode image. Called by Compile after resolveFunc; any
-// error is a compiler invariant violation, not a user-program error.
-func compileBytecode(p *Program) *Bytecode {
+// compileBytecode lowers every function of a linked program into its
+// bytecode image. Check has refused a program whose names do not
+// resolve, so an error is a compiler invariant violation, not a
+// user-program error.
+func compileBytecode(p *Program) (*Bytecode, error) {
 	bc := &Bytecode{
 		constIdx: map[int64]int32{},
 		nameIdx:  map[string]int32{},
 	}
 	for _, fn := range p.Funcs {
-		bc.Funcs = append(bc.Funcs, bc.lowerFunc(fn))
+		bf, err := bc.lowerFunc(p, fn)
+		if err != nil {
+			return nil, fmt.Errorf("ir: %s: %w", fn.Name, err)
+		}
+		bc.Funcs = append(bc.Funcs, bf)
 	}
 	bc.constIdx, bc.nameIdx, bc.listed = nil, nil, nil
-	return bc
+	return bc, nil
 }
 
 func (bc *Bytecode) constOf(v int64) int32 {
@@ -360,19 +429,30 @@ func (bc *Bytecode) fieldSetOf(fields []string) int32 {
 	return set
 }
 
-// bfcomp lowers one function.
+// bfcomp lowers one function. err holds the first operand the
+// lowering could not resolve: lowering goes on past it, and lowerFunc
+// reports it once the instruction is done.
 type bfcomp struct {
 	bc   *Bytecode
+	prog *Program
+	fn   *Func
 	out  *BFunc
 	cur  int32 // ir instruction index being lowered (for the source map)
 	sp   int32 // current stack depth within the instruction
 	peak int32 // peak depth within the instruction
+	err  error
 }
 
 func (c *bfcomp) emit(op BOp, a, b, d int32) int32 {
 	c.out.Code = append(c.out.Code, Code{Op: op, A: a, B: b, C: d})
 	c.out.Src = append(c.out.Src, c.cur)
 	return int32(len(c.out.Code) - 1)
+}
+
+func (c *bfcomp) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
 }
 
 // push/pop track the value-stack effect of emitted ops so MaxStack is
@@ -386,13 +466,17 @@ func (c *bfcomp) push(n int32) {
 
 func (c *bfcomp) pop(n int32) { c.sp -= n }
 
-func (bc *Bytecode) lowerFunc(fn *Func) *BFunc {
-	c := &bfcomp{bc: bc, out: &BFunc{}}
+func (bc *Bytecode) lowerFunc(p *Program, fn *Func) (*BFunc, error) {
+	c := &bfcomp{bc: bc, prog: p, fn: fn, out: &BFunc{}}
 	for i := range fn.Instrs {
+		in := &fn.Instrs[i]
 		c.cur = int32(i)
 		c.out.Entry = append(c.out.Entry, int32(len(c.out.Code)))
 		c.sp, c.peak = 0, 0
-		c.lowerInstr(&fn.Instrs[i])
+		c.lowerInstr(in)
+		if c.err != nil {
+			return nil, fmt.Errorf("instr %d (line %d): %w", i, in.Line, c.err)
+		}
 		var sync int32
 		switch op := c.out.Code[c.out.Entry[i]]; op.Op {
 		case BEndAcquire:
@@ -408,10 +492,10 @@ func (bc *Bytecode) lowerFunc(fn *Func) *BFunc {
 	if c.out.MaxStack > bc.MaxStack {
 		bc.MaxStack = c.out.MaxStack
 	}
-	return c.out
+	return c.out, nil
 }
 
-// simpleSlot classifies an expression as a directly addressable
+// operandClass classifies an expression as a directly addressable
 // operand for superinstruction selection: a local slot, a global slot,
 // or an integer constant.
 type operandClass uint8
@@ -423,17 +507,37 @@ const (
 	opConst
 )
 
-func classify(e *Expr) (operandClass, int64) {
-	if e == nil {
-		return opNone, 0
+// scalar resolves a variable name as the language scopes it: a local
+// of the function, else a global scalar. It is opNone when the name is
+// neither.
+func (c *bfcomp) scalar(name string) (operandClass, int32) {
+	if slot, ok := c.fn.localIndex[name]; ok {
+		return opLocal, int32(slot)
 	}
-	switch e.Kind {
-	case ELocal:
-		return opLocal, int64(e.Slot)
-	case EGlobal:
-		return opGlobal, int64(e.Slot)
-	case EInt:
-		return opConst, e.Num
+	if slot := c.prog.GlobalSlot(name); slot >= 0 {
+		return opGlobal, int32(slot)
+	}
+	return opNone, 0
+}
+
+// array resolves a global array name to its slot.
+func (c *bfcomp) array(name string) int32 {
+	slot := c.prog.ArraySlot(name)
+	if slot < 0 {
+		c.fail("unresolved array %q", name)
+	}
+	return int32(slot)
+}
+
+// operand classifies e: a variable's slot, or an integer literal's
+// value.
+func (c *bfcomp) operand(e lang.Expr) (operandClass, int64) {
+	switch e := e.(type) {
+	case *lang.VarRef:
+		class, slot := c.scalar(e.Name)
+		return class, int64(slot)
+	case *lang.IntLit:
+		return opConst, e.Value
 	}
 	return opNone, 0
 }
@@ -443,15 +547,15 @@ func isCmp(op ExprOp) bool { return op >= ExEq && op <= ExGe }
 func (c *bfcomp) lowerInstr(in *Instr) {
 	switch in.Op {
 	case OpAssign:
-		c.lowerAssign(in)
+		c.lowerAssign(in.SrcLHS, in.SrcRHS)
 
 	case OpBranch:
-		if op, a, b, ok := c.cmpShape(in.Cond); ok {
-			c.emit(op-BCmpLL+BEndBrLL, a, b, int32(in.Cond.Op))
+		if cmp, ok := c.cmpShape(in.SrcCond); ok {
+			c.emit(cmp.Op-BCmpLL+BEndBrLL, cmp.A, cmp.B, cmp.C)
 			c.emit(BTargets, int32(in.True), int32(in.False), 0)
 			return
 		}
-		c.cond(in.Cond)
+		c.cond(in.SrcCond)
 		c.pop(1)
 		c.emit(BEndBranch, int32(in.True), int32(in.False), 0)
 
@@ -459,28 +563,29 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 		c.emit(BEndJump, int32(in.True), 0, 0)
 
 	case OpCall, OpSpawn:
-		for _, a := range in.Args {
+		for _, a := range in.SrcArgs {
 			c.expr(a)
 		}
-		c.pop(int32(len(in.Args)))
+		n := int32(len(in.SrcArgs))
+		c.pop(n)
 		if in.Op == OpSpawn {
-			c.emit(BEndSpawn, in.Callee, int32(len(in.Args)), 0)
+			c.emit(BEndSpawn, in.Callee, n, 0)
 			return
 		}
-		call := c.emit(BEndCall, in.Callee, int32(len(in.Args)), 0)
-		if in.LHS != nil {
+		call := c.emit(BEndCall, in.Callee, n, 0)
+		if in.SrcLHS != nil {
 			// The bind code follows the call in its segment: the
 			// return step runs it on the caller's frame with the
 			// result on the stack.
 			c.out.Code[call].C = call + 1
 			c.push(1)
-			c.store(in.LHS, 1)
+			c.store(in.SrcLHS, 1)
 		}
 
 	case OpReturn:
 		hasVal := int32(0)
-		if in.RHS != nil {
-			c.expr(in.RHS)
+		if in.SrcRHS != nil {
+			c.expr(in.SrcRHS)
 			c.pop(1)
 			hasVal = 1
 		}
@@ -493,14 +598,17 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 		c.emit(BEndRelease, in.Lock, 0, 0)
 
 	case OpAssert:
-		c.cond(in.Cond)
+		c.cond(in.SrcCond)
 		c.pop(1)
 		c.emit(BEndAssert, 0, 0, 0)
 
 	case OpOutput:
-		c.expr(in.RHS)
+		c.expr(in.SrcRHS)
 		c.pop(1)
 		c.emit(BEndOutput, 0, 0, 0)
+
+	default:
+		c.fail("unknown op %v", in.Op)
 	}
 }
 
@@ -509,20 +617,19 @@ func (c *bfcomp) lowerInstr(in *Instr) {
 // fused form preserves the source evaluation (and hook-event) order:
 // RHS reads first, then the index/object reads of the target, then the
 // write.
-func (c *bfcomp) lowerAssign(in *Instr) {
-	lv, rhs := in.LHS, in.RHS
-	switch lv.Kind {
-	case LVLocal, LVGlobal:
-		if c.fusedScalarStore(lv.Slot, rhs, lv.Kind == LVLocal) {
+func (c *bfcomp) lowerAssign(lv lang.LValue, rhs lang.Expr) {
+	switch lv := lv.(type) {
+	case *lang.VarLV:
+		if class, dst := c.scalar(lv.Name); class != opNone && c.fusedScalarStore(dst, rhs, class == opLocal) {
 			return
 		}
-	case LVArray:
-		idxClass, idxSlot := classify(lv.Index)
-		rhsClass, rhsSlot := classify(rhs)
+	case *lang.IndexLV:
+		idxClass, idxSlot := c.operand(lv.Index)
+		rhsClass, rhsSlot := c.operand(rhs)
 		if idxClass == opLocal && rhsClass == opLocal {
 			// arr[i] = v with both locals: single op, hook order
 			// read(v), read(i), write(arr[i]).
-			c.emit(BEndLToArr, lv.Slot, int32(idxSlot), int32(rhsSlot))
+			c.emit(BEndLToArr, c.array(lv.Name), int32(idxSlot), int32(rhsSlot))
 			return
 		}
 	}
@@ -534,70 +641,78 @@ func (c *bfcomp) lowerAssign(in *Instr) {
 // lv: the target's index or object is evaluated, then a store terminal
 // writes. keep is the terminal's C operand: 1 in a call site's bind
 // code, where the call already advanced the caller's PC.
-func (c *bfcomp) store(lv *LValue, keep int32) {
-	switch lv.Kind {
-	case LVLocal:
+func (c *bfcomp) store(lv lang.LValue, keep int32) {
+	switch lv := lv.(type) {
+	case *lang.VarLV:
 		c.pop(1)
-		c.emit(BEndAssignLocal, lv.Slot, 0, keep)
-	case LVGlobal:
-		c.pop(1)
-		c.emit(BEndAssignGlobal, lv.Slot, 0, keep)
-	case LVArray:
-		if ic, is := classify(lv.Index); ic == opLocal {
+		switch class, slot := c.scalar(lv.Name); class {
+		case opLocal:
+			c.emit(BEndAssignLocal, slot, 0, keep)
+		case opGlobal:
+			c.emit(BEndAssignGlobal, slot, 0, keep)
+		default:
+			c.fail("unresolved variable %q in assignment", lv.Name)
+		}
+	case *lang.IndexLV:
+		slot := c.array(lv.Name)
+		if ic, is := c.operand(lv.Index); ic == opLocal {
 			c.pop(1)
-			c.emit(BEndAssignArrayLocal, lv.Slot, int32(is), keep)
+			c.emit(BEndAssignArrayLocal, slot, int32(is), keep)
 			return
 		}
 		c.expr(lv.Index)
 		c.pop(2)
-		c.emit(BEndAssignArray, lv.Slot, 0, keep)
-	case LVField:
+		c.emit(BEndAssignArray, slot, 0, keep)
+	case *lang.FieldLV:
 		c.expr(lv.Obj)
 		c.pop(2)
-		c.emit(BEndAssignField, c.bc.nameOf(lv.Name), 0, keep)
+		c.emit(BEndAssignField, c.bc.nameOf(lv.Field), 0, keep)
+	default:
+		c.fail("cannot compile lvalue %T", lv)
 	}
 }
 
 // fusedScalarStore emits a single-op store into a local (toLocal) or
 // global scalar slot when the RHS matches a fused shape. Returns false
 // when no shape applies.
-func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) bool {
-	switch rhs.Kind {
-	case ELocal:
-		if toLocal {
-			c.emit(BEndMoveLL, dst, rhs.Slot, 0)
-		} else {
-			c.emit(BEndMoveGL, dst, rhs.Slot, 0)
+func (c *bfcomp) fusedScalarStore(dst int32, rhs lang.Expr, toLocal bool) bool {
+	switch rhs := rhs.(type) {
+	case *lang.VarRef:
+		class, src := c.scalar(rhs.Name)
+		switch {
+		case class == opLocal && toLocal:
+			c.emit(BEndMoveLL, dst, src, 0)
+		case class == opLocal:
+			c.emit(BEndMoveGL, dst, src, 0)
+		case class == opGlobal && toLocal:
+			c.emit(BEndMoveLG, dst, src, 0)
+		case class == opGlobal:
+			c.emit(BEndMoveGG, dst, src, 0)
+		default:
+			return false
 		}
 		return true
-	case EGlobal:
-		if toLocal {
-			c.emit(BEndMoveLG, dst, rhs.Slot, 0)
-		} else {
-			c.emit(BEndMoveGG, dst, rhs.Slot, 0)
-		}
-		return true
-	case EInt:
-		k := c.bc.constOf(rhs.Num)
+	case *lang.IntLit:
+		k := c.bc.constOf(rhs.Value)
 		if toLocal {
 			c.emit(BEndConstL, dst, k, 0)
 		} else {
 			c.emit(BEndConstG, dst, k, 0)
 		}
 		return true
-	case EBinary:
+	case *lang.BinaryExpr:
 		// x = y ± k: the counter-bump shape (for-loop increments,
 		// instrumentation counters, completed-ops bookkeeping).
-		if rhs.Op != ExAdd && rhs.Op != ExSub {
+		if rhs.Op != "+" && rhs.Op != "-" {
 			return false
 		}
-		xc, xs := classify(rhs.X)
-		yc, yk := classify(rhs.Y)
+		xc, xs := c.operand(rhs.X)
+		yc, yk := c.operand(rhs.Y)
 		if yc != opConst {
 			return false
 		}
 		delta := yk
-		if rhs.Op == ExSub {
+		if rhs.Op == "-" {
 			delta = -yk
 		}
 		k := c.bc.constOf(delta)
@@ -610,11 +725,11 @@ func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) bool {
 			return true
 		}
 		return false
-	case EIndex:
+	case *lang.IndexExpr:
 		// x = arr[i] with a local index.
 		if toLocal {
-			if ic, is := classify(rhs.X); ic == opLocal {
-				c.emit(BEndArrToL, rhs.Slot, dst, int32(is))
+			if ic, is := c.operand(rhs.Index); ic == opLocal {
+				c.emit(BEndArrToL, c.array(rhs.Name), dst, int32(is))
 				return true
 			}
 		}
@@ -625,7 +740,7 @@ func (c *bfcomp) fusedScalarStore(dst int32, rhs *Expr, toLocal bool) bool {
 
 // cond emits code leaving a branch/assert condition on the stack,
 // fusing two-operand comparisons over directly addressable operands.
-func (c *bfcomp) cond(e *Expr) {
+func (c *bfcomp) cond(e lang.Expr) {
 	if !c.fusedCmp(e) {
 		c.expr(e)
 	}
@@ -633,110 +748,125 @@ func (c *bfcomp) cond(e *Expr) {
 
 // fusedCmp emits a single fused-compare op when e is one of the six
 // fused compare shapes (see cmpShape). Returns false when it is not.
-func (c *bfcomp) fusedCmp(e *Expr) bool {
-	op, a, b, ok := c.cmpShape(e)
+func (c *bfcomp) fusedCmp(e lang.Expr) bool {
+	cmp, ok := c.cmpShape(e)
 	if !ok {
 		return false
 	}
 	c.push(1)
-	c.emit(op, a, b, int32(e.Op))
+	c.emit(cmp.Op, cmp.A, cmp.B, cmp.C)
 	return true
 }
 
 // cmpShape matches e against the fused compare shapes, a two-operand
 // comparison over local/global operands with an optional constant on
-// the right, and returns the shape's BCmp* op and its A and B operands.
-func (c *bfcomp) cmpShape(e *Expr) (op BOp, a, b int32, ok bool) {
-	if e.Kind != EBinary || !isCmp(e.Op) {
-		return 0, 0, 0, false
+// the right, and returns the shape's BCmp* op with its operands in A
+// and B and the comparison's ExprOp in C.
+func (c *bfcomp) cmpShape(e lang.Expr) (Code, bool) {
+	be, ok := e.(*lang.BinaryExpr)
+	if !ok {
+		return Code{}, false
 	}
-	xc, xs := classify(e.X)
-	yc, ys := classify(e.Y)
-	a, b = int32(xs), int32(ys)
+	op, ok := binOps[be.Op]
+	if !ok || !isCmp(op) {
+		return Code{}, false
+	}
+	xc, xs := c.operand(be.X)
+	yc, ys := c.operand(be.Y)
+	cmp := Code{A: int32(xs), B: int32(ys), C: int32(op)}
 	switch {
 	case xc == opLocal && yc == opLocal:
-		op = BCmpLL
+		cmp.Op = BCmpLL
 	case xc == opLocal && yc == opConst:
-		op, b = BCmpLC, c.bc.constOf(ys)
+		cmp.Op, cmp.B = BCmpLC, c.bc.constOf(ys)
 	case xc == opLocal && yc == opGlobal:
-		op = BCmpLG
+		cmp.Op = BCmpLG
 	case xc == opGlobal && yc == opLocal:
-		op = BCmpGL
+		cmp.Op = BCmpGL
 	case xc == opGlobal && yc == opConst:
-		op, b = BCmpGC, c.bc.constOf(ys)
+		cmp.Op, cmp.B = BCmpGC, c.bc.constOf(ys)
 	case xc == opGlobal && yc == opGlobal:
-		op = BCmpGG
+		cmp.Op = BCmpGG
 	default:
-		return 0, 0, 0, false
+		return Code{}, false
 	}
-	return op, a, b, true
+	return cmp, true
 }
 
 // expr emits code that evaluates e and leaves one value on the stack,
 // reporting reads in source evaluation order.
-func (c *bfcomp) expr(e *Expr) {
-	switch e.Kind {
-	case EInt:
+func (c *bfcomp) expr(e lang.Expr) {
+	switch e := e.(type) {
+	case *lang.IntLit:
 		c.push(1)
-		c.emit(BConstInt, c.bc.constOf(e.Num), 0, 0)
+		c.emit(BConstInt, c.bc.constOf(e.Value), 0, 0)
 
-	case EBool:
+	case *lang.BoolLit:
+		v := int32(0)
+		if e.Value {
+			v = 1
+		}
 		c.push(1)
-		c.emit(BConstBool, int32(e.Num), 0, 0)
+		c.emit(BConstBool, v, 0, 0)
 
-	case ENull:
+	case *lang.NullLit:
 		c.push(1)
 		c.emit(BConstNull, 0, 0, 0)
 
-	case ELocal:
+	case *lang.VarRef:
 		c.push(1)
-		c.emit(BLoadLocal, e.Slot, 0, 0)
+		switch class, slot := c.scalar(e.Name); class {
+		case opLocal:
+			c.emit(BLoadLocal, slot, 0, 0)
+		case opGlobal:
+			c.emit(BLoadGlobal, slot, 0, 0)
+		default:
+			c.fail("unresolved variable %q", e.Name)
+		}
 
-	case EGlobal:
-		c.push(1)
-		c.emit(BLoadGlobal, e.Slot, 0, 0)
-
-	case EIndex:
-		if ic, is := classify(e.X); ic == opLocal {
+	case *lang.IndexExpr:
+		slot := c.array(e.Name)
+		if ic, is := c.operand(e.Index); ic == opLocal {
 			c.push(1)
-			c.emit(BLoadIndexLocal, e.Slot, int32(is), 0)
+			c.emit(BLoadIndexLocal, slot, int32(is), 0)
 			return
 		}
-		c.expr(e.X)
+		c.expr(e.Index)
 		// pop index, push element: net zero.
-		c.emit(BLoadIndex, e.Slot, 0, 0)
+		c.emit(BLoadIndex, slot, 0, 0)
 
-	case EField:
-		c.expr(e.X)
-		c.emit(BLoadField, c.bc.nameOf(e.Name), 0, 0)
+	case *lang.FieldExpr:
+		c.expr(e.Obj)
+		c.emit(BLoadField, c.bc.nameOf(e.Field), 0, 0)
 
-	case ENew:
+	case *lang.NewExpr:
 		c.push(1)
 		c.emit(BNew, c.bc.fieldSetOf(e.Fields), 0, 0)
 
-	case EUnary:
+	case *lang.UnaryExpr:
 		c.expr(e.X)
-		if e.Op == ExNot {
+		switch e.Op {
+		case "!":
 			c.emit(BNot, 0, 0, 0)
-		} else {
+		case "-":
 			c.emit(BNeg, 0, 0, 0)
+		default:
+			c.fail("unknown unary op %q", e.Op)
 		}
 
-	case EBinary:
-		switch e.Op {
-		case ExLAnd:
+	case *lang.BinaryExpr:
+		op, ok := binOps[e.Op]
+		switch {
+		case !ok:
+			c.fail("unknown binary op %q", e.Op)
+		case op == ExLAnd || op == ExLOr:
+			check := BAndCheck
+			if op == ExLOr {
+				check = BOrCheck
+			}
 			c.expr(e.X)
 			c.pop(1)
-			j := c.emit(BAndCheck, 0, 0, 0)
-			c.expr(e.Y)
-			c.pop(1)
-			c.emit(BBool, 0, 0, 0)
-			c.push(1)
-			c.out.Code[j].A = int32(len(c.out.Code))
-		case ExLOr:
-			c.expr(e.X)
-			c.pop(1)
-			j := c.emit(BOrCheck, 0, 0, 0)
+			j := c.emit(check, 0, 0, 0)
 			c.expr(e.Y)
 			c.pop(1)
 			c.emit(BBool, 0, 0, 0)
@@ -751,7 +881,10 @@ func (c *bfcomp) expr(e *Expr) {
 			c.expr(e.X)
 			c.expr(e.Y)
 			c.pop(1) // two operands fold to one result
-			c.emit(BBinop, int32(e.Op), 0, 0)
+			c.emit(BBinop, int32(op), 0, 0)
 		}
+
+	default:
+		c.fail("cannot compile expression %T", e)
 	}
 }

@@ -36,8 +36,8 @@ func Compile(p *lang.Program, opts Options) (*Program, error) {
 	}
 	out.Main = out.funcIndex["main"] // Check refused a program without one
 	// Intern globals, arrays and locks into the dense slot tables; the
-	// expression resolver below compiles every variable access down to
-	// an index into them.
+	// bytecode backend compiles every variable access down to an index
+	// into them.
 	for _, g := range p.Globals {
 		if g.ArraySize > 0 {
 			out.arrayIndex[g.Name] = len(out.ArrayNames)
@@ -54,25 +54,40 @@ func Compile(p *lang.Program, opts Options) (*Program, error) {
 	}
 	for _, f := range p.Funcs {
 		cf, err := compileFunc(f, opts)
-		if err != nil {
-			return nil, fmt.Errorf("ir: %s: %w", f.Name, err)
+		if err == nil {
+			err = out.link(cf)
 		}
-		if err := out.resolveFunc(cf); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("ir: %s: %w", f.Name, err)
 		}
 		out.Funcs = append(out.Funcs, cf)
 	}
-	out.BC = compileBytecode(out)
+	bc, err := compileBytecode(out)
+	if err != nil {
+		return nil, err
+	}
+	out.BC = bc
 	return out, nil
 }
 
-// MustCompile is Compile but panics on error.
-func MustCompile(p *lang.Program, opts Options) *Program {
-	cp, err := Compile(p, opts)
-	if err != nil {
-		panic(err)
+// link resolves each call's callee and each lock operation's lock to
+// its index. Check has refused a program that names a function or lock
+// it does not declare, so an error here is a compiler fault.
+func (p *Program) link(fn *Func) error {
+	for i := range fn.Instrs {
+		in := &fn.Instrs[i]
+		switch in.Op {
+		case OpCall, OpSpawn:
+			if in.Callee = int32(p.FuncIndex(in.CalleeName)); in.Callee < 0 {
+				return fmt.Errorf("instr %d (line %d): unresolved function %q", i, in.Line, in.CalleeName)
+			}
+		case OpAcquire, OpRelease:
+			if in.Lock = int32(p.LockID(in.LockName)); in.Lock < 0 {
+				return fmt.Errorf("instr %d (line %d): unresolved lock %q", i, in.Line, in.LockName)
+			}
+		}
 	}
-	return cp
+	return nil
 }
 
 // patchRef identifies one branch-target slot awaiting its destination.
@@ -90,7 +105,6 @@ type fcomp struct {
 	opts     Options
 	fn       *Func
 	instrs   []Instr
-	localSet map[string]bool
 	labels   map[string]int
 	gotoRefs []struct {
 		idx  int
@@ -104,10 +118,9 @@ type fcomp struct {
 
 func compileFunc(f *lang.Func, opts Options) (*Func, error) {
 	c := &fcomp{
-		opts:     opts,
-		fn:       &Func{Name: f.Name, Groups: map[int]GroupInfo{}},
-		localSet: map[string]bool{},
-		labels:   map[string]int{},
+		opts:   opts,
+		fn:     &Func{Name: f.Name, Groups: map[int]GroupInfo{}, localIndex: map[string]int{}},
+		labels: map[string]int{},
 	}
 	for _, prm := range f.Params {
 		c.fn.Params = append(c.fn.Params, prm.Name)
@@ -134,9 +147,10 @@ func compileFunc(f *lang.Func, opts Options) (*Func, error) {
 	return c.fn, nil
 }
 
+// addLocal gives a new local name the next frame slot.
 func (c *fcomp) addLocal(name string) {
-	if !c.localSet[name] {
-		c.localSet[name] = true
+	if _, ok := c.fn.localIndex[name]; !ok {
+		c.fn.localIndex[name] = len(c.fn.Locals)
 		c.fn.Locals = append(c.fn.Locals, name)
 	}
 }
@@ -181,7 +195,6 @@ func (c *fcomp) stmt(s lang.Stmt) error {
 		return nil
 
 	case *lang.AssignStmt:
-		c.noteLValue(s.LHS)
 		c.emit(Instr{Op: OpAssign, Line: s.Line(), SrcLHS: s.LHS, SrcRHS: s.RHS})
 		return nil
 
@@ -216,9 +229,6 @@ func (c *fcomp) stmt(s lang.Stmt) error {
 		return c.forLoop(s)
 
 	case *lang.CallStmt:
-		if s.Result != nil {
-			c.noteLValue(s.Result)
-		}
 		c.emit(Instr{Op: OpCall, Line: s.Line(), CalleeName: s.Name, SrcArgs: s.Args, SrcLHS: s.Result})
 		return nil
 
@@ -281,18 +291,6 @@ func (c *fcomp) stmt(s lang.Stmt) error {
 		return nil
 	}
 	return fmt.Errorf("line %d: cannot compile %T", s.Line(), s)
-}
-
-func (c *fcomp) noteLValue(lv lang.LValue) {
-	if v, ok := lv.(*lang.VarLV); ok {
-		// Assignment may target a global; addLocal is only for names not
-		// resolvable as globals. The interpreter resolves names locals-
-		// first, so registering a global name here would shadow it.
-		// lang.Check has already verified the name resolves; we only
-		// need to ensure declared locals appear in Locals, which VarStmt
-		// and params handle. So nothing to do for plain variables.
-		_ = v
-	}
 }
 
 // whileLoop compiles an uncounted loop. With instrumentation enabled the

@@ -58,31 +58,27 @@ func (o Op) String() string {
 
 // Instr is a single instruction. Field use by opcode:
 //
-//	OpAssign : LHS, RHS; Synth marks compiler-inserted loop-counter code
-//	OpBranch : Cond, True, False, PredGroup; loop heads set LoopID >= 0
+//	OpAssign : SrcLHS, SrcRHS; Synth marks compiler-inserted loop-counter code
+//	OpBranch : SrcCond, True, False, PredGroup; loop heads set LoopID >= 0
 //	OpJump   : True
-//	OpCall   : Callee, Args, LHS (optional result)
-//	OpReturn : RHS (optional)
+//	OpCall   : Callee, SrcArgs, SrcLHS (optional result)
+//	OpReturn : SrcRHS (optional)
 //	OpAcquire/OpRelease: Lock
-//	OpSpawn  : Callee, Args
-//	OpAssert : Cond, Msg
-//	OpOutput : RHS
+//	OpSpawn  : Callee, SrcArgs
+//	OpAssert : SrcCond, Msg
+//	OpOutput : SrcRHS
 //
-// LHS/RHS/Cond/Args are the compiled slot-addressed forms the
-// interpreter executes; Callee is a function index and Lock a lock id.
-// The Src* fields retain the source AST the instruction was lowered
-// from — the reference (name-map) interpreter in the interp tests
-// executes those, and they keep IR dumps readable.
+// The Src* operands are the source AST the instruction was lowered
+// from, its only operand form: the bytecode backend (bytecode.go)
+// lowers them to the code the interpreter executes, resolving each
+// name to its slot as it goes, the static analyses walk them, and the
+// reference (name-map) interpreter in the interp tests executes them.
+// Callee is a function index and Lock a lock id, both resolved by
+// Compile.
 type Instr struct {
 	Op   Op
 	Line int
 
-	// Compiled operands: every variable, array, lock and callee is
-	// resolved to an integer slot (see expr.go). Filled by Compile.
-	LHS    *LValue
-	RHS    *Expr
-	Cond   *Expr
-	Args   []*Expr
 	Callee int32 // index into Program.Funcs
 	Lock   int32 // index into Program.Locks
 
@@ -229,9 +225,9 @@ type Program struct {
 	ArrayDecls  []*lang.VarDecl
 
 	// BC is the bytecode image of the program: every instruction's
-	// resolved operand trees lowered to flat fixed-width code (see
-	// bytecode.go). The interpreter executes it; the analyses read
-	// the trees.
+	// source operands lowered to flat fixed-width code over resolved
+	// slots (see bytecode.go). The interpreter executes it; the
+	// analyses read the instructions.
 	BC *Bytecode
 
 	funcIndex   map[string]int
@@ -277,9 +273,6 @@ func (p *Program) LockID(name string) int {
 	return -1
 }
 
-// FuncOf returns the function containing pc.
-func (p *Program) FuncOf(pc PC) *Func { return p.Funcs[pc.F] }
-
 // InstrAt returns the instruction at pc.
 func (p *Program) InstrAt(pc PC) *Instr { return &p.Funcs[pc.F].Instrs[pc.I] }
 
@@ -291,13 +284,4 @@ func (p *Program) FormatPC(pc PC) string {
 		return fmt.Sprintf("%s@exit", f.Name)
 	}
 	return fmt.Sprintf("%s@%d (line %d)", f.Name, pc.I, f.Instrs[pc.I].Line)
-}
-
-// NumInstrs returns the total instruction count across functions.
-func (p *Program) NumInstrs() int {
-	n := 0
-	for _, f := range p.Funcs {
-		n += len(f.Instrs)
-	}
-	return n
 }

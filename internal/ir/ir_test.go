@@ -226,14 +226,8 @@ func main() {
 	if cp.FuncIndex("main") != 0 || cp.FuncIndex("ghost") != -1 {
 		t.Fatal("FuncIndex wrong")
 	}
-	if cp.FuncOf(pc).Name != "main" {
-		t.Fatal("FuncOf wrong")
-	}
 	if cp.InstrAt(pc).Op != ir.OpOutput {
 		t.Fatal("InstrAt wrong")
-	}
-	if cp.NumInstrs() != len(cp.Funcs[0].Instrs) {
-		t.Fatal("NumInstrs wrong")
 	}
 	exitPC := ir.PC{F: 0, I: len(cp.Funcs[0].Instrs)}
 	if cp.FormatPC(exitPC) == "" {
@@ -292,27 +286,6 @@ end:
 	}
 }
 
-func TestMustCompilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCompile should panic on a bad program")
-		}
-	}()
-	// Valid parse-wise, but duplicate label fails at compile time.
-	p := lang.MustParse(`
-program dl;
-func main() {
-l:
-    output 1;
-    goto l;
-}
-`)
-	// Introduce the duplicate label behind the checker's back.
-	fn := p.Func("main")
-	fn.Body.Stmts = append(fn.Body.Stmts, &lang.LabelStmt{Name: "l"})
-	ir.MustCompile(p, ir.Options{})
-}
-
 // TestFieldSetsDropRepeats: each `new` gets its own field list, with
 // a repeated name kept once at its first position, also for a `new`
 // that lists, twice over, all but the two names the others spell of
@@ -356,6 +329,31 @@ func main() {
 			if got := names(set); !reflect.DeepEqual(got, []string{"b", "a"}) {
 				t.Errorf("set = %v, want [b a]", got)
 			}
+		}
+	}
+}
+
+// TestRefreshBytecodeRefusesBrokenOperands: an operand the checker
+// would have refused, patched in behind its back, is a lowering error
+// naming the instruction, not a panic.
+func TestRefreshBytecodeRefusesBrokenOperands(t *testing.T) {
+	ghost := &lang.VarRef{Name: "ghost"}
+	for name, patch := range map[string]func(in *ir.Instr){
+		"variable read":  func(in *ir.Instr) { in.SrcRHS = ghost },
+		"variable write": func(in *ir.Instr) { in.SrcLHS = &lang.VarLV{Name: "ghost"} },
+		"array read":     func(in *ir.Instr) { in.SrcRHS = &lang.IndexExpr{Name: "x", Index: ghost} },
+		"array write":    func(in *ir.Instr) { in.SrcLHS = &lang.IndexLV{Name: "ghost", Index: &lang.IntLit{}} },
+		"unary op":       func(in *ir.Instr) { in.SrcRHS = &lang.UnaryExpr{Op: "~", X: &lang.IntLit{}} },
+		"binary op":      func(in *ir.Instr) { in.SrcRHS = &lang.BinaryExpr{Op: "^", X: ghost, Y: ghost} },
+		"no operand":     func(in *ir.Instr) { in.SrcRHS = nil },
+		"no target":      func(in *ir.Instr) { in.SrcLHS = nil },
+		"no condition":   func(in *ir.Instr) { in.Op, in.SrcCond = ir.OpBranch, nil },
+		"unknown op":     func(in *ir.Instr) { in.Op = ir.Op(99) },
+	} {
+		cp := compile(t, "program p;\nglobal int x;\nfunc main() {\n  x = 1;\n}\n", false)
+		patch(cp.InstrAt(ir.PC{}))
+		if err := cp.RefreshBytecode(); err == nil || !strings.Contains(err.Error(), "main: instr 0 (line 4)") {
+			t.Errorf("%s: RefreshBytecode = %v, want an error at main's instruction 0", name, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"heisendump/internal/ir"
+	"heisendump/internal/lang"
 )
 
 // This file extracts every shared-location access from the compiled
@@ -81,17 +82,17 @@ func (a *analysis) collectAccesses() {
 			}
 			switch in.Op {
 			case ir.OpAssign:
-				a.walkLValue(in.LHS, at)
-				a.walkExpr(in.RHS, at)
+				a.walkLValue(f, in.SrcLHS, at)
+				a.walkExpr(f, in.SrcRHS, at)
 			case ir.OpBranch, ir.OpAssert:
-				a.walkExpr(in.Cond, at)
+				a.walkExpr(f, in.SrcCond, at)
 			case ir.OpReturn, ir.OpOutput:
-				a.walkExpr(in.RHS, at)
+				a.walkExpr(f, in.SrcRHS, at)
 			case ir.OpCall, ir.OpSpawn:
-				for _, arg := range in.Args {
-					a.walkExpr(arg, at)
+				for _, arg := range in.SrcArgs {
+					a.walkExpr(f, arg, at)
 				}
-				a.walkLValue(in.LHS, at)
+				a.walkLValue(f, in.SrcLHS, at)
 			case ir.OpAcquire:
 				for _, held := range a.heldLocks(held) {
 					a.edges = append(a.edges, lockEdge{
@@ -120,51 +121,54 @@ func (a *analysis) heldLocks(held uint64) []int32 {
 
 type accessSink func(key locKey, write bool, constIdx int64, hasConst bool)
 
-// walkExpr records every shared read in e.
-func (a *analysis) walkExpr(e *ir.Expr, at accessSink) {
-	if e == nil {
-		return
-	}
-	switch e.Kind {
-	case ir.EGlobal:
-		at(locKey{kind: LocScalar, slot: e.Slot, name: e.Name}, false, 0, false)
-	case ir.EIndex:
-		ci, hasConst := int64(0), false
-		if e.X != nil && e.X.Kind == ir.EInt {
-			ci, hasConst = e.X.Num, true
+// walkExpr records every shared read in e, an operand of one of fn's
+// instructions. A variable that is not one of fn's locals is a global
+// scalar.
+func (a *analysis) walkExpr(fn *ir.Func, e lang.Expr, at accessSink) {
+	switch e := e.(type) {
+	case *lang.VarRef:
+		if fn.LocalSlot(e.Name) < 0 {
+			at(locKey{kind: LocScalar, slot: int32(a.prog.GlobalSlot(e.Name)), name: e.Name}, false, 0, false)
 		}
-		at(locKey{kind: LocArray, slot: e.Slot, name: e.Name}, false, ci, hasConst)
-		a.walkExpr(e.X, at)
-	case ir.EField:
-		at(locKey{kind: LocField, slot: -1, name: e.Name}, false, 0, false)
-		a.walkExpr(e.X, at)
-	case ir.EUnary:
-		a.walkExpr(e.X, at)
-	case ir.EBinary:
-		a.walkExpr(e.X, at)
-		a.walkExpr(e.Y, at)
+	case *lang.IndexExpr:
+		ci, hasConst := constIndex(e.Index)
+		at(locKey{kind: LocArray, slot: int32(a.prog.ArraySlot(e.Name)), name: e.Name}, false, ci, hasConst)
+		a.walkExpr(fn, e.Index, at)
+	case *lang.FieldExpr:
+		at(locKey{kind: LocField, slot: -1, name: e.Field}, false, 0, false)
+		a.walkExpr(fn, e.Obj, at)
+	case *lang.UnaryExpr:
+		a.walkExpr(fn, e.X, at)
+	case *lang.BinaryExpr:
+		a.walkExpr(fn, e.X, at)
+		a.walkExpr(fn, e.Y, at)
 	}
 }
 
 // walkLValue records the shared write (and any embedded reads) in lv.
-func (a *analysis) walkLValue(lv *ir.LValue, at accessSink) {
-	if lv == nil {
-		return
-	}
-	switch lv.Kind {
-	case ir.LVGlobal:
-		at(locKey{kind: LocScalar, slot: lv.Slot, name: lv.Name}, true, 0, false)
-	case ir.LVArray:
-		ci, hasConst := int64(0), false
-		if lv.Index != nil && lv.Index.Kind == ir.EInt {
-			ci, hasConst = lv.Index.Num, true
+func (a *analysis) walkLValue(fn *ir.Func, lv lang.LValue, at accessSink) {
+	switch lv := lv.(type) {
+	case *lang.VarLV:
+		if fn.LocalSlot(lv.Name) < 0 {
+			at(locKey{kind: LocScalar, slot: int32(a.prog.GlobalSlot(lv.Name)), name: lv.Name}, true, 0, false)
 		}
-		at(locKey{kind: LocArray, slot: lv.Slot, name: lv.Name}, true, ci, hasConst)
-		a.walkExpr(lv.Index, at)
-	case ir.LVField:
-		at(locKey{kind: LocField, slot: -1, name: lv.Name}, true, 0, false)
-		a.walkExpr(lv.Obj, at)
+	case *lang.IndexLV:
+		ci, hasConst := constIndex(lv.Index)
+		at(locKey{kind: LocArray, slot: int32(a.prog.ArraySlot(lv.Name)), name: lv.Name}, true, ci, hasConst)
+		a.walkExpr(fn, lv.Index, at)
+	case *lang.FieldLV:
+		at(locKey{kind: LocField, slot: -1, name: lv.Field}, true, 0, false)
+		a.walkExpr(fn, lv.Obj, at)
 	}
+}
+
+// constIndex returns the value of an array index that is an integer
+// literal.
+func constIndex(e lang.Expr) (int64, bool) {
+	if lit, ok := e.(*lang.IntLit); ok {
+		return lit.Value, true
+	}
+	return 0, false
 }
 
 // races pairs conflicting accesses per location into the report's
