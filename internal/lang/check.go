@@ -4,7 +4,8 @@ import "fmt"
 
 // Check performs static validation of a program: entry point presence,
 // declaration-before-use of variables, resolution of function names,
-// lock names and goto labels, and duplicate-declaration detection.
+// lock names and goto labels, and duplicate-declaration detection
+// (labels included).
 // Parse runs Check automatically; programs built directly from AST nodes
 // should call it before compilation. Every rejection is a typed *Error
 // with Phase "check" (message text unchanged), so callers can classify
@@ -79,30 +80,43 @@ func check(p *Program) error {
 			}
 			c.locals[prm.Name] = prm.Type
 		}
-		collectLabels(f.Body, c.labels)
-		if err := c.checkBlock(f.Body, 0); err != nil {
+		err := collectLabels(f.Body, c.labels)
+		if err == nil {
+			err = c.checkBlock(f.Body, 0)
+		}
+		if err != nil {
 			return fmt.Errorf("lang: %s: %w", f.Name, err)
 		}
 	}
 	return nil
 }
 
-func collectLabels(b *Block, out map[string]bool) {
+// collectLabels records every label of b and its nested blocks in out,
+// so a goto may jump forward, and refuses a label a function already
+// has, at the repeat's line.
+func collectLabels(b *Block, out map[string]bool) error {
 	for _, s := range b.Stmts {
+		var err error
 		switch s := s.(type) {
 		case *LabelStmt:
+			if out[s.Name] {
+				return fmt.Errorf("line %d: duplicate label %q", s.Line(), s.Name)
+			}
 			out[s.Name] = true
 		case *IfStmt:
-			collectLabels(s.Then, out)
-			if s.Else != nil {
-				collectLabels(s.Else, out)
+			if err = collectLabels(s.Then, out); err == nil && s.Else != nil {
+				err = collectLabels(s.Else, out)
 			}
 		case *WhileStmt:
-			collectLabels(s.Body, out)
+			err = collectLabels(s.Body, out)
 		case *ForStmt:
-			collectLabels(s.Body, out)
+			err = collectLabels(s.Body, out)
+		}
+		if err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 type checker struct {

@@ -132,6 +132,7 @@ func TestParseErrors(t *testing.T) {
 		"dup lock":         `program p; lock L; lock L; func main() { }`,
 		"dup local":        `program p; func main() { var int a; var int a; }`,
 		"dup param":        `program p; func main() { } func f(int a, int a) { }`,
+		"dup label":        "program p;\nglobal int x;\nfunc main() {\n  L: x = 1;\n  if (x > 0) {\n    L: x = 2;\n  }\n}\n",
 		"arity mismatch":   `program p; func main() { f(1, 2); } func f(int a) { }`,
 		"bool array":       `program p; global bool b[3]; func main() { }`,
 		"unterminated str": `program p; func main() { assert(true, "oops); }`,

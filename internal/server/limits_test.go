@@ -128,6 +128,30 @@ func TestOversizedArrayRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestDuplicateLabelIsBadProgram: a function that declares one goto
+// label twice is the client's fault, a typed 400 bad_program in phase
+// check at the second label's line, on both admission endpoints.
+func TestDuplicateLabelIsBadProgram(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	src := "program p;\nglobal int x;\nfunc main() {\n  L: x = 1;\n  L: x = 2;\n}\n"
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/analyze", AnalyzeRequest{Source: src}},
+		{"/v1/jobs", JobRequest{Source: src}},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", tc.path, resp.StatusCode)
+		}
+		if ep := decodeError(t, resp); ep.Code != CodeBadProgram || ep.Phase != "check" || ep.Line != 5 {
+			t.Fatalf("%s: payload %+v, want bad_program in phase check at line 5", tc.path, ep)
+		}
+	}
+}
+
 // TestDeeplyNestedSourceIsBadProgram: a job of 400,000 nested
 // parentheses (about 800 KB, under the 1 MiB body limit) is a typed
 // 400 bad_program on both endpoints, and the server keeps serving.
