@@ -850,12 +850,65 @@ func main() {
 }
 `}
 
+// loweringShapesSource holds the statement shapes the lowering tells
+// apart that neither the workloads nor the programs above lower: an
+// array store of a local at a local index, `!` and `||` inside
+// expressions. Beside them it has a global-to-global move, x = y - k
+// into a local and into a global, bool literals, `&&` in an
+// assignment, a call result bound into an array element at a computed
+// index and a field store through a chain, from two racing threads.
+var loweringShapesSource = refCase{name: "lowering-shapes", source: `
+program lowering;
+global int a[4];
+global int g;
+global int h;
+global bool flag;
+global bool seen;
+global ptr head;
+lock L;
+func pick(int v) {
+    return v % 4;
+}
+func worker(int k) {
+    var int i;
+    var int v;
+    var bool on;
+    for i = 0 .. 3 {
+        v = k * 10 + i;
+        a[i] = v;
+        acquire(L);
+        g = h;
+        h = h + k;
+        release(L);
+        v = i - 1;
+        on = !(v > k);
+        flag = on || g > 2;
+        seen = flag && !on;
+        a[(i + k) % 4] = pick(v + 4);
+        head.next.val = head.next.val + v;
+        if (false || seen) {
+            g = g - 1;
+        }
+    }
+}
+func main() {
+    head = new(val, next);
+    head.next = new(val, next);
+    flag = true;
+    seen = false;
+    spawn worker(1);
+    spawn worker(2);
+    head.next.val = g;
+    h = g - 2;
+}
+`}
+
 // referenceCases lists the reference comparison's inputs: every
 // registered workload, the call-result binding programs, a call that
 // faults in its argument, a program with every fused compare-and-branch
-// shape, and the generated programs of seeds 1–20, so
-// machine-manufactured programs stay under a per-seed differential
-// too.
+// shape, one with the remaining lowering shapes, and the generated
+// programs of seeds 1–20, so machine-manufactured programs stay under a
+// per-seed differential too.
 func referenceCases() []refCase {
 	var out []refCase
 	for _, name := range workloads.Names() {
@@ -863,7 +916,7 @@ func referenceCases() []refCase {
 		out = append(out, refCase{name: name, source: w.Source, input: w.Input})
 	}
 	out = append(out, callBindSources...)
-	out = append(out, callFaultSource, fusedBranchSource)
+	out = append(out, callFaultSource, fusedBranchSource, loweringShapesSource)
 	for seed := int64(1); seed <= 20; seed++ {
 		p := gen.Generate(seed)
 		out = append(out, refCase{name: fmt.Sprintf("gen-seed-%d", seed), source: p.Source, input: p.Input})
@@ -893,6 +946,31 @@ func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoweringShapesLowerAsNamed: lowering-shapes keeps lowering to
+// the ops it is in referenceCases for, so the reference comparison
+// keeps covering them.
+func TestLoweringShapesLowerAsNamed(t *testing.T) {
+	for _, instrument := range []bool{false, true} {
+		prog, err := progcache.Shared().Get(loweringShapesSource.source, instrument)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowered := map[ir.BOp]bool{}
+		for _, f := range prog.BC.Funcs {
+			for _, c := range f.Code {
+				lowered[c.Op] = true
+			}
+		}
+		for _, op := range []ir.BOp{ir.BEndLToArr, ir.BNot, ir.BOrCheck, ir.BAndCheck,
+			ir.BEndMoveGG, ir.BEndIncL, ir.BEndIncG, ir.BConstBool,
+			ir.BEndAssignArray, ir.BEndAssignField, ir.BLoadField} {
+			if !lowered[op] {
+				t.Errorf("instrument=%v: no %v op", instrument, op)
+			}
+		}
 	}
 }
 

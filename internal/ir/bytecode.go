@@ -71,9 +71,9 @@ import (
 //     recover the Instr (and through it the Src* AST and line) for any
 //     bytecode position.
 
-// ExprOp enumerates the unary and binary operators: the operator
-// operand of BBinop and of the fused compares. The unary ones number
-// the rest; BNot and BNeg carry no operand.
+// ExprOp enumerates the operators as the bytecode encodes them: in
+// BBinop's A operand and a fused compare's C operand. ExNot and ExNeg,
+// which BNot and BNeg imply, keep their place in the numbering.
 type ExprOp uint8
 
 const (
@@ -93,17 +93,6 @@ const (
 	ExLAnd
 	ExLOr
 )
-
-var exprOpNames = [...]string{"!", "-", "+", "-", "*", "/", "%",
-	"==", "!=", "<", "<=", ">", ">=", "&&", "||"}
-
-// String returns the surface-syntax operator.
-func (o ExprOp) String() string {
-	if int(o) < len(exprOpNames) {
-		return exprOpNames[o]
-	}
-	return fmt.Sprintf("op(%d)", int(o))
-}
 
 // binOps maps a source binary operator to its ExprOp.
 var binOps = map[string]ExprOp{
