@@ -90,6 +90,30 @@ func TestFrontEndGolden(t *testing.T) {
 	}
 }
 
+// BenchmarkCompile times the front end every heisend job pays before
+// its run: lang.Parse, which runs Check, then ir.Compile with loop
+// instrumentation. One op compiles every registered workload and
+// generated seeds 1-200; it reports B/op and allocs/op, and µs per
+// program.
+func BenchmarkCompile(b *testing.B) {
+	corpus := frontEndCorpus(200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range corpus {
+			ast, err := lang.Parse(p.source)
+			if err != nil {
+				b.Fatalf("%s: %v", p.name, err)
+			}
+			if _, err := ir.Compile(ast, ir.Options{InstrumentLoops: true}); err != nil {
+				b.Fatalf("%s: %v", p.name, err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(corpus)), "µs/program")
+}
+
 // jsonSum renders v as JSON and returns the hex sha256 of the bytes.
 func jsonSum(t *testing.T, v any) string {
 	t.Helper()
