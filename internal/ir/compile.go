@@ -257,10 +257,7 @@ func (c *fcomp) stmt(s lang.Stmt) error {
 		return nil
 
 	case *lang.LabelStmt:
-		if _, dup := c.labels[s.Name]; dup {
-			return fmt.Errorf("line %d: duplicate label %q", s.Line(), s.Name)
-		}
-		c.labels[s.Name] = c.here()
+		c.labels[s.Name] = c.here() // Check refused a repeated label
 		return nil
 
 	case *lang.GotoStmt:
