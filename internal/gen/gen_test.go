@@ -177,4 +177,13 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if _, err := VerifyEntry(bad); err == nil {
 		t.Fatal("VerifyEntry accepted a dead witness")
 	}
+	// So must a witness with one step moved to another thread, although
+	// this bent schedule of gen-order-1 still crashes at the seeded
+	// site: the witness seed fixes every step.
+	bad = got[0]
+	bad.Witness = append([]int(nil), got[0].Witness...)
+	bad.Witness[18] = (bad.Witness[18] + 1) % bad.Threads
+	if _, err := VerifyEntry(bad); err == nil {
+		t.Fatalf("VerifyEntry accepted %s's witness with step 18 moved to thread %d", bad.Name, bad.Witness[18])
+	}
 }

@@ -45,10 +45,10 @@ import (
 
 // Step executes one instruction of thread tid: a burst limited to one
 // step. It returns false when the thread could not be stepped
-// (blocked, done, or machine crashed). Runtime faults crash the machine
-// and return true: the faulting instruction was the step. The Replayer
-// and recording random runs call it once per instruction; an
-// unrecorded random run steps inside RunRandom instead.
+// (blocked, done, not a thread, or machine crashed). Runtime faults
+// crash the machine and return true: the faulting instruction was the
+// step. It serves callers that pick every step, such as per-step
+// reference loops; sched.Runner calls RunBurst and RunRandom.
 func (m *Machine) Step(tid int) (bool, error) {
 	t, err := m.enter(tid)
 	if t == nil {
@@ -67,8 +67,8 @@ func (m *Machine) enter(tid int) (*Thread, error) {
 	if m.MaxSteps > 0 && m.TotalSteps >= m.MaxSteps {
 		return nil, ErrStepLimit
 	}
-	if t := m.Threads[tid]; m.threadRunnable(t) {
-		return t, nil
+	if uint(tid) < uint(len(m.Threads)) && m.threadRunnable(m.Threads[tid]) {
+		return m.Threads[tid], nil
 	}
 	return nil, nil
 }

@@ -145,7 +145,7 @@ func crashUnder(t *testing.T, src string) (got, ref crashRun, cp *ir.Program) {
 	t.Helper()
 	cp = mustCompile(t, src)
 	m := interp.New(cp, nil)
-	res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
+	res, schedule := traceSchedule(m, sched.NewCooperative())
 	if !res.Crashed {
 		t.Fatalf("run did not crash (outcome %v)", res.Outcome())
 	}
@@ -154,7 +154,7 @@ func crashUnder(t *testing.T, src string) (got, ref crashRun, cp *ir.Program) {
 		got.stack = append(got.stack, ir.PC{F: fr.FuncIdx, I: fr.PC})
 	}
 	rm := newRefMachine(cp, nil)
-	rm.replay(res.Schedule)
+	rm.replay(schedule)
 	ref.crash = rm.crash
 	if rm.crash != nil {
 		for _, fr := range rm.threads[rm.crash.ThreadID].frames {

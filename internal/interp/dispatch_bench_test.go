@@ -18,10 +18,9 @@ import (
 // measured loop is Reset + run-to-completion, so free lists are warm
 // and steps allocate nothing. Each shape has two legs:
 //
-//	step  — one Step call per instruction, the regime of the
-//	        Replayer and recorded random runs (a stress attempt makes
-//	        the same one-step dispatch call per instruction inside
-//	        Machine.RunRandom)
+//	step  — one Step call per instruction, the one-step dispatch
+//	        call a random run makes per instruction inside
+//	        Machine.RunRandom (stress attempts, witness searches)
 //	burst — one RunBurst call to completion, the regime of search
 //	        trials and cooperative runs
 //

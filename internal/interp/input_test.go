@@ -152,24 +152,24 @@ func TestResetMatchesFresh(t *testing.T) {
 	in := fig1Input()
 
 	fresh := interp.New(cp, in)
-	fres := sched.Runner{Record: true}.Run(fresh, sched.NewCooperative())
+	fres, fsched := traceSchedule(fresh, sched.NewCooperative())
 
 	reused := interp.New(cp, in)
 	for i := 0; i < 3; i++ {
 		sched.Run(reused, sched.NewRandom(int64(i)))
 		reused.Reset(cp, in)
 	}
-	rres := sched.Runner{Record: true}.Run(reused, sched.NewCooperative())
+	rres, rsched := traceSchedule(reused, sched.NewCooperative())
 
 	if fres.Steps != rres.Steps || fres.Crashed != rres.Crashed {
 		t.Fatalf("fresh steps=%d crashed=%v; reused steps=%d crashed=%v",
 			fres.Steps, fres.Crashed, rres.Steps, rres.Crashed)
 	}
-	if len(fres.Schedule) != len(rres.Schedule) {
-		t.Fatalf("schedule lengths differ: %d vs %d", len(fres.Schedule), len(rres.Schedule))
+	if len(fsched) != len(rsched) {
+		t.Fatalf("schedule lengths differ: %d vs %d", len(fsched), len(rsched))
 	}
-	for i := range fres.Schedule {
-		if fres.Schedule[i] != rres.Schedule[i] {
+	for i := range fsched {
+		if fsched[i] != rsched[i] {
 			t.Fatalf("schedules diverge at step %d", i)
 		}
 	}

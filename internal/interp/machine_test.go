@@ -95,15 +95,13 @@ func TestFig1PassesUnderCooperativeScheduler(t *testing.T) {
 
 func TestFig1CooperativeRunIsDeterministic(t *testing.T) {
 	cp := compileFig1(t, true)
-	run := func() *sched.Result {
-		return sched.Runner{Record: true}.Run(interp.New(cp, fig1Input()), sched.NewCooperative())
-	}
-	a, b := run(), run()
-	if a.Steps != b.Steps {
+	a, as := traceSchedule(interp.New(cp, fig1Input()), sched.NewCooperative())
+	b, bs := traceSchedule(interp.New(cp, fig1Input()), sched.NewCooperative())
+	if a.Steps != b.Steps || len(as) != len(bs) {
 		t.Fatalf("step counts differ: %d vs %d", a.Steps, b.Steps)
 	}
-	for i := range a.Schedule {
-		if a.Schedule[i] != b.Schedule[i] {
+	for i := range as {
+		if as[i] != bs[i] {
 			t.Fatalf("schedules differ at step %d", i)
 		}
 	}
@@ -137,16 +135,16 @@ func TestFig1ReplayReproducesCrash(t *testing.T) {
 	if m == nil {
 		t.Skip("race not provoked")
 	}
-	// StressContext does not record schedules: re-run the failing seed
-	// under a recording Runner to obtain the interleaving.
-	failing := sched.Runner{Record: true}.Run(interp.New(cp, fig1Input()), sched.NewRandom(stress.Seed))
+	// StressContext does not record schedules: rerun the failing seed
+	// under a trace recorder to obtain the interleaving, then step it.
+	_, schedule := traceSchedule(interp.New(cp, fig1Input()), sched.NewRandom(stress.Seed))
 	m2 := interp.New(cp, fig1Input())
-	res := sched.Run(m2, sched.NewReplayer(failing.Schedule))
-	if !res.Crashed {
+	stepSchedule(m2, schedule)
+	if m2.Crash == nil {
 		t.Fatal("replay of the failing schedule did not crash")
 	}
-	if res.Crash.PC != m.Crash.PC || res.Crash.Reason != m.Crash.Reason {
-		t.Fatalf("replay crash %+v differs from original %+v", res.Crash, m.Crash)
+	if m2.Crash.PC != m.Crash.PC || m2.Crash.Reason != m.Crash.Reason {
+		t.Fatalf("replay crash %+v differs from original %+v", m2.Crash, m.Crash)
 	}
 }
 

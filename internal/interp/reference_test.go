@@ -645,17 +645,17 @@ func runSlot(prog *ir.Program, in *interp.Input, schedule []int) refRun {
 	// indistinguishable from a fresh machine.
 	sched.BoundedRunContext(context.Background(), m, sched.NewCooperative(), 25)
 	m.Reset(prog, in)
-	out, _ := recordSlot(m, sched.NewReplayer(schedule))
+	out, _ := recordSlot(m, func(m *interp.Machine) { stepSchedule(m, schedule) })
 	return out
 }
 
-// recordSlot runs m under s with a recorder attached. It returns the
-// run, with its reads and writes the recorder's resolved to variables,
-// and the schedule it took.
-func recordSlot(m *interp.Machine, s sched.Scheduler) (refRun, []int) {
+// recordSlot drives m with a recorder attached. It returns the run,
+// with its reads and writes the recorder's resolved to variables, and
+// the schedule it took.
+func recordSlot(m *interp.Machine, drive func(*interp.Machine)) (refRun, []int) {
 	rec := trace.NewRecorder()
 	m.Hooks = rec
-	res := sched.Runner{Record: true}.Run(m, s)
+	drive(m)
 	out := refRun{events: rec.Events, crash: m.Crash, output: m.Output}
 	vars := func(ids []int32) []interp.VarID {
 		var vs []interp.VarID
@@ -668,7 +668,36 @@ func recordSlot(m *interp.Machine, s sched.Scheduler) (refRun, []int) {
 		out.reads = append(out.reads, vars(rec.Reads(i)))
 		out.writes = append(out.writes, vars(rec.Writes(i)))
 	}
-	return out, res.Schedule
+	return out, threadsOf(rec.Events)
+}
+
+// traceSchedule runs m under s with a trace.Recorder as its hooks,
+// which it leaves attached, and returns the run and the thread of each
+// of its steps.
+func traceSchedule(m *interp.Machine, s sched.Scheduler) (*sched.Result, []int) {
+	rec := trace.NewRecorder()
+	m.Hooks = rec
+	res := sched.Run(m, s)
+	return res, threadsOf(rec.Events)
+}
+
+// threadsOf returns the thread of each event: the run's schedule.
+func threadsOf(events []trace.Event) []int {
+	out := make([]int, len(events))
+	for i := range events {
+		out[i] = events[i].Thread
+	}
+	return out
+}
+
+// stepSchedule executes schedule on m, one Machine.Step per entry, up
+// to the first entry the machine cannot step.
+func stepSchedule(m *interp.Machine, schedule []int) {
+	for _, tid := range schedule {
+		if ok, err := m.Step(tid); !ok || err != nil {
+			return
+		}
+	}
 }
 
 // schedulesFor produces the deterministic and a handful of random
@@ -680,13 +709,12 @@ func schedulesFor(t *testing.T, prog *ir.Program, in *interp.Input, seeds int) [
 	var out [][]int
 	m := interp.New(prog, in)
 	m.MaxSteps = 1_000_000
-	rec := sched.Runner{Record: true}
-	res := rec.Run(m, sched.NewCooperative())
-	out = append(out, append([]int(nil), res.Schedule...))
+	_, schedule := traceSchedule(m, sched.NewCooperative())
+	out = append(out, schedule)
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		m.Reset(prog, in)
-		res := rec.Run(m, sched.NewRandom(seed))
-		out = append(out, append([]int(nil), res.Schedule...))
+		_, schedule := traceSchedule(m, sched.NewRandom(seed))
+		out = append(out, schedule)
 	}
 	return out
 }
@@ -1018,7 +1046,7 @@ func TestFusedBranchesMatchNameMap(t *testing.T) {
 		m := interp.New(prog, nil)
 		got := &orderLog{Recorder: trace.NewRecorder()}
 		m.Hooks = got
-		sched.Run(m, sched.NewReplayer(schedule))
+		stepSchedule(m, schedule)
 		ref := newRefMachine(prog, nil)
 		want := &orderLog{Recorder: trace.NewRecorder()}
 		ref.hooks = want
@@ -1212,7 +1240,7 @@ func TestHeapFieldsMatchNameMap(t *testing.T) {
 					m.Globals[prog.GlobalSlot(hc.dangle)] = interp.PtrVal(5)
 					ref.globals[hc.dangle] = interp.PtrVal(5)
 				}
-				got, schedule := recordSlot(m, sched.NewCooperative())
+				got, schedule := recordSlot(m, func(m *interp.Machine) { sched.Run(m, sched.NewCooperative()) })
 				label := fmt.Sprintf("instrument=%v", instrument)
 				compareRuns(t, label, got, replayReference(ref, schedule))
 				switch {

@@ -17,17 +17,17 @@ import (
 	"heisendump/internal/workloads"
 )
 
-// The Runner runs a Chooser in bursts, hands an unrecorded Random run
-// to the machine, which draws each next thread itself
-// (Machine.RunRandom), keeps the runnable set cached on the machine
-// and draws stress interleavings from its own copy of math/rand's
-// source (interp.RNG). TestRunLoopMatchesPerStepReference pins all of
-// these against the per-step loop they replaced (ref_test.go): every
-// run below executes on both, and the two must agree on the outcome,
-// the steps, the output, the crash, the deadlock diagnosis, the typed
-// error, the recorded schedule and the final machine state (a core
-// dump of it), plus, in hooked runs, every hook call, the trace events
-// and each event's reads and writes.
+// The Runner runs a Chooser in bursts, hands a Random run to the
+// machine, which draws each next thread itself (Machine.RunRandom),
+// keeps the runnable set cached on the machine and draws stress
+// interleavings from its own copy of math/rand's source (interp.RNG).
+// TestRunLoopMatchesPerStepReference pins all of these against the
+// per-step loop they replaced (ref_test.go): every run below executes
+// on both, and the two must agree on the outcome, the steps, the
+// output, the crash, the deadlock diagnosis, the typed error and the
+// final machine state (a core dump of it), plus, in hooked runs, every
+// hook call, the trace events (and so the thread of every step) and
+// each event's reads and writes.
 
 // oracleSubject is one program the oracle runs.
 type oracleSubject struct {
@@ -338,7 +338,7 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 	for _, sub := range oracleSubjects(t, 50) {
 		got := interp.New(sub.prog, sub.input)
 		want := interp.New(sub.prog, sub.input)
-		run := func(label string, maxSteps int64, r sched.Runner, s sched.Scheduler, rs refScheduler, hooked bool) *sched.Result {
+		run := func(label string, maxSteps int64, r sched.Runner, s sched.Scheduler, rs refScheduler, hooked bool) {
 			t.Helper()
 			got.Reset(sub.prog, sub.input)
 			want.Reset(sub.prog, sub.input)
@@ -357,12 +357,12 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 			g := r.Run(got, s)
 			w := refRun(want, rs, r.MaxSteps, refCtx)
 			where := sub.name + " " + label
-			compareRuns(t, where, g, w, r.Record)
+			compareRuns(t, where, g, w)
 			if gd, wd := coredump.Capture(got, 0, ir.PC{}, "oracle"), coredump.Capture(want, 0, ir.PC{}, "oracle"); !reflect.DeepEqual(gd, wd) {
 				t.Fatalf("%s: final machine state differs", where)
 			}
 			if !hooked {
-				return w
+				return
 			}
 			if !reflect.DeepEqual(gotLog.calls, wantLog.calls) {
 				t.Fatalf("%s: hook calls differ (%d calls vs %d)", where, len(gotLog.calls), len(wantLog.calls))
@@ -376,53 +376,30 @@ func TestRunLoopMatchesPerStepReference(t *testing.T) {
 					t.Fatalf("%s: event %d's recorded reads and writes differ from the hooks'", where, i)
 				}
 			}
-			return w
 		}
 		for _, sc := range oracleScheds(t, seeds) {
-			full := run(sc.name, oracleStepLimit, sched.Runner{Record: true}, sc.mk(), sc.ref(), sc.name == "cooperative")
-			// An unrecorded Random draws inside the machine
-			// (Machine.RunRandom), a recorded one before every step, so
-			// every stop runs both ways; one random run per subject is
-			// hooked.
-			run(sc.name+" unrecorded", oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), sc.name == "random-1")
-			for _, rec := range []bool{true, false} {
-				label := sc.name
-				if !rec {
-					label += " unrecorded"
+			// Each full run goes with and without hooks: the hooked one
+			// pins the thread of every step through the trace.
+			run(sc.name, oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), false)
+			run(sc.name+" hooked", oracleStepLimit, sched.Runner{}, sc.mk(), sc.ref(), true)
+			run(sc.name+" machine limit", tightStepLimit, sched.Runner{}, sc.mk(), sc.ref(), false)
+			for _, budget := range []int64{0, 1, 7, 1023, 1024, 1025} {
+				bound := budget
+				if bound <= 0 {
+					bound = -1 // BoundedRunContext's "run nothing"
 				}
-				run(label+" machine limit", tightStepLimit, sched.Runner{Record: rec}, sc.mk(), sc.ref(), false)
-				for _, budget := range []int64{0, 1, 7, 1023, 1024, 1025} {
-					bound := budget
-					if bound <= 0 {
-						bound = -1 // BoundedRunContext's "run nothing"
-					}
-					run(fmt.Sprintf("%s budget %d", label, budget), oracleStepLimit,
-						sched.Runner{MaxSteps: bound, Record: rec}, sc.mk(), sc.ref(), false)
-				}
-				run(label+" cancelled at 1024", oracleStepLimit,
-					sched.Runner{Ctx: context.Background(), Record: rec}, sc.mk(), sc.ref(), false)
+				run(fmt.Sprintf("%s budget %d", sc.name, budget), oracleStepLimit,
+					sched.Runner{MaxSteps: bound}, sc.mk(), sc.ref(), false)
 			}
-
-			// Witness replays: the recorded schedule verbatim, and with
-			// one step redirected to another thread, which stalls or
-			// diverges.
-			replay := full.Schedule
-			run(sc.name+" replay", oracleStepLimit, sched.Runner{Record: true},
-				sched.NewReplayer(replay), &refReplayer{schedule: replay}, false)
-			if len(replay) > 0 {
-				bent := append([]int(nil), replay...)
-				bent[len(bent)/2] = (bent[len(bent)/2] + 1) % len(got.Threads)
-				run(sc.name+" bent replay", oracleStepLimit, sched.Runner{Record: true},
-					sched.NewReplayer(bent), &refReplayer{schedule: bent}, false)
-			}
+			run(sc.name+" cancelled at 1024", oracleStepLimit,
+				sched.Runner{Ctx: context.Background()}, sc.mk(), sc.ref(), false)
 		}
 	}
 }
 
 // compareRuns asserts that a Runner result matches the reference
-// loop's. The reference always records its schedule; got carries one
-// only when recorded.
-func compareRuns(t *testing.T, where string, got, want *sched.Result, recorded bool) {
+// loop's.
+func compareRuns(t *testing.T, where string, got, want *sched.Result) {
 	t.Helper()
 	if got.Outcome() != want.Outcome() {
 		t.Fatalf("%s: outcome %v, reference %v", where, got.Outcome(), want.Outcome())
@@ -438,23 +415,10 @@ func compareRuns(t *testing.T, where string, got, want *sched.Result, recorded b
 	}
 	if got.Crashed != want.Crashed || got.Deadlocked != want.Deadlocked || got.Finished != want.Finished ||
 		got.StepLimited != want.StepLimited || got.Budgeted != want.Budgeted || got.Cancelled != want.Cancelled ||
-		got.Stalled != want.Stalled || got.StallThread != want.StallThread || got.CancelCause != want.CancelCause {
+		got.CancelCause != want.CancelCause {
 		t.Fatalf("%s: result flags differ:\n got  %+v\n want %+v", where, got, want)
 	}
-	// The reference reports a stall at len(Schedule), as the loop did
-	// before recording became optional.
-	wantErr := fmt.Sprint(want.Err())
-	if want.Stalled {
-		wantErr = fmt.Sprintf("%v: thread %d at schedule position %d", sched.ErrStalled, want.StallThread, len(want.Schedule))
-	}
-	if gotErr := fmt.Sprint(got.Err()); gotErr != wantErr {
+	if gotErr, wantErr := fmt.Sprint(got.Err()), fmt.Sprint(want.Err()); gotErr != wantErr {
 		t.Fatalf("%s: error %q, reference %q", where, gotErr, wantErr)
-	}
-	if recorded {
-		if !reflect.DeepEqual(got.Schedule, want.Schedule) && (len(got.Schedule) > 0 || len(want.Schedule) > 0) {
-			t.Fatalf("%s: recorded schedule differs (%d steps vs %d)", where, len(got.Schedule), len(want.Schedule))
-		}
-	} else if got.Schedule != nil {
-		t.Fatalf("%s: unrecorded run has a schedule of %d steps", where, len(got.Schedule))
 	}
 }

@@ -3,6 +3,8 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,9 +13,26 @@ import (
 )
 
 // The typed-outcome surface exists for generated pathologies: a
-// machine-manufactured program (or a stale witness schedule) that
-// deadlocks, livelocks or stalls must yield a diagnosis, not a
-// silently short run. These tests pin the classification.
+// machine-manufactured program that deadlocks or livelocks, or a
+// scheduler that names a thread the machine cannot step, must yield a
+// diagnosis, not a silently short run. These tests pin the
+// classification.
+
+// listChooser names the threads of its list in turn, then yields. Its
+// horizon is 0, so the Runner asks it before and after every sync
+// operation.
+type listChooser struct{ tids []int }
+
+func (c *listChooser) Next(*interp.Machine) int {
+	if len(c.tids) == 0 {
+		return -1
+	}
+	tid := c.tids[0]
+	c.tids = c.tids[1:]
+	return tid
+}
+
+func (c *listChooser) Horizon(*interp.Machine, int) int { return 0 }
 
 // abba is the classic lock-order-inversion deadlock: t1 takes A then
 // B, t2 takes B then A.
@@ -51,18 +70,17 @@ func t2() {
 func TestDeadlockOutcomeIsTyped(t *testing.T) {
 	prog := compile(t, abba)
 	m := interp.New(prog, nil)
-	// main: two spawns; then interleave t1/t2 to the inversion. Each
-	// acquire-of-a-held-lock observation costs one extra step (the
-	// thread blocks without advancing), after which both threads wait
-	// on each other.
-	schedule := []int{
-		0, 0, 0, // spawn t1, spawn t2, return from main
-		1, 1, // t1: acquire(A), x
-		2, 2, // t2: acquire(B), x
+	// main runs to its end (two spawns, no sync operation); then t1
+	// and t2 interleave to the inversion. Each burst stops at a sync
+	// operation, and an acquire of a held lock blocks its thread, after
+	// which both threads wait on each other and the chooser yields.
+	res := sched.Run(m, &listChooser{tids: []int{
+		0,    // spawn t1, spawn t2, return from main
+		1, 1, // t1: acquire(A); x
+		2, 2, // t2: acquire(B); x
 		1, // t1: acquire(B) observes held -> blocks
 		2, // t2: acquire(A) observes held -> blocks
-	}
-	res := sched.Run(m, sched.NewReplayer(schedule))
+	}})
 	if res.Crashed || res.Finished {
 		t.Fatalf("expected deadlock, got crashed=%v finished=%v", res.Crashed, res.Finished)
 	}
@@ -164,8 +182,9 @@ func TestRunnerBudgetIsBenignStop(t *testing.T) {
 	}
 }
 
-// holder keeps a lock held while another thread wants it, so a replay
-// schedule that names the blocked thread twice stalls.
+// holder keeps a lock held while another thread wants it, so a
+// chooser that names the blocked thread twice names a thread that
+// cannot step.
 const holder = `
 program holder;
 
@@ -186,48 +205,53 @@ func w() {
 }
 `
 
-func TestStalledReplayIsTyped(t *testing.T) {
+// TestUnsteppableChoiceIsError: a Chooser that names a thread the
+// machine cannot step ends its run with OutcomeError at that choice,
+// not with a panic, a retry or a silently short run. main acquires L
+// and runs up to its release; w's acquire observes the held lock and
+// blocks (a counted step), so naming w again names a blocked thread.
+// A thread that does not exist, or a negative id other than the -1
+// yield, is refused the same way.
+func TestUnsteppableChoiceIsError(t *testing.T) {
 	prog := compile(t, holder)
-	m := interp.New(prog, nil)
-	// main acquires and spawns; w's first acquire observes the held
-	// lock and blocks (a counted step); naming w again while main
-	// still holds L is a stall — the schedule does not apply.
-	schedule := []int{0, 0, 1, 1}
-	res := sched.Run(m, sched.NewReplayer(schedule))
-	if !res.Stalled {
-		t.Fatalf("expected a stalled replay, got %+v", res)
-	}
-	if res.StallThread != 1 {
-		t.Fatalf("StallThread = %d, want 1", res.StallThread)
-	}
-	if got := res.Outcome(); got != sched.OutcomeStalled {
-		t.Fatalf("Outcome() = %v, want stalled", got)
-	}
-	if err := res.Err(); !errors.Is(err, sched.ErrStalled) {
-		t.Fatalf("Err() = %v, want wrapping ErrStalled", err)
+	for _, tc := range []struct {
+		tids  []int
+		steps int64
+	}{
+		{[]int{0, 0, 1, 1}, 4},
+		{[]int{0, 9}, 1},
+		{[]int{0, -2}, 1},
+	} {
+		bad := tc.tids[len(tc.tids)-1]
+		m := interp.New(prog, nil)
+		res := sched.Run(m, &listChooser{tids: tc.tids})
+		if got := res.Outcome(); got != sched.OutcomeError {
+			t.Fatalf("choosing %d: Outcome() = %v, want error (%+v)", bad, got, res)
+		}
+		if res.Steps != tc.steps {
+			t.Fatalf("choosing %d: stopped after %d steps, want %d", bad, res.Steps, tc.steps)
+		}
+		err := res.Err()
+		if !errors.Is(err, res.StepError) || !strings.Contains(fmt.Sprint(err), fmt.Sprintf("chose thread %d,", bad)) {
+			t.Fatalf("choosing %d: Err() = %v", bad, err)
+		}
 	}
 }
 
-func TestOutOfRangeScheduleStallsInsteadOfPanicking(t *testing.T) {
-	// A corrupted or stale replay schedule can name a thread that does
-	// not exist yet; the Runner must surface the typed stall, not an
-	// index panic (corpus files are hand-editable).
-	prog := compile(t, holder)
-	m := interp.New(prog, nil)
-	res := sched.Run(m, sched.NewReplayer([]int{0, 9}))
-	if !res.Stalled || res.StallThread != 9 {
-		t.Fatalf("expected a stall on thread 9, got %+v", res)
-	}
-	if err := res.Err(); !errors.Is(err, sched.ErrStalled) {
-		t.Fatalf("Err() = %v, want wrapping ErrStalled", err)
-	}
+// plainScheduler is a Scheduler that is neither a *Random nor a
+// Chooser.
+type plainScheduler struct{}
 
-	// A corrupt negative id must not masquerade as the scheduler's -1
-	// yield sentinel.
-	m2 := interp.New(prog, nil)
-	res2 := sched.Run(m2, sched.NewReplayer([]int{0, -2}))
-	if !res2.Stalled || res2.StallThread != -2 {
-		t.Fatalf("expected a stall on thread -2, got %+v", res2)
+func (plainScheduler) Next(*interp.Machine) int { return 0 }
+
+// TestPlainSchedulerIsRefused: the Runner runs only a *Random and
+// Choosers; any other scheduler ends the run with OutcomeError before
+// a step.
+func TestPlainSchedulerIsRefused(t *testing.T) {
+	m := interp.New(compile(t, holder), nil)
+	res := sched.Run(m, plainScheduler{})
+	if res.Outcome() != sched.OutcomeError || res.Steps != 0 || res.Err() == nil {
+		t.Fatalf("a plain scheduler ran: %v after %d steps (%v)", res.Outcome(), res.Steps, res.Err())
 	}
 }
 
@@ -267,11 +291,12 @@ func main() {
 	}
 }
 
-func TestExhaustedReplayerIsStopped(t *testing.T) {
+func TestYieldingChooserIsStopped(t *testing.T) {
 	prog := compile(t, holder)
 	m := interp.New(prog, nil)
-	// One step only: the schedule runs out with threads still live.
-	res := sched.Run(m, sched.NewReplayer([]int{0}))
+	// One burst only: main acquires L, then the chooser yields with
+	// threads still live.
+	res := sched.Run(m, &listChooser{tids: []int{0}})
 	if res.Outcome() != sched.OutcomeStopped {
 		t.Fatalf("Outcome() = %v, want stopped", res.Outcome())
 	}

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"heisendump/internal/interp"
@@ -47,28 +48,23 @@ func refDone(m *interp.Machine) bool {
 	return true
 }
 
-// refRun is the per-step Runner.Run. It always records the schedule.
+// refRun is the per-step Runner.Run.
 func refRun(m *interp.Machine, s refScheduler, maxSteps int64, ctx context.Context) *sched.Result {
 	const ctxPollMask = 1023
 	res := &sched.Result{}
-	for m.Crash == nil && !refDone(m) {
-		if ctx != nil && int64(len(res.Schedule))&ctxPollMask == 0 && ctx.Err() != nil {
+	for ran := int64(0); m.Crash == nil && !refDone(m); ran++ {
+		if ctx != nil && ran&ctxPollMask == 0 && ctx.Err() != nil {
 			res.Cancelled = true
 			res.CancelCause = ctx.Err()
 			break
 		}
-		if maxSteps != 0 && int64(len(res.Schedule)) >= maxSteps {
+		if maxSteps != 0 && ran >= maxSteps {
 			res.StepLimited = true
 			res.Budgeted = true
 			break
 		}
 		tid := s.next(m)
 		if tid == -1 {
-			break
-		}
-		if tid < 0 || tid >= len(m.Threads) {
-			res.Stalled = true
-			res.StallThread = tid
 			break
 		}
 		ok, err := m.Step(tid)
@@ -81,11 +77,9 @@ func refRun(m *interp.Machine, s refScheduler, maxSteps int64, ctx context.Conte
 			break
 		}
 		if !ok {
-			res.Stalled = true
-			res.StallThread = tid
+			res.StepError = fmt.Errorf("reference: thread %d cannot step", tid)
 			break
 		}
-		res.Schedule = append(res.Schedule, tid)
 	}
 	res.Steps = m.TotalSteps
 	res.Output = m.Output
@@ -136,19 +130,4 @@ func (r *refRandom) next(m *interp.Machine) int {
 		return -1
 	}
 	return runnable[r.rng.Intn(len(runnable))]
-}
-
-// refReplayer replays a schedule, then stops.
-type refReplayer struct {
-	schedule []int
-	pos      int
-}
-
-func (r *refReplayer) next(*interp.Machine) int {
-	if r.pos >= len(r.schedule) {
-		return -1
-	}
-	tid := r.schedule[r.pos]
-	r.pos++
-	return tid
 }

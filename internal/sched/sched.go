@@ -1,14 +1,13 @@
 // Package sched drives machine execution. It provides the schedulers —
 // a cooperative deterministic single-core scheduler (the paper's
-// re-execution environment), a seeded pseudo-random scheduler
+// re-execution environment) and a seeded pseudo-random scheduler
 // simulating multicore interleaving (used to provoke failures during
-// stress testing) and a schedule replayer — and the Runner, the one
-// loop that every execution in the system runs on: stress attempts,
-// alignment runs, the aligned-point replay, witness replays, the
-// schedule search's trials and the interpreter probes.
+// stress testing) — and the Runner, the one loop that every execution
+// in the system runs on: stress attempts, alignment runs, the
+// aligned-point replay, witness searches and reruns, the schedule
+// search's trials and the interpreter probes.
 //
-// The Runner asks a scheduler for a thread only where that scheduler
-// may switch. A Chooser (the cooperative scheduler, the search's
+// Every run bursts. A Chooser (the cooperative scheduler, the search's
 // preemption chooser) switches only when the running thread blocks,
 // finishes or faults, or at a sync operation, and for each thread it
 // picks it names a horizon: the thread's completed-sync count below
@@ -17,13 +16,17 @@
 // scheduler's horizon is unbounded, so it is asked once a thread
 // blocks or finishes; the search's chooser is asked where a preemption
 // of its combination can fire. The random scheduler may switch at
-// every step: in an unrecorded run the Runner asks it once and the
-// machine draws every later thread itself (interp.Machine.RunRandom),
-// one step at a time. Any other Scheduler (the Replayer, or Random in
-// a recorded run) is asked before every step. Bursts and random runs
-// also stop at the Runner's step budget and at its context-poll
-// boundaries, so a budgeted or cancelled run executes exactly the
-// prefix a per-step loop would.
+// every step: the Runner asks it once and the machine draws every
+// later thread itself (interp.Machine.RunRandom), one step at a time.
+// The Runner refuses any other scheduler, and a choice the machine
+// cannot step, with Result.StepError. Bursts and random runs also stop
+// at the Runner's step budget and at its context-poll boundaries, so a
+// budgeted or cancelled run executes exactly the prefix a per-step
+// loop would.
+//
+// No run records its schedule. A random run's seed fixes every step of
+// it, so a caller that needs the interleaving reruns the seed under a
+// trace.Recorder and reads the thread of each event.
 //
 // The random scheduler draws from interp.RNG, a copy of math/rand's
 // default source: the same stream as rand.New(rand.NewSource(seed)),
@@ -33,7 +36,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -41,7 +43,8 @@ import (
 	"heisendump/internal/interp"
 )
 
-// Scheduler picks the next thread to step.
+// Scheduler picks the next thread to step. A Runner runs a *Random or
+// a Chooser and refuses any other Scheduler.
 type Scheduler interface {
 	// Next returns the id of the thread to step, chosen from the
 	// machine's runnable set, or -1 to stop the run.
@@ -80,10 +83,6 @@ type Result struct {
 	// Steps is the machine's total instruction count when the run
 	// stopped.
 	Steps int64
-	// Schedule records the thread stepped at each step of the run when
-	// the Runner's Record switch is set, so the run can be replayed
-	// with a Replayer; it is nil otherwise.
-	Schedule []int
 	// Output is the run's output log.
 	Output []int64
 	// StepLimited is true when the run was cut off by a step bound —
@@ -100,13 +99,6 @@ type Result struct {
 	// Cancelled is true when the run was cut off by the Runner's
 	// context.
 	Cancelled bool
-	// Stalled is true when the scheduler chose a thread that could not
-	// be stepped — a replayed schedule that no longer applies to the
-	// program (the named thread was blocked or done at that point).
-	// StallThread is the unsteppable thread. Generated-workload
-	// replays surface this instead of silently stopping mid-schedule.
-	Stalled     bool
-	StallThread int
 	// Finished is true when every thread returned from its entry
 	// function — the run ran the program to completion.
 	Finished bool
@@ -114,22 +106,19 @@ type Result struct {
 	// set (context.Canceled or context.DeadlineExceeded), so Err
 	// reports the actual cause.
 	CancelCause error
-	// StepError records an internal interpreter error (anything other
-	// than a crash or the step limit — e.g. corrupted IR) that stopped
-	// the run. OutcomeError classifies it; Err returns it.
+	// StepError records what stopped the run other than a crash or a
+	// step bound: an internal interpreter error (e.g. corrupted IR), a
+	// refused scheduler or an unsteppable choice (see Runner.Run).
+	// OutcomeError classifies it; Err returns it.
 	StepError error
 	// Deadlock carries the wait-for diagnosis when Deadlocked is true.
 	Deadlock *DeadlockInfo
-
-	// ran counts the steps this run executed: the schedule position a
-	// stall is reported at.
-	ran int64
 }
 
 // Outcome classifies a completed run for callers that need a typed
-// result — the generative-workload oracle replays schedules nobody
-// hand-tuned, and a pathological one must surface as a diagnosis, not
-// a silently short run.
+// result — the generative-workload oracle runs programs nobody
+// hand-tuned, and a pathological run must surface as a diagnosis, not
+// a silently short one.
 type Outcome int
 
 const (
@@ -140,22 +129,17 @@ const (
 	// OutcomeDeadlocked: unfinished threads remained but none was
 	// runnable (Result.Deadlock has the wait-for diagnosis).
 	OutcomeDeadlocked
-	// OutcomeStalled: the scheduler named an unsteppable thread (a
-	// stale replay schedule).
-	OutcomeStalled
 	// OutcomeCancelled: the Runner's context stopped the run.
 	OutcomeCancelled
 	// OutcomeStepLimited: the machine's step limit stopped the run — a
 	// livelock, or a limit too tight for the program.
 	OutcomeStepLimited
 	// OutcomeStopped: the run stopped by caller policy with threads
-	// still live — the scheduler yielded (a Replayer that consumed its
-	// schedule mid-run), or the Runner's own step budget was reached
-	// (a BoundedRunContext's exact dump-capture budget;
-	// Result.Budgeted).
+	// still live — the scheduler yielded, or the Runner's own step
+	// budget was reached (a BoundedRunContext's exact dump-capture
+	// budget; Result.Budgeted).
 	OutcomeStopped
-	// OutcomeError: an internal interpreter error stopped the run
-	// (Result.StepError — e.g. corrupted IR), distinct from a subject
+	// OutcomeError: Result.StepError stopped the run, not a subject
 	// crash.
 	OutcomeError
 )
@@ -169,8 +153,6 @@ func (o Outcome) String() string {
 		return "crashed"
 	case OutcomeDeadlocked:
 		return "deadlocked"
-	case OutcomeStalled:
-		return "stalled"
 	case OutcomeCancelled:
 		return "cancelled"
 	case OutcomeStepLimited:
@@ -183,12 +165,8 @@ func (o Outcome) String() string {
 	return "?"
 }
 
-// ErrStalled is the sentinel wrapped by Result.Err when a replayed
-// schedule named a thread that could not be stepped.
-var ErrStalled = errors.New("sched: schedule stalled on an unsteppable thread")
-
 // Outcome classifies the run. Crash wins over everything (the faulting
-// step ended the run); the pathological stops (deadlock, stall,
+// step ended the run); the pathological stops (error, deadlock,
 // cancellation, step limit) come before the benign ones.
 func (r *Result) Outcome() Outcome {
 	switch {
@@ -198,8 +176,6 @@ func (r *Result) Outcome() Outcome {
 		return OutcomeError
 	case r.Deadlocked:
 		return OutcomeDeadlocked
-	case r.Stalled:
-		return OutcomeStalled
 	case r.Cancelled:
 		return OutcomeCancelled
 	case r.StepLimited && !r.Budgeted:
@@ -213,28 +189,24 @@ func (r *Result) Outcome() Outcome {
 // Err returns a typed error for pathological outcomes, nil otherwise.
 // A completed run, a crashed run and a scheduler-stopped run all
 // return nil — a crash is the subject program's outcome, and a
-// scheduler yielding early (a consumed replay schedule, an exact
-// bounded budget) is the caller's own policy, not a pathology. Deadlocks
+// scheduler yielding early or an exact bounded budget is the caller's
+// own policy, not a pathology. Errors wrap Result.StepError, deadlocks
 // wrap interp.ErrDeadlock (with the wait-for diagnosis in the
 // message), step-limit stops wrap interp.ErrStepLimit (the livelock
-// diagnostic: the bound, and how far each thread got), stalls wrap
-// ErrStalled with the schedule position — the number of steps the run
-// executed before the unsteppable choice, whether or not the schedule
-// was recorded — and cancellations wrap context.Canceled; all are
-// matchable with errors.Is.
+// diagnostic: the bound, and how far each thread got) and
+// cancellations wrap context.Canceled; all are matchable with
+// errors.Is.
 func (r *Result) Err() error {
 	switch {
 	case r.Crashed:
 		return nil
 	case r.StepError != nil:
-		return fmt.Errorf("sched: run stopped by interpreter error after %d steps: %w", r.Steps, r.StepError)
+		return fmt.Errorf("sched: run stopped by an error after %d steps: %w", r.Steps, r.StepError)
 	case r.Deadlocked:
 		if r.Deadlock != nil {
 			return fmt.Errorf("%w after %d steps: %s", interp.ErrDeadlock, r.Steps, r.Deadlock)
 		}
 		return fmt.Errorf("%w after %d steps", interp.ErrDeadlock, r.Steps)
-	case r.Stalled:
-		return fmt.Errorf("%w: thread %d at schedule position %d", ErrStalled, r.StallThread, r.ran)
 	case r.Cancelled:
 		cause := r.CancelCause
 		if cause == nil {
@@ -331,9 +303,9 @@ func DiagnoseDeadlock(m *interp.Machine) *DeadlockInfo {
 // Runner executes machines under a scheduler with a uniform run
 // policy. It is the one execution loop of the system: the Run and
 // BoundedRunContext wrappers, pipeline stages, stress, witness
-// replays, the schedule search's trials and the interpreter probes all
-// construct Runners (a Runner is a value, so each run can carry its
-// own bound without shared state).
+// searches, the schedule search's trials and the interpreter probes
+// all construct Runners (a Runner is a value, so each run can carry
+// its own bound without shared state).
 type Runner struct {
 	// MaxSteps bounds the steps executed by this run — not the
 	// machine's lifetime total, so a Runner can extend a partially-run
@@ -346,10 +318,6 @@ type Runner struct {
 	// perturbs the executed prefix — the schedule up to the stop point
 	// is exactly what an uncancelled run would have produced.
 	Ctx context.Context
-	// Record fills Result.Schedule with the thread stepped at each
-	// step, for callers that replay or inspect the interleaving (gen
-	// witnesses, tests). Off, the run keeps no per-step record.
-	Record bool
 }
 
 // ctxPollMask throttles the Runner's context polls to every 1024
@@ -359,15 +327,13 @@ type Runner struct {
 const ctxPollMask = 1023
 
 // Run drives m with s until the machine halts, the scheduler yields,
-// or the runner's step bound is reached. A Chooser is asked only at
-// switch points and its choice runs in bursts up to its horizon. A
-// *Random in an unrecorded run is asked once per stretch between the
-// Runner's budget and context-poll boundaries, and the machine draws
-// the rest of the stretch's threads from the same generator
-// (interp.Machine.RunRandom). Any other scheduler, and Random when
-// Record is set, is asked before every step. All three execute exactly
-// the steps, in exactly the order, that asking before every step
-// would.
+// or the runner's step bound is reached: a Chooser in bursts up to its
+// horizons, a *Random in stretches between the Runner's budget and
+// context-poll boundaries whose later draws the machine makes. Both
+// execute exactly the steps, in exactly the order, that asking before
+// every step would. Run refuses any other scheduler, and a choice of a
+// thread that is blocked, done or does not exist, with
+// Result.StepError.
 func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 	res := new(Result)
 	r.run(m, s, res)
@@ -378,9 +344,13 @@ func (r Runner) Run(m *interp.Machine, s Scheduler) *Result {
 // that does not retain the Result (a search trial, a probe) keeps it
 // off the heap.
 func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
+	rnd, draws := s.(*Random)
 	ch, bursts := s.(Chooser)
+	if !draws && !bursts {
+		res.StepError = fmt.Errorf("sched: %T is neither a *Random nor a Chooser", s)
+	}
 	start := m.TotalSteps
-	for !m.Crashed() && !m.Done() {
+	for res.StepError == nil && !m.Crashed() && !m.Done() {
 		n := m.TotalSteps - start
 		if r.Ctx != nil && n&ctxPollMask == 0 && r.Ctx.Err() != nil {
 			res.Cancelled = true
@@ -396,29 +366,12 @@ func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
 		if tid == -1 {
 			break // the scheduler's yield sentinel
 		}
-		if tid < 0 || tid >= len(m.Threads) {
-			// The scheduler named a thread that does not exist at this
-			// point of the run — a corrupted or stale replay schedule.
-			// Same typed stall as an unsteppable thread, instead of an
-			// index panic inside the machine (or a corrupt negative id
-			// masquerading as the yield sentinel).
-			res.Stalled = true
-			res.StallThread = tid
-			break
-		}
 		var ok bool
 		var err error
-		if bursts {
-			ok, err = m.RunBurst(tid, r.burstLimit(start, n), ch.Horizon(m, tid))
-		} else if rnd, draws := s.(*Random); draws && !r.Record {
+		if draws {
 			ok, err = m.RunRandom(tid, r.burstLimit(start, n), &rnd.rng)
 		} else {
-			ok, err = m.Step(tid)
-		}
-		if r.Record {
-			for i := start + n; i < m.TotalSteps; i++ {
-				res.Schedule = append(res.Schedule, tid)
-			}
+			ok, err = m.RunBurst(tid, r.burstLimit(start, n), ch.Horizon(m, tid))
 		}
 		if err == interp.ErrStepLimit {
 			res.StepLimited = true
@@ -433,18 +386,11 @@ func (r Runner) run(m *interp.Machine, s Scheduler, res *Result) {
 			break
 		}
 		if !ok {
-			// The scheduler named a thread the machine could not step
-			// (blocked or done): the schedule being driven no longer
-			// applies to this program. Surface it as a typed stall
-			// instead of silently stopping mid-schedule — replayed
-			// witness schedules from the generative workloads rely on
-			// the distinction.
-			res.Stalled = true
-			res.StallThread = tid
+			// A broken scheduler: stop rather than ask it again.
+			res.StepError = fmt.Errorf("sched: %T chose thread %d, which cannot step", s, tid)
 			break
 		}
 	}
-	res.ran = m.TotalSteps - start
 	res.Steps = m.TotalSteps
 	res.Output = m.Output
 	res.Finished = m.Done()
@@ -522,8 +468,7 @@ func (c *Cooperative) Horizon(*interp.Machine, int) int { return math.MaxInt }
 // in for the fine-grained interleaving of truly parallel cores. The
 // seed fully determines the interleaving: Random draws exactly the
 // values rand.New(rand.NewSource(seed)).Intn would. A Runner asks Next
-// before every step only when it records the schedule; otherwise it
-// asks once per stretch and the machine makes the later draws of the
+// once per stretch and the machine makes the later draws of the
 // stretch from Random's generator (interp.Machine.RunRandom), the same
 // draws in the same order.
 type Random struct {
@@ -550,25 +495,6 @@ func (r *Random) Next(m *interp.Machine) int {
 	return runnable[r.rng.Intn(len(runnable))]
 }
 
-// Replayer replays a recorded schedule, then stops.
-type Replayer struct {
-	schedule []int
-	pos      int
-}
-
-// NewReplayer returns a scheduler that replays schedule verbatim.
-func NewReplayer(schedule []int) *Replayer { return &Replayer{schedule: schedule} }
-
-// Next implements Scheduler.
-func (r *Replayer) Next(m *interp.Machine) int {
-	if r.pos >= len(r.schedule) {
-		return -1
-	}
-	tid := r.schedule[r.pos]
-	r.pos++
-	return tid
-}
-
 // BoundedRunContext runs m under s for at most maxSteps additional
 // steps (non-positive bounds run nothing), with the Runner's
 // cooperative context cancellation. It is used to capture dumps at
@@ -582,10 +508,10 @@ func BoundedRunContext(ctx context.Context, m *interp.Machine, s Scheduler, maxS
 
 // StressResult describes the outcome of a stress-testing campaign.
 type StressResult struct {
-	// Seed is the interleaving seed that provoked the failure.
+	// Seed is the interleaving seed that provoked the failure; rerun
+	// NewRandom(Seed) under a trace.Recorder to obtain its schedule.
 	Seed int64
-	// Result is the failing run. Its Schedule is not recorded; replay
-	// NewRandom(Seed) under a recording Runner to obtain it.
+	// Result is the failing run.
 	Result *Result
 	// Attempts is the number of seeds tried, including the failing one.
 	Attempts int
@@ -606,12 +532,9 @@ type StressResult struct {
 // fresh build and recycles all per-run storage) and reseed the same
 // Random, so a long stress campaign stops paying an allocation and a
 // generator construction per attempt; seeds below 64 copy their
-// generator state from a process-wide table (interp.RNG.Seed). The
-// runs are unrecorded, so each attempt's draws are made inside the
-// machine (interp.Machine.RunRandom). On a crash the machine is
-// returned still holding the crashed state for dump capture. The
-// failing run's Result does not record its schedule; replay
-// NewRandom(Seed) under a recording Runner to obtain it.
+// generator state from a process-wide table (interp.RNG.Seed). On a
+// crash the machine is returned still holding the crashed state for
+// dump capture.
 func StressContext(ctx context.Context, newMachine func() *interp.Machine, maxAttempts int) (*interp.Machine, *StressResult) {
 	var m *interp.Machine
 	var rnd Random

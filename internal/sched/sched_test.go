@@ -9,6 +9,7 @@ import (
 	"heisendump/internal/ir"
 	"heisendump/internal/lang"
 	"heisendump/internal/sched"
+	"heisendump/internal/trace"
 	"heisendump/internal/workloads"
 )
 
@@ -19,6 +20,19 @@ func compile(t testing.TB, src string) *ir.Program {
 		t.Fatal(err)
 	}
 	return cp
+}
+
+// traceSchedule runs m under s with a trace.Recorder as its hooks and
+// returns the run and the thread of each of its steps.
+func traceSchedule(m *interp.Machine, s sched.Scheduler) (*sched.Result, []int) {
+	rec := trace.NewRecorder()
+	m.Hooks = rec
+	res := sched.Run(m, s)
+	schedule := make([]int, len(rec.Events))
+	for i := range rec.Events {
+		schedule[i] = rec.Events[i].Thread
+	}
+	return res, schedule
 }
 
 const twoThreads = `
@@ -51,7 +65,7 @@ func t2(int n) {
 func TestCooperativeRunsCurrentUntilBlocked(t *testing.T) {
 	cp := compile(t, twoThreads)
 	m := interp.New(cp, nil)
-	res := sched.Runner{Record: true}.Run(m, sched.NewCooperative())
+	res, schedule := traceSchedule(m, sched.NewCooperative())
 	if res.Crashed || res.Deadlocked {
 		t.Fatalf("bad run: %+v", res)
 	}
@@ -60,9 +74,9 @@ func TestCooperativeRunsCurrentUntilBlocked(t *testing.T) {
 	// in this program under cooperative order).
 	seen := map[int]bool{}
 	last := -1
-	for _, tid := range res.Schedule {
+	for _, tid := range schedule {
 		if tid != last && seen[tid] {
-			t.Fatalf("thread %d resumed after yielding; schedule %v", tid, res.Schedule)
+			t.Fatalf("thread %d resumed after yielding; schedule %v", tid, schedule)
 		}
 		if tid != last {
 			seen[tid] = true
@@ -122,18 +136,23 @@ func TestQuickRandomSchedulesAlwaysComplete(t *testing.T) {
 	}
 }
 
-// TestQuickReplayReproducesState: replaying a recorded schedule yields
-// a step-identical run.
+// TestQuickReplayReproducesState: a random run's schedule, taken from
+// its trace and stepped one Machine.Step at a time, yields a
+// step-identical run.
 func TestQuickReplayReproducesState(t *testing.T) {
 	cp := compile(t, twoThreads)
 	f := func(seed int64) bool {
 		m1 := interp.New(cp, nil)
 		m1.MaxSteps = 100_000
-		r1 := sched.Runner{Record: true}.Run(m1, sched.NewRandom(seed))
+		r1, schedule := traceSchedule(m1, sched.NewRandom(seed))
 		m2 := interp.New(cp, nil)
 		m2.MaxSteps = 100_000
-		r2 := sched.Run(m2, sched.NewReplayer(r1.Schedule))
-		if r1.Steps != r2.Steps || r1.Crashed != r2.Crashed {
+		for _, tid := range schedule {
+			if ok, err := m2.Step(tid); !ok || err != nil {
+				return false
+			}
+		}
+		if r1.Steps != m2.TotalSteps || r1.Crashed != m2.Crashed() {
 			return false
 		}
 		return m1.Global("a") == m2.Global("a") && m1.Global("b") == m2.Global("b")
@@ -146,9 +165,9 @@ func TestQuickReplayReproducesState(t *testing.T) {
 func TestBoundedRunStopsExactly(t *testing.T) {
 	cp := compile(t, twoThreads)
 	m := interp.New(cp, nil)
-	res := sched.Runner{MaxSteps: 10, Record: true}.Run(m, sched.NewCooperative())
-	if len(res.Schedule) != 10 {
-		t.Fatalf("bounded run executed %d steps, want 10", len(res.Schedule))
+	res := sched.Runner{MaxSteps: 10}.Run(m, sched.NewCooperative())
+	if res.Steps != 10 || !res.Budgeted {
+		t.Fatalf("bounded run executed %d steps (budgeted %v), want 10", res.Steps, res.Budgeted)
 	}
 	if m.TotalSteps != 10 {
 		t.Fatalf("machine steps %d", m.TotalSteps)
@@ -227,14 +246,5 @@ func right() {
 	}
 	if deadlocks == 0 {
 		t.Fatal("classic AB/BA deadlock never detected in 300 seeds")
-	}
-}
-
-func TestReplayerStopsAtEnd(t *testing.T) {
-	cp := compile(t, twoThreads)
-	m := interp.New(cp, nil)
-	res := sched.Runner{Record: true}.Run(m, sched.NewReplayer([]int{0, 0, 0}))
-	if len(res.Schedule) != 3 {
-		t.Fatalf("replayed %d steps, want 3", len(res.Schedule))
 	}
 }
