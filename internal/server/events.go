@@ -93,18 +93,19 @@ func (h *hub) close() {
 	close(ch)
 }
 
-// since returns the retained events with Seq >= after+1, whether the
+// since returns the retained events with Seq > after, whether the
 // stream has closed, and a channel that is closed on the next append
 // (or close). A caller that asked for evicted history gets the oldest
-// retained events — it can see the loss in the Seq numbers.
+// retained events — it can see the loss in the Seq numbers. Any after
+// at or past the last Seq, up to the largest uint64, gets none.
 func (h *hub) since(after uint64) (evs []Event, closed bool, wake <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	start := 0
-	if after+1 > h.base {
-		start = int(after + 1 - h.base)
+	var start uint64 // retained events with Seq <= after
+	if after >= h.base {
+		start = after - h.base + 1
 	}
-	if start < len(h.events) {
+	if start < uint64(len(h.events)) {
 		evs = append(evs, h.events[start:]...)
 	}
 	return evs, h.closed, h.notify

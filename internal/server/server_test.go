@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,6 +15,7 @@ import (
 
 	"heisendump"
 	"heisendump/internal/gen"
+	"heisendump/internal/telemetry"
 )
 
 // calmSrc never fails: a deadline test can park a worker in its
@@ -484,6 +486,49 @@ func TestSSEStream(t *testing.T) {
 	}
 	if tail[0].id != uint64(mid+1) {
 		t.Fatalf("replay starts at seq %d, want %d", tail[0].id, mid+1)
+	}
+}
+
+// TestSSEAfterPastTheEnd: an after parameter at or past the last Seq
+// serves an empty stream, up to the largest uint64, whose successor
+// wraps to 0.
+func TestSSEAfterPastTheEnd(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs?wait=1", fig1Request(t, "sse-past-end")))
+	for _, after := range []uint64{1 << 63, math.MaxUint64 - 1, math.MaxUint64} {
+		if frames := readSSE(t, fmt.Sprintf("%s/v1/jobs/%s/events?after=%d", ts.URL, st.ID, after)); len(frames) != 0 {
+			t.Fatalf("after=%d served %d frames from seq %d, want none", after, len(frames), frames[0].id)
+		}
+	}
+}
+
+// TestSSERingPastCapacity: a fig1 job's 10 events in a ring of 4 keep
+// the last 4, with dense Seq from the first retained one; history
+// asked for below the window starts at the oldest retained event; and
+// the dropped-events counter grows by the 6 dropped.
+func TestSSERingPastCapacity(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, EventBuffer: 4})
+	dropped := telemetry.ServerSSEDropped.Value()
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs?wait=1", fig1Request(t, "sse-ring")))
+	const total, ring = 10, 4
+	if d := telemetry.ServerSSEDropped.Value() - dropped; d != total-ring {
+		t.Fatalf("heisen_server_sse_dropped_total grew by %d, want %d", d, total-ring)
+	}
+	evs, closed, _ := srv.store.get(st.ID).hub.since(0)
+	if !closed || len(evs) != ring {
+		t.Fatalf("since(0): %d events (closed %v), want the last %d", len(evs), closed, ring)
+	}
+	for i, e := range evs {
+		if e.Seq != total-ring+1+uint64(i) {
+			t.Fatalf("since(0): event %d has seq %d, want %d", i, e.Seq, total-ring+1+i)
+		}
+	}
+	if evs[ring-1].Type != EventDone {
+		t.Fatalf("last retained event is %q, want %q", evs[ring-1].Type, EventDone)
+	}
+	frames := readSSE(t, fmt.Sprintf("%s/v1/jobs/%s/events?after=2", ts.URL, st.ID))
+	if len(frames) != ring || frames[0].id != total-ring+1 {
+		t.Fatalf("after=2 served %v, want %d frames from seq %d", frames, ring, total-ring+1)
 	}
 }
 
