@@ -257,7 +257,8 @@ func Parse(src string) (*lang.Program, error) { return lang.Parse(src) }
 // any number of concurrent Sessions can grind one hot program. Bad
 // programs come back as a typed *SourceError.
 func Compile(source string) (*Program, error) {
-	return progcache.Shared().Get(source, true)
+	prog, _, err := progcache.Shared().Get(source, true)
+	return prog, err
 }
 
 // CompileAST lowers an already-parsed program, optionally adding
@@ -270,7 +271,8 @@ func CompileAST(p *lang.Program, instrumentLoops bool) (*Program, error) {
 // CompileSource is Compile with explicit instrumentation control; it
 // shares the same process-wide cache (the flag is part of the key).
 func CompileSource(src string, instrumentLoops bool) (*Program, error) {
-	return progcache.Shared().Get(src, instrumentLoops)
+	prog, _, err := progcache.Shared().Get(src, instrumentLoops)
+	return prog, err
 }
 
 // ValidateInput checks a seeded input against the program's

@@ -222,7 +222,7 @@ func (p *Program) Description() string {
 // workloads.Workload.Compile — including the shared program cache, so
 // the oracle's many configurations of one program compile once.
 func (p *Program) Compile(instrument bool) (*ir.Program, error) {
-	cp, err := progcache.Shared().Get(p.Source, instrument)
+	cp, _, err := progcache.Shared().Get(p.Source, instrument)
 	if err != nil {
 		return nil, fmt.Errorf("gen: %s: %w", p.Name, err)
 	}

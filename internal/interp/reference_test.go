@@ -964,7 +964,7 @@ func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 	for _, rc := range referenceCases() {
 		t.Run(rc.name, func(t *testing.T) {
 			for _, instrument := range []bool{false, true} {
-				prog, err := progcache.Shared().Get(rc.source, instrument)
+				prog, _, err := progcache.Shared().Get(rc.source, instrument)
 				if err != nil {
 					t.Fatalf("compile(instrument=%v): %v", instrument, err)
 				}
@@ -982,7 +982,7 @@ func TestEnginesAndNameMapExecutionAgree(t *testing.T) {
 // keeps covering them.
 func TestLoweringShapesLowerAsNamed(t *testing.T) {
 	for _, instrument := range []bool{false, true} {
-		prog, err := progcache.Shared().Get(loweringShapesSource.source, instrument)
+		prog, _, err := progcache.Shared().Get(loweringShapesSource.source, instrument)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1226,7 +1226,7 @@ func TestHeapFieldsMatchNameMap(t *testing.T) {
 	for _, hc := range heapCases {
 		t.Run(hc.name, func(t *testing.T) {
 			for _, instrument := range []bool{false, true} {
-				prog, err := progcache.Shared().Get(hc.source, instrument)
+				prog, _, err := progcache.Shared().Get(hc.source, instrument)
 				if err != nil {
 					t.Fatalf("compile(instrument=%v): %v", instrument, err)
 				}
@@ -1261,7 +1261,7 @@ func TestHeapFieldsMatchNameMap(t *testing.T) {
 // TestCaptureNamesGrownFields: heap-grow's objects gain c, d and e,
 // each by a store; the dump names them, and no object shows another's.
 func TestCaptureNamesGrownFields(t *testing.T) {
-	prog, err := progcache.Shared().Get(heapCases[0].source, false)
+	prog, _, err := progcache.Shared().Get(heapCases[0].source, false)
 	if err != nil {
 		t.Fatal(err)
 	}

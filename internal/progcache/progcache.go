@@ -102,17 +102,20 @@ var shared = func() *Cache {
 // Workload.Compile and the batch server.
 func Shared() *Cache { return shared }
 
-// Get returns the compiled program for source, compiling at most once
-// per key: concurrent callers for the same key share a single
-// compilation, and every caller receives the same *ir.Program pointer
-// for as long as the entry stays resident. Compile failures are cached
+// Get returns the compiled program for source, and whether this call
+// compiled it, compiling at most once per key: concurrent callers for
+// the same key share a single compilation, and every caller receives
+// the same *ir.Program pointer for as long as the entry stays
+// resident. Exactly one caller per resident key reports compiled; the
+// others waited for or reused its result. Compile failures are cached
 // too (compilation is deterministic, so retrying cannot succeed).
-func (c *Cache) Get(source string, instrument bool) (*ir.Program, error) {
+func (c *Cache) Get(source string, instrument bool) (prog *ir.Program, compiled bool, err error) {
 	e := c.lookup(KeyFor(source, instrument))
 	e.once.Do(func() {
+		compiled = true
 		e.prog, e.err = compile(source, instrument)
 	})
-	return e.prog, e.err
+	return e.prog, compiled, e.err
 }
 
 // lookup returns the entry for key, creating (and LRU-evicting) as

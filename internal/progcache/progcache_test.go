@@ -38,11 +38,11 @@ func T1() {
 
 func TestGetSharesOnePointer(t *testing.T) {
 	c := New(8)
-	p1, err := c.Get(progSrc, true)
+	p1, _, err := c.Get(progSrc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.Get(progSrc, true)
+	p2, _, err := c.Get(progSrc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestGetSharesOnePointer(t *testing.T) {
 
 func TestInstrumentFlagSplitsKeys(t *testing.T) {
 	c := New(8)
-	instr, err := c.Get(progSrc, true)
+	instr, _, err := c.Get(progSrc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := c.Get(progSrc, false)
+	plain, _, err := c.Get(progSrc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestConcurrentGetCompilesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := c.Get(progSrc, true)
+			p, _, err := c.Get(progSrc, true)
 			if err != nil {
 				t.Error(err)
 				return
@@ -103,11 +103,11 @@ func TestConcurrentGetCompilesOnce(t *testing.T) {
 
 func TestErrorsAreCachedAndTyped(t *testing.T) {
 	c := New(8)
-	_, err1 := c.Get("garbage", true)
+	_, _, err1 := c.Get("garbage", true)
 	if err1 == nil {
 		t.Fatal("garbage compiled")
 	}
-	_, err2 := c.Get("garbage", true)
+	_, _, err2 := c.Get("garbage", true)
 	if err1 != err2 {
 		t.Fatalf("error not cached: %v vs %v", err1, err2)
 	}
@@ -123,12 +123,12 @@ func TestLRUEviction(t *testing.T) {
 		strings.Replace(progSrc, "program cachetest;", "program cachetest2;", 1),
 		strings.Replace(progSrc, "program cachetest;", "program cachetest3;", 1),
 	}
-	first, err := c.Get(srcs[0], true)
+	first, _, err := c.Get(srcs[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range srcs[1:] {
-		if _, err := c.Get(s, true); err != nil {
+		if _, _, err := c.Get(s, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// The evicted program is recompiled on the next Get — a fresh
 	// pointer, still a valid program.
-	again, err := c.Get(srcs[0], true)
+	again, _, err := c.Get(srcs[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"heisendump"
@@ -63,6 +65,71 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	if len(again.Report.Races) != len(ar.Report.Races) {
 		t.Errorf("repeat analyze changed the report: %d vs %d races", len(again.Report.Races), len(ar.Report.Races))
+	}
+}
+
+// freshSeq numbers the programs TestCacheHitIsPerRequest compiles, so
+// each is new to the process's shared cache however often the test
+// runs.
+var freshSeq atomic.Int64
+
+// TestCacheHitIsPerRequest: cache_hit says whether this request's
+// compile was served from the shared cache, whatever other requests
+// compile meanwhile. Fresh programs admitted as jobs and analyzed
+// while another goroutine keeps compiling a hot source all report a
+// miss; resubmitting one under a new job key, and analyzing one
+// again, report a hit.
+func TestCacheHitIsPerRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := heisendump.Compile(racySrc); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	fresh := func() string {
+		return fmt.Sprintf("%s// fresh program %d\n", heisendump.WorkloadByName("fig1").Source, freshSeq.Add(1))
+	}
+	analyze := func(src string) bool {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
+		defer resp.Body.Close()
+		var ar AnalyzeResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze: status %d, %v", resp.StatusCode, err)
+		}
+		return ar.CacheHit
+	}
+	var src string
+	for i := 0; i < 20; i++ {
+		req := fig1Request(t, fmt.Sprintf("cache-hit-job-%d", i))
+		src = fresh()
+		req.Source = src
+		if st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs", req)); st.CacheHit {
+			t.Fatalf("fresh job %d reports cache_hit", i)
+		}
+		if analyze(fresh()) {
+			t.Fatalf("fresh analyze %d reports cache_hit", i)
+		}
+	}
+	req := fig1Request(t, "cache-hit-resubmitted")
+	req.Source = src
+	if st := decodeStatus(t, postJSON(t, ts.URL+"/v1/jobs", req)); !st.CacheHit {
+		t.Fatal("a resubmitted program reports no cache_hit")
+	}
+	if !analyze(src) {
+		t.Fatal("analyzing a submitted program reports no cache_hit")
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"heisendump"
 	"heisendump/internal/gen"
+	"heisendump/internal/progcache"
 	"heisendump/internal/telemetry"
 )
 
@@ -245,17 +246,14 @@ func (s *Server) admit(req JobRequest) (*job, bool, *ErrorPayload) {
 		tenant = "default"
 	}
 
-	// Compile at admission through the process-wide shared cache: bad
-	// programs are rejected as typed 400s before they ever queue, and
-	// N jobs over one hot source share a single immutable compiled
-	// program.
-	before := heisendump.CompileCacheStats()
-	prog, err := heisendump.Compile(req.Source)
+	// Compile at admission through the process-wide shared cache, as
+	// heisendump.Compile does: bad programs are rejected as typed 400s
+	// before they ever queue, and N jobs over one hot source share a
+	// single immutable compiled program.
+	prog, compiled, err := progcache.Shared().Get(req.Source, true)
 	if err != nil {
 		return nil, false, classifySubmitError(err)
 	}
-	after := heisendump.CompileCacheStats()
-	cacheHit := after.Hits > before.Hits
 
 	input := req.Input.toInput()
 	if err := heisendump.ValidateInput(prog, input); err != nil {
@@ -292,7 +290,7 @@ func (s *Server) admit(req JobRequest) (*job, bool, *ErrorPayload) {
 		// The name is a slice of the source text, which a finished job
 		// must not pin.
 		progName: strings.Clone(prog.Name),
-		cacheHit: cacheHit,
+		cacheHit: !compiled,
 		hub:      h,
 		run:      r,
 	}
@@ -531,16 +529,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &ErrorPayload{Code: CodeBadRequest, Message: "source is required"})
 		return
 	}
-	before := heisendump.CompileCacheStats()
-	prog, err := heisendump.Compile(req.Source)
+	prog, compiled, err := progcache.Shared().Get(req.Source, true)
 	if err != nil {
 		writeError(w, classifySubmitError(err))
 		return
 	}
-	after := heisendump.CompileCacheStats()
 	writeJSON(w, http.StatusOK, AnalyzeResponse{
 		Report:   heisendump.Analyze(prog),
-		CacheHit: after.Hits > before.Hits,
+		CacheHit: !compiled,
 	})
 }
 

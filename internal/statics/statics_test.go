@@ -11,7 +11,7 @@ import (
 
 func compile(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	prog, err := progcache.Shared().Get(src, false)
+	prog, _, err := progcache.Shared().Get(src, false)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -273,7 +273,7 @@ func TestReplayMatchesLiveHooks(t *testing.T) {
 	subjects = append(subjects, subject{"callfault", callFaultSrc, nil})
 
 	for _, sub := range subjects {
-		prog, err := progcache.Shared().Get(sub.source, true)
+		prog, _, err := progcache.Shared().Get(sub.source, true)
 		if err != nil {
 			t.Fatalf("%s: %v", sub.name, err)
 		}

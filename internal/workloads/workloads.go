@@ -45,7 +45,7 @@ type Workload struct {
 // tables, concurrent reproduction jobs) share one immutable
 // ir.Program. Errors from either phase name the workload.
 func (w *Workload) Compile(instrument bool) (*ir.Program, error) {
-	cp, err := progcache.Shared().Get(w.Source, instrument)
+	cp, _, err := progcache.Shared().Get(w.Source, instrument)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", w.Name, err)
 	}
