@@ -79,23 +79,6 @@ func (c *Counter) Value() int64 {
 	return v
 }
 
-// Gauge is a settable instantaneous value. Gauges are set from
-// single-writer contexts (scrape handlers, admission paths), so they
-// are a single atomic rather than a sharded merge.
-type Gauge struct {
-	d desc
-	n atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.n.Store(v) }
-
-// Add adds n.
-func (g *Gauge) Add(n int64) { g.n.Add(n) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.n.Load() }
-
 // HistogramCell is one worker's bucket row of a sharded histogram.
 // The row (bounds+1 buckets, a sum and a count) is allocated once at
 // registration; Observe is a bounds scan plus three atomic adds.

@@ -95,11 +95,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("t_family_total", "a labeled family.", Label{Key: "kind", Value: "x"})
 	b := r.Counter("t_family_total", "a labeled family.", Label{Key: "kind", Value: "y"})
-	g := r.Gauge("t_gauge", "a gauge.")
 	h := r.Histogram("t_h", "a histogram.", []int64{5})
 	a.Add(3)
 	b.Add(4)
-	g.Set(-2)
 	h.Observe(5)
 	h.Observe(6)
 
@@ -112,7 +110,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# HELP t_family_total a labeled family.\n# TYPE t_family_total counter\n",
 		`t_family_total{kind="x"} 3`,
 		`t_family_total{kind="y"} 4`,
-		"# TYPE t_gauge gauge\nt_gauge -2\n",
 		`t_h_bucket{le="5"} 1`,
 		`t_h_bucket{le="+Inf"} 2`,
 		"t_h_sum 11",
@@ -127,7 +124,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	if snap[`t_family_total{kind="x"}`] != 3 || snap["t_gauge"] != -2 ||
+	if snap[`t_family_total{kind="x"}`] != 3 ||
 		snap["t_h_sum"] != 11 || snap["t_h_count"] != 2 {
 		t.Errorf("snapshot mismatch: %v", snap)
 	}

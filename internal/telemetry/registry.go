@@ -14,19 +14,14 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindHistogram
 )
 
 func (k kind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "histogram"
 }
 
 // desc is one instrument's registration record.
@@ -74,7 +69,6 @@ func escapeLabel(v string) string {
 type instrument interface{ describe() *desc }
 
 func (c *Counter) describe() *desc   { return &c.d }
-func (g *Gauge) describe() *desc     { return &g.d }
 func (h *Histogram) describe() *desc { return &h.d }
 
 // Registry holds const-registered instruments. Registration happens
@@ -106,13 +100,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{d: desc{name: name, help: help, labels: labels, kind: kindCounter}}
 	r.register(c)
 	return c
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{d: desc{name: name, help: help, labels: labels, kind: kindGauge}}
-	r.register(g)
-	return g
 }
 
 // Histogram registers and returns a histogram over the given
@@ -182,9 +169,6 @@ func writeInstrument(w io.Writer, in instrument) error {
 	case *Counter:
 		_, err := fmt.Fprintf(w, "%s %d\n", d.series(), v.Value())
 		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s %d\n", d.series(), v.Value())
-		return err
 	case *Histogram:
 		cum, sum, count := v.snapshot()
 		for i, b := range v.bounds {
@@ -219,8 +203,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 		d := in.describe()
 		switch v := in.(type) {
 		case *Counter:
-			out[d.series()] = v.Value()
-		case *Gauge:
 			out[d.series()] = v.Value()
 		case *Histogram:
 			_, sum, count := v.snapshot()
