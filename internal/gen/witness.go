@@ -26,8 +26,6 @@ type Witness struct {
 	Seed int64
 	// Schedule is the thread of each step of the crashing run.
 	Schedule []int
-	// Steps is the crashing run's length.
-	Steps int64
 	// Crash is the fault, matching the program's recorded Reason.
 	Crash *interp.CrashInfo
 }
@@ -68,7 +66,7 @@ func FindWitness(ctx context.Context, p *Program, prog *ir.Program, maxSeeds int
 				return nil, fmt.Errorf("gen: %s: seed %d crashed with unintended reason %q (seeded bug is %q)",
 					p.Name, seed, res.Crash.Reason, p.Reason)
 			}
-			w := &Witness{Seed: seed, Steps: res.Steps, Crash: res.Crash}
+			w := &Witness{Seed: seed, Crash: res.Crash}
 			schedule, err := w.rerun(p, prog)
 			if err != nil {
 				return nil, fmt.Errorf("gen: %s: witness from seed %d does not replay: %w", p.Name, seed, err)
