@@ -205,37 +205,44 @@ func w() {
 }
 `
 
-// TestUnsteppableChoiceIsError: a Chooser that names a thread the
-// machine cannot step ends its run with OutcomeError at that choice,
-// not with a panic, a retry or a silently short run. main acquires L
-// and runs up to its release; w's acquire observes the held lock and
-// blocks (a counted step), so naming w again names a blocked thread.
-// A thread that does not exist, or a negative id other than the -1
-// yield, is refused the same way.
-func TestUnsteppableChoiceIsError(t *testing.T) {
-	prog := compile(t, holder)
-	for _, tc := range []struct {
-		tids  []int
-		steps int64
-	}{
-		{[]int{0, 0, 1, 1}, 4},
-		{[]int{0, 9}, 1},
-		{[]int{0, -2}, 1},
-	} {
-		bad := tc.tids[len(tc.tids)-1]
-		m := interp.New(prog, nil)
-		res := sched.Run(m, &listChooser{tids: tc.tids})
-		if got := res.Outcome(); got != sched.OutcomeError {
-			t.Fatalf("choosing %d: Outcome() = %v, want error (%+v)", bad, got, res)
-		}
-		if res.Steps != tc.steps {
-			t.Fatalf("choosing %d: stopped after %d steps, want %d", bad, res.Steps, tc.steps)
-		}
-		err := res.Err()
-		if !errors.Is(err, res.StepError) || !strings.Contains(fmt.Sprint(err), fmt.Sprintf("chose thread %d,", bad)) {
-			t.Fatalf("choosing %d: Err() = %v", bad, err)
-		}
+// requireUnsteppable runs holder under a listChooser of tids, whose
+// last id names a thread the machine cannot step, and requires the run
+// to stop at that choice after steps counted steps with OutcomeError
+// and a StepError naming the id: not a panic, a retry or a silently
+// short run.
+func requireUnsteppable(t *testing.T, tids []int, steps int64) {
+	t.Helper()
+	bad := tids[len(tids)-1]
+	m := interp.New(compile(t, holder), nil)
+	res := sched.Run(m, &listChooser{tids: tids})
+	if got := res.Outcome(); got != sched.OutcomeError {
+		t.Fatalf("choosing %d: Outcome() = %v, want error (%+v)", bad, got, res)
 	}
+	if res.Steps != steps {
+		t.Fatalf("choosing %d: stopped after %d steps, want %d", bad, res.Steps, steps)
+	}
+	err := res.Err()
+	if !errors.Is(err, res.StepError) || !strings.Contains(fmt.Sprint(err), fmt.Sprintf("chose thread %d,", bad)) {
+		t.Fatalf("choosing %d: Err() = %v", bad, err)
+	}
+}
+
+// TestStalledReplayIsTyped: a replayed schedule that names a blocked
+// thread stalls at that choice, and the run says so with a typed
+// OutcomeError. main acquires L and runs up to its release; w's
+// acquire observes the held lock and blocks (a counted step), so
+// naming w again names a blocked thread.
+func TestStalledReplayIsTyped(t *testing.T) {
+	requireUnsteppable(t, []int{0, 0, 1, 1}, 4)
+}
+
+// TestOutOfRangeScheduleStallsInsteadOfPanicking: a corrupted or stale
+// schedule can name a thread that does not exist; the run stops at
+// that choice with OutcomeError, not an index panic. A corrupt
+// negative id must not masquerade as the chooser's -1 yield.
+func TestOutOfRangeScheduleStallsInsteadOfPanicking(t *testing.T) {
+	requireUnsteppable(t, []int{0, 9}, 1)
+	requireUnsteppable(t, []int{0, -2}, 1)
 }
 
 // plainScheduler is a Scheduler that is neither a *Random nor a
